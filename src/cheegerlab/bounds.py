@@ -18,6 +18,7 @@ from .cheeger import (
     PartitionCertificate,
     SearchBudget,
     _MAX_DP_N,
+    _MAX_SIGNED_DP_N,
     rho_exact,
     rho_profile,
     rho_signed_exact,
@@ -142,7 +143,7 @@ def _rho_all(g: WeightedGraph, kmax: int, budget: SearchBudget | None, signed: b
     reports it as a per-instance error).  Graphs that large are outside
     the harness's brute-force scale.
     """
-    dp_limit = 14 if signed else _MAX_DP_N
+    dp_limit = _MAX_SIGNED_DP_N if signed else _MAX_DP_N
     if g.n <= dp_limit:
         profile = _signed_profile_dp(g) if signed else _profile_dp(g)
         return profile[:kmax]

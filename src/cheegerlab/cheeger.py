@@ -10,19 +10,27 @@ Two exact engines are provided:
 * :func:`rho_profile` / :func:`rho_signed_profile` -- a subset dynamic
   program over vertex bitmasks that returns certificates for every k at
   once in O(3^n * k); this is what the verification harness uses for
-  all-k sweeps.
+  all-k sweeps.  It runs in numpy over a (mask, part) pair table that
+  depends only on n and is cached per n; tables and work arrays stay
+  within one memory budget by processing masks in chunks.  Limits:
+  n <= 15 unsigned, n <= 14 signed.
 
 The DFS engines score candidates through the same canonical per-set
 evaluation as :func:`conductance` / :func:`beta_signed` (terms accumulated
 in stored-edge order, measures in ascending vertex order), so their optima
 agree to the last bit with a naive enumeration that scores the same way.
-The unsigned DP shares the same subset table; the signed DP tabulates
-splits through per-vertex sums and agrees to ~1e-12.
+The unsigned DP selects among the same subset table with min/max only, so
+it agrees bit for bit too.  The signed DP tabulates splits through
+per-vertex sums and agrees within SIGNED_PROFILE_TOL.  Every DP table
+entry and certificate is bit-identical to the textbook loop kept in the
+test suite; DP certificates break ties among optimal tuples by the DP's
+scan order, which can differ from the DFS's lexicographic choice.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +38,25 @@ from .graph import WeightedGraph, require_valid
 from .nodal import strong_nodal
 
 _MAX_SEARCH_N = 20   # bitmask tables; exhaustive search is hopeless beyond this anyway
+
+# Size policy of the all-k profile DPs.  The signed split tabulation costs
+# about n DP levels on top of the packing DP, so its limit sits one lower.
 _MAX_DP_N = 15
+_MAX_SIGNED_DP_N = 14
+# Memory budget (bytes) for the pair-indexed arrays of one profile call.
+# The pair table holds two native index arrays (numpy gathers three times
+# slower through int32 indices), 16 bytes a pair.  A table that fits in half
+# the budget (n <= 14) is built once per n and cached; a larger one
+# (n = 15) is rebuilt chunk by chunk.  Work arrays are built per chunk of
+# masks whose pairs fit in half the budget at the bytes per pair below
+# (peak use measured with tracemalloc, a streamed table's share included).
+_PAIR_BUDGET = 96 << 20
+_DP_PAIR_BYTES = 48
+_SPLIT_PAIR_BYTES = 96
+
+# The signed profile sums beta's terms per vertex rather than per edge, so
+# its values agree with beta_signed and the signed DFS to within this.
+SIGNED_PROFILE_TOL = 1e-12
 
 # Pruning guard: a branch is cut only when its lower bound beats the
 # incumbent by this relative margin.  Leaf scores and bound arithmetic
@@ -188,6 +214,10 @@ def phi_table(g: WeightedGraph) -> list[float]:
     Entry 0 is +inf.  Accumulates each edge in canonical order, matching
     :func:`conductance` bit for bit.
     """
+    return _phi_array(g).tolist()
+
+
+def _phi_array(g: WeightedGraph) -> np.ndarray:
     n = g.n
     if n > _MAX_SEARCH_N:
         raise ValueError(f"subset table limited to n <= {_MAX_SEARCH_N} (got {n})")
@@ -202,7 +232,7 @@ def phi_table(g: WeightedGraph) -> list[float]:
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = cut / mu_sum
     phi[0] = math.inf
-    return phi.tolist()
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -476,81 +506,179 @@ def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = Non
 
 # ---------------------------------------------------------------------------
 # all-k profiles by subset dynamic programming
+#
+# Both profiles run over the (mask, part) pairs of the n-vertex bitmasks:
+# for every nonempty mask, the parts a = low | sub where low is the mask's
+# lowest vertex and sub runs over the submasks of mask ^ low in descending
+# order.  That is (3^n - 1) / 2 pairs.  Masks are laid out by popcount, then
+# by value, and each mask's parts form one contiguous segment, so the masks
+# with at least j vertices are a suffix of the layout.
 
-def _popcounts(size: int) -> list[int]:
-    pc = [0] * size
-    for m in range(1, size):
-        pc[m] = pc[m >> 1] + (m & 1)
-    return pc
+@dataclass(frozen=True)
+class _MaskOrder:
+    masks: np.ndarray   # nonempty masks by popcount, then value
+    start: np.ndarray   # pair offset of each mask's segment; start[-1] = pair count
+    first: np.ndarray   # first[p]: position in `masks` of the first mask with >= p vertices
+    index: np.ndarray   # position of every mask in `masks` (entry 0 unused)
 
 
-def _packing_dp(score: list[float], n: int, kmax: int):
+@lru_cache(maxsize=None)
+def _mask_order(n: int) -> _MaskOrder:
+    """The mask layout of n (O(2^n), cached; the arrays are read-only)."""
+    size = 1 << n
+    idx = np.arange(size, dtype=np.int64)
+    pc = np.zeros(size, dtype=np.int64)
+    for v in range(n):
+        pc += (idx >> v) & 1
+    masks = np.argsort(pc, kind="stable")[1:]
+    start = np.zeros(size, dtype=np.int64)
+    np.cumsum(np.left_shift(1, pc[masks] - 1), out=start[1:])
+    first = np.searchsorted(pc[masks], np.arange(n + 2))
+    index = np.zeros(size, dtype=np.int64)
+    index[masks] = np.arange(size - 1)
+    for a in (masks, start, first, index):
+        a.flags.writeable = False
+    return _MaskOrder(masks=masks, start=start, first=first, index=index)
+
+
+def _build_pairs(order: _MaskOrder, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parts, rests) of the segments of order.masks[lo:hi], as index arrays.
+
+    Each popcount group fills one (masks, 2^(p-1)) block of the output in
+    place, by doubling from the right over the mask's vertices above its
+    lowest, lowest first: the copy with the new vertex goes to the left of
+    the current columns, which keeps every row descending.
+    """
+    base = order.start[lo]
+    parts = np.empty(order.start[hi] - base, dtype=np.intp)
+    rests = np.empty_like(parts)
+    cuts = [lo] + [c for c in order.first.tolist() if lo < c < hi] + [hi]
+    for g_lo, g_hi in zip(cuts, cuts[1:]):
+        group = order.masks[g_lo:g_hi, None]
+        o0, o1 = order.start[g_lo] - base, order.start[g_hi] - base
+        block = parts[o0:o1].reshape(len(group), -1)
+        width = block.shape[1]
+        low = group & -group
+        block[:, -1:] = low
+        left = group ^ low
+        w = 1
+        while w < width:
+            bit = left & -left
+            np.bitwise_or(block[:, width - w :], bit, out=block[:, width - 2 * w : width - w])
+            left ^= bit
+            w *= 2
+        np.bitwise_xor(group, block, out=rests[o0:o1].reshape(block.shape))
+    return parts, rests
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The whole pair table of n (read-only), or None when it exceeds half the budget."""
+    if 16 * ((3**n - 1) // 2) > _PAIR_BUDGET // 2:
+        return None
+    order = _mask_order(n)
+    table = _build_pairs(order, 0, len(order.masks))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of order.masks[lo:hi]: views of the cached table, or built afresh."""
+    table = _pair_table(n)
+    if table is None:
+        return _build_pairs(_mask_order(n), lo, hi)
+    start = _mask_order(n).start
+    p0, p1 = start[lo], start[hi]
+    return table[0][p0:p1], table[1][p0:p1]
+
+
+def _chunks(n: int, lo: int, pair_bytes: int):
+    """Yield (lo, hi, parts, rests) over order.masks[lo:] in mask ranges of
+    at most half the budget at `pair_bytes` per pair (one mask at least)."""
+    order = _mask_order(n)
+    cap = _PAIR_BUDGET // 2 // pair_bytes
+    end = len(order.masks)
+    while lo < end:
+        hi = int(np.searchsorted(order.start, order.start[lo] + cap, side="right")) - 1
+        hi = min(max(hi, lo + 1), end)
+        yield (lo, hi) + _pairs(n, lo, hi)
+        lo = hi
+
+
+def _dp_iterations(n: int, kmax: int) -> int:
+    """Inner iterations of the textbook loop over the same recurrence:
+    every pair of every mask with at least j vertices, for j = 1..kmax."""
+    return sum((math.comb(n, p) << (p - 1)) * min(p, kmax) for p in range(1, n + 1))
+
+
+def _packing_dp(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
     """min over j disjoint nonempty subsets of max score, for every j <= kmax.
 
-    Returns (dp tables, choice tables, inner-iteration count); dp[j][mask]
-    restricts all parts to live inside `mask`.
+    dp[j][mask] restricts all parts to live inside `mask`.  Level j first
+    takes, for every mask with at least j vertices, the best packing that
+    uses the mask's lowest vertex: min over the mask's segment of
+    max(score[a], dp[j-1][mask ^ a]).  Then the lowest vertex may stay out:
+    dp[j][mask] = min(that, dp[j][mask ^ low]), run over the masks by
+    lowest vertex, highest first.  Only min and max select among table
+    values, so every entry is exact.
     """
+    order = _mask_order(n)
     size = 1 << n
-    pc = _popcounts(size)
-    neg = -math.inf
-    pos = math.inf
-    dp_all: list[list[float]] = [[neg] * size]
-    choice_all: list[list[int]] = [[0] * size]
-    states = 0
+    dp_all = [np.full(size, -math.inf)]
     for j in range(1, kmax + 1):
-        dp_prev = dp_all[j - 1]
-        dp = [pos] * size
-        choice = [0] * size
-        for mask in range(1, size):
-            if pc[mask] < j:
-                continue
-            v = mask & -mask
-            rest = mask ^ v
-            best = dp[rest]
-            ch = 0
-            sub = rest
-            while True:
-                a = sub | v
-                prev = dp_prev[mask ^ a]
-                sa = score[a]
-                cand = sa if sa > prev else prev
-                if cand < best:
-                    best = cand
-                    ch = a
-                states += 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            dp[mask] = best
-            choice[mask] = ch
+        prev = dp_all[-1]
+        dp = np.full(size, math.inf)
+        for lo, hi, parts, rests in _chunks(n, int(order.first[j]), _DP_PAIR_BYTES):
+            cand = score[parts]
+            np.maximum(cand, prev[rests], out=cand)
+            dp[order.masks[lo:hi]] = np.minimum.reduceat(cand, order.start[lo:hi] - order.start[lo])
+        for b in range(n - 1, -1, -1):
+            view = dp.reshape(-1, 2 << b)
+            np.minimum(view[:, 1 << b], view[:, 0], out=view[:, 1 << b])
         dp_all.append(dp)
-        choice_all.append(choice)
-    return dp_all, choice_all, states
+    return dp_all
 
 
-def _reconstruct(choice_all, k: int, full: int) -> list[int]:
+def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) -> list[int]:
+    """Parts of an optimal k-packing, walking the tables back from the full mask.
+
+    At each mask the lowest vertex stays out if that keeps the value;
+    otherwise the first part of the mask's segment that attains it is taken.
+    """
+    order = _mask_order(n)
     parts = []
-    mask = full
+    mask = (1 << n) - 1
     j = k
     while j > 0:
         if mask == 0:
             raise AssertionError("packing reconstruction ran out of vertices")
-        ch = choice_all[j][mask]
-        if ch == 0:
-            mask ^= mask & -mask
-        else:
-            parts.append(ch)
-            mask ^= ch
-            j -= 1
+        dp = dp_all[j]
+        low = mask & -mask
+        if dp[mask ^ low] == dp[mask]:
+            mask ^= low
+            continue
+        i = int(order.index[mask])
+        seg, rests = _pairs(n, i, i + 1)
+        cand = np.maximum(score[seg], dp_all[j - 1][rests])
+        a = int(seg[np.argmax(cand == dp[mask])])
+        parts.append(a)
+        mask ^= a
+        j -= 1
     return parts
 
 
 def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
     """Exact rho_k certificates for every k = 1..kmax in one subset DP.
 
-    Same optima as :func:`rho_exact` (cross-checked in the test suite);
-    certificate tie-breaking follows the DP reconstruction rather than the
-    DFS lexicographic rule.  Limited to n <= 15.
+    Same optima as :func:`rho_exact` (cross-checked in the test suite).
+    The DP runs in numpy over the cached (mask, part) pair table, chunked
+    by mask range within a fixed memory budget, and every value is a
+    Phi-table entry chosen by min/max only, so it is bit-identical to the
+    textbook loop (``tests/brute.py``).  Certificates are rebuilt by
+    rescanning each mask's parts on the optimal path; they follow the DP's
+    own tie-break (first optimal part in scan order), not the DFS
+    lexicographic rule.  Limited to n <= 15.
     """
     require_valid(g)
     if g.is_signed():
@@ -561,17 +689,18 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
-    phi = phi_table(g)
-    dp_all, choice_all, states = _packing_dp(phi, n, kmax)
+    phi = _phi_array(g)
+    dp_all = _packing_dp(phi, n, kmax)
+    states = _dp_iterations(n, kmax)
     full = (1 << n) - 1
     certs = []
     for k in range(1, kmax + 1):
-        masks = _reconstruct(choice_all, k, full)
+        masks = _reconstruct(dp_all, phi, n, k)
         parts = sorted(_parts_from_masks(masks, n))
         certs.append(
             PartitionCertificate(
                 k=k,
-                value=dp_all[k][full],
+                value=float(dp_all[k][full]),
                 parts=tuple(parts),
                 signed=False,
                 exact=True,
@@ -583,104 +712,95 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
 
 @dataclass(frozen=True)
 class _SignedTables:
-    betamin: list[float]
-    split: list[int]  # V1 bitmask realizing betamin per union mask
+    betamin: np.ndarray
+    split: np.ndarray  # V1 bitmask realizing betamin per union mask
 
 
 def _signed_tables(g: WeightedGraph) -> _SignedTables:
+    """Least beta over the splits (V1, V2) of every union mask U.
+
+    V1 runs over U's segment (it holds U's lowest vertex) and V2 = U ^ V1.
+    beta's terms are summed per member of U in ascending order, through
+    per-vertex tables of edge weight into each mask; the other vertices add
+    an exact 0.0 (False times a finite weight).  Among equal splits the
+    first in scan order is kept.
+    """
     n = g.n
     size = 1 << n
     idx = np.arange(size, dtype=np.int64)
-    wplus = []
-    wminus = []
-    wall = []
+    wplus = np.zeros((n, size))
+    wminus = np.zeros((n, size))
+    wall = np.zeros((n, size))
+    for e in g.edges:
+        for v, u in ((e.u, e.v), (e.v, e.u)):
+            ind = (idx >> u) & 1
+            wall[v] += e.w * ind
+            (wplus if e.sigma > 0 else wminus)[v] += e.w * ind
+    deg = g.degrees()
+    mu_u = np.zeros(size)
+    bnd = np.zeros(size)
     for v in range(n):
-        ap = np.zeros(size)
-        am = np.zeros(size)
-        aa = np.zeros(size)
-        for e in g.edges:
-            if e.u == v or e.v == v:
-                u = e.v if e.u == v else e.u
-                ind = (idx >> u) & 1
-                aa += e.w * ind
-                if e.sigma > 0:
-                    ap += e.w * ind
-                else:
-                    am += e.w * ind
-        wplus.append(ap.tolist())
-        wminus.append(am.tolist())
-        wall.append(aa.tolist())
-    mu = list(g.mu)
-    deg = g.degrees().tolist()
+        inside = (idx & (1 << v)) != 0
+        np.add(mu_u, g.mu[v], out=mu_u, where=inside)
+        np.add(bnd, deg[v] - wall[v], out=bnd, where=inside)
 
-    betamin = [math.inf] * size
-    split = [0] * size
-    for umask in range(1, size):
-        members = [v for v in range(n) if (umask >> v) & 1]
-        mu_u = 0.0
-        bnd = 0.0
-        for v in members:
-            mu_u += mu[v]
-            bnd += deg[v] - wall[v][umask]
-        v0 = umask & -umask
-        rest = umask ^ v0
-        best = math.inf
-        best_split = 0
-        sub = rest
-        while True:
-            m1 = sub | v0
-            m2 = umask ^ m1
-            ep = 0.0
-            em = 0.0
-            for v in members:
-                if (m1 >> v) & 1:
-                    ep += wplus[v][m2]
-                    em += wminus[v][m1]
-                else:
-                    em += wminus[v][m2]
-            beta = (2.0 * ep + em + bnd) / mu_u
-            if beta < best:
-                best = beta
-                best_split = m1
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        betamin[umask] = best
-        split[umask] = best_split
+    order = _mask_order(n)
+    betamin = np.full(size, math.inf)
+    split = np.zeros(size, dtype=np.int64)
+    for lo, hi, m1, m2 in _chunks(n, 0, _SPLIT_PAIR_BYTES):
+        ep = np.zeros(len(m1))
+        em = np.zeros(len(m1))
+        for v in range(n):
+            in1 = (m1 & (1 << v)) != 0
+            in_u = in1 | ((m2 & (1 << v)) != 0)
+            ep += in1 * wplus[v][m2]
+            em += in_u * wminus[v][np.where(in1, m1, m2)]
+        umask = m1 | m2
+        beta = (2.0 * ep + em + bnd[umask]) / mu_u[umask]
+        seg = order.start[lo:hi] - order.start[lo]
+        best = np.minimum.reduceat(beta, seg)
+        hits = np.flatnonzero(beta == np.repeat(best, np.diff(order.start[lo : hi + 1])))
+        masks = order.masks[lo:hi]
+        betamin[masks] = best
+        split[masks] = m1[hits[np.searchsorted(hits, seg)]]
     return _SignedTables(betamin=betamin, split=split)
 
 
 def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
     """Exact signed rho^sigma_k certificates for every k = 1..kmax.
 
-    First tabulates, per union mask U, the best split of U into (V1, V2);
-    then packs unions with the same subset DP as the unsigned profile.
-    Limited to n <= 14 (the split tabulation is itself 3^n).
+    First tabulates, per union mask U, the best split of U into (V1, V2)
+    over the same pair table; then packs unions with the same subset DP as
+    the unsigned profile.  Values agree with :func:`beta_signed` and the
+    signed DFS within SIGNED_PROFILE_TOL, since the split table sums
+    beta's terms per vertex rather than per edge.  Limited to
+    n <= 14 (the split tabulation costs about n DP levels).
     """
     require_valid(g)
     n = g.n
-    if n > 14:
-        raise ValueError(f"signed profile DP limited to n <= 14 (got {n})")
+    if n > _MAX_SIGNED_DP_N:
+        raise ValueError(f"signed profile DP limited to n <= {_MAX_SIGNED_DP_N} (got {n})")
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
     tables = _signed_tables(g)
-    dp_all, choice_all, states = _packing_dp(tables.betamin, n, kmax)
+    dp_all = _packing_dp(tables.betamin, n, kmax)
+    states = _dp_iterations(n, kmax)
     full = (1 << n) - 1
     certs = []
     for k in range(1, kmax + 1):
-        unions = _reconstruct(choice_all, k, full)
+        unions = _reconstruct(dp_all, tables.betamin, n, k)
         unions.sort(key=lambda m: m & -m)
         parts = []
         for um in unions:
-            m1 = tables.split[um]
+            m1 = int(tables.split[um])
             m2 = um ^ m1
             parts.append(tuple(v for v in range(n) if (m1 >> v) & 1))
             parts.append(tuple(v for v in range(n) if (m2 >> v) & 1))
         certs.append(
             PartitionCertificate(
                 k=k,
-                value=dp_all[k][full],
+                value=float(dp_all[k][full]),
                 parts=tuple(parts),
                 signed=True,
                 exact=True,

@@ -8,6 +8,7 @@ a pure function of its arguments.
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,13 +45,15 @@ class WeightedGraph:
         `edges` holds (u, v, w) or (u, v, w, sigma) tuples; `mu` is a
         per-vertex sequence, the token "degree" (mu_i = weighted degree) or
         "unit" (mu == 1); `kappa` is a sequence or a scalar to broadcast.
-        Semantic problems (self-loops, bad weights, ...) are left for
-        :func:`validate` to report.
+        Vertex ids and signs must be integers (a float with a fraction
+        raises ValueError rather than being truncated); semantic problems
+        (self-loops, bad weights, ...) are left for :func:`validate` to
+        report.
         """
         norm = []
         for e in edges:
-            u, v, w = int(e[0]), int(e[1]), float(e[2])
-            sigma = int(e[3]) if len(e) > 3 else 1
+            u, v, w = _integer(e[0], "vertex id"), _integer(e[1], "vertex id"), float(e[2])
+            sigma = _integer(e[3], "sigma") if len(e) > 3 else 1
             if v < u:
                 u, v = v, u
             norm.append(Edge(u, v, w, sigma))
@@ -113,6 +116,12 @@ class WeightedGraph:
 
     def kappa_is_zero(self) -> bool:
         return all(k == 0.0 for k in self.kappa)
+
+
+def _integer(x, field: str) -> int:
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{field} {x!r} is not an integer")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -185,17 +194,21 @@ def validate(g: WeightedGraph) -> list[str]:
         if key in seen:
             problems.append(f"duplicate edge ({e.u},{e.v})")
         seen.add(key)
-        if not e.w > 0:
-            problems.append(f"nonpositive weight on edge ({e.u},{e.v})")
+        if not 0 < e.w < math.inf:
+            kind = "nonpositive" if e.w <= 0 else "non-finite"
+            problems.append(f"{kind} weight on edge ({e.u},{e.v})")
         if e.sigma not in (-1, 1):
             problems.append(f"sigma on edge ({e.u},{e.v}) must be +1 or -1")
         touched[e.u] = touched[e.v] = True
     for i, ok in enumerate(touched):
         if not ok:
             problems.append(f"isolated vertex {i}")
-    for i, m in enumerate(g.mu[: g.n]):
-        if not m > 0:
-            problems.append(f"nonpositive measure at vertex {i}")
+    for i, (m, kap) in enumerate(zip(g.mu[: g.n], g.kappa)):
+        if not 0 < m < math.inf:
+            kind = "nonpositive" if m <= 0 else "non-finite"
+            problems.append(f"{kind} measure at vertex {i}")
+        if not -math.inf < kap < math.inf:
+            problems.append(f"non-finite kappa at vertex {i}")
     return problems
 
 
@@ -480,6 +493,14 @@ class GraphFormatError(ValueError):
     pass
 
 
+def _check_size(n: int, edges: list) -> None:
+    # Building allocates O(n); a graph without isolated vertices has n <= 2|E|.
+    if n > 2 * len(edges):
+        raise GraphFormatError(
+            f"n = {n} exceeds twice the edge count ({len(edges)}), so some vertex would be isolated"
+        )
+
+
 def to_json_dict(g: WeightedGraph) -> dict:
     """Canonical JSON form; sigma and kappa are emitted explicitly."""
     return {
@@ -501,26 +522,36 @@ def from_json_dict(data: dict) -> WeightedGraph:
             )
         mu = data.get("mu", "degree")
         kappa = data.get("kappa", 0.0)
+        _check_size(n, edges)
         return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
-    """Edge-list form: header `n <int> mu <degree|v0 v1 ...>`, then `u v w [sigma]` lines."""
+    """Edge-list form: header `n <int> mu <degree|v0 v1 ...> [kappa v0 v1 ...]`,
+    then `u v w [sigma]` lines.  kappa defaults to 0."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
     header = lines[0].split()
     if len(header) < 4 or header[0] != "n" or header[2] != "mu":
-        raise GraphFormatError("header must read: n <int> mu <degree|list>")
+        raise GraphFormatError("header must read: n <int> mu <degree|list> [kappa <list>]")
+    mu_tokens = header[3:]
+    kappa_tokens = None
+    if "kappa" in mu_tokens:
+        at = mu_tokens.index("kappa")
+        mu_tokens, kappa_tokens = mu_tokens[:at], mu_tokens[at + 1 :]
     try:
         n = int(header[1])
-        mu = "degree" if header[3] == "degree" else [float(x) for x in header[3:]]
+        mu = "degree" if mu_tokens == ["degree"] else [float(x) for x in mu_tokens]
+        kappa = 0.0 if kappa_tokens is None else [float(x) for x in kappa_tokens]
     except ValueError as exc:
         raise GraphFormatError(f"bad header: {exc}") from exc
     if mu != "degree" and len(mu) != n:
         raise GraphFormatError(f"mu list has {len(mu)} entries, expected {n}")
+    if kappa_tokens is not None and len(kappa) != n:
+        raise GraphFormatError(f"kappa list has {len(kappa)} entries, expected {n}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -532,11 +563,14 @@ def parse_graph_text(text: str) -> WeightedGraph:
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line {ln!r}: {exc}") from exc
         edges.append((u, v, w, sigma))
-    return WeightedGraph.build(n, edges, mu=mu)
+    _check_size(n, edges)
+    return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
 
 
 def format_graph_text(g: WeightedGraph) -> str:
-    head = "n {} mu {}".format(g.n, " ".join(repr(m) for m in g.mu))
+    head = "n {} mu {} kappa {}".format(
+        g.n, " ".join(repr(m) for m in g.mu), " ".join(repr(k) for k in g.kappa)
+    )
     body = "\n".join(f"{e.u} {e.v} {e.w!r} {e.sigma}" for e in g.edges)
     return head + "\n" + body + "\n"
 

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Naive unpruned enumeration of k-way (signed) Cheeger constants over all
-(k+1)^n resp. (2k+1)^n label assignments, and closed-form spectra of the
-standard families.  The enumeration is independent of the package's search
+(k+1)^n resp. (2k+1)^n label assignments, the textbook pure-Python loops
+of the subset DP behind the profile engines, and closed-form spectra of
+the standard families.  The enumeration is independent of the package's search
 logic; per-set scores go through the same canonical accumulation order as
 the library so that agreement can be asserted exactly.
 """
@@ -101,3 +102,141 @@ def path_spectrum(n: int) -> list[float]:
 
 def star_spectrum(n: int) -> list[float]:
     return [0.0] + [1.0] * (n - 2) + [2.0]
+
+
+# ---------------------------------------------------------------------------
+# textbook loops of the profile DPs (the reference for the numpy engine)
+
+def _popcounts(size: int) -> list[int]:
+    pc = [0] * size
+    for m in range(1, size):
+        pc[m] = pc[m >> 1] + (m & 1)
+    return pc
+
+
+def loop_packing_dp(score, n: int, kmax: int):
+    """min over j disjoint nonempty subsets of max score, for every j <= kmax.
+
+    Returns (dp tables, choice tables, inner-iteration count); dp[j][mask]
+    restricts all parts to live inside `mask`.  choice[j][mask] is 0 when
+    the mask's lowest vertex stays out, else the part holding it.
+    """
+    score = list(score)
+    size = 1 << n
+    pc = _popcounts(size)
+    neg = -math.inf
+    pos = math.inf
+    dp_all: list[list[float]] = [[neg] * size]
+    choice_all: list[list[int]] = [[0] * size]
+    states = 0
+    for j in range(1, kmax + 1):
+        dp_prev = dp_all[j - 1]
+        dp = [pos] * size
+        choice = [0] * size
+        for mask in range(1, size):
+            if pc[mask] < j:
+                continue
+            v = mask & -mask
+            rest = mask ^ v
+            best = dp[rest]
+            ch = 0
+            sub = rest
+            while True:
+                a = sub | v
+                prev = dp_prev[mask ^ a]
+                sa = score[a]
+                cand = sa if sa > prev else prev
+                if cand < best:
+                    best = cand
+                    ch = a
+                states += 1
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            dp[mask] = best
+            choice[mask] = ch
+        dp_all.append(dp)
+        choice_all.append(choice)
+    return dp_all, choice_all, states
+
+
+def loop_reconstruct(choice_all, k: int, full: int) -> list[int]:
+    parts = []
+    mask = full
+    j = k
+    while j > 0:
+        if mask == 0:
+            raise AssertionError("packing reconstruction ran out of vertices")
+        ch = choice_all[j][mask]
+        if ch == 0:
+            mask ^= mask & -mask
+        else:
+            parts.append(ch)
+            mask ^= ch
+            j -= 1
+    return parts
+
+
+def loop_signed_tables(g: WeightedGraph) -> tuple[list[float], list[int]]:
+    """(betamin, split) per union mask: the least beta over splits (V1, V2)
+    with V1 holding the union's lowest vertex, and the first V1 attaining it."""
+    n = g.n
+    size = 1 << n
+    idx = np.arange(size, dtype=np.int64)
+    wplus = []
+    wminus = []
+    wall = []
+    for v in range(n):
+        ap = np.zeros(size)
+        am = np.zeros(size)
+        aa = np.zeros(size)
+        for e in g.edges:
+            if e.u == v or e.v == v:
+                u = e.v if e.u == v else e.u
+                ind = (idx >> u) & 1
+                aa += e.w * ind
+                if e.sigma > 0:
+                    ap += e.w * ind
+                else:
+                    am += e.w * ind
+        wplus.append(ap.tolist())
+        wminus.append(am.tolist())
+        wall.append(aa.tolist())
+    mu = list(g.mu)
+    deg = g.degrees().tolist()
+
+    betamin = [math.inf] * size
+    split = [0] * size
+    for umask in range(1, size):
+        members = [v for v in range(n) if (umask >> v) & 1]
+        mu_u = 0.0
+        bnd = 0.0
+        for v in members:
+            mu_u += mu[v]
+            bnd += deg[v] - wall[v][umask]
+        v0 = umask & -umask
+        rest = umask ^ v0
+        best = math.inf
+        best_split = 0
+        sub = rest
+        while True:
+            m1 = sub | v0
+            m2 = umask ^ m1
+            ep = 0.0
+            em = 0.0
+            for v in members:
+                if (m1 >> v) & 1:
+                    ep += wplus[v][m2]
+                    em += wminus[v][m1]
+                else:
+                    em += wminus[v][m2]
+            beta = (2.0 * ep + em + bnd) / mu_u
+            if beta < best:
+                best = beta
+                best_split = m1
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        betamin[umask] = best
+        split[umask] = best_split
+    return betamin, split

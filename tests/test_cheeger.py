@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,22 @@ from cheegerlab import (
     rho_upper_nodal_sweep,
     with_random_signature,
 )
-from brute import naive_rho, naive_rho_signed
+from cheegerlab import cheeger
+from cheegerlab.cheeger import (
+    SIGNED_PROFILE_TOL,
+    _PAIR_BUDGET,
+    _packing_dp,
+    _phi_array,
+    _reconstruct,
+    _signed_tables,
+)
+from brute import (
+    loop_packing_dp,
+    loop_reconstruct,
+    loop_signed_tables,
+    naive_rho,
+    naive_rho_signed,
+)
 
 
 def triangle():
@@ -221,6 +238,109 @@ class TestRhoSigned:
             assert cert.recompute(g) == cert.value
         for cert in rho_signed_profile(g):
             assert abs(cert.recompute(g) - cert.value) <= 1e-12
+
+
+class TestProfileEngine:
+    """The numpy profile DP against the textbook loops in brute.py."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_reference(self, seed, n, signed, unit_weights, data):
+        # Unit weights make many subsets tie, which exercises the tie rules;
+        # dense graphs give long sums, which exercises accumulation order.
+        lo, hi = (1.0, 1.0) if unit_weights else (0.5, 2.0)
+        p = data.draw(st.sampled_from([0.4, 0.9]))
+        g = generate("random_connected", n, seed, p=p, w_low=lo, w_high=hi)
+        kmax = data.draw(st.integers(1, n))
+        full = (1 << n) - 1
+        if signed:
+            g = with_random_signature(g, seed)
+            betamin, split = loop_signed_tables(g)
+            tables = _signed_tables(g)
+            assert tables.betamin.tolist() == betamin
+            assert tables.split.tolist() == split
+            score = tables.betamin
+            profile = rho_signed_profile(g, kmax)
+        else:
+            score = _phi_array(g)
+            profile = rho_profile(g, kmax)
+        ref, choice, states = loop_packing_dp(score, n, kmax)
+        dp = _packing_dp(score, n, kmax)
+        assert [level.tolist() for level in dp] == ref
+        for cert in profile:
+            assert cert.states == states
+            assert cert.value == ref[cert.k][full]
+            assert _reconstruct(dp, score, n, cert.k) == loop_reconstruct(choice, cert.k, full)
+            if signed:
+                assert abs(cert.recompute(g) - cert.value) <= SIGNED_PROFILE_TOL
+            else:
+                assert cert.recompute(g) == cert.value
+
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_tied_score_tables(self, n, seed):
+        # Scores drawn from four values: nearly every packing ties.
+        rng = np.random.default_rng(seed)
+        score = rng.choice([0.0, 0.5, 1.0, 2.0], size=1 << n)
+        score[0] = math.inf
+        ref, choice, _ = loop_packing_dp(score, n, n)
+        dp = _packing_dp(score, n, n)
+        assert [level.tolist() for level in dp] == ref
+        for k in range(1, n + 1):
+            assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
+
+    def test_streamed_chunks_match_loop_reference(self, monkeypatch):
+        # A 16 KiB budget leaves no cached table at n = 9 and cuts every
+        # level into chunks of a few masks, some spanning two popcounts and
+        # some a single mask larger than the cap.  The dense graph gives
+        # long sums, so a change of accumulation order shows.
+        monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 1 << 14)
+        cheeger._pair_table.cache_clear()
+        try:
+            n = 9
+            assert cheeger._pair_table(n) is None
+            g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
+            sg = with_random_signature(g, 5)
+            betamin, split = loop_signed_tables(sg)
+            tables = _signed_tables(sg)
+            assert tables.betamin.tolist() == betamin
+            assert tables.split.tolist() == split
+            for score in (_phi_array(g), tables.betamin):
+                ref, choice, _ = loop_packing_dp(score, n, n)
+                dp = _packing_dp(score, n, n)
+                assert [level.tolist() for level in dp] == ref
+                for k in range(1, n + 1):
+                    assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
+        finally:
+            cheeger._pair_table.cache_clear()
+
+    def test_n15_memory_within_budget(self):
+        n = 15
+        g = generate("random_connected", n, seed=7, p=0.3)
+        tracemalloc.start()
+        try:
+            profile = rho_profile(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond the budget: the DP tables, Phi and the per-mask layout,
+        # all O(n 2^n).
+        assert peak <= _PAIR_BUDGET + (n + 8) * 8 * (1 << n)
+        for cert in profile[:3]:
+            assert cert.recompute(g) == cert.value
+
+    def test_size_limits(self):
+        g = generate("random_connected", 16, seed=1)
+        with pytest.raises(ValueError, match="n <= 15"):
+            rho_profile(g)
+        with pytest.raises(ValueError, match="n <= 14"):
+            rho_signed_profile(with_random_signature(generate("random_connected", 15, seed=1), 2))
 
 
 class TestNodalSweep:

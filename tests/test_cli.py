@@ -86,6 +86,24 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", "/nonexistent/graph.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "kappa": [NaN, 0]}', "kappa"),
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": Infinity}], "mu": [1, 1]}', "weight"),
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "mu": [1, Infinity]}', "measure"),
+            ('{"n": 2, "edges": [{"u": 0.7, "v": 1, "w": 1}]}', "vertex id"),
+            ("n 2 mu degree kappa nan 0\n0 1 1\n", "kappa"),
+        ],
+    )
+    def test_bad_field_exit_2(self, tmp_path, capsys, text, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert field in err
+
 
 class TestCheeger:
     def test_c4_k2(self, tmp_path, capsys):

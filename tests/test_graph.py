@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,35 @@ class TestValidate:
         problems = validate(g)
         assert any("weight" in p for p in problems)
         assert any("sigma" in p for p in problems)
+
+
+class TestInputBoundary:
+    def test_nan_kappa(self):
+        g = WeightedGraph.build(2, [(0, 1, 1)], kappa=[math.nan, 0.0])
+        assert any("kappa at vertex 0" in p for p in validate(g))
+
+    def test_infinite_weight(self):
+        g = WeightedGraph.build(2, [(0, 1, math.inf)], mu=[1.0, 1.0])
+        assert validate(g) == ["non-finite weight on edge (0,1)"]
+
+    def test_infinite_measure(self):
+        g = WeightedGraph.build(2, [(0, 1, 1)], mu=[1.0, math.inf])
+        assert validate(g) == ["non-finite measure at vertex 1"]
+
+    def test_fractional_vertex_id(self):
+        with pytest.raises(ValueError, match="vertex id 0.7"):
+            WeightedGraph.build(2, [(0.7, 1, 1)])
+        with pytest.raises(GraphFormatError, match="vertex id 0.7"):
+            from_json_dict({"n": 2, "edges": [{"u": 0.7, "v": 1, "w": 1}]})
+
+    def test_integral_float_vertex_id(self):
+        assert WeightedGraph.build(2, [(0.0, 1.0, 1)]) == WeightedGraph.build(2, [(0, 1, 1)])
+
+    def test_vertex_count_bounded_by_edges(self):
+        with pytest.raises(GraphFormatError, match="twice the edge count"):
+            parse_graph_text("n 1000000000 mu degree\n0 1 1\n")
+        with pytest.raises(GraphFormatError, match="twice the edge count"):
+            from_json_dict({"n": 10**9, "edges": [{"u": 0, "v": 1, "w": 1}]})
 
 
 class TestDegreeProfile:
@@ -228,7 +258,66 @@ class TestSerialization:
         with pytest.raises(GraphFormatError):
             parse_graph_text("vertices 3\n0 1 1\n")
 
+    def test_text_keeps_kappa(self):
+        g = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 1)], kappa=[0.5, 0, 0.25])
+        assert parse_graph_text(format_graph_text(g)).kappa == (0.5, 0.0, 0.25)
+
+    def test_text_header_without_kappa(self):
+        g = parse_graph_text("n 2 mu degree\n0 1 1\n")
+        assert g.kappa == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "n 3",
+            "n 3 mu",
+            "m 3 mu degree",
+            "n 3 measure degree",
+            "n x mu degree",
+            "n 3.5 mu degree",
+            "n 3 mu 1 1",
+            "n 3 mu 1 1 one",
+            "n 3 mu degree extra",
+            "n 3 mu kappa 0 0 0",
+            "n 3 mu degree kappa",
+            "n 3 mu degree kappa 0 0",
+            "n 3 mu degree kappa 0 0 0 0",
+            "n 3 mu degree kappa 0 zero 0",
+            "n 3 mu 1 1 1 kappa 0 0 0 kappa 0 0 0",
+        ],
+    )
+    def test_malformed_header(self, header):
+        with pytest.raises(GraphFormatError):
+            parse_graph_text(header + "\n0 1 1\n1 2 1\n")
+
     def test_sniffing(self):
         g = generate("path", 3)
         assert loads_graph(dumps_graph(g)) == g
+        assert loads_graph(format_graph_text(g)) == g
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def full_graphs(draw):
+    """Graphs with every field nontrivial: weights, signs, mu and kappa."""
+    n = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = generate("random_connected", n, seed, p=0.4)
+    g = with_random_signature(g, seed)
+    mu = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    kappa = draw(st.lists(finite, min_size=n, max_size=n))
+    return WeightedGraph.build(n, g.edges, mu=mu, kappa=kappa)
+
+
+class TestRoundTripProperties:
+    @given(full_graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_json(self, g):
+        assert loads_graph(dumps_graph(g)) == g
+
+    @given(full_graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_edge_list(self, g):
         assert loads_graph(format_graph_text(g)) == g
