@@ -286,7 +286,7 @@ class TestSerialization:
             "n 3 mu 1 1 1 kappa 0 0 0 kappa 0 0 0",
         ],
     )
-    def test_malformed_header(self, header):
+    def test_malformed_header_variants(self, header):
         with pytest.raises(GraphFormatError):
             parse_graph_text(header + "\n0 1 1\n1 2 1\n")
 
