@@ -7,6 +7,7 @@ by --seed, so repeated invocations emit identical bytes.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -209,7 +210,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    parse_args keeps no state between calls (each returns a fresh
+    namespace), so every main() call shares the one parser; callers must
+    not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="cheegerlab",
         description="Graph spectra, nodal domains, exact multi-way Cheeger constants, "

@@ -10,6 +10,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -172,11 +173,29 @@ class _UnionFind:
 
 
 def validate(g: WeightedGraph) -> list[str]:
-    """Return every invariant violation of `g`; empty list iff well-formed."""
+    """Return every invariant violation of `g`; empty list iff well-formed.
+
+    The list is a fresh copy of the memoised verdict, so callers may
+    mutate it.
+    """
+    return list(_problems(g))
+
+
+def require_valid(g: WeightedGraph) -> None:
+    problems = _problems(g)
+    if problems:
+        raise ValueError("invalid graph: " + "; ".join(problems))
+
+
+# A graph cannot change after it is built, and one check run validates the
+# same few graphs dozens of times in a row, so the verdict is memoised per
+# graph.  The memo holds its graphs alive; a small one catches the repeats.
+@lru_cache(maxsize=64)
+def _problems(g: WeightedGraph) -> tuple[str, ...]:
     problems = []
     if g.n < 1:
         problems.append("vertex count must be positive")
-        return problems
+        return tuple(problems)
     if len(g.mu) != g.n:
         problems.append(f"mu has length {len(g.mu)}, expected {g.n}")
     if len(g.kappa) != g.n:
@@ -209,13 +228,7 @@ def validate(g: WeightedGraph) -> list[str]:
             problems.append(f"{kind} measure at vertex {i}")
         if not -math.inf < kap < math.inf:
             problems.append(f"non-finite kappa at vertex {i}")
-    return problems
-
-
-def require_valid(g: WeightedGraph) -> None:
-    problems = validate(g)
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
+    return tuple(problems)
 
 
 def degree_profile(g: WeightedGraph) -> DegreeProfile:

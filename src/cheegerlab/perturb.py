@@ -13,7 +13,7 @@ import numpy as np
 
 from .graph import Edge, WeightedGraph, require_valid
 from .rng import SplitMix64, derive_seed
-from .spectral import EigenOptions, laplacian_spectrum
+from .spectral import EigenOptions, Spectrum, laplacian_spectrum
 
 
 def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
@@ -47,6 +47,28 @@ class GenericityReport:
     gap_tol: float
     zero_tol: float
 
+    @staticmethod
+    def of(spectrum: Spectrum, gap_tol: float = 1e-10, zero_tol: float = 1e-10) -> "GenericityReport":
+        """Smallest eigenvalue gap and smallest eigenfunction entry of a spectrum.
+
+        Takes a spectrum already computed (for example a cached one), so
+        the genericity verdict costs no second eigensolve.  Eigenfunctions
+        are the mu-normalized ones of :class:`Spectrum`.  `simple` holds
+        when every consecutive gap exceeds gap_tol; `zero_free` when every
+        entry of every eigenfunction exceeds zero_tol in magnitude.
+        """
+        values = np.asarray(spectrum.values)
+        min_gap = float(np.min(np.diff(values))) if len(values) >= 2 else float("inf")
+        min_abs = float(np.min(np.abs(np.asarray(spectrum.functions))))
+        return GenericityReport(
+            simple=min_gap > gap_tol,
+            min_gap=min_gap,
+            zero_free=min_abs > zero_tol,
+            min_abs_entry=min_abs,
+            gap_tol=gap_tol,
+            zero_tol=zero_tol,
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "simple": self.simple,
@@ -64,25 +86,12 @@ def genericity_report(
     zero_tol: float = 1e-10,
     opts: EigenOptions = EigenOptions(),
 ) -> GenericityReport:
-    """Smallest eigenvalue gap and smallest eigenfunction entry of g.
+    """Solve the spectrum of g and report on it with :meth:`GenericityReport.of`.
 
-    Eigenfunctions come mu-normalized from the solver.  `simple` holds when
-    every consecutive gap exceeds gap_tol; `zero_free` when every entry of
-    every eigenfunction exceeds zero_tol in magnitude.
+    Callers that already hold the spectrum of g call
+    ``GenericityReport.of`` directly instead of solving it again.
     """
-    spectrum = laplacian_spectrum(g, opts)
-    values = np.asarray(spectrum.values)
-    min_gap = float(np.min(np.diff(values))) if g.n >= 2 else float("inf")
-    funcs = np.asarray(spectrum.functions)
-    min_abs = float(np.min(np.abs(funcs)))
-    return GenericityReport(
-        simple=min_gap > gap_tol,
-        min_gap=min_gap,
-        zero_free=min_abs > zero_tol,
-        min_abs_entry=min_abs,
-        gap_tol=gap_tol,
-        zero_tol=zero_tol,
-    )
+    return GenericityReport.of(laplacian_spectrum(g, opts), gap_tol, zero_tol)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cheegerlab import (
@@ -16,7 +17,10 @@ from cheegerlab import (
     generate,
     run_corpus,
 )
-from cheegerlab.bounds import CheckRecord, inequality_tol
+from cheegerlab import bounds, spectral
+from cheegerlab.bounds import CheckRecord, inequality_tol, run_checks_on_graph
+from cheegerlab.graph import classify, is_complete
+from cheegerlab.perturb import perturb
 
 
 def triangle():
@@ -297,3 +301,68 @@ class TestRecordsAndReport:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
             CorpusConfig(checks=("bogus",))
+
+
+class TestSolveCount:
+    """Each distinct matrix of one corpus instance is solved once."""
+
+    CHECKS = ("main", "basics", "lower", "nodal", "nodal_cheeger")
+    EPS = 0.05
+    SEED = 11
+
+    @staticmethod
+    def clear_caches():
+        for cache in (bounds._spectrum, bounds._profile_dp, bounds._signed_profile_dp):
+            cache.cache_clear()
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        solved = []
+        real = spectral.eig_sym
+
+        def counting(m, *args, **kwargs):
+            solved.append(np.array(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eig_sym", counting)
+        return solved
+
+    @staticmethod
+    def nodal_records(rows) -> list:
+        return [rec for _, rec in rows if rec.name.startswith("nodal")]
+
+    def test_three_solves_for_all_five_checks(self, monkeypatch):
+        g = generate("random_connected", 8, 3)
+        assert classify(g).is_connected and not is_complete(g)
+        assert not g.is_signed() and g.mu_is_degree() and g.kappa_is_zero()
+        self.clear_caches()
+        solved = self.count_solves(monkeypatch)
+        rows, errors = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
+        assert not errors
+        assert all(rec.holds for _, rec in rows)
+        assert {rec.name for _, rec in rows} >= {
+            "main", "eq1_left", "lower_eta", "lower_gap",
+            "nodal_lower", "nodal_cheeger",
+        }
+        # L(g) for main / basics / lower_gap, A(g) for eta, L(g') for both
+        # nodal checks, where g' = perturb(g, eps, seed).
+        assert len(solved) == 3
+        gp = perturb(g, self.EPS, self.SEED)
+        assert np.array_equal(solved[0], spectral.normalized_laplacian_sym(g))
+        assert np.all(np.diag(solved[1]) == 0.0) and np.any(solved[1] != 0.0)
+        assert np.array_equal(solved[2], spectral.normalized_laplacian_sym(gp))
+
+    def test_cached_nodal_records_match_uncached(self, monkeypatch):
+        g = generate("random_connected", 8, 3)
+        self.clear_caches()
+        cached, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
+        self.clear_caches()
+        solved = self.count_solves(monkeypatch)
+        monkeypatch.setattr(bounds, "_spectrum", spectral.laplacian_spectrum)
+        fresh, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
+        assert len(solved) == 6  # uncached: L(g) three times, A(g), L(g') twice
+        assert self.nodal_records(cached) == self.nodal_records(fresh)
+        assert {rec.name for rec in self.nodal_records(cached)} == {
+            "nodal_lower", "nodal_strong_upper", "nodal_weak_upper", "nodal_cheeger",
+        }
+        assert cached == fresh

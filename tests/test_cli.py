@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from cheegerlab.cli import main
+import cheegerlab
+from cheegerlab.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -259,3 +261,41 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(path.read_text())["n"] == 3
+
+
+class TestWarmProcess:
+    """The parser and the bounds/validation caches persist across main()
+    calls in one process; none of them may change an output byte."""
+
+    CORPUS = json.dumps(
+        {"families": ["random_connected"], "sizes": [5, 6, 7], "count": 3,
+         "w_low": 0.5, "w_high": 2.0, "seed": 21}
+    )
+    ARGS = ["verify", "--corpus", CORPUS, "--checks", "main,basics,lower,nodal,nodal_cheeger"]
+
+    def test_cold_subprocess_and_warm_runs_byte_identical(self, capsys):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cheegerlab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        cold = subprocess.run(
+            [sys.executable, "-m", "cheegerlab", *self.ARGS], capture_output=True, env=env
+        )
+        assert cold.returncode == 0, cold.stderr
+        code1, warm1, _ = run_cli(self.ARGS, capsys)
+        code2, warm2, _ = run_cli(self.ARGS, capsys)
+        assert code1 == code2 == 0
+        assert json.loads(warm1)["summary"]["holds"] > 0
+        assert warm1.encode() == warm2.encode() == cold.stdout
+
+    def test_parser_keeps_no_state_between_calls(self, capsys):
+        assert build_parser() is build_parser()
+        code, expected, _ = run_cli(self.ARGS, capsys)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--corpus", self.CORPUS, "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, csv_text, _ = run_cli(self.ARGS + ["--format", "csv", "--eps", "0.1"], capsys)
+        assert code == 0 and csv_text.startswith("instance,check,k")
+        code, out, _ = run_cli(self.ARGS, capsys)
+        assert code == 0 and out == expected

@@ -17,11 +17,13 @@ from cheegerlab import (
 )
 from cheegerlab.graph import (
     GraphFormatError,
+    _problems,
     dumps_graph,
     format_graph_text,
     from_json_dict,
     loads_graph,
     parse_graph_text,
+    require_valid,
 )
 
 
@@ -54,6 +56,35 @@ class TestValidate:
         problems = validate(g)
         assert any("weight" in p for p in problems)
         assert any("sigma" in p for p in problems)
+
+
+class TestValidationMemo:
+    def test_invalid_graph_raises_same_message_twice(self):
+        g = WeightedGraph.build(3, [(0, 0, 1), (0, 1, -1.0)])
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                require_valid(g)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "self-loop at vertex 0" in messages[0] and "isolated vertex 2" in messages[0]
+
+    def test_returned_list_is_a_copy(self):
+        g = WeightedGraph.build(2, [(0, 1, 1)], mu=[1.0, 0.0])
+        problems = validate(g)
+        assert problems == ["nonpositive measure at vertex 1"]
+        problems.clear()
+        assert validate(g) == ["nonpositive measure at vertex 1"]
+        with pytest.raises(ValueError, match="nonpositive measure"):
+            require_valid(g)
+        ok = triangle()
+        validate(ok).append("junk")
+        assert validate(ok) == []
+        require_valid(ok)
+
+    def test_memo_is_bounded(self):
+        maxsize = _problems.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10**6
 
 
 class TestInputBoundary:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cheegerlab import (
+    GenericityReport,
     SplitMix64,
     derive_seed,
     generate,
@@ -84,6 +85,12 @@ class TestGenericityReport:
 
     def test_k3_multiplicity(self):
         assert not genericity_report(generate("complete", 3)).simple
+
+    def test_of_spectrum_matches_report(self):
+        for g in (generate("star", 4), perturb(generate("random_connected", 7, 2), 0.05, 9)):
+            spectrum = laplacian_spectrum(g)
+            assert GenericityReport.of(spectrum) == genericity_report(g)
+            assert GenericityReport.of(spectrum, 0.5, 0.5) == genericity_report(g, 0.5, 0.5)
 
 
 class TestFrequency:
