@@ -8,7 +8,6 @@ raise :class:`HypothesisViolation` instead and are reported as skips.
 """
 
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -154,10 +153,6 @@ def _rho_all(g: WeightedGraph, kmax: int, budget: SearchBudget | None, signed: b
     return tuple(search(g, k, budget) for k in range(1, kmax + 1))
 
 
-def _cert_meta(cert: PartitionCertificate) -> dict:
-    return cert.to_json_dict()
-
-
 def check_theorem_main(g: WeightedGraph, budget: SearchBudget | None = None) -> list[CheckRecord]:
     """rho_{k-l} <= sqrt(2 tau lambda_k) for every k with k - l >= 1.
 
@@ -195,7 +190,7 @@ def check_theorem_main(g: WeightedGraph, budget: SearchBudget | None = None) -> 
                     "ell": ell,
                     "tau": tau,
                     "lambda_k": lam,
-                    "certificate": _cert_meta(cert),
+                    "certificate": cert.to_json_dict(),
                 },
             )
         )
@@ -274,7 +269,7 @@ def check_lemma_nodal_cheeger(
                     "lambda_k": lam,
                     "sweep_bound": sweep.bound,
                     "eps": eps,
-                    "certificate": _cert_meta(cert),
+                    "certificate": cert.to_json_dict(),
                 },
             )
         )
@@ -308,7 +303,7 @@ def check_lower_bound(g: WeightedGraph, budget: SearchBudget | None = None) -> l
                 meta={
                     "eta": eta.eta,
                     "tau_min": prof.tau_min,
-                    "certificate": _cert_meta(cert),
+                    "certificate": cert.to_json_dict(),
                 },
             )
         )
@@ -393,7 +388,7 @@ def check_product_theorem(
             "eigensum_error": sum_err,
             "tau": tau,
             "eps": eps,
-            "certificate": _cert_meta(cert),
+            "certificate": cert.to_json_dict(),
         },
     )
 
@@ -469,9 +464,9 @@ class CorpusConfig:
         for key in ("families", "sizes", "checks"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
-        if "budget" in kwargs:
-            kwargs["budget"] = SearchBudget(**kwargs["budget"])
         try:
+            if "budget" in kwargs:
+                kwargs["budget"] = SearchBudget(**kwargs["budget"])
             return CorpusConfig(**kwargs)
         except TypeError as exc:
             raise ValueError(f"bad corpus config: {exc}") from exc
@@ -581,9 +576,6 @@ class Report:
             ],
             "errors": [list(e) for e in self.errors],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

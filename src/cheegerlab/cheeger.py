@@ -1,19 +1,20 @@
 """Conductance, exact k-way Cheeger constants, and signed variants.
 
-Two exact engines are provided:
+One exact engine answers each graph size:
 
-* :func:`rho_exact` / :func:`rho_signed_exact` -- depth-first search over
-  canonical label assignments with branch-and-bound pruning and a state
-  budget.  Labels are canonicalized so that part j+1 can only appear after
-  part j (and, in the signed case, side 1 of a pair before side 2), which
-  collapses part-permutation symmetry.
-* :func:`rho_profile` / :func:`rho_signed_profile` -- a subset dynamic
-  program over vertex bitmasks that returns certificates for every k at
-  once in O(3^n * k); this is what the verification harness uses for
-  all-k sweeps.  It runs in numpy over a (mask, part) pair table that
-  depends only on n and is cached per n; tables and work arrays stay
-  within one memory budget by processing masks in chunks.  Limits:
-  n <= 15 unsigned, n <= 14 signed.
+* Up to n = 15 unsigned and n = 14 signed, a subset dynamic program over
+  vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`)
+  returns certificates for every k at once in O(3^n * k).  It runs in
+  numpy over a (mask, part) pair table that depends only on n; small
+  tables are cached per n, larger ones are built chunk by chunk within one
+  memory budget, in a single pass per call.  :func:`rho_exact` /
+  :func:`rho_signed_exact` answer a single k from it.
+* Beyond those sizes, :func:`rho_exact` / :func:`rho_signed_exact` run a
+  depth-first search over canonical label assignments with
+  branch-and-bound pruning and a state budget.  Labels are canonicalized
+  so that part j+1 can only appear after part j (and, in the signed case,
+  side 1 of a pair before side 2), which collapses part-permutation
+  symmetry.
 
 The DFS engines score candidates through the same canonical per-set
 evaluation as :func:`conductance` / :func:`beta_signed` (terms accumulated
@@ -27,7 +28,6 @@ test suite; DP certificates break ties among optimal tuples by the DP's
 scan order, which can differ from the DFS's lexicographic choice.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,12 +46,12 @@ _MAX_SIGNED_DP_N = 14
 # Memory budget (bytes) for the pair-indexed arrays of one profile call.
 # The pair table holds two native index arrays (numpy gathers three times
 # slower through int32 indices), 16 bytes a pair.  A table that fits in half
-# the budget (n <= 14) is built once per n and cached; a larger one
-# (n = 15) is rebuilt chunk by chunk.  Work arrays are built per chunk of
-# masks whose pairs fit in half the budget at the bytes per pair below
-# (peak use measured with tracemalloc, a streamed table's share included).
-_PAIR_BUDGET = 96 << 20
-_DP_PAIR_BYTES = 48
+# the budget (n <= 10) is built once per n and cached; a larger one is built
+# chunk by chunk on every call, once per call.  Work arrays are built per
+# chunk of masks whose pairs fit in half the budget at the bytes per pair
+# below (peak use measured with tracemalloc, a built table's share included).
+_PAIR_BUDGET = 2 << 20
+_DP_PAIR_BYTES = 64
 _SPLIT_PAIR_BYTES = 96
 
 # The signed profile sums beta's terms per vertex rather than per edge, so
@@ -72,8 +72,9 @@ def _prune_margin(incumbent: float) -> float:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """State budget of the branch-and-bound searches (graphs beyond the DP sizes)."""
+
     max_states: int = 200_000_000
-    allow_overflow: bool = False
 
     def __post_init__(self):
         if self.max_states <= 0:
@@ -129,9 +130,6 @@ class PartitionCertificate:
             "exact": self.exact,
             "states": self.states,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +234,7 @@ def _phi_array(g: WeightedGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact DFS search (unsigned)
+# exact rho_k: the profile DP within its size limit, the DFS beyond it
 
 class _Overflow(Exception):
     pass
@@ -250,19 +248,15 @@ def _parts_from_masks(masks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
-    """Exact k-way Cheeger constant by canonical branch-and-bound DFS.
+    """Exact k-way Cheeger constant with a witness tuple.
 
     Minimizes max_i Phi(A_i) over all tuples of k pairwise-disjoint
-    nonempty vertex sets (the sets need not cover V).  The DFS assigns
-    vertices in order to labels {0 (unassigned), 1..k}; label j+1 may first
-    appear only after label j.  A branch is pruned when some partial part
-    already satisfies  cross-cut(A_i) / (mu(A_i) + mu(unassigned)) >=
-    incumbent, where cross-cut counts edges to other parts (permanently cut)
-    and mu(unassigned) is the measure not yet in any part.  Among optimal
-    tuples, the lexicographically smallest canonical assignment wins.
-
-    Raises BudgetExceededError on state overflow unless the budget allows
-    overflow, in which case the incumbent is returned flagged inexact.
+    nonempty vertex sets (the sets need not cover V).  Up to n = 15 this is
+    certificate k of :func:`rho_profile`: the budget is not consulted,
+    `states` counts DP iterations and ties follow the DP's scan order.
+    Beyond that the budgeted branch-and-bound search runs, and raises
+    BudgetExceededError, carrying the best certificate found so far
+    (flagged inexact), when the budget runs out.
     """
     require_valid(g)
     if g.is_signed():
@@ -270,6 +264,23 @@ def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> P
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if n <= _MAX_DP_N:
+        return rho_profile(g, k)[-1]
+    return _search(g, k, budget)
+
+
+def _search(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
+    """rho_k by canonical branch-and-bound DFS (arguments already checked).
+
+    The DFS assigns vertices in order to labels {0 (unassigned), 1..k};
+    label j+1 may first appear only after label j.  A branch is pruned when
+    some partial part already satisfies  cross-cut(A_i) / (mu(A_i) +
+    mu(unassigned)) >= incumbent, where cross-cut counts edges to other
+    parts (permanently cut) and mu(unassigned) is the measure not yet in
+    any part.  Among optimal tuples, the lexicographically smallest
+    canonical assignment wins.
+    """
+    n = g.n
     budget = budget or SearchBudget()
     phi = phi_table(g)
     mu = list(g.mu)
@@ -359,16 +370,36 @@ def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> P
         exact=not overflowed,
         states=states,
     )
-    if overflowed and not budget.allow_overflow:
+    if overflowed:
         raise BudgetExceededError(states, cert)
     return cert
 
 
 # ---------------------------------------------------------------------------
-# exact DFS search (signed)
+# exact signed rho_k: the same split
 
 def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
-    """Exact k-way signed Cheeger constant over canonical k-sub-bipartitions.
+    """Exact k-way signed Cheeger constant over k-sub-bipartitions.
+
+    Up to n = 14 this is certificate k of :func:`rho_signed_profile`
+    (within SIGNED_PROFILE_TOL of the canonical beta evaluation; the budget
+    is not consulted, `states` counts DP iterations and ties follow the
+    DP's scan order).  Beyond that the budgeted branch-and-bound search
+    runs, with the overflow behaviour of :func:`rho_exact`.
+    """
+    require_valid(g)
+    n = g.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if n > _MAX_SEARCH_N:
+        raise ValueError(f"search limited to n <= {_MAX_SEARCH_N} (got {n})")
+    if n <= _MAX_SIGNED_DP_N:
+        return rho_signed_profile(g, k)[-1]
+    return _signed_search(g, k, budget)
+
+
+def _signed_search(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
+    """rho^sigma_k by canonical branch-and-bound DFS (arguments already checked).
 
     Assignments map each vertex to 0 (out) or to (pair i, side s); pair
     unions must be disjoint and nonempty.  Canonical order: pairs are
@@ -378,12 +409,7 @@ def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = Non
     and boundary edges to other pairs or to permanently-unassigned
     vertices) over mu(U_i) + mu(unassigned).
     """
-    require_valid(g)
     n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if n > _MAX_SEARCH_N:
-        raise ValueError(f"search limited to n <= {_MAX_SEARCH_N} (got {n})")
     budget = budget or SearchBudget()
     mu = list(g.mu)
     mu_total = 0.0
@@ -499,7 +525,7 @@ def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = Non
         exact=not overflowed,
         states=states,
     )
-    if overflowed and not budget.allow_overflow:
+    if overflowed:
         raise BudgetExceededError(states, cert)
     return cert
 
@@ -593,12 +619,11 @@ def _pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return table[0][p0:p1], table[1][p0:p1]
 
 
-def _chunks(n: int, lo: int, pair_bytes: int):
-    """Yield (lo, hi, parts, rests) over order.masks[lo:] in mask ranges of
+def _chunks(n: int, lo: int, end: int, pair_bytes: int):
+    """Yield (lo, hi, parts, rests) over order.masks[lo:end] in mask ranges of
     at most half the budget at `pair_bytes` per pair (one mask at least)."""
     order = _mask_order(n)
     cap = _PAIR_BUDGET // 2 // pair_bytes
-    end = len(order.masks)
     while lo < end:
         hi = int(np.searchsorted(order.start, order.start[lo] + cap, side="right")) - 1
         hi = min(max(hi, lo + 1), end)
@@ -615,29 +640,31 @@ def _dp_iterations(n: int, kmax: int) -> int:
 def _packing_dp(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
     """min over j disjoint nonempty subsets of max score, for every j <= kmax.
 
-    dp[j][mask] restricts all parts to live inside `mask`.  Level j first
-    takes, for every mask with at least j vertices, the best packing that
-    uses the mask's lowest vertex: min over the mask's segment of
-    max(score[a], dp[j-1][mask ^ a]).  Then the lowest vertex may stay out:
-    dp[j][mask] = min(that, dp[j][mask ^ low]), run over the masks by
-    lowest vertex, highest first.  Only min and max select among table
-    values, so every entry is exact.
+    dp[j][mask] restricts all parts to live inside `mask`.  Either the
+    mask's lowest vertex stays out, dp[j][mask ^ low], or it lies in a part
+    a of the mask's segment, max(score[a], dp[j-1][mask ^ a]); dp[j][mask]
+    is the least of these.  Every input lies in a smaller popcount group,
+    so one pass over the groups in increasing popcount fills every level:
+    each chunk of a group gathers score[parts] once and runs levels
+    1..min(p, kmax).  Only min and max select among table values, so every
+    entry is exact.
     """
     order = _mask_order(n)
-    size = 1 << n
-    dp_all = [np.full(size, -math.inf)]
-    for j in range(1, kmax + 1):
-        prev = dp_all[-1]
-        dp = np.full(size, math.inf)
-        for lo, hi, parts, rests in _chunks(n, int(order.first[j]), _DP_PAIR_BYTES):
-            cand = score[parts]
-            np.maximum(cand, prev[rests], out=cand)
-            dp[order.masks[lo:hi]] = np.minimum.reduceat(cand, order.start[lo:hi] - order.start[lo])
-        for b in range(n - 1, -1, -1):
-            view = dp.reshape(-1, 2 << b)
-            np.minimum(view[:, 1 << b], view[:, 0], out=view[:, 1 << b])
-        dp_all.append(dp)
-    return dp_all
+    dp = np.full((kmax + 1, 1 << n), math.inf)
+    dp[0] = -math.inf
+    for p in range(1, n + 1):
+        for lo, hi, parts, rests in _chunks(n, int(order.first[p]), int(order.first[p + 1]), _DP_PAIR_BYTES):
+            masks = order.masks[lo:hi]
+            without_low = masks ^ (masks & -masks)
+            sc = score[parts].reshape(len(masks), -1)
+            rests = rests.reshape(sc.shape)
+            for j in range(1, min(p, kmax) + 1):
+                cand = dp[j - 1][rests]
+                np.maximum(cand, sc, out=cand)
+                best = cand.min(axis=1)
+                np.minimum(best, dp[j][without_low], out=best)
+                dp[j][masks] = best
+    return list(dp)
 
 
 def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) -> list[int]:
@@ -747,7 +774,7 @@ def _signed_tables(g: WeightedGraph) -> _SignedTables:
     order = _mask_order(n)
     betamin = np.full(size, math.inf)
     split = np.zeros(size, dtype=np.int64)
-    for lo, hi, m1, m2 in _chunks(n, 0, _SPLIT_PAIR_BYTES):
+    for lo, hi, m1, m2 in _chunks(n, 0, len(order.masks), _SPLIT_PAIR_BYTES):
         ep = np.zeros(len(m1))
         em = np.zeros(len(m1))
         for v in range(n):

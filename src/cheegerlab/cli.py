@@ -62,12 +62,6 @@ def _load(path: str):
     return g
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        max_states=args.budget, allow_overflow=getattr(args, "allow_overflow", False)
-    )
-
-
 def cmd_analyze(args) -> int:
     g = _load(args.graph)
     cls = classify(g)
@@ -110,7 +104,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_cheeger(args) -> int:
     g = _load(args.graph)
-    budget = _budget(args)
+    budget = SearchBudget(max_states=args.budget)
     try:
         if args.signed:
             cert = rho_signed_exact(g, args.k, budget)
@@ -237,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--signed", action="store_true")
     pc.add_argument("--sweep-from-eig", type=int, default=None, metavar="J",
                     help="also report the nodal-sweep upper bound from eigenfunction J (1-based)")
-    pc.add_argument("--budget", type=int, default=SearchBudget().max_states)
-    pc.add_argument("--allow-overflow", action="store_true")
+    pc.add_argument("--budget", type=int, default=SearchBudget().max_states,
+                    help="search state budget; applies only beyond the DP sizes "
+                    "(n > 15, signed n > 14)")
     pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(func=cmd_cheeger)
 

@@ -6,7 +6,6 @@ need.  Eigenvalues are reported ascending; the normalized adjacency helper
 follows the opposite (descending) convention of spectral-radius bounds.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -133,6 +132,8 @@ class Spectrum:
 
     def function(self, k: int) -> np.ndarray:
         """The k-th (1-based) eigenfunction as an array."""
+        if not 1 <= k <= len(self.functions):
+            raise ValueError(f"eigenfunction index must be in [1, {len(self.functions)}], got {k}")
         return np.asarray(self.functions[k - 1])
 
     def to_json_dict(self) -> dict:
@@ -141,9 +142,6 @@ class Spectrum:
             "clusters": [[s, m] for s, m in self.clusters],
             "functions": [list(f) for f in self.functions],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def normalized_laplacian_sym(g: WeightedGraph) -> np.ndarray:

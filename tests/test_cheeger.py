@@ -28,6 +28,8 @@ from cheegerlab.cheeger import (
     _packing_dp,
     _phi_array,
     _reconstruct,
+    _search,
+    _signed_search,
     _signed_tables,
 )
 from brute import (
@@ -108,11 +110,46 @@ class TestRhoExact:
     def test_budget_overflow(self):
         g = generate("random_connected", 9, seed=2, p=0.35)
         with pytest.raises(BudgetExceededError) as err:
-            rho_exact(g, 3, SearchBudget(max_states=50))
+            _search(g, 3, SearchBudget(max_states=50))
         assert err.value.states > 50
-        cert = rho_exact(g, 3, SearchBudget(max_states=50, allow_overflow=True))
+        cert = err.value.best
         assert not cert.exact
-        assert cert.value >= rho_exact(g, 3).value
+        assert cert.value >= _search(g, 3).value
+
+
+class TestEngineChoice:
+    """rho_exact / rho_signed_exact answer from the profile DP within its
+    size limits and run the budgeted search only beyond them."""
+
+    @pytest.mark.parametrize("n", [2, 9, 15])
+    def test_dp_answers_in_range(self, n):
+        g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
+        for k in sorted({1, 2, n // 2 + 1, n}):
+            cert = rho_exact(g, k, SearchBudget(max_states=1))
+            assert cert == rho_profile(g, k)[k - 1]
+            assert cert.exact
+
+    @pytest.mark.parametrize("n", [2, 7, 14])
+    def test_signed_dp_answers_in_range(self, n):
+        g = with_random_signature(
+            generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0), n
+        )
+        for k in sorted({1, 2, n}):
+            cert = rho_signed_exact(g, k, SearchBudget(max_states=1))
+            assert cert == rho_signed_profile(g, k)[k - 1]
+            assert cert.exact
+            if n <= 7:
+                assert abs(cert.value - _signed_search(g, k).value) <= SIGNED_PROFILE_TOL
+
+    def test_search_beyond_range(self):
+        g = generate("random_connected", 16, seed=5)
+        sg = with_random_signature(generate("random_connected", 15, seed=5), 5)
+        for engine, graph in ((rho_exact, g), (rho_signed_exact, g), (rho_signed_exact, sg)):
+            with pytest.raises(BudgetExceededError) as err:
+                engine(graph, 2, SearchBudget(max_states=40))
+            assert err.value.states == 41
+            assert not err.value.best.exact
+            assert err.value.best.recompute(graph) == err.value.best.value
 
 
 class TestOracleEquivalence:
@@ -122,7 +159,7 @@ class TestOracleEquivalence:
         g = generate("random_connected", n, seed=seed, p=0.4, w_low=0.5, w_high=2.0)
         profile = rho_profile(g)
         for k in (1, 2, 3):
-            dfs = rho_exact(g, k).value
+            dfs = _search(g, k).value
             assert dfs == naive_rho(g, k)
             assert dfs == profile[k - 1].value
 
@@ -130,7 +167,7 @@ class TestOracleEquivalence:
         g = generate("random_connected", 7, seed=40, p=0.35, w_low=0.5, w_high=2.0)
         profile = rho_profile(g)
         for k in range(1, 8):
-            assert profile[k - 1].value == rho_exact(g, k).value
+            assert profile[k - 1].value == _search(g, k).value
 
     def test_profile_certificates_valid(self):
         g = generate("random_connected", 9, seed=8, p=0.3, w_low=0.5, w_high=2.0)
@@ -219,7 +256,7 @@ class TestRhoSigned:
         )
         profile = rho_signed_profile(g)
         for k in (1, 2):
-            dfs = rho_signed_exact(g, k).value
+            dfs = _signed_search(g, k).value
             assert dfs == naive_rho_signed(g, k)
             assert abs(dfs - profile[k - 1].value) <= 1e-12
 

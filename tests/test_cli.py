@@ -144,16 +144,45 @@ class TestCheeger:
         assert code == 0
         assert data["sweep"]["bound"] >= data["certificate"]["value"] - 1e-12
 
-    def test_budget_overflow_exit_3(self, tmp_path, capsys):
-        path = tmp_path / "g.json"
-        main(["gen", "--family", "random_connected", "--n", "9", "--seed", "5", "-o", str(path)])
-        code, out, _ = run_cli(
-            ["cheeger", str(path), "--k", "3", "--budget", "40", "--allow-overflow"], capsys
+    @pytest.mark.parametrize("j", [0, -1, 5])
+    def test_sweep_index_out_of_range_exit_2(self, tmp_path, capsys, j):
+        path = tmp_path / "c4.json"
+        main(["gen", "--family", "cycle", "--n", "4", "-o", str(path)])
+        code, out, err = run_cli(
+            ["cheeger", str(path), "--k", "2", "--sweep-from-eig", str(j)], capsys
         )
-        assert code == 3
+        assert code == 2
+        assert out == ""
+        assert "eigenfunction index must be in [1, 4]" in err
+
+    def test_budget_overflow_exit_3(self, tmp_path, capsys):
+        # n = 16 lies beyond both DP limits, so the budgeted search runs.
+        path = tmp_path / "g.json"
+        main(["gen", "--family", "random_connected", "--n", "16", "--seed", "5", "-o", str(path)])
+        for extra in ([], ["--signed"]):
+            code, out, _ = run_cli(["cheeger", str(path), "--k", "3", "--budget", "40"] + extra, capsys)
+            assert code == 3
+            data = json.loads(out)
+            assert data["budget_exceeded"] is True
+            assert data["certificate"]["exact"] is False
+
+    @pytest.mark.parametrize("n, signed", [(15, False), (14, True)])
+    def test_dp_range_ignores_budget(self, tmp_path, capsys, n, signed):
+        path = tmp_path / "g.json"
+        main(["gen", "--family", "random_connected", "--n", str(n), "--seed", "5", "-o", str(path)])
+        extra = ["--signed"] if signed else []
+        code, out, _ = run_cli(["cheeger", str(path), "--k", "2", "--budget", "1"] + extra, capsys)
+        assert code == 0
         data = json.loads(out)
-        assert data["budget_exceeded"] is True
-        assert data["certificate"]["exact"] is False
+        assert data["budget_exceeded"] is False
+        g = cheegerlab.load_graph(str(path))
+        profile = (cheegerlab.rho_signed_profile if signed else cheegerlab.rho_profile)(g, 2)
+        assert data["certificate"] == profile[1].to_json_dict()
+
+    def test_allow_overflow_flag_is_gone(self, gn3_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["cheeger", gn3_file, "--k", "2", "--allow-overflow"])
+        assert exc.value.code == 2
 
 
 class TestVerify:
@@ -176,6 +205,20 @@ class TestVerify:
         data = json.loads(out)
         assert data["summary"]["violations"] == 0
         assert all(rec["meta"].get("ell") == 0 for rec in data["records"])
+
+    def test_corpus_budget_rejects_allow_overflow(self, capsys):
+        corpus = json.dumps(
+            {
+                "families": ["random_connected"],
+                "sizes": [16],
+                "count": 1,
+                "budget": {"max_states": 20000, "allow_overflow": True},
+            }
+        )
+        code, out, err = run_cli(["verify", "--corpus", corpus, "--checks", "lower,basics"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "bad corpus config" in err and "allow_overflow" in err
 
     def test_negative_kappa_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
