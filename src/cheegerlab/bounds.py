@@ -16,8 +16,7 @@ from .cheeger import (
     BudgetExceededError,
     PartitionCertificate,
     SearchBudget,
-    _MAX_DP_N,
-    _MAX_SIGNED_DP_N,
+    _dp_answers,
     rho_exact,
     rho_profile,
     rho_signed_exact,
@@ -138,15 +137,17 @@ def _signed_profile_dp(g: WeightedGraph):
 
 
 def _rho_all(g: WeightedGraph, kmax: int, budget: SearchBudget | None, signed: bool) -> tuple[PartitionCertificate, ...]:
-    """Exact certificates for k = 1..kmax: subset DP when it fits, else DFS.
+    """Exact certificates for k = 1..kmax from the engine cheeger's size
+    policy picks.
 
-    Beyond the DP size limit each k runs the budgeted branch-and-bound
-    search; the first budget overflow aborts the instance (the caller
-    reports it as a per-instance error).  Graphs that large are outside
-    the harness's brute-force scale.
+    Where the DP answers, one cached all-k profile serves every check of
+    the instance (rho_exact per k would run a profile per k).  Beyond it
+    each k runs the budgeted branch-and-bound search through rho_exact;
+    the first budget overflow aborts the instance (the caller reports it
+    as a per-instance error).  Graphs that large are outside the
+    harness's brute-force scale.
     """
-    dp_limit = _MAX_SIGNED_DP_N if signed else _MAX_DP_N
-    if g.n <= dp_limit:
+    if _dp_answers(g.n, signed):
         profile = _signed_profile_dp(g) if signed else _profile_dp(g)
         return profile[:kmax]
     search = rho_signed_exact if signed else rho_exact

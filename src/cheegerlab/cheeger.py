@@ -43,6 +43,13 @@ _MAX_SEARCH_N = 20   # bitmask tables; exhaustive search is hopeless beyond this
 # about n DP levels on top of the packing DP, so its limit sits one lower.
 _MAX_DP_N = 15
 _MAX_SIGNED_DP_N = 14
+
+
+def _dp_answers(n: int, signed: bool) -> bool:
+    """Whether the profile DP, rather than the search, answers size n."""
+    return n <= (_MAX_SIGNED_DP_N if signed else _MAX_DP_N)
+
+
 # Memory budget (bytes) for the pair-indexed arrays of one profile call.
 # The pair table holds two native index arrays (numpy gathers three times
 # slower through int32 indices), 16 bytes a pair.  A table that fits in half
@@ -264,7 +271,7 @@ def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> P
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if n <= _MAX_DP_N:
+    if _dp_answers(n, signed=False):
         return rho_profile(g, k)[-1]
     return _search(g, k, budget)
 
@@ -393,7 +400,7 @@ def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = Non
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n > _MAX_SEARCH_N:
         raise ValueError(f"search limited to n <= {_MAX_SEARCH_N} (got {n})")
-    if n <= _MAX_SIGNED_DP_N:
+    if _dp_answers(n, signed=True):
         return rho_signed_profile(g, k)[-1]
     return _signed_search(g, k, budget)
 
@@ -711,7 +718,7 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     if g.is_signed():
         raise ValueError("rho_profile needs an unsigned graph; see rho_signed_profile")
     n = g.n
-    if n > _MAX_DP_N:
+    if not _dp_answers(n, signed=False):
         raise ValueError(f"profile DP limited to n <= {_MAX_DP_N} (got {n})")
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
@@ -805,7 +812,7 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
     """
     require_valid(g)
     n = g.n
-    if n > _MAX_SIGNED_DP_N:
+    if not _dp_answers(n, signed=True):
         raise ValueError(f"signed profile DP limited to n <= {_MAX_SIGNED_DP_N} (got {n})")
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:

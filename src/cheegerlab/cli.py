@@ -104,6 +104,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_cheeger(args) -> int:
     g = _load(args.graph)
+    # Fetch the eigenfunction first, so a bad J exits 2 before any search.
+    f = None
+    if args.sweep_from_eig is not None:
+        f = laplacian_spectrum(g).function(args.sweep_from_eig)
     budget = SearchBudget(max_states=args.budget)
     try:
         if args.signed:
@@ -116,9 +120,7 @@ def cmd_cheeger(args) -> int:
         cert = exc.best
     exceeded = not cert.exact
     out = {"certificate": cert.to_json_dict(), "budget_exceeded": exceeded}
-    if args.sweep_from_eig is not None:
-        spectrum = laplacian_spectrum(g)
-        f = spectrum.function(args.sweep_from_eig)
+    if f is not None:
         out["sweep"] = rho_upper_nodal_sweep(g, f).to_json_dict()
     _emit(json.dumps(out, sort_keys=True, indent=2), args.output)
     return 3 if exceeded else 0

@@ -70,10 +70,15 @@ class TestConductance:
 
 
 class TestRhoExact:
+    # rho_exact answers these sizes from the profile DP; _search is the DFS
+    # that answers beyond them.  Both must return exact, valid certificates.
+    ENGINES = (rho_exact, _search)
+
     def test_k1_is_zero_with_full_set(self):
-        cert = rho_exact(triangle(), 1)
-        assert cert.value == 0.0
-        assert cert.parts == ((0, 1, 2),)
+        for engine in self.ENGINES:
+            cert = engine(triangle(), 1)
+            assert cert.value == 0.0
+            assert cert.parts == ((0, 1, 2),)
 
     def test_disconnected_k2_zero(self):
         g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
@@ -97,15 +102,17 @@ class TestRhoExact:
 
     def test_certificate_is_valid(self):
         g = generate("random_connected", 8, seed=17, p=0.35, w_low=0.5, w_high=2.0)
-        for k in (1, 2, 3, 5, 8):
-            cert = rho_exact(g, k)
-            assert len(cert.parts) == k
-            assert all(cert.parts)
-            seen = set()
-            for part in cert.parts:
-                assert seen.isdisjoint(part)
-                seen.update(part)
-            assert cert.recompute(g) == cert.value
+        for engine in self.ENGINES:
+            for k in (1, 2, 3, 5, 8):
+                cert = engine(g, k)
+                assert cert.exact
+                assert len(cert.parts) == k
+                assert all(cert.parts)
+                seen = set()
+                for part in cert.parts:
+                    assert seen.isdisjoint(part)
+                    seen.update(part)
+                assert cert.recompute(g) == cert.value
 
     def test_budget_overflow(self):
         g = generate("random_connected", 9, seed=2, p=0.35)
@@ -237,11 +244,16 @@ class TestRhoSigned:
         )
         assert rho_signed_exact(g, 1).value == 0.0
 
+    # rho_signed_exact answers these sizes from the signed profile DP;
+    # _signed_search is the DFS that answers beyond them.
+    ENGINES = (rho_signed_exact, _signed_search)
+
     def test_single_positive_edge(self):
         g = WeightedGraph.build(2, [(0, 1, 1)])
-        cert = rho_signed_exact(g, 1)
-        assert cert.value == 0.0
-        assert cert.parts == ((0, 1), ())
+        for engine in self.ENGINES:
+            cert = engine(g, 1)
+            assert cert.value == 0.0
+            assert cert.parts == ((0, 1), ())
 
     def test_all_positive_rho1_zero(self):
         g = generate("random_connected", 6, seed=10)
@@ -262,17 +274,19 @@ class TestRhoSigned:
 
     def test_certificates_valid(self):
         g = with_random_signature(generate("random_connected", 7, seed=3, p=0.4), 9)
-        for k in (1, 2, 3):
-            cert = rho_signed_exact(g, k)
-            assert len(cert.parts) == 2 * k
-            union = set()
-            for i in range(k):
-                v1, v2 = set(cert.parts[2 * i]), set(cert.parts[2 * i + 1])
-                assert v1 or v2
-                assert not v1 & v2
-                assert union.isdisjoint(v1 | v2)
-                union |= v1 | v2
-            assert cert.recompute(g) == cert.value
+        for engine in self.ENGINES:
+            for k in (1, 2, 3):
+                cert = engine(g, k)
+                assert cert.exact
+                assert len(cert.parts) == 2 * k
+                union = set()
+                for i in range(k):
+                    v1, v2 = set(cert.parts[2 * i]), set(cert.parts[2 * i + 1])
+                    assert v1 or v2
+                    assert not v1 & v2
+                    assert union.isdisjoint(v1 | v2)
+                    union |= v1 | v2
+                assert cert.recompute(g) == cert.value
         for cert in rho_signed_profile(g):
             assert abs(cert.recompute(g) - cert.value) <= 1e-12
 

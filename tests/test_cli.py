@@ -155,6 +155,24 @@ class TestCheeger:
         assert out == ""
         assert "eigenfunction index must be in [1, 4]" in err
 
+    def test_sweep_index_checked_before_search(self, tmp_path, capsys, monkeypatch):
+        # n = 16 lies beyond the DP limits, where the search may run long
+        # (default budget 2e8 states): a bad J must not wait for it.
+        def no_search(*args):
+            raise AssertionError("the search ran before the index check")
+
+        monkeypatch.setattr(cheegerlab.cli, "rho_exact", no_search)
+        monkeypatch.setattr(cheegerlab.cli, "rho_signed_exact", no_search)
+        path = tmp_path / "g.json"
+        main(["gen", "--family", "random_connected", "--n", "16", "--seed", "5", "-o", str(path)])
+        for extra in ([], ["--signed"]):
+            code, out, err = run_cli(
+                ["cheeger", str(path), "--k", "3", "--sweep-from-eig", "17"] + extra, capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert "eigenfunction index must be in [1, 16]" in err
+
     def test_budget_overflow_exit_3(self, tmp_path, capsys):
         # n = 16 lies beyond both DP limits, so the budgeted search runs.
         path = tmp_path / "g.json"
