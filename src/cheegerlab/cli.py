@@ -37,7 +37,6 @@ from .graph import (
     generate,
     load_graph,
     to_json_dict,
-    validate,
 )
 from .perturb import genericity_frequency
 from .rng import DEFAULT_SEED
@@ -54,16 +53,8 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load(path: str):
-    g = load_graph(path)
-    problems = validate(g)
-    if problems:
-        raise GraphFormatError("; ".join(problems))
-    return g
-
-
 def cmd_analyze(args) -> int:
-    g = _load(args.graph)
+    g = load_graph(args.graph)
     cls = classify(g)
     prof = degree_profile(g)
     spectrum = laplacian_spectrum(g)
@@ -103,7 +94,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cheeger(args) -> int:
-    g = _load(args.graph)
+    g = load_graph(args.graph)
     # Fetch the eigenfunction first, so a bad J exits 2 before any search.
     f = None
     if args.sweep_from_eig is not None:
@@ -151,13 +142,13 @@ def cmd_verify(args) -> int:
     else:
         if args.graph is None:
             raise GraphFormatError("verify needs a graph file or --corpus")
-        g = _load(args.graph)
+        g = load_graph(args.graph)
         plain = tuple(c for c in checks if c != "product")
         rows, errors = run_checks_on_graph("graph", g, plain, args.eps, args.seed, budget)
         if "product" in checks:
             if args.with_graph is None:
                 raise GraphFormatError("--checks product needs --with-graph FILE (and --product-k)")
-            g2 = _load(args.with_graph)
+            g2 = load_graph(args.with_graph)
             try:
                 rows.append(
                     ("graph", check_product_theorem(g, g2, args.product_k, args.eps, args.seed, budget))
@@ -185,7 +176,7 @@ def cmd_perturb(args) -> int:
         raise GraphFormatError("--trials must be >= 1")
     if args.eps < 0:
         raise GraphFormatError("--eps must be >= 0")
-    g = _load(args.graph)
+    g = load_graph(args.graph)
     rep = genericity_frequency(g, args.eps, args.trials, args.seed)
     _emit(json.dumps(rep.to_json_dict(), sort_keys=True, indent=2), args.output)
     return 0

@@ -524,7 +524,16 @@ def to_json_dict(g: WeightedGraph) -> dict:
     }
 
 
+def _checked(g: WeightedGraph) -> WeightedGraph:
+    problems = _problems(g)
+    if problems:
+        raise GraphFormatError("; ".join(problems))
+    return g
+
+
 def from_json_dict(data: dict) -> WeightedGraph:
+    """Graph from its JSON form; raises GraphFormatError if the data is
+    malformed or the graph fails :func:`validate`."""
     try:
         n = int(data["n"])
         raw = data["edges"]
@@ -536,14 +545,17 @@ def from_json_dict(data: dict) -> WeightedGraph:
         mu = data.get("mu", "degree")
         kappa = data.get("kappa", 0.0)
         _check_size(n, edges)
-        return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
+        g = WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
+    return _checked(g)
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
     """Edge-list form: header `n <int> mu <degree|v0 v1 ...> [kappa v0 v1 ...]`,
-    then `u v w [sigma]` lines.  kappa defaults to 0."""
+    then `u v w [sigma]` lines.  kappa defaults to 0.  Raises
+    GraphFormatError if the text is malformed or the graph fails
+    :func:`validate`."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
@@ -577,7 +589,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
             raise GraphFormatError(f"bad edge line {ln!r}: {exc}") from exc
         edges.append((u, v, w, sigma))
     _check_size(n, edges)
-    return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
+    return _checked(WeightedGraph.build(n, edges, mu=mu, kappa=kappa))
 
 
 def format_graph_text(g: WeightedGraph) -> str:

@@ -4,6 +4,19 @@ The solver is a cyclic Jacobi iteration: simple, deterministic, and
 orthogonal to working precision, which is all the desk-scale graphs here
 need.  Eigenvalues are reported ascending; the normalized adjacency helper
 follows the opposite (descending) convention of spectral-radius bounds.
+
+A rotation in the plane (p, q) is the column update followed by the row
+update of the textbook method.  The input is checked to be exactly
+symmetric, and that update keeps it so: for j outside {p, q}, the new
+entries (p, j) and (j, p) are both `c*a[j,p] - s*a[j,q]` of equal
+operands.  So the solver holds the iterate as rows of Python floats and
+computes each rotated row once, mirroring it into its column; only the
+two diagonal entries need the second (row) step.  Python floats round
+each `*` and `-` exactly as numpy's elementwise ufuncs do, so the values
+and vectors are bit-identical to the column-then-row update on numpy
+slices (kept in the tests as the reference).  For n <= 20 that costs
+about a third to a half as much; beyond n ~ 50 the numpy slices would
+be faster.
 """
 
 import math
@@ -53,6 +66,19 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
     orthonormal columns, permuted consistently.  Ties keep their pre-sort
     order (stable sort); each eigenvector is sign-normalized so its entry
     of largest magnitude is positive.
+
+    The iterate stays exactly symmetric (see the module docstring), so
+    it is kept as rows of Python floats: a rotation in the plane (p, q)
+    computes the new rows p and q once each, `c*x - s*y` and `s*x + c*y`
+    over the old rows, and mirrors them into columns p and q.  The two
+    diagonal entries take the row step as well, `c*new_p[p] - s*new_p[q]`
+    and `s*new_q[p] + c*new_q[q]`.  Python float arithmetic rounds like
+    numpy's elementwise ufuncs and fuses no multiply-add, so the result
+    equals the column-then-row update on numpy slices bit for bit.  The
+    eigenvector matrix is kept transposed, one list per column.  The
+    convergence test runs on an array built from the rows once per
+    sweep, so the off-diagonal norm, and with it the sweep count, is the
+    numpy norm of the same matrix.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,20 +86,23 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     n = a.shape[0]
-    v = np.eye(n)
     threshold = opts.off_diag_tol * float(np.linalg.norm(a))
+    rows = a.tolist()
+    vt = np.eye(n).tolist()
     converged = n < 2
     sweeps = 0
     while not converged and sweeps < opts.max_sweeps:
-        if _off_norm(a) <= threshold:
+        if _off_norm(np.array(rows)) <= threshold:
             converged = True
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                row_p = rows[p]
+                row_q = rows[q]
+                apq = row_p[q]
                 if apq == 0.0:
                     continue
-                diff = a[q, q] - a[p, p]
+                diff = row_q[q] - row_p[p]
                 if 100.0 * abs(apq) + abs(diff) == abs(diff):
                     t = apq / diff  # asymptotic tangent; avoids overflow in theta
                 else:
@@ -81,27 +110,29 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
                     t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
+                new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
+                new_p[p], new_q[q] = c * new_p[p] - s * new_p[q], s * new_q[p] + c * new_q[q]
+                new_p[q] = new_q[p] = 0.0
+                rows[p] = new_p
+                rows[q] = new_q
+                # Rows p and q are new_p and new_q, whose (p, q) entries are 0.0.
+                for row, x, y in zip(rows, new_p, new_q):
+                    row[p] = x
+                    row[q] = y
+                vp = vt[p]
+                vq = vt[q]
+                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
         sweeps += 1
+    a = np.array(rows)
     if not converged and _off_norm(a) > threshold:
         raise JacobiConvergenceError(_off_norm(a), threshold, sweeps)
 
     values = np.diag(a).copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = v[:, order]
+    vectors = np.array(vt)[order].T.copy()
     for j in range(n):
         col = vectors[:, j]
         if col[int(np.argmax(np.abs(col)))] < 0:
@@ -182,8 +213,8 @@ def laplacian_spectrum(g: WeightedGraph, opts: EigenOptions = EigenOptions()) ->
     if gap_tol is None:
         gap_tol = 1e-8 * max(1.0, abs(float(values[-1])))
     return Spectrum(
-        values=tuple(float(x) for x in values),
-        functions=tuple(tuple(float(x) for x in funcs[:, j]) for j in range(g.n)),
+        values=tuple(values.tolist()),
+        functions=tuple(map(tuple, funcs.T.tolist())),
         clusters=_cluster(values, gap_tol),
     )
 
@@ -221,4 +252,4 @@ def adjacency_eta(g: WeightedGraph, opts: EigenOptions = EigenOptions()) -> EtaR
     values, _ = eig_sym(mat, opts)
     desc = values[::-1]
     eta = max(abs(float(desc[1])), abs(float(desc[-1])))
-    return EtaResult(values=tuple(float(x) for x in desc), eta=eta)
+    return EtaResult(values=tuple(desc.tolist()), eta=eta)

@@ -2,7 +2,8 @@
 
 Naive unpruned enumeration of k-way (signed) Cheeger constants over all
 (k+1)^n resp. (2k+1)^n label assignments, the textbook pure-Python loops
-of the subset DP behind the profile engines, and closed-form spectra of
+of the subset DP behind the profile engines, the numpy column-then-row
+Jacobi rotation loop behind the eigensolver, and closed-form spectra of
 the standard families.  The enumeration is independent of the package's search
 logic; per-set scores go through the same canonical accumulation order as
 the library so that agreement can be asserted exactly.
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from cheegerlab import WeightedGraph
+from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
 from cheegerlab.cheeger import phi_table
 
 
@@ -240,3 +241,73 @@ def loop_signed_tables(g: WeightedGraph) -> tuple[list[float], list[int]]:
         betamin[umask] = best
         split[umask] = best_split
     return betamin, split
+
+
+# ---------------------------------------------------------------------------
+# numpy Jacobi rotation loop (the bit-for-bit reference for spectral.eig_sym)
+
+def _loop_off_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def loop_eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
+    """Cyclic Jacobi with each rotation applied to numpy column slices p, q
+    and then to row slices p, q.  Raises AssertionError if a rotation ever
+    leaves the iterate not exactly symmetric, the invariant the row-list
+    solver in the library relies on."""
+    a = np.array(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix must be symmetric")
+    n = a.shape[0]
+    v = np.eye(n)
+    threshold = opts.off_diag_tol * float(np.linalg.norm(a))
+    converged = n < 2
+    sweeps = 0
+    while not converged and sweeps < opts.max_sweeps:
+        if _loop_off_norm(a) <= threshold:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if 100.0 * abs(apq) + abs(diff) == abs(diff):
+                    t = apq / diff  # asymptotic tangent; avoids overflow in theta
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+                if not np.array_equal(a, a.T):
+                    raise AssertionError(f"rotation ({p},{q}) broke exact symmetry")
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+        sweeps += 1
+    if not converged and _loop_off_norm(a) > threshold:
+        raise JacobiConvergenceError(_loop_off_norm(a), threshold, sweeps)
+
+    values = np.diag(a).copy()
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = v[:, order]
+    for j in range(n):
+        col = vectors[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            vectors[:, j] = -col
+    return values, vectors

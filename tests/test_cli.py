@@ -107,6 +107,25 @@ class TestAnalyze:
         assert field in err
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"n": 3, "edges": [{"u": 0, "v": 1, "w": NaN}, {"u": 1, "v": 2, "w": 1}]}',
+                "non-finite weight on edge (0,1); non-finite measure at vertex 0; "
+                "non-finite measure at vertex 1",
+            ),
+            ("n 3 mu 1 1 1\n0 1 nan\n1 1 1\n",
+             "non-finite weight on edge (0,1); self-loop at vertex 1; isolated vertex 2"),
+        ],
+    )
+    def test_invalid_graph_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestCheeger:
     def test_c4_k2(self, tmp_path, capsys):
         path = tmp_path / "c4.json"

@@ -21,6 +21,7 @@ from cheegerlab.graph import (
     dumps_graph,
     format_graph_text,
     from_json_dict,
+    load_graph,
     loads_graph,
     parse_graph_text,
     require_valid,
@@ -320,6 +321,28 @@ class TestSerialization:
     def test_malformed_header_variants(self, header):
         with pytest.raises(GraphFormatError):
             parse_graph_text(header + "\n0 1 1\n1 2 1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "edges": [{"u": 0, "v": 1, "w": NaN}], "mu": [1, 1]}',
+            "n 2 mu 1 1\n0 1 nan\n",
+        ],
+    )
+    def test_nan_weight_is_format_error(self, tmp_path, text):
+        with pytest.raises(GraphFormatError, match=r"^non-finite weight on edge \(0,1\)$"):
+            loads_graph(text)
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=r"^non-finite weight on edge \(0,1\)$"):
+            load_graph(str(path))
+
+    def test_validation_problems_joined(self):
+        with pytest.raises(GraphFormatError) as err:
+            from_json_dict({"n": 3, "edges": [{"u": 0, "v": 1, "w": -1}, {"u": 1, "v": 1, "w": 1}]})
+        assert str(err.value) == "; ".join(
+            validate(WeightedGraph.build(3, [(0, 1, -1), (1, 1, 1)]))
+        )
 
     def test_sniffing(self):
         g = generate("path", 3)

@@ -16,8 +16,10 @@ from cheegerlab import (
     laplacian_spectrum,
     normalized_laplacian_sym,
     product,
+    spectral,
+    with_random_signature,
 )
-from brute import cycle_spectrum, path_spectrum, star_spectrum
+from brute import cycle_spectrum, loop_eig_sym, path_spectrum, star_spectrum
 
 
 def unbalanced_triangle():
@@ -93,6 +95,111 @@ class TestJacobi:
         assert np.allclose(values, expected, atol=1e-8 * max(1.0, np.abs(expected).max()))
         assert np.allclose(vectors.T @ vectors, np.eye(6), atol=1e-10)
         assert np.allclose(a @ vectors, vectors @ np.diag(values), atol=1e-8 * max(1.0, np.abs(expected).max()))
+
+
+def assert_same_as_loop(m, opts=EigenOptions()) -> bool:
+    """eig_sym agrees with the numpy loop bit for bit, signed zeros
+    included: the same values and vectors, or the same convergence error.
+    Returns whether the solve converged."""
+    try:
+        want = loop_eig_sym(m, opts)
+    except JacobiConvergenceError as err:
+        with pytest.raises(JacobiConvergenceError) as got:
+            eig_sym(m, opts)
+        fields = (got.value.off_norm, got.value.threshold, got.value.sweeps)
+        assert fields == (err.off_norm, err.threshold, err.sweeps)
+        return False
+    got = eig_sym(m, opts)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+        assert x.tobytes() == y.tobytes()
+    return True
+
+
+def dense_symmetric(n: int, seed: int, negative_zeros: bool = False) -> np.ndarray:
+    """Random symmetric matrix with about 40% exact zeros; with
+    `negative_zeros` the upper triangle's zeros are -0.0 and the lower's +0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n))
+    x[rng.random((n, n)) < 0.4] = 0.0
+    m = np.triu(x) + np.triu(x, 1).T
+    if negative_zeros:
+        m[np.triu(m == 0.0, 1)] = -0.0
+    return m
+
+
+def oracle_graphs(n: int) -> list:
+    """Unsigned and signed graphs, nonzero kappa, unit measure, and the
+    families with tied spectra (K_n, star, C4 among the cycles)."""
+    if n < 2:
+        return []
+    g = generate("random_connected", n, seed=n, p=0.4)
+    graphs = [
+        g,
+        with_random_signature(g, seed=n),
+        WeightedGraph.build(n, g.edges, kappa=[0.25 * (i % 3) for i in range(n)]),
+        generate("random_connected", n, seed=n + 50, p=0.6, mu="unit"),
+        generate("complete", n),
+        generate("star", n),
+        generate("path", n),
+    ]
+    if n >= 3:
+        graphs.append(generate("cycle", n))
+    return graphs
+
+
+def solver_inputs(g) -> list:
+    """The matrices laplacian_spectrum and, where it applies, adjacency_eta
+    hand to the solver for `g`."""
+    seen = []
+
+    def recording(m, opts):
+        seen.append(m)
+        return loop_eig_sym(m, opts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "eig_sym", recording)
+        laplacian_spectrum(g)
+        if not g.is_signed() and g.kappa_is_zero() and g.n >= 3:
+            adjacency_eta(g)
+    return seen
+
+
+class TestJacobiOracle:
+    """eig_sym against the numpy column-then-row loop in tests/brute.py."""
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_fixed_cases(self, n):
+        mats = [dense_symmetric(n, seed) for seed in range(3)]
+        mats.append(dense_symmetric(n, 99, negative_zeros=True))
+        for g in oracle_graphs(n):
+            mats.extend(solver_inputs(g))
+        for m in mats:
+            assert assert_same_as_loop(m)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_one_sweep_error_fields(self, n):
+        mats = [dense_symmetric(n, seed) for seed in range(3)]
+        for g in oracle_graphs(n):
+            mats.extend(solver_inputs(g))
+        converged = [assert_same_as_loop(m, EigenOptions(max_sweeps=1)) for m in mats]
+        if n >= 4:
+            assert not all(converged)
+
+    @given(
+        st.integers(1, 15).flatmap(
+            lambda n: arrays(
+                np.float64,
+                (n, n),
+                elements=st.one_of(st.just(0.0), st.floats(min_value=-10, max_value=10)),
+            )
+        ),
+        st.sampled_from([1, 2, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_symmetric(self, raw, max_sweeps):
+        m = np.triu(raw) + np.triu(raw, 1).T
+        assert_same_as_loop(m, EigenOptions(max_sweeps=max_sweeps))
 
 
 class TestSpectrum:
