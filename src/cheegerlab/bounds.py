@@ -253,8 +253,8 @@ def check_lemma_nodal_cheeger(
     records = []
     for k in range(1, h.n + 1):
         f = spectrum.function(k)
-        m = strong_nodal(h, f).count
         sweep = rho_upper_nodal_sweep(h, f)
+        m = sweep.m
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
         rhs = math.sqrt(2.0 * tau * lam)
         cert = profile[m - 1]

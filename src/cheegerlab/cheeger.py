@@ -877,19 +877,32 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
     m = decomposition.count
     if m == 0:
         raise ValueError("function is identically zero (after zero rounding)")
-    absf = np.abs(np.asarray(f, dtype=float))
+    absf = [abs(x) for x in np.asarray(f, dtype=float).tolist()]
+    mu = g.mu
     parts = []
     part_values = []
     for domain in decomposition.domains():
-        thresholds = sorted({float(absf[x]) for x in domain})
         best_phi = math.inf
         best_set: tuple[int, ...] = ()
-        for t in thresholds:
-            level = tuple(x for x in domain if absf[x] >= t)
-            val = conductance(g, level)
+        for t in sorted({absf[x] for x in domain}):
+            # Phi of the level set, summed in conductance()'s order (cut in
+            # stored-edge order, measure in ascending vertex order), so the
+            # value is bit-identical to conductance(g, level).
+            level = [x for x in domain if absf[x] >= t]
+            member = [False] * g.n
+            for x in level:
+                member[x] = True
+            cut = 0.0
+            for u, v, w, _ in g.edges:
+                if member[u] != member[v]:
+                    cut += w
+            mu_sum = 0.0
+            for x in level:
+                mu_sum += mu[x]
+            val = cut / mu_sum
             if val < best_phi:
                 best_phi = val
-                best_set = level
+                best_set = tuple(level)
         parts.append(best_set)
         part_values.append(best_phi)
     bound = max(part_values)

@@ -1,5 +1,6 @@
 """Strong and weak nodal-domain decompositions of vertex functions."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +38,23 @@ class NodalDecomposition:
         }
 
 
-def _rounded_signs(f, zero_tol: float | None) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
+def _rounded_signs(f, zero_tol: float | None) -> list[int]:
+    """Signs of f as Python ints, with |f| <= zero_tol rounded to 0.
+
+    Raises ValueError on a non-finite entry or a non-finite or negative
+    zero_tol.
+    """
+    values = np.asarray(f, dtype=float).tolist()
+    if not all(map(math.isfinite, values)):
+        i = next(i for i, x in enumerate(values) if not math.isfinite(x))
+        raise ValueError(f"function entry {i} is not finite: {values[i]!r}")
     if zero_tol is None:
-        zero_tol = 1e-10 * float(np.max(np.abs(f))) if f.size else 0.0
+        zero_tol = 1e-10 * max(map(abs, values), default=0.0)
+    elif not math.isfinite(zero_tol):
+        raise ValueError(f"zero_tol must be finite, got {zero_tol!r}")
     if zero_tol < 0:
         raise ValueError("zero_tol must be >= 0")
-    signs = np.sign(f).astype(int)
-    signs[np.abs(f) <= zero_tol] = 0
-    return signs
+    return [0 if abs(x) <= zero_tol else 1 if x > 0 else -1 for x in values]
 
 
 def _component_labels(n: int, keep, edges) -> tuple[tuple[int, ...], int]:
@@ -75,13 +84,10 @@ def strong_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> NodalDec
     if len(f) != g.n:
         raise ValueError("function length must equal vertex count")
     s = _rounded_signs(f, zero_tol)
-    keep = s != 0
-    edges = [
-        (e.u, e.v)
-        for e in g.edges
-        if keep[e.u] and keep[e.v] and e.sigma * s[e.u] * s[e.v] > 0
-    ]
-    labels, count = _component_labels(g.n, keep, edges)
+    # The kept vertices are those of nonzero sign; a zero endpoint makes the
+    # product 0, so every joining edge has both ends kept.
+    edges = [(e.u, e.v) for e in g.edges if e.sigma * s[e.u] * s[e.v] > 0]
+    labels, count = _component_labels(g.n, s, edges)
     return NodalDecomposition(kind="strong", labels=labels, count=count)
 
 
@@ -93,9 +99,8 @@ def weak_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> NodalDecom
     if g.is_signed():
         raise ValueError("weak nodal domains are defined for unsigned graphs only")
     s = _rounded_signs(f, zero_tol)
-    keep = np.ones(g.n, dtype=bool)
     edges = [(e.u, e.v) for e in g.edges if s[e.u] * s[e.v] >= 0]
-    labels, count = _component_labels(g.n, keep, edges)
+    labels, count = _component_labels(g.n, [True] * g.n, edges)
     return NodalDecomposition(kind="weak", labels=labels, count=count)
 
 

@@ -3,10 +3,12 @@
 Naive unpruned enumeration of k-way (signed) Cheeger constants over all
 (k+1)^n resp. (2k+1)^n label assignments, the textbook pure-Python loops
 of the subset DP behind the profile engines, the numpy column-then-row
-Jacobi rotation loop behind the eigensolver, and closed-form spectra of
-the standard families.  The enumeration is independent of the package's search
-logic; per-set scores go through the same canonical accumulation order as
-the library so that agreement can be asserted exactly.
+Jacobi rotation loop behind the eigensolver, the numpy nodal
+decompositions and the conductance-per-level-set nodal sweep, and
+closed-form spectra of the standard families.  The enumeration is
+independent of the package's search logic; per-set scores go through the
+same canonical accumulation order as the library so that agreement can be
+asserted exactly.
 """
 
 import math
@@ -14,7 +16,9 @@ import math
 import numpy as np
 
 from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
-from cheegerlab.cheeger import phi_table
+from cheegerlab.cheeger import PartitionCertificate, SweepResult, conductance, phi_table
+from cheegerlab.graph import require_valid
+from cheegerlab.nodal import NodalDecomposition, _component_labels
 
 
 def naive_rho(g: WeightedGraph, k: int, chunk: int = 1 << 18) -> float:
@@ -311,3 +315,80 @@ def loop_eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
         if col[int(np.argmax(np.abs(col)))] < 0:
             vectors[:, j] = -col
     return values, vectors
+
+
+# ---------------------------------------------------------------------------
+# numpy nodal decompositions and the conductance-per-level-set sweep (the
+# bit-for-bit references for cheegerlab.nodal and rho_upper_nodal_sweep)
+
+def loop_rounded_signs(f, zero_tol: float | None) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if zero_tol is None:
+        zero_tol = 1e-10 * float(np.max(np.abs(f))) if f.size else 0.0
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be >= 0")
+    signs = np.sign(f).astype(int)
+    signs[np.abs(f) <= zero_tol] = 0
+    return signs
+
+
+def loop_strong_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> NodalDecomposition:
+    if len(f) != g.n:
+        raise ValueError("function length must equal vertex count")
+    s = loop_rounded_signs(f, zero_tol)
+    keep = s != 0
+    edges = [
+        (e.u, e.v)
+        for e in g.edges
+        if keep[e.u] and keep[e.v] and e.sigma * s[e.u] * s[e.v] > 0
+    ]
+    labels, count = _component_labels(g.n, keep, edges)
+    return NodalDecomposition(kind="strong", labels=labels, count=count)
+
+
+def loop_weak_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> NodalDecomposition:
+    if len(f) != g.n:
+        raise ValueError("function length must equal vertex count")
+    if g.is_signed():
+        raise ValueError("weak nodal domains are defined for unsigned graphs only")
+    s = loop_rounded_signs(f, zero_tol)
+    keep = np.ones(g.n, dtype=bool)
+    edges = [(e.u, e.v) for e in g.edges if s[e.u] * s[e.v] >= 0]
+    labels, count = _component_labels(g.n, keep, edges)
+    return NodalDecomposition(kind="weak", labels=labels, count=count)
+
+
+def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> SweepResult:
+    """The sweep scoring every level set through conductance()."""
+    require_valid(g)
+    if g.is_signed():
+        raise ValueError("nodal sweep is defined for unsigned graphs")
+    decomposition = loop_strong_nodal(g, f, zero_tol)
+    m = decomposition.count
+    if m == 0:
+        raise ValueError("function is identically zero (after zero rounding)")
+    absf = np.abs(np.asarray(f, dtype=float))
+    parts = []
+    part_values = []
+    for domain in decomposition.domains():
+        thresholds = sorted({float(absf[x]) for x in domain})
+        best_phi = math.inf
+        best_set: tuple[int, ...] = ()
+        for t in thresholds:
+            level = tuple(x for x in domain if absf[x] >= t)
+            val = conductance(g, level)
+            if val < best_phi:
+                best_phi = val
+                best_set = level
+        parts.append(best_set)
+        part_values.append(best_phi)
+    bound = max(part_values)
+    cert = PartitionCertificate(
+        k=m,
+        value=bound,
+        parts=tuple(sorted(parts)),
+        signed=False,
+        exact=False,
+        states=0,
+    )
+    return SweepResult(m=m, bound=bound, certificate=cert)

@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cheegerlab
-from cheegerlab.cli import build_parser, main
+from cheegerlab.cli import _dumps, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -379,3 +383,60 @@ class TestWarmProcess:
         assert code == 0 and csv_text.startswith("instance,check,k")
         code, out, _ = run_cli(self.ARGS, capsys)
         assert code == 0 and out == expected
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "GRAPH", "--checks", "nodal", "--seed", "5"],
+            ["verify", "GRAPH", "--checks", "main", "--format", "csv"],
+            ["analyze", "GRAPH", "--format", "text"],
+            ["analyze", "GRAPH"],
+            ["gen", "--family", "cycle", "--n", "4"],
+        ],
+    )
+    def test_file_and_stdout_get_the_same_bytes(self, args, gn3_file, tmp_path, capsys):
+        args = [gn3_file if a == "GRAPH" else a for a in args]
+        code, out, _ = run_cli(args, capsys)
+        path = tmp_path / "out"
+        assert main(args + ["-o", str(path)]) == code == 0
+        assert out.endswith("\n")
+        assert path.read_bytes() == out.encode()
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/', ""]),
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(st.text(), kids),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    """The report writer against json.dumps(x, sort_keys=True, indent=2)."""
+
+    @given(_JSON)
+    @example({"a": [], "b": {}, "c": [[], {}, ()], "": {"x": [{}]}})
+    @example([np.float64(-0.0), np.float64(math.nan), True, False, None, 0])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json(self, x):
+        assert _dumps(x) == json.dumps(x, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("bad", [object(), np.int64(3), {1: "int key"}])
+    def test_rejects_what_reports_never_hold(self, bad):
+        with pytest.raises(TypeError):
+            _dumps(bad)

@@ -1,4 +1,10 @@
+import math
+import re
+import warnings
+
+import numpy as np
 import pytest
+from brute import loop_nodal_sweep, loop_strong_nodal, loop_weak_nodal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +17,7 @@ from cheegerlab import (
     perturb,
     product,
     product_function,
+    rho_upper_nodal_sweep,
     strong_nodal,
     weak_nodal,
 )
@@ -86,6 +93,94 @@ class TestWeak:
     def test_at_least_one_per_component(self):
         g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
         assert weak_nodal(g, [1, -1, 1, -1], 0.0).count >= 2
+
+
+class TestNonFinite:
+    NODAL = (strong_nodal, weak_nodal, rho_upper_nodal_sweep)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", NODAL)
+    def test_entry_rejected(self, fn, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="entry 1 is not finite"):
+                fn(generate("path", 4), [1.0, bad, -1.0, 2.0])
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", NODAL)
+    def test_zero_tol_rejected(self, fn, tol):
+        with pytest.raises(ValueError, match="zero_tol must be finite"):
+            fn(generate("path", 4), [1.0, -1.0, 1.0, 2.0], zero_tol=tol)
+
+    @pytest.mark.parametrize("fn", NODAL)
+    def test_negative_zero_tol_rejected(self, fn):
+        with pytest.raises(ValueError, match="zero_tol must be >= 0"):
+            fn(generate("path", 4), [1.0, -1.0, 1.0, 2.0], zero_tol=-1.0)
+
+
+_WEIGHTS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 100.0))
+
+
+@st.composite
+def _instances(draw, signed: bool):
+    """(graph, f, zero_tol): a connected weighted graph, and an f with ties
+    in |f|, exact and negative zeros and entries at the zero tolerance."""
+    n = draw(st.integers(1, 8))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        others = [(u, v) for v in range(n) for u in range(v)]
+        pairs |= set(draw(st.lists(st.sampled_from(others), max_size=2 * n)))
+    sigma = st.sampled_from([1, -1]) if signed else st.just(1)
+    edges = [(u, v, draw(_WEIGHTS), draw(sigma)) for u, v in sorted(pairs)]
+    mu = "unit" if n == 1 else draw(
+        st.one_of(
+            st.sampled_from(["unit", "degree"]),
+            st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+        )
+    )
+    g = WeightedGraph.build(n, edges, mu=mu)
+    zero_tol = draw(st.one_of(st.none(), st.just(0.0), st.floats(1e-12, 1.0)))
+    tol = zero_tol or 0.0
+    pool = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, tol, -tol]
+    entry = st.one_of(st.sampled_from(pool), st.floats(-10.0, 10.0))
+    f = draw(st.lists(entry, min_size=n, max_size=n))
+    if zero_tol is None and draw(st.booleans()):
+        # An entry exactly at the default tolerance 1e-10 max|f|.
+        f[draw(st.integers(0, n - 1))] = -1e-10 * max(abs(x) for x in f)
+    if draw(st.booleans()):
+        f = np.asarray(f)
+    return g, f, zero_tol
+
+
+class TestNodalOracle:
+    """The list-based nodal layer against the numpy loops in tests/brute.py."""
+
+    @given(_instances(signed=True))
+    @settings(max_examples=300, deadline=None)
+    def test_strong(self, inst):
+        g, f, zero_tol = inst
+        assert strong_nodal(g, f, zero_tol) == loop_strong_nodal(g, f, zero_tol)
+
+    @given(_instances(signed=False))
+    @settings(max_examples=300, deadline=None)
+    def test_weak(self, inst):
+        g, f, zero_tol = inst
+        assert weak_nodal(g, f, zero_tol) == loop_weak_nodal(g, f, zero_tol)
+
+    @given(_instances(signed=False))
+    @settings(max_examples=300, deadline=None)
+    def test_sweep(self, inst):
+        g, f, zero_tol = inst
+        try:
+            want = loop_nodal_sweep(g, f, zero_tol)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                rho_upper_nodal_sweep(g, f, zero_tol)
+            return
+        got = rho_upper_nodal_sweep(g, f, zero_tol)
+        assert got == want
+        assert got.bound.hex() == want.bound.hex()
+        assert got.certificate.value.hex() == want.certificate.value.hex()
 
 
 class TestProductFunction:
