@@ -37,7 +37,7 @@ from .graph import (
 from .nodal import strong_nodal, weak_nodal
 from .perturb import GenericityReport, perturb
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
-from .spectral import adjacency_eta, laplacian_spectrum
+from .spectral import Spectrum, adjacency_eta, laplacian_spectrum
 
 TOL_SCALE = 1e-9       # inequality slack: 1e-9 * max(1, rhs)
 EIG_CLAMP = 1e-10      # eigenvalues in [-1e-10, 0) are solver dust; clamp to 0
@@ -119,11 +119,35 @@ class CheckRecord:
 # corpus checks revisit the same instances; cache them.  `_spectrum` also
 # serves the perturbed instance perturb(g, eps, seed) that the `nodal` and
 # `nodal_cheeger` checks both build: the equal graph hits the cache, so it
-# is solved once per (g, eps, seed), genericity verdict included.
+# is solved once per (g, eps, seed), genericity verdict included.  Only
+# those two checks read eigenfunctions; every other check reads values,
+# and a spectrum is solved with functions only once a check asks for
+# them (see `_Solved` and the check order of `run_checks_on_graph`).
+
+
+class _Solved:
+    """The spectrum of L(g), solved without eigenfunctions until one is read.
+
+    A values-only request is served by whatever spectrum is held; a
+    request for functions solves again only if the held one lacks them.
+    """
+
+    __slots__ = ("g", "spectrum")
+
+    def __init__(self, g: WeightedGraph):
+        self.g = g
+        self.spectrum = None
+
+    def get(self, functions: bool) -> Spectrum:
+        s = self.spectrum
+        if s is None or (functions and s.functions is None):
+            s = self.spectrum = laplacian_spectrum(self.g, functions=functions)
+        return s
+
 
 @lru_cache(maxsize=2048)
-def _spectrum(g: WeightedGraph):
-    return laplacian_spectrum(g)
+def _spectrum(g: WeightedGraph) -> _Solved:
+    return _Solved(g)
 
 
 @lru_cache(maxsize=2048)
@@ -166,7 +190,7 @@ def check_theorem_main(g: WeightedGraph, budget: SearchBudget | None = None) -> 
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
     signed = g.is_signed()
-    spectrum = _spectrum(g)
+    spectrum = _spectrum(g).get(functions=False)
     ell = cyclomatic(g)
     tau = degree_profile(g).tau
     kmax = g.n - ell
@@ -211,7 +235,7 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
     if not classify(g).is_connected:
         raise HypothesisViolation("requires a connected graph")
     gp = perturb(g, eps, seed)
-    spectrum = _spectrum(gp)
+    spectrum = _spectrum(gp).get(functions=True)
     report = GenericityReport.of(spectrum)
     if not (report.simple and report.zero_free):
         raise NonGenericError(
@@ -247,7 +271,7 @@ def check_lemma_nodal_cheeger(
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
     h = perturb(g, eps, seed) if eps > 0 else g
-    spectrum = _spectrum(h)
+    spectrum = _spectrum(h).get(functions=True)
     tau = degree_profile(h).tau
     profile = _rho_all(h, h.n, budget, signed=False)
     records = []
@@ -309,7 +333,7 @@ def check_lower_bound(g: WeightedGraph, budget: SearchBudget | None = None) -> l
             )
         )
     if g.mu_is_degree() and not is_complete(g):
-        spectrum = _spectrum(g)
+        spectrum = _spectrum(g).get(functions=False)
         gap = min(spectrum.values[1], 2.0 - spectrum.values[-1])
         for k in range(2, g.n + 1):
             lhs = gap * (1.0 - 1.0 / k)
@@ -358,8 +382,8 @@ def check_product_theorem(
     if not 1 <= k < g1.n:
         raise HypothesisViolation(f"k must be in [1, {g1.n - 1}]")
     h1 = perturb(g1, eps, seed) if eps > 0 else g1
-    s1 = laplacian_spectrum(h1)
-    s2 = laplacian_spectrum(g2)
+    s1 = laplacian_spectrum(h1, functions=False)
+    s2 = laplacian_spectrum(g2, functions=False)
     gap = s1.values[k] - s1.values[k - 1]
     lam2_max = s2.values[-1]
     if not lam2_max < gap:
@@ -368,7 +392,7 @@ def check_product_theorem(
             f"lambda1_{k + 1}-lambda1_{k}={gap:.6g}"
         )
     gp = product(h1, g2)
-    sp = _spectrum(gp)
+    sp = _spectrum(gp).get(functions=False)
     index = k * g2.n
     lam = _clamp_eigenvalue(sp.values[index - 1])
     tau = degree_profile(gp).tau
@@ -413,7 +437,7 @@ def check_basics(g: WeightedGraph, budget: SearchBudget | None = None) -> list[C
             CheckRecord.skipped("eq1_left", "requires unsigned graph with mu = degree, kappa = 0")
         )
         return records
-    spectrum = _spectrum(g)
+    spectrum = _spectrum(g).get(functions=False)
     for k in range(1, g.n + 1):
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
         records.append(
@@ -434,6 +458,39 @@ def check_basics(g: WeightedGraph, budget: SearchBudget | None = None) -> list[C
 
 CHECK_NAMES = ("main", "nodal", "nodal_cheeger", "lower", "basics")
 _DETERMINISTIC_FAMILIES = ("path", "cycle", "star", "complete", "gn")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_list_of(x, item) -> bool:
+    return isinstance(x, list) and all(item(v) for v in x)
+
+
+# Key of a JSON corpus config -> (accepts the value, what it must be).
+_CONFIG_RULES = {
+    "families": (lambda v: bool(v) and _is_list_of(v, lambda x: isinstance(x, str)),
+                 "a nonempty list of family names"),
+    "sizes": (lambda v: bool(v) and _is_list_of(v, lambda x: _is_int(x) and x >= 1),
+              "a nonempty list of integers >= 1"),
+    "count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "seed": (_is_int, "an integer"),
+    "eps": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+    "p": (_is_number, "a finite number"),
+    "w_low": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "w_high": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "mu": (lambda v: isinstance(v, str) or _is_list_of(v, _is_number),
+           "a measure name or a list of finite numbers"),
+    "a": (_is_number, "a finite number"),
+    "signed": (lambda v: isinstance(v, bool), "true or false"),
+    "checks": (lambda v: _is_list_of(v, lambda x: isinstance(x, str)), "a list of check names"),
+    "budget": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 @dataclass(frozen=True)
@@ -461,6 +518,17 @@ class CorpusConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CorpusConfig":
+        """Config from a parsed JSON object; every key is checked for type
+        and range, and a bad one raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"bad corpus config: must be a JSON object, not {type(data).__name__}")
+        for key, value in data.items():
+            rule = _CONFIG_RULES.get(key)
+            if rule is None:
+                raise ValueError(f"bad corpus config: unknown key {key!r}")
+            accepts, want = rule
+            if not accepts(value):
+                raise ValueError(f"bad corpus config: {key!r} must be {want}, got {value!r}")
         kwargs = dict(data)
         for key in ("families", "sizes", "checks"):
             if key in kwargs:
@@ -505,6 +573,24 @@ def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:
     return out
 
 
+def _run_check(name: str, g: WeightedGraph, eps: float, seed: int, budget: SearchBudget | None):
+    if name == "main":
+        return check_theorem_main(g, budget)
+    if name == "nodal":
+        return check_nodal_count_bounds(g, eps, seed)
+    if name == "nodal_cheeger":
+        return check_lemma_nodal_cheeger(g, eps, seed, budget)
+    if name == "lower":
+        return check_lower_bound(g, budget)
+    if name == "basics":
+        return check_basics(g, budget)
+    raise ValueError(f"unknown check {name!r}")
+
+
+# The checks that read eigenfunctions, not only eigenvalues.
+_READS_FUNCTIONS = ("nodal", "nodal_cheeger")
+
+
 def run_checks_on_graph(
     instance: str,
     g: WeightedGraph,
@@ -513,29 +599,33 @@ def run_checks_on_graph(
     seed: int,
     budget: SearchBudget | None = None,
 ):
-    """Run named checks on one graph; returns (rows, errors)."""
+    """Run named checks on one graph; returns (rows, errors) in the order
+    of `checks`.
+
+    At eps = 0 the nodal checks read the eigenfunctions of g itself.  They
+    run first then, so L(g) is solved once, with its functions, and the
+    value-only checks reuse that solve.
+    """
+    checks = tuple(checks)
+    order = range(len(checks))
+    if eps == 0:
+        order = sorted(order, key=lambda i: checks[i] not in _READS_FUNCTIONS)
+    outcomes = [None] * len(checks)
+    for i in order:
+        name = checks[i]
+        try:
+            outcomes[i] = _run_check(name, g, eps, seed, budget)
+        except HypothesisViolation as exc:
+            outcomes[i] = [CheckRecord.skipped(name, str(exc))]
+        except (NonGenericError, BudgetExceededError, ValueError, RuntimeError) as exc:
+            outcomes[i] = f"{name}: {exc}"
     rows = []
     errors = []
-    for name in checks:
-        try:
-            if name == "main":
-                recs = check_theorem_main(g, budget)
-            elif name == "nodal":
-                recs = check_nodal_count_bounds(g, eps, seed)
-            elif name == "nodal_cheeger":
-                recs = check_lemma_nodal_cheeger(g, eps, seed, budget)
-            elif name == "lower":
-                recs = check_lower_bound(g, budget)
-            elif name == "basics":
-                recs = check_basics(g, budget)
-            else:
-                raise ValueError(f"unknown check {name!r}")
-        except HypothesisViolation as exc:
-            recs = [CheckRecord.skipped(name, str(exc))]
-        except (NonGenericError, BudgetExceededError, ValueError, RuntimeError) as exc:
-            errors.append((instance, f"{name}: {exc}"))
-            continue
-        rows.extend((instance, rec) for rec in recs)
+    for outcome in outcomes:
+        if isinstance(outcome, str):
+            errors.append((instance, outcome))
+        else:
+            rows.extend((instance, rec) for rec in outcome)
     return rows, errors
 
 

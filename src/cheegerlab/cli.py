@@ -163,9 +163,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_cheeger(args) -> int:
     g = load_graph(args.graph)
-    # Fetch the eigenfunction first, so a bad J exits 2 before any search.
+    # Fetch the eigenfunction first, so a signed graph or a bad J exits 2
+    # before any search.
     f = None
     if args.sweep_from_eig is not None:
+        if g.is_signed():
+            raise ValueError("nodal sweep is defined for unsigned graphs")
         f = laplacian_spectrum(g).function(args.sweep_from_eig)
     budget = SearchBudget(max_states=args.budget)
     try:
@@ -202,10 +205,14 @@ def cmd_verify(args) -> int:
             with open(corpus_text[1:], "r", encoding="utf-8") as fh:
                 corpus_text = fh.read()
         data = json.loads(corpus_text)
-        data.setdefault("seed", args.seed)
-        data.setdefault("eps", args.eps)
-        data["checks"] = list(checks)
-        data.setdefault("budget", {"max_states": args.budget})
+        if isinstance(data, dict):  # from_json_dict refuses anything else
+            data = {
+                "seed": args.seed,
+                "eps": args.eps,
+                "budget": {"max_states": args.budget},
+                **data,
+                "checks": list(checks),
+            }
         report = run_corpus(CorpusConfig.from_json_dict(data))
     else:
         if args.graph is None:

@@ -55,8 +55,11 @@ class GenericityReport:
         the genericity verdict costs no second eigensolve.  Eigenfunctions
         are the mu-normalized ones of :class:`Spectrum`.  `simple` holds
         when every consecutive gap exceeds gap_tol; `zero_free` when every
-        entry of every eigenfunction exceeds zero_tol in magnitude.
+        entry of every eigenfunction exceeds zero_tol in magnitude.  A
+        spectrum solved without eigenfunctions raises ValueError.
         """
+        if spectrum.functions is None:
+            raise ValueError("genericity needs a spectrum solved with its eigenfunctions")
         values = np.asarray(spectrum.values)
         min_gap = float(np.min(np.diff(values))) if len(values) >= 2 else float("inf")
         min_abs = float(np.min(np.abs(np.asarray(spectrum.functions))))

@@ -17,6 +17,13 @@ and vectors are bit-identical to the column-then-row update on numpy
 slices (kept in the tests as the reference).  For n <= 20 that costs
 about a third to a half as much; beyond n ~ 50 the numpy slices would
 be faster.
+
+The eigenvectors are accumulated beside the iterate and never feed back
+into it, so a solve that asks for eigenvalues only (`vectors=False`, the
+shape of scipy's `eigh(eigvals_only=True)`) skips them and returns the
+same values bit for bit, at about two thirds of the cost for n <= 10.
+`laplacian_spectrum(g, functions=False)` and `adjacency_eta` solve that
+way; the eigenfunctions are built only where a caller reads them.
 """
 
 import math
@@ -59,13 +66,14 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
+def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions(), *, vectors: bool = True):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (values, vectors) with values ascending and vectors as
     orthonormal columns, permuted consistently.  Ties keep their pre-sort
     order (stable sort); each eigenvector is sign-normalized so its entry
-    of largest magnitude is positive.
+    of largest magnitude is positive.  With `vectors=False` no eigenvector
+    is built and (values, None) is returned; the values are the same bits.
 
     The iterate stays exactly symmetric (see the module docstring), so
     it is kept as rows of Python floats: a rotation in the plane (p, q)
@@ -88,7 +96,7 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
     n = a.shape[0]
     threshold = opts.off_diag_tol * float(np.linalg.norm(a))
     rows = a.tolist()
-    vt = np.eye(n).tolist()
+    vt = np.eye(n).tolist() if vectors else None
     converged = n < 2
     sweeps = 0
     while not converged and sweeps < opts.max_sweeps:
@@ -120,10 +128,11 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
                 for row, x, y in zip(rows, new_p, new_q):
                     row[p] = x
                     row[q] = y
-                vp = vt[p]
-                vq = vt[q]
-                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+                if vt is not None:
+                    vp = vt[p]
+                    vq = vt[q]
+                    vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                    vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
         sweeps += 1
     a = np.array(rows)
     if not converged and _off_norm(a) > threshold:
@@ -132,12 +141,14 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
     values = np.diag(a).copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = np.array(vt)[order].T.copy()
+    if vt is None:
+        return values, None
+    vecs = np.array(vt)[order].T.copy()
     for j in range(n):
-        col = vectors[:, j]
+        col = vecs[:, j]
         if col[int(np.argmax(np.abs(col)))] < 0:
-            vectors[:, j] = -col
-    return values, vectors
+            vecs[:, j] = -col
+    return values, vecs
 
 
 @dataclass(frozen=True)
@@ -145,13 +156,13 @@ class Spectrum:
     """Ascending eigenvalues of the normalized Laplacian with eigenfunctions.
 
     `functions[k]` is the k-th eigenfunction of L = M^{-1}(D + K - A^sigma),
-    mu-orthonormal: sum_i mu_i f(i) g(i) = delta.  `clusters` groups
-    numerically coincident eigenvalues as (start index, multiplicity)
-    pairs, 0-based.
+    mu-orthonormal: sum_i mu_i f(i) g(i) = delta; it is None when the
+    spectrum was solved without them.  `clusters` groups numerically
+    coincident eigenvalues as (start index, multiplicity) pairs, 0-based.
     """
 
     values: tuple[float, ...]
-    functions: tuple[tuple[float, ...], ...]
+    functions: tuple[tuple[float, ...], ...] | None
     clusters: tuple[tuple[int, int], ...]
 
     def multiplicity_block(self, k: int) -> tuple[int, int]:
@@ -163,6 +174,8 @@ class Spectrum:
 
     def function(self, k: int) -> np.ndarray:
         """The k-th (1-based) eigenfunction as an array."""
+        if self.functions is None:
+            raise ValueError("spectrum was solved without eigenfunctions")
         if not 1 <= k <= len(self.functions):
             raise ValueError(f"eigenfunction index must be in [1, {len(self.functions)}], got {k}")
         return np.asarray(self.functions[k - 1])
@@ -171,7 +184,7 @@ class Spectrum:
         return {
             "values": list(self.values),
             "clusters": [[s, m] for s, m in self.clusters],
-            "functions": [list(f) for f in self.functions],
+            "functions": None if self.functions is None else [list(f) for f in self.functions],
         }
 
 
@@ -204,17 +217,22 @@ def _cluster(values: np.ndarray, gap_tol: float) -> tuple[tuple[int, int], ...]:
     return tuple(clusters)
 
 
-def laplacian_spectrum(g: WeightedGraph, opts: EigenOptions = EigenOptions()) -> Spectrum:
-    """Spectrum of the normalized Laplacian with mu-orthonormal eigenfunctions."""
+def laplacian_spectrum(
+    g: WeightedGraph, opts: EigenOptions = EigenOptions(), *, functions: bool = True
+) -> Spectrum:
+    """Spectrum of the normalized Laplacian with mu-orthonormal eigenfunctions
+    (`functions=True`) or without any (`functions=False`, same values)."""
     mat = normalized_laplacian_sym(g)
-    values, vectors = eig_sym(mat, opts)
-    funcs = vectors / np.sqrt(np.asarray(g.mu))[:, None]
+    values, vectors = eig_sym(mat, opts, vectors=functions)
+    funcs = None
+    if functions:
+        funcs = tuple(map(tuple, (vectors / np.sqrt(np.asarray(g.mu))[:, None]).T.tolist()))
     gap_tol = opts.gap_tol
     if gap_tol is None:
         gap_tol = 1e-8 * max(1.0, abs(float(values[-1])))
     return Spectrum(
         values=tuple(values.tolist()),
-        functions=tuple(map(tuple, funcs.T.tolist())),
+        functions=funcs,
         clusters=_cluster(values, gap_tol),
     )
 
@@ -249,7 +267,7 @@ def adjacency_eta(g: WeightedGraph, opts: EigenOptions = EigenOptions()) -> EtaR
         val = e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
         mat[e.u, e.v] = val
         mat[e.v, e.u] = val
-    values, _ = eig_sym(mat, opts)
+    values, _ = eig_sym(mat, opts, vectors=False)
     desc = values[::-1]
     eta = max(abs(float(desc[1])), abs(float(desc[-1])))
     return EtaResult(values=tuple(desc.tolist()), eta=eta)

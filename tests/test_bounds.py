@@ -19,7 +19,7 @@ from cheegerlab import (
 )
 from cheegerlab import bounds, spectral
 from cheegerlab.bounds import CheckRecord, inequality_tol, run_checks_on_graph
-from cheegerlab.graph import classify, is_complete
+from cheegerlab.graph import classify, cyclomatic, is_complete
 from cheegerlab.perturb import perturb
 
 
@@ -316,16 +316,20 @@ class TestSolveCount:
             cache.cache_clear()
 
     @staticmethod
-    def count_solves(monkeypatch) -> list:
+    def count_solves(monkeypatch) -> tuple[list, list]:
+        """The matrices handed to the solver, and whether each solve built
+        eigenvectors."""
         solved = []
+        with_vectors = []
         real = spectral.eig_sym
 
         def counting(m, *args, **kwargs):
             solved.append(np.array(m))
+            with_vectors.append(kwargs.get("vectors", True))
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "eig_sym", counting)
-        return solved
+        return solved, with_vectors
 
     @staticmethod
     def nodal_records(rows) -> list:
@@ -336,7 +340,7 @@ class TestSolveCount:
         assert classify(g).is_connected and not is_complete(g)
         assert not g.is_signed() and g.mu_is_degree() and g.kappa_is_zero()
         self.clear_caches()
-        solved = self.count_solves(monkeypatch)
+        solved, with_vectors = self.count_solves(monkeypatch)
         rows, errors = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         assert not errors
         assert all(rec.holds for _, rec in rows)
@@ -351,14 +355,52 @@ class TestSolveCount:
         assert np.array_equal(solved[0], spectral.normalized_laplacian_sym(g))
         assert np.all(np.diag(solved[1]) == 0.0) and np.any(solved[1] != 0.0)
         assert np.array_equal(solved[2], spectral.normalized_laplacian_sym(gp))
+        # Only the nodal checks read eigenfunctions, and only those of g'.
+        assert with_vectors == [False, False, True]
+
+    def test_one_solve_of_g_at_eps_zero(self, monkeypatch):
+        # At eps = 0 the nodal checks read the eigenfunctions of g itself:
+        # L(g) is still solved once, with them, although `main` asks first.
+        # (Seed 6 gives a generic g: a simple, zero-free spectrum.)
+        g = generate("random_connected", 8, 6)
+        assert g.mu_is_degree() and cyclomatic(g) > 0
+        self.clear_caches()
+        solved, with_vectors = self.count_solves(monkeypatch)
+        rows, errors = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
+        assert not errors
+        assert all(rec.holds for _, rec in rows)
+        assert len(solved) == 2
+        assert np.array_equal(solved[0], spectral.normalized_laplacian_sym(g))
+        assert np.all(np.diag(solved[1]) == 0.0) and np.any(solved[1] != 0.0)
+        assert with_vectors == [True, False]
+        # Rows keep the order of the requested checks.
+        names = [rec.name for _, rec in rows]
+        assert names.index("main") < names.index("nodal_lower") < names.index("nodal_cheeger")
+        self.clear_caches()
+        monkeypatch.setattr(bounds, "_spectrum", bounds._Solved)
+        fresh, _ = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
+        assert rows == fresh
+
+    def test_functions_after_values_solve_again(self, monkeypatch):
+        g = generate("random_connected", 6, 5)
+        self.clear_caches()
+        solved, with_vectors = self.count_solves(monkeypatch)
+        values = bounds._spectrum(g).get(functions=False)
+        assert values.functions is None
+        with pytest.raises(ValueError, match="without eigenfunctions"):
+            values.function(1)
+        full = bounds._spectrum(g).get(functions=True)
+        assert bounds._spectrum(g).get(functions=False) is full
+        assert full.values == values.values and full.clusters == values.clusters
+        assert with_vectors == [False, True]
 
     def test_cached_nodal_records_match_uncached(self, monkeypatch):
         g = generate("random_connected", 8, 3)
         self.clear_caches()
         cached, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         self.clear_caches()
-        solved = self.count_solves(monkeypatch)
-        monkeypatch.setattr(bounds, "_spectrum", spectral.laplacian_spectrum)
+        solved, _ = self.count_solves(monkeypatch)
+        monkeypatch.setattr(bounds, "_spectrum", bounds._Solved)
         fresh, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         assert len(solved) == 6  # uncached: L(g) three times, A(g), L(g') twice
         assert self.nodal_records(cached) == self.nodal_records(fresh)

@@ -196,6 +196,25 @@ class TestCheeger:
             assert out == ""
             assert "eigenfunction index must be in [1, 16]" in err
 
+    def test_sweep_refused_on_signed_graph_before_solving(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the sign check")
+
+        for name in ("laplacian_spectrum", "rho_exact", "rho_signed_exact"):
+            monkeypatch.setattr(cheegerlab.cli, name, no_solve)
+        path = tmp_path / "s.json"
+        main(["gen", "--family", "random_connected", "--n", "16", "--seed", "5", "-o", str(path)])
+        g = cheegerlab.with_random_signature(cheegerlab.load_graph(str(path)), 3)
+        assert g.is_signed()
+        path.write_text(json.dumps(cheegerlab.graph.to_json_dict(g)))
+        for extra in ([], ["--signed"]):
+            code, out, err = run_cli(
+                ["cheeger", str(path), "--k", "2", "--sweep-from-eig", "2"] + extra, capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: nodal sweep is defined for unsigned graphs\n"
+
     def test_budget_overflow_exit_3(self, tmp_path, capsys):
         # n = 16 lies beyond both DP limits, so the budgeted search runs.
         path = tmp_path / "g.json"
@@ -260,6 +279,32 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "bad corpus config" in err and "allow_overflow" in err
+
+    @pytest.mark.parametrize(
+        "corpus, message",
+        [
+            ("[1]", "must be a JSON object, not list"),
+            ('"x"', "must be a JSON object, not str"),
+            ('{"count": "3"}', "'count' must be an integer >= 0, got '3'"),
+            ('{"count": true}', "'count' must be an integer >= 0, got True"),
+            ('{"eps": "x"}', "'eps' must be a finite number >= 0, got 'x'"),
+            ('{"eps": NaN}', "'eps' must be a finite number >= 0, got nan"),
+            ('{"sizes": []}', "'sizes' must be a nonempty list of integers >= 1, got []"),
+            ('{"sizes": [4, 0]}', "'sizes' must be a nonempty list of integers >= 1, got [4, 0]"),
+            ('{"p": "0.3"}', "'p' must be a finite number, got '0.3'"),
+            ('{"w_high": Infinity}', "'w_high' must be a finite number or null, got inf"),
+            ('{"signed": 1}', "'signed' must be true or false, got 1"),
+            ('{"families": "random_tree"}', "'families' must be a nonempty list of family names, got 'random_tree'"),
+            ('{"sizez": [4]}', "unknown key 'sizez'"),
+        ],
+    )
+    @pytest.mark.parametrize("checks", ["main", "nodal"])
+    def test_bad_corpus_config_exit_2(self, capsys, corpus, message, checks):
+        code, out, err = run_cli(["verify", "--corpus", corpus, "--checks", checks], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad corpus config: {message}\n"
+        assert "Traceback" not in err
 
     def test_negative_kappa_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from cheegerlab import (
     EigenOptions,
+    GenericityReport,
     JacobiConvergenceError,
     WeightedGraph,
     adjacency_eta,
@@ -100,19 +101,24 @@ class TestJacobi:
 def assert_same_as_loop(m, opts=EigenOptions()) -> bool:
     """eig_sym agrees with the numpy loop bit for bit, signed zeros
     included: the same values and vectors, or the same convergence error.
-    Returns whether the solve converged."""
+    The values-only solve (`vectors=False`) gives the same values in
+    float.hex, or the same error.  Returns whether the solve converged."""
     try:
         want = loop_eig_sym(m, opts)
     except JacobiConvergenceError as err:
-        with pytest.raises(JacobiConvergenceError) as got:
-            eig_sym(m, opts)
-        fields = (got.value.off_norm, got.value.threshold, got.value.sweeps)
-        assert fields == (err.off_norm, err.threshold, err.sweeps)
+        for vectors in (True, False):
+            with pytest.raises(JacobiConvergenceError) as got:
+                eig_sym(m, opts, vectors=vectors)
+            fields = (got.value.off_norm, got.value.threshold, got.value.sweeps)
+            assert fields == (err.off_norm, err.threshold, err.sweeps)
         return False
     got = eig_sym(m, opts)
     for x, y in zip(got, want):
         assert np.array_equal(x, y)
         assert x.tobytes() == y.tobytes()
+    values, vectors = eig_sym(m, opts, vectors=False)
+    assert vectors is None
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in want[0].tolist()]
     return True
 
 
@@ -153,9 +159,10 @@ def solver_inputs(g) -> list:
     hand to the solver for `g`."""
     seen = []
 
-    def recording(m, opts):
+    def recording(m, opts, *, vectors=True):
         seen.append(m)
-        return loop_eig_sym(m, opts)
+        values, vecs = loop_eig_sym(m, opts)
+        return values, vecs if vectors else None
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "eig_sym", recording)
@@ -166,7 +173,8 @@ def solver_inputs(g) -> list:
 
 
 class TestJacobiOracle:
-    """eig_sym against the numpy column-then-row loop in tests/brute.py."""
+    """eig_sym, with and without vectors, against the numpy
+    column-then-row loop in tests/brute.py."""
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_fixed_cases(self, n):
@@ -251,6 +259,20 @@ class TestSpectrum:
             assert s.values[-1] <= 2.0 + 1e-8
             f1 = s.function(1)
             assert np.all(f1 > 0) or np.all(f1 < 0)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_values_only(self, n):
+        for g in oracle_graphs(n):
+            full = laplacian_spectrum(g)
+            bare = laplacian_spectrum(g, functions=False)
+            assert bare.functions is None
+            assert [v.hex() for v in bare.values] == [v.hex() for v in full.values]
+            assert bare.clusters == full.clusters
+            assert bare.to_json_dict() == dict(full.to_json_dict(), functions=None)
+            with pytest.raises(ValueError, match="without eigenfunctions"):
+                bare.function(1)
+            with pytest.raises(ValueError, match="eigenfunctions"):
+                GenericityReport.of(bare)
 
     def test_json_shape(self):
         s = laplacian_spectrum(generate("path", 3))
