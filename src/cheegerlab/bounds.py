@@ -468,15 +468,16 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _is_list_of(x, item) -> bool:
-    return isinstance(x, list) and all(item(v) for v in x)
+def _is_tuple_of(x, item) -> bool:
+    return isinstance(x, tuple) and all(item(v) for v in x)
 
 
-# Key of a JSON corpus config -> (accepts the value, what it must be).
+# Field of a corpus config -> (accepts the value, what it must be).
+# Sequences are checked as tuples; lists are turned into tuples first.
 _CONFIG_RULES = {
-    "families": (lambda v: bool(v) and _is_list_of(v, lambda x: isinstance(x, str)),
+    "families": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str)),
                  "a nonempty list of family names"),
-    "sizes": (lambda v: bool(v) and _is_list_of(v, lambda x: _is_int(x) and x >= 1),
+    "sizes": (lambda v: bool(v) and _is_tuple_of(v, lambda x: _is_int(x) and x >= 1),
               "a nonempty list of integers >= 1"),
     "count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "seed": (_is_int, "an integer"),
@@ -484,18 +485,23 @@ _CONFIG_RULES = {
     "p": (_is_number, "a finite number"),
     "w_low": (lambda v: v is None or _is_number(v), "a finite number or null"),
     "w_high": (lambda v: v is None or _is_number(v), "a finite number or null"),
-    "mu": (lambda v: isinstance(v, str) or _is_list_of(v, _is_number),
+    "mu": (lambda v: isinstance(v, str) or _is_tuple_of(v, _is_number),
            "a measure name or a list of finite numbers"),
     "a": (_is_number, "a finite number"),
     "signed": (lambda v: isinstance(v, bool), "true or false"),
-    "checks": (lambda v: _is_list_of(v, lambda x: isinstance(x, str)), "a list of check names"),
-    "budget": (lambda v: isinstance(v, dict), "an object"),
+    "checks": (lambda v: _is_tuple_of(v, lambda x: isinstance(x, str)), "a list of check names"),
+    "budget": (lambda v: isinstance(v, SearchBudget), "an object"),
 }
 
 
 @dataclass(frozen=True)
 class CorpusConfig:
-    """What to generate and which checks to run over it."""
+    """What to generate and which checks to run over it.
+
+    Every field is checked for type and range on construction; a bad one
+    raises ValueError naming it.  A list given for a sequence field is
+    stored as a tuple.
+    """
 
     families: tuple[str, ...] = ("random_connected",)
     sizes: tuple[int, ...] = (4, 5, 6, 7, 8, 9, 10)
@@ -505,40 +511,43 @@ class CorpusConfig:
     p: float = 0.3
     w_low: float | None = None
     w_high: float | None = None
-    mu: str = "degree"
+    mu: str | tuple[float, ...] = "degree"
     a: float = 1.1
     signed: bool = False
     checks: tuple[str, ...] = ("main", "basics")
     budget: SearchBudget = SearchBudget()
 
     def __post_init__(self):
+        for key, (accepts, want) in _CONFIG_RULES.items():
+            value = getattr(self, key)
+            if isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, key, value)
+            if not accepts(value):
+                # Tuples are shown as the JSON lists they are written as.
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ValueError(f"bad corpus config: {key!r} must be {want}, got {shown!r}")
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
 
     @staticmethod
     def from_json_dict(data: dict) -> "CorpusConfig":
-        """Config from a parsed JSON object; every key is checked for type
-        and range, and a bad one raises ValueError naming it."""
+        """Config from a parsed JSON object: anything but an object, and
+        unknown keys, are refused; `budget` is an object of SearchBudget's
+        fields.  The fields are checked on construction."""
         if not isinstance(data, dict):
             raise ValueError(f"bad corpus config: must be a JSON object, not {type(data).__name__}")
-        for key, value in data.items():
-            rule = _CONFIG_RULES.get(key)
-            if rule is None:
+        for key in data:
+            if key not in _CONFIG_RULES:
                 raise ValueError(f"bad corpus config: unknown key {key!r}")
-            accepts, want = rule
-            if not accepts(value):
-                raise ValueError(f"bad corpus config: {key!r} must be {want}, got {value!r}")
         kwargs = dict(data)
-        for key in ("families", "sizes", "checks"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        try:
-            if "budget" in kwargs:
+        if isinstance(kwargs.get("budget"), dict):
+            try:
                 kwargs["budget"] = SearchBudget(**kwargs["budget"])
-            return CorpusConfig(**kwargs)
-        except TypeError as exc:
-            raise ValueError(f"bad corpus config: {exc}") from exc
+            except TypeError as exc:
+                raise ValueError(f"bad corpus config: {exc}") from exc
+        return CorpusConfig(**kwargs)
 
 
 def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:

@@ -4,11 +4,14 @@ One exact engine answers each graph size:
 
 * Up to n = 15 unsigned and n = 14 signed, a subset dynamic program over
   vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`)
-  returns certificates for every k at once in O(3^n * k).  It runs in
-  numpy over a (mask, part) pair table that depends only on n; small
-  tables are cached per n, larger ones are built chunk by chunk within one
-  memory budget, in a single pass per call.  :func:`rho_exact` /
-  :func:`rho_signed_exact` answer a single k from it.
+  returns certificates for every k = 1..kmax at once.  Level 1 is a
+  subset-min transform, O(n 2^n); each middle level 2..kmax-1 is one
+  O(3^n) pass over a (mask, part) pair table that depends only on n; the
+  top level is evaluated only at the n suffix masks its reconstruction
+  reads, O(2^n).  Small pair tables are cached per n, larger ones are
+  built chunk by chunk within one memory budget, in a single pass per
+  call.  :func:`rho_exact` / :func:`rho_signed_exact` answer a single k
+  from it.
 * Beyond those sizes, :func:`rho_exact` / :func:`rho_signed_exact` run a
   depth-first search over canonical label assignments with
   branch-and-bound pruning and a state budget.  Labels are canonicalized
@@ -23,9 +26,10 @@ agree to the last bit with a naive enumeration that scores the same way.
 The unsigned DP selects among the same subset table with min/max only, so
 it agrees bit for bit too.  The signed DP tabulates splits through
 per-vertex sums and agrees within SIGNED_PROFILE_TOL.  Every DP table
-entry and certificate is bit-identical to the textbook loop kept in the
-test suite; DP certificates break ties among optimal tuples by the DP's
-scan order, which can differ from the DFS's lexicographic choice.
+entry it computes and every certificate is bit-identical to the textbook
+loop kept in the test suite; DP certificates break ties among optimal
+tuples by the DP's scan order, which can differ from the DFS's
+lexicographic choice.
 """
 
 import math
@@ -108,7 +112,10 @@ class PartitionCertificate:
     the max conductance over them.  Signed: `parts` holds 2k sets, pair
     (parts[2i], parts[2i+1]) being the ordered sub-bipartition (V1, V2),
     and `value` is the max of beta over the pairs.  `exact` is False for
-    upper-bound certificates (budget overflow, nodal sweeps).
+    upper-bound certificates (budget overflow, nodal sweeps).  `states`
+    counts DFS states, or for a DP certificate the inner iterations of the
+    textbook recurrence (:func:`_dp_iterations`), which is not the work
+    the DP does.
     """
 
     k: int
@@ -260,10 +267,10 @@ def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> P
     Minimizes max_i Phi(A_i) over all tuples of k pairwise-disjoint
     nonempty vertex sets (the sets need not cover V).  Up to n = 15 this is
     certificate k of :func:`rho_profile`: the budget is not consulted,
-    `states` counts DP iterations and ties follow the DP's scan order.
-    Beyond that the budgeted branch-and-bound search runs, and raises
-    BudgetExceededError, carrying the best certificate found so far
-    (flagged inexact), when the budget runs out.
+    `states` counts the textbook recurrence's iterations and ties follow
+    the DP's scan order.  Beyond that the budgeted branch-and-bound search
+    runs, and raises BudgetExceededError, carrying the best certificate
+    found so far (flagged inexact), when the budget runs out.
     """
     require_valid(g)
     if g.is_signed():
@@ -390,9 +397,10 @@ def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = Non
 
     Up to n = 14 this is certificate k of :func:`rho_signed_profile`
     (within SIGNED_PROFILE_TOL of the canonical beta evaluation; the budget
-    is not consulted, `states` counts DP iterations and ties follow the
-    DP's scan order).  Beyond that the budgeted branch-and-bound search
-    runs, with the overflow behaviour of :func:`rho_exact`.
+    is not consulted, `states` counts the textbook recurrence's iterations
+    and ties follow the DP's scan order).  Beyond that the budgeted
+    branch-and-bound search runs, with the overflow behaviour of
+    :func:`rho_exact`.
     """
     require_valid(g)
     n = g.n
@@ -626,6 +634,26 @@ def _pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return table[0][p0:p1], table[1][p0:p1]
 
 
+def _segment(n: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parts, rests) of one mask's segment: a view of the cached table, or
+    built directly by _build_pairs' doubling when n has no cached table."""
+    if _pair_table(n) is not None:
+        i = int(_mask_order(n).index[mask])
+        return _pairs(n, i, i + 1)
+    low = mask & -mask
+    left = mask ^ low
+    parts = np.empty(1 << left.bit_count(), dtype=np.intp)
+    end = len(parts)
+    parts[-1] = low
+    w = 1
+    while left:
+        bit = left & -left
+        np.bitwise_or(parts[end - w :], bit, out=parts[end - 2 * w : end - w])
+        left ^= bit
+        w *= 2
+    return parts, mask ^ parts
+
+
 def _chunks(n: int, lo: int, end: int, pair_bytes: int):
     """Yield (lo, hi, parts, rests) over order.masks[lo:end] in mask ranges of
     at most half the budget at `pair_bytes` per pair (one mask at least)."""
@@ -640,7 +668,11 @@ def _chunks(n: int, lo: int, end: int, pair_bytes: int):
 
 def _dp_iterations(n: int, kmax: int) -> int:
     """Inner iterations of the textbook loop over the same recurrence:
-    every pair of every mask with at least j vertices, for j = 1..kmax."""
+    every pair of every mask with at least j vertices, for j = 1..kmax.
+
+    This counts the recurrence, not the work done: the engine computes
+    level 1 by a transform and the top level at n masks only.
+    """
     return sum((math.comb(n, p) << (p - 1)) * min(p, kmax) for p in range(1, n + 1))
 
 
@@ -650,22 +682,33 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
     dp[j][mask] restricts all parts to live inside `mask`.  Either the
     mask's lowest vertex stays out, dp[j][mask ^ low], or it lies in a part
     a of the mask's segment, max(score[a], dp[j-1][mask ^ a]); dp[j][mask]
-    is the least of these.  Every input lies in a smaller popcount group,
-    so one pass over the groups in increasing popcount fills every level:
-    each chunk of a group gathers score[parts] once and runs levels
-    1..min(p, kmax).  Only min and max select among table values, so every
-    entry is exact.
+    is the least of these.  With dp[0] = -inf, level 1 is the least score
+    over the nonempty submasks of the mask: a subset-min transform folds,
+    for each vertex v, the half of the table without v into the half with
+    it.  Levels 2..kmax read only smaller popcount groups, so one pass over
+    the groups in increasing popcount fills them: each chunk of a group
+    gathers score[parts] once and runs levels 2..min(p, kmax).  Only min
+    and max select among table values, so every entry is exact.
     """
-    order = _mask_order(n)
     dp = np.full((kmax + 1, 1 << n), math.inf)
     dp[0] = -math.inf
-    for p in range(1, n + 1):
+    if kmax == 0:
+        return list(dp)
+    level1 = dp[1]
+    level1[1:] = score[1:]
+    for v in range(n):
+        halves = level1.reshape(-1, 2, 1 << v)
+        np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    if kmax == 1:
+        return list(dp)
+    order = _mask_order(n)
+    for p in range(2, n + 1):
         for lo, hi, parts, rests in _chunks(n, int(order.first[p]), int(order.first[p + 1]), _DP_PAIR_BYTES):
             masks = order.masks[lo:hi]
             without_low = masks ^ (masks & -masks)
             sc = score[parts].reshape(len(masks), -1)
             rests = rests.reshape(sc.shape)
-            for j in range(1, min(p, kmax) + 1):
+            for j in range(2, min(p, kmax) + 1):
                 cand = dp[j - 1][rests]
                 np.maximum(cand, sc, out=cand)
                 best = cand.min(axis=1)
@@ -674,13 +717,37 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
     return list(dp)
 
 
+def _profile_tables(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
+    """The tables `_reconstruct` reads for every k = 1..kmax.
+
+    Levels 0..kmax-1 are :func:`_packing_dp`'s full tables.  Level kmax
+    is read only at the suffix masks V_i = {i..n-1}: from the full mask,
+    reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
+    a part and goes down a level.  So level kmax is filled by the same
+    recurrence at the V_i with at least kmax vertices, from the top down;
+    every other entry is inf (at the shorter V_i that is the true value).
+    """
+    dp_all = _packing_dp(score, n, kmax - 1)
+    prev = dp_all[-1]
+    top = np.full(1 << n, math.inf)
+    full = (1 << n) - 1
+    best = math.inf
+    for i in range(n - kmax, -1, -1):
+        mask = full >> i << i
+        parts, rests = _segment(n, mask)
+        cand = np.maximum(score[parts], prev[rests])
+        best = min(best, float(cand.min()))
+        top[mask] = best
+    dp_all.append(top)
+    return dp_all
+
+
 def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) -> list[int]:
     """Parts of an optimal k-packing, walking the tables back from the full mask.
 
     At each mask the lowest vertex stays out if that keeps the value;
     otherwise the first part of the mask's segment that attains it is taken.
     """
-    order = _mask_order(n)
     parts = []
     mask = (1 << n) - 1
     j = k
@@ -692,8 +759,7 @@ def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) ->
         if dp[mask ^ low] == dp[mask]:
             mask ^= low
             continue
-        i = int(order.index[mask])
-        seg, rests = _pairs(n, i, i + 1)
+        seg, rests = _segment(n, mask)
         cand = np.maximum(score[seg], dp_all[j - 1][rests])
         a = int(seg[np.argmax(cand == dp[mask])])
         parts.append(a)
@@ -706,10 +772,12 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     """Exact rho_k certificates for every k = 1..kmax in one subset DP.
 
     Same optima as :func:`rho_exact` (cross-checked in the test suite).
-    The DP runs in numpy over the cached (mask, part) pair table, chunked
-    by mask range within a fixed memory budget, and every value is a
-    Phi-table entry chosen by min/max only, so it is bit-identical to the
-    textbook loop (``tests/brute.py``).  Certificates are rebuilt by
+    The DP runs in numpy (:func:`_profile_tables`): level 1 by a subset-min
+    transform, levels 2..kmax-1 over the (mask, part) pair table, chunked
+    by mask range within a fixed memory budget, and level kmax at the n
+    suffix masks only.  Every value is a Phi-table entry chosen by min/max
+    only, so it is bit-identical to the textbook loop
+    (``tests/brute.py``).  Certificates are rebuilt by
     rescanning each mask's parts on the optimal path; they follow the DP's
     own tie-break (first optimal part in scan order), not the DFS
     lexicographic rule.  Limited to n <= 15.
@@ -724,7 +792,7 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
     phi = _phi_array(g)
-    dp_all = _packing_dp(phi, n, kmax)
+    dp_all = _profile_tables(phi, n, kmax)
     states = _dp_iterations(n, kmax)
     full = (1 << n) - 1
     certs = []
@@ -818,7 +886,7 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
     tables = _signed_tables(g)
-    dp_all = _packing_dp(tables.betamin, n, kmax)
+    dp_all = _profile_tables(tables.betamin, n, kmax)
     states = _dp_iterations(n, kmax)
     full = (1 << n) - 1
     certs = []

@@ -188,7 +188,13 @@ def cmd_cheeger(args) -> int:
     return 3 if exceeded else 0
 
 
+def _require_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise GraphFormatError("--eps must be a finite number >= 0")
+
+
 def cmd_verify(args) -> int:
+    _require_eps(args.eps)
     checks = tuple(s for s in args.checks.split(",") if s)
     for name in checks:
         if name not in CHECK_NAMES and name != "product":
@@ -247,8 +253,7 @@ def cmd_verify(args) -> int:
 def cmd_perturb(args) -> int:
     if args.trials < 1:
         raise GraphFormatError("--trials must be >= 1")
-    if args.eps < 0:
-        raise GraphFormatError("--eps must be >= 0")
+    _require_eps(args.eps)
     g = load_graph(args.graph)
     rep = genericity_frequency(g, args.eps, args.trials, args.seed)
     _emit(_dumps(rep.to_json_dict()), args.output)

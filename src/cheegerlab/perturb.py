@@ -7,6 +7,7 @@ deterministically and measure how often the generic properties hold at
 fixed tolerances.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
     measure and signature are untouched.  eps = 0 reproduces g exactly
     (used as the control arm of frequency experiments).
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError("eps must be a finite number >= 0")
     require_valid(g)
     rng = SplitMix64(seed)
     edges = tuple(

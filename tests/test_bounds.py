@@ -302,6 +302,32 @@ class TestRecordsAndReport:
         with pytest.raises(ValueError, match="unknown check"):
             CorpusConfig(checks=("bogus",))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sizes": ()}, "'sizes' must be a nonempty list of integers >= 1, got []"),
+            ({"count": "2"}, "'count' must be an integer >= 0, got '2'"),
+            ({"eps": math.nan}, "'eps' must be a finite number >= 0, got nan"),
+            ({"mu": (1.0, math.inf)}, "'mu' must be a measure name or a list of finite numbers, got [1.0, inf]"),
+            ({"budget": {"max_states": 5}}, "'budget' must be an object, got {'max_states': 5}"),
+        ],
+    )
+    def test_bad_config_rejected_in_python(self, kwargs, message):
+        # The same ValueError as the JSON entry point, raised on construction.
+        with pytest.raises(ValueError) as exc:
+            run_corpus(CorpusConfig(**{"sizes": (5,), "count": 1, **kwargs}))
+        assert str(exc.value) == f"bad corpus config: {message}"
+        if "budget" not in kwargs:
+            data = {k: list(v) if isinstance(v, tuple) else v for k, v in kwargs.items()}
+            with pytest.raises(ValueError) as exc_json:
+                CorpusConfig.from_json_dict(data)
+            assert str(exc_json.value) == str(exc.value)
+
+    def test_lists_stored_as_tuples(self):
+        cfg = CorpusConfig(families=["random_tree"], sizes=[4, 5], mu=[1.0] * 4)
+        assert cfg.families == ("random_tree",) and cfg.sizes == (4, 5) and cfg.mu == (1.0,) * 4
+        assert cfg == CorpusConfig.from_json_dict({"families": ["random_tree"], "sizes": [4, 5], "mu": [1.0] * 4})
+
 
 class TestSolveCount:
     """Each distinct matrix of one corpus instance is solved once."""

@@ -14,6 +14,7 @@ from cheegerlab import (
     conductance,
     generate,
     laplacian_spectrum,
+    product,
     rho_exact,
     rho_profile,
     rho_signed_exact,
@@ -25,9 +26,14 @@ from cheegerlab import cheeger
 from cheegerlab.cheeger import (
     SIGNED_PROFILE_TOL,
     _PAIR_BUDGET,
+    _build_pairs,
+    _mask_order,
     _packing_dp,
+    _parts_from_masks,
     _phi_array,
+    _profile_tables,
     _reconstruct,
+    _segment,
     _search,
     _signed_search,
     _signed_tables,
@@ -392,6 +398,131 @@ class TestProfileEngine:
             rho_profile(g)
         with pytest.raises(ValueError, match="n <= 14"):
             rho_signed_profile(with_random_signature(generate("random_connected", 15, seed=1), 2))
+
+
+def _suffix_masks(n: int) -> list[int]:
+    full = (1 << n) - 1
+    return [full >> i << i for i in range(n + 1)]
+
+
+def _assert_profile_tables_match(score, n: int, ref, choice, kmax: int) -> None:
+    """Levels below kmax in full, level kmax at every suffix mask, and every
+    reconstruction up to kmax, against the loop's tables (computed for any
+    level count >= kmax)."""
+    tables = _profile_tables(score, n, kmax)
+    assert len(tables) == kmax + 1
+    assert [level.tolist() for level in tables[:kmax]] == ref[:kmax]
+    for mask in _suffix_masks(n):
+        assert tables[kmax][mask] == ref[kmax][mask]
+    full = (1 << n) - 1
+    for k in range(1, kmax + 1):
+        assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, full)
+
+
+class TestProfileTables:
+    """The tables the profiles read: level 1 by a subset-min transform, the
+    top level only at the suffix masks {i..n-1}."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    def test_top_level_matches_loop(self, n, kind):
+        rng = np.random.default_rng(100 + n)
+        if kind == "random":
+            score = rng.uniform(0.0, 3.0, size=1 << n)
+        else:
+            score = rng.choice([0.0, 0.5, 1.0, 2.0], size=1 << n)
+        score[0] = math.inf
+        ref, choice, _ = loop_packing_dp(score, n, n)
+        for kmax in range(1, n + 1):
+            _assert_profile_tables_match(score, n, ref, choice, kmax)
+
+    def test_streamed_path_matches_loop(self, monkeypatch):
+        # The 16 KiB budget of the streamed-chunks test: no cached table at
+        # n = 9, so every segment is built directly.
+        monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 1 << 14)
+        cheeger._pair_table.cache_clear()
+        try:
+            n = 9
+            assert cheeger._pair_table(n) is None
+            g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
+            for score in (_phi_array(g), _signed_tables(with_random_signature(g, 5)).betamin):
+                ref, choice, _ = loop_packing_dp(score, n, n)
+                for kmax in range(1, n + 1):
+                    _assert_profile_tables_match(score, n, ref, choice, kmax)
+        finally:
+            cheeger._pair_table.cache_clear()
+
+    def test_uncached_n12_matches_loop(self):
+        n = 12
+        assert cheeger._pair_table(n) is None
+        score = _phi_array(generate("random_connected", n, seed=3, p=0.4))
+        ref, choice, _ = loop_packing_dp(score, n, n)
+        for kmax in range(1, n + 1):
+            _assert_profile_tables_match(score, n, ref, choice, kmax)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_certificate_parts_follow_loop(self, n, signed):
+        g = generate("random_connected", n, seed=n, p=0.5, w_low=0.5, w_high=2.0)
+        full = (1 << n) - 1
+        if signed:
+            g = with_random_signature(g, n)
+            tables = _signed_tables(g)
+            score = tables.betamin
+            profile = rho_signed_profile(g, 3)
+        else:
+            score = _phi_array(g)
+            profile = rho_profile(g, 3)
+        _, choice, _ = loop_packing_dp(score, n, 3)
+        for cert in profile:
+            masks = loop_reconstruct(choice, cert.k, full)
+            if signed:
+                masks.sort(key=lambda m: m & -m)
+                unions = [
+                    sum(1 << v for v in cert.parts[2 * i] + cert.parts[2 * i + 1])
+                    for i in range(cert.k)
+                ]
+                assert unions == masks
+                assert [sum(1 << v for v in cert.parts[2 * i]) for i in range(cert.k)] == [
+                    int(tables.split[m]) for m in masks
+                ]
+            else:
+                assert cert.parts == tuple(sorted(_parts_from_masks(masks, n)))
+
+    def test_segments_match_pair_builder(self, monkeypatch):
+        # A zero budget caches no table, so every segment is built directly.
+        monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 0)
+        cheeger._pair_table.cache_clear()
+        try:
+            for n in range(1, 9):
+                order = _mask_order(n)
+                parts, rests = _build_pairs(order, 0, len(order.masks))
+                for i, mask in enumerate(order.masks.tolist()):
+                    p0, p1 = order.start[i], order.start[i + 1]
+                    seg, seg_rests = _segment(n, mask)
+                    assert seg.tolist() == parts[p0:p1].tolist()
+                    assert seg_rests.tolist() == rests[p0:p1].tolist()
+                # A suffix mask {i..n-1}'s segment in closed form.
+                for i, mask in enumerate(_suffix_masks(n)[:n]):
+                    closed = (np.arange((1 << (n - i - 1)) - 1, -1, -1) << (i + 1)) | (1 << i)
+                    assert _segment(n, mask)[0].tolist() == closed.tolist()
+        finally:
+            cheeger._pair_table.cache_clear()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_low_k_builds_no_pair_table(self, monkeypatch, k):
+        # n = 12 has no cached pair table: for k <= 2 level 1 is the
+        # transform, the top level reads n directly built segments, and no
+        # 3^n pair pass runs.
+        g = product(generate("path", 4, mu="unit"), generate("path", 3, mu="unit"))
+        expected = rho_profile(g, k)
+
+        def refuse(*args):
+            raise AssertionError("pair table built")
+
+        monkeypatch.setattr(cheeger, "_build_pairs", refuse)
+        assert rho_profile(g, k) == expected
+        assert rho_exact(g, k) == expected[-1]
 
 
 class TestNodalSweep:

@@ -306,6 +306,17 @@ class TestVerify:
         assert err == f"error: bad corpus config: {message}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("corpus", [False, True])
+    def test_bad_eps_exit_2(self, gn3_file, capsys, eps, corpus):
+        where = ["--corpus", '{"families": ["gn"], "sizes": [3]}'] if corpus else [gn3_file]
+        code, out, err = run_cli(
+            ["verify", *where, "--checks", "nodal,nodal_cheeger", f"--eps={eps}"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --eps must be a finite number >= 0\n"
+
     def test_negative_kappa_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
         path.write_text(
@@ -362,6 +373,13 @@ class TestPerturbCmd:
         assert code == 0
         assert data["fraction_simple"] == 1.0
         assert data["trials"] == 50
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_exit_2(self, gn3_file, capsys, eps):
+        code, out, err = run_cli(["perturb", gn3_file, "--eps", eps, "--trials", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --eps must be a finite number >= 0\n"
 
     def test_zero_trials_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k3.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,11 @@ class TestPerturb:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             perturb(generate("path", 2), -0.1, 0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be a finite number >= 0"):
+            perturb(generate("path", 2), eps, 0)
 
     def test_spectral_continuity(self):
         g = generate("random_connected", 7, seed=12, p=0.4, w_low=0.5, w_high=2.0)
