@@ -37,7 +37,7 @@ from .graph import (
 from .nodal import strong_nodal, weak_nodal
 from .perturb import GenericityReport, perturb
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
-from .spectral import Spectrum, adjacency_eta, laplacian_spectrum
+from .spectral import Spectrum, adjacency_eta, laplacian_spectrum, with_functions
 
 TOL_SCALE = 1e-9       # inequality slack: 1e-9 * max(1, rhs)
 EIG_CLAMP = 1e-10      # eigenvalues in [-1e-10, 0) are solver dust; clamp to 0
@@ -121,15 +121,15 @@ class CheckRecord:
 # `nodal_cheeger` checks both build: the equal graph hits the cache, so it
 # is solved once per (g, eps, seed), genericity verdict included.  Only
 # those two checks read eigenfunctions; every other check reads values,
-# and a spectrum is solved with functions only once a check asks for
-# them (see `_Solved` and the check order of `run_checks_on_graph`).
+# and a spectrum gets its functions only once a check asks for them.
 
 
 class _Solved:
     """The spectrum of L(g), solved without eigenfunctions until one is read.
 
     A values-only request is served by whatever spectrum is held; a
-    request for functions solves again only if the held one lacks them.
+    request for functions adds them to a held values-only spectrum
+    (one LAPACK call, no second eigenvalue solve).
     """
 
     __slots__ = ("g", "spectrum")
@@ -140,8 +140,10 @@ class _Solved:
 
     def get(self, functions: bool) -> Spectrum:
         s = self.spectrum
-        if s is None or (functions and s.functions is None):
+        if s is None:
             s = self.spectrum = laplacian_spectrum(self.g, functions=functions)
+        elif functions and s.functions is None:
+            s = self.spectrum = with_functions(self.g, s)
         return s
 
 
@@ -545,8 +547,8 @@ class CorpusConfig:
         if isinstance(kwargs.get("budget"), dict):
             try:
                 kwargs["budget"] = SearchBudget(**kwargs["budget"])
-            except TypeError as exc:
-                raise ValueError(f"bad corpus config: {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad corpus config: 'budget': {exc}") from exc
         return CorpusConfig(**kwargs)
 
 
@@ -596,10 +598,6 @@ def _run_check(name: str, g: WeightedGraph, eps: float, seed: int, budget: Searc
     raise ValueError(f"unknown check {name!r}")
 
 
-# The checks that read eigenfunctions, not only eigenvalues.
-_READS_FUNCTIONS = ("nodal", "nodal_cheeger")
-
-
 def run_checks_on_graph(
     instance: str,
     g: WeightedGraph,
@@ -609,32 +607,18 @@ def run_checks_on_graph(
     budget: SearchBudget | None = None,
 ):
     """Run named checks on one graph; returns (rows, errors) in the order
-    of `checks`.
-
-    At eps = 0 the nodal checks read the eigenfunctions of g itself.  They
-    run first then, so L(g) is solved once, with its functions, and the
-    value-only checks reuse that solve.
-    """
-    checks = tuple(checks)
-    order = range(len(checks))
-    if eps == 0:
-        order = sorted(order, key=lambda i: checks[i] not in _READS_FUNCTIONS)
-    outcomes = [None] * len(checks)
-    for i in order:
-        name = checks[i]
-        try:
-            outcomes[i] = _run_check(name, g, eps, seed, budget)
-        except HypothesisViolation as exc:
-            outcomes[i] = [CheckRecord.skipped(name, str(exc))]
-        except (NonGenericError, BudgetExceededError, ValueError, RuntimeError) as exc:
-            outcomes[i] = f"{name}: {exc}"
+    of `checks`."""
     rows = []
     errors = []
-    for outcome in outcomes:
-        if isinstance(outcome, str):
-            errors.append((instance, outcome))
-        else:
-            rows.extend((instance, rec) for rec in outcome)
+    for name in checks:
+        try:
+            records = _run_check(name, g, eps, seed, budget)
+        except HypothesisViolation as exc:
+            records = [CheckRecord.skipped(name, str(exc))]
+        except (NonGenericError, BudgetExceededError, ValueError, RuntimeError) as exc:
+            errors.append((instance, f"{name}: {exc}"))
+            continue
+        rows.extend((instance, rec) for rec in records)
     return rows, errors
 
 

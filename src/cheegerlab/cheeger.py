@@ -88,8 +88,9 @@ class SearchBudget:
     max_states: int = 200_000_000
 
     def __post_init__(self):
-        if self.max_states <= 0:
-            raise ValueError("max_states must be positive")
+        m = self.max_states
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError(f"max_states must be an integer >= 1, got {m!r}")
 
 
 class BudgetExceededError(RuntimeError):

@@ -1,8 +1,18 @@
-"""Dense symmetric eigendecomposition of normalized (signed) Laplacians.
+"""Dense symmetric eigenvalues and eigenfunctions of normalized (signed) Laplacians.
 
-The solver is a cyclic Jacobi iteration: simple, deterministic, and
-orthogonal to working precision, which is all the desk-scale graphs here
-need.  Eigenvalues are reported ascending; the normalized adjacency helper
+Eigenvalues of the Laplacian come from a cyclic Jacobi iteration that
+computes values only.  Its rotations run in Python floats, so the values
+do not depend on the BLAS build (only the stopping test reads a numpy
+norm).  The exact checks compare them against exact optima, and the
+benchmark's expected outputs pin their round-off at lambda = 0.
+
+Eigenfunctions and the normalized-adjacency eta come from LAPACK
+(`np.linalg.eigh` / `np.linalg.eigvalsh`).  The paper's nodal lemmas read
+eigenfunctions only through their sign patterns and |f| level sets, and
+its spectral-radius bound reads eta only through a comparison, so they are
+reproducible per machine and BLAS build; within a cluster of coincident
+eigenvalues the functions are any orthonormal basis of the eigenspace.
+Eigenvalues are reported ascending; the normalized adjacency helper
 follows the opposite (descending) convention of spectral-radius bounds.
 
 A rotation in the plane (p, q) is the column update followed by the row
@@ -13,25 +23,28 @@ operands.  So the solver holds the iterate as rows of Python floats and
 computes each rotated row once, mirroring it into its column; only the
 two diagonal entries need the second (row) step.  Python floats round
 each `*` and `-` exactly as numpy's elementwise ufuncs do, so the values
-and vectors are bit-identical to the column-then-row update on numpy
-slices (kept in the tests as the reference).  For n <= 20 that costs
-about a third to a half as much; beyond n ~ 50 the numpy slices would
-be faster.
-
-The eigenvectors are accumulated beside the iterate and never feed back
-into it, so a solve that asks for eigenvalues only (`vectors=False`, the
-shape of scipy's `eigh(eigvals_only=True)`) skips them and returns the
-same values bit for bit, at about two thirds of the cost for n <= 10.
-`laplacian_spectrum(g, functions=False)` and `adjacency_eta` solve that
-way; the eigenfunctions are built only where a caller reads them.
+are bit-identical to the column-then-row update on numpy slices (kept in
+the tests as the reference).  For n <= 20 that costs about a third to a
+half as much; beyond n ~ 50 the numpy slices would be faster.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graph import WeightedGraph, require_valid
+
+
+def _check_tolerance(name: str, value) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +55,13 @@ class EigenOptions:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.off_diag_tol <= 0 or self.max_sweeps <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances and sweep budget must be positive")
-        if self.gap_tol is not None and self.gap_tol <= 0:
-            raise ValueError("gap_tol must be positive")
+        _check_tolerance("off_diag_tol", self.off_diag_tol)
+        _check_tolerance("residual_tol", self.residual_tol)
+        if self.gap_tol is not None:
+            _check_tolerance("gap_tol", self.gap_tol)
+        sweeps = self.max_sweeps
+        if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral) or sweeps < 1:
+            raise ValueError(f"max_sweeps must be an integer >= 1, got {sweeps!r}")
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -66,14 +82,8 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions(), *, vectors: bool = True):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (values, vectors) with values ascending and vectors as
-    orthonormal columns, permuted consistently.  Ties keep their pre-sort
-    order (stable sort); each eigenvector is sign-normalized so its entry
-    of largest magnitude is positive.  With `vectors=False` no eigenvector
-    is built and (values, None) is returned; the values are the same bits.
+def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending.
 
     The iterate stays exactly symmetric (see the module docstring), so
     it is kept as rows of Python floats: a rotation in the plane (p, q)
@@ -83,10 +93,10 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions(), *, vectors: bool
     and `s*new_q[p] + c*new_q[q]`.  Python float arithmetic rounds like
     numpy's elementwise ufuncs and fuses no multiply-add, so the result
     equals the column-then-row update on numpy slices bit for bit.  The
-    eigenvector matrix is kept transposed, one list per column.  The
     convergence test runs on an array built from the rows once per
     sweep, so the off-diagonal norm, and with it the sweep count, is the
-    numpy norm of the same matrix.
+    numpy norm of the same matrix.  Raises JacobiConvergenceError when
+    `opts.max_sweeps` sweeps leave the off-diagonal norm above threshold.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -96,7 +106,6 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions(), *, vectors: bool
     n = a.shape[0]
     threshold = opts.off_diag_tol * float(np.linalg.norm(a))
     rows = a.tolist()
-    vt = np.eye(n).tolist() if vectors else None
     converged = n < 2
     sweeps = 0
     while not converged and sweeps < opts.max_sweeps:
@@ -128,37 +137,25 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions(), *, vectors: bool
                 for row, x, y in zip(rows, new_p, new_q):
                     row[p] = x
                     row[q] = y
-                if vt is not None:
-                    vp = vt[p]
-                    vq = vt[q]
-                    vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                    vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
         sweeps += 1
     a = np.array(rows)
     if not converged and _off_norm(a) > threshold:
         raise JacobiConvergenceError(_off_norm(a), threshold, sweeps)
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    if vt is None:
-        return values, None
-    vecs = np.array(vt)[order].T.copy()
-    for j in range(n):
-        col = vecs[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            vecs[:, j] = -col
-    return values, vecs
+    return np.sort(np.diag(a), kind="stable")
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues of the normalized Laplacian with eigenfunctions.
 
-    `functions[k]` is the k-th eigenfunction of L = M^{-1}(D + K - A^sigma),
-    mu-orthonormal: sum_i mu_i f(i) g(i) = delta; it is None when the
-    spectrum was solved without them.  `clusters` groups numerically
-    coincident eigenvalues as (start index, multiplicity) pairs, 0-based.
+    `values` come from the Jacobi solver, the same bits on every BLAS build.
+    `functions[k]` is the k-th eigenfunction of L = M^{-1}(D + K - A^sigma)
+    from LAPACK, paired with `values[k]`, mu-orthonormal:
+    sum_i mu_i f(i) g(i) = delta, and sign-normalized so that its entry of
+    largest magnitude is positive; it is None when the spectrum was solved
+    without them.  Within a cluster the functions are any orthonormal
+    basis of the eigenspace.  `clusters` groups numerically coincident
+    eigenvalues as (start index, multiplicity) pairs, 0-based.
     """
 
     values: tuple[float, ...]
@@ -217,24 +214,40 @@ def _cluster(values: np.ndarray, gap_tol: float) -> tuple[tuple[int, int], ...]:
     return tuple(clusters)
 
 
+def _eigenfunctions(mat: np.ndarray, mu) -> tuple[tuple[float, ...], ...]:
+    """The mu-orthonormal eigenfunctions of the symmetric form `mat` of L,
+    ascending, from one LAPACK `eigh` call: each column is sign-normalized
+    so that its entry of largest magnitude is positive, then scaled by
+    1/sqrt(mu)."""
+    _, vecs = np.linalg.eigh(mat)
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = np.where(lead < 0, -vecs, vecs)
+    return tuple(map(tuple, (vecs / np.sqrt(np.asarray(mu))[:, None]).T.tolist()))
+
+
 def laplacian_spectrum(
     g: WeightedGraph, opts: EigenOptions = EigenOptions(), *, functions: bool = True
 ) -> Spectrum:
-    """Spectrum of the normalized Laplacian with mu-orthonormal eigenfunctions
-    (`functions=True`) or without any (`functions=False`, same values)."""
+    """Spectrum of the normalized Laplacian: Jacobi eigenvalues with
+    mu-orthonormal LAPACK eigenfunctions (`functions=True`) or without any
+    (`functions=False`, same values)."""
     mat = normalized_laplacian_sym(g)
-    values, vectors = eig_sym(mat, opts, vectors=functions)
-    funcs = None
-    if functions:
-        funcs = tuple(map(tuple, (vectors / np.sqrt(np.asarray(g.mu))[:, None]).T.tolist()))
+    values = eig_sym(mat, opts)
     gap_tol = opts.gap_tol
     if gap_tol is None:
         gap_tol = 1e-8 * max(1.0, abs(float(values[-1])))
     return Spectrum(
         values=tuple(values.tolist()),
-        functions=funcs,
+        functions=_eigenfunctions(mat, g.mu) if functions else None,
         clusters=_cluster(values, gap_tol),
     )
+
+
+def with_functions(g: WeightedGraph, spectrum: Spectrum) -> Spectrum:
+    """`spectrum`, a spectrum of L(g), with the eigenfunctions of L(g) set
+    by one LAPACK call and no second eigenvalue solve; the values and
+    clusters are kept as they are."""
+    return replace(spectrum, functions=_eigenfunctions(normalized_laplacian_sym(g), g.mu))
 
 
 @dataclass(frozen=True)
@@ -248,8 +261,9 @@ class EtaResult:
         return {"values": list(self.values), "eta": self.eta}
 
 
-def adjacency_eta(g: WeightedGraph, opts: EigenOptions = EigenOptions()) -> EtaResult:
-    """Spectrum of M^{-1/2} A M^{-1/2} (same as M^{-1}A), sorted descending.
+def adjacency_eta(g: WeightedGraph) -> EtaResult:
+    """Spectrum of M^{-1/2} A M^{-1/2} (same as M^{-1}A) from LAPACK
+    `eigvalsh`, sorted descending.
 
     Requires an unsigned graph with kappa identically 0 and at least three
     vertices; those are the standing hypotheses of the spectral-radius
@@ -267,7 +281,6 @@ def adjacency_eta(g: WeightedGraph, opts: EigenOptions = EigenOptions()) -> EtaR
         val = e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
         mat[e.u, e.v] = val
         mat[e.v, e.u] = val
-    values, _ = eig_sym(mat, opts, vectors=False)
-    desc = values[::-1]
+    desc = np.linalg.eigvalsh(mat)[::-1]
     eta = max(abs(float(desc[1])), abs(float(desc[-1])))
     return EtaResult(values=tuple(desc.tolist()), eta=eta)

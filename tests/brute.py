@@ -248,7 +248,8 @@ def loop_signed_tables(g: WeightedGraph) -> tuple[list[float], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# numpy Jacobi rotation loop (the bit-for-bit reference for spectral.eig_sym)
+# numpy Jacobi rotation loop: the bit-for-bit reference for the values of
+# spectral.eig_sym, and an independent reference for the LAPACK eigenfunctions
 
 def _loop_off_norm(a: np.ndarray) -> float:
     off = a - np.diag(np.diag(a))

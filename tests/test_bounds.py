@@ -330,7 +330,9 @@ class TestRecordsAndReport:
 
 
 class TestSolveCount:
-    """Each distinct matrix of one corpus instance is solved once."""
+    """Each distinct matrix of one corpus instance is solved once: the
+    Laplacian eigenvalues by Jacobi, the eigenfunctions by one LAPACK
+    `eigh` where a check reads them, the adjacency values by `eigvalsh`."""
 
     CHECKS = ("main", "basics", "lower", "nodal", "nodal_cheeger")
     EPS = 0.05
@@ -342,20 +344,21 @@ class TestSolveCount:
             cache.cache_clear()
 
     @staticmethod
-    def count_solves(monkeypatch) -> tuple[list, list]:
-        """The matrices handed to the solver, and whether each solve built
-        eigenvectors."""
-        solved = []
-        with_vectors = []
-        real = spectral.eig_sym
+    def count_solves(monkeypatch) -> dict:
+        """The matrices handed to the Jacobi solver, to `eigh` and to
+        `eigvalsh`, in call order."""
+        solved = {"jacobi": [], "eigh": [], "eigvalsh": []}
 
-        def counting(m, *args, **kwargs):
-            solved.append(np.array(m))
-            with_vectors.append(kwargs.get("vectors", True))
-            return real(m, *args, **kwargs)
+        def counting(key, real):
+            def call(m, *args, **kwargs):
+                solved[key].append(np.array(m))
+                return real(m, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(spectral, "eig_sym", counting)
-        return solved, with_vectors
+        monkeypatch.setattr(spectral, "eig_sym", counting("jacobi", spectral.eig_sym))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        return solved
 
     @staticmethod
     def nodal_records(rows) -> list:
@@ -366,7 +369,7 @@ class TestSolveCount:
         assert classify(g).is_connected and not is_complete(g)
         assert not g.is_signed() and g.mu_is_degree() and g.kappa_is_zero()
         self.clear_caches()
-        solved, with_vectors = self.count_solves(monkeypatch)
+        solved = self.count_solves(monkeypatch)
         rows, errors = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         assert not errors
         assert all(rec.holds for _, rec in rows)
@@ -374,31 +377,41 @@ class TestSolveCount:
             "main", "eq1_left", "lower_eta", "lower_gap",
             "nodal_lower", "nodal_cheeger",
         }
-        # L(g) for main / basics / lower_gap, A(g) for eta, L(g') for both
-        # nodal checks, where g' = perturb(g, eps, seed).
-        assert len(solved) == 3
+        # Jacobi: L(g) for main / basics / lower_gap and L(g') for both nodal
+        # checks, where g' = perturb(g, eps, seed); eigh: the functions of
+        # L(g'), which only the nodal checks read; eigvalsh: A(g) for eta.
         gp = perturb(g, self.EPS, self.SEED)
-        assert np.array_equal(solved[0], spectral.normalized_laplacian_sym(g))
-        assert np.all(np.diag(solved[1]) == 0.0) and np.any(solved[1] != 0.0)
-        assert np.array_equal(solved[2], spectral.normalized_laplacian_sym(gp))
-        # Only the nodal checks read eigenfunctions, and only those of g'.
-        assert with_vectors == [False, False, True]
+        lap_g = spectral.normalized_laplacian_sym(g)
+        lap_gp = spectral.normalized_laplacian_sym(gp)
+        assert len(solved["jacobi"]) == 2
+        assert np.array_equal(solved["jacobi"][0], lap_g)
+        assert np.array_equal(solved["jacobi"][1], lap_gp)
+        assert len(solved["eigh"]) == 1
+        assert np.array_equal(solved["eigh"][0], lap_gp)
+        assert len(solved["eigvalsh"]) == 1
+        adj = solved["eigvalsh"][0]
+        assert np.all(np.diag(adj) == 0.0) and np.any(adj != 0.0)
 
     def test_one_solve_of_g_at_eps_zero(self, monkeypatch):
         # At eps = 0 the nodal checks read the eigenfunctions of g itself:
-        # L(g) is still solved once, with them, although `main` asks first.
+        # `main` asks first, for values only, and the nodal checks add the
+        # functions to that spectrum, so L(g) has one Jacobi solve.
         # (Seed 6 gives a generic g: a simple, zero-free spectrum.)
         g = generate("random_connected", 8, 6)
         assert g.mu_is_degree() and cyclomatic(g) > 0
         self.clear_caches()
-        solved, with_vectors = self.count_solves(monkeypatch)
+        solved = self.count_solves(monkeypatch)
         rows, errors = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
         assert not errors
         assert all(rec.holds for _, rec in rows)
-        assert len(solved) == 2
-        assert np.array_equal(solved[0], spectral.normalized_laplacian_sym(g))
-        assert np.all(np.diag(solved[1]) == 0.0) and np.any(solved[1] != 0.0)
-        assert with_vectors == [True, False]
+        lap_g = spectral.normalized_laplacian_sym(g)
+        assert len(solved["jacobi"]) == 1
+        assert np.array_equal(solved["jacobi"][0], lap_g)
+        assert len(solved["eigh"]) == 1
+        assert np.array_equal(solved["eigh"][0], lap_g)
+        assert len(solved["eigvalsh"]) == 1
+        adj = solved["eigvalsh"][0]
+        assert np.all(np.diag(adj) == 0.0) and np.any(adj != 0.0)
         # Rows keep the order of the requested checks.
         names = [rec.name for _, rec in rows]
         assert names.index("main") < names.index("nodal_lower") < names.index("nodal_cheeger")
@@ -408,27 +421,34 @@ class TestSolveCount:
         assert rows == fresh
 
     def test_functions_after_values_solve_again(self, monkeypatch):
+        # Functions asked for after a values-only solve come from one eigh
+        # call on the same matrix; the eigenvalues are not solved again.
         g = generate("random_connected", 6, 5)
         self.clear_caches()
-        solved, with_vectors = self.count_solves(monkeypatch)
+        solved = self.count_solves(monkeypatch)
         values = bounds._spectrum(g).get(functions=False)
         assert values.functions is None
         with pytest.raises(ValueError, match="without eigenfunctions"):
             values.function(1)
+        assert len(solved["eigh"]) == 0
         full = bounds._spectrum(g).get(functions=True)
         assert bounds._spectrum(g).get(functions=False) is full
         assert full.values == values.values and full.clusters == values.clusters
-        assert with_vectors == [False, True]
+        assert len(solved["jacobi"]) == 1 and len(solved["eigh"]) == 1
+        assert np.array_equal(solved["eigh"][0], spectral.normalized_laplacian_sym(g))
 
     def test_cached_nodal_records_match_uncached(self, monkeypatch):
         g = generate("random_connected", 8, 3)
         self.clear_caches()
         cached, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         self.clear_caches()
-        solved, _ = self.count_solves(monkeypatch)
+        solved = self.count_solves(monkeypatch)
         monkeypatch.setattr(bounds, "_spectrum", bounds._Solved)
         fresh, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
-        assert len(solved) == 6  # uncached: L(g) three times, A(g), L(g') twice
+        # Uncached: L(g) three times and L(g') twice, with functions, and A(g).
+        assert {key: len(mats) for key, mats in solved.items()} == {
+            "jacobi": 5, "eigh": 2, "eigvalsh": 1,
+        }
         assert self.nodal_records(cached) == self.nodal_records(fresh)
         assert {rec.name for rec in self.nodal_records(cached)} == {
             "nodal_lower", "nodal_strong_upper", "nodal_weak_upper", "nodal_cheeger",

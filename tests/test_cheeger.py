@@ -129,6 +129,11 @@ class TestRhoExact:
         assert not cert.exact
         assert cert.value >= _search(g, 3).value
 
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, 50.0, True, False, "x", None])
+    def test_budget_rejects_non_integer_or_small(self, bad):
+        with pytest.raises(ValueError, match="max_states must be an integer >= 1"):
+            SearchBudget(max_states=bad)
+
 
 class TestEngineChoice:
     """rho_exact / rho_signed_exact answer from the profile DP within its

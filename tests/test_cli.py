@@ -296,6 +296,9 @@ class TestVerify:
             ('{"signed": 1}', "'signed' must be true or false, got 1"),
             ('{"families": "random_tree"}', "'families' must be a nonempty list of family names, got 'random_tree'"),
             ('{"sizez": [4]}', "unknown key 'sizez'"),
+            ('{"budget": {"max_states": 2.5}}', "'budget': max_states must be an integer >= 1, got 2.5"),
+            ('{"budget": {"max_states": true}}', "'budget': max_states must be an integer >= 1, got True"),
+            ('{"budget": {"max_states": "x"}}', "'budget': max_states must be an integer >= 1, got 'x'"),
         ],
     )
     @pytest.mark.parametrize("checks", ["main", "nodal"])

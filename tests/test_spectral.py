@@ -49,18 +49,16 @@ class TestLaplacianMatrix:
 
 class TestJacobi:
     def test_two_by_two(self):
-        values, vectors = eig_sym(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        values = eig_sym(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert np.allclose(values, [0.0, 2.0], atol=1e-12)
-        assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-12)
 
     def test_diagonal_permutation(self):
-        values, vectors = eig_sym(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(values, [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
+        values = eig_sym(np.diag([3.0, 1.0, 2.0]))
+        assert values.tolist() == [1.0, 2.0, 3.0]
 
     def test_c4_normalized(self):
         m = normalized_laplacian_sym(generate("cycle", 4))
-        values, _ = eig_sym(m)
+        values = eig_sym(m)
         assert np.allclose(values, [0.0, 1.0, 1.0, 2.0], atol=1e-10)
 
     def test_rejects_asymmetric(self):
@@ -76,10 +74,21 @@ class TestJacobi:
         assert err.value.off_norm > 0
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            EigenOptions(off_diag_tol=0.0)
-        with pytest.raises(ValueError):
-            EigenOptions(gap_tol=-1.0)
+        bad_values = {
+            "off_diag_tol": [0.0, -1e-12, math.inf, math.nan, True, "1e-12"],
+            "residual_tol": [0.0, math.inf, math.nan],
+            "gap_tol": [-1.0, 0.0, math.nan, math.inf],
+            "max_sweeps": [0, -3, 2.5, 64.0, True, "64"],
+        }
+        for field, values in bad_values.items():
+            for bad in values:
+                with pytest.raises(ValueError, match=field):
+                    EigenOptions(**{field: bad})
+
+    def test_options_accept_valid(self):
+        opts = EigenOptions(off_diag_tol=1e-10, max_sweeps=np.int64(3), gap_tol=1, residual_tol=1e-6)
+        assert opts.max_sweeps == 3 and opts.gap_tol == 1
+        assert EigenOptions(gap_tol=None).gap_tol is None
 
     @given(
         arrays(
@@ -91,34 +100,25 @@ class TestJacobi:
     @settings(max_examples=40, deadline=None)
     def test_matches_lapack_oracle(self, raw):
         a = raw + raw.T
-        values, vectors = eig_sym(a)
+        values = eig_sym(a)
         expected = np.linalg.eigvalsh(a)
         assert np.allclose(values, expected, atol=1e-8 * max(1.0, np.abs(expected).max()))
-        assert np.allclose(vectors.T @ vectors, np.eye(6), atol=1e-10)
-        assert np.allclose(a @ vectors, vectors @ np.diag(values), atol=1e-8 * max(1.0, np.abs(expected).max()))
 
 
 def assert_same_as_loop(m, opts=EigenOptions()) -> bool:
-    """eig_sym agrees with the numpy loop bit for bit, signed zeros
-    included: the same values and vectors, or the same convergence error.
-    The values-only solve (`vectors=False`) gives the same values in
-    float.hex, or the same error.  Returns whether the solve converged."""
+    """eig_sym gives the values of the numpy loop in float.hex (signed
+    zeros included), or the same convergence error with the same fields.
+    Returns whether the solve converged."""
     try:
-        want = loop_eig_sym(m, opts)
+        want, _ = loop_eig_sym(m, opts)
     except JacobiConvergenceError as err:
-        for vectors in (True, False):
-            with pytest.raises(JacobiConvergenceError) as got:
-                eig_sym(m, opts, vectors=vectors)
-            fields = (got.value.off_norm, got.value.threshold, got.value.sweeps)
-            assert fields == (err.off_norm, err.threshold, err.sweeps)
+        with pytest.raises(JacobiConvergenceError) as got:
+            eig_sym(m, opts)
+        fields = (got.value.off_norm, got.value.threshold, got.value.sweeps)
+        assert fields == (err.off_norm, err.threshold, err.sweeps)
         return False
-    got = eig_sym(m, opts)
-    for x, y in zip(got, want):
-        assert np.array_equal(x, y)
-        assert x.tobytes() == y.tobytes()
-    values, vectors = eig_sym(m, opts, vectors=False)
-    assert vectors is None
-    assert [v.hex() for v in values.tolist()] == [v.hex() for v in want[0].tolist()]
+    values = eig_sym(m, opts)
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in want.tolist()]
     return True
 
 
@@ -154,42 +154,22 @@ def oracle_graphs(n: int) -> list:
     return graphs
 
 
-def solver_inputs(g) -> list:
-    """The matrices laplacian_spectrum and, where it applies, adjacency_eta
-    hand to the solver for `g`."""
-    seen = []
-
-    def recording(m, opts, *, vectors=True):
-        seen.append(m)
-        values, vecs = loop_eig_sym(m, opts)
-        return values, vecs if vectors else None
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "eig_sym", recording)
-        laplacian_spectrum(g)
-        if not g.is_signed() and g.kappa_is_zero() and g.n >= 3:
-            adjacency_eta(g)
-    return seen
-
-
 class TestJacobiOracle:
-    """eig_sym, with and without vectors, against the numpy
-    column-then-row loop in tests/brute.py."""
+    """eig_sym against the values of the numpy column-then-row loop in
+    tests/brute.py."""
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_fixed_cases(self, n):
         mats = [dense_symmetric(n, seed) for seed in range(3)]
         mats.append(dense_symmetric(n, 99, negative_zeros=True))
-        for g in oracle_graphs(n):
-            mats.extend(solver_inputs(g))
+        mats.extend(normalized_laplacian_sym(g) for g in oracle_graphs(n))
         for m in mats:
             assert assert_same_as_loop(m)
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_one_sweep_error_fields(self, n):
         mats = [dense_symmetric(n, seed) for seed in range(3)]
-        for g in oracle_graphs(n):
-            mats.extend(solver_inputs(g))
+        mats.extend(normalized_laplacian_sym(g) for g in oracle_graphs(n))
         converged = [assert_same_as_loop(m, EigenOptions(max_sweeps=1)) for m in mats]
         if n >= 4:
             assert not all(converged)
@@ -208,6 +188,85 @@ class TestJacobiOracle:
     def test_random_symmetric(self, raw, max_sweeps):
         m = np.triu(raw) + np.triu(raw, 1).T
         assert_same_as_loop(m, EigenOptions(max_sweeps=max_sweeps))
+
+
+REFERENCE_OFF_DIAG_TOL = 1e-15
+
+
+def assert_eigenfunctions(m, mu, values, funcs):
+    """Check the eigenfunctions `funcs` (rows) of L = M^{-1/2} m M^{1/2},
+    paired with the Jacobi `values`, against properties that do not
+    depend on how they were computed, and against the eigenvectors of
+    the numpy Jacobi loop in tests/brute.py:
+
+    - residual |L f - lambda f| <= residual_tol * max(1, |lambda|max);
+    - mu-orthonormal, F M F^T = I, to 1e-12;
+    - sign-normalized: the entry of largest magnitude of sqrt(mu) f
+      (the eigenvector of m) is positive, up to ties within 1e-12;
+    - equal up to sign, to 1e-9 as unit vectors of m, to the loop's
+      eigenvector wherever the eigenvalue is more than 1e-6 (relative to
+      the same scale) from its neighbours, where it is well defined.  A
+      Jacobi eigenvector is off by up to (final off-diagonal norm) / gap,
+      so the loop runs to REFERENCE_OFF_DIAG_TOL instead of the default
+      1e-12, which would allow an error of 1e-6 at that gap.
+    """
+    n = len(values)
+    funcs = np.asarray(funcs, dtype=float).reshape(n, n)
+    values = np.asarray(values)
+    root = np.sqrt(np.asarray(mu, dtype=float))
+    lap = m * (root[None, :] / root[:, None])
+    scale = max(1.0, float(np.abs(values).max()))
+    tol = EigenOptions().residual_tol * scale
+    for lam, f in zip(values, funcs):
+        assert np.max(np.abs(lap @ f - lam * f)) <= tol
+    gram = funcs @ np.diag(np.asarray(mu, dtype=float)) @ funcs.T
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+    vecs = funcs * root[None, :]
+    for v in vecs:
+        assert v.max() >= -v.min() - 1e-12
+    _, loop_vecs = loop_eig_sym(m, EigenOptions(off_diag_tol=REFERENCE_OFF_DIAG_TOL))
+    gaps = np.diff(values)
+    for j in range(n):
+        left = gaps[j - 1] if j > 0 else math.inf
+        right = gaps[j] if j < n - 1 else math.inf
+        if min(left, right) <= 1e-6 * scale:
+            continue
+        want = loop_vecs[:, j]
+        got = vecs[j] if vecs[j] @ want >= 0 else -vecs[j]
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+class TestEigenfunctionOracle:
+    """LAPACK eigenfunctions checked against residuals, orthonormality,
+    sign normalization and the Jacobi loop's eigenvectors."""
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_oracle_graphs(self, n):
+        for g in oracle_graphs(n):
+            s = laplacian_spectrum(g)
+            assert_eigenfunctions(normalized_laplacian_sym(g), g.mu, s.values, s.functions)
+
+    @given(
+        st.integers(1, 15).flatmap(
+            lambda n: arrays(
+                np.float64,
+                (n, n),
+                elements=st.one_of(st.just(0.0), st.floats(min_value=-10, max_value=10)),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_symmetric(self, raw):
+        m = np.triu(raw) + np.triu(raw, 1).T
+        mu = np.ones(len(m))
+        assert_eigenfunctions(m, mu, eig_sym(m), spectral._eigenfunctions(m, mu))
+
+    def test_functions_added_to_values_only_spectrum(self):
+        g = generate("random_connected", 9, seed=4, p=0.4)
+        bare = laplacian_spectrum(g, functions=False)
+        full = spectral.with_functions(g, bare)
+        assert full.values == bare.values and full.clusters == bare.clusters
+        assert full.functions == laplacian_spectrum(g).functions
 
 
 class TestSpectrum:
