@@ -116,35 +116,53 @@ class CheckRecord:
 
 
 # Profiles and spectra are pure functions of the (hashable) graph, and the
-# corpus checks revisit the same instances; cache them.  `_spectrum` also
-# serves the perturbed instance perturb(g, eps, seed) that the `nodal` and
-# `nodal_cheeger` checks both build: the equal graph hits the cache, so it
-# is solved once per (g, eps, seed), genericity verdict included.  Only
-# those two checks read eigenfunctions; every other check reads values,
-# and a spectrum gets its functions only once a check asks for them.
+# corpus checks revisit the same instances; cache them.  The `_spectrum`
+# entry of g also holds the perturbed instance perturb(g, eps, seed) that
+# the `nodal` and `nodal_cheeger` checks both read, so it is built and
+# solved once per instance.  Only those two checks read eigenfunctions;
+# every other check reads values.
 
 
 class _Solved:
-    """The spectrum of L(g), solved without eigenfunctions until one is read.
+    """The spectrum of L(g) and of its perturbed instances.
 
-    A values-only request is served by whatever spectrum is held; a
-    request for functions adds them to a held values-only spectrum
-    (one LAPACK call, no second eigenvalue solve).
+    The instance's own eigenvalues always come from the Jacobi solver,
+    whichever check asks first; a request for functions adds them to the
+    held values-only spectrum (one LAPACK call, no second eigenvalue
+    solve).  A perturbed instance, whose eigenvalues no exact check pins,
+    takes its values and functions from one LAPACK call.
     """
 
-    __slots__ = ("g", "spectrum")
+    __slots__ = ("g", "spectrum", "_perturbed")
 
     def __init__(self, g: WeightedGraph):
         self.g = g
         self.spectrum = None
+        self._perturbed = None  # (eps, seed, perturbed graph, its spectrum)
 
     def get(self, functions: bool) -> Spectrum:
         s = self.spectrum
         if s is None:
-            s = self.spectrum = laplacian_spectrum(self.g, functions=functions)
-        elif functions and s.functions is None:
+            s = self.spectrum = laplacian_spectrum(self.g, functions=False)
+        if functions and s.functions is None:
             s = self.spectrum = with_functions(self.g, s)
         return s
+
+    def perturbed(self, eps: float, seed: int) -> tuple[WeightedGraph, Spectrum]:
+        """(perturb(g, eps, seed), its spectrum with eigenfunctions); at
+        eps = 0, g itself with `get(functions=True)`.
+
+        Only the latest (eps, seed) is held: the two nodal checks of an
+        instance ask for the same one in turn, and a caller sweeping seeds
+        over one cached graph would otherwise keep every instance alive.
+        """
+        if eps == 0:
+            return self.g, self.get(functions=True)
+        held = self._perturbed
+        if held is None or held[0] != eps or held[1] != seed:
+            gp = perturb(self.g, eps, seed)
+            held = self._perturbed = (eps, seed, gp, laplacian_spectrum(gp))
+        return held[2], held[3]
 
 
 @lru_cache(maxsize=2048)
@@ -236,8 +254,7 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
         raise HypothesisViolation("nodal count bounds are checked on unsigned graphs")
     if not classify(g).is_connected:
         raise HypothesisViolation("requires a connected graph")
-    gp = perturb(g, eps, seed)
-    spectrum = _spectrum(gp).get(functions=True)
+    gp, spectrum = _spectrum(g).perturbed(eps, seed)
     report = GenericityReport.of(spectrum)
     if not (report.simple and report.zero_free):
         raise NonGenericError(
@@ -272,8 +289,7 @@ def check_lemma_nodal_cheeger(
         raise HypothesisViolation("requires an unsigned graph")
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
-    h = perturb(g, eps, seed) if eps > 0 else g
-    spectrum = _spectrum(h).get(functions=True)
+    h, spectrum = _spectrum(g).perturbed(eps, seed)
     tau = degree_profile(h).tau
     profile = _rho_all(h, h.n, budget, signed=False)
     records = []
@@ -484,12 +500,12 @@ _CONFIG_RULES = {
     "count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "seed": (_is_int, "an integer"),
     "eps": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
-    "p": (_is_number, "a finite number"),
-    "w_low": (lambda v: v is None or _is_number(v), "a finite number or null"),
-    "w_high": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "p": (lambda v: _is_number(v) and 0 <= v <= 1, "a finite number in [0, 1]"),
+    "w_low": (lambda v: v is None or (_is_number(v) and v > 0), "a finite number > 0 or null"),
+    "w_high": (lambda v: v is None or (_is_number(v) and v > 0), "a finite number > 0 or null"),
     "mu": (lambda v: isinstance(v, str) or _is_tuple_of(v, _is_number),
            "a measure name or a list of finite numbers"),
-    "a": (_is_number, "a finite number"),
+    "a": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
     "signed": (lambda v: isinstance(v, bool), "true or false"),
     "checks": (lambda v: _is_tuple_of(v, lambda x: isinstance(x, str)), "a list of check names"),
     "budget": (lambda v: isinstance(v, SearchBudget), "an object"),

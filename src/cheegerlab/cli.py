@@ -42,7 +42,7 @@ from .graph import (
 )
 from .perturb import genericity_frequency
 from .rng import DEFAULT_SEED
-from .spectral import adjacency_eta, laplacian_spectrum
+from .spectral import adjacency_eta, laplacian_spectrum, with_functions
 
 
 def _float(o: float) -> str:
@@ -125,7 +125,8 @@ def cmd_analyze(args) -> int:
     g = load_graph(args.graph)
     cls = classify(g)
     prof = degree_profile(g)
-    spectrum = laplacian_spectrum(g)
+    # The graph's own eigenvalues are the BLAS-independent Jacobi values.
+    spectrum = with_functions(g, laplacian_spectrum(g, functions=False))
     eta = None
     if not g.is_signed() and g.kappa_is_zero() and g.n >= 3:
         eta = adjacency_eta(g).to_json_dict()

@@ -391,9 +391,25 @@ def generate(
     range is given.  `random_tree` and `random_connected` always return
     connected graphs; `random_bipartite` is 2-colorable with no isolated
     vertices.
+
+    `w_low`, `w_high` and `a` must be finite and > 0, `p` finite in
+    [0, 1]; a bad one, or a `gn` weight a^(n-1) that overflows, raises
+    ValueError naming it.  The built graph is validated too: an explicit
+    `mu` of the wrong length, say, raises ValueError "invalid graph: ...".
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    for name, value in (("w_low", w_low), ("w_high", w_high), ("a", a)):
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be a finite number in [0, 1], got {p!r}")
+    g = _generate(family, n, seed, a, p, w_low, w_high, mu)
+    require_valid(g)
+    return g
+
+
+def _generate(family, n, seed, a, p, w_low, w_high, mu) -> WeightedGraph:
     rng = SplitMix64(seed)
     random_family = family.startswith("random_")
     if w_low is None and w_high is None:
@@ -411,13 +427,14 @@ def generate(
         if n < 3:
             raise ValueError("gn family requires n >= 3")
         nv = 2 * n + 2
-        edges = []
-        for i in range(2 * n):
-            w = a**i if i <= n - 1 else a ** (2 * n - 1 - i)
-            edges.append((i, i + 1, w))
-        edges.append((0, 2 * n, 1.0))
-        edges.append((n, 2 * n + 1, 1.0))
-        return WeightedGraph.build(nv, edges, mu=mu)
+        # A float a^(n-1) overflows in **, an int one in build's float().
+        try:
+            edges = [(i, i + 1, a ** min(i, 2 * n - 1 - i)) for i in range(2 * n)]
+            edges.append((0, 2 * n, 1.0))
+            edges.append((n, 2 * n + 1, 1.0))
+            return WeightedGraph.build(nv, edges, mu=mu)
+        except OverflowError:
+            raise ValueError(f"a = {a!r} makes the gn weight a^{n - 1} overflow") from None
 
     if family == "path":
         if n < 2:

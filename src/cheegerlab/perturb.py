@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import Edge, WeightedGraph, require_valid
 from .rng import SplitMix64, derive_seed
-from .spectral import EigenOptions, Spectrum, laplacian_spectrum
+from .spectral import Spectrum, laplacian_spectrum
 
 
 def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
@@ -85,17 +85,15 @@ class GenericityReport:
 
 
 def genericity_report(
-    g: WeightedGraph,
-    gap_tol: float = 1e-10,
-    zero_tol: float = 1e-10,
-    opts: EigenOptions = EigenOptions(),
+    g: WeightedGraph, gap_tol: float = 1e-10, zero_tol: float = 1e-10
 ) -> GenericityReport:
-    """Solve the spectrum of g and report on it with :meth:`GenericityReport.of`.
+    """Solve the spectrum of g (one LAPACK `eigh` call for values and
+    functions) and report on it with :meth:`GenericityReport.of`.
 
     Callers that already hold the spectrum of g call
     ``GenericityReport.of`` directly instead of solving it again.
     """
-    return GenericityReport.of(laplacian_spectrum(g, opts), gap_tol, zero_tol)
+    return GenericityReport.of(laplacian_spectrum(g), gap_tol, zero_tol)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,6 @@ def genericity_frequency(
     seed: int,
     gap_tol: float = 1e-10,
     zero_tol: float = 1e-10,
-    opts: EigenOptions = EigenOptions(),
 ) -> FrequencyReport:
     """Fraction of seeded perturbations that are simple / zero-free.
 
@@ -146,9 +143,7 @@ def genericity_frequency(
     worst_gap = float("inf")
     worst_entry = float("inf")
     for t in range(trials):
-        rep = genericity_report(
-            perturb(g, eps, derive_seed(seed, t)), gap_tol, zero_tol, opts
-        )
+        rep = genericity_report(perturb(g, eps, derive_seed(seed, t)), gap_tol, zero_tol)
         n_simple += rep.simple
         n_zero_free += rep.zero_free
         worst_gap = min(worst_gap, rep.min_gap)

@@ -1,19 +1,27 @@
 """Dense symmetric eigenvalues and eigenfunctions of normalized (signed) Laplacians.
 
-Eigenvalues of the Laplacian come from a cyclic Jacobi iteration that
-computes values only.  Its rotations run in Python floats, so the values
-do not depend on the BLAS build (only the stopping test reads a numpy
-norm).  The exact checks compare them against exact optima, and the
-benchmark's expected outputs pin their round-off at lambda = 0.
+Two routes solve the spectrum of a graph's Laplacian:
 
-Eigenfunctions and the normalized-adjacency eta come from LAPACK
-(`np.linalg.eigh` / `np.linalg.eigvalsh`).  The paper's nodal lemmas read
-eigenfunctions only through their sign patterns and |f| level sets, and
-its spectral-radius bound reads eta only through a comparison, so they are
-reproducible per machine and BLAS build; within a cluster of coincident
-eigenvalues the functions are any orthonormal basis of the eigenspace.
-Eigenvalues are reported ascending; the normalized adjacency helper
-follows the opposite (descending) convention of spectral-radius bounds.
+- values only: a cyclic Jacobi iteration.  Its rotations run in Python
+  floats, so the values do not depend on the BLAS build (only the
+  stopping test reads a numpy norm).  The exact checks compare the
+  instance's own eigenvalues against exact optima, and the benchmark's
+  expected outputs pin their round-off at lambda = 0, so they take this
+  route.
+- values with eigenfunctions: one LAPACK `np.linalg.eigh` call, which
+  returns both.  Its values are reproducible per machine and BLAS build.
+  The paper's nodal lemmas read eigenfunctions only through their sign
+  patterns and |f| level sets, and the perturbed instances they run on
+  read eigenvalues only through simplicity, clusters and sqrt(2 tau
+  lambda_k) away from 0.
+
+`with_functions` joins the two: Jacobi values with LAPACK functions.
+Within a cluster of coincident eigenvalues the functions are any
+orthonormal basis of the eigenspace.  The normalized-adjacency eta comes
+from LAPACK `np.linalg.eigvalsh`; the spectral-radius bound reads it only
+through a comparison.  Eigenvalues are reported ascending; the normalized
+adjacency helper follows the opposite (descending) convention of
+spectral-radius bounds.
 
 A rotation in the plane (p, q) is the column update followed by the row
 update of the textbook method.  The input is checked to be exactly
@@ -148,14 +156,17 @@ def eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()) -> np.ndarray:
 class Spectrum:
     """Ascending eigenvalues of the normalized Laplacian with eigenfunctions.
 
-    `values` come from the Jacobi solver, the same bits on every BLAS build.
-    `functions[k]` is the k-th eigenfunction of L = M^{-1}(D + K - A^sigma)
-    from LAPACK, paired with `values[k]`, mu-orthonormal:
-    sum_i mu_i f(i) g(i) = delta, and sign-normalized so that its entry of
-    largest magnitude is positive; it is None when the spectrum was solved
-    without them.  Within a cluster the functions are any orthonormal
-    basis of the eigenspace.  `clusters` groups numerically coincident
-    eigenvalues as (start index, multiplicity) pairs, 0-based.
+    `values` come from the Jacobi solver (the same bits on every BLAS
+    build) when the spectrum was solved without functions or had them
+    added by `with_functions`, and from LAPACK `eigh` together with the
+    functions otherwise.  `functions[k]` is the k-th eigenfunction of
+    L = M^{-1}(D + K - A^sigma) from LAPACK, paired with `values[k]`,
+    mu-orthonormal: sum_i mu_i f(i) g(i) = delta, and sign-normalized so
+    that its entry of largest magnitude is positive; it is None when the
+    spectrum was solved without them.  Within a cluster the functions are
+    any orthonormal basis of the eigenspace.  `clusters` groups
+    numerically coincident eigenvalues as (start index, multiplicity)
+    pairs, 0-based.
     """
 
     values: tuple[float, ...]
@@ -214,40 +225,49 @@ def _cluster(values: np.ndarray, gap_tol: float) -> tuple[tuple[int, int], ...]:
     return tuple(clusters)
 
 
-def _eigenfunctions(mat: np.ndarray, mu) -> tuple[tuple[float, ...], ...]:
-    """The mu-orthonormal eigenfunctions of the symmetric form `mat` of L,
-    ascending, from one LAPACK `eigh` call: each column is sign-normalized
-    so that its entry of largest magnitude is positive, then scaled by
-    1/sqrt(mu)."""
-    _, vecs = np.linalg.eigh(mat)
+def _eigenfunctions(mat: np.ndarray, mu) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
+    """The ascending eigenvalues of the symmetric form `mat` of L and its
+    mu-orthonormal eigenfunctions, from one LAPACK `eigh` call: each
+    column is sign-normalized so that its entry of largest magnitude is
+    positive, then scaled by 1/sqrt(mu)."""
+    values, vecs = np.linalg.eigh(mat)
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     vecs = np.where(lead < 0, -vecs, vecs)
-    return tuple(map(tuple, (vecs / np.sqrt(np.asarray(mu))[:, None]).T.tolist()))
+    return values, tuple(map(tuple, (vecs / np.sqrt(np.asarray(mu))[:, None]).T.tolist()))
 
 
 def laplacian_spectrum(
     g: WeightedGraph, opts: EigenOptions = EigenOptions(), *, functions: bool = True
 ) -> Spectrum:
-    """Spectrum of the normalized Laplacian: Jacobi eigenvalues with
-    mu-orthonormal LAPACK eigenfunctions (`functions=True`) or without any
-    (`functions=False`, same values)."""
+    """Spectrum of the normalized Laplacian.
+
+    `functions=True`: values and mu-orthonormal eigenfunctions from one
+    LAPACK `eigh` call (of `opts`, only `gap_tol` applies).
+    `functions=False`: Jacobi values only, the same bits on every BLAS
+    build.  `with_functions(g, laplacian_spectrum(g, functions=False))`
+    pairs the Jacobi values with the LAPACK functions.
+    """
     mat = normalized_laplacian_sym(g)
-    values = eig_sym(mat, opts)
+    if functions:
+        values, funcs = _eigenfunctions(mat, g.mu)
+    else:
+        values, funcs = eig_sym(mat, opts), None
     gap_tol = opts.gap_tol
     if gap_tol is None:
         gap_tol = 1e-8 * max(1.0, abs(float(values[-1])))
     return Spectrum(
         values=tuple(values.tolist()),
-        functions=_eigenfunctions(mat, g.mu) if functions else None,
+        functions=funcs,
         clusters=_cluster(values, gap_tol),
     )
 
 
 def with_functions(g: WeightedGraph, spectrum: Spectrum) -> Spectrum:
     """`spectrum`, a spectrum of L(g), with the eigenfunctions of L(g) set
-    by one LAPACK call and no second eigenvalue solve; the values and
-    clusters are kept as they are."""
-    return replace(spectrum, functions=_eigenfunctions(normalized_laplacian_sym(g), g.mu))
+    by one LAPACK call; the values and clusters are kept as they are (the
+    LAPACK values are dropped)."""
+    _, funcs = _eigenfunctions(normalized_laplacian_sym(g), g.mu)
+    return replace(spectrum, functions=funcs)
 
 
 @dataclass(frozen=True)

@@ -331,8 +331,9 @@ class TestRecordsAndReport:
 
 class TestSolveCount:
     """Each distinct matrix of one corpus instance is solved once: the
-    Laplacian eigenvalues by Jacobi, the eigenfunctions by one LAPACK
-    `eigh` where a check reads them, the adjacency values by `eigvalsh`."""
+    Laplacian eigenvalues of g by Jacobi, the eigenfunctions by one LAPACK
+    `eigh` where a check reads them (with the values, for a perturbed
+    instance), the adjacency values by `eigvalsh`."""
 
     CHECKS = ("main", "basics", "lower", "nodal", "nodal_cheeger")
     EPS = 0.05
@@ -377,15 +378,14 @@ class TestSolveCount:
             "main", "eq1_left", "lower_eta", "lower_gap",
             "nodal_lower", "nodal_cheeger",
         }
-        # Jacobi: L(g) for main / basics / lower_gap and L(g') for both nodal
-        # checks, where g' = perturb(g, eps, seed); eigh: the functions of
-        # L(g'), which only the nodal checks read; eigvalsh: A(g) for eta.
+        # Jacobi: L(g) for main / basics / lower_gap; eigh: the values and
+        # functions of L(g'), g' = perturb(g, eps, seed), which only the two
+        # nodal checks read; eigvalsh: A(g) for eta.
         gp = perturb(g, self.EPS, self.SEED)
         lap_g = spectral.normalized_laplacian_sym(g)
         lap_gp = spectral.normalized_laplacian_sym(gp)
-        assert len(solved["jacobi"]) == 2
+        assert len(solved["jacobi"]) == 1
         assert np.array_equal(solved["jacobi"][0], lap_g)
-        assert np.array_equal(solved["jacobi"][1], lap_gp)
         assert len(solved["eigh"]) == 1
         assert np.array_equal(solved["eigh"][0], lap_gp)
         assert len(solved["eigvalsh"]) == 1
@@ -420,6 +420,46 @@ class TestSolveCount:
         fresh, _ = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
         assert rows == fresh
 
+    def test_nodal_first_at_eps_zero(self, monkeypatch):
+        # With the nodal checks asking first, the eigenvalues of g still
+        # come from Jacobi (functions added by one eigh), so `main` reads
+        # the same values as in the default order.
+        g = generate("random_connected", 8, 6)
+        self.clear_caches()
+        default, _ = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
+        self.clear_caches()
+        solved = self.count_solves(monkeypatch)
+        order = ("nodal", "nodal_cheeger", "main", "basics", "lower")
+        rows, errors = run_checks_on_graph("g", g, order, 0.0, self.SEED)
+        assert not errors
+        lap_g = spectral.normalized_laplacian_sym(g)
+        assert len(solved["jacobi"]) == 1 and len(solved["eigh"]) == 1
+        assert np.array_equal(solved["jacobi"][0], lap_g)
+        assert np.array_equal(solved["eigh"][0], lap_g)
+
+        def main_records(rs):
+            return [rec.to_json_dict() for _, rec in rs if rec.name == "main"]
+
+        assert main_records(rows) and main_records(rows) == main_records(default)
+        assert sorted(map(repr, rows)) == sorted(map(repr, default))
+
+    def test_one_perturbation_per_instance(self, monkeypatch):
+        g = generate("random_connected", 8, 3)
+        self.clear_caches()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return perturb(*args)
+
+        monkeypatch.setattr(bounds, "perturb", counting)
+        rows, errors = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
+        assert not errors and all(rec.holds for _, rec in rows)
+        assert calls == [(g, self.EPS, self.SEED)]
+        # A second seed is a second perturbed instance of the same entry.
+        run_checks_on_graph("g", g, ("nodal", "nodal_cheeger"), self.EPS, self.SEED + 1)
+        assert calls == [(g, self.EPS, self.SEED), (g, self.EPS, self.SEED + 1)]
+
     def test_functions_after_values_solve_again(self, monkeypatch):
         # Functions asked for after a values-only solve come from one eigh
         # call on the same matrix; the eigenvalues are not solved again.
@@ -445,9 +485,10 @@ class TestSolveCount:
         solved = self.count_solves(monkeypatch)
         monkeypatch.setattr(bounds, "_spectrum", bounds._Solved)
         fresh, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
-        # Uncached: L(g) three times and L(g') twice, with functions, and A(g).
+        # Uncached: the values of L(g) three times, L(g') twice with its
+        # functions, and A(g).
         assert {key: len(mats) for key, mats in solved.items()} == {
-            "jacobi": 5, "eigh": 2, "eigvalsh": 1,
+            "jacobi": 3, "eigh": 2, "eigvalsh": 1,
         }
         assert self.nodal_records(cached) == self.nodal_records(fresh)
         assert {rec.name for rec in self.nodal_records(cached)} == {

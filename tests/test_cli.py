@@ -53,6 +53,34 @@ class TestGen:
         code, _, err = run_cli(["gen", "--family", "gn", "--n", "2"], capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--family", "complete", "--n", "3", "--w-low", "-1", "--w-high", "1"],
+             "w_low must be a finite number > 0, got -1.0"),
+            (["--family", "complete", "--n", "3", "--w-low", "inf"],
+             "w_low must be a finite number > 0, got inf"),
+            (["--family", "random_tree", "--n", "5", "--w-low", "0.5", "--w-high", "nan"],
+             "w_high must be a finite number > 0, got nan"),
+            (["--family", "gn", "--n", "4", "--a", "-1"], "a must be a finite number > 0, got -1.0"),
+            (["--family", "gn", "--n", "4", "--a", "nan"], "a must be a finite number > 0, got nan"),
+            (["--family", "random_connected", "--n", "5", "--p", "7"],
+             "p must be a finite number in [0, 1], got 7.0"),
+            (["--family", "random_connected", "--n", "5", "--p", "nan"],
+             "p must be a finite number in [0, 1], got nan"),
+            (["--family", "gn", "--n", "3", "--a", "1e200"],
+             "a = 1e+200 makes the gn weight a^2 overflow"),
+            (["--family", "gn", "--n", "3", "--a", "1e-200"],
+             "invalid graph: nonpositive weight on edge (2,3); nonpositive weight on edge (3,4)"),
+        ],
+    )
+    def test_invalid_graph_parameters_exit_2(self, capsys, args, message):
+        # Each would build a graph that load_graph refuses.
+        code, out, err = run_cli(["gen", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestAnalyze:
     def test_k3(self, tmp_path, capsys):
@@ -66,6 +94,17 @@ class TestAnalyze:
         vals = data["spectrum"]["values"]
         assert abs(vals[0]) < 1e-8 and abs(vals[1] - 1.5) < 1e-8
         assert abs(data["eta"]["eta"] - 0.5) < 1e-8
+
+    def test_values_are_the_jacobi_bits(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        main(["gen", "--family", "random_connected", "--n", "9", "--seed", "4", "-o", str(path)])
+        g = cheegerlab.load_graph(str(path))
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0
+        spectrum = json.loads(out)["spectrum"]
+        bare = cheegerlab.laplacian_spectrum(g, functions=False)
+        assert [v.hex() for v in spectrum["values"]] == [v.hex() for v in bare.values]
+        assert spectrum["functions"] == [list(f) for f in cheegerlab.laplacian_spectrum(g).functions]
 
     def test_disconnected(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -166,6 +205,29 @@ class TestCheeger:
         data = json.loads(out)
         assert code == 0
         assert data["sweep"]["bound"] >= data["certificate"]["value"] - 1e-12
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_sweep_reads_lapack_functions_without_jacobi(self, tmp_path, capsys, monkeypatch, j):
+        path = tmp_path / "g.json"
+        main(["gen", "--family", "random_connected", "--n", "9", "--seed", "3", "-o", str(path)])
+        g = cheegerlab.load_graph(str(path))
+        bare = cheegerlab.laplacian_spectrum(g, functions=False)
+        f = cheegerlab.spectral.with_functions(g, bare).function(j)
+        expected = _dumps(
+            {
+                "certificate": cheegerlab.rho_exact(g, 2).to_json_dict(),
+                "budget_exceeded": False,
+                "sweep": cheegerlab.rho_upper_nodal_sweep(g, f).to_json_dict(),
+            }
+        ) + "\n"
+
+        def no_jacobi(*args, **kwargs):
+            raise AssertionError("Jacobi solve for an eigenfunction")
+
+        monkeypatch.setattr(cheegerlab.spectral, "eig_sym", no_jacobi)
+        code, out, _ = run_cli(["cheeger", str(path), "--k", "2", "--sweep-from-eig", str(j)], capsys)
+        assert code == 0
+        assert out == expected
 
     @pytest.mark.parametrize("j", [0, -1, 5])
     def test_sweep_index_out_of_range_exit_2(self, tmp_path, capsys, j):
@@ -291,8 +353,11 @@ class TestVerify:
             ('{"eps": NaN}', "'eps' must be a finite number >= 0, got nan"),
             ('{"sizes": []}', "'sizes' must be a nonempty list of integers >= 1, got []"),
             ('{"sizes": [4, 0]}', "'sizes' must be a nonempty list of integers >= 1, got [4, 0]"),
-            ('{"p": "0.3"}', "'p' must be a finite number, got '0.3'"),
-            ('{"w_high": Infinity}', "'w_high' must be a finite number or null, got inf"),
+            ('{"p": "0.3"}', "'p' must be a finite number in [0, 1], got '0.3'"),
+            ('{"w_high": Infinity}', "'w_high' must be a finite number > 0 or null, got inf"),
+            ('{"w_low": -1}', "'w_low' must be a finite number > 0 or null, got -1"),
+            ('{"a": -1}', "'a' must be a finite number > 0, got -1"),
+            ('{"p": 7}', "'p' must be a finite number in [0, 1], got 7"),
             ('{"signed": 1}', "'signed' must be true or false, got 1"),
             ('{"families": "random_tree"}', "'families' must be a nonempty list of family names, got 'random_tree'"),
             ('{"sizez": [4]}', "unknown key 'sizez'"),
@@ -308,6 +373,17 @@ class TestVerify:
         assert out == ""
         assert err == f"error: bad corpus config: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["gn", "random_tree"])
+    def test_corpus_mu_of_wrong_length_exit_2(self, capsys, family):
+        # gn(3) has 8 vertices, the random tree 5: neither matches mu.
+        corpus = json.dumps({"families": [family], "sizes": [3 if family == "gn" else 5],
+                             "count": 2, "mu": [1.0] * 4})
+        code, out, err = run_cli(["verify", "--corpus", corpus, "--checks", "main"], capsys)
+        n = 8 if family == "gn" else 5
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid graph: mu has length 4, expected {n}\n"
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("corpus", [False, True])

@@ -16,6 +16,7 @@ from cheegerlab import (
     generate,
     laplacian_spectrum,
     normalized_laplacian_sym,
+    perturb,
     product,
     spectral,
     with_random_signature,
@@ -195,7 +196,7 @@ REFERENCE_OFF_DIAG_TOL = 1e-15
 
 def assert_eigenfunctions(m, mu, values, funcs):
     """Check the eigenfunctions `funcs` (rows) of L = M^{-1/2} m M^{1/2},
-    paired with the Jacobi `values`, against properties that do not
+    paired with `values` (LAPACK's or Jacobi's), against properties that do not
     depend on how they were computed, and against the eigenvectors of
     the numpy Jacobi loop in tests/brute.py:
 
@@ -259,7 +260,8 @@ class TestEigenfunctionOracle:
     def test_random_symmetric(self, raw):
         m = np.triu(raw) + np.triu(raw, 1).T
         mu = np.ones(len(m))
-        assert_eigenfunctions(m, mu, eig_sym(m), spectral._eigenfunctions(m, mu))
+        _, funcs = spectral._eigenfunctions(m, mu)
+        assert_eigenfunctions(m, mu, eig_sym(m), funcs)
 
     def test_functions_added_to_values_only_spectrum(self):
         g = generate("random_connected", 9, seed=4, p=0.4)
@@ -319,15 +321,24 @@ class TestSpectrum:
             f1 = s.function(1)
             assert np.all(f1 > 0) or np.all(f1 < 0)
 
-    @pytest.mark.parametrize("n", [2, 5, 9])
+    @pytest.mark.parametrize("n", range(2, 16))
     def test_values_only(self, n):
-        for g in oracle_graphs(n):
-            full = laplacian_spectrum(g)
+        # Jacobi values (functions=False, kept bit for bit by with_functions)
+        # against the LAPACK values of functions=True: equal to 1e-12
+        # relative, with equal clusters, on g and on a perturbation of g.
+        # (No valid graph has one vertex: it would be isolated.)
+        graphs = oracle_graphs(n)
+        for g in graphs + [perturb(g, 0.05, n) for g in graphs]:
             bare = laplacian_spectrum(g, functions=False)
             assert bare.functions is None
-            assert [v.hex() for v in bare.values] == [v.hex() for v in full.values]
-            assert bare.clusters == full.clusters
-            assert bare.to_json_dict() == dict(full.to_json_dict(), functions=None)
+            joined = spectral.with_functions(g, bare)
+            assert [v.hex() for v in joined.values] == [v.hex() for v in bare.values]
+            assert joined.clusters == bare.clusters
+            assert bare.to_json_dict() == dict(joined.to_json_dict(), functions=None)
+            full = laplacian_spectrum(g)
+            scale = max(1.0, max(abs(v) for v in bare.values))
+            assert np.max(np.abs(np.subtract(full.values, bare.values))) <= 1e-12 * scale
+            assert full.clusters == bare.clusters
             with pytest.raises(ValueError, match="without eigenfunctions"):
                 bare.function(1)
             with pytest.raises(ValueError, match="eigenfunctions"):
