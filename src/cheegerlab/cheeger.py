@@ -7,17 +7,26 @@ One exact engine answers each graph size:
   returns certificates for every k = 1..kmax at once.  Level 1 is a
   subset-min transform, O(n 2^n); each middle level 2..kmax-1 is one
   O(3^n) pass over a (mask, part) pair table that depends only on n; the
-  top level is evaluated only at the n suffix masks its reconstruction
-  reads, O(2^n).  Small pair tables are cached per n, larger ones are
-  built chunk by chunk within one memory budget, in a single pass per
-  call.  :func:`rho_exact` / :func:`rho_signed_exact` answer a single k
-  from it.
+  top level is evaluated only at the n suffix masks {i..n-1} its
+  reconstruction reads, O(2^n), in one gather over their concatenated
+  segments.  Small pair tables are cached per n; larger ones are built
+  chunk by chunk within one memory budget, once per pass that reads
+  them, so the signed profile at n = 11..14 builds its pair table twice
+  (for the split table, and again for the packing levels when kmax >= 3).
+  :func:`rho_exact` / :func:`rho_signed_exact` answer a single k from
+  it and rebuild only certificate k.
 * Beyond those sizes, :func:`rho_exact` / :func:`rho_signed_exact` run a
   depth-first search over canonical label assignments with
   branch-and-bound pruning and a state budget.  Labels are canonicalized
   so that part j+1 can only appear after part j (and, in the signed case,
   side 1 of a pair before side 2), which collapses part-permutation
   symmetry.
+
+The subset tables (Phi, and the signed split pass's per-vertex tables)
+add each edge's or vertex's term as a weight times one row of a bool
+membership table, bits[v][mask].  It and the concatenated suffix segments
+are cached per n and read-only: n 2^n + 16 2^n bytes, about 1 MB at
+n = 15.
 
 The DFS engines score candidates through the same canonical per-set
 evaluation as :func:`conductance` / :func:`beta_signed` (terms accumulated
@@ -230,18 +239,40 @@ def phi_table(g: WeightedGraph) -> list[float]:
     return _phi_array(g).tolist()
 
 
+@lru_cache(maxsize=None)
+def _bits(n: int) -> np.ndarray:
+    """Membership table of n (read-only, cached): bits[v][mask] is whether
+    vertex v lies in mask.
+
+    The subset tables add each edge's or vertex's term as weight times a
+    row of it: w * True = w and w * False = 0.0, and adding +0.0 to a sum
+    of nonnegative terms changes no bit, so each entry is the same sum, in
+    the same order, as the canonical per-set evaluation.
+    """
+    bits = np.zeros((n, 1 << n), dtype=bool)
+    for v in range(n):
+        bits[v].reshape(-1, 2, 1 << v)[:, 1] = True
+    bits.flags.writeable = False
+    return bits
+
+
 def _phi_array(g: WeightedGraph) -> np.ndarray:
     n = g.n
     if n > _MAX_SEARCH_N:
         raise ValueError(f"subset table limited to n <= {_MAX_SEARCH_N} (got {n})")
+    bits = _bits(n)
     size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
+    cross = np.empty(size, dtype=bool)
+    term = np.empty(size)
     cut = np.zeros(size)
     for e in g.edges:
-        cut += e.w * (((idx >> e.u) ^ (idx >> e.v)) & 1)
+        np.not_equal(bits[e.u], bits[e.v], out=cross)
+        np.multiply(cross, e.w, out=term)
+        cut += term
     mu_sum = np.zeros(size)
     for v in range(n):
-        mu_sum += g.mu[v] * ((idx >> v) & 1)
+        np.multiply(bits[v], g.mu[v], out=term)
+        mu_sum += term
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = cut / mu_sum
     phi[0] = math.inf
@@ -280,7 +311,7 @@ def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> P
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if _dp_answers(n, signed=False):
-        return rho_profile(g, k)[-1]
+        return _profile(g, k, (k,))[0]
     return _search(g, k, budget)
 
 
@@ -410,7 +441,7 @@ def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = Non
     if n > _MAX_SEARCH_N:
         raise ValueError(f"search limited to n <= {_MAX_SEARCH_N} (got {n})")
     if _dp_answers(n, signed=True):
-        return rho_signed_profile(g, k)[-1]
+        return _signed_profile(g, k, (k,))[0]
     return _signed_search(g, k, budget)
 
 
@@ -568,10 +599,7 @@ class _MaskOrder:
 def _mask_order(n: int) -> _MaskOrder:
     """The mask layout of n (O(2^n), cached; the arrays are read-only)."""
     size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    pc = np.zeros(size, dtype=np.int64)
-    for v in range(n):
-        pc += (idx >> v) & 1
+    pc = _bits(n).sum(axis=0, dtype=np.int64)
     masks = np.argsort(pc, kind="stable")[1:]
     start = np.zeros(size, dtype=np.int64)
     np.cumsum(np.left_shift(1, pc[masks] - 1), out=start[1:])
@@ -635,13 +663,51 @@ def _pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return table[0][p0:p1], table[1][p0:p1]
 
 
+@dataclass(frozen=True)
+class _SuffixSegments:
+    masks: np.ndarray   # masks[i] = V_i = {i..n-1}
+    start: np.ndarray   # V_i's segment is parts[start[i]:start[i+1]]
+    parts: np.ndarray
+    rests: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _suffix_segments(n: int) -> _SuffixSegments:
+    """The segments of the suffix masks V_0..V_{n-1}, concatenated in that
+    order (cached, read-only): 2^n - 1 pairs, 16 bytes a pair.
+
+    V_i's parts are {i} joined with every submask of V_{i+1}, descending,
+    as _build_pairs lays them out.
+    """
+    full = (1 << n) - 1
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.left_shift(1, np.arange(n - 1, -1, -1)), out=start[1:])
+    parts = np.empty(start[-1], dtype=np.intp)
+    rests = np.empty_like(parts)
+    masks = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        masks[i] = full >> i << i
+        seg = parts[start[i] : start[i + 1]]
+        np.left_shift(np.arange(len(seg) - 1, -1, -1), i + 1, out=seg)
+        seg |= 1 << i
+        np.bitwise_xor(masks[i], seg, out=rests[start[i] : start[i + 1]])
+    for a in (masks, start, parts, rests):
+        a.flags.writeable = False
+    return _SuffixSegments(masks=masks, start=start, parts=parts, rests=rests)
+
+
 def _segment(n: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parts, rests) of one mask's segment: a view of the cached table, or
-    built directly by _build_pairs' doubling when n has no cached table."""
+    """(parts, rests) of one mask's segment: a view of the cached suffix
+    segments or pair table, or built directly by _build_pairs' doubling."""
+    low = mask & -mask
+    if mask + low == 1 << n:
+        sfx = _suffix_segments(n)
+        i = low.bit_length() - 1
+        p0, p1 = sfx.start[i], sfx.start[i + 1]
+        return sfx.parts[p0:p1], sfx.rests[p0:p1]
     if _pair_table(n) is not None:
         i = int(_mask_order(n).index[mask])
         return _pairs(n, i, i + 1)
-    low = mask & -mask
     left = mask ^ low
     parts = np.empty(1 << left.bit_count(), dtype=np.intp)
     end = len(parts)
@@ -725,20 +791,22 @@ def _profile_tables(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
     is read only at the suffix masks V_i = {i..n-1}: from the full mask,
     reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
     a part and goes down a level.  So level kmax is filled by the same
-    recurrence at the V_i with at least kmax vertices, from the top down;
-    every other entry is inf (at the shorter V_i that is the true value).
+    recurrence at the V_i with at least kmax vertices: one gather over
+    their concatenated segments, the least candidate of each segment, then
+    a running minimum from V_{n-kmax} up to V_0 for the dropped lowest
+    vertices.  Every other entry is inf (at the shorter V_i that is the
+    true value).
     """
     dp_all = _packing_dp(score, n, kmax - 1)
     prev = dp_all[-1]
+    sfx = _suffix_segments(n)
+    count = n - kmax + 1
+    end = sfx.start[count]
+    cand = score[sfx.parts[:end]]
+    np.maximum(cand, prev[sfx.rests[:end]], out=cand)
+    best = np.minimum.reduceat(cand, sfx.start[:count])
     top = np.full(1 << n, math.inf)
-    full = (1 << n) - 1
-    best = math.inf
-    for i in range(n - kmax, -1, -1):
-        mask = full >> i << i
-        parts, rests = _segment(n, mask)
-        cand = np.maximum(score[parts], prev[rests])
-        best = min(best, float(cand.min()))
-        top[mask] = best
+    top[sfx.masks[:count]] = np.minimum.accumulate(best[::-1])[::-1]
     dp_all.append(top)
     return dp_all
 
@@ -792,12 +860,18 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
+    return _profile(g, kmax, range(1, kmax + 1))
+
+
+def _profile(g: WeightedGraph, kmax: int, ks) -> tuple[PartitionCertificate, ...]:
+    """Certificates k in ks of :func:`rho_profile` (arguments already checked)."""
+    n = g.n
     phi = _phi_array(g)
     dp_all = _profile_tables(phi, n, kmax)
     states = _dp_iterations(n, kmax)
     full = (1 << n) - 1
     certs = []
-    for k in range(1, kmax + 1):
+    for k in ks:
         masks = _reconstruct(dp_all, phi, n, k)
         parts = sorted(_parts_from_masks(masks, n))
         certs.append(
@@ -819,6 +893,36 @@ class _SignedTables:
     split: np.ndarray  # V1 bitmask realizing betamin per union mask
 
 
+def _vertex_tables(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(wplus, wminus, mu_u, bnd): the per-vertex tables of the split pass.
+
+    wplus[v][mask] / wminus[v][mask] is the weight of v's positive /
+    negative edges into mask, summed in stored-edge order; mu_u[mask] and
+    bnd[mask] are the measure of mask and the weight of its boundary,
+    summed over its members in ascending order.
+    """
+    n = g.n
+    size = 1 << n
+    bits = _bits(n)
+    term = np.empty(size)
+    wplus = np.zeros((n, size))
+    wminus = np.zeros((n, size))
+    wall = np.zeros((n, size))
+    for e in g.edges:
+        for v, u in ((e.u, e.v), (e.v, e.u)):
+            np.multiply(bits[u], e.w, out=term)
+            wall[v] += term
+            (wplus if e.sigma > 0 else wminus)[v] += term
+    deg = g.degrees()
+    mu_u = np.zeros(size)
+    bnd = np.zeros(size)
+    for v in range(n):
+        np.add(mu_u, g.mu[v], out=mu_u, where=bits[v])
+        np.subtract(deg[v], wall[v], out=term)
+        np.add(bnd, term, out=bnd, where=bits[v])
+    return wplus, wminus, mu_u, bnd
+
+
 def _signed_tables(g: WeightedGraph) -> _SignedTables:
     """Least beta over the splits (V1, V2) of every union mask U.
 
@@ -830,23 +934,7 @@ def _signed_tables(g: WeightedGraph) -> _SignedTables:
     """
     n = g.n
     size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    wplus = np.zeros((n, size))
-    wminus = np.zeros((n, size))
-    wall = np.zeros((n, size))
-    for e in g.edges:
-        for v, u in ((e.u, e.v), (e.v, e.u)):
-            ind = (idx >> u) & 1
-            wall[v] += e.w * ind
-            (wplus if e.sigma > 0 else wminus)[v] += e.w * ind
-    deg = g.degrees()
-    mu_u = np.zeros(size)
-    bnd = np.zeros(size)
-    for v in range(n):
-        inside = (idx & (1 << v)) != 0
-        np.add(mu_u, g.mu[v], out=mu_u, where=inside)
-        np.add(bnd, deg[v] - wall[v], out=bnd, where=inside)
-
+    wplus, wminus, mu_u, bnd = _vertex_tables(g)
     order = _mask_order(n)
     betamin = np.full(size, math.inf)
     split = np.zeros(size, dtype=np.int64)
@@ -886,12 +974,18 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
+    return _signed_profile(g, kmax, range(1, kmax + 1))
+
+
+def _signed_profile(g: WeightedGraph, kmax: int, ks) -> tuple[PartitionCertificate, ...]:
+    """Certificates k in ks of :func:`rho_signed_profile` (arguments already checked)."""
+    n = g.n
     tables = _signed_tables(g)
     dp_all = _profile_tables(tables.betamin, n, kmax)
     states = _dp_iterations(n, kmax)
     full = (1 << n) - 1
     certs = []
-    for k in range(1, kmax + 1):
+    for k in ks:
         unions = _reconstruct(dp_all, tables.betamin, n, k)
         unions.sort(key=lambda m: m & -m)
         parts = []

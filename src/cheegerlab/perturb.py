@@ -24,11 +24,21 @@ def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
     order and then vertex-by-vertex, so the result is a pure function of
     (g, eps, seed).  Weights stay positive, potentials never decrease, the
     measure and signature are untouched.  eps = 0 reproduces g exactly
-    (used as the control arm of frequency experiments).
+    (used as the control arm of frequency experiments).  An eps so large
+    that (1 + eps) times the largest weighted degree, or kappa + eps, is not
+    a finite float raises ValueError before anything is drawn.
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError("eps must be a finite number >= 0")
     require_valid(g)
+    deg = [0.0] * g.n
+    for e in g.edges:
+        deg[e.u] += e.w
+        deg[e.v] += e.w
+    if not (math.isfinite((1.0 + eps) * max(deg)) and math.isfinite(max(g.kappa) + eps)):
+        raise ValueError(
+            f"eps = {eps!r} is too large: the perturbed degrees or potentials would overflow"
+        )
     rng = SplitMix64(seed)
     edges = tuple(
         Edge(e.u, e.v, e.w * (1.0 + eps * rng.uniform()), e.sigma) for e in g.edges

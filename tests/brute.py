@@ -1,11 +1,12 @@
 """Independent oracles for the test suite.
 
 Naive unpruned enumeration of k-way (signed) Cheeger constants over all
-(k+1)^n resp. (2k+1)^n label assignments, the textbook pure-Python loops
-of the subset DP behind the profile engines, the numpy column-then-row
-Jacobi rotation loop behind the eigensolver, the numpy nodal
-decompositions and the conductance-per-level-set nodal sweep, and
-closed-form spectra of the standard families.  The enumeration is
+(k+1)^n resp. (2k+1)^n label assignments, the int64-shift subset tables
+and the textbook pure-Python loops of the subset DP behind the profile
+engines, the numpy column-then-row Jacobi rotation loop behind the
+eigensolver, the numpy nodal decompositions and the
+conductance-per-level-set nodal sweep, and closed-form spectra of the
+standard families.  The enumeration is
 independent of the package's search logic; per-set scores go through the
 same canonical accumulation order as the library so that agreement can be
 asserted exactly.
@@ -107,6 +108,50 @@ def path_spectrum(n: int) -> list[float]:
 
 def star_spectrum(n: int) -> list[float]:
     return [0.0] + [1.0] * (n - 2) + [2.0]
+
+
+# ---------------------------------------------------------------------------
+# subset tables by int64 shifts (the reference for the membership-table kernels)
+
+def shift_phi_array(g: WeightedGraph) -> np.ndarray:
+    """Phi of every vertex subset by bitmask, each indicator a shift of the
+    mask index; entry 0 is +inf."""
+    n = g.n
+    size = 1 << n
+    idx = np.arange(size, dtype=np.int64)
+    cut = np.zeros(size)
+    for e in g.edges:
+        cut += e.w * (((idx >> e.u) ^ (idx >> e.v)) & 1)
+    mu_sum = np.zeros(size)
+    for v in range(n):
+        mu_sum += g.mu[v] * ((idx >> v) & 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = cut / mu_sum
+    phi[0] = math.inf
+    return phi
+
+
+def shift_vertex_tables(g: WeightedGraph):
+    """(wplus, wminus, mu_u, bnd) of the signed split pass, by int64 shifts."""
+    n = g.n
+    size = 1 << n
+    idx = np.arange(size, dtype=np.int64)
+    wplus = np.zeros((n, size))
+    wminus = np.zeros((n, size))
+    wall = np.zeros((n, size))
+    for e in g.edges:
+        for v, u in ((e.u, e.v), (e.v, e.u)):
+            ind = (idx >> u) & 1
+            wall[v] += e.w * ind
+            (wplus if e.sigma > 0 else wminus)[v] += e.w * ind
+    deg = g.degrees()
+    mu_u = np.zeros(size)
+    bnd = np.zeros(size)
+    for v in range(n):
+        inside = (idx & (1 << v)) != 0
+        np.add(mu_u, g.mu[v], out=mu_u, where=inside)
+        np.add(bnd, deg[v] - wall[v], out=bnd, where=inside)
+    return wplus, wminus, mu_u, bnd
 
 
 # ---------------------------------------------------------------------------

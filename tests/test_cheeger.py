@@ -37,6 +37,8 @@ from cheegerlab.cheeger import (
     _search,
     _signed_search,
     _signed_tables,
+    _vertex_tables,
+    phi_table,
 )
 from brute import (
     loop_packing_dp,
@@ -44,6 +46,8 @@ from brute import (
     loop_signed_tables,
     naive_rho,
     naive_rho_signed,
+    shift_phi_array,
+    shift_vertex_tables,
 )
 
 
@@ -73,6 +77,32 @@ class TestConductance:
     def test_signed_rejected(self):
         with pytest.raises(ValueError):
             conductance(unbalanced_triangle(), [0])
+
+
+class TestSubsetTables:
+    """Phi and the signed per-vertex tables, against per-set evaluation and
+    the int64-shift kernels of tests/brute.py, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("unit_weights", [False, True])
+    def test_phi_table_matches_conductance(self, n, unit_weights):
+        lo, hi = (1.0, 1.0) if unit_weights else (0.5, 2.0)
+        for seed, p in ((n, 0.3), (n + 100, 0.9)):
+            g = generate("random_connected", n, seed, p=p, w_low=lo, w_high=hi)
+            phi = phi_table(g)
+            assert phi[0] == math.inf
+            for mask in range(1, 1 << n):
+                members = [v for v in range(n) if (mask >> v) & 1]
+                assert float.hex(phi[mask]) == float.hex(conductance(g, members))
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_tables_match_shift_kernels(self, n):
+        for lo, hi, mu in ((0.5, 2.0, "degree"), (1.0, 1.0, "unit")):
+            g = generate("random_connected", n, seed=n, p=0.5, w_low=lo, w_high=hi, mu=mu)
+            assert _phi_array(g).tobytes() == shift_phi_array(g).tobytes()
+            sg = with_random_signature(g, n)
+            for table, ref in zip(_vertex_tables(sg), shift_vertex_tables(sg)):
+                assert table.tobytes() == ref.tobytes()
 
 
 class TestRhoExact:
@@ -158,6 +188,24 @@ class TestEngineChoice:
             assert cert.exact
             if n <= 7:
                 assert abs(cert.value - _signed_search(g, k).value) <= SIGNED_PROFILE_TOL
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_exact_reconstructs_certificate_k_only(self, monkeypatch, signed):
+        g = generate("random_connected", 9, seed=4, p=0.5, w_low=0.5, w_high=2.0)
+        if signed:
+            g = with_random_signature(g, 4)
+        exact, profile = (rho_signed_exact, rho_signed_profile) if signed else (rho_exact, rho_profile)
+        expected = profile(g, 3)[-1]
+        calls = []
+        reconstruct = cheeger._reconstruct
+
+        def counting(dp_all, score, n, k):
+            calls.append(k)
+            return reconstruct(dp_all, score, n, k)
+
+        monkeypatch.setattr(cheeger, "_reconstruct", counting)
+        assert exact(g, 3) == expected
+        assert calls == [3]
 
     def test_search_beyond_range(self):
         g = generate("random_connected", 16, seed=5)

@@ -396,6 +396,24 @@ class TestVerify:
         assert out == ""
         assert err == "error: --eps must be a finite number >= 0\n"
 
+    def test_overflowing_eps_is_a_check_error(self, gn3_file, capsys):
+        # The perturbation is refused before any eigensolve or DP: the two
+        # nodal checks each record it, and the other checks still run.
+        code, out, err = run_cli(
+            ["verify", gn3_file, "--checks", "nodal,basics,nodal_cheeger", "--eps", "1e308"], capsys
+        )
+        message = "eps = 1e+308 is too large: the perturbed degrees or potentials would overflow"
+        assert code == 1
+        data = json.loads(out)
+        assert data["errors"] == [
+            ["graph", f"nodal: {message}"],
+            ["graph", f"nodal_cheeger: {message}"],
+        ]
+        assert err == f"error [graph]: nodal: {message}\nerror [graph]: nodal_cheeger: {message}\n"
+        code, basics, _ = run_cli(["verify", gn3_file, "--checks", "basics", "--eps", "1e308"], capsys)
+        assert code == 0
+        assert data["records"] == json.loads(basics)["records"] != []
+
     def test_negative_kappa_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
         path.write_text(
@@ -459,6 +477,14 @@ class TestPerturbCmd:
         assert code == 2
         assert out == ""
         assert err == "error: --eps must be a finite number >= 0\n"
+
+    def test_overflowing_eps_exit_2(self, gn3_file, capsys):
+        code, out, err = run_cli(["perturb", gn3_file, "--eps", "1e308", "--trials", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: eps = 1e+308 is too large: the perturbed degrees or potentials would overflow\n"
+        )
 
     def test_zero_trials_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k3.json"

@@ -6,6 +6,7 @@ import pytest
 from cheegerlab import (
     GenericityReport,
     SplitMix64,
+    WeightedGraph,
     derive_seed,
     generate,
     genericity_frequency,
@@ -68,6 +69,18 @@ class TestPerturb:
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must be a finite number >= 0"):
             perturb(generate("path", 2), eps, 0)
+
+    def test_overflowing_eps_rejected(self):
+        # gn(3)'s weights stay finite at eps = 1e308, but its perturbed
+        # degrees would not.  On path(3) the degrees stay finite at
+        # eps = 1e307, but a potential near the float limit would not.
+        with pytest.raises(ValueError, match=r"^eps = 1e\+308 is too large"):
+            perturb(generate("gn", 3), 1e308, 0)
+        g = generate("path", 3)
+        g = WeightedGraph(n=g.n, edges=g.edges, mu=g.mu, kappa=(0.0, 1.7e308, 0.0))
+        with pytest.raises(ValueError, match=r"^eps = 1e\+307 is too large"):
+            perturb(g, 1e307, 0)
+        assert perturb(generate("gn", 3), 1e300, 0).edges[0].w < math.inf
 
     def test_spectral_continuity(self):
         g = generate("random_connected", 7, seed=12, p=0.4, w_low=0.5, w_high=2.0)
