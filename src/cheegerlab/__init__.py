@@ -16,9 +16,7 @@ from .bounds import (
     run_corpus,
 )
 from .cheeger import (
-    BudgetExceededError,
     PartitionCertificate,
-    SearchBudget,
     SweepResult,
     beta_signed,
     conductance,

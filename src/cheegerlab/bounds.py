@@ -13,13 +13,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cheeger import (
-    BudgetExceededError,
     PartitionCertificate,
-    SearchBudget,
-    _dp_answers,
-    rho_exact,
     rho_profile,
-    rho_signed_exact,
     rho_signed_profile,
     rho_upper_nodal_sweep,
 )
@@ -180,25 +175,20 @@ def _signed_profile_dp(g: WeightedGraph):
     return rho_signed_profile(g)
 
 
-def _rho_all(g: WeightedGraph, kmax: int, budget: SearchBudget | None, signed: bool) -> tuple[PartitionCertificate, ...]:
-    """Exact certificates for k = 1..kmax from the engine cheeger's size
-    policy picks.
+def _rho_all(g: WeightedGraph, kmax: int, signed: bool) -> tuple[PartitionCertificate, ...]:
+    """Exact certificates for k = 1..kmax from one cached all-k profile,
+    which serves every check of the instance (rho_exact per k would run a
+    profile per k).
 
-    Where the DP answers, one cached all-k profile serves every check of
-    the instance (rho_exact per k would run a profile per k).  Beyond it
-    each k runs the budgeted branch-and-bound search through rho_exact;
-    the first budget overflow aborts the instance (the caller reports it
-    as a per-instance error).  Graphs that large are outside the
-    harness's brute-force scale.
+    The profile is built up to k = n, so the exact engine's work policy is
+    asked for n; a graph beyond it raises ValueError before any table is
+    built, which the caller reports as a per-instance error.
     """
-    if _dp_answers(g.n, signed):
-        profile = _signed_profile_dp(g) if signed else _profile_dp(g)
-        return profile[:kmax]
-    search = rho_signed_exact if signed else rho_exact
-    return tuple(search(g, k, budget) for k in range(1, kmax + 1))
+    profile = _signed_profile_dp(g) if signed else _profile_dp(g)
+    return profile[:kmax]
 
 
-def check_theorem_main(g: WeightedGraph, budget: SearchBudget | None = None) -> list[CheckRecord]:
+def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     """rho_{k-l} <= sqrt(2 tau lambda_k) for every k with k - l >= 1.
 
     Works on signed and unsigned graphs (signed constants and spectrum in
@@ -216,7 +206,7 @@ def check_theorem_main(g: WeightedGraph, budget: SearchBudget | None = None) -> 
     kmax = g.n - ell
     if kmax < 1:
         return []
-    profile = _rho_all(g, kmax, budget, signed)
+    profile = _rho_all(g, kmax, signed)
     name = "main_signed" if signed else "main"
     records = []
     for k in range(ell + 1, g.n + 1):
@@ -276,9 +266,7 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
     return records
 
 
-def check_lemma_nodal_cheeger(
-    g: WeightedGraph, eps: float, seed: int, budget: SearchBudget | None = None
-) -> list[CheckRecord]:
+def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[CheckRecord]:
     """rho_m <= sqrt(2 tau lambda_k) with m = S(f_k), for every eigenpair.
 
     Runs on g itself when eps = 0, else on a seeded perturbation.  The
@@ -291,7 +279,7 @@ def check_lemma_nodal_cheeger(
         raise HypothesisViolation("requires kappa >= 0")
     h, spectrum = _spectrum(g).perturbed(eps, seed)
     tau = degree_profile(h).tau
-    profile = _rho_all(h, h.n, budget, signed=False)
+    profile = _rho_all(h, h.n, signed=False)
     records = []
     for k in range(1, h.n + 1):
         f = spectrum.function(k)
@@ -319,7 +307,7 @@ def check_lemma_nodal_cheeger(
     return records
 
 
-def check_lower_bound(g: WeightedGraph, budget: SearchBudget | None = None) -> list[CheckRecord]:
+def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
     """(tau_min - eta)(1 - 1/k) <= rho_k for k >= 2; plus the spectral-gap
     corollary form min(lambda_2, 2 - lambda_n)(1 - 1/k) when mu = d and the
     graph is not complete."""
@@ -332,7 +320,7 @@ def check_lower_bound(g: WeightedGraph, budget: SearchBudget | None = None) -> l
         raise HypothesisViolation("requires at least 3 vertices")
     eta = adjacency_eta(g)
     prof = degree_profile(g)
-    profile = _rho_all(g, g.n, budget, signed=False)
+    profile = _rho_all(g, g.n, signed=False)
     records = []
     for k in range(2, g.n + 1):
         lhs = (prof.tau_min - eta.eta) * (1.0 - 1.0 / k)
@@ -374,7 +362,6 @@ def check_product_theorem(
     k: int,
     eps: float = 0.0,
     seed: int = DEFAULT_SEED,
-    budget: SearchBudget | None = None,
 ) -> CheckRecord:
     """rho_{k n2}(G1 x G2) <= sqrt(2 tau lambda_{k n2}) for a tree G1 and
     bipartite G2 under the spectral-gap hypothesis lambda^(2)_max <
@@ -415,7 +402,7 @@ def check_product_theorem(
     lam = _clamp_eigenvalue(sp.values[index - 1])
     tau = degree_profile(gp).tau
     sum_err = abs(sp.values[index - 1] - (s1.values[k - 1] + lam2_max))
-    cert = _rho_all(gp, index, budget, signed=False)[index - 1]
+    cert = _rho_all(gp, index, signed=False)[index - 1]
     rhs = math.sqrt(2.0 * tau * lam)
     return CheckRecord.compare(
         "product",
@@ -436,14 +423,14 @@ def check_product_theorem(
     )
 
 
-def check_basics(g: WeightedGraph, budget: SearchBudget | None = None) -> list[CheckRecord]:
+def check_basics(g: WeightedGraph) -> list[CheckRecord]:
     """Monotonicity rho_k <= rho_{k+1} everywhere, plus (when mu = d and
     kappa = 0) lambda_k/2 <= rho_k for all k and rho_2 <= sqrt(2 lambda_2).
 
     The lambda-side records are emitted as skips when mu != d."""
     require_valid(g)
     signed = g.is_signed()
-    profile = _rho_all(g, g.n, budget, signed)
+    profile = _rho_all(g, g.n, signed)
     mono_name = "monotonic_signed" if signed else "monotonic"
     records = []
     for k in range(1, g.n):
@@ -508,7 +495,6 @@ _CONFIG_RULES = {
     "a": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
     "signed": (lambda v: isinstance(v, bool), "true or false"),
     "checks": (lambda v: _is_tuple_of(v, lambda x: isinstance(x, str)), "a list of check names"),
-    "budget": (lambda v: isinstance(v, SearchBudget), "an object"),
 }
 
 
@@ -533,7 +519,6 @@ class CorpusConfig:
     a: float = 1.1
     signed: bool = False
     checks: tuple[str, ...] = ("main", "basics")
-    budget: SearchBudget = SearchBudget()
 
     def __post_init__(self):
         for key, (accepts, want) in _CONFIG_RULES.items():
@@ -552,20 +537,13 @@ class CorpusConfig:
     @staticmethod
     def from_json_dict(data: dict) -> "CorpusConfig":
         """Config from a parsed JSON object: anything but an object, and
-        unknown keys, are refused; `budget` is an object of SearchBudget's
-        fields.  The fields are checked on construction."""
+        unknown keys, are refused.  The fields are checked on construction."""
         if not isinstance(data, dict):
             raise ValueError(f"bad corpus config: must be a JSON object, not {type(data).__name__}")
         for key in data:
             if key not in _CONFIG_RULES:
                 raise ValueError(f"bad corpus config: unknown key {key!r}")
-        kwargs = dict(data)
-        if isinstance(kwargs.get("budget"), dict):
-            try:
-                kwargs["budget"] = SearchBudget(**kwargs["budget"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad corpus config: 'budget': {exc}") from exc
-        return CorpusConfig(**kwargs)
+        return CorpusConfig(**data)
 
 
 def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:
@@ -600,38 +578,31 @@ def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:
     return out
 
 
-def _run_check(name: str, g: WeightedGraph, eps: float, seed: int, budget: SearchBudget | None):
+def _run_check(name: str, g: WeightedGraph, eps: float, seed: int):
     if name == "main":
-        return check_theorem_main(g, budget)
+        return check_theorem_main(g)
     if name == "nodal":
         return check_nodal_count_bounds(g, eps, seed)
     if name == "nodal_cheeger":
-        return check_lemma_nodal_cheeger(g, eps, seed, budget)
+        return check_lemma_nodal_cheeger(g, eps, seed)
     if name == "lower":
-        return check_lower_bound(g, budget)
+        return check_lower_bound(g)
     if name == "basics":
-        return check_basics(g, budget)
+        return check_basics(g)
     raise ValueError(f"unknown check {name!r}")
 
 
-def run_checks_on_graph(
-    instance: str,
-    g: WeightedGraph,
-    checks,
-    eps: float,
-    seed: int,
-    budget: SearchBudget | None = None,
-):
+def run_checks_on_graph(instance: str, g: WeightedGraph, checks, eps: float, seed: int):
     """Run named checks on one graph; returns (rows, errors) in the order
     of `checks`."""
     rows = []
     errors = []
     for name in checks:
         try:
-            records = _run_check(name, g, eps, seed, budget)
+            records = _run_check(name, g, eps, seed)
         except HypothesisViolation as exc:
             records = [CheckRecord.skipped(name, str(exc))]
-        except (NonGenericError, BudgetExceededError, ValueError, RuntimeError) as exc:
+        except (NonGenericError, ValueError, RuntimeError) as exc:
             errors.append((instance, f"{name}: {exc}"))
             continue
         rows.extend((instance, rec) for rec in records)
@@ -694,15 +665,15 @@ class Report:
 def run_corpus(cfg: CorpusConfig) -> Report:
     """Generate the corpus and run the selected checks on every instance.
 
-    Per-instance errors (non-generic seeds, budget overflows) are collected
-    rather than aborting; the report is sorted so the result is independent
-    of evaluation order.
+    Per-instance errors (non-generic seeds, graphs beyond the exact
+    engine's work policy) are collected rather than aborting; the report is
+    sorted so the result is independent of evaluation order.
     """
     rows: list[tuple[str, CheckRecord]] = []
     errors: list[tuple[str, str]] = []
     for idx, (instance, g) in enumerate(corpus_instances(cfg)):
         seed = derive_seed(cfg.seed, 1_000_003 + idx)
-        new_rows, new_errors = run_checks_on_graph(instance, g, cfg.checks, cfg.eps, seed, cfg.budget)
+        new_rows, new_errors = run_checks_on_graph(instance, g, cfg.checks, cfg.eps, seed)
         rows.extend(new_rows)
         errors.extend(new_errors)
     report = Report(rows=rows, errors=errors)

@@ -1,44 +1,37 @@
 """Conductance, exact k-way Cheeger constants, and signed variants.
 
-One exact engine answers each graph size:
+One exact engine answers every request: a subset dynamic program over
+vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`) that
+returns certificates for every k = 1..kmax at once.  Level 1 is a
+subset-min transform, O(n 2^n); each middle level 2..kmax-1 is one O(3^n)
+pass over a (mask, part) pair table that depends only on n; the top level
+is evaluated only at the n suffix masks {i..n-1} its reconstruction reads,
+O(2^n), in one gather over their concatenated segments.  Small pair tables
+are cached per n; larger ones are built chunk by chunk within one memory
+budget, once per pass that reads them, so the signed profile at n >= 11
+builds its pair table twice (for the split table, and again for the
+packing levels when kmax >= 3).  :func:`rho_exact` / :func:`rho_signed_exact`
+answer a single k from it and rebuild only certificate k.
 
-* Up to n = 15 unsigned and n = 14 signed, a subset dynamic program over
-  vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`)
-  returns certificates for every k = 1..kmax at once.  Level 1 is a
-  subset-min transform, O(n 2^n); each middle level 2..kmax-1 is one
-  O(3^n) pass over a (mask, part) pair table that depends only on n; the
-  top level is evaluated only at the n suffix masks {i..n-1} its
-  reconstruction reads, O(2^n), in one gather over their concatenated
-  segments.  Small pair tables are cached per n; larger ones are built
-  chunk by chunk within one memory budget, once per pass that reads
-  them, so the signed profile at n = 11..14 builds its pair table twice
-  (for the split table, and again for the packing levels when kmax >= 3).
-  :func:`rho_exact` / :func:`rho_signed_exact` answer a single k from
-  it and rebuild only certificate k.
-* Beyond those sizes, :func:`rho_exact` / :func:`rho_signed_exact` run a
-  depth-first search over canonical label assignments with
-  branch-and-bound pruning and a state budget.  Labels are canonicalized
-  so that part j+1 can only appear after part j (and, in the signed case,
-  side 1 of a pair before side 2), which collapses part-permutation
-  symmetry.
+One work policy (:func:`_dp_admits`) decides which requests the engine
+takes, from n, the edge count, kmax and the sign: the element operations
+of the request and the bytes its tables hold must stay within
+_MAX_ELEMENT_OPS and _MAX_TABLE_BYTES.  It admits every unsigned request up
+to n = 15 and every signed one up to n = 14, whatever kmax and the edge
+count; beyond that it depends on them (k = 2 reaches n = 21 on a tree).
+A refused request raises ValueError before any table is built.
 
-The subset tables (Phi, and the signed split pass's per-vertex tables)
-add each edge's or vertex's term as a weight times one row of a bool
-membership table, bits[v][mask].  It and the concatenated suffix segments
-are cached per n and read-only: n 2^n + 16 2^n bytes, about 1 MB at
-n = 15.
-
-The DFS engines score candidates through the same canonical per-set
-evaluation as :func:`conductance` / :func:`beta_signed` (terms accumulated
-in stored-edge order, measures in ascending vertex order), so their optima
-agree to the last bit with a naive enumeration that scores the same way.
-The unsigned DP selects among the same subset table with min/max only, so
-it agrees bit for bit too.  The signed DP tabulates splits through
-per-vertex sums and agrees within SIGNED_PROFILE_TOL.  Every DP table
-entry it computes and every certificate is bit-identical to the textbook
-loop kept in the test suite; DP certificates break ties among optimal
-tuples by the DP's scan order, which can differ from the DFS's
-lexicographic choice.
+The subset tables add each edge's or vertex's term as a weight times one
+row of a bool membership table, bits[v][mask].  It and the concatenated
+suffix segments are cached per n and read-only: n 2^n + 16 2^n bytes,
+about 1 MB at n = 15.  Phi and the signed split table read the same cut
+and measure arrays, and the split pass adds beta's edge terms edge by
+edge in stored-edge order over the pairs.  So every score is the same sum,
+in the same order, as the canonical per-set evaluation of
+:func:`conductance` / :func:`beta_signed`, and as the DP selects among
+scores with min/max only, every value it returns agrees to the last bit
+with a naive enumeration that scores the same way.  DP certificates break
+ties among optimal tuples by the DP's scan order.
 """
 
 import math
@@ -50,19 +43,6 @@ import numpy as np
 from .graph import WeightedGraph, require_valid
 from .nodal import strong_nodal
 
-_MAX_SEARCH_N = 20   # bitmask tables; exhaustive search is hopeless beyond this anyway
-
-# Size policy of the all-k profile DPs.  The signed split tabulation costs
-# about n DP levels on top of the packing DP, so its limit sits one lower.
-_MAX_DP_N = 15
-_MAX_SIGNED_DP_N = 14
-
-
-def _dp_answers(n: int, signed: bool) -> bool:
-    """Whether the profile DP, rather than the search, answers size n."""
-    return n <= (_MAX_SIGNED_DP_N if signed else _MAX_DP_N)
-
-
 # Memory budget (bytes) for the pair-indexed arrays of one profile call.
 # The pair table holds two native index arrays (numpy gathers three times
 # slower through int32 indices), 16 bytes a pair.  A table that fits in half
@@ -72,46 +52,46 @@ def _dp_answers(n: int, signed: bool) -> bool:
 # below (peak use measured with tracemalloc, a built table's share included).
 _PAIR_BUDGET = 2 << 20
 _DP_PAIR_BYTES = 64
-_SPLIT_PAIR_BYTES = 96
+_SPLIT_PAIR_BYTES = 128
 
-# The signed profile sums beta's terms per vertex rather than per edge, so
-# its values agree with beta_signed and the signed DFS to within this.
-SIGNED_PROFILE_TOL = 1e-12
-
-# Pruning guard: a branch is cut only when its lower bound beats the
-# incumbent by this relative margin.  Leaf scores and bound arithmetic
-# round independently at ~1e-16, so without the guard a branch whose exact
-# bound ties the incumbent could hide a leaf that *evaluates* one ulp
-# better, breaking exact agreement with unpruned enumeration.
-_PRUNE_EPS = 1e-12
+# Work policy of the exact engine (_dp_admits): the element operations of a
+# request and the bytes its tables hold must stay within these.  On a 2-vCPU
+# VM 1e9 element operations take 10 to 15 s.
+_MAX_ELEMENT_OPS = 1_000_000_000
+_MAX_TABLE_BYTES = 256 << 20
 
 
-def _prune_margin(incumbent: float) -> float:
-    return incumbent + _PRUNE_EPS * max(1.0, incumbent)
+def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
+    """Whether the work policy takes a profile up to kmax on n vertices and
+    m edges.
+
+    Bytes held, per mask: the DP levels 0..kmax, the membership table's n
+    bools, the suffix segments' 16 bytes, the cut, measure and score
+    arrays, the four arrays of the mask layout and, if signed, the split
+    tables; plus the pair budget.  Checked first, it bounds n before the
+    operations are summed: the cut and measure passes, level 1's transform
+    and the top level's gather, O(2^n) each; every pair of a mask with at
+    least j vertices for each middle level j = 2..kmax-1; and, if signed,
+    the split pass's m passes over every pair.
+    """
+    per_mask = 8 * (kmax + 1) + n + 16 + 24 + 32 + (16 if signed else 0)
+    if (per_mask << n) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
+        return False
+    ops = (m + 2 * n + 1) << n
+    ops += sum((math.comb(n, p) << (p - 1)) * max(0, min(p, kmax - 1) - 1) for p in range(2, n + 1))
+    if signed:
+        ops += m * ((3**n - 1) // 2)
+    return ops <= _MAX_ELEMENT_OPS
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """State budget of the branch-and-bound searches (graphs beyond the DP sizes)."""
-
-    max_states: int = 200_000_000
-
-    def __post_init__(self):
-        m = self.max_states
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise ValueError(f"max_states must be an integer >= 1, got {m!r}")
-
-
-class BudgetExceededError(RuntimeError):
-    """Search state budget ran out; carries the best certificate found so far."""
-
-    def __init__(self, states: int, best: "PartitionCertificate | None"):
-        self.states = states
-        self.best = best
-        msg = f"search budget exhausted after {states} states"
-        if best is not None:
-            msg += f"; best upper bound so far: {best.value}"
-        super().__init__(msg)
+def _require_admitted(g: WeightedGraph, kmax: int, signed: bool) -> None:
+    if not _dp_admits(g.n, g.m, kmax, signed):
+        kind = "signed rho_k" if signed else "rho_k"
+        raise ValueError(
+            f"exact {kind} on n = {g.n} vertices up to kmax = {kmax} is beyond the exact "
+            f"engine's limits ({_MAX_ELEMENT_OPS:.0e} element operations, "
+            f"{_MAX_TABLE_BYTES >> 20} MiB of tables)"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,11 +101,11 @@ class PartitionCertificate:
     Unsigned: `parts` holds k disjoint nonempty vertex sets and `value` is
     the max conductance over them.  Signed: `parts` holds 2k sets, pair
     (parts[2i], parts[2i+1]) being the ordered sub-bipartition (V1, V2),
-    and `value` is the max of beta over the pairs.  `exact` is False for
-    upper-bound certificates (budget overflow, nodal sweeps).  `states`
-    counts DFS states, or for a DP certificate the inner iterations of the
-    textbook recurrence (:func:`_dp_iterations`), which is not the work
-    the DP does.
+    and `value` is the max of beta over the pairs.  `exact` is False only
+    for the upper-bound certificates of nodal sweeps.  `states` counts, for
+    an exact certificate, the inner iterations of the textbook recurrence
+    (:func:`_dp_iterations`), which is not the work the DP does; a sweep
+    certificate has 0.
     """
 
     k: int
@@ -234,8 +214,10 @@ def phi_table(g: WeightedGraph) -> list[float]:
     """Phi for every nonempty vertex subset, indexed by bitmask.
 
     Entry 0 is +inf.  Accumulates each edge in canonical order, matching
-    :func:`conductance` bit for bit.
+    :func:`conductance` bit for bit.  Subject to the work policy at k = 1.
     """
+    require_valid(g)
+    _require_admitted(g, 1, signed=False)
     return _phi_array(g).tolist()
 
 
@@ -256,10 +238,11 @@ def _bits(n: int) -> np.ndarray:
     return bits
 
 
-def _phi_array(g: WeightedGraph) -> np.ndarray:
+def _cut_and_measure(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(cut, measure) of every vertex subset, indexed by bitmask: the weight
+    of the edges leaving it, summed in stored-edge order, and its measure,
+    summed in ascending vertex order (entry 0 is 0.0 in both)."""
     n = g.n
-    if n > _MAX_SEARCH_N:
-        raise ValueError(f"subset table limited to n <= {_MAX_SEARCH_N} (got {n})")
     bits = _bits(n)
     size = 1 << n
     cross = np.empty(size, dtype=bool)
@@ -273,17 +256,15 @@ def _phi_array(g: WeightedGraph) -> np.ndarray:
     for v in range(n):
         np.multiply(bits[v], g.mu[v], out=term)
         mu_sum += term
+    return cut, mu_sum
+
+
+def _phi_array(g: WeightedGraph) -> np.ndarray:
+    cut, mu_sum = _cut_and_measure(g)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = cut / mu_sum
+        phi = np.divide(cut, mu_sum, out=cut)
     phi[0] = math.inf
     return phi
-
-
-# ---------------------------------------------------------------------------
-# exact rho_k: the profile DP within its size limit, the DFS beyond it
-
-class _Overflow(Exception):
-    pass
 
 
 def _parts_from_masks(masks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
@@ -293,16 +274,14 @@ def _parts_from_masks(masks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
+def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     """Exact k-way Cheeger constant with a witness tuple.
 
     Minimizes max_i Phi(A_i) over all tuples of k pairwise-disjoint
-    nonempty vertex sets (the sets need not cover V).  Up to n = 15 this is
-    certificate k of :func:`rho_profile`: the budget is not consulted,
-    `states` counts the textbook recurrence's iterations and ties follow
-    the DP's scan order.  Beyond that the budgeted branch-and-bound search
-    runs, and raises BudgetExceededError, carrying the best certificate
-    found so far (flagged inexact), when the budget runs out.
+    nonempty vertex sets (the sets need not cover V).  This is certificate
+    k of :func:`rho_profile` up to kmax = k: `states` counts the textbook
+    recurrence's iterations and ties follow the DP's scan order.  A request
+    beyond the work policy raises ValueError before any table is built.
     """
     require_valid(g)
     if g.is_signed():
@@ -310,271 +289,22 @@ def rho_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> P
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if _dp_answers(n, signed=False):
-        return _profile(g, k, (k,))[0]
-    return _search(g, k, budget)
+    _require_admitted(g, k, signed=False)
+    return _profile(g, k, (k,))[0]
 
 
-def _search(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
-    """rho_k by canonical branch-and-bound DFS (arguments already checked).
-
-    The DFS assigns vertices in order to labels {0 (unassigned), 1..k};
-    label j+1 may first appear only after label j.  A branch is pruned when
-    some partial part already satisfies  cross-cut(A_i) / (mu(A_i) +
-    mu(unassigned)) >= incumbent, where cross-cut counts edges to other
-    parts (permanently cut) and mu(unassigned) is the measure not yet in
-    any part.  Among optimal tuples, the lexicographically smallest
-    canonical assignment wins.
-    """
-    n = g.n
-    budget = budget or SearchBudget()
-    phi = phi_table(g)
-    mu = list(g.mu)
-    mu_total = 0.0
-    for x in mu:
-        mu_total += x
-    adj_lo: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for e in g.edges:
-        adj_lo[e.v].append((e.u, e.w))
-
-    label = [0] * n
-    part_mask = [0] * (k + 1)
-    part_mu = [0.0] * (k + 1)
-    cross = [0.0] * (k + 1)
-    best_val = math.inf
-    best_masks: list[int] | None = None
-    states = 0
-    max_states = budget.max_states
-
-    def dfs(v: int, t: int) -> None:
-        nonlocal states, best_val, best_masks
-        states += 1
-        if states > max_states:
-            raise _Overflow
-        if v == n:
-            if t == k:
-                val = phi[part_mask[1]]
-                for i in range(2, k + 1):
-                    pv = phi[part_mask[i]]
-                    if pv > val:
-                        val = pv
-                if val < best_val:
-                    best_val = val
-                    best_masks = part_mask[1 : k + 1].copy()
-            return
-        if t + (n - v) < k:
-            return
-        dfs(v + 1, t)  # label 0: leave v out of every part
-        top = t + 1 if t < k else t
-        bit = 1 << v
-        for a in range(1, top + 1):
-            t2 = t + 1 if a == t + 1 else t
-            label[v] = a
-            part_mask[a] |= bit
-            part_mu[a] += mu[v]
-            hits = []
-            for u, w in adj_lo[v]:
-                lu = label[u]
-                if lu > 0 and lu != a:
-                    cross[a] += w
-                    cross[lu] += w
-                    hits.append((lu, w))
-            assigned_mu = 0.0
-            for i in range(1, t2 + 1):
-                assigned_mu += part_mu[i]
-            mu_un = mu_total - assigned_mu
-            threshold = _prune_margin(best_val)
-            pruned = False
-            for i in range(1, t2 + 1):
-                if cross[i] >= threshold * (part_mu[i] + mu_un):
-                    pruned = True
-                    break
-            if not pruned:
-                dfs(v + 1, t2)
-            for lu, w in hits:
-                cross[a] -= w
-                cross[lu] -= w
-            part_mu[a] -= mu[v]
-            part_mask[a] ^= bit
-            label[v] = 0
-
-    overflowed = False
-    try:
-        dfs(0, 0)
-    except _Overflow:
-        overflowed = True
-
-    if best_masks is None:
-        if overflowed:
-            raise BudgetExceededError(states, None)
-        raise AssertionError("search finished without a feasible tuple")
-    cert = PartitionCertificate(
-        k=k,
-        value=best_val,
-        parts=_parts_from_masks(best_masks, n),
-        signed=False,
-        exact=not overflowed,
-        states=states,
-    )
-    if overflowed:
-        raise BudgetExceededError(states, cert)
-    return cert
-
-
-# ---------------------------------------------------------------------------
-# exact signed rho_k: the same split
-
-def rho_signed_exact(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
+def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     """Exact k-way signed Cheeger constant over k-sub-bipartitions.
 
-    Up to n = 14 this is certificate k of :func:`rho_signed_profile`
-    (within SIGNED_PROFILE_TOL of the canonical beta evaluation; the budget
-    is not consulted, `states` counts the textbook recurrence's iterations
-    and ties follow the DP's scan order).  Beyond that the budgeted
-    branch-and-bound search runs, with the overflow behaviour of
-    :func:`rho_exact`.
+    Certificate k of :func:`rho_signed_profile` up to kmax = k, with the
+    work policy and tie-break of :func:`rho_exact`.
     """
     require_valid(g)
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if n > _MAX_SEARCH_N:
-        raise ValueError(f"search limited to n <= {_MAX_SEARCH_N} (got {n})")
-    if _dp_answers(n, signed=True):
-        return _signed_profile(g, k, (k,))[0]
-    return _signed_search(g, k, budget)
-
-
-def _signed_search(g: WeightedGraph, k: int, budget: SearchBudget | None = None) -> PartitionCertificate:
-    """rho^sigma_k by canonical branch-and-bound DFS (arguments already checked).
-
-    Assignments map each vertex to 0 (out) or to (pair i, side s); pair
-    unions must be disjoint and nonempty.  Canonical order: pairs are
-    numbered by first-touched vertex and side 1 of a pair is touched before
-    side 2.  Pruning uses the irrevocable part of each pair's numerator
-    (positive edges across the pair's sides, negative edges inside a side,
-    and boundary edges to other pairs or to permanently-unassigned
-    vertices) over mu(U_i) + mu(unassigned).
-    """
-    n = g.n
-    budget = budget or SearchBudget()
-    mu = list(g.mu)
-    mu_total = 0.0
-    for x in mu:
-        mu_total += x
-    adj_lo: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-    for e in g.edges:
-        adj_lo[e.v].append((e.u, e.w, e.sigma))
-
-    label = [0] * n  # 0, or 2i-1 / 2i for pair i's side 1 / side 2
-    locked = [0.0] * (k + 1)
-    pair_mu = [0.0] * (k + 1)
-    best_val = math.inf
-    best_labels: list[int] | None = None
-    states = 0
-    max_states = budget.max_states
-
-    def leaf_value() -> float:
-        val = -math.inf
-        for i in range(1, k + 1):
-            in1 = np.zeros(n, dtype=bool)
-            in2 = np.zeros(n, dtype=bool)
-            for v in range(n):
-                if label[v] == 2 * i - 1:
-                    in1[v] = True
-                elif label[v] == 2 * i:
-                    in2[v] = True
-            b = _beta_eval(g, in1, in2)
-            if b > val:
-                val = b
-        return val
-
-    def dfs(v: int, t: int) -> None:
-        nonlocal states, best_val, best_labels
-        states += 1
-        if states > max_states:
-            raise _Overflow
-        if v == n:
-            if t == k:
-                val = leaf_value()
-                if val < best_val:
-                    best_val = val
-                    best_labels = label.copy()
-            return
-        if t + (n - v) < k:
-            return
-        dfs(v + 1, t)
-        top = 2 * t + 1 if t < k else 2 * t
-        for a in range(1, top + 1):
-            pi = (a + 1) // 2
-            t2 = t + 1 if a == 2 * t + 1 else t
-            label[v] = a
-            pair_mu[pi] += mu[v]
-            hits = []
-            for u, w, s in adj_lo[v]:
-                lu = label[u]
-                if lu == 0:
-                    # u < v, so u's label-0 choice is final: this edge stays
-                    # in the boundary of pair pi forever.
-                    locked[pi] += w
-                    hits.append((pi, w))
-                    continue
-                pu = (lu + 1) // 2
-                if pu == pi:
-                    same_side = (lu % 2) == (a % 2)
-                    if same_side and s < 0:
-                        locked[pi] += 2.0 * w
-                        hits.append((pi, 2.0 * w))
-                    elif not same_side and s > 0:
-                        locked[pi] += 2.0 * w
-                        hits.append((pi, 2.0 * w))
-                else:
-                    locked[pi] += w
-                    locked[pu] += w
-                    hits.append((pi, w))
-                    hits.append((pu, w))
-            assigned_mu = 0.0
-            for i in range(1, t2 + 1):
-                assigned_mu += pair_mu[i]
-            mu_un = mu_total - assigned_mu
-            threshold = _prune_margin(best_val)
-            pruned = False
-            for i in range(1, t2 + 1):
-                if locked[i] >= threshold * (pair_mu[i] + mu_un):
-                    pruned = True
-                    break
-            if not pruned:
-                dfs(v + 1, t2)
-            for i, w in hits:
-                locked[i] -= w
-            pair_mu[pi] -= mu[v]
-            label[v] = 0
-
-    overflowed = False
-    try:
-        dfs(0, 0)
-    except _Overflow:
-        overflowed = True
-
-    if best_labels is None:
-        if overflowed:
-            raise BudgetExceededError(states, None)
-        raise AssertionError("search finished without a feasible sub-bipartition")
-    parts = []
-    for i in range(1, k + 1):
-        parts.append(tuple(v for v in range(n) if best_labels[v] == 2 * i - 1))
-        parts.append(tuple(v for v in range(n) if best_labels[v] == 2 * i))
-    cert = PartitionCertificate(
-        k=k,
-        value=best_val,
-        parts=tuple(parts),
-        signed=True,
-        exact=not overflowed,
-        states=states,
-    )
-    if overflowed:
-        raise BudgetExceededError(states, cert)
-    return cert
+    _require_admitted(g, k, signed=True)
+    return _signed_profile(g, k, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -840,26 +570,24 @@ def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) ->
 def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
     """Exact rho_k certificates for every k = 1..kmax in one subset DP.
 
-    Same optima as :func:`rho_exact` (cross-checked in the test suite).
     The DP runs in numpy (:func:`_profile_tables`): level 1 by a subset-min
     transform, levels 2..kmax-1 over the (mask, part) pair table, chunked
     by mask range within a fixed memory budget, and level kmax at the n
     suffix masks only.  Every value is a Phi-table entry chosen by min/max
-    only, so it is bit-identical to the textbook loop
-    (``tests/brute.py``).  Certificates are rebuilt by
+    only, so it is bit-identical to the textbook loop and to naive
+    enumeration (``tests/brute.py``).  Certificates are rebuilt by
     rescanning each mask's parts on the optimal path; they follow the DP's
-    own tie-break (first optimal part in scan order), not the DFS
-    lexicographic rule.  Limited to n <= 15.
+    own tie-break (first optimal part in scan order).  A request beyond the
+    work policy raises ValueError before any table is built.
     """
     require_valid(g)
     if g.is_signed():
         raise ValueError("rho_profile needs an unsigned graph; see rho_signed_profile")
     n = g.n
-    if not _dp_answers(n, signed=False):
-        raise ValueError(f"profile DP limited to n <= {_MAX_DP_N} (got {n})")
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
+    _require_admitted(g, kmax, signed=False)
     return _profile(g, kmax, range(1, kmax + 1))
 
 
@@ -893,59 +621,44 @@ class _SignedTables:
     split: np.ndarray  # V1 bitmask realizing betamin per union mask
 
 
-def _vertex_tables(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(wplus, wminus, mu_u, bnd): the per-vertex tables of the split pass.
-
-    wplus[v][mask] / wminus[v][mask] is the weight of v's positive /
-    negative edges into mask, summed in stored-edge order; mu_u[mask] and
-    bnd[mask] are the measure of mask and the weight of its boundary,
-    summed over its members in ascending order.
-    """
-    n = g.n
-    size = 1 << n
-    bits = _bits(n)
-    term = np.empty(size)
-    wplus = np.zeros((n, size))
-    wminus = np.zeros((n, size))
-    wall = np.zeros((n, size))
-    for e in g.edges:
-        for v, u in ((e.u, e.v), (e.v, e.u)):
-            np.multiply(bits[u], e.w, out=term)
-            wall[v] += term
-            (wplus if e.sigma > 0 else wminus)[v] += term
-    deg = g.degrees()
-    mu_u = np.zeros(size)
-    bnd = np.zeros(size)
-    for v in range(n):
-        np.add(mu_u, g.mu[v], out=mu_u, where=bits[v])
-        np.subtract(deg[v], wall[v], out=term)
-        np.add(bnd, term, out=bnd, where=bits[v])
-    return wplus, wminus, mu_u, bnd
-
-
 def _signed_tables(g: WeightedGraph) -> _SignedTables:
     """Least beta over the splits (V1, V2) of every union mask U.
 
     V1 runs over U's segment (it holds U's lowest vertex) and V2 = U ^ V1.
-    beta's terms are summed per member of U in ascending order, through
-    per-vertex tables of edge weight into each mask; the other vertices add
-    an exact 0.0 (False times a finite weight).  Among equal splits the
-    first in scan order is kept.
+    As in :func:`beta_signed`, the positive edges across the sides and the
+    negative edges inside one side are added edge by edge in stored-edge
+    order (every other edge adds an exact 0.0, False times a finite
+    weight), and the boundary and measure of U are Phi's cut and measure.
+    So every entry is bit-identical to beta_signed of its split.  Among
+    equal splits the first in scan order is kept.
     """
     n = g.n
     size = 1 << n
-    wplus, wminus, mu_u, bnd = _vertex_tables(g)
+    bits = _bits(n)
+    bnd, mu_u = _cut_and_measure(g)
     order = _mask_order(n)
     betamin = np.full(size, math.inf)
     split = np.zeros(size, dtype=np.int64)
     for lo, hi, m1, m2 in _chunks(n, 0, len(order.masks), _SPLIT_PAIR_BYTES):
+        in1 = bits[:, m1]
+        in2 = bits[:, m2]
+        hit = np.empty(len(m1), dtype=bool)
+        hit2 = np.empty_like(hit)
+        term = np.empty(len(m1))
         ep = np.zeros(len(m1))
         em = np.zeros(len(m1))
-        for v in range(n):
-            in1 = (m1 & (1 << v)) != 0
-            in_u = in1 | ((m2 & (1 << v)) != 0)
-            ep += in1 * wplus[v][m2]
-            em += in_u * wminus[v][np.where(in1, m1, m2)]
+        for e in g.edges:
+            if e.sigma > 0:  # across the sides
+                np.logical_and(in1[e.u], in2[e.v], out=hit)
+                np.logical_and(in2[e.u], in1[e.v], out=hit2)
+                w, acc = e.w, ep
+            else:  # inside one side
+                np.logical_and(in1[e.u], in1[e.v], out=hit)
+                np.logical_and(in2[e.u], in2[e.v], out=hit2)
+                w, acc = 2.0 * e.w, em
+            np.logical_or(hit, hit2, out=hit)
+            np.multiply(hit, w, out=term)
+            acc += term
         umask = m1 | m2
         beta = (2.0 * ep + em + bnd[umask]) / mu_u[umask]
         seg = order.start[lo:hi] - order.start[lo]
@@ -962,18 +675,16 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
 
     First tabulates, per union mask U, the best split of U into (V1, V2)
     over the same pair table; then packs unions with the same subset DP as
-    the unsigned profile.  Values agree with :func:`beta_signed` and the
-    signed DFS within SIGNED_PROFILE_TOL, since the split table sums
-    beta's terms per vertex rather than per edge.  Limited to
-    n <= 14 (the split tabulation costs about n DP levels).
+    the unsigned profile.  Every split is scored bit for bit as
+    :func:`beta_signed` scores it, so every value is too.  The work policy
+    of :func:`rho_profile` applies, with the split pass counted.
     """
     require_valid(g)
     n = g.n
-    if not _dp_answers(n, signed=True):
-        raise ValueError(f"signed profile DP limited to n <= {_MAX_SIGNED_DP_N} (got {n})")
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
+    _require_admitted(g, kmax, signed=True)
     return _signed_profile(g, kmax, range(1, kmax + 1))
 
 

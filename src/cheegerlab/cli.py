@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: analyze, cheeger, verify, perturb, gen.  Exit codes: 0 on
-success (verify: all records hold), 1 on a verification violation, 2 on
-input errors, 3 on search-budget overflow.  All randomness is controlled
-by --seed, so repeated invocations emit identical bytes.
+success (verify: all records hold), 1 on a verification violation (or a
+check that could not run), 2 on input errors, including a `cheeger`
+request beyond the exact engine's work policy, refused before any work.
+All randomness is controlled by --seed, so repeated invocations emit
+identical bytes.
 """
 
 import argparse
@@ -24,13 +26,7 @@ from .bounds import (
     run_checks_on_graph,
     run_corpus,
 )
-from .cheeger import (
-    BudgetExceededError,
-    SearchBudget,
-    rho_exact,
-    rho_signed_exact,
-    rho_upper_nodal_sweep,
-)
+from .cheeger import rho_exact, rho_signed_exact, rho_upper_nodal_sweep
 from .graph import (
     GraphFormatError,
     classify,
@@ -165,28 +161,19 @@ def cmd_analyze(args) -> int:
 def cmd_cheeger(args) -> int:
     g = load_graph(args.graph)
     # Fetch the eigenfunction first, so a signed graph or a bad J exits 2
-    # before any search.
+    # before any subset table is built.
     f = None
     if args.sweep_from_eig is not None:
         if g.is_signed():
             raise ValueError("nodal sweep is defined for unsigned graphs")
         f = laplacian_spectrum(g).function(args.sweep_from_eig)
-    budget = SearchBudget(max_states=args.budget)
-    try:
-        if args.signed:
-            cert = rho_signed_exact(g, args.k, budget)
-        else:
-            cert = rho_exact(g, args.k, budget)
-    except BudgetExceededError as exc:
-        if exc.best is None:
-            raise
-        cert = exc.best
-    exceeded = not cert.exact
-    out = {"certificate": cert.to_json_dict(), "budget_exceeded": exceeded}
+    cert = (rho_signed_exact if args.signed else rho_exact)(g, args.k)
+    # Every certificate is exact; the key stays for readers of the format.
+    out = {"certificate": cert.to_json_dict(), "budget_exceeded": False}
     if f is not None:
         out["sweep"] = rho_upper_nodal_sweep(g, f).to_json_dict()
     _emit(_dumps(out), args.output)
-    return 3 if exceeded else 0
+    return 0
 
 
 def _require_eps(eps: float) -> None:
@@ -200,7 +187,6 @@ def cmd_verify(args) -> int:
     for name in checks:
         if name not in CHECK_NAMES and name != "product":
             raise GraphFormatError(f"unknown check {name!r}; known: {CHECK_NAMES + ('product',)}")
-    budget = SearchBudget(max_states=args.budget)
     if args.corpus:
         if "product" in checks:
             raise GraphFormatError(
@@ -216,7 +202,6 @@ def cmd_verify(args) -> int:
             data = {
                 "seed": args.seed,
                 "eps": args.eps,
-                "budget": {"max_states": args.budget},
                 **data,
                 "checks": list(checks),
             }
@@ -226,18 +211,16 @@ def cmd_verify(args) -> int:
             raise GraphFormatError("verify needs a graph file or --corpus")
         g = load_graph(args.graph)
         plain = tuple(c for c in checks if c != "product")
-        rows, errors = run_checks_on_graph("graph", g, plain, args.eps, args.seed, budget)
+        rows, errors = run_checks_on_graph("graph", g, plain, args.eps, args.seed)
         if "product" in checks:
             if args.with_graph is None:
                 raise GraphFormatError("--checks product needs --with-graph FILE (and --product-k)")
             g2 = load_graph(args.with_graph)
             try:
-                rows.append(
-                    ("graph", check_product_theorem(g, g2, args.product_k, args.eps, args.seed, budget))
-                )
+                rows.append(("graph", check_product_theorem(g, g2, args.product_k, args.eps, args.seed)))
             except HypothesisViolation as exc:
                 rows.append(("graph", CheckRecord.skipped("product", str(exc))))
-            except (NonGenericError, BudgetExceededError) as exc:
+            except (NonGenericError, ValueError, RuntimeError) as exc:
                 errors.append(("graph", f"product: {exc}"))
         report = Report(rows=rows, errors=errors)
         report.sort()
@@ -303,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--signed", action="store_true")
     pc.add_argument("--sweep-from-eig", type=int, default=None, metavar="J",
                     help="also report the nodal-sweep upper bound from eigenfunction J (1-based)")
-    pc.add_argument("--budget", type=int, default=SearchBudget().max_states,
-                    help="search state budget; applies only beyond the DP sizes "
-                    "(n > 15, signed n > 14)")
     pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(func=cmd_cheeger)
 
@@ -316,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--checks", default="main,basics")
     pv.add_argument("--eps", type=float, default=0.05)
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pv.add_argument("--budget", type=int, default=SearchBudget().max_states)
     pv.add_argument("--with-graph", default=None, help="second factor for the product check")
     pv.add_argument("--product-k", type=int, default=1)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
@@ -350,9 +329,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (GraphFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

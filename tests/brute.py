@@ -1,14 +1,14 @@
 """Independent oracles for the test suite.
 
-Naive unpruned enumeration of k-way (signed) Cheeger constants over all
-(k+1)^n resp. (2k+1)^n label assignments, the int64-shift subset tables
-and the textbook pure-Python loops of the subset DP behind the profile
-engines, the numpy column-then-row Jacobi rotation loop behind the
-eigensolver, the numpy nodal decompositions and the
-conductance-per-level-set nodal sweep, and closed-form spectra of the
-standard families.  The enumeration is
-independent of the package's search logic; per-set scores go through the
-same canonical accumulation order as the library so that agreement can be
+Naive enumeration of k-way (signed) Cheeger constants over all (k+1)^n
+resp. (2k+1)^n label assignments, the int64-shift Phi table, the signed
+split table scored split by split through beta_signed, and the textbook
+pure-Python loops of the subset DP behind the profile engines, the numpy
+column-then-row Jacobi rotation loop behind the eigensolver, the numpy
+nodal decompositions and the conductance-per-level-set nodal sweep, and
+closed-form spectra of the standard families.  The enumeration is
+independent of the package's DP; per-set scores go through the same
+canonical accumulation order as the library so that agreement can be
 asserted exactly.
 """
 
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
-from cheegerlab.cheeger import PartitionCertificate, SweepResult, conductance, phi_table
+from cheegerlab.cheeger import PartitionCertificate, SweepResult, beta_signed, conductance, phi_table
 from cheegerlab.graph import require_valid
 from cheegerlab.nodal import NodalDecomposition, _component_labels
 
@@ -111,7 +111,7 @@ def star_spectrum(n: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# subset tables by int64 shifts (the reference for the membership-table kernels)
+# Phi by int64 shifts (the reference for the membership-table kernel)
 
 def shift_phi_array(g: WeightedGraph) -> np.ndarray:
     """Phi of every vertex subset by bitmask, each indicator a shift of the
@@ -129,29 +129,6 @@ def shift_phi_array(g: WeightedGraph) -> np.ndarray:
         phi = cut / mu_sum
     phi[0] = math.inf
     return phi
-
-
-def shift_vertex_tables(g: WeightedGraph):
-    """(wplus, wminus, mu_u, bnd) of the signed split pass, by int64 shifts."""
-    n = g.n
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    wplus = np.zeros((n, size))
-    wminus = np.zeros((n, size))
-    wall = np.zeros((n, size))
-    for e in g.edges:
-        for v, u in ((e.u, e.v), (e.v, e.u)):
-            ind = (idx >> u) & 1
-            wall[v] += e.w * ind
-            (wplus if e.sigma > 0 else wminus)[v] += e.w * ind
-    deg = g.degrees()
-    mu_u = np.zeros(size)
-    bnd = np.zeros(size)
-    for v in range(n):
-        inside = (idx & (1 << v)) != 0
-        np.add(mu_u, g.mu[v], out=mu_u, where=inside)
-        np.add(bnd, deg[v] - wall[v], out=bnd, where=inside)
-    return wplus, wminus, mu_u, bnd
 
 
 # ---------------------------------------------------------------------------
@@ -227,68 +204,28 @@ def loop_reconstruct(choice_all, k: int, full: int) -> list[int]:
     return parts
 
 
-def loop_signed_tables(g: WeightedGraph) -> tuple[list[float], list[int]]:
-    """(betamin, split) per union mask: the least beta over splits (V1, V2)
-    with V1 holding the union's lowest vertex, and the first V1 attaining it."""
+def beta_split_tables(g: WeightedGraph) -> tuple[list[float], list[int]]:
+    """(betamin, split) per union mask U: the least beta_signed(g, V1, V2)
+    over the splits of U with V1 holding U's lowest vertex, V1 running over
+    U's submasks in descending order, and the first V1 attaining it."""
     n = g.n
     size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    wplus = []
-    wminus = []
-    wall = []
-    for v in range(n):
-        ap = np.zeros(size)
-        am = np.zeros(size)
-        aa = np.zeros(size)
-        for e in g.edges:
-            if e.u == v or e.v == v:
-                u = e.v if e.u == v else e.u
-                ind = (idx >> u) & 1
-                aa += e.w * ind
-                if e.sigma > 0:
-                    ap += e.w * ind
-                else:
-                    am += e.w * ind
-        wplus.append(ap.tolist())
-        wminus.append(am.tolist())
-        wall.append(aa.tolist())
-    mu = list(g.mu)
-    deg = g.degrees().tolist()
-
+    members = [[v for v in range(n) if (mask >> v) & 1] for mask in range(size)]
     betamin = [math.inf] * size
     split = [0] * size
     for umask in range(1, size):
-        members = [v for v in range(n) if (umask >> v) & 1]
-        mu_u = 0.0
-        bnd = 0.0
-        for v in members:
-            mu_u += mu[v]
-            bnd += deg[v] - wall[v][umask]
         v0 = umask & -umask
         rest = umask ^ v0
-        best = math.inf
-        best_split = 0
         sub = rest
         while True:
             m1 = sub | v0
-            m2 = umask ^ m1
-            ep = 0.0
-            em = 0.0
-            for v in members:
-                if (m1 >> v) & 1:
-                    ep += wplus[v][m2]
-                    em += wminus[v][m1]
-                else:
-                    em += wminus[v][m2]
-            beta = (2.0 * ep + em + bnd) / mu_u
-            if beta < best:
-                best = beta
-                best_split = m1
+            beta = beta_signed(g, members[m1], members[umask ^ m1])
+            if beta < betamin[umask]:
+                betamin[umask] = beta
+                split[umask] = m1
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        betamin[umask] = best
-        split[umask] = best_split
     return betamin, split
 
 

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  The corpus is frozen by
 seed derivation from ACC_SEED, so every run checks the identical instance
 set.  Exact Cheeger values come from the subset-DP profiles (cross-checked
-against branch-and-bound search and naive enumeration in criterion 10).
+against naive enumeration in criterion 10).
 """
 
 import json
@@ -30,12 +30,13 @@ from cheegerlab import (
     laplacian_spectrum,
     product,
     product_function,
+    rho_profile,
     rho_signed_exact,
+    rho_signed_profile,
     strong_nodal,
     with_random_signature,
 )
 from cheegerlab.bounds import CorpusConfig, _profile_dp, run_corpus
-from cheegerlab.cheeger import _search, _signed_search
 from brute import (
     complete_spectrum,
     cycle_spectrum,
@@ -277,15 +278,17 @@ def test_c10_oracle_equivalence(corpus200, signed100):
     mismatches = []
     small_unsigned = [g for g in corpus200 if g.n <= 8]
     for g in small_unsigned:
+        profile = rho_profile(g, 3)
         for k in (1, 2, 3):
-            a = _search(g, k).value
+            a = profile[k - 1].value
             b = naive_rho(g, k)
             if a != b:
                 mismatches.append(("unsigned", g.n, k, a, b))
     small_signed = [g for g in signed100 if g.n <= 8]
     for g in small_signed:
+        profile = rho_signed_profile(g, 3)
         for k in (1, 2, 3):
-            a = _signed_search(g, k).value
+            a = profile[k - 1].value
             b = naive_rho_signed(g, k)
             if a != b:
                 mismatches.append(("signed", g.n, k, a, b))
@@ -293,7 +296,7 @@ def test_c10_oracle_equivalence(corpus200, signed100):
     _report(
         10,
         not mismatches,
-        f"pruned search == naive enumeration exactly on {len(small_unsigned)} unsigned "
+        f"profile DP == naive enumeration exactly on {len(small_unsigned)} unsigned "
         f"and {len(small_signed)} signed graphs (n<=8, k<=3) in {elapsed:.1f}s; "
         f"mismatches={mismatches[:3]}",
     )

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheegerlab import (
-    BudgetExceededError,
-    SearchBudget,
     WeightedGraph,
     beta_signed,
     conductance,
@@ -24,9 +22,9 @@ from cheegerlab import (
 )
 from cheegerlab import cheeger
 from cheegerlab.cheeger import (
-    SIGNED_PROFILE_TOL,
     _PAIR_BUDGET,
     _build_pairs,
+    _dp_admits,
     _mask_order,
     _packing_dp,
     _parts_from_masks,
@@ -34,20 +32,16 @@ from cheegerlab.cheeger import (
     _profile_tables,
     _reconstruct,
     _segment,
-    _search,
-    _signed_search,
     _signed_tables,
-    _vertex_tables,
     phi_table,
 )
 from brute import (
+    beta_split_tables,
     loop_packing_dp,
     loop_reconstruct,
-    loop_signed_tables,
     naive_rho,
     naive_rho_signed,
     shift_phi_array,
-    shift_vertex_tables,
 )
 
 
@@ -80,8 +74,9 @@ class TestConductance:
 
 
 class TestSubsetTables:
-    """Phi and the signed per-vertex tables, against per-set evaluation and
-    the int64-shift kernels of tests/brute.py, bit for bit."""
+    """Phi and the signed split table, against per-set evaluation
+    (conductance, beta_signed) and the int64-shift kernel of
+    tests/brute.py, bit for bit."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("unit_weights", [False, True])
@@ -100,21 +95,29 @@ class TestSubsetTables:
         for lo, hi, mu in ((0.5, 2.0, "degree"), (1.0, 1.0, "unit")):
             g = generate("random_connected", n, seed=n, p=0.5, w_low=lo, w_high=hi, mu=mu)
             assert _phi_array(g).tobytes() == shift_phi_array(g).tobytes()
-            sg = with_random_signature(g, n)
-            for table, ref in zip(_vertex_tables(sg), shift_vertex_tables(sg)):
-                assert table.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("unit_weights", [False, True])
+    def test_split_table_matches_beta_signed(self, n, unit_weights):
+        # Dense graphs give long sums, so a change of accumulation order
+        # shows; unit weights make many splits tie, which exercises the
+        # first-in-scan-order rule.
+        lo, hi = (1.0, 1.0) if unit_weights else (0.5, 2.0)
+        for seed, p in ((n, 0.3), (n + 100, 0.9)):
+            g = with_random_signature(
+                generate("random_connected", n, seed, p=p, w_low=lo, w_high=hi), seed
+            )
+            betamin, split = beta_split_tables(g)
+            tables = _signed_tables(g)
+            assert tables.betamin.tobytes() == np.array(betamin).tobytes()
+            assert tables.split.tolist() == split
 
 
 class TestRhoExact:
-    # rho_exact answers these sizes from the profile DP; _search is the DFS
-    # that answers beyond them.  Both must return exact, valid certificates.
-    ENGINES = (rho_exact, _search)
-
     def test_k1_is_zero_with_full_set(self):
-        for engine in self.ENGINES:
-            cert = engine(triangle(), 1)
-            assert cert.value == 0.0
-            assert cert.parts == ((0, 1, 2),)
+        cert = rho_exact(triangle(), 1)
+        assert cert.value == 0.0
+        assert cert.parts == ((0, 1, 2),)
 
     def test_disconnected_k2_zero(self):
         g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
@@ -138,42 +141,28 @@ class TestRhoExact:
 
     def test_certificate_is_valid(self):
         g = generate("random_connected", 8, seed=17, p=0.35, w_low=0.5, w_high=2.0)
-        for engine in self.ENGINES:
-            for k in (1, 2, 3, 5, 8):
-                cert = engine(g, k)
-                assert cert.exact
-                assert len(cert.parts) == k
-                assert all(cert.parts)
-                seen = set()
-                for part in cert.parts:
-                    assert seen.isdisjoint(part)
-                    seen.update(part)
-                assert cert.recompute(g) == cert.value
-
-    def test_budget_overflow(self):
-        g = generate("random_connected", 9, seed=2, p=0.35)
-        with pytest.raises(BudgetExceededError) as err:
-            _search(g, 3, SearchBudget(max_states=50))
-        assert err.value.states > 50
-        cert = err.value.best
-        assert not cert.exact
-        assert cert.value >= _search(g, 3).value
-
-    @pytest.mark.parametrize("bad", [0, -5, 2.5, 50.0, True, False, "x", None])
-    def test_budget_rejects_non_integer_or_small(self, bad):
-        with pytest.raises(ValueError, match="max_states must be an integer >= 1"):
-            SearchBudget(max_states=bad)
+        for k in (1, 2, 3, 5, 8):
+            cert = rho_exact(g, k)
+            assert cert.exact
+            assert len(cert.parts) == k
+            assert all(cert.parts)
+            seen = set()
+            for part in cert.parts:
+                assert seen.isdisjoint(part)
+                seen.update(part)
+            assert cert.recompute(g) == cert.value
 
 
 class TestEngineChoice:
-    """rho_exact / rho_signed_exact answer from the profile DP within its
-    size limits and run the budgeted search only beyond them."""
+    """rho_exact / rho_signed_exact answer from the profile DP whenever the
+    one work policy admits the request, and raise before any table is
+    built when it does not."""
 
     @pytest.mark.parametrize("n", [2, 9, 15])
     def test_dp_answers_in_range(self, n):
         g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
         for k in sorted({1, 2, n // 2 + 1, n}):
-            cert = rho_exact(g, k, SearchBudget(max_states=1))
+            cert = rho_exact(g, k)
             assert cert == rho_profile(g, k)[k - 1]
             assert cert.exact
 
@@ -182,12 +171,17 @@ class TestEngineChoice:
         g = with_random_signature(
             generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0), n
         )
+        if n <= 7:
+            ref, _, _ = loop_packing_dp(beta_split_tables(g)[0], n, n)
         for k in sorted({1, 2, n}):
-            cert = rho_signed_exact(g, k, SearchBudget(max_states=1))
+            cert = rho_signed_exact(g, k)
             assert cert == rho_signed_profile(g, k)[k - 1]
             assert cert.exact
+            assert cert.recompute(g) == cert.value
             if n <= 7:
-                assert abs(cert.value - _signed_search(g, k).value) <= SIGNED_PROFILE_TOL
+                assert cert.value == ref[k][(1 << n) - 1]
+                if k <= 2:
+                    assert cert.value == naive_rho_signed(g, k)
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_exact_reconstructs_certificate_k_only(self, monkeypatch, signed):
@@ -207,33 +201,55 @@ class TestEngineChoice:
         assert exact(g, 3) == expected
         assert calls == [3]
 
-    def test_search_beyond_range(self):
-        g = generate("random_connected", 16, seed=5)
-        sg = with_random_signature(generate("random_connected", 15, seed=5), 5)
-        for engine, graph in ((rho_exact, g), (rho_signed_exact, g), (rho_signed_exact, sg)):
-            with pytest.raises(BudgetExceededError) as err:
-                engine(graph, 2, SearchBudget(max_states=40))
-            assert err.value.states == 41
-            assert not err.value.best.exact
-            assert err.value.best.recompute(graph) == err.value.best.value
+    @pytest.mark.parametrize(
+        "g",
+        [
+            product(generate("path", 4, mu="unit"), generate("path", 4, mu="unit")),
+            generate("random_tree", 18, seed=3, w_low=0.5, w_high=2.0),
+        ],
+        ids=["P4xP4", "tree18"],
+    )
+    def test_k2_beyond_the_old_limits(self, g):
+        # n = 16 and 18: at k = 2 no pair pass runs, so the policy admits them.
+        assert _dp_admits(g.n, g.m, 2, signed=False)
+        cert = rho_exact(g, 2)
+        assert cert.exact and len(cert.parts) == 2 and all(cert.parts)
+        assert set(cert.parts[0]).isdisjoint(cert.parts[1])
+        assert cert.recompute(g) == cert.value
+
+    def test_policy_admits_the_old_dp_range(self):
+        # Every unsigned n <= 15 and signed n <= 14 request, at every kmax
+        # and up to the complete graph's edge count.
+        for n in range(1, 16):
+            for kmax in range(1, n + 1):
+                assert _dp_admits(n, n * (n - 1) // 2, kmax, signed=False)
+                if n <= 14:
+                    assert _dp_admits(n, n * (n - 1) // 2, kmax, signed=True)
+
+    def test_policy_refuses_by_work_and_by_memory(self):
+        assert not _dp_admits(18, 17, 18, signed=False)      # pair passes
+        assert not _dp_admits(16, 120, 3, signed=True)       # split pass
+        assert not _dp_admits(24, 23, 1, signed=False)       # table bytes
+        assert _dp_admits(20, 19, 2, signed=False)
 
 
 class TestOracleEquivalence:
+    # The profile DP against naive enumeration, exactly.  The test names
+    # go back to the branch-and-bound search these graphs once also checked.
     @pytest.mark.parametrize("seed", range(12))
     def test_dfs_equals_naive_and_dp(self, seed):
         n = 4 + seed % 4
         g = generate("random_connected", n, seed=seed, p=0.4, w_low=0.5, w_high=2.0)
         profile = rho_profile(g)
         for k in (1, 2, 3):
-            dfs = _search(g, k).value
-            assert dfs == naive_rho(g, k)
-            assert dfs == profile[k - 1].value
+            assert profile[k - 1].value == naive_rho(g, k)
+            assert rho_exact(g, k).value == profile[k - 1].value
 
     def test_dp_matches_dfs_for_all_k(self):
         g = generate("random_connected", 7, seed=40, p=0.35, w_low=0.5, w_high=2.0)
         profile = rho_profile(g)
         for k in range(1, 8):
-            assert profile[k - 1].value == _search(g, k).value
+            assert profile[k - 1].value == naive_rho(g, k)
 
     def test_profile_certificates_valid(self):
         g = generate("random_connected", 9, seed=8, p=0.3, w_low=0.5, w_high=2.0)
@@ -294,7 +310,7 @@ class TestBetaSigned:
 class TestRhoSigned:
     def test_unbalanced_triangle(self):
         cert = rho_signed_exact(unbalanced_triangle(), 1)
-        assert math.isclose(cert.value, 1.0 / 3.0, rel_tol=0, abs_tol=1e-15)
+        assert cert.value == 1.0 / 3.0
 
     def test_balanced_signed_graph_is_zero(self):
         # switch C_4 by flipping vertex 0: edges at vertex 0 turn negative
@@ -303,16 +319,11 @@ class TestRhoSigned:
         )
         assert rho_signed_exact(g, 1).value == 0.0
 
-    # rho_signed_exact answers these sizes from the signed profile DP;
-    # _signed_search is the DFS that answers beyond them.
-    ENGINES = (rho_signed_exact, _signed_search)
-
     def test_single_positive_edge(self):
         g = WeightedGraph.build(2, [(0, 1, 1)])
-        for engine in self.ENGINES:
-            cert = engine(g, 1)
-            assert cert.value == 0.0
-            assert cert.parts == ((0, 1), ())
+        cert = rho_signed_exact(g, 1)
+        assert cert.value == 0.0
+        assert cert.parts == ((0, 1), ())
 
     def test_all_positive_rho1_zero(self):
         g = generate("random_connected", 6, seed=10)
@@ -327,27 +338,25 @@ class TestRhoSigned:
         )
         profile = rho_signed_profile(g)
         for k in (1, 2):
-            dfs = _signed_search(g, k).value
-            assert dfs == naive_rho_signed(g, k)
-            assert abs(dfs - profile[k - 1].value) <= 1e-12
+            assert profile[k - 1].value == naive_rho_signed(g, k)
+            assert rho_signed_exact(g, k).value == profile[k - 1].value
 
     def test_certificates_valid(self):
         g = with_random_signature(generate("random_connected", 7, seed=3, p=0.4), 9)
-        for engine in self.ENGINES:
-            for k in (1, 2, 3):
-                cert = engine(g, k)
-                assert cert.exact
-                assert len(cert.parts) == 2 * k
-                union = set()
-                for i in range(k):
-                    v1, v2 = set(cert.parts[2 * i]), set(cert.parts[2 * i + 1])
-                    assert v1 or v2
-                    assert not v1 & v2
-                    assert union.isdisjoint(v1 | v2)
-                    union |= v1 | v2
-                assert cert.recompute(g) == cert.value
+        for k in (1, 2, 3):
+            cert = rho_signed_exact(g, k)
+            assert cert.exact
+            assert len(cert.parts) == 2 * k
+            union = set()
+            for i in range(k):
+                v1, v2 = set(cert.parts[2 * i]), set(cert.parts[2 * i + 1])
+                assert v1 or v2
+                assert not v1 & v2
+                assert union.isdisjoint(v1 | v2)
+                union |= v1 | v2
+            assert cert.recompute(g) == cert.value
         for cert in rho_signed_profile(g):
-            assert abs(cert.recompute(g) - cert.value) <= 1e-12
+            assert cert.recompute(g) == cert.value
 
 
 class TestProfileEngine:
@@ -371,9 +380,9 @@ class TestProfileEngine:
         full = (1 << n) - 1
         if signed:
             g = with_random_signature(g, seed)
-            betamin, split = loop_signed_tables(g)
+            betamin, split = beta_split_tables(g)
             tables = _signed_tables(g)
-            assert tables.betamin.tolist() == betamin
+            assert tables.betamin.tobytes() == np.array(betamin).tobytes()
             assert tables.split.tolist() == split
             score = tables.betamin
             profile = rho_signed_profile(g, kmax)
@@ -387,10 +396,7 @@ class TestProfileEngine:
             assert cert.states == states
             assert cert.value == ref[cert.k][full]
             assert _reconstruct(dp, score, n, cert.k) == loop_reconstruct(choice, cert.k, full)
-            if signed:
-                assert abs(cert.recompute(g) - cert.value) <= SIGNED_PROFILE_TOL
-            else:
-                assert cert.recompute(g) == cert.value
+            assert cert.recompute(g) == cert.value
 
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -417,9 +423,9 @@ class TestProfileEngine:
             assert cheeger._pair_table(n) is None
             g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
             sg = with_random_signature(g, 5)
-            betamin, split = loop_signed_tables(sg)
+            betamin, split = beta_split_tables(sg)
             tables = _signed_tables(sg)
-            assert tables.betamin.tolist() == betamin
+            assert tables.betamin.tobytes() == np.array(betamin).tobytes()
             assert tables.split.tolist() == split
             for score in (_phi_array(g), tables.betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
@@ -445,12 +451,28 @@ class TestProfileEngine:
         for cert in profile[:3]:
             assert cert.recompute(g) == cert.value
 
-    def test_size_limits(self):
-        g = generate("random_connected", 16, seed=1)
-        with pytest.raises(ValueError, match="n <= 15"):
-            rho_profile(g)
-        with pytest.raises(ValueError, match="n <= 14"):
-            rho_signed_profile(with_random_signature(generate("random_connected", 15, seed=1), 2))
+    def test_size_limits(self, monkeypatch):
+        # Beyond the work policy, refused before any subset table is built:
+        # the full unsigned profile at n = 18, the signed one on K16 (its
+        # split pass alone is 120 passes over (3^16 - 1) / 2 pairs), and Phi
+        # at n = 25 (2^25 entries a table).
+        def refuse(*args):
+            raise AssertionError("a subset table was built")
+
+        for name in ("_phi_array", "_signed_tables", "_cut_and_measure"):
+            monkeypatch.setattr(cheeger, name, refuse)
+        g = generate("random_connected", 18, seed=1)
+        sg = with_random_signature(generate("complete", 16), 2)
+        tree = generate("random_tree", 25, seed=3)
+        for call, message in (
+            (lambda: rho_profile(g), "exact rho_k on n = 18 vertices up to kmax = 18 is beyond"),
+            (lambda: rho_exact(g, 18), "exact rho_k on n = 18 vertices up to kmax = 18 is beyond"),
+            (lambda: rho_signed_profile(sg), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
+            (lambda: rho_signed_exact(sg, 16), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
+            (lambda: phi_table(tree), "exact rho_k on n = 25 vertices up to kmax = 1 is beyond"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def _suffix_masks(n: int) -> list[int]:

@@ -196,7 +196,7 @@ class TestCheeger:
         code, out, _ = run_cli(["cheeger", str(path), "--k", "1", "--signed"], capsys)
         data = json.loads(out)
         assert code == 0
-        assert abs(data["certificate"]["value"] - 1 / 3) < 1e-12
+        assert data["certificate"]["value"] == 1 / 3
 
     def test_sweep_option(self, gn3_file, capsys):
         code, out, _ = run_cli(
@@ -241,8 +241,8 @@ class TestCheeger:
         assert "eigenfunction index must be in [1, 4]" in err
 
     def test_sweep_index_checked_before_search(self, tmp_path, capsys, monkeypatch):
-        # n = 16 lies beyond the DP limits, where the search may run long
-        # (default budget 2e8 states): a bad J must not wait for it.
+        # k = 3 on n = 16 runs a pass over (3^16 - 1) / 2 pairs, and the
+        # signed split pass one per edge: a bad J must not wait for them.
         def no_search(*args):
             raise AssertionError("the search ran before the index check")
 
@@ -277,34 +277,47 @@ class TestCheeger:
             assert out == ""
             assert err == "error: nodal sweep is defined for unsigned graphs\n"
 
-    def test_budget_overflow_exit_3(self, tmp_path, capsys):
-        # n = 16 lies beyond both DP limits, so the budgeted search runs.
-        path = tmp_path / "g.json"
-        main(["gen", "--family", "random_connected", "--n", "16", "--seed", "5", "-o", str(path)])
-        for extra in ([], ["--signed"]):
-            code, out, _ = run_cli(["cheeger", str(path), "--k", "3", "--budget", "40"] + extra, capsys)
-            assert code == 3
-            data = json.loads(out)
-            assert data["budget_exceeded"] is True
-            assert data["certificate"]["exact"] is False
-
-    @pytest.mark.parametrize("n, signed", [(15, False), (14, True)])
-    def test_dp_range_ignores_budget(self, tmp_path, capsys, n, signed):
-        path = tmp_path / "g.json"
-        main(["gen", "--family", "random_connected", "--n", str(n), "--seed", "5", "-o", str(path)])
-        extra = ["--signed"] if signed else []
-        code, out, _ = run_cli(["cheeger", str(path), "--k", "2", "--budget", "1"] + extra, capsys)
+    def test_answers_beyond_the_old_dp_range(self, tmp_path, capsys):
+        # n = 16: at k = 2 the profile DP runs no pair pass.
+        g = cheegerlab.product(cheegerlab.generate("path", 4, mu="unit"), cheegerlab.generate("path", 4, mu="unit"))
+        path = tmp_path / "p4xp4.json"
+        path.write_text(json.dumps(cheegerlab.graph.to_json_dict(g)))
+        code, out, _ = run_cli(["cheeger", str(path), "--k", "2"], capsys)
         assert code == 0
         data = json.loads(out)
-        assert data["budget_exceeded"] is False
-        g = cheegerlab.load_graph(str(path))
-        profile = (cheegerlab.rho_signed_profile if signed else cheegerlab.rho_profile)(g, 2)
-        assert data["certificate"] == profile[1].to_json_dict()
+        assert data == {"certificate": cheegerlab.rho_exact(g, 2).to_json_dict(), "budget_exceeded": False}
+        assert data["certificate"]["exact"] is True
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_refused_request_exits_2_before_any_table(self, tmp_path, capsys, monkeypatch, signed):
+        def refuse(*args):
+            raise AssertionError("a subset table was built")
+
+        for name in ("_phi_array", "_signed_tables", "_cut_and_measure"):
+            monkeypatch.setattr(cheegerlab.cheeger, name, refuse)
+        g = cheegerlab.generate("random_connected", 18, seed=5)
+        if signed:
+            g = cheegerlab.with_random_signature(g, 5)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(cheegerlab.graph.to_json_dict(g)))
+        extra = ["--signed"] if signed else []
+        code, out, err = run_cli(["cheeger", str(path), "--k", "18"] + extra, capsys)
+        assert code == 2
+        assert out == ""
+        kind = "signed rho_k" if signed else "rho_k"
+        assert err.startswith(f"error: exact {kind} on n = 18 vertices up to kmax = 18 is beyond")
 
     def test_allow_overflow_flag_is_gone(self, gn3_file):
         with pytest.raises(SystemExit) as exc:
             main(["cheeger", gn3_file, "--k", "2", "--allow-overflow"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["cheeger", "--k", "2"], ["verify", "--checks", "main"]])
+    def test_budget_flag_is_gone(self, gn3_file, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], gn3_file, *command[1:], "--budget", "40"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 40" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -328,20 +341,6 @@ class TestVerify:
         assert data["summary"]["violations"] == 0
         assert all(rec["meta"].get("ell") == 0 for rec in data["records"])
 
-    def test_corpus_budget_rejects_allow_overflow(self, capsys):
-        corpus = json.dumps(
-            {
-                "families": ["random_connected"],
-                "sizes": [16],
-                "count": 1,
-                "budget": {"max_states": 20000, "allow_overflow": True},
-            }
-        )
-        code, out, err = run_cli(["verify", "--corpus", corpus, "--checks", "lower,basics"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "bad corpus config" in err and "allow_overflow" in err
-
     @pytest.mark.parametrize(
         "corpus, message",
         [
@@ -361,9 +360,7 @@ class TestVerify:
             ('{"signed": 1}', "'signed' must be true or false, got 1"),
             ('{"families": "random_tree"}', "'families' must be a nonempty list of family names, got 'random_tree'"),
             ('{"sizez": [4]}', "unknown key 'sizez'"),
-            ('{"budget": {"max_states": 2.5}}', "'budget': max_states must be an integer >= 1, got 2.5"),
-            ('{"budget": {"max_states": true}}', "'budget': max_states must be an integer >= 1, got True"),
-            ('{"budget": {"max_states": "x"}}', "'budget': max_states must be an integer >= 1, got 'x'"),
+            ('{"budget": {"max_states": 5}}', "unknown key 'budget'"),
         ],
     )
     @pytest.mark.parametrize("checks", ["main", "nodal"])
@@ -445,6 +442,30 @@ class TestVerify:
         data = json.loads(out)
         recs = [r for r in data["records"] if r["name"] == "product"]
         assert len(recs) == 1 and recs[0]["holds"]
+
+    def test_product_check_error_keeps_the_other_records(self, tmp_path, capsys):
+        # perturb refuses an eps that overflows the tree factor's degrees:
+        # the product check records it, and the basics records are kept.
+        p3 = tmp_path / "p3.json"
+        k2 = tmp_path / "k2.json"
+        main(["gen", "--family", "path", "--n", "3", "--mu", "unit", "-o", str(p3)])
+        k2.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.1}], "mu": [1, 1]}))
+        code, out, err = run_cli(
+            ["verify", str(p3), "--checks", "product,basics", "--with-graph", str(k2), "--eps", "1e308"],
+            capsys,
+        )
+        message = "eps = 1e+308 is too large: the perturbed degrees or potentials would overflow"
+        assert code == 1
+        data = json.loads(out)
+        assert data["errors"] == [["graph", f"product: {message}"]]
+        # basics skips its lambda-side records on unit measure.
+        assert err == (
+            "warning: 1 record(s) skipped on hypothesis grounds\n"
+            f"error [graph]: product: {message}\n"
+        )
+        code, basics, _ = run_cli(["verify", str(p3), "--checks", "basics", "--eps", "1e308"], capsys)
+        assert code == 0
+        assert data["records"] == json.loads(basics)["records"] != []
 
     def test_unknown_check_exit_2(self, gn3_file, capsys):
         code, _, err = run_cli(["verify", gn3_file, "--checks", "bogus"], capsys)
