@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .cheeger import (
     PartitionCertificate,
+    _dp_admits,
     rho_profile,
     rho_signed_profile,
     rho_upper_nodal_sweep,
@@ -166,26 +167,28 @@ def _spectrum(g: WeightedGraph) -> _Solved:
 
 
 @lru_cache(maxsize=2048)
-def _profile_dp(g: WeightedGraph):
-    return rho_profile(g)
+def _profile_dp(g: WeightedGraph) -> tuple[PartitionCertificate, ...] | None:
+    """The full exact profile of g, signed if g is, or None when the work
+    policy refuses it (the decision is cached with the profile)."""
+    signed = g.is_signed()
+    if not _dp_admits(g.n, g.m, g.n, signed):
+        return None
+    return rho_signed_profile(g) if signed else rho_profile(g)
 
 
-@lru_cache(maxsize=2048)
-def _signed_profile_dp(g: WeightedGraph):
-    return rho_signed_profile(g)
+def _rho_all(g: WeightedGraph, kmax: int) -> tuple[PartitionCertificate, ...]:
+    """Exact certificates for k = 1..kmax, signed if g is.
 
-
-def _rho_all(g: WeightedGraph, kmax: int, signed: bool) -> tuple[PartitionCertificate, ...]:
-    """Exact certificates for k = 1..kmax from one cached all-k profile,
-    which serves every check of the instance (rho_exact per k would run a
-    profile per k).
-
-    The profile is built up to k = n, so the exact engine's work policy is
-    asked for n; a graph beyond it raises ValueError before any table is
-    built, which the caller reports as a per-instance error.
+    Sliced from g's cached full profile, which serves every check of the
+    instance.  Where the work policy refuses the full profile, the engine
+    is asked for kmax alone (uncached); a request beyond the policy raises
+    ValueError before any table is built, which the caller reports as a
+    per-instance error.
     """
-    profile = _signed_profile_dp(g) if signed else _profile_dp(g)
-    return profile[:kmax]
+    profile = _profile_dp(g)
+    if profile is not None:
+        return profile[:kmax]
+    return rho_signed_profile(g, kmax) if g.is_signed() else rho_profile(g, kmax)
 
 
 def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
@@ -206,7 +209,7 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     kmax = g.n - ell
     if kmax < 1:
         return []
-    profile = _rho_all(g, kmax, signed)
+    profile = _rho_all(g, kmax)
     name = "main_signed" if signed else "main"
     records = []
     for k in range(ell + 1, g.n + 1):
@@ -279,7 +282,7 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
         raise HypothesisViolation("requires kappa >= 0")
     h, spectrum = _spectrum(g).perturbed(eps, seed)
     tau = degree_profile(h).tau
-    profile = _rho_all(h, h.n, signed=False)
+    profile = _rho_all(h, h.n)
     records = []
     for k in range(1, h.n + 1):
         f = spectrum.function(k)
@@ -320,7 +323,7 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
         raise HypothesisViolation("requires at least 3 vertices")
     eta = adjacency_eta(g)
     prof = degree_profile(g)
-    profile = _rho_all(g, g.n, signed=False)
+    profile = _rho_all(g, g.n)
     records = []
     for k in range(2, g.n + 1):
         lhs = (prof.tau_min - eta.eta) * (1.0 - 1.0 / k)
@@ -402,7 +405,7 @@ def check_product_theorem(
     lam = _clamp_eigenvalue(sp.values[index - 1])
     tau = degree_profile(gp).tau
     sum_err = abs(sp.values[index - 1] - (s1.values[k - 1] + lam2_max))
-    cert = _rho_all(gp, index, signed=False)[index - 1]
+    cert = _rho_all(gp, index)[index - 1]
     rhs = math.sqrt(2.0 * tau * lam)
     return CheckRecord.compare(
         "product",
@@ -430,7 +433,7 @@ def check_basics(g: WeightedGraph) -> list[CheckRecord]:
     The lambda-side records are emitted as skips when mu != d."""
     require_valid(g)
     signed = g.is_signed()
-    profile = _rho_all(g, g.n, signed)
+    profile = _rho_all(g, g.n)
     mono_name = "monotonic_signed" if signed else "monotonic"
     records = []
     for k in range(1, g.n):
@@ -578,7 +581,7 @@ def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:
     return out
 
 
-def _run_check(name: str, g: WeightedGraph, eps: float, seed: int):
+def _run_check(name: str, g: WeightedGraph, eps: float, seed: int, with_graph, product_k: int):
     if name == "main":
         return check_theorem_main(g)
     if name == "nodal":
@@ -589,17 +592,35 @@ def _run_check(name: str, g: WeightedGraph, eps: float, seed: int):
         return check_lower_bound(g)
     if name == "basics":
         return check_basics(g)
+    if name == "product":
+        if with_graph is None:
+            raise ValueError("the product check needs a second factor (with_graph)")
+        return [check_product_theorem(g, with_graph, product_k, eps, seed)]
     raise ValueError(f"unknown check {name!r}")
 
 
-def run_checks_on_graph(instance: str, g: WeightedGraph, checks, eps: float, seed: int):
+def run_checks_on_graph(
+    instance: str,
+    g: WeightedGraph,
+    checks,
+    eps: float,
+    seed: int,
+    with_graph: WeightedGraph | None = None,
+    product_k: int = 1,
+):
     """Run named checks on one graph; returns (rows, errors) in the order
-    of `checks`."""
+    of `checks`.
+
+    "product" checks g x with_graph at factor index product_k.  A check
+    whose hypotheses fail gives one skipped record; one that raises
+    NonGenericError, ValueError or RuntimeError gives the error
+    "<check>: <message>" and no records.
+    """
     rows = []
     errors = []
     for name in checks:
         try:
-            records = _run_check(name, g, eps, seed)
+            records = _run_check(name, g, eps, seed, with_graph, product_k)
         except HypothesisViolation as exc:
             records = [CheckRecord.skipped(name, str(exc))]
         except (NonGenericError, ValueError, RuntimeError) as exc:

@@ -11,7 +11,10 @@ are cached per n; larger ones are built chunk by chunk within one memory
 budget, once per pass that reads them, so the signed profile at n >= 11
 builds its pair table twice (for the split table, and again for the
 packing levels when kmax >= 3).  :func:`rho_exact` / :func:`rho_signed_exact`
-answer a single k from it and rebuild only certificate k.
+answer a single k from it and rebuild only certificate k.  One certificate
+builder serves both signs: it packs a score table (Phi, or the signed
+split table's least beta per union with the split that attains it) and
+orders each certificate's parts, or unions, by lowest vertex.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -37,6 +40,7 @@ ties among optimal tuples by the DP's scan order.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,7 +294,7 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=False)
-    return _profile(g, k, (k,))[0]
+    return _certificates(_phi_array(g), None, n, k, (k,))[0]
 
 
 def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
@@ -304,7 +308,7 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=True)
-    return _signed_profile(g, k, (k,))[0]
+    return _certificates(*_signed_tables(g), n, k, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +571,37 @@ def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) ->
     return parts
 
 
+def _certificates(
+    score: np.ndarray, split: np.ndarray | None, n: int, kmax: int, ks
+) -> tuple[PartitionCertificate, ...]:
+    """Certificates k in ks of the profile up to kmax (arguments already checked).
+
+    `score` is Phi's table, or the signed split table's betamin with
+    `split` its V1 masks (None unsigned).  The parts of each certificate
+    are ordered by lowest vertex, each union followed, if signed, by its
+    split (V1, V2).
+    """
+    dp_all = _profile_tables(score, n, kmax)
+    states = _dp_iterations(n, kmax)
+    full = (1 << n) - 1
+    certs = []
+    for k in ks:
+        masks = sorted(_reconstruct(dp_all, score, n, k), key=lambda m: m & -m)
+        if split is not None:
+            masks = [side for u in masks for side in (int(split[u]), u ^ int(split[u]))]
+        certs.append(
+            PartitionCertificate(
+                k=k,
+                value=float(dp_all[k][full]),
+                parts=_parts_from_masks(masks, n),
+                signed=split is not None,
+                exact=True,
+                states=states,
+            )
+        )
+    return tuple(certs)
+
+
 def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
     """Exact rho_k certificates for every k = 1..kmax in one subset DP.
 
@@ -588,35 +623,10 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
     _require_admitted(g, kmax, signed=False)
-    return _profile(g, kmax, range(1, kmax + 1))
+    return _certificates(_phi_array(g), None, n, kmax, range(1, kmax + 1))
 
 
-def _profile(g: WeightedGraph, kmax: int, ks) -> tuple[PartitionCertificate, ...]:
-    """Certificates k in ks of :func:`rho_profile` (arguments already checked)."""
-    n = g.n
-    phi = _phi_array(g)
-    dp_all = _profile_tables(phi, n, kmax)
-    states = _dp_iterations(n, kmax)
-    full = (1 << n) - 1
-    certs = []
-    for k in ks:
-        masks = _reconstruct(dp_all, phi, n, k)
-        parts = sorted(_parts_from_masks(masks, n))
-        certs.append(
-            PartitionCertificate(
-                k=k,
-                value=float(dp_all[k][full]),
-                parts=tuple(parts),
-                signed=False,
-                exact=True,
-                states=states,
-            )
-        )
-    return tuple(certs)
-
-
-@dataclass(frozen=True)
-class _SignedTables:
+class _SignedTables(NamedTuple):
     betamin: np.ndarray
     split: np.ndarray  # V1 bitmask realizing betamin per union mask
 
@@ -685,37 +695,7 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
     _require_admitted(g, kmax, signed=True)
-    return _signed_profile(g, kmax, range(1, kmax + 1))
-
-
-def _signed_profile(g: WeightedGraph, kmax: int, ks) -> tuple[PartitionCertificate, ...]:
-    """Certificates k in ks of :func:`rho_signed_profile` (arguments already checked)."""
-    n = g.n
-    tables = _signed_tables(g)
-    dp_all = _profile_tables(tables.betamin, n, kmax)
-    states = _dp_iterations(n, kmax)
-    full = (1 << n) - 1
-    certs = []
-    for k in ks:
-        unions = _reconstruct(dp_all, tables.betamin, n, k)
-        unions.sort(key=lambda m: m & -m)
-        parts = []
-        for um in unions:
-            m1 = int(tables.split[um])
-            m2 = um ^ m1
-            parts.append(tuple(v for v in range(n) if (m1 >> v) & 1))
-            parts.append(tuple(v for v in range(n) if (m2 >> v) & 1))
-        certs.append(
-            PartitionCertificate(
-                k=k,
-                value=float(dp_all[k][full]),
-                parts=tuple(parts),
-                signed=True,
-                exact=True,
-                states=states,
-            )
-        )
-    return tuple(certs)
+    return _certificates(*_signed_tables(g), n, kmax, range(1, kmax + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,8 @@ from json.encoder import encode_basestring_ascii
 
 from .bounds import (
     CHECK_NAMES,
-    CheckRecord,
     CorpusConfig,
-    HypothesisViolation,
-    NonGenericError,
     Report,
-    check_product_theorem,
     run_checks_on_graph,
     run_corpus,
 )
@@ -210,18 +206,12 @@ def cmd_verify(args) -> int:
         if args.graph is None:
             raise GraphFormatError("verify needs a graph file or --corpus")
         g = load_graph(args.graph)
-        plain = tuple(c for c in checks if c != "product")
-        rows, errors = run_checks_on_graph("graph", g, plain, args.eps, args.seed)
+        g2 = None
         if "product" in checks:
             if args.with_graph is None:
                 raise GraphFormatError("--checks product needs --with-graph FILE (and --product-k)")
             g2 = load_graph(args.with_graph)
-            try:
-                rows.append(("graph", check_product_theorem(g, g2, args.product_k, args.eps, args.seed)))
-            except HypothesisViolation as exc:
-                rows.append(("graph", CheckRecord.skipped("product", str(exc))))
-            except (NonGenericError, ValueError, RuntimeError) as exc:
-                errors.append(("graph", f"product: {exc}"))
+        rows, errors = run_checks_on_graph("graph", g, checks, args.eps, args.seed, g2, args.product_k)
         report = Report(rows=rows, errors=errors)
         report.sort()
     text = report.to_csv() if args.format == "csv" else _dumps(report.to_json_dict())

@@ -19,7 +19,8 @@ from cheegerlab import (
 )
 from cheegerlab import bounds, spectral
 from cheegerlab.bounds import CheckRecord, inequality_tol, run_checks_on_graph
-from cheegerlab.graph import classify, cyclomatic, is_complete
+from cheegerlab.cheeger import _dp_admits, conductance
+from cheegerlab.graph import classify, cyclomatic, is_complete, product
 from cheegerlab.perturb import perturb
 
 
@@ -194,6 +195,34 @@ class TestProductTheorem:
         with pytest.raises(HypothesisViolation, match="unit"):
             check_product_theorem(g1, g2, 1)
 
+    @staticmethod
+    def n20_pair():
+        # The product has 20 vertices: its full profile is beyond the work
+        # policy, rho_2 (the index k n2 = 2 at k = 1) is not.
+        return generate("random_tree", 10, 3, mu="unit"), WeightedGraph.build(2, [(0, 1, 0.01)], mu="unit")
+
+    def test_index_within_policy_beyond_the_full_profile(self):
+        g1, g2 = self.n20_pair()
+        gp = product(g1, g2)
+        assert not _dp_admits(gp.n, gp.m, gp.n, signed=False)
+        rec = check_product_theorem(g1, g2, 1)
+        assert rec.k == 2 and rec.holds
+        parts = rec.meta["certificate"]["parts"]
+        assert len(parts) == 2 and max(conductance(gp, p) for p in parts) == rec.lhs
+
+    def test_engine_asked_for_the_index_only(self, monkeypatch):
+        asked = []
+        real = bounds.rho_profile
+
+        def spy(g, kmax=None):
+            asked.append(kmax)
+            return real(g, kmax)
+
+        monkeypatch.setattr(bounds, "rho_profile", spy)
+        bounds._profile_dp.cache_clear()
+        check_product_theorem(*self.n20_pair(), 1)
+        assert asked == [2]
+
 
 class TestBasics:
     def test_c4_tight(self):
@@ -284,6 +313,16 @@ class TestRecordsAndReport:
         assert rows[0][1].holds is None
         assert "kappa" in rows[0][1].meta["skipped"]
 
+    def test_product_check_under_the_same_error_policy(self):
+        p3 = generate("path", 3, mu="unit")
+        k2 = WeightedGraph.build(2, [(0, 1, 0.1)], mu="unit")
+        rows, errors = run_checks_on_graph("g", p3, ("product",), 0.0, 1, generate("cycle", 3, mu="unit"))
+        assert not errors and rows[0][1].holds is None and "bipartite" in rows[0][1].meta["skipped"]
+        rows, errors = run_checks_on_graph("g", p3, ("product",), 0.0, 1)
+        assert rows == [] and errors == [("g", "product: the product check needs a second factor (with_graph)")]
+        rows, errors = run_checks_on_graph("g", p3, ("product",), 0.0, 1, k2, product_k=2)
+        assert not errors and [(rec.name, rec.k, rec.holds) for _, rec in rows] == [("product", 4, True)]
+
     def test_signed_corpus(self):
         cfg = CorpusConfig(
             families=("random_connected",),
@@ -339,7 +378,7 @@ class TestSolveCount:
 
     @staticmethod
     def clear_caches():
-        for cache in (bounds._spectrum, bounds._profile_dp, bounds._signed_profile_dp):
+        for cache in (bounds._spectrum, bounds._profile_dp):
             cache.cache_clear()
 
     @staticmethod

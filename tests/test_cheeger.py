@@ -234,10 +234,9 @@ class TestEngineChoice:
 
 
 class TestOracleEquivalence:
-    # The profile DP against naive enumeration, exactly.  The test names
-    # go back to the branch-and-bound search these graphs once also checked.
+    # The profile DP against naive enumeration, exactly.
     @pytest.mark.parametrize("seed", range(12))
-    def test_dfs_equals_naive_and_dp(self, seed):
+    def test_profile_equals_naive(self, seed):
         n = 4 + seed % 4
         g = generate("random_connected", n, seed=seed, p=0.4, w_low=0.5, w_high=2.0)
         profile = rho_profile(g)
@@ -245,7 +244,7 @@ class TestOracleEquivalence:
             assert profile[k - 1].value == naive_rho(g, k)
             assert rho_exact(g, k).value == profile[k - 1].value
 
-    def test_dp_matches_dfs_for_all_k(self):
+    def test_profile_equals_naive_for_all_k(self):
         g = generate("random_connected", 7, seed=40, p=0.35, w_low=0.5, w_high=2.0)
         profile = rho_profile(g)
         for k in range(1, 8):
@@ -330,7 +329,7 @@ class TestRhoSigned:
         assert rho_signed_exact(g, 1).value == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_dfs_equals_naive_and_dp(self, seed):
+    def test_signed_profile_equals_naive(self, seed):
         n = 4 + seed % 3
         g = with_random_signature(
             generate("random_connected", n, seed=seed, p=0.5, w_low=0.5, w_high=2.0),

@@ -443,6 +443,22 @@ class TestVerify:
         recs = [r for r in data["records"] if r["name"] == "product"]
         assert len(recs) == 1 and recs[0]["holds"]
 
+    def test_product_check_on_a_20_vertex_product(self, tmp_path, capsys):
+        # The product's full profile is beyond the work policy; the check
+        # reads rho_2 only, which is within it.
+        tree = tmp_path / "t.json"
+        k2 = tmp_path / "k2.json"
+        main(["gen", "--family", "random_tree", "--n", "10", "--seed", "3", "--mu", "unit", "-o", str(tree)])
+        k2.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.01}], "mu": [1, 1]}))
+        code, out, err = run_cli(
+            ["verify", str(tree), "--checks", "product", "--with-graph", str(k2), "--product-k", "1"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["errors"] == []
+        assert [(r["name"], r["k"], r["holds"]) for r in data["records"]] == [("product", 2, True)]
+
     def test_product_check_error_keeps_the_other_records(self, tmp_path, capsys):
         # perturb refuses an eps that overflows the tree factor's degrees:
         # the product check records it, and the basics records are kept.
