@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: analyze, cheeger, verify, perturb, gen.  Exit codes: 0 on
-success (verify: all records hold), 1 on a verification violation (or a
-check that could not run), 2 on input errors, including a `cheeger`
-request beyond the exact engine's work policy, refused before any work.
-All randomness is controlled by --seed, so repeated invocations emit
-identical bytes.
+Subcommands: analyze, cheeger, verify, perturb, gen.  Each writes its
+JSON as one compact line with sorted keys, json.dumps(obj, sort_keys=True),
+to stdout or to -o FILE (the same bytes, ending in a newline); analyze
+--format text and verify --format csv are the human-readable forms.  Exit
+codes: 0 on success (verify: all records hold), 1 on a verification
+violation (or a check that could not run), 2 on input errors, including a
+`cheeger` request beyond the exact engine's work policy, refused before
+any work.  All randomness is controlled by --seed, so repeated invocations
+emit identical bytes.
 """
 
 import argparse
@@ -13,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .bounds import (
     CHECK_NAMES,
@@ -35,71 +37,6 @@ from .graph import (
 from .perturb import genericity_frequency
 from .rng import DEFAULT_SEED
 from .spectral import adjacency_eta, laplacian_spectrum, with_functions
-
-
-def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == math.inf:
-        return "Infinity"
-    if o == -math.inf:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-_LEAVES = {
-    str: encode_basestring_ascii,
-    float: _float,
-    int: int.__repr__,
-    bool: lambda o: "true" if o else "false",
-    type(None): lambda o: "null",
-}
-
-
-def _encode(o, nl: str) -> str:
-    """A container, or an instance of a subclass of a leaf type; `nl` is
-    the newline plus the indent that `o` is nested at.  Leaf children are
-    dispatched here on their exact type, saving a call each."""
-    get = _LEAVES.get
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        items = []
-        for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            value = o[key]
-            leaf = get(type(value))
-            text = leaf(value) if leaf is not None else _encode(value, inner)
-            items.append(encode_basestring_ascii(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        items = [leaf(v) if (leaf := get(type(v))) is not None else _encode(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _dumps(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2).
-
-    With an indent the json module drops its C encoder for a pure-Python
-    one; joining strings directly writes the same text in about 60% of
-    its time.  Leaves are dispatched on their exact type, anything else
-    (containers, subclasses such as numpy.float64) through `_encode`.
-    Dict keys must be str.
-    """
-    leaf = _LEAVES.get(type(obj))
-    return leaf(obj) if leaf is not None else _encode(obj, "\n")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -150,7 +87,7 @@ def cmd_analyze(args) -> int:
             lines.append(f"eta: {eta['eta']:.10g}")
         _emit("\n".join(lines), args.output)
     else:
-        _emit(_dumps(out), args.output)
+        _emit(json.dumps(out, sort_keys=True), args.output)
     return 0
 
 
@@ -168,7 +105,7 @@ def cmd_cheeger(args) -> int:
     out = {"certificate": cert.to_json_dict(), "budget_exceeded": False}
     if f is not None:
         out["sweep"] = rho_upper_nodal_sweep(g, f).to_json_dict()
-    _emit(_dumps(out), args.output)
+    _emit(json.dumps(out, sort_keys=True), args.output)
     return 0
 
 
@@ -214,8 +151,10 @@ def cmd_verify(args) -> int:
         rows, errors = run_checks_on_graph("graph", g, checks, args.eps, args.seed, g2, args.product_k)
         report = Report(rows=rows, errors=errors)
         report.sort()
-    text = report.to_csv() if args.format == "csv" else _dumps(report.to_json_dict())
-    _emit(text, args.output)
+    if args.format == "csv":
+        _emit(report.to_csv(), args.output)
+    else:
+        _emit(json.dumps(report.to_json_dict(), sort_keys=True), args.output)
     summary = report.summary()
     if summary["skipped"]:
         print(f"warning: {summary['skipped']} record(s) skipped on hypothesis grounds", file=sys.stderr)
@@ -230,7 +169,7 @@ def cmd_perturb(args) -> int:
     _require_eps(args.eps)
     g = load_graph(args.graph)
     rep = genericity_frequency(g, args.eps, args.trials, args.seed)
-    _emit(_dumps(rep.to_json_dict()), args.output)
+    _emit(json.dumps(rep.to_json_dict(), sort_keys=True), args.output)
     return 0
 
 
@@ -245,7 +184,7 @@ def cmd_gen(args) -> int:
         w_high=args.w_high,
         mu=args.mu,
     )
-    _emit(_dumps(to_json_dict(g)), args.output)
+    _emit(json.dumps(to_json_dict(g), sort_keys=True), args.output)
     return 0
 
 

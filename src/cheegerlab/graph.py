@@ -548,19 +548,42 @@ def _checked(g: WeightedGraph) -> WeightedGraph:
     return g
 
 
+def _check_json(values: list, field: str, integer: bool) -> None:
+    """Raise ValueError naming the first of `values` that is not a JSON
+    integer (an integral float such as 4.0 is one) or, with `integer`
+    False, a JSON number; a bool or a string is neither.  `field` is
+    formatted with the value's index."""
+    if set(map(type, values)) <= ({int} if integer else {int, float}):
+        return
+    for i, x in enumerate(values):
+        if type(x) is not int and (type(x) is not float or integer and not x.is_integer()):
+            kind = "an integer" if integer else "a number"
+            raise ValueError(f"{field.format(i)} {json.dumps(x)} is not {kind}")
+
+
 def from_json_dict(data: dict) -> WeightedGraph:
     """Graph from its JSON form; raises GraphFormatError if the data is
     malformed or the graph fails :func:`validate`."""
     try:
-        n = int(data["n"])
+        n = data["n"]
+        _check_json([n], "n", True)
         raw = data["edges"]
-        edges = []
-        for item in raw:
-            edges.append(
-                (item["u"], item["v"], item["w"], item.get("sigma", 1))
-            )
+        us, vs, ws = [e["u"] for e in raw], [e["v"] for e in raw], [e["w"] for e in raw]
+        sigmas = [e.get("sigma", 1) for e in raw]
+        _check_json(us, "edge {} vertex id", True)
+        _check_json(vs, "edge {} vertex id", True)
+        _check_json(ws, "edge {} weight w", False)
+        _check_json(sigmas, "edge {} sigma", True)
+        edges = list(zip(us, vs, ws, sigmas))
         mu = data.get("mu", "degree")
+        if not isinstance(mu, str):
+            _check_json(mu, "mu entry {}", False)
         kappa = data.get("kappa", 0.0)
+        if isinstance(kappa, list):
+            _check_json(kappa, "kappa entry {}", False)
+        else:
+            _check_json([kappa], "kappa", False)
+        n = int(n)
         _check_size(n, edges)
         g = WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
     except (KeyError, TypeError, IndexError, ValueError) as exc:

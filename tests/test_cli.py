@@ -1,16 +1,14 @@
 import json
-import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import cheegerlab
-from cheegerlab.cli import _dumps, build_parser, main
+from cheegerlab.bounds import CHECK_NAMES
+from cheegerlab.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -138,6 +136,15 @@ class TestAnalyze:
             ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": Infinity}], "mu": [1, 1]}', "weight"),
             ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "mu": [1, Infinity]}', "measure"),
             ('{"n": 2, "edges": [{"u": 0.7, "v": 1, "w": 1}]}', "vertex id"),
+            ('{"n": 2.5, "edges": [{"u": 0, "v": 1, "w": 1}]}', "n 2.5 is not an integer"),
+            ('{"n": true, "edges": [{"u": 0, "v": 1, "w": 1}]}', "n true is not an integer"),
+            ('{"n": "2", "edges": [{"u": 0, "v": 1, "w": 1}]}', 'n "2" is not an integer'),
+            ('{"n": 2, "edges": [{"u": "0", "v": 1, "w": 1}]}', "edge 0 vertex id"),
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1, "sigma": true}]}', "edge 0 sigma true"),
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": "2.5"}]}', 'edge 0 weight w "2.5"'),
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "mu": [1, true]}', "mu entry 1 true"),
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "kappa": ["0", 0]}', 'kappa entry 0 "0"'),
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "kappa": true}', "kappa true is not a number"),
             ("n 2 mu degree kappa nan 0\n0 1 1\n", "kappa"),
         ],
     )
@@ -213,12 +220,13 @@ class TestCheeger:
         g = cheegerlab.load_graph(str(path))
         bare = cheegerlab.laplacian_spectrum(g, functions=False)
         f = cheegerlab.spectral.with_functions(g, bare).function(j)
-        expected = _dumps(
+        expected = json.dumps(
             {
                 "certificate": cheegerlab.rho_exact(g, 2).to_json_dict(),
                 "budget_exceeded": False,
                 "sweep": cheegerlab.rho_upper_nodal_sweep(g, f).to_json_dict(),
-            }
+            },
+            sort_keys=True,
         ) + "\n"
 
         def no_jacobi(*args, **kwargs):
@@ -610,38 +618,37 @@ class TestOutput:
         assert path.read_bytes() == out.encode()
 
 
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.floats().map(np.float64),
-    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
-    st.text(),
-    st.sampled_from(["\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/', ""]),
-)
-_JSON = st.recursive(
-    _JSON_LEAVES,
-    lambda kids: st.one_of(
-        st.lists(kids),
-        st.lists(kids).map(tuple),
-        st.dictionaries(st.text(), kids),
-    ),
-    max_leaves=40,
-)
-
-
 class TestDumps:
-    """The report writer against json.dumps(x, sort_keys=True, indent=2)."""
+    """Every subcommand writes its JSON as json.dumps(obj, sort_keys=True):
+    one compact line with sorted keys, then a newline."""
 
-    @given(_JSON)
-    @example({"a": [], "b": {}, "c": [[], {}, ()], "": {"x": [{}]}})
-    @example([np.float64(-0.0), np.float64(math.nan), True, False, None, 0])
-    @settings(max_examples=200, deadline=None)
-    def test_matches_json(self, x):
-        assert _dumps(x) == json.dumps(x, sort_keys=True, indent=2)
+    @pytest.mark.parametrize(
+        "args, marker",
+        [
+            (["analyze", "GRAPH"], '"tau": '),
+            (["cheeger", "GRAPH", "--k", "2", "--sweep-from-eig", "2"], '"sweep": '),
+            (["verify", "GRAPH", "--checks", ",".join(CHECK_NAMES)], '"holds": true'),
+            # A record skipped on hypothesis grounds has NaN sides.
+            (["verify", "NEG_KAPPA", "--checks", "main"], '"lhs": NaN'),
+            (["perturb", "GRAPH", "--trials", "3"], '"fraction_simple": '),
+            (["gen", "--family", "cycle", "--n", "4"], '"sigma": 1'),
+        ],
+    )
+    def test_one_compact_sorted_line(self, args, marker, gn3_file, tmp_path, capsys):
+        neg = tmp_path / "neg.json"
+        neg.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "kappa": [-1, 0]}))
+        args = [{"GRAPH": gn3_file, "NEG_KAPPA": str(neg)}.get(a, a) for a in args]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert marker in out
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        path = tmp_path / "out.json"
+        assert main(args + ["-o", str(path)]) == 0
+        assert path.read_bytes() == out.encode()
 
-    @pytest.mark.parametrize("bad", [object(), np.int64(3), {1: "int key"}])
-    def test_rejects_what_reports_never_hold(self, bad):
+    @pytest.mark.parametrize("bad", [object(), np.int64(3)])
+    def test_rejects_what_reports_never_hold(self, bad, monkeypatch, capsys):
+        monkeypatch.setattr(cheegerlab.cli, "to_json_dict", lambda g: {"n": bad})
         with pytest.raises(TypeError):
-            _dumps(bad)
+            main(["gen", "--family", "cycle", "--n", "4"])
+        assert capsys.readouterr().out == ""

@@ -109,6 +109,40 @@ class TestInputBoundary:
 
     def test_integral_float_vertex_id(self):
         assert WeightedGraph.build(2, [(0.0, 1.0, 1)]) == WeightedGraph.build(2, [(0, 1, 1)])
+        data = {"n": 2.0, "edges": [{"u": 0.0, "v": 1, "w": 1, "sigma": -1.0}], "mu": [1, 1], "kappa": 0}
+        assert from_json_dict(data) == WeightedGraph.build(2, [(0, 1, 1.0, -1)], mu=[1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"n": 3.7}, "n 3.7 is not an integer"),
+            ({"n": True}, "n true is not an integer"),
+            ({"n": "3"}, 'n "3" is not an integer'),
+            ({"edges": [{"u": True, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": 1}]},
+             "edge 0 vertex id true is not an integer"),
+            ({"edges": [{"u": 0, "v": 1, "w": 1}, {"u": 1, "v": "0", "w": 1}]},
+             'edge 1 vertex id "0" is not an integer'),
+            ({"edges": [{"u": 0, "v": 1, "w": 1, "sigma": True}, {"u": 1, "v": 2, "w": 1}]},
+             "edge 0 sigma true is not an integer"),
+            ({"edges": [{"u": 0, "v": 1, "w": 1, "sigma": "0"}, {"u": 1, "v": 2, "w": 1}]},
+             'edge 0 sigma "0" is not an integer'),
+            ({"edges": [{"u": 0, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": "2.5"}]},
+             'edge 1 weight w "2.5" is not a number'),
+            ({"edges": [{"u": 0, "v": 1, "w": True}, {"u": 1, "v": 2, "w": 1}]},
+             "edge 0 weight w true is not a number"),
+            ({"mu": [1, "2.5", 1]}, 'mu entry 1 "2.5" is not a number'),
+            ({"mu": [1, 1, True]}, "mu entry 2 true is not a number"),
+            ({"kappa": [0, "2.5", 0]}, 'kappa entry 1 "2.5" is not a number'),
+            ({"kappa": [True, 0, 0]}, "kappa entry 0 true is not a number"),
+            ({"kappa": True}, "kappa true is not a number"),
+            ({"kappa": "0"}, 'kappa "0" is not a number'),
+        ],
+    )
+    def test_json_types_are_not_coerced(self, patch, message):
+        data = {"n": 3, "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": 1}], **patch}
+        with pytest.raises(GraphFormatError) as err:
+            from_json_dict(data)
+        assert str(err.value) == f"malformed graph JSON: {message}"
 
     def test_vertex_count_bounded_by_edges(self):
         with pytest.raises(GraphFormatError, match="twice the edge count"):
