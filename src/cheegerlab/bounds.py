@@ -657,9 +657,6 @@ class Report:
         s = self.summary()
         return s["violations"] == 0 and s["errors"] == 0
 
-    def violations(self) -> list[tuple[str, CheckRecord]]:
-        return [(i, r) for i, r in self.rows if r.holds is False]
-
     def to_json_dict(self) -> dict:
         return {
             "summary": self.summary(),

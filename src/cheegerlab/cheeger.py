@@ -35,11 +35,16 @@ in the same order, as the canonical per-set evaluation of
 scores with min/max only, every value it returns agrees to the last bit
 with a naive enumeration that scores the same way.  DP certificates break
 ties among optimal tuples by the DP's scan order.
+
+The per-set evaluation is one private evaluator per score, on Python bool
+lists, behind `conductance`, `beta_signed`, every certificate's
+`recompute` and every level set of :func:`rho_upper_nodal_sweep`.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -142,28 +147,20 @@ class PartitionCertificate:
 
 # ---------------------------------------------------------------------------
 # canonical per-set evaluation
+#
+# Each evaluator sums the edge terms in stored-edge order and the measure in
+# ascending vertex order: the order that the subset tables and the naive
+# enumeration oracle share, so their values agree to the last bit.
 
 def conductance(g: WeightedGraph, subset) -> float:
     """Phi(A): cut weight leaving A divided by mu(A).  A must be nonempty."""
     require_valid(g)
     if g.is_signed():
         raise ValueError("conductance is defined for unsigned graphs")
-    member = np.zeros(g.n, dtype=bool)
-    for v in subset:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        member[v] = True
-    if not member.any():
+    member = _members(g, subset)
+    if not any(member):
         raise ValueError("conductance of the empty set is undefined")
-    cut = 0.0
-    for e in g.edges:
-        if member[e.u] != member[e.v]:
-            cut += e.w
-    mu_sum = 0.0
-    for v in range(g.n):
-        if member[v]:
-            mu_sum += g.mu[v]
-    return cut / mu_sum
+    return _phi_eval(g, member)
 
 
 def beta_signed(g: WeightedGraph, v1, v2) -> float:
@@ -175,26 +172,38 @@ def beta_signed(g: WeightedGraph, v1, v2) -> float:
     nonempty union; either one may be empty.
     """
     require_valid(g)
-    in1 = np.zeros(g.n, dtype=bool)
-    in2 = np.zeros(g.n, dtype=bool)
-    for v in v1:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        in1[v] = True
-    for v in v2:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        if in1[v]:
-            raise ValueError("V1 and V2 must be disjoint")
-        in2[v] = True
-    if not (in1.any() or in2.any()):
+    in1 = _members(g, v1)
+    in2 = _members(g, v2)
+    if any(a and b for a, b in zip(in1, in2)):
+        raise ValueError("V1 and V2 must be disjoint")
+    if not (any(in1) or any(in2)):
         raise ValueError("V1 and V2 cannot both be empty")
     return _beta_eval(g, in1, in2)
 
 
-def _beta_eval(g: WeightedGraph, in1: np.ndarray, in2: np.ndarray) -> float:
-    # Accumulation order (edges as stored, then vertices ascending) is the
-    # canonical one shared with the naive enumeration oracle.
+def _members(g: WeightedGraph, subset) -> list[bool]:
+    """Membership list of a vertex set; ValueError on an id out of range."""
+    n = g.n
+    member = [False] * n
+    for v in subset:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+        member[v] = True
+    return member
+
+
+def _phi_eval(g: WeightedGraph, member: list[bool]) -> float:
+    cut = 0.0
+    for u, v, w, _ in g.edges:
+        if member[u] != member[v]:
+            cut += w
+    mu_sum = 0.0
+    for m in compress(g.mu, member):
+        mu_sum += m
+    return cut / mu_sum
+
+
+def _beta_eval(g: WeightedGraph, in1: list[bool], in2: list[bool]) -> float:
     ep = 0.0
     em = 0.0
     bnd = 0.0
@@ -212,17 +221,6 @@ def _beta_eval(g: WeightedGraph, in1: np.ndarray, in2: np.ndarray) -> float:
         if in1[v] or in2[v]:
             mu_sum += g.mu[v]
     return (2.0 * ep + em + bnd) / mu_sum
-
-
-def phi_table(g: WeightedGraph) -> list[float]:
-    """Phi for every nonempty vertex subset, indexed by bitmask.
-
-    Entry 0 is +inf.  Accumulates each edge in canonical order, matching
-    :func:`conductance` bit for bit.  Subject to the work policy at k = 1.
-    """
-    require_valid(g)
-    _require_admitted(g, 1, signed=False)
-    return _phi_array(g).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -732,28 +730,14 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
     if m == 0:
         raise ValueError("function is identically zero (after zero rounding)")
     absf = [abs(x) for x in np.asarray(f, dtype=float).tolist()]
-    mu = g.mu
     parts = []
     part_values = []
     for domain in decomposition.domains():
         best_phi = math.inf
         best_set: tuple[int, ...] = ()
         for t in sorted({absf[x] for x in domain}):
-            # Phi of the level set, summed in conductance()'s order (cut in
-            # stored-edge order, measure in ascending vertex order), so the
-            # value is bit-identical to conductance(g, level).
             level = [x for x in domain if absf[x] >= t]
-            member = [False] * g.n
-            for x in level:
-                member[x] = True
-            cut = 0.0
-            for u, v, w, _ in g.edges:
-                if member[u] != member[v]:
-                    cut += w
-            mu_sum = 0.0
-            for x in level:
-                mu_sum += mu[x]
-            val = cut / mu_sum
+            val = _phi_eval(g, _members(g, level))
             if val < best_phi:
                 best_phi = val
                 best_set = tuple(level)

@@ -132,12 +132,8 @@ def cmd_verify(args) -> int:
                 corpus_text = fh.read()
         data = json.loads(corpus_text)
         if isinstance(data, dict):  # from_json_dict refuses anything else
-            data = {
-                "seed": args.seed,
-                "eps": args.eps,
-                **data,
-                "checks": list(checks),
-            }
+            # The corpus JSON's own keys win over the flags.
+            data = {"seed": args.seed, "eps": args.eps, "checks": list(checks), **data}
         report = run_corpus(CorpusConfig.from_json_dict(data))
     else:
         if args.graph is None:

@@ -3,7 +3,9 @@
 Vertices are the contiguous integers 0..n-1.  A graph carries a positive
 edge weight and a +/-1 sign per edge, a positive vertex measure `mu`, and a
 real vertex potential `kappa`.  All types are immutable; every operation is
-a pure function of its arguments.
+a pure function of its arguments.  One union-find component labelling,
+`_component_labels`, serves `classify`, the generators and the nodal
+decompositions.
 """
 
 import heapq
@@ -154,22 +156,37 @@ class DegreeProfile:
     tau_min: float
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+UNLABELED = -1  # the label of a vertex a labelling leaves out
 
-    def find(self, x: int) -> int:
+
+def _component_labels(n: int, keep, edges) -> tuple[tuple[int, ...], int]:
+    """Union-find components of the vertices v with keep[v] under the (u, v)
+    pairs of `edges`: a label per vertex (UNLABELED where not kept), numbered
+    in order of each component's smallest vertex, and their count."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    first: dict[int, int] = {}
+    labels = [UNLABELED] * n
+    for v in range(n):
+        if not keep[v]:
+            continue
+        root = find(v)
+        if root not in first:
+            first[root] = len(first)
+        labels[v] = first[root]
+    return tuple(labels), len(first)
 
 
 def validate(g: WeightedGraph) -> list[str]:
@@ -240,17 +257,7 @@ def degree_profile(g: WeightedGraph) -> DegreeProfile:
 
 def classify(g: WeightedGraph) -> GraphClassification:
     """Connected components (union-find) plus tree and bipartite flags."""
-    uf = _UnionFind(g.n)
-    for e in g.edges:
-        uf.union(e.u, e.v)
-    roots = [uf.find(i) for i in range(g.n)]
-    order: dict[int, int] = {}
-    labels = []
-    for r in roots:
-        if r not in order:
-            order[r] = len(order)
-        labels.append(order[r])
-    c = len(order)
+    labels, c = _component_labels(g.n, [True] * g.n, ((u, v) for u, v, _, _ in g.edges))
     connected = c == 1
     is_tree = connected and g.m == g.n - 1
 
@@ -273,7 +280,7 @@ def classify(g: WeightedGraph) -> GraphClassification:
                     bipartite = False
                     break
     return GraphClassification(
-        component_labels=tuple(labels),
+        component_labels=labels,
         component_count=c,
         is_connected=connected,
         is_tree=is_tree,
@@ -358,13 +365,12 @@ def _tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
 
 
 def _components_of(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    uf = _UnionFind(n)
-    for u, v in edges:
-        uf.union(u, v)
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(uf.find(i), []).append(i)
-    return [comps[r] for r in sorted(comps)]
+    """The vertex lists of the components, in order of smallest vertex."""
+    labels, count = _component_labels(n, [True] * n, edges)
+    comps: list[list[int]] = [[] for _ in range(count)]
+    for v, lab in enumerate(labels):
+        comps[lab].append(v)
+    return comps
 
 
 def generate(
@@ -561,6 +567,16 @@ def _check_json(values: list, field: str, integer: bool) -> None:
             raise ValueError(f"{field.format(i)} {json.dumps(x)} is not {kind}")
 
 
+def _edge_column(raw: list, key: str) -> list:
+    """Field `key` of every edge object; ValueError naming the first edge
+    without it."""
+    try:
+        return [e[key] for e in raw]
+    except KeyError:
+        i = next(i for i, e in enumerate(raw) if key not in e)
+        raise ValueError(f'edge {i} has no "{key}"') from None
+
+
 def from_json_dict(data: dict) -> WeightedGraph:
     """Graph from its JSON form; raises GraphFormatError if the data is
     malformed or the graph fails :func:`validate`."""
@@ -568,7 +584,12 @@ def from_json_dict(data: dict) -> WeightedGraph:
         n = data["n"]
         _check_json([n], "n", True)
         raw = data["edges"]
-        us, vs, ws = [e["u"] for e in raw], [e["v"] for e in raw], [e["w"] for e in raw]
+        if type(raw) is not list:
+            raise ValueError("edges must be a list of edge objects")
+        if not set(map(type, raw)) <= {dict}:
+            i = next(i for i, e in enumerate(raw) if type(e) is not dict)
+            raise ValueError(f"edge {i} must be an object with u, v and w")
+        us, vs, ws = (_edge_column(raw, key) for key in ("u", "v", "w"))
         sigmas = [e.get("sigma", 1) for e in raw]
         _check_json(us, "edge {} vertex id", True)
         _check_json(vs, "edge {} vertex id", True)
@@ -576,8 +597,10 @@ def from_json_dict(data: dict) -> WeightedGraph:
         _check_json(sigmas, "edge {} sigma", True)
         edges = list(zip(us, vs, ws, sigmas))
         mu = data.get("mu", "degree")
-        if not isinstance(mu, str):
+        if type(mu) is list:
             _check_json(mu, "mu entry {}", False)
+        elif type(mu) is not str:
+            raise ValueError("mu must be a string or a list")
         kappa = data.get("kappa", 0.0)
         if isinstance(kappa, list):
             _check_json(kappa, "kappa entry {}", False)

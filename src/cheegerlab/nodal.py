@@ -1,13 +1,16 @@
-"""Strong and weak nodal-domain decompositions of vertex functions."""
+"""Strong and weak nodal-domain decompositions of vertex functions.
+
+Both label the components of a sign-restricted subgraph with
+graph._component_labels, the package's one component labelling (the name
+stays importable from here).
+"""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, _UnionFind
-
-UNLABELED = -1
+from .graph import UNLABELED, WeightedGraph, _component_labels
 
 
 @dataclass(frozen=True)
@@ -55,22 +58,6 @@ def _rounded_signs(f, zero_tol: float | None) -> list[int]:
     if zero_tol < 0:
         raise ValueError("zero_tol must be >= 0")
     return [0 if abs(x) <= zero_tol else 1 if x > 0 else -1 for x in values]
-
-
-def _component_labels(n: int, keep, edges) -> tuple[tuple[int, ...], int]:
-    uf = _UnionFind(n)
-    for u, v in edges:
-        uf.union(u, v)
-    first: dict[int, int] = {}
-    labels = [UNLABELED] * n
-    for v in range(n):
-        if not keep[v]:
-            continue
-        root = uf.find(v)
-        if root not in first:
-            first[root] = len(first)
-        labels[v] = first[root]
-    return tuple(labels), len(first)
 
 
 def strong_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> NodalDecomposition:

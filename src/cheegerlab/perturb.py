@@ -4,7 +4,7 @@ A small multiplicative kick on edge weights plus a nonnegative additive
 kick on potentials makes the spectrum simple and the eigenfunctions
 zero-free with probability one; these helpers realize that perturbation
 deterministically and measure how often the generic properties hold at
-fixed tolerances.
+one tolerance, GENERICITY_TOL.
 """
 
 import math
@@ -15,6 +15,10 @@ import numpy as np
 from .graph import Edge, WeightedGraph, require_valid
 from .rng import SplitMix64, derive_seed
 from .spectral import Spectrum, laplacian_spectrum
+
+# Tolerance of every genericity verdict: a consecutive eigenvalue gap, or an
+# eigenfunction entry, at most this large counts as a multiplicity, or a zero.
+GENERICITY_TOL = 1e-10
 
 
 def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
@@ -49,7 +53,7 @@ def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """Simplicity and zero-freeness of one spectrum at fixed tolerances."""
+    """Simplicity and zero-freeness of one spectrum at GENERICITY_TOL."""
 
     simple: bool
     min_gap: float
@@ -59,14 +63,14 @@ class GenericityReport:
     zero_tol: float
 
     @staticmethod
-    def of(spectrum: Spectrum, gap_tol: float = 1e-10, zero_tol: float = 1e-10) -> "GenericityReport":
+    def of(spectrum: Spectrum) -> "GenericityReport":
         """Smallest eigenvalue gap and smallest eigenfunction entry of a spectrum.
 
         Takes a spectrum already computed (for example a cached one), so
         the genericity verdict costs no second eigensolve.  Eigenfunctions
         are the mu-normalized ones of :class:`Spectrum`.  `simple` holds
-        when every consecutive gap exceeds gap_tol; `zero_free` when every
-        entry of every eigenfunction exceeds zero_tol in magnitude.  A
+        when every consecutive gap exceeds GENERICITY_TOL; `zero_free` when
+        every entry of every eigenfunction exceeds it in magnitude.  A
         spectrum solved without eigenfunctions raises ValueError.
         """
         if spectrum.functions is None:
@@ -75,12 +79,12 @@ class GenericityReport:
         min_gap = float(np.min(np.diff(values))) if len(values) >= 2 else float("inf")
         min_abs = float(np.min(np.abs(np.asarray(spectrum.functions))))
         return GenericityReport(
-            simple=min_gap > gap_tol,
+            simple=min_gap > GENERICITY_TOL,
             min_gap=min_gap,
-            zero_free=min_abs > zero_tol,
+            zero_free=min_abs > GENERICITY_TOL,
             min_abs_entry=min_abs,
-            gap_tol=gap_tol,
-            zero_tol=zero_tol,
+            gap_tol=GENERICITY_TOL,
+            zero_tol=GENERICITY_TOL,
         )
 
     def to_json_dict(self) -> dict:
@@ -94,16 +98,14 @@ class GenericityReport:
         }
 
 
-def genericity_report(
-    g: WeightedGraph, gap_tol: float = 1e-10, zero_tol: float = 1e-10
-) -> GenericityReport:
+def genericity_report(g: WeightedGraph) -> GenericityReport:
     """Solve the spectrum of g (one LAPACK `eigh` call for values and
     functions) and report on it with :meth:`GenericityReport.of`.
 
     Callers that already hold the spectrum of g call
     ``GenericityReport.of`` directly instead of solving it again.
     """
-    return GenericityReport.of(laplacian_spectrum(g), gap_tol, zero_tol)
+    return GenericityReport.of(laplacian_spectrum(g))
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,7 @@ class FrequencyReport:
         }
 
 
-def genericity_frequency(
-    g: WeightedGraph,
-    eps: float,
-    trials: int,
-    seed: int,
-    gap_tol: float = 1e-10,
-    zero_tol: float = 1e-10,
-) -> FrequencyReport:
+def genericity_frequency(g: WeightedGraph, eps: float, trials: int, seed: int) -> FrequencyReport:
     """Fraction of seeded perturbations that are simple / zero-free.
 
     Trial t uses the derived seed (seed, t), so serial and parallel runs of
@@ -153,7 +148,7 @@ def genericity_frequency(
     worst_gap = float("inf")
     worst_entry = float("inf")
     for t in range(trials):
-        rep = genericity_report(perturb(g, eps, derive_seed(seed, t)), gap_tol, zero_tol)
+        rep = genericity_report(perturb(g, eps, derive_seed(seed, t)))
         n_simple += rep.simple
         n_zero_free += rep.zero_free
         worst_gap = min(worst_gap, rep.min_gap)
@@ -166,6 +161,6 @@ def genericity_frequency(
         trials=trials,
         eps=eps,
         seed=seed,
-        gap_tol=gap_tol,
-        zero_tol=zero_tol,
+        gap_tol=GENERICITY_TOL,
+        zero_tol=GENERICITY_TOL,
     )

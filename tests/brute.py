@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
-from cheegerlab.cheeger import PartitionCertificate, SweepResult, beta_signed, conductance, phi_table
+from cheegerlab.cheeger import PartitionCertificate, SweepResult, _phi_array, beta_signed, conductance
 from cheegerlab.graph import require_valid
 from cheegerlab.nodal import NodalDecomposition, _component_labels
 
@@ -26,10 +26,10 @@ def naive_rho(g: WeightedGraph, k: int, chunk: int = 1 << 18) -> float:
     """min over all label assignments V -> {0..k} of max_i Phi(A_i).
 
     Assignments with an empty part score +inf (their part mask is 0 and
-    phi_table[0] = inf), so they drop out of the minimum automatically.
+    _phi_array(g)[0] = inf), so they drop out of the minimum automatically.
     """
     n = g.n
-    phi = np.asarray(phi_table(g))
+    phi = _phi_array(g)
     base = k + 1
     total = base**n
     powers = base ** np.arange(n, dtype=np.int64)

@@ -33,7 +33,6 @@ from cheegerlab.cheeger import (
     _reconstruct,
     _segment,
     _signed_tables,
-    phi_table,
 )
 from brute import (
     beta_split_tables,
@@ -84,7 +83,7 @@ class TestSubsetTables:
         lo, hi = (1.0, 1.0) if unit_weights else (0.5, 2.0)
         for seed, p in ((n, 0.3), (n + 100, 0.9)):
             g = generate("random_connected", n, seed, p=p, w_low=lo, w_high=hi)
-            phi = phi_table(g)
+            phi = _phi_array(g).tolist()
             assert phi[0] == math.inf
             for mask in range(1, 1 << n):
                 members = [v for v in range(n) if (mask >> v) & 1]
@@ -453,8 +452,7 @@ class TestProfileEngine:
     def test_size_limits(self, monkeypatch):
         # Beyond the work policy, refused before any subset table is built:
         # the full unsigned profile at n = 18, the signed one on K16 (its
-        # split pass alone is 120 passes over (3^16 - 1) / 2 pairs), and Phi
-        # at n = 25 (2^25 entries a table).
+        # split pass alone is 120 passes over (3^16 - 1) / 2 pairs).
         def refuse(*args):
             raise AssertionError("a subset table was built")
 
@@ -462,13 +460,11 @@ class TestProfileEngine:
             monkeypatch.setattr(cheeger, name, refuse)
         g = generate("random_connected", 18, seed=1)
         sg = with_random_signature(generate("complete", 16), 2)
-        tree = generate("random_tree", 25, seed=3)
         for call, message in (
             (lambda: rho_profile(g), "exact rho_k on n = 18 vertices up to kmax = 18 is beyond"),
             (lambda: rho_exact(g, 18), "exact rho_k on n = 18 vertices up to kmax = 18 is beyond"),
             (lambda: rho_signed_profile(sg), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
             (lambda: rho_signed_exact(sg, 16), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
-            (lambda: phi_table(tree), "exact rho_k on n = 25 vertices up to kmax = 1 is beyond"),
         ):
             with pytest.raises(ValueError, match=message):
                 call()

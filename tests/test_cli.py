@@ -349,6 +349,21 @@ class TestVerify:
         assert data["summary"]["violations"] == 0
         assert all(rec["meta"].get("ell") == 0 for rec in data["records"])
 
+    def test_corpus_json_checks_win_over_the_flag(self, capsys):
+        # Like seed and eps, a "checks" key of the corpus JSON wins over
+        # --checks (default main,basics).
+        config = {"families": ["path"], "sizes": [5]}
+        code, expected, _ = run_cli(["verify", "--corpus", json.dumps(config), "--checks", "lower"], capsys)
+        assert code == 0
+        assert {rec["name"] for rec in json.loads(expected)["records"]} == {"lower_eta", "lower_gap"}
+        corpus = json.dumps({**config, "checks": ["lower"]})
+        for flags in ([], ["--checks", "main,basics"]):
+            code, out, _ = run_cli(["verify", "--corpus", corpus, *flags], capsys)
+            assert code == 0 and out == expected
+        product = json.dumps({**config, "checks": ["product"]})
+        code, out, err = run_cli(["verify", "--corpus", product], capsys)
+        assert code == 2 and out == "" and "unknown check 'product'" in err
+
     @pytest.mark.parametrize(
         "corpus, message",
         [

@@ -136,6 +136,11 @@ class TestInputBoundary:
             ({"kappa": [True, 0, 0]}, "kappa entry 0 true is not a number"),
             ({"kappa": True}, "kappa true is not a number"),
             ({"kappa": "0"}, 'kappa "0" is not a number'),
+            # Wrong-shaped containers are named too.
+            ({"edges": [{"u": 0, "v": 1}]}, 'edge 0 has no "w"'),
+            ({"mu": 5}, "mu must be a string or a list"),
+            ({"edges": {"u": 0}}, "edges must be a list of edge objects"),
+            ({"edges": [[0, 1, 1]]}, "edge 0 must be an object with u, v and w"),
         ],
     )
     def test_json_types_are_not_coerced(self, patch, message):
