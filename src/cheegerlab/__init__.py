@@ -30,6 +30,7 @@ from .graph import (
     Edge,
     GraphClassification,
     GraphFormatError,
+    InvalidGraphError,
     WeightedGraph,
     classify,
     cyclomatic,
@@ -37,7 +38,6 @@ from .graph import (
     generate,
     load_graph,
     product,
-    validate,
     with_random_signature,
 )
 from .nodal import NodalDecomposition, product_function, strong_nodal, weak_nodal

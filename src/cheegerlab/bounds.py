@@ -27,7 +27,6 @@ from .graph import (
     generate,
     is_complete,
     product,
-    require_valid,
     with_random_signature,
 )
 from .nodal import strong_nodal, weak_nodal
@@ -197,7 +196,6 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     Works on signed and unsigned graphs (signed constants and spectrum in
     the signed case).  Requires a connected graph with kappa >= 0.
     """
-    require_valid(g)
     if not classify(g).is_connected:
         raise HypothesisViolation("requires a connected graph")
     if any(kap < 0 for kap in g.kappa):
@@ -242,7 +240,6 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
     every eigenvalue block (start k, multiplicity r):
     k + r - 1 - l <= S(f) <= k + r - 1 and W(f) <= k + c - 1 (c = 1).
     """
-    require_valid(g)
     if g.is_signed():
         raise HypothesisViolation("nodal count bounds are checked on unsigned graphs")
     if not classify(g).is_connected:
@@ -275,7 +272,6 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
     Runs on g itself when eps = 0, else on a seeded perturbation.  The
     nodal-sweep upper bound for each eigenfunction rides along in meta.
     """
-    require_valid(g)
     if g.is_signed():
         raise HypothesisViolation("requires an unsigned graph")
     if any(kap < 0 for kap in g.kappa):
@@ -314,7 +310,6 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
     """(tau_min - eta)(1 - 1/k) <= rho_k for k >= 2; plus the spectral-gap
     corollary form min(lambda_2, 2 - lambda_n)(1 - 1/k) when mu = d and the
     graph is not complete."""
-    require_valid(g)
     if g.is_signed():
         raise HypothesisViolation("requires an unsigned graph")
     if not g.kappa_is_zero():
@@ -376,7 +371,6 @@ def check_product_theorem(
     product eigenvalue sits from lambda^(1)_k + lambda^(2)_max.
     """
     for h, role in ((g1, "factor 1"), (g2, "factor 2")):
-        require_valid(h)
         if h.is_signed():
             raise HypothesisViolation(f"{role} must be unsigned")
         if any(m != 1.0 for m in h.mu):
@@ -431,7 +425,6 @@ def check_basics(g: WeightedGraph) -> list[CheckRecord]:
     kappa = 0) lambda_k/2 <= rho_k for all k and rho_2 <= sqrt(2 lambda_2).
 
     The lambda-side records are emitted as skips when mu != d."""
-    require_valid(g)
     signed = g.is_signed()
     profile = _rho_all(g, g.n)
     mono_name = "monotonic_signed" if signed else "monotonic"

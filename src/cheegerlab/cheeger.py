@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph, require_valid
+from .graph import WeightedGraph
 from .nodal import strong_nodal
 
 # Memory budget (bytes) for the pair-indexed arrays of one profile call.
@@ -154,7 +154,6 @@ class PartitionCertificate:
 
 def conductance(g: WeightedGraph, subset) -> float:
     """Phi(A): cut weight leaving A divided by mu(A).  A must be nonempty."""
-    require_valid(g)
     if g.is_signed():
         raise ValueError("conductance is defined for unsigned graphs")
     member = _members(g, subset)
@@ -171,7 +170,6 @@ def beta_signed(g: WeightedGraph, v1, v2) -> float:
     counts twice); denominator: mu(V1 u V2).  V1, V2 must be disjoint with
     nonempty union; either one may be empty.
     """
-    require_valid(g)
     in1 = _members(g, v1)
     in2 = _members(g, v2)
     if any(a and b for a, b in zip(in1, in2)):
@@ -285,7 +283,6 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     recurrence's iterations and ties follow the DP's scan order.  A request
     beyond the work policy raises ValueError before any table is built.
     """
-    require_valid(g)
     if g.is_signed():
         raise ValueError("rho_exact needs an unsigned graph; see rho_signed_exact")
     n = g.n
@@ -301,7 +298,6 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     Certificate k of :func:`rho_signed_profile` up to kmax = k, with the
     work policy and tie-break of :func:`rho_exact`.
     """
-    require_valid(g)
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -613,7 +609,6 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     own tie-break (first optimal part in scan order).  A request beyond the
     work policy raises ValueError before any table is built.
     """
-    require_valid(g)
     if g.is_signed():
         raise ValueError("rho_profile needs an unsigned graph; see rho_signed_profile")
     n = g.n
@@ -687,7 +682,6 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
     :func:`beta_signed` scores it, so every value is too.  The work policy
     of :func:`rho_profile` applies, with the split pass counted.
     """
-    require_valid(g)
     n = g.n
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
@@ -722,7 +716,6 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
     domains stay disjoint, so the returned m-tuple certifies
     bound >= rho_m(g).
     """
-    require_valid(g)
     if g.is_signed():
         raise ValueError("nodal sweep is defined for unsigned graphs")
     decomposition = strong_nodal(g, f, zero_tol)

@@ -5,7 +5,8 @@ JSON as one compact line with sorted keys, json.dumps(obj, sort_keys=True),
 to stdout or to -o FILE (the same bytes, ending in a newline); analyze
 --format text and verify --format csv are the human-readable forms.  Exit
 codes: 0 on success (verify: all records hold), 1 on a verification
-violation (or a check that could not run), 2 on input errors, including a
+violation (or a check that could not run), 2 on input errors (an invalid
+graph or option, a file that cannot be read or written), including a
 `cheeger` request beyond the exact engine's work policy, refused before
 any work.  All randomness is controlled by --seed, so repeated invocations
 emit identical bytes.
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,16 +3,16 @@
 Vertices are the contiguous integers 0..n-1.  A graph carries a positive
 edge weight and a +/-1 sign per edge, a positive vertex measure `mu`, and a
 real vertex potential `kappa`.  All types are immutable; every operation is
-a pure function of its arguments.  One union-find component labelling,
-`_component_labels`, serves `classify`, the generators and the nodal
-decompositions.
+a pure function of its arguments.  A `WeightedGraph` checks its invariants
+once, when it is made, so no function re-checks a graph it is given.  One
+union-find component labelling, `_component_labels`, serves `classify`, the
+generators and the nodal decompositions.
 """
 
 import heapq
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,13 +33,22 @@ class WeightedGraph:
 
     Immutable and hashable; build instances through :meth:`build`, which
     canonicalizes the edge list (u < v, sorted lexicographically) and
-    resolves the measure token.
+    resolves the measure token.  Every instance is valid: construction
+    (through :meth:`build`, the constructor or `dataclasses.replace`)
+    checks the invariants once and raises :class:`InvalidGraphError`
+    listing every problem.
     """
 
     n: int
     edges: tuple[Edge, ...]
     mu: tuple[float, ...]
     kappa: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "vertex count"))
+        problems = _problems(self)
+        if problems:
+            raise InvalidGraphError(problems)
 
     @staticmethod
     def build(n: int, edges: Iterable, mu="degree", kappa=0.0) -> "WeightedGraph":
@@ -48,11 +57,12 @@ class WeightedGraph:
         `edges` holds (u, v, w) or (u, v, w, sigma) tuples; `mu` is a
         per-vertex sequence, the token "degree" (mu_i = weighted degree) or
         "unit" (mu == 1); `kappa` is a sequence or a scalar to broadcast.
-        Vertex ids and signs must be integers (a float with a fraction
-        raises ValueError rather than being truncated); semantic problems
-        (self-loops, bad weights, ...) are left for :func:`validate` to
-        report.
+        The vertex count, vertex ids and signs must be integers (a float
+        with a fraction raises ValueError rather than being truncated);
+        semantic problems (self-loops, bad weights, ...) raise
+        InvalidGraphError from the constructor.
         """
+        n = _integer(n, "vertex count")
         norm = []
         for e in edges:
             u, v, w = _integer(e[0], "vertex id"), _integer(e[1], "vertex id"), float(e[2])
@@ -79,7 +89,7 @@ class WeightedGraph:
             kappa_t = tuple(float(kappa) for _ in range(n))
         else:
             kappa_t = tuple(float(x) for x in kappa)
-        return WeightedGraph(n=int(n), edges=tuple(norm), mu=mu_t, kappa=kappa_t)
+        return WeightedGraph(n=n, edges=tuple(norm), mu=mu_t, kappa=kappa_t)
 
     @property
     def m(self) -> int:
@@ -112,13 +122,22 @@ class WeightedGraph:
             adj[e.v].append((e.u, e.w, e.sigma))
         return adj
 
-    def mu_is_degree(self, rtol: float = 1e-12) -> bool:
+    def mu_is_degree(self) -> bool:
+        """mu equals the weighted degree to a relative 1e-12."""
         d = self.degrees()
         mu = np.asarray(self.mu)
-        return bool(np.all(np.abs(mu - d) <= rtol * np.maximum(1.0, np.abs(d))))
+        return bool(np.all(np.abs(mu - d) <= 1e-12 * np.maximum(1.0, np.abs(d))))
 
     def kappa_is_zero(self) -> bool:
         return all(k == 0.0 for k in self.kappa)
+
+
+class InvalidGraphError(ValueError):
+    """A graph that breaks an invariant; `problems` lists every one."""
+
+    def __init__(self, problems: tuple[str, ...]):
+        self.problems = problems
+        super().__init__("invalid graph: " + "; ".join(problems))
 
 
 def _integer(x, field: str) -> int:
@@ -189,25 +208,6 @@ def _component_labels(n: int, keep, edges) -> tuple[tuple[int, ...], int]:
     return tuple(labels), len(first)
 
 
-def validate(g: WeightedGraph) -> list[str]:
-    """Return every invariant violation of `g`; empty list iff well-formed.
-
-    The list is a fresh copy of the memoised verdict, so callers may
-    mutate it.
-    """
-    return list(_problems(g))
-
-
-def require_valid(g: WeightedGraph) -> None:
-    problems = _problems(g)
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
-
-
-# A graph cannot change after it is built, and one check run validates the
-# same few graphs dozens of times in a row, so the verdict is memoised per
-# graph.  The memo holds its graphs alive; a small one catches the repeats.
-@lru_cache(maxsize=64)
 def _problems(g: WeightedGraph) -> tuple[str, ...]:
     problems = []
     if g.n < 1:
@@ -245,6 +245,27 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
             problems.append(f"{kind} measure at vertex {i}")
         if not -math.inf < kap < math.inf:
             problems.append(f"non-finite kappa at vertex {i}")
+    if problems:
+        return tuple(problems)
+    # Finite inputs can still overflow in the sums the solvers form.  Python
+    # floats overflow to inf here, where numpy would warn.  (d + |kappa|)/mu
+    # bounds the Laplacian diagonal, tau's d/mu and every off-diagonal entry.
+    inf, mu = math.inf, g.mu
+    deg = [0.0] * g.n
+    total_w = 0.0
+    for u, v, w, _ in g.edges:
+        deg[u] += w
+        deg[v] += w
+        total_w += w
+        if not 0.0 < mu[u] * mu[v] < inf:
+            problems.append(f"mu_u * mu_v on edge ({u},{v}) is not a positive finite number")
+    for i, (d, kap, m) in enumerate(zip(deg, g.kappa, mu)):
+        if not (d + abs(kap)) / m < inf:
+            problems.append(f"Laplacian diagonal bound (d + |kappa|)/mu at vertex {i} is not finite")
+    if not sum(mu) < inf:
+        problems.append("total measure mu(V) is not finite")
+    if not 3.0 * total_w < inf:
+        problems.append("3 x total edge weight (the bound on beta's numerator) is not finite")
     return tuple(problems)
 
 
@@ -295,7 +316,7 @@ def cyclomatic(g: WeightedGraph) -> int:
 
 
 def is_complete(g: WeightedGraph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2 and not validate(g)
+    return g.m == g.n * (g.n - 1) // 2
 
 
 def product(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
@@ -306,7 +327,6 @@ def product(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     Both factors must be unsigned with mu identically 1.
     """
     for g in (g1, g2):
-        require_valid(g)
         if g.is_signed():
             raise ValueError("product factors must be unsigned")
         if any(m != 1.0 for m in g.mu):
@@ -400,7 +420,7 @@ def generate(
 
     `w_low`, `w_high` and `a` must be finite and > 0, `p` finite in
     [0, 1]; a bad one, or a `gn` weight a^(n-1) that overflows, raises
-    ValueError naming it.  The built graph is validated too: an explicit
+    ValueError naming it.  Building the graph checks it too: an explicit
     `mu` of the wrong length, say, raises ValueError "invalid graph: ...".
     """
     if family not in FAMILIES:
@@ -410,12 +430,6 @@ def generate(
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     if not 0 <= p <= 1:
         raise ValueError(f"p must be a finite number in [0, 1], got {p!r}")
-    g = _generate(family, n, seed, a, p, w_low, w_high, mu)
-    require_valid(g)
-    return g
-
-
-def _generate(family, n, seed, a, p, w_low, w_high, mu) -> WeightedGraph:
     rng = SplitMix64(seed)
     random_family = family.startswith("random_")
     if w_low is None and w_high is None:
@@ -547,13 +561,6 @@ def to_json_dict(g: WeightedGraph) -> dict:
     }
 
 
-def _checked(g: WeightedGraph) -> WeightedGraph:
-    problems = _problems(g)
-    if problems:
-        raise GraphFormatError("; ".join(problems))
-    return g
-
-
 def _check_json(values: list, field: str, integer: bool) -> None:
     """Raise ValueError naming the first of `values` that is not a JSON
     integer (an integral float such as 4.0 is one) or, with `integer`
@@ -579,7 +586,7 @@ def _edge_column(raw: list, key: str) -> list:
 
 def from_json_dict(data: dict) -> WeightedGraph:
     """Graph from its JSON form; raises GraphFormatError if the data is
-    malformed or the graph fails :func:`validate`."""
+    malformed or the graph is invalid (its problems joined by "; ")."""
     try:
         n = data["n"]
         _check_json([n], "n", True)
@@ -608,17 +615,18 @@ def from_json_dict(data: dict) -> WeightedGraph:
             _check_json([kappa], "kappa", False)
         n = int(n)
         _check_size(n, edges)
-        g = WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
+        return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
+    except InvalidGraphError as exc:
+        raise GraphFormatError("; ".join(exc.problems)) from exc
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
-    return _checked(g)
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
     """Edge-list form: header `n <int> mu <degree|v0 v1 ...> [kappa v0 v1 ...]`,
     then `u v w [sigma]` lines.  kappa defaults to 0.  Raises
-    GraphFormatError if the text is malformed or the graph fails
-    :func:`validate`."""
+    GraphFormatError if the text is malformed or the graph is invalid (its
+    problems joined by "; ")."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
@@ -652,7 +660,10 @@ def parse_graph_text(text: str) -> WeightedGraph:
             raise GraphFormatError(f"bad edge line {ln!r}: {exc}") from exc
         edges.append((u, v, w, sigma))
     _check_size(n, edges)
-    return _checked(WeightedGraph.build(n, edges, mu=mu, kappa=kappa))
+    try:
+        return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
+    except InvalidGraphError as exc:
+        raise GraphFormatError("; ".join(exc.problems)) from exc
 
 
 def format_graph_text(g: WeightedGraph) -> str:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import WeightedGraph, require_valid
+from .graph import WeightedGraph
 
 
 def _check_tolerance(name: str, value) -> None:
@@ -59,14 +59,11 @@ def _check_tolerance(name: str, value) -> None:
 class EigenOptions:
     off_diag_tol: float = 1e-12      # relative to the Frobenius norm of the input
     max_sweeps: int = 64
-    gap_tol: float | None = None     # None -> 1e-8 * max(1, |lambda_n|)
     residual_tol: float = 1e-8
 
     def __post_init__(self):
         _check_tolerance("off_diag_tol", self.off_diag_tol)
         _check_tolerance("residual_tol", self.residual_tol)
-        if self.gap_tol is not None:
-            _check_tolerance("gap_tol", self.gap_tol)
         sweeps = self.max_sweeps
         if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral) or sweeps < 1:
             raise ValueError(f"max_sweeps must be an integer >= 1, got {sweeps!r}")
@@ -202,7 +199,6 @@ def normalized_laplacian_sym(g: WeightedGraph) -> np.ndarray:
     Entry (i,i) is (d(i) + kappa_i)/mu_i; entry (i,j) for i ~ j is
     -sigma_ij w_ij / sqrt(mu_i mu_j).  Same spectrum as M^{-1}(D + K - A^sigma).
     """
-    require_valid(g)
     d = g.degrees()
     mu = np.asarray(g.mu)
     mat = np.zeros((g.n, g.n))
@@ -236,13 +232,12 @@ def _eigenfunctions(mat: np.ndarray, mu) -> tuple[np.ndarray, tuple[tuple[float,
     return values, tuple(map(tuple, (vecs / np.sqrt(np.asarray(mu))[:, None]).T.tolist()))
 
 
-def laplacian_spectrum(
-    g: WeightedGraph, opts: EigenOptions = EigenOptions(), *, functions: bool = True
-) -> Spectrum:
-    """Spectrum of the normalized Laplacian.
+def laplacian_spectrum(g: WeightedGraph, *, functions: bool = True) -> Spectrum:
+    """Spectrum of the normalized Laplacian; eigenvalues closer than
+    1e-8 * max(1, |lambda_n|) share a multiplicity cluster.
 
     `functions=True`: values and mu-orthonormal eigenfunctions from one
-    LAPACK `eigh` call (of `opts`, only `gap_tol` applies).
+    LAPACK `eigh` call.
     `functions=False`: Jacobi values only, the same bits on every BLAS
     build.  `with_functions(g, laplacian_spectrum(g, functions=False))`
     pairs the Jacobi values with the LAPACK functions.
@@ -251,14 +246,11 @@ def laplacian_spectrum(
     if functions:
         values, funcs = _eigenfunctions(mat, g.mu)
     else:
-        values, funcs = eig_sym(mat, opts), None
-    gap_tol = opts.gap_tol
-    if gap_tol is None:
-        gap_tol = 1e-8 * max(1.0, abs(float(values[-1])))
+        values, funcs = eig_sym(mat), None
     return Spectrum(
         values=tuple(values.tolist()),
         functions=funcs,
-        clusters=_cluster(values, gap_tol),
+        clusters=_cluster(values, 1e-8 * max(1.0, abs(float(values[-1])))),
     )
 
 
@@ -289,7 +281,6 @@ def adjacency_eta(g: WeightedGraph) -> EtaResult:
     vertices; those are the standing hypotheses of the spectral-radius
     lower bound this quantity feeds.
     """
-    require_valid(g)
     if g.is_signed():
         raise ValueError("eta is defined for unsigned graphs")
     if not g.kappa_is_zero():

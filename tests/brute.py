@@ -18,7 +18,6 @@ import numpy as np
 
 from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
 from cheegerlab.cheeger import PartitionCertificate, SweepResult, _phi_array, beta_signed, conductance
-from cheegerlab.graph import require_valid
 from cheegerlab.nodal import NodalDecomposition, _component_labels
 
 
@@ -343,7 +342,6 @@ def loop_weak_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> Nodal
 
 def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> SweepResult:
     """The sweep scoring every level set through conductance()."""
-    require_valid(g)
     if g.is_signed():
         raise ValueError("nodal sweep is defined for unsigned graphs")
     decomposition = loop_strong_nodal(g, f, zero_tol)

@@ -175,6 +175,50 @@ class TestAnalyze:
         code, out, err = run_cli(["analyze", str(path)], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 3 mu 1 1 1\n0 1 1e308\n1 2 1e308\n",
+             "Laplacian diagonal bound (d + |kappa|)/mu at vertex 1 is not finite; "
+             "3 x total edge weight (the bound on beta's numerator) is not finite"),
+            ("n 2 mu 1e-320 1\n0 1 1\n", "Laplacian diagonal bound (d + |kappa|)/mu at vertex 0 is not finite"),
+            ("n 3 mu 1e308 1e308 1e308\n0 1 1\n1 2 1\n",
+             "mu_u * mu_v on edge (0,1) is not a positive finite number; "
+             "mu_u * mu_v on edge (1,2) is not a positive finite number; total measure mu(V) is not finite"),
+            ("n 2 mu 1e-200 1e-200\n0 1 1e-190\n",
+             "mu_u * mu_v on edge (0,1) is not a positive finite number"),
+            ("n 2 mu 1e-300 1e-20 kappa -1e200 -1e200\n0 1 1e200\n",
+             "Laplacian diagonal bound (d + |kappa|)/mu at vertex 0 is not finite"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["analyze"], ["verify", "--checks", "main,basics,lower"]])
+    def test_overflowing_sums_exit_2(self, tmp_path, capsys, text, message, command):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, out, err = run_cli(command[:1] + [str(path)] + command[1:], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestOSErrors:
+    """A path the OS refuses is an input error, as a missing file is: exit 2
+    and one `error:` line."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--family", "path", "--n", "3", "-o", "{file}/x.json"],
+            ["analyze", "{file}/g.json"],
+            ["verify", "--corpus", "@{file}/c.json"],
+        ],
+    )
+    def test_file_as_parent_directory_exit_2(self, tmp_path, capsys, args):
+        file = tmp_path / "file"
+        file.write_text("")
+        code, out, err = run_cli([a.format(file=file) for a in args], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Not a directory" in err
+
 
 class TestCheeger:
     def test_c4_k2(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,19 +13,17 @@ from cheegerlab import (
     degree_profile,
     generate,
     product,
-    validate,
     with_random_signature,
 )
 from cheegerlab.graph import (
     GraphFormatError,
-    _problems,
+    InvalidGraphError,
     dumps_graph,
     format_graph_text,
     from_json_dict,
     load_graph,
     loads_graph,
     parse_graph_text,
-    require_valid,
 )
 
 
@@ -32,74 +31,96 @@ def triangle():
     return WeightedGraph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
 
+def problems(n, edges, **kwargs) -> tuple[str, ...]:
+    """The problems WeightedGraph.build refuses its arguments with."""
+    with pytest.raises(InvalidGraphError) as exc:
+        WeightedGraph.build(n, edges, **kwargs)
+    assert str(exc.value) == "invalid graph: " + "; ".join(exc.value.problems)
+    return exc.value.problems
+
+
 class TestValidate:
     def test_triangle_ok(self):
-        assert validate(triangle()) == []
+        assert triangle().n == 3
 
     def test_self_loop(self):
-        g = WeightedGraph.build(2, [(0, 0, 1), (0, 1, 1)])
-        assert any("self-loop" in p for p in validate(g))
+        assert any("self-loop" in p for p in problems(2, [(0, 0, 1), (0, 1, 1)]))
 
     def test_nonpositive_measure(self):
-        g = WeightedGraph.build(2, [(0, 1, 1)], mu=[1.0, 0.0])
-        assert any("nonpositive measure" in p for p in validate(g))
+        assert any("nonpositive measure" in p for p in problems(2, [(0, 1, 1)], mu=[1.0, 0.0]))
 
     def test_duplicate_edge(self):
-        g = WeightedGraph.build(2, [(0, 1, 1), (1, 0, 2)])
-        assert any("duplicate" in p for p in validate(g))
+        assert any("duplicate" in p for p in problems(2, [(0, 1, 1), (1, 0, 2)]))
 
     def test_isolated_vertex(self):
-        g = WeightedGraph.build(3, [(0, 1, 1)])
-        assert any("isolated vertex 2" in p for p in validate(g))
+        assert any("isolated vertex 2" in p for p in problems(3, [(0, 1, 1)]))
 
     def test_nonpositive_weight_and_bad_sigma(self):
-        g = WeightedGraph.build(2, [(0, 1, -2.0, 3)])
-        problems = validate(g)
-        assert any("weight" in p for p in problems)
-        assert any("sigma" in p for p in problems)
+        found = problems(2, [(0, 1, -2.0, 3)])
+        assert any("weight" in p for p in found)
+        assert any("sigma" in p for p in found)
 
+    def test_message_lists_every_problem(self):
+        with pytest.raises(ValueError) as exc:
+            WeightedGraph.build(3, [(0, 0, 1), (0, 1, -1.0)])
+        message = str(exc.value)
+        assert message.startswith("invalid graph: ")
+        assert "self-loop at vertex 0" in message and "isolated vertex 2" in message
 
-class TestValidationMemo:
-    def test_invalid_graph_raises_same_message_twice(self):
-        g = WeightedGraph.build(3, [(0, 0, 1), (0, 1, -1.0)])
-        messages = []
-        for _ in range(2):
-            with pytest.raises(ValueError) as exc:
-                require_valid(g)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
-        assert "self-loop at vertex 0" in messages[0] and "isolated vertex 2" in messages[0]
-
-    def test_returned_list_is_a_copy(self):
-        g = WeightedGraph.build(2, [(0, 1, 1)], mu=[1.0, 0.0])
-        problems = validate(g)
-        assert problems == ["nonpositive measure at vertex 1"]
-        problems.clear()
-        assert validate(g) == ["nonpositive measure at vertex 1"]
-        with pytest.raises(ValueError, match="nonpositive measure"):
-            require_valid(g)
-        ok = triangle()
-        validate(ok).append("junk")
-        assert validate(ok) == []
-        require_valid(ok)
-
-    def test_memo_is_bounded(self):
-        maxsize = _problems.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 10**6
+    def test_every_constructor_checks(self):
+        g = triangle()
+        bad_mu = (1.0, 0.0, 1.0)
+        for make in (
+            lambda: WeightedGraph(n=g.n, edges=g.edges, mu=bad_mu, kappa=g.kappa),
+            lambda: dataclasses.replace(g, mu=bad_mu),
+        ):
+            with pytest.raises(InvalidGraphError, match="nonpositive measure at vertex 1"):
+                make()
 
 
 class TestInputBoundary:
     def test_nan_kappa(self):
-        g = WeightedGraph.build(2, [(0, 1, 1)], kappa=[math.nan, 0.0])
-        assert any("kappa at vertex 0" in p for p in validate(g))
+        assert any("kappa at vertex 0" in p for p in problems(2, [(0, 1, 1)], kappa=[math.nan, 0.0]))
 
     def test_infinite_weight(self):
-        g = WeightedGraph.build(2, [(0, 1, math.inf)], mu=[1.0, 1.0])
-        assert validate(g) == ["non-finite weight on edge (0,1)"]
+        found = problems(2, [(0, 1, math.inf)], mu=[1.0, 1.0])
+        assert found == ("non-finite weight on edge (0,1)",)
 
     def test_infinite_measure(self):
-        g = WeightedGraph.build(2, [(0, 1, 1)], mu=[1.0, math.inf])
-        assert validate(g) == ["non-finite measure at vertex 1"]
+        found = problems(2, [(0, 1, 1)], mu=[1.0, math.inf])
+        assert found == ("non-finite measure at vertex 1",)
+
+    @pytest.mark.parametrize(
+        "n, edges, mu, kappa, message",
+        [
+            (3, [(0, 1, 1e308), (1, 2, 1e308)], "unit", 0.0,
+             "Laplacian diagonal bound (d + |kappa|)/mu at vertex 1 is not finite; "
+             "3 x total edge weight (the bound on beta's numerator) is not finite"),
+            (2, [(0, 1, 1)], [1e-320, 1.0], 0.0,
+             "Laplacian diagonal bound (d + |kappa|)/mu at vertex 0 is not finite"),
+            (3, [(0, 1, 1), (1, 2, 1)], [1e308, 1e-10, 1e308], 0.0, "total measure mu(V) is not finite"),
+            (2, [(0, 1, 1)], [1e-3, 1.0], [1.7e308, 0.0],
+             "Laplacian diagonal bound (d + |kappa|)/mu at vertex 0 is not finite"),
+            (2, [(0, 1, 6e307)], [1.0, 1.0], 0.0,
+             "3 x total edge weight (the bound on beta's numerator) is not finite"),
+            (2, [(0, 1, 1e-190)], [1e-200, 1e-200], 0.0,
+             "mu_u * mu_v on edge (0,1) is not a positive finite number"),
+            (2, [(0, 1, 1e190)], [1e200, 1e200], 0.0,
+             "mu_u * mu_v on edge (0,1) is not a positive finite number"),
+            (2, [(0, 1, 1e200)], [1e-300, 1e-20], -1e200,
+             "Laplacian diagonal bound (d + |kappa|)/mu at vertex 0 is not finite"),
+        ],
+    )
+    def test_derived_sums_must_be_finite(self, n, edges, mu, kappa, message):
+        assert "; ".join(problems(n, edges, mu=mu, kappa=kappa)) == message
+
+    def test_fractional_vertex_count(self):
+        for mu, kappa in (([1, 1], [0, 0]), ("degree", 0.0), ("unit", 0.0), ([1, 1], 0.0)):
+            with pytest.raises(ValueError, match=r"^vertex count 2\.5 is not an integer$"):
+                WeightedGraph.build(2.5, [(0, 1, 1)], mu=mu, kappa=kappa)
+        with pytest.raises(ValueError, match=r"^vertex count 2\.5 is not an integer$"):
+            WeightedGraph(n=2.5, edges=triangle().edges[:1], mu=(1.0, 1.0), kappa=(0.0, 0.0))
+        assert WeightedGraph.build(2.0, [(0, 1, 1)]).n == 2
 
     def test_fractional_vertex_id(self):
         with pytest.raises(ValueError, match="vertex id 0.7"):
@@ -279,13 +300,11 @@ class TestGenerate:
         for i in range(20):
             g = generate("random_connected", 4 + i % 7, seed=i, p=0.2)
             assert classify(g).is_connected
-            assert validate(g) == []
 
     def test_random_bipartite_bipartite(self):
         for i in range(10):
             g = generate("random_bipartite", 5 + i % 4, seed=i, p=0.4)
             assert classify(g).is_bipartite
-            assert validate(g) == []
 
     def test_random_weights_in_range(self):
         g = generate("random_tree", 10, seed=5)
@@ -379,9 +398,7 @@ class TestSerialization:
     def test_validation_problems_joined(self):
         with pytest.raises(GraphFormatError) as err:
             from_json_dict({"n": 3, "edges": [{"u": 0, "v": 1, "w": -1}, {"u": 1, "v": 1, "w": 1}]})
-        assert str(err.value) == "; ".join(
-            validate(WeightedGraph.build(3, [(0, 1, -1), (1, 1, 1)]))
-        )
+        assert str(err.value) == "; ".join(problems(3, [(0, 1, -1), (1, 1, 1)]))
 
     def test_sniffing(self):
         g = generate("path", 3)
@@ -389,7 +406,9 @@ class TestSerialization:
         assert loads_graph(format_graph_text(g)) == g
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# |kappa| <= 1e300 keeps the Laplacian diagonal bound (d + |kappa|)/mu
+# finite for mu >= 1e-3, so every drawn graph is valid.
+finite = st.floats(-1e300, 1e300)
 
 
 @st.composite

@@ -125,14 +125,13 @@ _WEIGHTS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 100.0))
 def _instances(draw, signed: bool):
     """(graph, f, zero_tol): a connected weighted graph, and an f with ties
     in |f|, exact and negative zeros and entries at the zero tolerance."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 8))
     pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    if n > 1:
-        others = [(u, v) for v in range(n) for u in range(v)]
-        pairs |= set(draw(st.lists(st.sampled_from(others), max_size=2 * n)))
+    others = [(u, v) for v in range(n) for u in range(v)]
+    pairs |= set(draw(st.lists(st.sampled_from(others), max_size=2 * n)))
     sigma = st.sampled_from([1, -1]) if signed else st.just(1)
     edges = [(u, v, draw(_WEIGHTS), draw(sigma)) for u, v in sorted(pairs)]
-    mu = "unit" if n == 1 else draw(
+    mu = draw(
         st.one_of(
             st.sampled_from(["unit", "degree"]),
             st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),

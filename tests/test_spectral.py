@@ -78,7 +78,6 @@ class TestJacobi:
         bad_values = {
             "off_diag_tol": [0.0, -1e-12, math.inf, math.nan, True, "1e-12"],
             "residual_tol": [0.0, math.inf, math.nan],
-            "gap_tol": [-1.0, 0.0, math.nan, math.inf],
             "max_sweeps": [0, -3, 2.5, 64.0, True, "64"],
         }
         for field, values in bad_values.items():
@@ -87,9 +86,8 @@ class TestJacobi:
                     EigenOptions(**{field: bad})
 
     def test_options_accept_valid(self):
-        opts = EigenOptions(off_diag_tol=1e-10, max_sweeps=np.int64(3), gap_tol=1, residual_tol=1e-6)
-        assert opts.max_sweeps == 3 and opts.gap_tol == 1
-        assert EigenOptions(gap_tol=None).gap_tol is None
+        opts = EigenOptions(off_diag_tol=1e-10, max_sweeps=np.int64(3), residual_tol=1e-6)
+        assert opts.max_sweeps == 3
 
     @given(
         arrays(
