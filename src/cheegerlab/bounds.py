@@ -110,30 +110,36 @@ class CheckRecord:
         }
 
 
-# Profiles and spectra are pure functions of the (hashable) graph, and the
-# corpus checks revisit the same instances; cache them.  The `_spectrum`
-# entry of g also holds the perturbed instance perturb(g, eps, seed) that
-# the `nodal` and `nodal_cheeger` checks both read, so it is built and
-# solved once per instance.  Only those two checks read eigenfunctions;
-# every other check reads values.
+# Everything the checks of one instance share is held for the instance
+# whose checks are running: its spectrum, its full exact profile and its
+# perturbed instance perturb(g, eps, seed), which the `nodal` and
+# `nodal_cheeger` checks both read, so each is built once per instance.
+# A corpus never revisits an instance, so `_spectrum` holds one; a check
+# that makes a graph of its own (the product) holds it in a local _Solved.
+# Only the two nodal checks read eigenfunctions; every other check reads
+# values.
+
+_UNSOLVED = object()  # a _Solved whose profile has not been asked for
 
 
 class _Solved:
-    """The spectrum of L(g) and of its perturbed instances.
+    """The spectrum and exact profile of g, and its perturbed instance.
 
     The instance's own eigenvalues always come from the Jacobi solver,
     whichever check asks first; a request for functions adds them to the
     held values-only spectrum (one LAPACK call, no second eigenvalue
     solve).  A perturbed instance, whose eigenvalues no exact check pins,
-    takes its values and functions from one LAPACK call.
+    is a _Solved of its own whose values and functions come from one
+    LAPACK call.
     """
 
-    __slots__ = ("g", "spectrum", "_perturbed")
+    __slots__ = ("g", "spectrum", "_profile", "_perturbed")
 
-    def __init__(self, g: WeightedGraph):
+    def __init__(self, g: WeightedGraph, spectrum: Spectrum | None = None):
         self.g = g
-        self.spectrum = None
-        self._perturbed = None  # (eps, seed, perturbed graph, its spectrum)
+        self.spectrum = spectrum
+        self._profile = _UNSOLVED
+        self._perturbed = None  # (eps, seed, _Solved of perturb(g, eps, seed))
 
     def get(self, functions: bool) -> Spectrum:
         s = self.spectrum
@@ -143,50 +149,53 @@ class _Solved:
             s = self.spectrum = with_functions(self.g, s)
         return s
 
-    def perturbed(self, eps: float, seed: int) -> tuple[WeightedGraph, Spectrum]:
-        """(perturb(g, eps, seed), its spectrum with eigenfunctions); at
-        eps = 0, g itself with `get(functions=True)`.
+    def profile(self) -> tuple[PartitionCertificate, ...] | None:
+        """The full exact profile of g, signed if g is, or None when the
+        work policy refuses it (the decision is held with the profile)."""
+        if self._profile is _UNSOLVED:
+            g = self.g
+            signed = g.is_signed()
+            if not _dp_admits(g.n, g.m, g.n, signed):
+                self._profile = None
+            else:
+                self._profile = rho_signed_profile(g) if signed else rho_profile(g)
+        return self._profile
+
+    def perturbed(self, eps: float, seed: int) -> "_Solved":
+        """perturb(g, eps, seed) with its spectrum, eigenfunctions
+        included; at eps = 0, self.
 
         Only the latest (eps, seed) is held: the two nodal checks of an
         instance ask for the same one in turn, and a caller sweeping seeds
-        over one cached graph would otherwise keep every instance alive.
+        over one graph would otherwise keep every instance alive.
         """
         if eps == 0:
-            return self.g, self.get(functions=True)
+            return self
         held = self._perturbed
         if held is None or held[0] != eps or held[1] != seed:
             gp = perturb(self.g, eps, seed)
-            held = self._perturbed = (eps, seed, gp, laplacian_spectrum(gp))
-        return held[2], held[3]
+            held = self._perturbed = (eps, seed, _Solved(gp, laplacian_spectrum(gp)))
+        return held[2]
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=1)
 def _spectrum(g: WeightedGraph) -> _Solved:
     return _Solved(g)
 
 
-@lru_cache(maxsize=2048)
-def _profile_dp(g: WeightedGraph) -> tuple[PartitionCertificate, ...] | None:
-    """The full exact profile of g, signed if g is, or None when the work
-    policy refuses it (the decision is cached with the profile)."""
-    signed = g.is_signed()
-    if not _dp_admits(g.n, g.m, g.n, signed):
-        return None
-    return rho_signed_profile(g) if signed else rho_profile(g)
+def _rho_all(solved: _Solved, kmax: int) -> tuple[PartitionCertificate, ...]:
+    """Exact certificates for k = 1..kmax, signed if the graph is.
 
-
-def _rho_all(g: WeightedGraph, kmax: int) -> tuple[PartitionCertificate, ...]:
-    """Exact certificates for k = 1..kmax, signed if g is.
-
-    Sliced from g's cached full profile, which serves every check of the
+    Sliced from the held full profile, which serves every check of the
     instance.  Where the work policy refuses the full profile, the engine
-    is asked for kmax alone (uncached); a request beyond the policy raises
+    is asked for kmax alone (not held); a request beyond the policy raises
     ValueError before any table is built, which the caller reports as a
     per-instance error.
     """
-    profile = _profile_dp(g)
+    profile = solved.profile()
     if profile is not None:
         return profile[:kmax]
+    g = solved.g
     return rho_signed_profile(g, kmax) if g.is_signed() else rho_profile(g, kmax)
 
 
@@ -201,13 +210,14 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
     signed = g.is_signed()
-    spectrum = _spectrum(g).get(functions=False)
+    solved = _spectrum(g)
+    spectrum = solved.get(functions=False)
     ell = cyclomatic(g)
     tau = degree_profile(g).tau
     kmax = g.n - ell
     if kmax < 1:
         return []
-    profile = _rho_all(g, kmax)
+    profile = _rho_all(solved, kmax)
     name = "main_signed" if signed else "main"
     records = []
     for k in range(ell + 1, g.n + 1):
@@ -244,7 +254,8 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
         raise HypothesisViolation("nodal count bounds are checked on unsigned graphs")
     if not classify(g).is_connected:
         raise HypothesisViolation("requires a connected graph")
-    gp, spectrum = _spectrum(g).perturbed(eps, seed)
+    h = _spectrum(g).perturbed(eps, seed)
+    gp, spectrum = h.g, h.get(functions=True)
     report = GenericityReport.of(spectrum)
     if not (report.simple and report.zero_free):
         raise NonGenericError(
@@ -276,9 +287,10 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
         raise HypothesisViolation("requires an unsigned graph")
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
-    h, spectrum = _spectrum(g).perturbed(eps, seed)
+    solved = _spectrum(g).perturbed(eps, seed)
+    h, spectrum = solved.g, solved.get(functions=True)
     tau = degree_profile(h).tau
-    profile = _rho_all(h, h.n)
+    profile = _rho_all(solved, h.n)
     records = []
     for k in range(1, h.n + 1):
         f = spectrum.function(k)
@@ -318,7 +330,8 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
         raise HypothesisViolation("requires at least 3 vertices")
     eta = adjacency_eta(g)
     prof = degree_profile(g)
-    profile = _rho_all(g, g.n)
+    solved = _spectrum(g)
+    profile = _rho_all(solved, g.n)
     records = []
     for k in range(2, g.n + 1):
         lhs = (prof.tau_min - eta.eta) * (1.0 - 1.0 / k)
@@ -337,7 +350,7 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
             )
         )
     if g.mu_is_degree() and not is_complete(g):
-        spectrum = _spectrum(g).get(functions=False)
+        spectrum = solved.get(functions=False)
         gap = min(spectrum.values[1], 2.0 - spectrum.values[-1])
         for k in range(2, g.n + 1):
             lhs = gap * (1.0 - 1.0 / k)
@@ -383,8 +396,11 @@ def check_product_theorem(
         raise HypothesisViolation("factor 2 must be bipartite")
     if not 1 <= k < g1.n:
         raise HypothesisViolation(f"k must be in [1, {g1.n - 1}]")
-    h1 = perturb(g1, eps, seed) if eps > 0 else g1
-    s1 = laplacian_spectrum(h1, functions=False)
+    if eps > 0:
+        h1 = perturb(g1, eps, seed)
+        s1 = laplacian_spectrum(h1, functions=False)
+    else:
+        h1, s1 = g1, _spectrum(g1).get(functions=False)
     s2 = laplacian_spectrum(g2, functions=False)
     gap = s1.values[k] - s1.values[k - 1]
     lam2_max = s2.values[-1]
@@ -393,13 +409,16 @@ def check_product_theorem(
             f"gap hypothesis fails: lambda2_max={lam2_max:.6g} >= "
             f"lambda1_{k + 1}-lambda1_{k}={gap:.6g}"
         )
+    # The product is held here, not in `_spectrum`, so the instance's own
+    # entry survives for the checks that follow.
     gp = product(h1, g2)
-    sp = _spectrum(gp).get(functions=False)
+    solved = _Solved(gp)
+    sp = solved.get(functions=False)
     index = k * g2.n
     lam = _clamp_eigenvalue(sp.values[index - 1])
     tau = degree_profile(gp).tau
     sum_err = abs(sp.values[index - 1] - (s1.values[k - 1] + lam2_max))
-    cert = _rho_all(gp, index)[index - 1]
+    cert = _rho_all(solved, index)[index - 1]
     rhs = math.sqrt(2.0 * tau * lam)
     return CheckRecord.compare(
         "product",
@@ -426,7 +445,8 @@ def check_basics(g: WeightedGraph) -> list[CheckRecord]:
 
     The lambda-side records are emitted as skips when mu != d."""
     signed = g.is_signed()
-    profile = _rho_all(g, g.n)
+    solved = _spectrum(g)
+    profile = _rho_all(solved, g.n)
     mono_name = "monotonic_signed" if signed else "monotonic"
     records = []
     for k in range(1, g.n):
@@ -438,7 +458,7 @@ def check_basics(g: WeightedGraph) -> list[CheckRecord]:
             CheckRecord.skipped("eq1_left", "requires unsigned graph with mu = degree, kappa = 0")
         )
         return records
-    spectrum = _spectrum(g).get(functions=False)
+    spectrum = solved.get(functions=False)
     for k in range(1, g.n + 1):
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
         records.append(

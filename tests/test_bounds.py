@@ -20,7 +20,8 @@ from cheegerlab import (
 from cheegerlab import bounds, spectral
 from cheegerlab.bounds import CheckRecord, inequality_tol, run_checks_on_graph
 from cheegerlab.cheeger import _dp_admits, conductance
-from cheegerlab.graph import classify, cyclomatic, is_complete, product
+from cheegerlab.cli import main
+from cheegerlab.graph import classify, cyclomatic, dumps_graph, is_complete, product
 from cheegerlab.perturb import perturb
 
 
@@ -219,7 +220,7 @@ class TestProductTheorem:
             return real(g, kmax)
 
         monkeypatch.setattr(bounds, "rho_profile", spy)
-        bounds._profile_dp.cache_clear()
+        bounds._spectrum.cache_clear()
         check_product_theorem(*self.n20_pair(), 1)
         assert asked == [2]
 
@@ -378,8 +379,7 @@ class TestSolveCount:
 
     @staticmethod
     def clear_caches():
-        for cache in (bounds._spectrum, bounds._profile_dp):
-            cache.cache_clear()
+        bounds._spectrum.cache_clear()
 
     @staticmethod
     def count_solves(monkeypatch) -> dict:
@@ -513,6 +513,42 @@ class TestSolveCount:
         assert full.values == values.values and full.clusters == values.clusters
         assert len(solved["jacobi"]) == 1 and len(solved["eigh"]) == 1
         assert np.array_equal(solved["eigh"][0], spectral.normalized_laplacian_sym(g))
+
+    def test_one_instance_held_after_a_corpus(self):
+        # A corpus never revisits an instance: only the instance whose
+        # checks ran last is held, profile and perturbed instance included.
+        cfg = CorpusConfig(families=("random_connected",), sizes=(5, 6, 7), count=4,
+                           seed=5, checks=self.CHECKS)
+        self.clear_caches()
+        report = run_corpus(cfg)
+        assert report.all_hold()
+        assert len({instance for instance, _ in report.rows}) == 4
+        assert bounds._spectrum.cache_info().currsize == 1
+        assert not hasattr(bounds, "_profile_dp")
+
+    @pytest.mark.parametrize("eps", ["0.05", "0"])
+    def test_product_keeps_the_instance_held(self, eps, tmp_path, monkeypatch, capsys):
+        # g = K2 is a tree with unit measure equal to its degree, so
+        # `product` runs and `basics` reads lambda: L(g) is solved once,
+        # although the product check makes and solves graphs of its own
+        # (at eps = 0 it reads g's eigenvalues from the held instance).
+        g = WeightedGraph.build(2, [(0, 1, 1.0)])
+        g2 = WeightedGraph.build(2, [(0, 1, 0.01)], mu="unit")
+        files = []
+        for name, h in (("g", g), ("g2", g2)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps_graph(h))
+            files.append(str(path))
+        self.clear_caches()
+        solved = self.count_solves(monkeypatch)
+        code = main(["verify", files[0], "--checks", "main,product,basics",
+                     "--with-graph", files[1], "--eps", eps])
+        assert code == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert {r["name"] for r in records if r["holds"]} >= {"main", "product", "eq1_left"}
+        lap_g = spectral.normalized_laplacian_sym(g)
+        assert sum(np.array_equal(m, lap_g) for m in solved["jacobi"]) == 1
+        assert len(solved["jacobi"]) == 3 + (eps != "0")
 
     def test_cached_nodal_records_match_uncached(self, monkeypatch):
         g = generate("random_connected", 8, 3)

@@ -618,6 +618,21 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert json.loads(path.read_text())["n"] == 3
 
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_one_blas_thread_unless_set(self, preset):
+        # The package sets the thread variables before numpy is imported,
+        # and only where the caller left them unset.
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cheegerlab.__file__)))
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        if preset is not None:
+            env.update(dict.fromkeys(names, preset))
+        code = "import os, cheegerlab; print(*(os.environ[k] for k in %r))" % (names,)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [preset or "1"] * 2
+
 
 class TestWarmProcess:
     """The parser and the bounds/validation caches persist across main()
