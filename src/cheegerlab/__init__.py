@@ -27,7 +27,6 @@ from .bounds import (
 )
 from .cheeger import (
     PartitionCertificate,
-    SweepResult,
     beta_signed,
     conductance,
     rho_exact,

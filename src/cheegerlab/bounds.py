@@ -112,12 +112,12 @@ class CheckRecord:
 
 # Everything the checks of one instance share is held for the instance
 # whose checks are running: its spectrum, its full exact profile and its
-# perturbed instance perturb(g, eps, seed), which the `nodal` and
-# `nodal_cheeger` checks both read, so each is built once per instance.
-# A corpus never revisits an instance, so `_spectrum` holds one; a check
-# that makes a graph of its own (the product) holds it in a local _Solved.
-# Only the two nodal checks read eigenfunctions; every other check reads
-# values.
+# perturbed instance perturb(g, eps, seed), which the `nodal`,
+# `nodal_cheeger` and `product` checks all read, so each is built once per
+# instance.  A corpus never revisits an instance, so `_spectrum` holds one;
+# a check that makes a graph of its own (the product) holds it in a local
+# _Solved.  Only the two nodal checks read eigenfunctions; every other
+# check reads values.
 
 _UNSOLVED = object()  # a _Solved whose profile has not been asked for
 
@@ -246,9 +246,9 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
 def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[CheckRecord]:
     """Nodal-count sandwich on one generic perturbation of g.
 
-    Perturbs once, asserts simplicity and zero-freeness, then records for
-    every eigenvalue block (start k, multiplicity r):
-    k + r - 1 - l <= S(f) <= k + r - 1 and W(f) <= k + c - 1 (c = 1).
+    Perturbs once and asserts, at GENERICITY_TOL, that the spectrum is
+    simple and its eigenfunctions zero-free; that one verdict stands for
+    every k, which then records k - l <= S(f_k) <= k and W(f_k) <= k.
     """
     if g.is_signed():
         raise HypothesisViolation("nodal count bounds are checked on unsigned graphs")
@@ -265,15 +265,14 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
     ell = cyclomatic(gp)
     records = []
     for k in range(1, g.n + 1):
-        start, mult = spectrum.multiplicity_block(k)
-        kb = start + 1
         f = spectrum.function(k)
         strong = strong_nodal(gp, f, zero_tol=0.0).count
         weak = weak_nodal(gp, f, zero_tol=0.0).count
-        meta = {"ell": ell, "r": mult, "strong": strong, "weak": weak, "eps": eps, "seed": seed}
-        records.append(CheckRecord.compare("nodal_lower", k, kb + mult - 1 - ell, strong, meta))
-        records.append(CheckRecord.compare("nodal_strong_upper", k, strong, kb + mult - 1, meta))
-        records.append(CheckRecord.compare("nodal_weak_upper", k, weak, kb, meta))
+        # Every multiplicity r is 1 on a simple spectrum; meta keeps the key.
+        meta = {"ell": ell, "r": 1, "strong": strong, "weak": weak, "eps": eps, "seed": seed}
+        records.append(CheckRecord.compare("nodal_lower", k, k - ell, strong, meta))
+        records.append(CheckRecord.compare("nodal_strong_upper", k, strong, k, meta))
+        records.append(CheckRecord.compare("nodal_weak_upper", k, weak, k, meta))
     return records
 
 
@@ -295,7 +294,7 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
     for k in range(1, h.n + 1):
         f = spectrum.function(k)
         sweep = rho_upper_nodal_sweep(h, f)
-        m = sweep.m
+        m = sweep.k
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
         rhs = math.sqrt(2.0 * tau * lam)
         cert = profile[m - 1]
@@ -309,7 +308,7 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
                     "m": m,
                     "tau": tau,
                     "lambda_k": lam,
-                    "sweep_bound": sweep.bound,
+                    "sweep_bound": sweep.value,
                     "eps": eps,
                     "certificate": cert.to_json_dict(),
                 },
@@ -379,9 +378,9 @@ def check_product_theorem(
     lambda^(1)_{k+1} - lambda^(1)_k.
 
     Both factors need unit measure and kappa >= 0.  With eps > 0 the tree
-    factor is perturbed first (making the gap hypothesis generic); the gap
-    is then measured on the perturbed factor.  Meta records how far the
-    product eigenvalue sits from lambda^(1)_k + lambda^(2)_max.
+    factor is the held perturbed instance of G1 (making the gap hypothesis
+    generic), and the gap is measured on its spectrum.  Meta records how
+    far the product eigenvalue sits from lambda^(1)_k + lambda^(2)_max.
     """
     for h, role in ((g1, "factor 1"), (g2, "factor 2")):
         if h.is_signed():
@@ -396,11 +395,8 @@ def check_product_theorem(
         raise HypothesisViolation("factor 2 must be bipartite")
     if not 1 <= k < g1.n:
         raise HypothesisViolation(f"k must be in [1, {g1.n - 1}]")
-    if eps > 0:
-        h1 = perturb(g1, eps, seed)
-        s1 = laplacian_spectrum(h1, functions=False)
-    else:
-        h1, s1 = g1, _spectrum(g1).get(functions=False)
+    solved1 = _spectrum(g1).perturbed(eps, seed)
+    h1, s1 = solved1.g, solved1.get(functions=False)
     s2 = laplacian_spectrum(g2, functions=False)
     gap = s1.values[k] - s1.values[k - 1]
     lam2_max = s2.values[-1]
@@ -510,7 +506,8 @@ _CONFIG_RULES = {
            "a measure name or a list of finite numbers"),
     "a": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
     "signed": (lambda v: isinstance(v, bool), "true or false"),
-    "checks": (lambda v: _is_tuple_of(v, lambda x: isinstance(x, str)), "a list of check names"),
+    "checks": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str)),
+               "a nonempty list of check names"),
 }
 
 

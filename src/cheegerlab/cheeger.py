@@ -693,28 +693,14 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
 # ---------------------------------------------------------------------------
 # nodal sweep upper bound
 
-@dataclass(frozen=True)
-class SweepResult:
-    m: int
-    bound: float
-    certificate: PartitionCertificate
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "bound": self.bound,
-            "certificate": self.certificate.to_json_dict(),
-        }
-
-
-def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> SweepResult:
+def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> PartitionCertificate:
     """Constructive upper bound on rho_m from the strong nodal domains of f.
 
     Each of the m domains S_i is swept through its level sets
     S_i(t) = {x in S_i : |f(x)| >= t} over the distinct values t of |f| on
     S_i, keeping the set of least conductance.  Level sets of disjoint
-    domains stay disjoint, so the returned m-tuple certifies
-    bound >= rho_m(g).
+    domains stay disjoint, so the returned certificate (k = m, exact
+    False) certifies value >= rho_m(g).
     """
     if g.is_signed():
         raise ValueError("nodal sweep is defined for unsigned graphs")
@@ -736,13 +722,11 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
                 best_set = tuple(level)
         parts.append(best_set)
         part_values.append(best_phi)
-    bound = max(part_values)
-    cert = PartitionCertificate(
+    return PartitionCertificate(
         k=m,
-        value=bound,
+        value=max(part_values),
         parts=tuple(sorted(parts)),
         signed=False,
         exact=False,
         states=0,
     )
-    return SweepResult(m=m, bound=bound, certificate=cert)

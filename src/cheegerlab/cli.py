@@ -105,7 +105,8 @@ def cmd_cheeger(args) -> int:
     # Every certificate is exact; the key stays for readers of the format.
     out = {"certificate": cert.to_json_dict(), "budget_exceeded": False}
     if f is not None:
-        out["sweep"] = rho_upper_nodal_sweep(g, f).to_json_dict()
+        sweep = rho_upper_nodal_sweep(g, f)
+        out["sweep"] = {"m": sweep.k, "bound": sweep.value, "certificate": sweep.to_json_dict()}
     _emit(json.dumps(out, sort_keys=True), args.output)
     return 0
 
@@ -139,6 +140,9 @@ def cmd_verify(args) -> int:
     else:
         if args.graph is None:
             raise GraphFormatError("verify needs a graph file or --corpus")
+        # Checked here only: a corpus JSON's "checks" wins over the flag.
+        if not checks:
+            raise GraphFormatError(f"--checks {args.checks!r} names no check")
         g = load_graph(args.graph)
         g2 = None
         if "product" in checks:

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Naive enumeration of k-way (signed) Cheeger constants over all (k+1)^n
-resp. (2k+1)^n label assignments, the int64-shift Phi table, the signed
+resp. (2k+1)^n label assignments, the signed one regrouped over unions
+(each split chosen on its own), the int64-shift Phi table, the signed
 split table scored split by split through beta_signed, and the textbook
 pure-Python loops of the subset DP behind the profile engines, the numpy
 column-then-row Jacobi rotation loop behind the eigensolver, the numpy
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
-from cheegerlab.cheeger import PartitionCertificate, SweepResult, _phi_array, beta_signed, conductance
+from cheegerlab.cheeger import PartitionCertificate, _phi_array, beta_signed, conductance
 from cheegerlab.nodal import NodalDecomposition, _component_labels
 
 
@@ -91,6 +92,39 @@ def naive_rho_signed(g: WeightedGraph, k: int, chunk: int = 1 << 18) -> float:
         if m < best:
             best = m
     return best
+
+
+def regrouped_rho_signed(g: WeightedGraph, kmax: int) -> list[float]:
+    """rho^sigma_k for k = 1..kmax: naive_rho_signed's minimum, regrouped.
+
+    Each pair's split (V1, V2) is chosen independently of the other pairs,
+    so the minimum over labelings equals the least max bmin over unordered
+    k-tuples of disjoint nonempty unions, where bmin[U] is the least
+    beta_signed over the splits of U.  bmin is built once per graph
+    (beta_split_tables: beta is symmetric in V1, V2 bit for bit, so V1
+    holding U's lowest vertex loses no split).  The tuples are enumerated
+    one by one, with no table: the lowest vertex still free is left out,
+    or starts the next union.  min and max round nothing, so the result
+    does not depend on the order of enumeration.
+    """
+    bmin = beta_split_tables(g)[0]
+
+    def least(free: int, j: int) -> float:
+        if j == 0:
+            return -math.inf
+        if free.bit_count() < j:
+            return math.inf
+        v = free & -free
+        rest = free ^ v
+        out = least(rest, j)
+        sub = rest
+        while True:
+            out = min(out, max(bmin[sub | v], least(rest ^ sub, j - 1)))
+            if sub == 0:
+                return out
+            sub = (sub - 1) & rest
+
+    return [least((1 << g.n) - 1, k) for k in range(1, kmax + 1)]
 
 
 def complete_spectrum(n: int) -> list[float]:
@@ -340,7 +374,7 @@ def loop_weak_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> Nodal
     return NodalDecomposition(kind="weak", labels=labels, count=count)
 
 
-def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> SweepResult:
+def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> PartitionCertificate:
     """The sweep scoring every level set through conductance()."""
     if g.is_signed():
         raise ValueError("nodal sweep is defined for unsigned graphs")
@@ -363,13 +397,11 @@ def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> Swee
                 best_set = level
         parts.append(best_set)
         part_values.append(best_phi)
-    bound = max(part_values)
-    cert = PartitionCertificate(
+    return PartitionCertificate(
         k=m,
-        value=bound,
+        value=max(part_values),
         parts=tuple(sorted(parts)),
         signed=False,
         exact=False,
         states=0,
     )
-    return SweepResult(m=m, bound=bound, certificate=cert)

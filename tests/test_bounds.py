@@ -7,6 +7,7 @@ import pytest
 from cheegerlab import (
     CorpusConfig,
     HypothesisViolation,
+    NonGenericError,
     WeightedGraph,
     check_basics,
     check_lemma_nodal_cheeger,
@@ -104,6 +105,25 @@ class TestNodalCounts:
     def test_signed_rejected(self):
         with pytest.raises(HypothesisViolation):
             check_nodal_count_bounds(unbalanced_triangle(), 0.05, 1)
+
+    def test_star4_near_tie_is_simple(self):
+        # lambda_2 and lambda_3 of this perturbed star(4) are about 5e-10
+        # apart: simple at GENERICITY_TOL, so k = 2 and k = 3 each get the
+        # simple-eigenvalue sandwich, not the multiplicity-2 block form.
+        records = check_nodal_count_bounds(generate("star", 4), 1e-9, 1)
+        assert len(records) == 12 and all(r.holds for r in records)
+        assert {r.meta["r"] for r in records} == {1}
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-6])
+    @pytest.mark.parametrize("family", ["star", "cycle", "complete", "gn"])
+    def test_small_eps_holds_or_is_non_generic(self, family, eps):
+        for n in range(4, 9):
+            for seed in (1, 2, 3):
+                try:
+                    records = check_nodal_count_bounds(generate(family, n), eps, seed)
+                except NonGenericError:
+                    continue
+                assert all(r.holds for r in records), (n, seed)
 
 
 class TestLemmaNodalCheeger:
@@ -349,6 +369,7 @@ class TestRecordsAndReport:
             ({"count": "2"}, "'count' must be an integer >= 0, got '2'"),
             ({"eps": math.nan}, "'eps' must be a finite number >= 0, got nan"),
             ({"mu": (1.0, math.inf)}, "'mu' must be a measure name or a list of finite numbers, got [1.0, inf]"),
+            ({"checks": ()}, "'checks' must be a nonempty list of check names, got []"),
         ],
     )
     def test_bad_config_rejected_in_python(self, kwargs, message):
@@ -497,6 +518,30 @@ class TestSolveCount:
         run_checks_on_graph("g", g, ("nodal", "nodal_cheeger"), self.EPS, self.SEED + 1)
         assert calls == [(g, self.EPS, self.SEED), (g, self.EPS, self.SEED + 1)]
 
+    def test_one_perturbation_shared_with_the_product(self, monkeypatch):
+        # The product check's tree factor is the perturbed instance the
+        # nodal checks hold, values and all: no perturb and no Jacobi solve
+        # of its own.
+        g = generate("path", 6, mu="unit")
+        g2 = WeightedGraph.build(2, [(0, 1, 0.05)], mu="unit")
+        self.clear_caches()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return perturb(*args)
+
+        monkeypatch.setattr(bounds, "perturb", counting)
+        solved = self.count_solves(monkeypatch)
+        checks = ("nodal", "nodal_cheeger", "product")
+        rows, errors = run_checks_on_graph("g", g, checks, self.EPS, self.SEED, g2, 1)
+        assert not errors and all(rec.holds for _, rec in rows)
+        assert "product" in {rec.name for _, rec in rows}
+        assert calls == [(g, self.EPS, self.SEED)]
+        lap_gp = spectral.normalized_laplacian_sym(perturb(g, self.EPS, self.SEED))
+        assert len(solved["eigh"]) == 1 and np.array_equal(solved["eigh"][0], lap_gp)
+        assert not any(np.array_equal(m, lap_gp) for m in solved["jacobi"])
+
     def test_functions_after_values_solve_again(self, monkeypatch):
         # Functions asked for after a values-only solve come from one eigh
         # call on the same matrix; the eigenvalues are not solved again.
@@ -548,7 +593,10 @@ class TestSolveCount:
         assert {r["name"] for r in records if r["holds"]} >= {"main", "product", "eq1_left"}
         lap_g = spectral.normalized_laplacian_sym(g)
         assert sum(np.array_equal(m, lap_g) for m in solved["jacobi"]) == 1
-        assert len(solved["jacobi"]) == 3 + (eps != "0")
+        # L(g) (or, at eps > 0, g's held perturbed instance with one eigh),
+        # factor 2 and the product.
+        assert len(solved["jacobi"]) == 3
+        assert len(solved["eigh"]) == (eps != "0")
 
     def test_cached_nodal_records_match_uncached(self, monkeypatch):
         g = generate("random_connected", 8, 3)

@@ -40,6 +40,7 @@ from brute import (
     loop_reconstruct,
     naive_rho,
     naive_rho_signed,
+    regrouped_rho_signed,
     shift_phi_array,
 )
 
@@ -339,6 +340,16 @@ class TestRhoSigned:
             assert profile[k - 1].value == naive_rho_signed(g, k)
             assert rho_signed_exact(g, k).value == profile[k - 1].value
 
+    @pytest.mark.parametrize("unit_weights", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_regrouped_oracle_equals_naive(self, n, unit_weights):
+        lo, hi = (1.0, 1.0) if unit_weights else (0.5, 2.0)
+        for seed, p in ((n, 0.3), (n + 100, 0.9)):
+            g = with_random_signature(
+                generate("random_connected", n, seed, p=p, w_low=lo, w_high=hi), seed
+            )
+            assert regrouped_rho_signed(g, 3) == [naive_rho_signed(g, k) for k in (1, 2, 3)]
+
     def test_certificates_valid(self):
         g = with_random_signature(generate("random_connected", 7, seed=3, p=0.4), 9)
         for k in (1, 2, 3):
@@ -600,19 +611,19 @@ class TestNodalSweep:
         g = generate("path", 2)
         f = laplacian_spectrum(g).function(2)
         res = rho_upper_nodal_sweep(g, f)
-        assert res.m == 2
-        assert res.bound == 1.0
+        assert res.k == 2
+        assert res.value == 1.0
         assert rho_exact(g, 2).value == 1.0
 
     def test_constant_function(self):
         g = generate("random_connected", 6, seed=6)
         res = rho_upper_nodal_sweep(g, [2.0] * 6)
-        assert res.m == 1 and res.bound == 0.0
+        assert res.k == 1 and res.value == 0.0
 
     def test_c4_half_split(self):
         g = generate("cycle", 4)
         res = rho_upper_nodal_sweep(g, [1, 1, -1, -1])
-        assert res.m == 2 and res.bound == 0.5
+        assert res.k == 2 and res.value == 0.5
 
     def test_bound_dominates_rho(self):
         for seed in range(6):
@@ -621,9 +632,9 @@ class TestNodalSweep:
             profile = rho_profile(g)
             for k in range(2, 8):
                 res = rho_upper_nodal_sweep(g, spectrum.function(k))
-                assert res.bound >= profile[res.m - 1].value - 1e-12
-                assert res.certificate.recompute(g) == res.bound
-                assert not res.certificate.exact
+                assert res.value >= profile[res.k - 1].value - 1e-12
+                assert res.recompute(g) == res.value
+                assert not res.exact
 
     def test_zero_function_rejected(self):
         with pytest.raises(ValueError):

@@ -264,11 +264,12 @@ class TestCheeger:
         g = cheegerlab.load_graph(str(path))
         bare = cheegerlab.laplacian_spectrum(g, functions=False)
         f = cheegerlab.spectral.with_functions(g, bare).function(j)
+        sweep = cheegerlab.rho_upper_nodal_sweep(g, f)
         expected = json.dumps(
             {
                 "certificate": cheegerlab.rho_exact(g, 2).to_json_dict(),
                 "budget_exceeded": False,
-                "sweep": cheegerlab.rho_upper_nodal_sweep(g, f).to_json_dict(),
+                "sweep": {"m": sweep.k, "bound": sweep.value, "certificate": sweep.to_json_dict()},
             },
             sort_keys=True,
         ) + "\n"
@@ -401,7 +402,7 @@ class TestVerify:
         assert code == 0
         assert {rec["name"] for rec in json.loads(expected)["records"]} == {"lower_eta", "lower_gap"}
         corpus = json.dumps({**config, "checks": ["lower"]})
-        for flags in ([], ["--checks", "main,basics"]):
+        for flags in ([], ["--checks", "main,basics"], ["--checks", ""]):
             code, out, _ = run_cli(["verify", "--corpus", corpus, *flags], capsys)
             assert code == 0 and out == expected
         product = json.dumps({**config, "checks": ["product"]})
@@ -419,6 +420,7 @@ class TestVerify:
             ('{"eps": NaN}', "'eps' must be a finite number >= 0, got nan"),
             ('{"sizes": []}', "'sizes' must be a nonempty list of integers >= 1, got []"),
             ('{"sizes": [4, 0]}', "'sizes' must be a nonempty list of integers >= 1, got [4, 0]"),
+            ('{"checks": []}', "'checks' must be a nonempty list of check names, got []"),
             ('{"p": "0.3"}', "'p' must be a finite number in [0, 1], got '0.3'"),
             ('{"w_high": Infinity}', "'w_high' must be a finite number > 0 or null, got inf"),
             ('{"w_low": -1}', "'w_low' must be a finite number > 0 or null, got -1"),
@@ -553,6 +555,17 @@ class TestVerify:
     def test_unknown_check_exit_2(self, gn3_file, capsys):
         code, _, err = run_cli(["verify", gn3_file, "--checks", "bogus"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["", ",,,"])
+    def test_empty_check_list_exit_2(self, gn3_file, capsys, flag):
+        code, out, err = run_cli(["verify", gn3_file, "--checks", flag], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --checks {flag!r} names no check\n"
+        # In a corpus run the flag is the config's checks unless the JSON
+        # names its own.
+        code, out, err = run_cli(["verify", "--corpus", '{"sizes": [4]}', "--checks", flag], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: bad corpus config: 'checks' must be a nonempty list of check names, got []\n"
 
     def test_deterministic_bytes(self, gn3_file, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
