@@ -4,13 +4,16 @@ One exact engine answers every request: a subset dynamic program over
 vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`) that
 returns certificates for every k = 1..kmax at once.  Level 1 is a
 subset-min transform, O(n 2^n); each middle level 2..kmax-1 is one O(3^n)
-pass over a (mask, part) pair table that depends only on n; the top level
-is evaluated only at the n suffix masks {i..n-1} its reconstruction reads,
-O(2^n), in one gather over their concatenated segments.  Small pair tables
-are cached per n; larger ones are built chunk by chunk within one memory
-budget, once per pass that reads them, so the signed profile at n >= 11
-builds its pair table twice (for the split table, and again for the
-packing levels when kmax >= 3).  :func:`rho_exact` / :func:`rho_signed_exact`
+pass over the (mask, part) pairs; the top level is evaluated only at the n
+suffix masks {i..n-1} its reconstruction reads, O(2^n), in one gather over
+their concatenated segments.  The pairs of each popcount group form one
+block of shape (2^(p-1), masks), one column per mask, so each level of a
+group is one gather, one maximum and one least value down the columns, and
+the split pass picks each union's split by argmin down its column.  Up to
+n = 10 every block is held in one per-n plan; beyond it the blocks are
+built in column ranges within one memory budget, and the signed profile
+runs its split pass and its packing levels on each built block in turn,
+so each is built once.  :func:`rho_exact` / :func:`rho_signed_exact`
 answer a single k from it and rebuild only certificate k.  One certificate
 builder serves both signs: it packs a score table (Phi, or the signed
 split table's least beta per union with the split that attains it) and
@@ -24,17 +27,25 @@ to n = 15 and every signed one up to n = 14, whatever kmax and the edge
 count; beyond that it depends on them (k = 2 reaches n = 21 on a tree).
 A refused request raises ValueError before any table is built.
 
-The subset tables add each edge's or vertex's term as a weight times one
-row of a bool membership table, bits[v][mask].  It and the concatenated
-suffix segments are cached per n and read-only: n 2^n + 16 2^n bytes,
-about 1 MB at n = 15.  Phi and the signed split table read the same cut
-and measure arrays, and the split pass adds beta's edge terms edge by
-edge in stored-edge order over the pairs.  So every score is the same sum,
-in the same order, as the canonical per-set evaluation of
-:func:`conductance` / :func:`beta_signed`, and as the DP selects among
-scores with min/max only, every value it returns agrees to the last bit
-with a naive enumeration that scores the same way.  DP certificates break
-ties among optimal tuples by the DP's scan order.
+The per-n tables (the membership table bits[v][mask], the mask layout,
+the suffix segments and the plan) are read-only and held only while each
+holds at most _HELD_BYTES (1 MiB): all of them up to n = 10, the plan no
+further, the rest up to n = 15 or 16; a larger n builds them per call.
+The cut pass sums every edge's term, a weight times a crossing row of
+bits, over the masks without vertex n-1 in one reduction down the edges
+per range of masks, and mirrors the other half (cut(S) = cut(V - S), the
+same terms in the same order); the measure doubles, mu(S + v) = mu(S) +
+mu_v for v above S.  Phi and the signed split table read the same cut and
+measure, and the split pass sums beta's positive and negative edge terms
+per sign class the same way, over flat ranges of pairs, reading each
+vertex's side (+1 in V1, -1 in V2, 0 outside the union) by shifting the
+pair masks.  numpy reduces down the edges one add at a time, in
+stored-edge order, so every score is the same sum, in the same order, as
+the canonical per-set evaluation of :func:`conductance` /
+:func:`beta_signed`, and as the DP selects among scores with min/max
+only, every value it returns agrees to the last bit with a naive
+enumeration that scores the same way.  DP certificates break ties among
+optimal tuples by the DP's scan order.
 
 The per-set evaluation is one private evaluator per score, on Python bool
 lists, behind `conductance`, `beta_signed`, every certificate's
@@ -43,7 +54,7 @@ lists, behind `conductance`, `beta_signed`, every certificate's
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import compress
 from typing import NamedTuple
 
@@ -52,16 +63,26 @@ import numpy as np
 from .graph import WeightedGraph
 from .nodal import strong_nodal
 
-# Memory budget (bytes) for the pair-indexed arrays of one profile call.
-# The pair table holds two native index arrays (numpy gathers three times
-# slower through int32 indices), 16 bytes a pair.  A table that fits in half
-# the budget (n <= 10) is built once per n and cached; a larger one is built
-# chunk by chunk on every call, once per call.  Work arrays are built per
-# chunk of masks whose pairs fit in half the budget at the bytes per pair
-# below (peak use measured with tracemalloc, a built table's share included).
+# Memory budget (bytes) for the work arrays of one profile call.  A pair
+# block holds two native index arrays (numpy gathers three times slower
+# through int32 indices), 16 bytes a pair.  The packing levels run over
+# column ranges of one popcount group whose pairs fit in half the budget at
+# the bytes per pair below (peak use measured with tracemalloc, a built
+# block's share included).  The cut pass cuts its per-edge work arrays to a
+# sixteenth of the budget and the split pass to an eighth: once freed, work
+# arrays this large are reused from the heap, so these sizes set the peak
+# memory of a process, and they keep it at or below that of the
+# one-edge-at-a-time passes they replaced.  The cut pass is cheap, so its
+# smaller ranges cost little.
 _PAIR_BUDGET = 2 << 20
 _DP_PAIR_BYTES = 64
-_SPLIT_PAIR_BYTES = 128
+
+# The per-n tables (the membership table, the mask layout, the suffix
+# segments and the pair plan) are held while each holds at most this many
+# bytes: every n up to 10 keeps all of them, since a cold rebuild there costs
+# about a tenth of a corpus op, and a larger n builds what it cannot hold per
+# call rather than keeping it for the life of the process.
+_HELD_BYTES = 1 << 20
 
 # Work policy of the exact engine (_dp_admits): the element operations of a
 # request and the bytes its tables hold must stay within these.  On a 2-vCPU
@@ -76,8 +97,8 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
 
     Bytes held, per mask: the DP levels 0..kmax, the membership table's n
     bools, the suffix segments' 16 bytes, the cut, measure and score
-    arrays, the four arrays of the mask layout and, if signed, the split
-    tables; plus the pair budget.  Checked first, it bounds n before the
+    arrays, 32 bytes for the mask layout and, if signed, the split tables;
+    plus the pair budget.  Checked first, it bounds n before the
     operations are summed: the cut and measure passes, level 1's transform
     and the top level's gather, O(2^n) each; every pair of a mask with at
     least j vertices for each middle level j = 2..kmax-1; and, if signed,
@@ -221,41 +242,109 @@ def _beta_eval(g: WeightedGraph, in1: list[bool], in2: list[bool]) -> float:
     return (2.0 * ep + em + bnd) / mu_sum
 
 
-@lru_cache(maxsize=None)
-def _bits(n: int) -> np.ndarray:
-    """Membership table of n (read-only, cached): bits[v][mask] is whether
-    vertex v lies in mask.
+def _nbytes(table) -> int:
+    """Bytes of the arrays in `table` that own their data (a view counts
+    in its base)."""
+    if isinstance(table, np.ndarray):
+        return table.nbytes if table.base is None else 0
+    if isinstance(table, tuple):
+        return sum(_nbytes(t) for t in table)
+    return 0
 
-    The subset tables add each edge's or vertex's term as weight times a
-    row of it: w * True = w and w * False = 0.0, and adding +0.0 to a sum
-    of nonnegative terms changes no bit, so each entry is the same sum, in
-    the same order, as the canonical per-set evaluation.
+
+def _held(build):
+    """Per-n cache of build(n) that keeps a table only while its arrays hold
+    at most _HELD_BYTES; a larger one is built again on every call."""
+    held = {}
+
+    @wraps(build)
+    def table(n: int):
+        t = held.get(n)
+        if t is None:
+            t = build(n)
+            if _nbytes(t) <= _HELD_BYTES:
+                held[n] = t
+        return t
+
+    table.cache_clear = held.clear
+    return table
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@_held
+def _bits(n: int) -> np.ndarray:
+    """Membership table of n (read-only): bits[v][mask] is whether vertex v
+    lies in mask.
+
+    The cut pass multiplies each edge's crossing row by its weight:
+    w * True = w and w * False = 0.0, and adding +0.0 to a sum of
+    nonnegative terms changes no bit, so each entry is the same sum, in the
+    same order, as the canonical per-set evaluation.
     """
     bits = np.zeros((n, 1 << n), dtype=bool)
     for v in range(n):
         bits[v].reshape(-1, 2, 1 << v)[:, 1] = True
-    bits.flags.writeable = False
+    _read_only(bits)
     return bits
+
+
+def _edge_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of the per-edge rows of `terms` (C-contiguous, edges first, two
+    or more entries per edge) in stored-edge order.
+
+    numpy reduces the outer axis of a C-contiguous array row by row, one
+    add per row in order, so every entry is the sequential sum of the
+    canonical evaluators; with one entry per edge it would sum pairwise.
+    """
+    return np.add.reduce(terms, axis=0)
+
+
+def _weighted(hit: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The per-edge terms w * hit (hit bool, C-contiguous, one row per
+    edge; w one weight per row): w where hit, else 0.0.
+
+    Cast first, then scaled in place: a bool-times-float multiply casts
+    through numpy's buffers, which is slower and holds more memory.
+    """
+    terms = hit.astype(np.float64)
+    terms *= w
+    return terms
 
 
 def _cut_and_measure(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(cut, measure) of every vertex subset, indexed by bitmask: the weight
     of the edges leaving it, summed in stored-edge order, and its measure,
-    summed in ascending vertex order (entry 0 is 0.0 in both)."""
+    summed in ascending vertex order (entry 0 is 0.0 in both).
+
+    The cut is summed over the masks without vertex n-1, every edge's term
+    at once per range of masks, and mirrored: cut(S) = cut(V - S), the same
+    terms in the same order.  The measure doubles: mu(S + v) = mu(S) + mu_v
+    for every v above S.
+    """
     n = g.n
-    bits = _bits(n)
     size = 1 << n
-    cross = np.empty(size, dtype=bool)
-    term = np.empty(size)
-    cut = np.zeros(size)
-    for e in g.edges:
-        np.not_equal(bits[e.u], bits[e.v], out=cross)
-        np.multiply(cross, e.w, out=term)
-        cut += term
-    mu_sum = np.zeros(size)
-    for v in range(n):
-        np.multiply(bits[v], g.mu[v], out=term)
-        mu_sum += term
+    half = size >> 1
+    bits = _bits(n)
+    u = np.array([e.u for e in g.edges], dtype=np.intp)
+    v = np.array([e.v for e in g.edges], dtype=np.intp)
+    w = np.array([e.w for e in g.edges])[:, None]
+    # Masks per range: a sixteenth of the budget at 11 bytes per mask and
+    # edge (two gathered rows, their comparison, the term), rounded down to
+    # a power of two, so that every range holds two masks or more.
+    step = 1 << max(1, (_PAIR_BUDGET // 16 // (11 * max(1, len(w)))).bit_length() - 1)
+    cut = np.empty(size)
+    for lo in range(0, half, step):
+        hi = min(half, lo + step)
+        cut[lo:hi] = _edge_sum(_weighted(bits[u, lo:hi] != bits[v, lo:hi], w))
+    cut[half:] = cut[half - 1 :: -1]
+    mu_sum = np.empty(size)
+    mu_sum[0] = 0.0
+    for x, mu_x in enumerate(g.mu):
+        np.add(mu_sum[: 1 << x], mu_x, out=mu_sum[1 << x : 2 << x])
     return cut, mu_sum
 
 
@@ -267,10 +356,15 @@ def _phi_array(g: WeightedGraph) -> np.ndarray:
     return phi
 
 
-def _parts_from_masks(masks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
+def _parts_from_masks(masks: list[int]) -> tuple[tuple[int, ...], ...]:
     out = []
     for m in masks:
-        out.append(tuple(v for v in range(n) if (m >> v) & 1))
+        part = []
+        while m:
+            low = m & -m
+            part.append(low.bit_length() - 1)
+            m ^= low
+        out.append(tuple(part))
     return tuple(out)
 
 
@@ -289,7 +383,8 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=False)
-    return _certificates(_phi_array(g), None, n, k, (k,))[0]
+    score = _phi_array(g)
+    return _certificates(_profile_tables(score, n, k), score, None, n, (k,))[0]
 
 
 def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
@@ -302,7 +397,8 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=True)
-    return _certificates(*_signed_tables(g), n, k, (k,))[0]
+    t = _signed_tables(g, k)
+    return _certificates(t.dp, t.betamin, t.split, n, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,98 +407,154 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
 # Both profiles run over the (mask, part) pairs of the n-vertex bitmasks:
 # for every nonempty mask, the parts a = low | sub where low is the mask's
 # lowest vertex and sub runs over the submasks of mask ^ low in descending
-# order.  That is (3^n - 1) / 2 pairs.  Masks are laid out by popcount, then
-# by value, and each mask's parts form one contiguous segment, so the masks
-# with at least j vertices are a suffix of the layout.
+# order.  That is (3^n - 1) / 2 pairs.  Masks are grouped by popcount, and
+# each group's pairs form one block of shape (2^(p-1), masks): column c
+# holds the segment of the group's mask c, in that descending scan order, so
+# every pass reduces a group down its columns.  A level or a split
+# of a p-vertex mask reads only masks of popcount below p, and the mask
+# itself, so the passes run group by group in increasing popcount.
 
-@dataclass(frozen=True)
-class _MaskOrder:
+class _MaskOrder(NamedTuple):
     masks: np.ndarray   # nonempty masks by popcount, then value
-    start: np.ndarray   # pair offset of each mask's segment; start[-1] = pair count
     first: np.ndarray   # first[p]: position in `masks` of the first mask with >= p vertices
-    index: np.ndarray   # position of every mask in `masks` (entry 0 unused)
 
 
-@lru_cache(maxsize=None)
+@_held
 def _mask_order(n: int) -> _MaskOrder:
-    """The mask layout of n (O(2^n), cached; the arrays are read-only)."""
-    size = 1 << n
+    """The mask layout of n (O(2^n); the arrays are read-only)."""
     pc = _bits(n).sum(axis=0, dtype=np.int64)
     masks = np.argsort(pc, kind="stable")[1:]
-    start = np.zeros(size, dtype=np.int64)
-    np.cumsum(np.left_shift(1, pc[masks] - 1), out=start[1:])
     first = np.searchsorted(pc[masks], np.arange(n + 2))
-    index = np.zeros(size, dtype=np.int64)
-    index[masks] = np.arange(size - 1)
-    for a in (masks, start, first, index):
-        a.flags.writeable = False
-    return _MaskOrder(masks=masks, start=start, first=first, index=index)
+    order = _MaskOrder(masks=masks, first=first)
+    _read_only(*order)
+    return order
 
 
-def _build_pairs(order: _MaskOrder, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parts, rests) of the segments of order.masks[lo:hi], as index arrays.
+class _Group(NamedTuple):
+    """Masks of one popcount p (or a column range of them) and their block."""
 
-    Each popcount group fills one (masks, 2^(p-1)) block of the output in
-    place, by doubling from the right over the mask's vertices above its
-    lowest, lowest first: the copy with the new vertex goes to the left of
-    the current columns, which keeps every row descending.
+    masks: np.ndarray        # (M,) ascending
+    without_low: np.ndarray  # (M,) each mask without its lowest vertex
+    parts: np.ndarray        # (2^(p-1), M): column c is the segment of masks[c]
+    rests: np.ndarray        # masks ^ parts
+
+
+def _layout(shape: tuple[int, int]) -> str:
+    """Memory order of a pair block: its longer axis contiguous (C order for
+    a block at least as wide as tall, else Fortran order), so the
+    reductions down the columns run along contiguous runs; numpy reduces a
+    tall C-order block, one row at a time over a few columns, several times
+    slower."""
+    return "F" if shape[0] > shape[1] else "C"
+
+
+def _block_view(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The block of `shape` laid out over flat storage (a view)."""
+    return flat.reshape(shape, order=_layout(shape))
+
+
+def _build_pairs(masks: np.ndarray, p: int, parts=None, rests=None) -> tuple[np.ndarray, np.ndarray]:
+    """(parts, rests) blocks of masks of popcount p, written into the given
+    blocks or new ones.
+
+    The block is filled by doubling from the bottom over each mask's
+    vertices above its lowest, lowest first: the copy with the new vertex
+    goes above the current rows, which keeps every column descending.
     """
-    base = order.start[lo]
-    parts = np.empty(order.start[hi] - base, dtype=np.intp)
-    rests = np.empty_like(parts)
-    cuts = [lo] + [c for c in order.first.tolist() if lo < c < hi] + [hi]
-    for g_lo, g_hi in zip(cuts, cuts[1:]):
-        group = order.masks[g_lo:g_hi, None]
-        o0, o1 = order.start[g_lo] - base, order.start[g_hi] - base
-        block = parts[o0:o1].reshape(len(group), -1)
-        width = block.shape[1]
-        low = group & -group
-        block[:, -1:] = low
-        left = group ^ low
-        w = 1
-        while w < width:
-            bit = left & -left
-            np.bitwise_or(block[:, width - w :], bit, out=block[:, width - 2 * w : width - w])
-            left ^= bit
-            w *= 2
-        np.bitwise_xor(group, block, out=rests[o0:o1].reshape(block.shape))
+    shape = (1 << (p - 1), len(masks))
+    height = shape[0]
+    if parts is None:
+        parts = np.empty(shape, dtype=np.intp, order=_layout(shape))
+        rests = np.empty_like(parts)
+    low = masks & -masks
+    parts[-1] = low
+    left = masks ^ low
+    h = 1
+    while h < height:
+        bit = left & -left
+        np.bitwise_or(parts[height - h :], bit, out=parts[height - 2 * h : height - h])
+        left ^= bit
+        h *= 2
+    np.bitwise_xor(masks, parts, out=rests)
     return parts, rests
 
 
-@lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The whole pair table of n (read-only), or None when it exceeds half the budget."""
-    if 16 * ((3**n - 1) // 2) > _PAIR_BUDGET // 2:
+def _group(masks: np.ndarray, p: int, *blocks: np.ndarray) -> _Group:
+    return _Group(masks, masks ^ (masks & -masks), *_build_pairs(masks, p, *blocks))
+
+
+class _Plan(NamedTuple):
+    groups: tuple[_Group, ...]  # groups[p - 1]: the masks of popcount p, p = 1..n
+    column: np.ndarray          # column[mask]: the mask's column in its group's block
+    parts: np.ndarray           # every block, one after another: the groups' blocks are views
+    rests: np.ndarray
+    starts: np.ndarray          # groups[p - 1]'s pairs are parts[starts[p - 1]:starts[p]]
+
+
+@_held
+def _plan(n: int) -> _Plan | None:
+    """Every popcount group of n with its block (read-only), or None when
+    the blocks would hold more than _HELD_BYTES (n > 10)."""
+    pairs = (3**n - 1) // 2
+    if 16 * pairs > _HELD_BYTES:
         return None
     order = _mask_order(n)
-    table = _build_pairs(order, 0, len(order.masks))
-    for a in table:
-        a.flags.writeable = False
-    return table
+    parts = np.empty(pairs, dtype=np.intp)
+    rests = np.empty_like(parts)
+    column = np.zeros(1 << n, dtype=np.intp)
+    starts = np.zeros(n + 1, dtype=np.intp)
+    groups = []
+    for p in range(1, n + 1):
+        masks = order.masks[order.first[p] : order.first[p + 1]]
+        shape = (1 << (p - 1), len(masks))
+        starts[p] = starts[p - 1] + shape[0] * shape[1]
+        blocks = [_block_view(flat[starts[p - 1] : starts[p]], shape) for flat in (parts, rests)]
+        group = _group(masks, p, *blocks)
+        column[masks] = np.arange(len(masks))
+        _read_only(*group)
+        groups.append(group)
+    _read_only(column, parts, rests, starts)
+    return _Plan(groups=tuple(groups), column=column, parts=parts, rests=rests, starts=starts)
 
 
-def _pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of order.masks[lo:hi]: views of the cached table, or built afresh."""
-    table = _pair_table(n)
-    if table is None:
-        return _build_pairs(_mask_order(n), lo, hi)
-    start = _mask_order(n).start
-    p0, p1 = start[lo], start[hi]
-    return table[0][p0:p1], table[1][p0:p1]
+def _blocks(n: int, first: int):
+    """Yield (p, group) for the popcount groups p >= first, in increasing p,
+    each cut into column ranges whose pairs fit in half the budget at
+    _DP_PAIR_BYTES a pair (one column at least; the singletons of p = 1
+    are never cut, so every range holds two pairs or more when n >= 2).
+
+    A range is a view of the held plan, or built afresh beyond it.
+    """
+    plan = _plan(n)
+    order = _mask_order(n) if plan is None else None
+    cap = _PAIR_BUDGET // 2 // _DP_PAIR_BYTES
+    for p in range(first, n + 1):
+        if plan is None:
+            masks = order.masks[order.first[p] : order.first[p + 1]]
+        else:
+            group = plan.groups[p - 1]
+            masks = group.masks
+        step = max(1, cap >> (p - 1)) if p > 1 else len(masks)
+        for c in range(0, len(masks), step):
+            if plan is None:
+                yield p, _group(masks[c : c + step], p)
+            elif step >= len(masks):
+                yield p, group
+            else:
+                yield p, _Group(*(a[..., c : c + step] for a in group))
 
 
-@dataclass(frozen=True)
-class _SuffixSegments:
+class _SuffixSegments(NamedTuple):
     masks: np.ndarray   # masks[i] = V_i = {i..n-1}
     start: np.ndarray   # V_i's segment is parts[start[i]:start[i+1]]
     parts: np.ndarray
     rests: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@_held
 def _suffix_segments(n: int) -> _SuffixSegments:
     """The segments of the suffix masks V_0..V_{n-1}, concatenated in that
-    order (cached, read-only): 2^n - 1 pairs, 16 bytes a pair.
+    order (read-only): 2^n - 1 pairs, 16 bytes a pair.
 
     V_i's parts are {i} joined with every submask of V_{i+1}, descending,
     as _build_pairs lays them out.
@@ -419,23 +571,20 @@ def _suffix_segments(n: int) -> _SuffixSegments:
         np.left_shift(np.arange(len(seg) - 1, -1, -1), i + 1, out=seg)
         seg |= 1 << i
         np.bitwise_xor(masks[i], seg, out=rests[start[i] : start[i + 1]])
-    for a in (masks, start, parts, rests):
-        a.flags.writeable = False
-    return _SuffixSegments(masks=masks, start=start, parts=parts, rests=rests)
+    sfx = _SuffixSegments(masks=masks, start=start, parts=parts, rests=rests)
+    _read_only(*sfx)
+    return sfx
 
 
 def _segment(n: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parts, rests) of one mask's segment: a view of the cached suffix
-    segments or pair table, or built directly by _build_pairs' doubling."""
+    """(parts, rests) of one mask's segment: a column of the held plan, or
+    built directly by _build_pairs' doubling on Python ints."""
+    plan = _plan(n)
+    if plan is not None:
+        group = plan.groups[mask.bit_count() - 1]
+        c = plan.column[mask]
+        return group.parts[:, c], group.rests[:, c]
     low = mask & -mask
-    if mask + low == 1 << n:
-        sfx = _suffix_segments(n)
-        i = low.bit_length() - 1
-        p0, p1 = sfx.start[i], sfx.start[i + 1]
-        return sfx.parts[p0:p1], sfx.rests[p0:p1]
-    if _pair_table(n) is not None:
-        i = int(_mask_order(n).index[mask])
-        return _pairs(n, i, i + 1)
     left = mask ^ low
     parts = np.empty(1 << left.bit_count(), dtype=np.intp)
     end = len(parts)
@@ -449,29 +598,17 @@ def _segment(n: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
     return parts, mask ^ parts
 
 
-def _chunks(n: int, lo: int, end: int, pair_bytes: int):
-    """Yield (lo, hi, parts, rests) over order.masks[lo:end] in mask ranges of
-    at most half the budget at `pair_bytes` per pair (one mask at least)."""
-    order = _mask_order(n)
-    cap = _PAIR_BUDGET // 2 // pair_bytes
-    while lo < end:
-        hi = int(np.searchsorted(order.start, order.start[lo] + cap, side="right")) - 1
-        hi = min(max(hi, lo + 1), end)
-        yield (lo, hi) + _pairs(n, lo, hi)
-        lo = hi
-
-
 def _dp_iterations(n: int, kmax: int) -> int:
     """Inner iterations of the textbook loop over the same recurrence:
     every pair of every mask with at least j vertices, for j = 1..kmax.
 
     This counts the recurrence, not the work done: the engine computes
-    level 1 by a transform and the top level at n masks only.
+    level 1 without the pairs and the top level at n masks only.
     """
     return sum((math.comb(n, p) << (p - 1)) * min(p, kmax) for p in range(1, n + 1))
 
 
-def _packing_dp(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
+def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.ndarray]:
     """min over j disjoint nonempty subsets of max score, for every j <= kmax.
 
     dp[j][mask] restricts all parts to live inside `mask`.  Either the
@@ -481,51 +618,67 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
     over the nonempty submasks of the mask: a subset-min transform folds,
     for each vertex v, the half of the table without v into the half with
     it.  Levels 2..kmax read only smaller popcount groups, so one pass over
-    the groups in increasing popcount fills them: each chunk of a group
-    gathers score[parts] once and runs levels 2..min(p, kmax).  Only min
-    and max select among table values, so every entry is exact.
+    the groups in increasing popcount fills them: each block gathers
+    score[parts] once, and each level is one gather, one maximum and one
+    least value down the columns.
+
+    With `fill` (a :class:`_SplitPass`), the score table is filled in the
+    same pass, fill(group) writing score[group.masks] before the group's
+    levels run, so each block is built once; level 1 is then filled group
+    by group as min(score[mask], min over v of dp[1][mask - v]), which
+    selects the same value as the transform.  Only min and max select among
+    table values, so every entry is exact.
     """
     dp = np.full((kmax + 1, 1 << n), math.inf)
     dp[0] = -math.inf
-    if kmax == 0:
-        return list(dp)
-    level1 = dp[1]
-    level1[1:] = score[1:]
-    for v in range(n):
-        halves = level1.reshape(-1, 2, 1 << v)
-        np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
-    if kmax == 1:
-        return list(dp)
-    order = _mask_order(n)
-    for p in range(2, n + 1):
-        for lo, hi, parts, rests in _chunks(n, int(order.first[p]), int(order.first[p + 1]), _DP_PAIR_BYTES):
-            masks = order.masks[lo:hi]
-            without_low = masks ^ (masks & -masks)
-            sc = score[parts].reshape(len(masks), -1)
-            rests = rests.reshape(sc.shape)
-            for j in range(2, min(p, kmax) + 1):
-                cand = dp[j - 1][rests]
-                np.maximum(cand, sc, out=cand)
-                best = cand.min(axis=1)
-                np.minimum(best, dp[j][without_low], out=best)
-                dp[j][masks] = best
+    if fill is None:
+        if kmax == 0:
+            return list(dp)
+        level1 = dp[1]
+        level1[1:] = score[1:]
+        for v in range(n):
+            halves = level1.reshape(-1, 2, 1 << v)
+            np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+        if kmax == 1:
+            return list(dp)
+        blocks = _blocks(n, 2)
+    else:
+        blocks = _blocks(n, 1)
+        drop = ~np.left_shift(1, np.arange(n))[:, None]
+    for p, group in blocks:
+        masks = group.masks
+        if fill is not None:
+            fill(group)
+            if kmax >= 1:
+                best = dp[1][masks & drop].min(axis=0)
+                np.minimum(best, score[masks], out=best)
+                dp[1][masks] = best
+        if min(p, kmax) < 2:
+            continue
+        sc = score[group.parts]
+        for j in range(2, min(p, kmax) + 1):
+            cand = dp[j - 1][group.rests]
+            np.maximum(cand, sc, out=cand)
+            best = cand.min(axis=0)
+            np.minimum(best, dp[j][group.without_low], out=best)
+            dp[j][masks] = best
     return list(dp)
 
 
-def _profile_tables(score: np.ndarray, n: int, kmax: int) -> list[np.ndarray]:
+def _profile_tables(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.ndarray]:
     """The tables `_reconstruct` reads for every k = 1..kmax.
 
-    Levels 0..kmax-1 are :func:`_packing_dp`'s full tables.  Level kmax
-    is read only at the suffix masks V_i = {i..n-1}: from the full mask,
-    reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
-    a part and goes down a level.  So level kmax is filled by the same
-    recurrence at the V_i with at least kmax vertices: one gather over
-    their concatenated segments, the least candidate of each segment, then
-    a running minimum from V_{n-kmax} up to V_0 for the dropped lowest
-    vertices.  Every other entry is inf (at the shorter V_i that is the
-    true value).
+    Levels 0..kmax-1 are :func:`_packing_dp`'s full tables (which fill the
+    score table first if `fill` is given).  Level kmax is read only at the
+    suffix masks V_i = {i..n-1}: from the full mask, reconstruction either
+    drops the lowest vertex (V_i to V_{i+1}) or takes a part and goes down a
+    level.  So level kmax is filled by the same recurrence at the V_i with
+    at least kmax vertices: one gather over their concatenated segments,
+    the least candidate of each segment, then a running minimum from
+    V_{n-kmax} up to V_0 for the dropped lowest vertices.  Every other entry
+    is inf (at the shorter V_i that is the true value).
     """
-    dp_all = _packing_dp(score, n, kmax - 1)
+    dp_all = _packing_dp(score, n, kmax - 1, fill)
     prev = dp_all[-1]
     sfx = _suffix_segments(n)
     count = n - kmax + 1
@@ -557,8 +710,9 @@ def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) ->
             mask ^= low
             continue
         seg, rests = _segment(n, mask)
-        cand = np.maximum(score[seg], dp_all[j - 1][rests])
-        a = int(seg[np.argmax(cand == dp[mask])])
+        cand = score.take(seg)
+        np.maximum(cand, dp_all[j - 1].take(rests), out=cand)
+        a = int(seg[(cand == dp[mask]).argmax()])
         parts.append(a)
         mask ^= a
         j -= 1
@@ -566,17 +720,16 @@ def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) ->
 
 
 def _certificates(
-    score: np.ndarray, split: np.ndarray | None, n: int, kmax: int, ks
+    dp_all: list[np.ndarray], score: np.ndarray, split: np.ndarray | None, n: int, ks
 ) -> tuple[PartitionCertificate, ...]:
-    """Certificates k in ks of the profile up to kmax (arguments already checked).
+    """Certificates k in ks of the profile tables dp_all (arguments already checked).
 
     `score` is Phi's table, or the signed split table's betamin with
     `split` its V1 masks (None unsigned).  The parts of each certificate
     are ordered by lowest vertex, each union followed, if signed, by its
     split (V1, V2).
     """
-    dp_all = _profile_tables(score, n, kmax)
-    states = _dp_iterations(n, kmax)
+    states = _dp_iterations(n, len(dp_all) - 1)
     full = (1 << n) - 1
     certs = []
     for k in ks:
@@ -587,7 +740,7 @@ def _certificates(
             PartitionCertificate(
                 k=k,
                 value=float(dp_all[k][full]),
-                parts=_parts_from_masks(masks, n),
+                parts=_parts_from_masks(masks),
                 signed=split is not None,
                 exact=True,
                 states=states,
@@ -600,11 +753,11 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     """Exact rho_k certificates for every k = 1..kmax in one subset DP.
 
     The DP runs in numpy (:func:`_profile_tables`): level 1 by a subset-min
-    transform, levels 2..kmax-1 over the (mask, part) pair table, chunked
-    by mask range within a fixed memory budget, and level kmax at the n
-    suffix masks only.  Every value is a Phi-table entry chosen by min/max
-    only, so it is bit-identical to the textbook loop and to naive
-    enumeration (``tests/brute.py``).  Certificates are rebuilt by
+    transform, levels 2..kmax-1 over the column-major pair blocks of each
+    popcount group, in column ranges within a fixed memory budget, and level
+    kmax at the n suffix masks only.  Every value is a Phi-table entry
+    chosen by min/max only, so it is bit-identical to the textbook loop and
+    to naive enumeration (``tests/brute.py``).  Certificates are rebuilt by
     rescanning each mask's parts on the optimal path; they follow the DP's
     own tie-break (first optimal part in scan order).  A request beyond the
     work policy raises ValueError before any table is built.
@@ -616,78 +769,145 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
     _require_admitted(g, kmax, signed=False)
-    return _certificates(_phi_array(g), None, n, kmax, range(1, kmax + 1))
+    score = _phi_array(g)
+    return _certificates(_profile_tables(score, n, kmax), score, None, n, range(1, kmax + 1))
+
+
+class _SplitPass:
+    """The signed split table of g: betamin[U] is the least beta over the
+    splits (V1, V2) of the union U, and split[U] the V1 that attains it
+    first in scan order.  :meth:`scores` scores pairs of flat arrays and
+    :meth:`pick` takes each union's least down its column of a block;
+    calling the pass on a block does both.
+
+    V1 runs over U's segment (it holds U's lowest vertex) and V2 = U ^ V1.
+    An edge with both ends in U crosses the split iff its ends' sides
+    differ; one with an end outside U neither crosses nor lies inside a
+    side.  So, as in :func:`beta_signed`, the positive edges across the
+    sides and the negative edges inside one side add their terms (weight,
+    and twice the weight) in stored-edge order, every other edge of the
+    class adding an exact 0.0; the boundary and measure of U are Phi's cut
+    and measure.  So every entry is bit-identical to beta_signed of its
+    split.
+    """
+
+    def __init__(self, g: WeightedGraph):
+        n = g.n
+        self.bnd, self.mu = _cut_and_measure(g)
+        self.betamin = np.full(1 << n, math.inf)
+        self.split = np.zeros(1 << n, dtype=np.int64)
+        # The smallest signed type that holds every mask: the sides are
+        # read by shifting the masks in it, which is faster than in int64.
+        self.mask_type = np.min_scalar_type(-(1 << n))
+        self.shifts = np.arange(n, dtype=self.mask_type)[:, None]
+        # The positive edges first, then the negative ones, each class in
+        # stored-edge order and weighted by its term's factor.  A pair gives
+        # each vertex a side: +1 in V1, -1 in V2, 0 outside the union.  A
+        # positive edge crosses iff its ends' sides multiply to -1, and a
+        # negative edge lies inside one side iff they multiply to +1.
+        edges = sorted(g.edges, key=lambda e: e.sigma < 0)
+        self.positive = sum(e.sigma > 0 for e in edges)
+        self.u = np.array([e.u for e in edges], dtype=np.intp)
+        self.v = np.array([e.v for e in edges], dtype=np.intp)
+        self.w = np.array([e.w if e.sigma > 0 else 2.0 * e.w for e in edges])[:, None]
+        self.hit_product = np.array([-e.sigma for e in edges], dtype=np.int8)[:, None]
+        # Bytes a pair of the work arrays of one range: the union and the
+        # masks in mask_type (16), the sides (two words of mask_type and an
+        # int8 copy per vertex), per edge two gathered sides rows, their
+        # product and the hit (4), the terms of one sign class at a time (8
+        # per edge of the larger class), and beta's temporaries (40).
+        word = self.mask_type.itemsize
+        widest = max(self.positive, len(edges) - self.positive)
+        pair_bytes = 56 + (2 * word + 1) * n + 4 * len(edges) + 8 * widest
+        self.step = max(2, _PAIR_BUDGET // 8 // pair_bytes)
+
+    def scores(self, parts: np.ndarray, rests: np.ndarray) -> np.ndarray:
+        """beta of every pair (V1, V2) = (parts[i], rests[i]) of flat
+        arrays, in ranges of `step` pairs, whose work arrays fit in an eighth
+        of the budget (two pairs or more each, when there are two)."""
+        beta = np.empty(len(parts))
+        lo = 0
+        while lo < len(parts):
+            hi = lo + self.step if lo + self.step < len(parts) - 1 else len(parts)
+            v1 = parts[lo:hi]
+            v2 = rests[lo:hi]
+            side = (v1.astype(self.mask_type) >> self.shifts) & 1
+            side -= (v2.astype(self.mask_type) >> self.shifts) & 1
+            side = side.astype(np.int8, copy=False)
+            hit = side[self.u] * side[self.v] == self.hit_product
+            ep = _edge_sum(_weighted(hit[: self.positive], self.w[: self.positive]))
+            em = _edge_sum(_weighted(hit[self.positive :], self.w[self.positive :]))
+            union = v1 | v2
+            np.divide(2.0 * ep + em + self.bnd[union], self.mu[union], out=beta[lo:hi])
+            lo = hi
+        return beta
+
+    def pick(self, group: _Group, beta: np.ndarray) -> None:
+        """Each union's least beta down its column of `beta` (laid out as
+        group.parts), and the V1 of its first occurrence."""
+        masks = group.masks
+        arg = beta.argmin(axis=0)
+        cols = np.arange(len(masks))
+        self.betamin[masks] = beta[arg, cols]
+        self.split[masks] = group.parts[arg, cols]
+
+    def __call__(self, group: _Group) -> None:
+        shape = group.parts.shape
+        beta = self.scores(group.parts.ravel("K"), group.rests.ravel("K"))
+        self.pick(group, _block_view(beta, shape))
 
 
 class _SignedTables(NamedTuple):
     betamin: np.ndarray
     split: np.ndarray  # V1 bitmask realizing betamin per union mask
+    dp: list[np.ndarray]  # the profile tables up to kmax over betamin
 
 
-def _signed_tables(g: WeightedGraph) -> _SignedTables:
-    """Least beta over the splits (V1, V2) of every union mask U.
+def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
+    """The signed split table of g (see :class:`_SplitPass`) and the
+    profile tables over it up to kmax.
 
-    V1 runs over U's segment (it holds U's lowest vertex) and V2 = U ^ V1.
-    As in :func:`beta_signed`, the positive edges across the sides and the
-    negative edges inside one side are added edge by edge in stored-edge
-    order (every other edge adds an exact 0.0, False times a finite
-    weight), and the boundary and measure of U are Phi's cut and measure.
-    So every entry is bit-identical to beta_signed of its split.  Among
-    equal splits the first in scan order is kept.
+    Beyond the held plan each block is built once: the split pass fills
+    the block's unions, then the packing levels of the same block run.
+    Within it the split pass runs over the held blocks first, and the DP
+    then runs as it does for Phi.
     """
-    n = g.n
-    size = 1 << n
-    bits = _bits(n)
-    bnd, mu_u = _cut_and_measure(g)
-    order = _mask_order(n)
-    betamin = np.full(size, math.inf)
-    split = np.zeros(size, dtype=np.int64)
-    for lo, hi, m1, m2 in _chunks(n, 0, len(order.masks), _SPLIT_PAIR_BYTES):
-        in1 = bits[:, m1]
-        in2 = bits[:, m2]
-        hit = np.empty(len(m1), dtype=bool)
-        hit2 = np.empty_like(hit)
-        term = np.empty(len(m1))
-        ep = np.zeros(len(m1))
-        em = np.zeros(len(m1))
-        for e in g.edges:
-            if e.sigma > 0:  # across the sides
-                np.logical_and(in1[e.u], in2[e.v], out=hit)
-                np.logical_and(in2[e.u], in1[e.v], out=hit2)
-                w, acc = e.w, ep
-            else:  # inside one side
-                np.logical_and(in1[e.u], in1[e.v], out=hit)
-                np.logical_and(in2[e.u], in2[e.v], out=hit2)
-                w, acc = 2.0 * e.w, em
-            np.logical_or(hit, hit2, out=hit)
-            np.multiply(hit, w, out=term)
-            acc += term
-        umask = m1 | m2
-        beta = (2.0 * ep + em + bnd[umask]) / mu_u[umask]
-        seg = order.start[lo:hi] - order.start[lo]
-        best = np.minimum.reduceat(beta, seg)
-        hits = np.flatnonzero(beta == np.repeat(best, np.diff(order.start[lo : hi + 1])))
-        masks = order.masks[lo:hi]
-        betamin[masks] = best
-        split[masks] = m1[hits[np.searchsorted(hits, seg)]]
-    return _SignedTables(betamin=betamin, split=split)
+    sp = _SplitPass(g)
+    plan = _plan(g.n)
+    if plan is None:
+        # Built blocks: the split pass and the packing levels share each one.
+        dp = _profile_tables(sp.betamin, g.n, kmax, sp)
+    else:
+        # Spans of whole groups of about one range of pairs each (one group
+        # at least), so that beta is held for one span at a time.
+        starts = plan.starts
+        i = 0
+        while i < g.n:
+            j = max(i + 1, int(np.searchsorted(starts, starts[i] + sp.step, side="right")) - 1)
+            beta = sp.scores(plan.parts[starts[i] : starts[j]], plan.rests[starts[i] : starts[j]])
+            for group, lo, hi in zip(plan.groups[i:j], starts[i:j] - starts[i], starts[i + 1 : j + 1] - starts[i]):
+                sp.pick(group, _block_view(beta[lo:hi], group.parts.shape))
+            i = j
+        dp = _profile_tables(sp.betamin, g.n, kmax)
+    return _SignedTables(betamin=sp.betamin, split=sp.split, dp=dp)
 
 
 def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
     """Exact signed rho^sigma_k certificates for every k = 1..kmax.
 
-    First tabulates, per union mask U, the best split of U into (V1, V2)
-    over the same pair table; then packs unions with the same subset DP as
-    the unsigned profile.  Every split is scored bit for bit as
-    :func:`beta_signed` scores it, so every value is too.  The work policy
-    of :func:`rho_profile` applies, with the split pass counted.
+    Tabulates, per union mask U, the best split of U into (V1, V2) over the
+    same pair blocks, and packs unions with the same subset DP as the
+    unsigned profile.  Every split is scored bit for bit
+    as :func:`beta_signed` scores it, so every value is too.  The work
+    policy of :func:`rho_profile` applies, with the split pass counted.
     """
     n = g.n
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must be in [1, {n}]")
     _require_admitted(g, kmax, signed=True)
-    return _certificates(*_signed_tables(g), n, kmax, range(1, kmax + 1))
+    t = _signed_tables(g, kmax)
+    return _certificates(t.dp, t.betamin, t.split, n, range(1, kmax + 1))
 
 
 # ---------------------------------------------------------------------------

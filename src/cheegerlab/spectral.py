@@ -170,13 +170,6 @@ class Spectrum:
     functions: tuple[tuple[float, ...], ...] | None
     clusters: tuple[tuple[int, int], ...]
 
-    def multiplicity_block(self, k: int) -> tuple[int, int]:
-        """Cluster (start, mult) containing the 1-based eigenvalue index k."""
-        for start, mult in self.clusters:
-            if start <= k - 1 < start + mult:
-                return start, mult
-        raise IndexError(f"eigenvalue index {k} out of range")
-
     def function(self, k: int) -> np.ndarray:
         """The k-th (1-based) eigenfunction as an array."""
         if self.functions is None:

@@ -3,7 +3,8 @@
 Naive enumeration of k-way (signed) Cheeger constants over all (k+1)^n
 resp. (2k+1)^n label assignments, the signed one regrouped over unions
 (each split chosen on its own), the int64-shift Phi table, the signed
-split table scored split by split through beta_signed, and the textbook
+split table scored split by split through beta_signed, the per-edge cut,
+measure and split passes over membership rows, and the textbook
 pure-Python loops of the subset DP behind the profile engines, the numpy
 column-then-row Jacobi rotation loop behind the eigensolver, the numpy
 nodal decompositions and the conductance-per-level-set nodal sweep, and
@@ -162,6 +163,103 @@ def shift_phi_array(g: WeightedGraph) -> np.ndarray:
         phi = cut / mu_sum
     phi[0] = math.inf
     return phi
+
+
+# ---------------------------------------------------------------------------
+# per-edge subset tables (the references for the edge-vectorised passes)
+
+def _membership(n: int) -> np.ndarray:
+    bits = np.zeros((n, 1 << n), dtype=bool)
+    for v in range(n):
+        bits[v].reshape(-1, 2, 1 << v)[:, 1] = True
+    return bits
+
+
+def loop_cut_and_measure(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(cut, measure) of every vertex subset by bitmask, one full-length
+    pass per edge in stored-edge order and per vertex in ascending order,
+    each adding its weight times a membership row into a running sum."""
+    n = g.n
+    bits = _membership(n)
+    size = 1 << n
+    cross = np.empty(size, dtype=bool)
+    term = np.empty(size)
+    cut = np.zeros(size)
+    for e in g.edges:
+        np.not_equal(bits[e.u], bits[e.v], out=cross)
+        np.multiply(cross, e.w, out=term)
+        cut += term
+    mu_sum = np.zeros(size)
+    for v in range(n):
+        np.multiply(bits[v], g.mu[v], out=term)
+        mu_sum += term
+    return cut, mu_sum
+
+
+def _row_segments(masks: np.ndarray, p: int) -> np.ndarray:
+    """The segments of masks of popcount p as rows: row i holds masks[i]'s
+    parts (its lowest vertex joined with every submask of the rest), in
+    descending order."""
+    width = 1 << (p - 1)
+    parts = np.empty((len(masks), width), dtype=np.int64)
+    low = masks & -masks
+    parts[:, -1] = low
+    left = masks ^ low
+    w = 1
+    while w < width:
+        bit = left & -left
+        np.bitwise_or(parts[:, width - w :], bit[:, None], out=parts[:, width - 2 * w : width - w])
+        left = left ^ bit
+        w *= 2
+    return parts
+
+
+def loop_split_tables(g: WeightedGraph, chunk: int = 1 << 13) -> tuple[np.ndarray, np.ndarray]:
+    """(betamin, split) per union mask, by the per-edge split pass: for each
+    popcount group, in ranges of masks of about `chunk` pairs, every edge
+    adds its term over every pair (V1, V2) in stored-edge order, with
+    membership gathered from the membership rows; among equal splits the
+    first in descending scan order is kept."""
+    n = g.n
+    size = 1 << n
+    bits = _membership(n)
+    bnd, mu_u = loop_cut_and_measure(g)
+    popcount = bits.sum(axis=0)
+    betamin = np.full(size, math.inf)
+    split = np.zeros(size, dtype=np.int64)
+    for p in range(1, n + 1):
+        group = np.flatnonzero(popcount == p)
+        step = max(1, chunk >> (p - 1))
+        for lo in range(0, len(group), step):
+            masks = group[lo : lo + step]
+            m1 = _row_segments(masks, p)
+            m2 = masks[:, None] ^ m1
+            in1 = bits[:, m1]
+            in2 = bits[:, m2]
+            ep = np.zeros(m1.shape)
+            em = np.zeros(m1.shape)
+            for e in g.edges:
+                if e.sigma > 0:
+                    hit = (in1[e.u] & in2[e.v]) | (in2[e.u] & in1[e.v])
+                    ep += hit * e.w
+                else:
+                    hit = (in1[e.u] & in1[e.v]) | (in2[e.u] & in2[e.v])
+                    em += hit * (2.0 * e.w)
+            beta = (2.0 * ep + em + bnd[masks][:, None]) / mu_u[masks][:, None]
+            first = beta.argmin(axis=1)
+            rows = np.arange(len(masks))
+            betamin[masks] = beta[rows, first]
+            split[masks] = m1[rows, first]
+    return betamin, split
+
+
+def order_visible_graph(n: int) -> WeightedGraph:
+    """K_n with weights 1e16, 1.0, 1.0, 1.0, ... repeating in stored-edge
+    order: a sum of its edge terms loses the 1.0s that follow a 1e16 one by
+    one, but keeps them when they are added to each other first, so any
+    summation order other than the sequential one changes the bits."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return WeightedGraph.build(n, [(u, v, 1e16 if i % 4 == 0 else 1.0) for i, (u, v) in enumerate(edges)])
 
 
 # ---------------------------------------------------------------------------

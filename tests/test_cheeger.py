@@ -22,8 +22,10 @@ from cheegerlab import (
 )
 from cheegerlab import cheeger
 from cheegerlab.cheeger import (
+    _HELD_BYTES,
     _PAIR_BUDGET,
     _build_pairs,
+    _cut_and_measure,
     _dp_admits,
     _mask_order,
     _packing_dp,
@@ -36,10 +38,13 @@ from cheegerlab.cheeger import (
 )
 from brute import (
     beta_split_tables,
+    loop_cut_and_measure,
     loop_packing_dp,
     loop_reconstruct,
+    loop_split_tables,
     naive_rho,
     naive_rho_signed,
+    order_visible_graph,
     regrouped_rho_signed,
     shift_phi_array,
 )
@@ -111,6 +116,27 @@ class TestSubsetTables:
             tables = _signed_tables(g)
             assert tables.betamin.tobytes() == np.array(betamin).tobytes()
             assert tables.split.tolist() == split
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_edge_vectorised_passes_match_per_edge_loops(self, n):
+        # The cut, measure and split passes against the per-edge loops they
+        # replace, bit for bit.  Dense graphs give long sums; unit weights
+        # make many splits tie; the order-visible K_n (n >= 10) has weights
+        # 1e16 and 1.0, so a sum in any order but the sequential one (numpy
+        # summing pairwise down the edges, say) changes the bits.
+        graphs = [generate("random_connected", n, n, p=0.3, w_low=0.5, w_high=2.0)]
+        if n <= 11:
+            graphs.append(generate("random_connected", n, n + 100, p=0.9, w_low=1.0, w_high=1.0))
+        if 10 <= n <= 12:
+            graphs.append(order_visible_graph(n))
+        for seed, g in enumerate(graphs):
+            for got, want in zip(_cut_and_measure(g), loop_cut_and_measure(g)):
+                assert got.tobytes() == want.tobytes()
+            sg = with_random_signature(g, seed)
+            betamin, split = loop_split_tables(sg)
+            tables = _signed_tables(sg)
+            assert tables.betamin.tobytes() == betamin.tobytes()
+            assert tables.split.tobytes() == split.tobytes()
 
 
 class TestRhoExact:
@@ -421,29 +447,37 @@ class TestProfileEngine:
             assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
 
     def test_streamed_chunks_match_loop_reference(self, monkeypatch):
-        # A 16 KiB budget leaves no cached table at n = 9 and cuts every
-        # level into chunks of a few masks, some spanning two popcounts and
-        # some a single mask larger than the cap.  The dense graph gives
-        # long sums, so a change of accumulation order shows.
+        # A 16 KiB hold and budget leave no held plan at n = 9, so every
+        # block is built per call, cut into column ranges of a few masks
+        # (single columns in the tallest groups, in Fortran order), and the
+        # split pass scores each in ranges of a few pairs; the signed
+        # profile shares each built block between the split pass and the
+        # packing levels.  The dense graph gives long sums, so a change of
+        # accumulation order shows.
         monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 1 << 14)
-        cheeger._pair_table.cache_clear()
+        monkeypatch.setattr(cheeger, "_HELD_BYTES", 1 << 14)
+        cheeger._plan.cache_clear()
         try:
             n = 9
-            assert cheeger._pair_table(n) is None
+            full = (1 << n) - 1
+            assert cheeger._plan(n) is None
             g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
             sg = with_random_signature(g, 5)
             betamin, split = beta_split_tables(sg)
-            tables = _signed_tables(sg)
+            tables = _signed_tables(sg, n)
             assert tables.betamin.tobytes() == np.array(betamin).tobytes()
             assert tables.split.tolist() == split
+            ref, choice, _ = loop_packing_dp(tables.betamin, n, n)
+            assert [level.tolist() for level in tables.dp[:n]] == ref[:n]
+            assert tables.dp[n][full] == ref[n][full]
             for score in (_phi_array(g), tables.betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 dp = _packing_dp(score, n, n)
                 assert [level.tolist() for level in dp] == ref
                 for k in range(1, n + 1):
-                    assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
+                    assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, full)
         finally:
-            cheeger._pair_table.cache_clear()
+            cheeger._plan.cache_clear()
 
     def test_n15_memory_within_budget(self):
         n = 15
@@ -459,6 +493,24 @@ class TestProfileEngine:
         assert peak <= _PAIR_BUDGET + (n + 8) * 8 * (1 << n)
         for cert in profile[:3]:
             assert cert.recompute(g) == cert.value
+
+    def test_per_n_tables_held_by_bytes(self):
+        # A per-n table is held while it holds at most _HELD_BYTES, so
+        # large n leave nothing allocated behind them.
+        trees = [generate("random_tree", n, seed=n) for n in (18, 20)]
+        tracemalloc.start()
+        try:
+            certs = [rho_exact(g, 2) for g in trees]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < _HELD_BYTES
+        for g, cert in zip(trees, certs):
+            assert cert.recompute(g) == cert.value
+        assert cheeger._plan(10) is cheeger._plan(10)
+        assert cheeger._plan(11) is None
+        assert cheeger._bits(16) is cheeger._bits(16)
+        assert cheeger._bits(17) is not cheeger._bits(17)
 
     def test_size_limits(self, monkeypatch):
         # Beyond the work policy, refused before any subset table is built:
@@ -518,24 +570,25 @@ class TestProfileTables:
             _assert_profile_tables_match(score, n, ref, choice, kmax)
 
     def test_streamed_path_matches_loop(self, monkeypatch):
-        # The 16 KiB budget of the streamed-chunks test: no cached table at
-        # n = 9, so every segment is built directly.
+        # The 16 KiB hold and budget of the streamed-chunks test: no held
+        # plan at n = 9, so every block and segment is built directly.
         monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 1 << 14)
-        cheeger._pair_table.cache_clear()
+        monkeypatch.setattr(cheeger, "_HELD_BYTES", 1 << 14)
+        cheeger._plan.cache_clear()
         try:
             n = 9
-            assert cheeger._pair_table(n) is None
+            assert cheeger._plan(n) is None
             g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
             for score in (_phi_array(g), _signed_tables(with_random_signature(g, 5)).betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 for kmax in range(1, n + 1):
                     _assert_profile_tables_match(score, n, ref, choice, kmax)
         finally:
-            cheeger._pair_table.cache_clear()
+            cheeger._plan.cache_clear()
 
     def test_uncached_n12_matches_loop(self):
         n = 12
-        assert cheeger._pair_table(n) is None
+        assert cheeger._plan(n) is None
         score = _phi_array(generate("random_connected", n, seed=3, p=0.4))
         ref, choice, _ = loop_packing_dp(score, n, n)
         for kmax in range(1, n + 1):
@@ -568,33 +621,43 @@ class TestProfileTables:
                     int(tables.split[m]) for m in masks
                 ]
             else:
-                assert cert.parts == tuple(sorted(_parts_from_masks(masks, n)))
+                assert cert.parts == tuple(sorted(_parts_from_masks(masks)))
 
     def test_segments_match_pair_builder(self, monkeypatch):
-        # A zero budget caches no table, so every segment is built directly.
-        monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 0)
-        cheeger._pair_table.cache_clear()
+        # Each mask's segment, a column of the held plan or (with nothing
+        # held) built by Python-int doubling, is its column of the block
+        # _build_pairs writes for its popcount group.
+        columns = {}
+        for n in range(1, 9):
+            order = _mask_order(n)
+            for p in range(1, n + 1):
+                masks = order.masks[order.first[p] : order.first[p + 1]]
+                parts, rests = _build_pairs(masks, p)
+                for c, mask in enumerate(masks.tolist()):
+                    columns[n, mask] = (parts[:, c].tolist(), rests[:, c].tolist())
         try:
-            for n in range(1, 9):
-                order = _mask_order(n)
-                parts, rests = _build_pairs(order, 0, len(order.masks))
-                for i, mask in enumerate(order.masks.tolist()):
-                    p0, p1 = order.start[i], order.start[i + 1]
+            for held in (True, False):
+                if not held:
+                    monkeypatch.setattr(cheeger, "_HELD_BYTES", 0)
+                    cheeger._plan.cache_clear()
+                for (n, mask), (parts, rests) in columns.items():
+                    assert (cheeger._plan(n) is not None) == held
                     seg, seg_rests = _segment(n, mask)
-                    assert seg.tolist() == parts[p0:p1].tolist()
-                    assert seg_rests.tolist() == rests[p0:p1].tolist()
+                    assert seg.tolist() == parts
+                    assert seg_rests.tolist() == rests
                 # A suffix mask {i..n-1}'s segment in closed form.
-                for i, mask in enumerate(_suffix_masks(n)[:n]):
-                    closed = (np.arange((1 << (n - i - 1)) - 1, -1, -1) << (i + 1)) | (1 << i)
-                    assert _segment(n, mask)[0].tolist() == closed.tolist()
+                for n in range(1, 9):
+                    for i, mask in enumerate(_suffix_masks(n)[:n]):
+                        closed = (np.arange((1 << (n - i - 1)) - 1, -1, -1) << (i + 1)) | (1 << i)
+                        assert _segment(n, mask)[0].tolist() == closed.tolist()
         finally:
-            cheeger._pair_table.cache_clear()
+            cheeger._plan.cache_clear()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_low_k_builds_no_pair_table(self, monkeypatch, k):
-        # n = 12 has no cached pair table: for k <= 2 level 1 is the
-        # transform, the top level reads n directly built segments, and no
-        # 3^n pair pass runs.
+        # n = 12 has no held plan: for k <= 2 level 1 is the transform, the
+        # top level reads the suffix segments, the reconstruction builds its
+        # segments directly, and no 3^n pair pass runs.
         g = product(generate("path", 4, mu="unit"), generate("path", 3, mu="unit"))
         expected = rho_profile(g, k)
 

@@ -228,14 +228,14 @@ class TestCourantBounds:
         spectrum = laplacian_spectrum(gp)
         ell = cyclomatic(gp)
         c = classify(gp).component_count
-        for k in range(1, gp.n + 1):
-            start, mult = spectrum.multiplicity_block(k)
-            f = spectrum.function(k)
-            s = strong_nodal(gp, f).count
-            w = weak_nodal(gp, f).count
-            kb = start + 1
-            assert kb + mult - 1 - ell <= s <= kb + mult - 1
-            assert w <= kb + c - 1
+        for start, mult in spectrum.clusters:
+            for k in range(start + 1, start + mult + 1):
+                f = spectrum.function(k)
+                s = strong_nodal(gp, f).count
+                w = weak_nodal(gp, f).count
+                kb = start + 1
+                assert kb + mult - 1 - ell <= s <= kb + mult - 1
+                assert w <= kb + c - 1
 
     def test_star_multiplicity_upper_bound(self):
         # lambda = 1 with multiplicity 2 on K_{1,3}: S <= k + r - 1 = 3

@@ -282,8 +282,6 @@ class TestSpectrum:
         s = laplacian_spectrum(generate("complete", 3))
         assert np.allclose(s.values, [0.0, 1.5, 1.5], atol=1e-10)
         assert s.clusters == ((0, 1), (1, 2))
-        assert s.multiplicity_block(2) == (1, 2)
-        assert s.multiplicity_block(3) == (1, 2)
 
     def test_star(self):
         s = laplacian_spectrum(generate("star", 4))
