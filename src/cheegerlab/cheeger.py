@@ -518,30 +518,26 @@ def _plan(n: int) -> _Plan | None:
 
 
 def _blocks(n: int, first: int):
-    """Yield (p, group) for the popcount groups p >= first, in increasing p,
-    each cut into column ranges whose pairs fit in half the budget at
-    _DP_PAIR_BYTES a pair (one column at least; the singletons of p = 1
-    are never cut, so every range holds two pairs or more when n >= 2).
+    """Yield (p, group) for the popcount groups p >= first, in increasing p.
 
-    A range is a view of the held plan, or built afresh beyond it.
+    Within the held plan each group is yielded whole: every held group
+    fits in one range (at n = 10 the largest, p = 7, has 7,680 pairs).
+    Beyond it each group is built afresh in column ranges whose pairs fit
+    in half the budget at _DP_PAIR_BYTES a pair (one column at least; the
+    singletons of p = 1 are never cut, so every range holds two pairs or
+    more when n >= 2).
     """
     plan = _plan(n)
-    order = _mask_order(n) if plan is None else None
+    if plan is not None:
+        yield from enumerate(plan.groups[first - 1 :], first)
+        return
+    order = _mask_order(n)
     cap = _PAIR_BUDGET // 2 // _DP_PAIR_BYTES
     for p in range(first, n + 1):
-        if plan is None:
-            masks = order.masks[order.first[p] : order.first[p + 1]]
-        else:
-            group = plan.groups[p - 1]
-            masks = group.masks
+        masks = order.masks[order.first[p] : order.first[p + 1]]
         step = max(1, cap >> (p - 1)) if p > 1 else len(masks)
         for c in range(0, len(masks), step):
-            if plan is None:
-                yield p, _group(masks[c : c + step], p)
-            elif step >= len(masks):
-                yield p, group
-            else:
-                yield p, _Group(*(a[..., c : c + step] for a in group))
+            yield p, _group(masks[c : c + step], p)
 
 
 class _SuffixSegments(NamedTuple):
@@ -869,8 +865,10 @@ def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
 
     Beyond the held plan each block is built once: the split pass fills
     the block's unions, then the packing levels of the same block run.
-    Within it the split pass runs over the held blocks first, and the DP
-    then runs as it does for Phi.
+    Within it the held plan's flat pairs are scored in one call (beta
+    holds at most _HELD_BYTES / 2: 231 KiB at n = 10), each group's unions
+    pick their splits from its slice of beta, and the DP then runs as it
+    does for Phi.
     """
     sp = _SplitPass(g)
     plan = _plan(g.n)
@@ -878,16 +876,9 @@ def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
         # Built blocks: the split pass and the packing levels share each one.
         dp = _profile_tables(sp.betamin, g.n, kmax, sp)
     else:
-        # Spans of whole groups of about one range of pairs each (one group
-        # at least), so that beta is held for one span at a time.
-        starts = plan.starts
-        i = 0
-        while i < g.n:
-            j = max(i + 1, int(np.searchsorted(starts, starts[i] + sp.step, side="right")) - 1)
-            beta = sp.scores(plan.parts[starts[i] : starts[j]], plan.rests[starts[i] : starts[j]])
-            for group, lo, hi in zip(plan.groups[i:j], starts[i:j] - starts[i], starts[i + 1 : j + 1] - starts[i]):
-                sp.pick(group, _block_view(beta[lo:hi], group.parts.shape))
-            i = j
+        beta = sp.scores(plan.parts, plan.rests)
+        for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
+            sp.pick(group, _block_view(beta[lo:hi], group.parts.shape))
         dp = _profile_tables(sp.betamin, g.n, kmax)
     return _SignedTables(betamin=sp.betamin, split=sp.split, dp=dp)
 

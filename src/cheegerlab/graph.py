@@ -73,12 +73,7 @@ class WeightedGraph:
         norm.sort(key=lambda e: (e.u, e.v))
         if isinstance(mu, str):
             if mu == "degree":
-                d = [0.0] * max(n, 0)
-                for e in norm:
-                    if 0 <= e.u < n and 0 <= e.v < n:
-                        d[e.u] += e.w
-                        d[e.v] += e.w
-                mu_t = tuple(d)
+                mu_t = tuple(_weighted_degrees(n, norm))
             elif mu == "unit":
                 mu_t = tuple(1.0 for _ in range(n))
             else:
@@ -100,11 +95,7 @@ class WeightedGraph:
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees d(i) = sum of incident edge weights (signs ignored)."""
-        d = np.zeros(self.n)
-        for e in self.edges:
-            d[e.u] += e.w
-            d[e.v] += e.w
-        return d
+        return np.array(_weighted_degrees(self.n, self.edges))
 
     def adjacency(self, signed: bool = True) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -138,6 +129,18 @@ class InvalidGraphError(ValueError):
     def __init__(self, problems: tuple[str, ...]):
         self.problems = problems
         super().__init__("invalid graph: " + "; ".join(problems))
+
+
+def _weighted_degrees(n: int, edges) -> list[float]:
+    """Weighted degrees of n vertices as Python floats: each edge's weight
+    added to both ends in stored-edge order, skipping an edge with an
+    endpoint outside 0..n-1."""
+    d = [0.0] * max(n, 0)
+    for e in edges:
+        if 0 <= e.u < n and 0 <= e.v < n:
+            d[e.u] += e.w
+            d[e.v] += e.w
+    return d
 
 
 def _integer(x, field: str) -> int:
@@ -251,11 +254,9 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
     # floats overflow to inf here, where numpy would warn.  (d + |kappa|)/mu
     # bounds the Laplacian diagonal, tau's d/mu and every off-diagonal entry.
     inf, mu = math.inf, g.mu
-    deg = [0.0] * g.n
+    deg = _weighted_degrees(g.n, g.edges)
     total_w = 0.0
     for u, v, w, _ in g.edges:
-        deg[u] += w
-        deg[v] += w
         total_w += w
         if not 0.0 < mu[u] * mu[v] < inf:
             problems.append(f"mu_u * mu_v on edge ({u},{v}) is not a positive finite number")

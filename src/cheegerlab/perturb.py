@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, WeightedGraph
+from .graph import Edge, WeightedGraph, _weighted_degrees
 from .rng import SplitMix64, derive_seed
 from .spectral import Spectrum, laplacian_spectrum
 
@@ -34,10 +34,8 @@ def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError("eps must be a finite number >= 0")
-    deg = [0.0] * g.n
-    for e in g.edges:
-        deg[e.u] += e.w
-        deg[e.v] += e.w
+    # Python floats: a numpy scalar would warn where this product overflows.
+    deg = _weighted_degrees(g.n, g.edges)
     if not (math.isfinite((1.0 + eps) * max(deg)) and math.isfinite(max(g.kappa) + eps)):
         raise ValueError(
             f"eps = {eps!r} is too large: the perturbed degrees or potentials would overflow"

@@ -18,10 +18,13 @@ Two routes solve the spectrum of a graph's Laplacian:
 `with_functions` joins the two: Jacobi values with LAPACK functions.
 Within a cluster of coincident eigenvalues the functions are any
 orthonormal basis of the eigenspace.  The normalized-adjacency eta comes
-from LAPACK `np.linalg.eigvalsh`; the spectral-radius bound reads it only
-through a comparison.  Eigenvalues are reported ascending; the normalized
-adjacency helper follows the opposite (descending) convention of
-spectral-radius bounds.
+from the values of one `np.linalg.eigh` call on diag(L) - L, L the
+symmetric normalized Laplacian; the spectral-radius bound reads it only
+through a comparison.  So every LAPACK solve goes through the one driver,
+`eigh` (`eigvalsh` is wrong on matrices with tiny entries, such as a path
+with one weight near 1e-161).  Eigenvalues are reported ascending; the
+normalized adjacency helper follows the opposite (descending) convention
+of spectral-radius bounds.
 
 A rotation in the plane (p, q) is the column update followed by the row
 update of the textbook method.  The input is checked to be exactly
@@ -268,7 +271,10 @@ class EtaResult:
 
 def adjacency_eta(g: WeightedGraph) -> EtaResult:
     """Spectrum of M^{-1/2} A M^{-1/2} (same as M^{-1}A) from LAPACK
-    `eigvalsh`, sorted descending.
+    `eigh`, sorted descending.  With kappa = 0 and no negative sign that
+    matrix is diag(L) - L for L = :func:`normalized_laplacian_sym` (the
+    diagonal cancels to 0.0, the off-diagonal entries change sign
+    exactly).
 
     Requires an unsigned graph with kappa identically 0 and at least three
     vertices; those are the standing hypotheses of the spectral-radius
@@ -280,11 +286,7 @@ def adjacency_eta(g: WeightedGraph) -> EtaResult:
         raise ValueError("eta requires kappa == 0")
     if g.n < 3:
         raise ValueError("eta requires at least 3 vertices")
-    mat = np.zeros((g.n, g.n))
-    for e in g.edges:
-        val = e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
-        mat[e.u, e.v] = val
-        mat[e.v, e.u] = val
-    desc = np.linalg.eigvalsh(mat)[::-1]
+    lap = normalized_laplacian_sym(g)
+    desc = np.linalg.eigh(np.diag(np.diag(lap)) - lap)[0][::-1]
     eta = max(abs(float(desc[1])), abs(float(desc[-1])))
     return EtaResult(values=tuple(desc.tolist()), eta=eta)

@@ -7,8 +7,8 @@ split table scored split by split through beta_signed, the per-edge cut,
 measure and split passes over membership rows, and the textbook
 pure-Python loops of the subset DP behind the profile engines, the numpy
 column-then-row Jacobi rotation loop behind the eigensolver, the numpy
-nodal decompositions and the conductance-per-level-set nodal sweep, and
-closed-form spectra of the standard families.  The enumeration is
+nodal decompositions and the conductance-per-level-set nodal sweep, the
+per-edge weighted degrees and normalized adjacency, and closed-form spectra of the standard families.  The enumeration is
 independent of the package's DP; per-set scores go through the same
 canonical accumulation order as the library so that agreement can be
 asserted exactly.
@@ -260,6 +260,29 @@ def order_visible_graph(n: int) -> WeightedGraph:
     summation order other than the sequential one changes the bits."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return WeightedGraph.build(n, [(u, v, 1e16 if i % 4 == 0 else 1.0) for i, (u, v) in enumerate(edges)])
+
+
+# ---------------------------------------------------------------------------
+# weighted degrees and the normalized adjacency (references for graph.py and
+# adjacency_eta)
+
+def loop_degrees(g: WeightedGraph) -> list[float]:
+    """d(i) as Python floats: each edge's weight added to both ends, one
+    edge at a time in stored-edge order."""
+    d = [0.0] * g.n
+    for e in g.edges:
+        d[e.u] += e.w
+        d[e.v] += e.w
+    return d
+
+
+def loop_normalized_adjacency(g: WeightedGraph) -> np.ndarray:
+    """M^{-1/2} A M^{-1/2} of an unsigned graph, entry by entry:
+    w_uv / sqrt(mu_u mu_v) on each edge, 0.0 elsewhere."""
+    mat = np.zeros((g.n, g.n))
+    for e in g.edges:
+        mat[e.u, e.v] = mat[e.v, e.u] = e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
+    return mat
 
 
 # ---------------------------------------------------------------------------

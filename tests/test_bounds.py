@@ -392,7 +392,8 @@ class TestSolveCount:
     """Each distinct matrix of one corpus instance is solved once: the
     Laplacian eigenvalues of g by Jacobi, the eigenfunctions by one LAPACK
     `eigh` where a check reads them (with the values, for a perturbed
-    instance), the adjacency values by `eigvalsh`."""
+    instance), the adjacency values by one more `eigh`.  `eigvalsh` is
+    never called."""
 
     CHECKS = ("main", "basics", "lower", "nodal", "nodal_cheeger")
     EPS = 0.05
@@ -420,6 +421,12 @@ class TestSolveCount:
         return solved
 
     @staticmethod
+    def adjacency(g) -> np.ndarray:
+        """A(g) = diag(diag(L)) - L, the matrix whose values give eta."""
+        lap = spectral.normalized_laplacian_sym(g)
+        return np.diag(np.diag(lap)) - lap
+
+    @staticmethod
     def nodal_records(rows) -> list:
         return [rec for _, rec in rows if rec.name.startswith("nodal")]
 
@@ -436,19 +443,21 @@ class TestSolveCount:
             "main", "eq1_left", "lower_eta", "lower_gap",
             "nodal_lower", "nodal_cheeger",
         }
-        # Jacobi: L(g) for main / basics / lower_gap; eigh: the values and
-        # functions of L(g'), g' = perturb(g, eps, seed), which only the two
-        # nodal checks read; eigvalsh: A(g) for eta.
+        # Jacobi: L(g) for main / basics / lower_gap; eigh: A(g) for eta
+        # (the lower check runs first), then the values and functions of
+        # L(g'), g' = perturb(g, eps, seed), which only the two nodal checks
+        # read.
         gp = perturb(g, self.EPS, self.SEED)
         lap_g = spectral.normalized_laplacian_sym(g)
         lap_gp = spectral.normalized_laplacian_sym(gp)
         assert len(solved["jacobi"]) == 1
         assert np.array_equal(solved["jacobi"][0], lap_g)
-        assert len(solved["eigh"]) == 1
-        assert np.array_equal(solved["eigh"][0], lap_gp)
-        assert len(solved["eigvalsh"]) == 1
-        adj = solved["eigvalsh"][0]
+        assert len(solved["eigh"]) == 2
+        adj = solved["eigh"][0]
+        assert np.array_equal(adj, self.adjacency(g))
         assert np.all(np.diag(adj) == 0.0) and np.any(adj != 0.0)
+        assert np.array_equal(solved["eigh"][1], lap_gp)
+        assert solved["eigvalsh"] == []
 
     def test_one_solve_of_g_at_eps_zero(self, monkeypatch):
         # At eps = 0 the nodal checks read the eigenfunctions of g itself:
@@ -465,11 +474,13 @@ class TestSolveCount:
         lap_g = spectral.normalized_laplacian_sym(g)
         assert len(solved["jacobi"]) == 1
         assert np.array_equal(solved["jacobi"][0], lap_g)
-        assert len(solved["eigh"]) == 1
-        assert np.array_equal(solved["eigh"][0], lap_g)
-        assert len(solved["eigvalsh"]) == 1
-        adj = solved["eigvalsh"][0]
+        # eigh: A(g) for eta, then the functions of L(g).
+        assert len(solved["eigh"]) == 2
+        adj = solved["eigh"][0]
+        assert np.array_equal(adj, self.adjacency(g))
         assert np.all(np.diag(adj) == 0.0) and np.any(adj != 0.0)
+        assert np.array_equal(solved["eigh"][1], lap_g)
+        assert solved["eigvalsh"] == []
         # Rows keep the order of the requested checks.
         names = [rec.name for _, rec in rows]
         assert names.index("main") < names.index("nodal_lower") < names.index("nodal_cheeger")
@@ -491,9 +502,12 @@ class TestSolveCount:
         rows, errors = run_checks_on_graph("g", g, order, 0.0, self.SEED)
         assert not errors
         lap_g = spectral.normalized_laplacian_sym(g)
-        assert len(solved["jacobi"]) == 1 and len(solved["eigh"]) == 1
+        assert len(solved["jacobi"]) == 1 and len(solved["eigh"]) == 2
         assert np.array_equal(solved["jacobi"][0], lap_g)
+        # eigh: the functions of L(g), then A(g) for eta.
         assert np.array_equal(solved["eigh"][0], lap_g)
+        assert np.array_equal(solved["eigh"][1], self.adjacency(g))
+        assert solved["eigvalsh"] == []
 
         def main_records(rs):
             return [rec.to_json_dict() for _, rec in rs if rec.name == "main"]
@@ -607,10 +621,14 @@ class TestSolveCount:
         monkeypatch.setattr(bounds, "_spectrum", bounds._Solved)
         fresh, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         # Uncached: the values of L(g) three times, L(g') twice with its
-        # functions, and A(g).
+        # functions, and A(g) by eigh.
         assert {key: len(mats) for key, mats in solved.items()} == {
-            "jacobi": 3, "eigh": 2, "eigvalsh": 1,
+            "jacobi": 3, "eigh": 3, "eigvalsh": 0,
         }
+        gp = perturb(g, self.EPS, self.SEED)
+        lap_gp = spectral.normalized_laplacian_sym(gp)
+        assert sum(np.array_equal(m, self.adjacency(g)) for m in solved["eigh"]) == 1
+        assert sum(np.array_equal(m, lap_gp) for m in solved["eigh"]) == 2
         assert self.nodal_records(cached) == self.nodal_records(fresh)
         assert {rec.name for rec in self.nodal_records(cached)} == {
             "nodal_lower", "nodal_strong_upper", "nodal_weak_upper", "nodal_cheeger",

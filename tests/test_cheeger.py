@@ -22,8 +22,10 @@ from cheegerlab import (
 )
 from cheegerlab import cheeger
 from cheegerlab.cheeger import (
+    _DP_PAIR_BYTES,
     _HELD_BYTES,
     _PAIR_BUDGET,
+    _blocks,
     _build_pairs,
     _cut_and_measure,
     _dp_admits,
@@ -478,6 +480,22 @@ class TestProfileEngine:
                     assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, full)
         finally:
             cheeger._plan.cache_clear()
+
+    def test_held_groups_fit_one_range(self):
+        # Every popcount group of a held plan fits in one column range, so
+        # the packing levels and the split pass read each held group whole.
+        cap = _PAIR_BUDGET // 2 // _DP_PAIR_BYTES
+        for n in range(1, 11):
+            plan = cheeger._plan(n)
+            assert plan is not None
+            for p, group in enumerate(plan.groups, 1):
+                assert group.parts.size == math.comb(n, p) << (p - 1)
+                assert p == 1 or group.parts.size <= cap
+            for first in (1, 2):
+                yielded = list(_blocks(n, first))
+                assert [p for p, _ in yielded] == list(range(first, n + 1))
+                assert all(group is plan.groups[p - 1] for p, group in yielded)
+        assert cheeger._plan(11) is None
 
     def test_n15_memory_within_budget(self):
         n = 15

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from cheegerlab.graph import (
     loads_graph,
     parse_graph_text,
 )
+from brute import loop_degrees, order_visible_graph
 
 
 def triangle():
@@ -193,6 +195,25 @@ class TestDegreeProfile:
         g = WeightedGraph.build(2, [(0, 1, 3)], mu=[1, 6])
         prof = degree_profile(g)
         assert prof.tau == 3.0 and prof.tau_min == 0.5
+
+    @pytest.mark.parametrize(
+        "g",
+        [generate("random_connected", n, seed, p=0.6) for n, seed in ((3, 1), (7, 2), (12, 3), (16, 4))]
+        + [order_visible_graph(9)],
+        ids=["rc3", "rc7", "rc12", "rc16", "order_visible9"],
+    )
+    def test_degree_sums_match_loop_reference(self, g):
+        # order_visible_graph's 1e16 and 1.0 weights make any add order
+        # other than the stored-edge one change the bits.
+        d = loop_degrees(g)
+        want = np.array(d).tobytes()
+        assert g.degrees().tobytes() == want
+        assert np.array(g.mu).tobytes() == want
+        mu = [float(i + 1) for i in range(g.n)]
+        prof = degree_profile(WeightedGraph.build(g.n, g.edges, mu=mu))
+        assert np.array(prof.d).tobytes() == want
+        ratios = [x / m for x, m in zip(d, mu)]
+        assert np.array([prof.tau, prof.tau_min]).tobytes() == np.array([max(ratios), min(ratios)]).tobytes()
 
 
 class TestStructure:

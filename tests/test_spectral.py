@@ -21,7 +21,13 @@ from cheegerlab import (
     spectral,
     with_random_signature,
 )
-from brute import cycle_spectrum, loop_eig_sym, path_spectrum, star_spectrum
+from brute import (
+    cycle_spectrum,
+    loop_eig_sym,
+    loop_normalized_adjacency,
+    path_spectrum,
+    star_spectrum,
+)
 
 # raw + raw.T has eigenvalues -3, 0 (four times), 3; LAPACK eigvalsh returns
 # -sqrt(10) and sqrt(10) for them (numpy 2.4 with OpenBLAS), eigh does not.
@@ -376,6 +382,30 @@ class TestEta:
         lam = laplacian_spectrum(g).values
         eta_vals = adjacency_eta(g).values
         assert np.allclose(sorted(1.0 - e for e in eta_vals), lam, atol=1e-8)
+
+    def test_tiny_weight_path(self):
+        # A path with weights 1e-161, 3, 1 and unit measure has eta =
+        # sqrt(10); LAPACK eigvalsh gave 3.2404 on this matrix.
+        g = WeightedGraph.build(4, [(0, 1, 1e-161), (1, 2, 3.0), (2, 3, 1.0)], mu="unit")
+        assert math.isclose(adjacency_eta(g).eta, math.sqrt(10), rel_tol=1e-12)
+
+    def test_matrix_matches_loop_reference(self, monkeypatch):
+        # The matrix eta solves, diag(L) - L, is the per-edge normalized
+        # adjacency to the last bit.
+        solved = []
+        real = np.linalg.eigh
+
+        def recording(m):
+            solved.append(np.array(m))
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        for n in range(3, 13):
+            for seed in range(4):
+                g = generate("random_connected", n, seed, p=0.4)
+                adjacency_eta(g)
+                assert solved.pop().tobytes() == loop_normalized_adjacency(g).tobytes()
+        assert not solved
 
     def test_rejects_signed_potential_small(self):
         with pytest.raises(ValueError):
