@@ -7,17 +7,22 @@ subset-min transform, O(n 2^n); each middle level 2..kmax-1 is one O(3^n)
 pass over the (mask, part) pairs; the top level is evaluated only at the n
 suffix masks {i..n-1} its reconstruction reads, O(2^n), in one gather over
 their concatenated segments.  The pairs of each popcount group form one
-block of shape (2^(p-1), masks), one column per mask, so each level of a
-group is one gather, one maximum and one least value down the columns, and
-the split pass picks each union's split by argmin down its column.  Up to
-n = 10 every block is held in one per-n plan; beyond it the blocks are
-built in column ranges within one memory budget, and the signed profile
-runs its split pass and its packing levels on each built block in turn,
-so each is built once.  :func:`rho_exact` / :func:`rho_signed_exact`
-answer a single k from it and rebuild only certificate k.  One certificate
-builder serves both signs: it packs a score table (Phi, or the signed
-split table's least beta per union with the split that attains it) and
-orders each certificate's parts, or unions, by lowest vertex.
+column-major block of shape (2^(p-1), masks), one contiguous column per
+mask, so each level of a group is one gather, one maximum, one argmin
+down the columns and one gather of the least candidates, and the split
+pass picks each union's split by argmin down its column.  Up to n = 10
+every block is held in one per-n plan; beyond it the blocks are built in
+column ranges within one memory budget, and the signed profile runs its
+split pass and its packing levels on each built block in turn, so each
+is built once.  :func:`rho_exact` / :func:`rho_signed_exact` answer a
+single k from it and rebuild only certificate k.  One certificate builder
+serves both signs: it packs a score table (Phi, or the signed split
+table's least beta per union with the split that attains it) and orders
+each certificate's parts, or unions, by lowest vertex.  With the held
+plan the DP keeps each level's argmin rows (level 1's from the argmin of
+the score gather), and a certificate reads each part from them; only the
+top level's single step, and every step beyond the held plan, rescans its
+mask's segment.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -31,6 +36,7 @@ The per-n tables (the membership table bits[v][mask], the mask layout,
 the suffix segments and the plan) are read-only and held only while each
 holds at most _HELD_BYTES (1 MiB): all of them up to n = 10, the plan no
 further, the rest up to n = 15 or 16; a larger n builds them per call.
+The Phi table built last is held with its graph under the same bound.
 The cut pass sums every edge's term, a weight times a crossing row of
 bits, over the masks without vertex n-1 in one reduction down the edges
 per range of masks, and mirrors the other half (cut(S) = cut(V - S), the
@@ -48,8 +54,11 @@ enumeration that scores the same way.  DP certificates break ties among
 optimal tuples by the DP's scan order.
 
 The per-set evaluation is one private evaluator per score, on Python bool
-lists, behind `conductance`, `beta_signed`, every certificate's
-`recompute` and every level set of :func:`rho_upper_nodal_sweep`.
+lists, behind `conductance`, `beta_signed` and every certificate's
+`recompute`.  :func:`rho_upper_nodal_sweep` reads each level set's Phi
+from the held table when it is its graph's (a level set is a prefix of
+its domain by descending |f|, so one mask), and evaluates it per set
+otherwise: the same value either way.
 """
 
 import math
@@ -348,11 +357,23 @@ def _cut_and_measure(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return cut, mu_sum
 
 
+# The Phi table _phi_array built last and its graph, while the table holds
+# at most _HELD_BYTES: the nodal sweep of that graph object reads its level
+# sets from it.  The graph is immutable and held with the table, so its
+# identity names the table.
+_last_phi: tuple[WeightedGraph, np.ndarray] | None = None
+
+
 def _phi_array(g: WeightedGraph) -> np.ndarray:
+    """Phi of every vertex subset, indexed by bitmask (read-only; entry 0
+    is inf), held as the last table while it fits _HELD_BYTES."""
+    global _last_phi
     cut, mu_sum = _cut_and_measure(g)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.divide(cut, mu_sum, out=cut)
     phi[0] = math.inf
+    _read_only(phi)
+    _last_phi = (g, phi) if phi.nbytes <= _HELD_BYTES else None
     return phi
 
 
@@ -398,7 +419,7 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=True)
     t = _signed_tables(g, k)
-    return _certificates(t.dp, t.betamin, t.split, n, (k,))[0]
+    return _certificates(t.tables, t.betamin, t.split, n, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +429,12 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
 # for every nonempty mask, the parts a = low | sub where low is the mask's
 # lowest vertex and sub runs over the submasks of mask ^ low in descending
 # order.  That is (3^n - 1) / 2 pairs.  Masks are grouped by popcount, and
-# each group's pairs form one block of shape (2^(p-1), masks): column c
-# holds the segment of the group's mask c, in that descending scan order, so
-# every pass reduces a group down its columns.  A level or a split
-# of a p-vertex mask reads only masks of popcount below p, and the mask
-# itself, so the passes run group by group in increasing popcount.
+# each group's pairs form one column-major block of shape (2^(p-1), masks):
+# column c holds the segment of the group's mask c, in that descending scan
+# order, contiguous, so every pass reduces a group down its columns by
+# argmin, whose first occurrence is the scan order's tie-break.  A level or
+# a split of a p-vertex mask reads only masks of popcount below p, and the
+# mask itself, so the passes run group by group in increasing popcount.
 
 class _MaskOrder(NamedTuple):
     masks: np.ndarray   # nonempty masks by popcount, then value
@@ -439,20 +461,6 @@ class _Group(NamedTuple):
     rests: np.ndarray        # masks ^ parts
 
 
-def _layout(shape: tuple[int, int]) -> str:
-    """Memory order of a pair block: its longer axis contiguous (C order for
-    a block at least as wide as tall, else Fortran order), so the
-    reductions down the columns run along contiguous runs; numpy reduces a
-    tall C-order block, one row at a time over a few columns, several times
-    slower."""
-    return "F" if shape[0] > shape[1] else "C"
-
-
-def _block_view(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The block of `shape` laid out over flat storage (a view)."""
-    return flat.reshape(shape, order=_layout(shape))
-
-
 def _build_pairs(masks: np.ndarray, p: int, parts=None, rests=None) -> tuple[np.ndarray, np.ndarray]:
     """(parts, rests) blocks of masks of popcount p, written into the given
     blocks or new ones.
@@ -464,7 +472,7 @@ def _build_pairs(masks: np.ndarray, p: int, parts=None, rests=None) -> tuple[np.
     shape = (1 << (p - 1), len(masks))
     height = shape[0]
     if parts is None:
-        parts = np.empty(shape, dtype=np.intp, order=_layout(shape))
+        parts = np.empty(shape, dtype=np.intp, order="F")
         rests = np.empty_like(parts)
     low = masks & -masks
     parts[-1] = low
@@ -508,7 +516,7 @@ def _plan(n: int) -> _Plan | None:
         masks = order.masks[order.first[p] : order.first[p + 1]]
         shape = (1 << (p - 1), len(masks))
         starts[p] = starts[p - 1] + shape[0] * shape[1]
-        blocks = [_block_view(flat[starts[p - 1] : starts[p]], shape) for flat in (parts, rests)]
+        blocks = [flat[starts[p - 1] : starts[p]].reshape(shape, order="F") for flat in (parts, rests)]
         group = _group(masks, p, *blocks)
         column[masks] = np.arange(len(masks))
         _read_only(*group)
@@ -604,7 +612,22 @@ def _dp_iterations(n: int, kmax: int) -> int:
     return sum((math.comb(n, p) << (p - 1)) * min(p, kmax) for p in range(1, n + 1))
 
 
-def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.ndarray]:
+class _Tables(NamedTuple):
+    """The tables of one profile up to kmax, and the DP's own choices.
+
+    dp[j][mask] is the packing value of level j = 0..kmax (the top level
+    only at the masks its reconstruction reads).  rows[j] is None where
+    level j kept no choices, else indexed like the masks of
+    :func:`_mask_order`: at the position first[p] + c of the mask in column
+    c of group p's held block, the row of that column's first part that
+    attains the least candidate (set for every p >= j).
+    """
+
+    dp: list[np.ndarray]
+    rows: list[np.ndarray | None]
+
+
+def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> _Tables:
     """min over j disjoint nonempty subsets of max score, for every j <= kmax.
 
     dp[j][mask] restricts all parts to live inside `mask`.  Either the
@@ -615,8 +638,16 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.ndar
     for each vertex v, the half of the table without v into the half with
     it.  Levels 2..kmax read only smaller popcount groups, so one pass over
     the groups in increasing popcount fills them: each block gathers
-    score[parts] once, and each level is one gather, one maximum and one
-    least value down the columns.
+    score[parts] once, and each level is one gather, one maximum, one
+    argmin down the columns and one gather of the least candidates.
+
+    With the held plan (n <= 10) the group pass keeps each argmin as the
+    level's rows, and the argmin of the score gather as level 1's (a
+    singleton's one part is row 0), so the reconstruction reads its parts
+    instead of rescanning their segments.  Each argmin writes into its
+    group's slice of one table per profile, which is allocated before the
+    pass: small arrays held through the pass raised a corpus run's peak
+    RSS.  Beyond the held plan nothing is kept.
 
     With `fill` (a :class:`_SplitPass`), the score table is filled in the
     same pass, fill(group) writing score[group.masks] before the group's
@@ -627,16 +658,21 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.ndar
     """
     dp = np.full((kmax + 1, 1 << n), math.inf)
     dp[0] = -math.inf
+    rows = [None] * (kmax + 1)
+    if kmax >= 2 and _plan(n) is not None:
+        first = _mask_order(n).first
+        rows[1:] = np.empty((kmax, first[-1]), dtype=np.intp)
+        rows[1][:n] = 0
     if fill is None:
         if kmax == 0:
-            return list(dp)
+            return _Tables(list(dp), rows)
         level1 = dp[1]
         level1[1:] = score[1:]
         for v in range(n):
             halves = level1.reshape(-1, 2, 1 << v)
             np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
         if kmax == 1:
-            return list(dp)
+            return _Tables(list(dp), rows)
         blocks = _blocks(n, 2)
     else:
         blocks = _blocks(n, 1)
@@ -652,30 +688,38 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.ndar
         if min(p, kmax) < 2:
             continue
         sc = score[group.parts]
+        kept = None
+        if rows[1] is not None:
+            kept = slice(first[p], first[p + 1])
+            sc.argmin(axis=0, out=rows[1][kept])
+        # Column c's entries start at c * height of the column-major block.
+        starts = np.arange(0, sc.size, sc.shape[0])
         for j in range(2, min(p, kmax) + 1):
             cand = dp[j - 1][group.rests]
             np.maximum(cand, sc, out=cand)
-            best = cand.min(axis=0)
+            arg = cand.argmin(axis=0, out=None if kept is None else rows[j][kept])
+            best = cand.ravel("F").take(arg + starts)
             np.minimum(best, dp[j][group.without_low], out=best)
             dp[j][masks] = best
-    return list(dp)
+    return _Tables(list(dp), rows)
 
 
-def _profile_tables(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.ndarray]:
+def _profile_tables(score: np.ndarray, n: int, kmax: int, fill=None) -> _Tables:
     """The tables `_reconstruct` reads for every k = 1..kmax.
 
     Levels 0..kmax-1 are :func:`_packing_dp`'s full tables (which fill the
-    score table first if `fill` is given).  Level kmax is read only at the
-    suffix masks V_i = {i..n-1}: from the full mask, reconstruction either
-    drops the lowest vertex (V_i to V_{i+1}) or takes a part and goes down a
-    level.  So level kmax is filled by the same recurrence at the V_i with
-    at least kmax vertices: one gather over their concatenated segments,
-    the least candidate of each segment, then a running minimum from
-    V_{n-kmax} up to V_0 for the dropped lowest vertices.  Every other entry
-    is inf (at the shorter V_i that is the true value).
+    score table first if `fill` is given), with its rows.  Level kmax is
+    read only at the suffix masks V_i = {i..n-1}: from the full mask,
+    reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
+    a part and goes down a level.  So level kmax is filled by the same
+    recurrence at the V_i with at least kmax vertices: one gather over
+    their concatenated segments, the least candidate of each segment, then
+    a running minimum from V_{n-kmax} up to V_0 for the dropped lowest
+    vertices.  Every other entry is inf (at the shorter V_i that is the
+    true value), and the level keeps no rows.
     """
-    dp_all = _packing_dp(score, n, kmax - 1, fill)
-    prev = dp_all[-1]
+    tables = _packing_dp(score, n, kmax - 1, fill)
+    prev = tables.dp[-1]
     sfx = _suffix_segments(n)
     count = n - kmax + 1
     end = sfx.start[count]
@@ -684,16 +728,22 @@ def _profile_tables(score: np.ndarray, n: int, kmax: int, fill=None) -> list[np.
     best = np.minimum.reduceat(cand, sfx.start[:count])
     top = np.full(1 << n, math.inf)
     top[sfx.masks[:count]] = np.minimum.accumulate(best[::-1])[::-1]
-    dp_all.append(top)
-    return dp_all
+    tables.dp.append(top)
+    tables.rows.append(None)
+    return tables
 
 
-def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) -> list[int]:
+def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int]:
     """Parts of an optimal k-packing, walking the tables back from the full mask.
 
     At each mask the lowest vertex stays out if that keeps the value;
-    otherwise the first part of the mask's segment that attains it is taken.
+    otherwise the first part of the mask's segment that attains it is
+    taken: read from the level's rows where it kept them, else found by
+    rescanning the segment (the top level's one step, and every level
+    beyond the held plan).
     """
+    dp_all, rows = tables
+    plan = _plan(n)
     parts = []
     mask = (1 << n) - 1
     j = k
@@ -705,10 +755,15 @@ def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) ->
         if dp[mask ^ low] == dp[mask]:
             mask ^= low
             continue
-        seg, rests = _segment(n, mask)
-        cand = score.take(seg)
-        np.maximum(cand, dp_all[j - 1].take(rests), out=cand)
-        a = int(seg[(cand == dp[mask]).argmax()])
+        if rows[j] is not None:
+            p = mask.bit_count()
+            c = plan.column[mask]
+            a = int(plan.groups[p - 1].parts[rows[j][_mask_order(n).first[p] + c], c])
+        else:
+            seg, rests = _segment(n, mask)
+            cand = score.take(seg)
+            np.maximum(cand, dp_all[j - 1].take(rests), out=cand)
+            a = int(seg[(cand == dp[mask]).argmax()])
         parts.append(a)
         mask ^= a
         j -= 1
@@ -716,26 +771,26 @@ def _reconstruct(dp_all: list[np.ndarray], score: np.ndarray, n: int, k: int) ->
 
 
 def _certificates(
-    dp_all: list[np.ndarray], score: np.ndarray, split: np.ndarray | None, n: int, ks
+    tables: _Tables, score: np.ndarray, split: np.ndarray | None, n: int, ks
 ) -> tuple[PartitionCertificate, ...]:
-    """Certificates k in ks of the profile tables dp_all (arguments already checked).
+    """Certificates k in ks of the profile tables (arguments already checked).
 
     `score` is Phi's table, or the signed split table's betamin with
     `split` its V1 masks (None unsigned).  The parts of each certificate
     are ordered by lowest vertex, each union followed, if signed, by its
     split (V1, V2).
     """
-    states = _dp_iterations(n, len(dp_all) - 1)
+    states = _dp_iterations(n, len(tables.dp) - 1)
     full = (1 << n) - 1
     certs = []
     for k in ks:
-        masks = sorted(_reconstruct(dp_all, score, n, k), key=lambda m: m & -m)
+        masks = sorted(_reconstruct(tables, score, n, k), key=lambda m: m & -m)
         if split is not None:
             masks = [side for u in masks for side in (int(split[u]), u ^ int(split[u]))]
         certs.append(
             PartitionCertificate(
                 k=k,
-                value=float(dp_all[k][full]),
+                value=float(tables.dp[k][full]),
                 parts=_parts_from_masks(masks),
                 signed=split is not None,
                 exact=True,
@@ -753,10 +808,12 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     popcount group, in column ranges within a fixed memory budget, and level
     kmax at the n suffix masks only.  Every value is a Phi-table entry
     chosen by min/max only, so it is bit-identical to the textbook loop and
-    to naive enumeration (``tests/brute.py``).  Certificates are rebuilt by
-    rescanning each mask's parts on the optimal path; they follow the DP's
-    own tie-break (first optimal part in scan order).  A request beyond the
-    work policy raises ValueError before any table is built.
+    to naive enumeration (``tests/brute.py``).  Certificates follow the
+    DP's own tie-break (first optimal part in scan order): up to n = 10
+    they read each part from the argmin rows the DP kept, rescanning one
+    segment for the top level only; beyond it each part on the optimal path
+    is found by rescanning its mask's segment.  A request beyond the work
+    policy raises ValueError before any table is built.
     """
     if g.is_signed():
         raise ValueError("rho_profile needs an unsigned graph; see rho_signed_profile")
@@ -849,14 +906,14 @@ class _SplitPass:
 
     def __call__(self, group: _Group) -> None:
         shape = group.parts.shape
-        beta = self.scores(group.parts.ravel("K"), group.rests.ravel("K"))
-        self.pick(group, _block_view(beta, shape))
+        beta = self.scores(group.parts.ravel("F"), group.rests.ravel("F"))
+        self.pick(group, beta.reshape(shape, order="F"))
 
 
 class _SignedTables(NamedTuple):
     betamin: np.ndarray
     split: np.ndarray  # V1 bitmask realizing betamin per union mask
-    dp: list[np.ndarray]  # the profile tables up to kmax over betamin
+    tables: _Tables  # the profile tables up to kmax over betamin
 
 
 def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
@@ -874,13 +931,13 @@ def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
     plan = _plan(g.n)
     if plan is None:
         # Built blocks: the split pass and the packing levels share each one.
-        dp = _profile_tables(sp.betamin, g.n, kmax, sp)
+        tables = _profile_tables(sp.betamin, g.n, kmax, sp)
     else:
         beta = sp.scores(plan.parts, plan.rests)
         for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
-            sp.pick(group, _block_view(beta[lo:hi], group.parts.shape))
-        dp = _profile_tables(sp.betamin, g.n, kmax)
-    return _SignedTables(betamin=sp.betamin, split=sp.split, dp=dp)
+            sp.pick(group, beta[lo:hi].reshape(group.parts.shape, order="F"))
+        tables = _profile_tables(sp.betamin, g.n, kmax)
+    return _SignedTables(betamin=sp.betamin, split=sp.split, tables=tables)
 
 
 def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
@@ -898,7 +955,7 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
         raise ValueError(f"kmax must be in [1, {n}]")
     _require_admitted(g, kmax, signed=True)
     t = _signed_tables(g, kmax)
-    return _certificates(t.dp, t.betamin, t.split, n, range(1, kmax + 1))
+    return _certificates(t.tables, t.betamin, t.split, n, range(1, kmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -909,9 +966,15 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
 
     Each of the m domains S_i is swept through its level sets
     S_i(t) = {x in S_i : |f(x)| >= t} over the distinct values t of |f| on
-    S_i, keeping the set of least conductance.  Level sets of disjoint
-    domains stay disjoint, so the returned certificate (k = m, exact
-    False) certifies value >= rho_m(g).
+    S_i, keeping the set of least conductance (the largest such set on a
+    tie).  Level sets of disjoint domains stay disjoint, so the returned
+    certificate (k = m, exact False) certifies value >= rho_m(g).
+
+    A level set is a prefix of its domain sorted by descending |f|.  If
+    the Phi table the engine built last is g's (a profile or rho_exact of
+    this graph object just ran), each level set's Phi is read from it at
+    the prefix's mask; otherwise it is evaluated per set.  Both are the
+    same sum in the same order, so the bound is bit-identical either way.
     """
     if g.is_signed():
         raise ValueError("nodal sweep is defined for unsigned graphs")
@@ -920,18 +983,30 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
     if m == 0:
         raise ValueError("function is identically zero (after zero rounding)")
     absf = [abs(x) for x in np.asarray(f, dtype=float).tolist()]
+    held = _last_phi
+    phi = held[1] if held is not None and held[0] is g else None
     parts = []
     part_values = []
     for domain in decomposition.domains():
+        # The level sets, largest first: the domain, then what is left as
+        # the vertices of each least remaining |f| drop out.
+        member = [False] * g.n
+        mask = 0
+        for x in domain:
+            member[x] = True
+            mask |= 1 << x
         best_phi = math.inf
-        best_set: tuple[int, ...] = ()
-        for t in sorted({absf[x] for x in domain}):
-            level = [x for x in domain if absf[x] >= t]
-            val = _phi_eval(g, _members(g, level))
-            if val < best_phi:
-                best_phi = val
-                best_set = tuple(level)
-        parts.append(best_set)
+        best_mask = 0
+        by_value = sorted(domain, key=absf.__getitem__)
+        for i, x in enumerate(by_value):
+            if i == 0 or absf[by_value[i - 1]] != absf[x]:
+                val = _phi_eval(g, member) if phi is None else phi.item(mask)
+                if val < best_phi:
+                    best_phi = val
+                    best_mask = mask
+            member[x] = False
+            mask ^= 1 << x
+        parts.extend(_parts_from_masks([best_mask]))
         part_values.append(best_phi)
     return PartitionCertificate(
         k=m,

@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Subcommands: analyze, cheeger, verify, perturb, gen.  Each writes its
-JSON as one compact line with sorted keys, json.dumps(obj, sort_keys=True),
-to stdout or to -o FILE (the same bytes, ending in a newline); analyze
---format text and verify --format csv are the human-readable forms.  Exit
-codes: 0 on success (verify: all records hold), 1 on a verification
-violation (or a check that could not run), 2 on input errors (an invalid
-graph or option, a file that cannot be read or written), including a
-`cheeger` request beyond the exact engine's work policy, refused before
-any work.  All randomness is controlled by --seed, so repeated invocations
-emit identical bytes.
+JSON as one compact line with sorted keys (:func:`_dumps`), to stdout or
+to -o FILE (the same bytes, ending in a newline); analyze --format text
+and verify --format csv are the human-readable forms.  Exit codes: 0 on
+success (verify: all records hold), 1 on a verification violation (or a
+check that could not run), 2 on input errors (an invalid graph or option,
+a file that cannot be read or written), including a `cheeger` request
+beyond the exact engine's work policy, refused before any work.  All
+randomness is controlled by --seed, so repeated invocations emit identical
+bytes.
 """
 
 import argparse
@@ -38,6 +38,15 @@ from .graph import (
 from .perturb import genericity_frequency
 from .rng import DEFAULT_SEED
 from .spectral import adjacency_eta, laplacian_spectrum, with_functions
+
+
+def _dumps(obj) -> str:
+    """The one JSON writer of every subcommand: compact, keys sorted.
+
+    Every output is a fresh tree of dicts, lists and scalars, so no cycle
+    can occur and the encoder's circular-reference check is skipped.
+    """
+    return json.dumps(obj, sort_keys=True, check_circular=False)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -88,7 +97,7 @@ def cmd_analyze(args) -> int:
             lines.append(f"eta: {eta['eta']:.10g}")
         _emit("\n".join(lines), args.output)
     else:
-        _emit(json.dumps(out, sort_keys=True), args.output)
+        _emit(_dumps(out), args.output)
     return 0
 
 
@@ -107,7 +116,7 @@ def cmd_cheeger(args) -> int:
     if f is not None:
         sweep = rho_upper_nodal_sweep(g, f)
         out["sweep"] = {"m": sweep.k, "bound": sweep.value, "certificate": sweep.to_json_dict()}
-    _emit(json.dumps(out, sort_keys=True), args.output)
+    _emit(_dumps(out), args.output)
     return 0
 
 
@@ -155,7 +164,7 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         _emit(report.to_csv(), args.output)
     else:
-        _emit(json.dumps(report.to_json_dict(), sort_keys=True), args.output)
+        _emit(_dumps(report.to_json_dict()), args.output)
     summary = report.summary()
     if summary["skipped"]:
         print(f"warning: {summary['skipped']} record(s) skipped on hypothesis grounds", file=sys.stderr)
@@ -170,7 +179,7 @@ def cmd_perturb(args) -> int:
     _require_eps(args.eps)
     g = load_graph(args.graph)
     rep = genericity_frequency(g, args.eps, args.trials, args.seed)
-    _emit(json.dumps(rep.to_json_dict(), sort_keys=True), args.output)
+    _emit(_dumps(rep.to_json_dict()), args.output)
     return 0
 
 
@@ -185,7 +194,7 @@ def cmd_gen(args) -> int:
         w_high=args.w_high,
         mu=args.mu,
     )
-    _emit(json.dumps(to_json_dict(g), sort_keys=True), args.output)
+    _emit(_dumps(to_json_dict(g)), args.output)
     return 0
 
 

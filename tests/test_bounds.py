@@ -145,6 +145,28 @@ class TestLemmaNodalCheeger:
         rec = by_k(records, "nodal_cheeger", 2)
         assert rec.meta["sweep_bound"] >= rec.lhs - 1e-12
 
+    def test_m_is_the_nodal_checks_strong_count(self):
+        # Both checks count S(f_k) on one perturbed instance: `nodal` with
+        # zero_tol 0 through strong_nodal, `nodal_cheeger` as the sweep's
+        # domain count.  Every instance of at most 10 vertices (the corpus
+        # sizes) of five families at 40 seeds; non-generic instances give
+        # no `nodal` records.
+        pairs = 0
+        for family in ("random_connected", "random_tree", "gn", "cycle", "star"):
+            for n in range(4, 9):
+                for seed in range(40):
+                    g = generate(family, n, seed)
+                    if g.n > 10:
+                        continue
+                    rows, _ = run_checks_on_graph("g", g, ("nodal", "nodal_cheeger"), 0.05, seed)
+                    strong = {r.k: r.meta["strong"] for _, r in rows if r.name == "nodal_lower"}
+                    m = {r.k: r.meta["m"] for _, r in rows if r.name == "nodal_cheeger"}
+                    assert len(m) == g.n
+                    for k in strong:
+                        assert m[k] == strong[k], (family, n, seed, k)
+                    pairs += len(strong)
+        assert pairs >= 5000
+
 
 class TestLowerBound:
     def test_k3_record(self):

@@ -36,11 +36,13 @@ from cheegerlab.cheeger import (
     _profile_tables,
     _reconstruct,
     _segment,
+    _Tables,
     _signed_tables,
 )
 from brute import (
     beta_split_tables,
     loop_cut_and_measure,
+    loop_nodal_sweep,
     loop_packing_dp,
     loop_reconstruct,
     loop_split_tables,
@@ -221,9 +223,9 @@ class TestEngineChoice:
         calls = []
         reconstruct = cheeger._reconstruct
 
-        def counting(dp_all, score, n, k):
+        def counting(tables, score, n, k):
             calls.append(k)
-            return reconstruct(dp_all, score, n, k)
+            return reconstruct(tables, score, n, k)
 
         monkeypatch.setattr(cheeger, "_reconstruct", counting)
         assert exact(g, 3) == expected
@@ -427,12 +429,13 @@ class TestProfileEngine:
             score = _phi_array(g)
             profile = rho_profile(g, kmax)
         ref, choice, states = loop_packing_dp(score, n, kmax)
-        dp = _packing_dp(score, n, kmax)
-        assert [level.tolist() for level in dp] == ref
+        tables = _packing_dp(score, n, kmax)
+        assert [level.tolist() for level in tables.dp] == ref
+        _assert_rows_match(tables, n, choice)
         for cert in profile:
             assert cert.states == states
             assert cert.value == ref[cert.k][full]
-            assert _reconstruct(dp, score, n, cert.k) == loop_reconstruct(choice, cert.k, full)
+            assert _reconstruct(tables, score, n, cert.k) == loop_reconstruct(choice, cert.k, full)
             assert cert.recompute(g) == cert.value
 
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
@@ -443,19 +446,20 @@ class TestProfileEngine:
         score = rng.choice([0.0, 0.5, 1.0, 2.0], size=1 << n)
         score[0] = math.inf
         ref, choice, _ = loop_packing_dp(score, n, n)
-        dp = _packing_dp(score, n, n)
-        assert [level.tolist() for level in dp] == ref
+        tables = _packing_dp(score, n, n)
+        assert [level.tolist() for level in tables.dp] == ref
+        _assert_rows_match(tables, n, choice)
         for k in range(1, n + 1):
-            assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
+            assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
 
     def test_streamed_chunks_match_loop_reference(self, monkeypatch):
         # A 16 KiB hold and budget leave no held plan at n = 9, so every
         # block is built per call, cut into column ranges of a few masks
-        # (single columns in the tallest groups, in Fortran order), and the
-        # split pass scores each in ranges of a few pairs; the signed
-        # profile shares each built block between the split pass and the
-        # packing levels.  The dense graph gives long sums, so a change of
-        # accumulation order shows.
+        # (single columns in the tallest groups), and the split pass scores
+        # each in ranges of a few pairs; the signed profile shares each
+        # built block between the split pass and the packing levels.  The
+        # dense graph gives long sums, so a change of accumulation order
+        # shows.
         monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 1 << 14)
         monkeypatch.setattr(cheeger, "_HELD_BYTES", 1 << 14)
         cheeger._plan.cache_clear()
@@ -466,18 +470,20 @@ class TestProfileEngine:
             g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
             sg = with_random_signature(g, 5)
             betamin, split = beta_split_tables(sg)
-            tables = _signed_tables(sg, n)
-            assert tables.betamin.tobytes() == np.array(betamin).tobytes()
-            assert tables.split.tolist() == split
-            ref, choice, _ = loop_packing_dp(tables.betamin, n, n)
-            assert [level.tolist() for level in tables.dp[:n]] == ref[:n]
-            assert tables.dp[n][full] == ref[n][full]
-            for score in (_phi_array(g), tables.betamin):
+            signed = _signed_tables(sg, n)
+            assert signed.betamin.tobytes() == np.array(betamin).tobytes()
+            assert signed.split.tolist() == split
+            ref, choice, _ = loop_packing_dp(signed.betamin, n, n)
+            assert [level.tolist() for level in signed.tables.dp[:n]] == ref[:n]
+            assert signed.tables.dp[n][full] == ref[n][full]
+            for score in (_phi_array(g), signed.betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
-                dp = _packing_dp(score, n, n)
-                assert [level.tolist() for level in dp] == ref
+                tables = _packing_dp(score, n, n)
+                assert [level.tolist() for level in tables.dp] == ref
+                # No held plan, so no kept rows: every part is rescanned.
+                assert tables.rows == [None] * (n + 1)
                 for k in range(1, n + 1):
-                    assert _reconstruct(dp, score, n, k) == loop_reconstruct(choice, k, full)
+                    assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, full)
         finally:
             cheeger._plan.cache_clear()
 
@@ -556,15 +562,42 @@ def _suffix_masks(n: int) -> list[int]:
     return [full >> i << i for i in range(n + 1)]
 
 
+def _assert_rows_match(tables, n: int, choice) -> None:
+    """The rows the DP kept: present at every level 1..kmax of a held plan
+    when the group pass runs (kmax >= 2 of the DP's own levels), and
+    nowhere else; at every (level, mask) where the loop's choice is a part,
+    the kept row's part is that choice."""
+    plan = cheeger._plan(n)
+    first = _mask_order(n).first
+    kmax = len(tables.dp) - 1
+    kept = plan is not None and kmax >= 2
+    assert tables.rows[0] is None
+    compared = 0
+    for j, level in enumerate(tables.rows[1:], 1):
+        assert (level is not None) == kept
+        if not kept:
+            continue
+        for p, group in enumerate(plan.groups[j - 1 :], j):
+            rows = level[first[p] : first[p + 1]]
+            parts = group.parts[rows, np.arange(len(group.masks))]
+            for mask, part in zip(group.masks.tolist(), parts.tolist()):
+                if choice[j][mask]:
+                    assert part == choice[j][mask]
+                    compared += 1
+    assert compared > 0 or not kept
+
+
 def _assert_profile_tables_match(score, n: int, ref, choice, kmax: int) -> None:
     """Levels below kmax in full, level kmax at every suffix mask, and every
     reconstruction up to kmax, against the loop's tables (computed for any
     level count >= kmax)."""
     tables = _profile_tables(score, n, kmax)
-    assert len(tables) == kmax + 1
-    assert [level.tolist() for level in tables[:kmax]] == ref[:kmax]
+    assert len(tables.dp) == len(tables.rows) == kmax + 1
+    assert tables.rows[kmax] is None
+    assert [level.tolist() for level in tables.dp[:kmax]] == ref[:kmax]
     for mask in _suffix_masks(n):
-        assert tables[kmax][mask] == ref[kmax][mask]
+        assert tables.dp[kmax][mask] == ref[kmax][mask]
+    _assert_rows_match(_Tables(tables.dp[:kmax], tables.rows[:kmax]), n, choice)
     full = (1 << n) - 1
     for k in range(1, kmax + 1):
         assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, full)
@@ -686,6 +719,51 @@ class TestProfileTables:
         assert rho_profile(g, k) == expected
         assert rho_exact(g, k) == expected[-1]
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_full_profile_rescans_one_segment(self, monkeypatch, signed):
+        # At n = 10 every level below the top keeps its argmin rows, so the
+        # ten certificates of a full profile rescan one segment, the top
+        # level's single step (k = 10), not one per part taken (55).
+        g = generate("random_connected", 10, seed=3, p=0.3, w_low=0.5, w_high=2.0)
+        if signed:
+            g = with_random_signature(g, 3)
+        profile = rho_signed_profile if signed else rho_profile
+        calls = []
+        segment = cheeger._segment
+
+        def counting(n, mask):
+            calls.append(mask)
+            return segment(n, mask)
+
+        monkeypatch.setattr(cheeger, "_segment", counting)
+        certs = profile(g)
+        assert calls == [(1 << 10) - 1]
+        for cert in certs:
+            assert cert.recompute(g) == cert.value
+
+
+def _assert_sweeps_match_loop(monkeypatch, g, functions) -> list:
+    """Each sweep of g, with Phi read from the table a profile of g just
+    built and with each level set evaluated per set, equals the loop
+    reference bit for bit; returns the reference parts."""
+
+    def refuse(*args):
+        raise AssertionError("a level set was evaluated per set")
+
+    refs = [loop_nodal_sweep(g, f) for f in functions]
+    for held in (True, False):
+        with monkeypatch.context() as m:
+            if held:
+                rho_profile(g)
+                m.setattr(cheeger, "_phi_eval", refuse)
+            else:
+                m.setattr(cheeger, "_last_phi", None)
+            for f, ref in zip(functions, refs):
+                res = rho_upper_nodal_sweep(g, f)
+                assert (res.k, res.parts) == (ref.k, ref.parts)
+                assert res.value.hex() == ref.value.hex()
+    return [ref.parts for ref in refs]
+
 
 class TestNodalSweep:
     def test_single_edge_eigenfunction(self):
@@ -716,6 +794,31 @@ class TestNodalSweep:
                 assert res.value >= profile[res.k - 1].value - 1e-12
                 assert res.recompute(g) == res.value
                 assert not res.exact
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_table_read_sweep_matches_loop(self, monkeypatch, n):
+        # After a profile of g, each level set's Phi is read from the table
+        # that profile built; with no table of g held, each is evaluated
+        # per set.  Both equal the loop reference bit for bit, on
+        # eigenfunctions and on functions with tied |f| (and zeros).
+        rng = np.random.default_rng(n)
+        for seed in range(4):
+            g = generate("random_connected", n, seed=seed, p=0.4, w_low=0.5, w_high=2.0)
+            spectrum = laplacian_spectrum(g)
+            functions = [spectrum.function(k) for k in range(1, n + 1)]
+            for _ in range(6):
+                f = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=n)
+                f[0] = 2.0
+                functions.append(f)
+            _assert_sweeps_match_loop(monkeypatch, g, functions)
+
+    def test_sweep_keeps_the_largest_tied_level_set(self, monkeypatch):
+        # On the path 0-1-2-3 with weights 1, 2, 3 and unit measure, the
+        # level sets {0}, {0, 1}, {0, 1, 2} of f's positive domain all have
+        # Phi = 1.0; the sweep keeps the largest, from either source.
+        g = WeightedGraph.build(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)], mu="unit")
+        res = _assert_sweeps_match_loop(monkeypatch, g, [[3.0, 2.0, 1.0, -1.0]])
+        assert res == [((0, 1, 2), (3,))]
 
     def test_zero_function_rejected(self):
         with pytest.raises(ValueError):
