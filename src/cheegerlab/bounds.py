@@ -118,6 +118,18 @@ class CheckRecord:
 # a check that makes a graph of its own (the product) holds it in a local
 # _Solved.  Only the two nodal checks read eigenfunctions; every other
 # check reads values.
+#
+# What depends on a graph alone is held by the graph itself (see the
+# `graph` module docstring): the checks call `classify`, `cyclomatic`,
+# `degree_profile`, `adjacency_eta`, `strong_nodal` and `weak_nodal` as
+# often as they need, and each graph builds its classification, degree
+# profile and Laplacian once, and labels each sign vector's strong domains
+# once.  That is safe because a graph cannot change and each input is a
+# function of the graph (a labelling, of the graph and the rounded signs).
+# So `nodal` and `nodal_cheeger` share each eigenfunction's labelling of
+# the perturbed instance, the weak counts read it too (no sign is 0 on a
+# generic instance), and `lower`'s eta reads the Laplacian that the
+# eigenvalue solve of g built.
 
 _UNSOLVED = object()  # a _Solved whose profile has not been asked for
 

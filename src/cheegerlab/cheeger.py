@@ -19,10 +19,12 @@ single k from it and rebuild only certificate k.  One certificate builder
 serves both signs: it packs a score table (Phi, or the signed split
 table's least beta per union with the split that attains it) and orders
 each certificate's parts, or unions, by lowest vertex.  With the held
-plan the DP keeps each level's argmin rows (level 1's from the argmin of
-the score gather), and a certificate reads each part from them; only the
-top level's single step, and every step beyond the held plan, rescans its
-mask's segment.
+plan a profile's DP keeps each level's argmin rows (level 1's from the
+argmin of the score gather), and a certificate reads each part from them;
+only the top level's single step, and every step beyond the held plan,
+rescans its mask's segment.  A single-certificate read keeps no rows: its
+few steps each rescan one held plan column, cheaper than an argmin per
+group and level.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -395,8 +397,10 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     Minimizes max_i Phi(A_i) over all tuples of k pairwise-disjoint
     nonempty vertex sets (the sets need not cover V).  This is certificate
     k of :func:`rho_profile` up to kmax = k: `states` counts the textbook
-    recurrence's iterations and ties follow the DP's scan order.  A request
-    beyond the work policy raises ValueError before any table is built.
+    recurrence's iterations and ties follow the DP's scan order.  The DP
+    keeps no argmin rows for it: each part is found by rescanning one
+    segment.  A request beyond the work policy raises ValueError before
+    any table is built.
     """
     if g.is_signed():
         raise ValueError("rho_exact needs an unsigned graph; see rho_signed_exact")
@@ -405,7 +409,8 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=False)
     score = _phi_array(g)
-    return _certificates(_profile_tables(score, n, k), score, None, n, (k,))[0]
+    tables = _profile_tables(score, n, k, keep_rows=False)
+    return _certificates(tables, score, None, n, (k,))[0]
 
 
 def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
@@ -418,7 +423,7 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=True)
-    t = _signed_tables(g, k)
+    t = _signed_tables(g, k, keep_rows=False)
     return _certificates(t.tables, t.betamin, t.split, n, (k,))[0]
 
 
@@ -627,7 +632,9 @@ class _Tables(NamedTuple):
     rows: list[np.ndarray | None]
 
 
-def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> _Tables:
+def _packing_dp(
+    score: np.ndarray, n: int, kmax: int, fill=None, keep_rows: bool = True
+) -> _Tables:
     """min over j disjoint nonempty subsets of max score, for every j <= kmax.
 
     dp[j][mask] restricts all parts to live inside `mask`.  Either the
@@ -647,7 +654,10 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> _Tables:
     instead of rescanning their segments.  Each argmin writes into its
     group's slice of one table per profile, which is allocated before the
     pass: small arrays held through the pass raised a corpus run's peak
-    RSS.  Beyond the held plan nothing is kept.
+    RSS.  Beyond the held plan nothing is kept, and neither is anything
+    without `keep_rows`: a caller that reads one certificate rescans one
+    held plan column per part instead of paying an argmin per group and
+    level.
 
     With `fill` (a :class:`_SplitPass`), the score table is filled in the
     same pass, fill(group) writing score[group.masks] before the group's
@@ -659,7 +669,7 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> _Tables:
     dp = np.full((kmax + 1, 1 << n), math.inf)
     dp[0] = -math.inf
     rows = [None] * (kmax + 1)
-    if kmax >= 2 and _plan(n) is not None:
+    if keep_rows and kmax >= 2 and _plan(n) is not None:
         first = _mask_order(n).first
         rows[1:] = np.empty((kmax, first[-1]), dtype=np.intp)
         rows[1][:n] = 0
@@ -704,21 +714,23 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, fill=None) -> _Tables:
     return _Tables(list(dp), rows)
 
 
-def _profile_tables(score: np.ndarray, n: int, kmax: int, fill=None) -> _Tables:
+def _profile_tables(
+    score: np.ndarray, n: int, kmax: int, fill=None, keep_rows: bool = True
+) -> _Tables:
     """The tables `_reconstruct` reads for every k = 1..kmax.
 
     Levels 0..kmax-1 are :func:`_packing_dp`'s full tables (which fill the
-    score table first if `fill` is given), with its rows.  Level kmax is
-    read only at the suffix masks V_i = {i..n-1}: from the full mask,
-    reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
-    a part and goes down a level.  So level kmax is filled by the same
-    recurrence at the V_i with at least kmax vertices: one gather over
-    their concatenated segments, the least candidate of each segment, then
-    a running minimum from V_{n-kmax} up to V_0 for the dropped lowest
-    vertices.  Every other entry is inf (at the shorter V_i that is the
-    true value), and the level keeps no rows.
+    score table first if `fill` is given), with its rows if `keep_rows`.
+    Level kmax is read only at the suffix masks V_i = {i..n-1}: from the
+    full mask, reconstruction either drops the lowest vertex (V_i to
+    V_{i+1}) or takes a part and goes down a level.  So level kmax is
+    filled by the same recurrence at the V_i with at least kmax vertices:
+    one gather over their concatenated segments, the least candidate of
+    each segment, then a running minimum from V_{n-kmax} up to V_0 for the
+    dropped lowest vertices.  Every other entry is inf (at the shorter V_i
+    that is the true value), and the level keeps no rows.
     """
-    tables = _packing_dp(score, n, kmax - 1, fill)
+    tables = _packing_dp(score, n, kmax - 1, fill, keep_rows)
     prev = tables.dp[-1]
     sfx = _suffix_segments(n)
     count = n - kmax + 1
@@ -739,11 +751,14 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int
     At each mask the lowest vertex stays out if that keeps the value;
     otherwise the first part of the mask's segment that attains it is
     taken: read from the level's rows where it kept them, else found by
-    rescanning the segment (the top level's one step, and every level
-    beyond the held plan).
+    rescanning the segment (the top level's one step, every level of a
+    table without rows, and every level beyond the held plan).  Table
+    entries are read as Python scalars (`.item`), the same values.
     """
     dp_all, rows = tables
     plan = _plan(n)
+    if plan is not None:
+        first = _mask_order(n).first
     parts = []
     mask = (1 << n) - 1
     j = k
@@ -752,18 +767,20 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int
             raise AssertionError("packing reconstruction ran out of vertices")
         dp = dp_all[j]
         low = mask & -mask
-        if dp[mask ^ low] == dp[mask]:
+        value = dp.item(mask)
+        if dp.item(mask ^ low) == value:
             mask ^= low
             continue
-        if rows[j] is not None:
+        row = rows[j]
+        if row is not None:
             p = mask.bit_count()
-            c = plan.column[mask]
-            a = int(plan.groups[p - 1].parts[rows[j][_mask_order(n).first[p] + c], c])
+            c = plan.column.item(mask)
+            a = plan.groups[p - 1].parts.item(row.item(first.item(p) + c), c)
         else:
             seg, rests = _segment(n, mask)
             cand = score.take(seg)
             np.maximum(cand, dp_all[j - 1].take(rests), out=cand)
-            a = int(seg[(cand == dp[mask]).argmax()])
+            a = seg.item((cand == value).argmax())
         parts.append(a)
         mask ^= a
         j -= 1
@@ -916,9 +933,9 @@ class _SignedTables(NamedTuple):
     tables: _Tables  # the profile tables up to kmax over betamin
 
 
-def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
+def _signed_tables(g: WeightedGraph, kmax: int = 1, keep_rows: bool = True) -> _SignedTables:
     """The signed split table of g (see :class:`_SplitPass`) and the
-    profile tables over it up to kmax.
+    profile tables over it up to kmax, with the DP's rows if `keep_rows`.
 
     Beyond the held plan each block is built once: the split pass fills
     the block's unions, then the packing levels of the same block run.
@@ -931,12 +948,12 @@ def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
     plan = _plan(g.n)
     if plan is None:
         # Built blocks: the split pass and the packing levels share each one.
-        tables = _profile_tables(sp.betamin, g.n, kmax, sp)
+        tables = _profile_tables(sp.betamin, g.n, kmax, sp, keep_rows)
     else:
         beta = sp.scores(plan.parts, plan.rests)
         for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
             sp.pick(group, beta[lo:hi].reshape(group.parts.shape, order="F"))
-        tables = _profile_tables(sp.betamin, g.n, kmax)
+        tables = _profile_tables(sp.betamin, g.n, kmax, keep_rows=keep_rows)
     return _SignedTables(betamin=sp.betamin, split=sp.split, tables=tables)
 
 

@@ -7,6 +7,15 @@ a pure function of its arguments.  A `WeightedGraph` checks its invariants
 once, when it is made, so no function re-checks a graph it is given.  One
 union-find component labelling, `_component_labels`, serves `classify`, the
 generators and the nodal decompositions.
+
+A graph also holds what is derived from it alone, each input built on
+first use and read by every later caller (:func:`_derived`): its
+classification, its degree profile, its normalized Laplacian (read-only)
+and its strong nodal labellings, one per rounded sign vector asked for.
+Holding them is safe because the graph cannot change after it is built and
+each of them is a function of the graph (and, for a labelling, the signs)
+alone; an equal but distinct graph holds its own.  The store lives and
+dies with the graph, so there is no cache to evict.
 """
 
 import heapq
@@ -49,6 +58,13 @@ class WeightedGraph:
         problems = _problems(self)
         if problems:
             raise InvalidGraphError(problems)
+        # The derived inputs held with the graph (see _derived); not a field,
+        # so equality, hashing and dataclasses.replace ignore it.
+        object.__setattr__(self, "_held", {})
+
+    def __getstate__(self):
+        # A copy or an unpickled graph starts with a store of its own.
+        return {**self.__dict__, "_held": {}}
 
     @staticmethod
     def build(n: int, edges: Iterable, mu="degree", kappa=0.0) -> "WeightedGraph":
@@ -121,6 +137,20 @@ class WeightedGraph:
 
     def kappa_is_zero(self) -> bool:
         return all(k == 0.0 for k in self.kappa)
+
+
+def _derived(g: WeightedGraph, key, build, *args):
+    """The input `key` derived from g: build(g, *args) on first use, then
+    held with g and returned to every later caller.  `key` must name
+    everything the value depends on besides g, and `build` must not read
+    anything else.  A held array is made read-only."""
+    held = g._held
+    value = held.get(key)
+    if value is None:
+        value = held[key] = build(g, *args)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return value
 
 
 class InvalidGraphError(ValueError):
@@ -271,14 +301,24 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
 
 
 def degree_profile(g: WeightedGraph) -> DegreeProfile:
-    """Weighted degrees with tau = max d/mu and tau_min = min d/mu."""
+    """Weighted degrees with tau = max d/mu and tau_min = min d/mu; built
+    once per graph and held with it."""
+    return _derived(g, "degree_profile", _degree_profile)
+
+
+def _degree_profile(g: WeightedGraph) -> DegreeProfile:
     d = g.degrees()
     ratios = d / np.asarray(g.mu)
     return DegreeProfile(d=tuple(d), tau=float(ratios.max()), tau_min=float(ratios.min()))
 
 
 def classify(g: WeightedGraph) -> GraphClassification:
-    """Connected components (union-find) plus tree and bipartite flags."""
+    """Connected components (union-find) plus tree and bipartite flags;
+    built once per graph and held with it."""
+    return _derived(g, "classification", _classify)
+
+
+def _classify(g: WeightedGraph) -> GraphClassification:
     labels, c = _component_labels(g.n, [True] * g.n, ((u, v) for u, v, _, _ in g.edges))
     connected = c == 1
     is_tree = connected and g.m == g.n - 1

@@ -22,7 +22,10 @@ from the values of one `np.linalg.eigh` call on diag(L) - L, L the
 symmetric normalized Laplacian; the spectral-radius bound reads it only
 through a comparison.  So every LAPACK solve goes through the one driver,
 `eigh` (`eigvalsh` is wrong on matrices with tiny entries, such as a path
-with one weight near 1e-161).  Eigenvalues are reported ascending; the
+with one weight near 1e-161).  Every route reads the same L(g): built once
+per graph by :func:`normalized_laplacian_sym` and held with the graph,
+read-only (graph._derived), which is safe because the graph cannot change
+and L is a function of it alone.  Eigenvalues are reported ascending; the
 normalized adjacency helper follows the opposite (descending) convention
 of spectral-radius bounds.
 
@@ -45,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _derived
 
 
 def _check_tolerance(name: str, value) -> None:
@@ -194,16 +197,24 @@ def normalized_laplacian_sym(g: WeightedGraph) -> np.ndarray:
 
     Entry (i,i) is (d(i) + kappa_i)/mu_i; entry (i,j) for i ~ j is
     -sigma_ij w_ij / sqrt(mu_i mu_j).  Same spectrum as M^{-1}(D + K - A^sigma).
+    The edges' entries are computed at once, each by the IEEE operations
+    of the per-edge formula (negate, multiply, square root, divide), so
+    every entry has the same bits.  A new array on every call; the solvers
+    read the one held with the graph (:func:`_laplacian`).
     """
-    d = g.degrees()
     mu = np.asarray(g.mu)
     mat = np.zeros((g.n, g.n))
-    np.fill_diagonal(mat, (d + np.asarray(g.kappa)) / mu)
-    for e in g.edges:
-        val = -e.sigma * e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
-        mat[e.u, e.v] = val
-        mat[e.v, e.u] = val
+    np.fill_diagonal(mat, (g.degrees() + np.asarray(g.kappa)) / mu)
+    u, v, w, sigma = map(np.array, zip(*g.edges))
+    vals = -sigma * w / np.sqrt(mu[u] * mu[v])
+    mat[u, v] = vals
+    mat[v, u] = vals
     return mat
+
+
+def _laplacian(g: WeightedGraph) -> np.ndarray:
+    """normalized_laplacian_sym(g), built once and held with g (read-only)."""
+    return _derived(g, "laplacian", normalized_laplacian_sym)
 
 
 def _cluster(values: np.ndarray, gap_tol: float) -> tuple[tuple[int, int], ...]:
@@ -238,7 +249,7 @@ def laplacian_spectrum(g: WeightedGraph, *, functions: bool = True) -> Spectrum:
     build.  `with_functions(g, laplacian_spectrum(g, functions=False))`
     pairs the Jacobi values with the LAPACK functions.
     """
-    mat = normalized_laplacian_sym(g)
+    mat = _laplacian(g)
     if functions:
         values, funcs = _eigenfunctions(mat, g.mu)
     else:
@@ -254,7 +265,7 @@ def with_functions(g: WeightedGraph, spectrum: Spectrum) -> Spectrum:
     """`spectrum`, a spectrum of L(g), with the eigenfunctions of L(g) set
     by one LAPACK call; the values and clusters are kept as they are (the
     LAPACK values are dropped)."""
-    _, funcs = _eigenfunctions(normalized_laplacian_sym(g), g.mu)
+    _, funcs = _eigenfunctions(_laplacian(g), g.mu)
     return replace(spectrum, functions=funcs)
 
 
@@ -274,7 +285,7 @@ def adjacency_eta(g: WeightedGraph) -> EtaResult:
     `eigh`, sorted descending.  With kappa = 0 and no negative sign that
     matrix is diag(L) - L for L = :func:`normalized_laplacian_sym` (the
     diagonal cancels to 0.0, the off-diagonal entries change sign
-    exactly).
+    exactly), read from the L held with g.
 
     Requires an unsigned graph with kappa identically 0 and at least three
     vertices; those are the standing hypotheses of the spectral-radius
@@ -286,7 +297,7 @@ def adjacency_eta(g: WeightedGraph) -> EtaResult:
         raise ValueError("eta requires kappa == 0")
     if g.n < 3:
         raise ValueError("eta requires at least 3 vertices")
-    lap = normalized_laplacian_sym(g)
+    lap = _laplacian(g)
     desc = np.linalg.eigh(np.diag(np.diag(lap)) - lap)[0][::-1]
     eta = max(abs(float(desc[1])), abs(float(desc[-1])))
     return EtaResult(values=tuple(desc.tolist()), eta=eta)

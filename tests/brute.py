@@ -8,7 +8,8 @@ measure and split passes over membership rows, and the textbook
 pure-Python loops of the subset DP behind the profile engines, the numpy
 column-then-row Jacobi rotation loop behind the eigensolver, the numpy
 nodal decompositions and the conductance-per-level-set nodal sweep, the
-per-edge weighted degrees and normalized adjacency, and closed-form spectra of the standard families.  The enumeration is
+per-edge weighted degrees, normalized Laplacian and normalized adjacency,
+and closed-form spectra of the standard families.  The enumeration is
 independent of the package's DP; per-set scores go through the same
 canonical accumulation order as the library so that agreement can be
 asserted exactly.
@@ -263,8 +264,8 @@ def order_visible_graph(n: int) -> WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# weighted degrees and the normalized adjacency (references for graph.py and
-# adjacency_eta)
+# weighted degrees, the normalized Laplacian and the normalized adjacency
+# (references for graph.py, normalized_laplacian_sym and adjacency_eta)
 
 def loop_degrees(g: WeightedGraph) -> list[float]:
     """d(i) as Python floats: each edge's weight added to both ends, one
@@ -274,6 +275,20 @@ def loop_degrees(g: WeightedGraph) -> list[float]:
         d[e.u] += e.w
         d[e.v] += e.w
     return d
+
+
+def loop_normalized_laplacian_sym(g: WeightedGraph) -> np.ndarray:
+    """M^{-1/2} (D + K - A^sigma) M^{-1/2}, one edge at a time: the
+    per-edge builder that normalized_laplacian_sym vectorizes."""
+    d = g.degrees()
+    mu = np.asarray(g.mu)
+    mat = np.zeros((g.n, g.n))
+    np.fill_diagonal(mat, (d + np.asarray(g.kappa)) / mu)
+    for e in g.edges:
+        val = -e.sigma * e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
+        mat[e.u, e.v] = val
+        mat[e.v, e.u] = val
+    return mat
 
 
 def loop_normalized_adjacency(g: WeightedGraph) -> np.ndarray:

@@ -18,7 +18,7 @@ from cheegerlab import (
     generate,
     run_corpus,
 )
-from cheegerlab import bounds, spectral
+from cheegerlab import bounds, graph, nodal, spectral
 from cheegerlab.bounds import CheckRecord, inequality_tol, run_checks_on_graph
 from cheegerlab.cheeger import _dp_admits, conductance
 from cheegerlab.cli import main
@@ -451,6 +451,43 @@ class TestSolveCount:
     @staticmethod
     def nodal_records(rows) -> list:
         return [rec for _, rec in rows if rec.name.startswith("nodal")]
+
+    def test_one_derivation_per_graph(self, monkeypatch, capsys):
+        # One unsigned five-check corpus op at n = 10 touches two graphs, the
+        # instance g and its perturbed instance g'.  Each builds its
+        # Laplacian, classification and degree profile once, and each
+        # eigenfunction's domains are labelled once: 14 component labellings
+        # (2 in the generator, 2 classifications, 10 strong labellings that
+        # the weak counts and the sweeps share), where deriving them per
+        # check took 36.
+        labellings = []
+        built = {"laplacian": [], "classification": [], "degree_profile": []}
+
+        def counting(key, real):
+            def call(*args):
+                (labellings if key is None else built[key]).append(args[0])
+                return real(*args)
+            return call
+
+        labels = counting(None, graph._component_labels)
+        monkeypatch.setattr(graph, "_component_labels", labels)
+        monkeypatch.setattr(nodal, "_component_labels", labels)
+        monkeypatch.setattr(
+            spectral, "normalized_laplacian_sym", counting("laplacian", spectral.normalized_laplacian_sym)
+        )
+        monkeypatch.setattr(graph, "_classify", counting("classification", graph._classify))
+        monkeypatch.setattr(graph, "_degree_profile", counting("degree_profile", graph._degree_profile))
+        self.clear_caches()
+        cfg = {"families": ["random_connected"], "sizes": [10], "count": 1, "seed": 6,
+               "p": 0.3, "w_low": 0.5, "w_high": 2.0}
+        code = main(["verify", "--corpus", json.dumps(cfg), "--checks", ",".join(self.CHECKS)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["summary"]["holds"] == report["summary"]["records"]
+        assert len(labellings) == 14
+        (_, g), = bounds.corpus_instances(CorpusConfig(**cfg))
+        for graphs in built.values():
+            assert len(graphs) == 2 and graphs[0] is not graphs[1]
+            assert graphs[0] == g and graphs[1] != g
 
     def test_three_solves_for_all_five_checks(self, monkeypatch):
         g = generate("random_connected", 8, 3)

@@ -231,6 +231,39 @@ class TestEngineChoice:
         assert exact(g, 3) == expected
         assert calls == [3]
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "signed"])
+    @pytest.mark.parametrize("n", [3, 6, 8, 10])
+    def test_single_certificate_keeps_no_rows(self, monkeypatch, n, kind):
+        # rho_exact and rho_signed_exact read one certificate, so their DP
+        # keeps no argmin rows and each part rescans one held plan column;
+        # value and parts are the full profile's certificate k.  "tied"
+        # reads a score table drawn from four values, where nearly every
+        # packing ties.
+        g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
+        exact, profile = rho_exact, rho_profile
+        if kind == "signed":
+            g = with_random_signature(g, n)
+            exact, profile = rho_signed_exact, rho_signed_profile
+        elif kind == "tied":
+            score = np.random.default_rng(n).choice([0.0, 0.5, 1.0, 2.0], size=1 << n)
+            score[0] = math.inf
+            monkeypatch.setattr(cheeger, "_phi_array", lambda h: score)
+        kept = []
+        packing = cheeger._packing_dp
+
+        def recording(*args, **kwargs):
+            tables = packing(*args, **kwargs)
+            kept.append(list(tables.rows))  # levels 0..k-1; the top level is appended later
+            return tables
+
+        monkeypatch.setattr(cheeger, "_packing_dp", recording)
+        full = profile(g)
+        assert any(rows is not None for rows in kept.pop())
+        for k in (2, 3):
+            cert = exact(g, k)
+            assert kept.pop() == [None] * k
+            assert (cert.value, cert.parts) == (full[k - 1].value, full[k - 1].parts)
+
     @pytest.mark.parametrize(
         "g",
         [

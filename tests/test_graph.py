@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cheegerlab import (
     product,
     with_random_signature,
 )
+from cheegerlab import graph
 from cheegerlab.graph import (
     GraphFormatError,
     InvalidGraphError,
@@ -247,6 +250,43 @@ class TestStructure:
 
     def test_classify_odd_cycle_not_bipartite(self):
         assert not classify(triangle()).is_bipartite
+
+
+class TestHeldInputs:
+    """What a graph derives from itself alone is built on first use and held
+    with the graph object."""
+
+    def test_built_once_per_graph(self, monkeypatch):
+        built = []
+
+        def counting(real):
+            def build(g):
+                built.append(g)
+                return real(g)
+            return build
+
+        for name in ("_classify", "_degree_profile"):
+            monkeypatch.setattr(graph, name, counting(getattr(graph, name)))
+        g = generate("random_connected", 7, seed=2, p=0.4)
+        cls, prof = classify(g), degree_profile(g)
+        assert classify(g) is cls and degree_profile(g) is prof
+        assert cyclomatic(g) == g.m - g.n + cls.component_count
+        assert built == [g, g]
+
+    def test_equal_copies_hold_their_own(self):
+        g = generate("gn", 3)
+        cls = classify(g)
+        twins = [
+            WeightedGraph.build(g.n, g.edges, mu=g.mu, kappa=g.kappa),
+            dataclasses.replace(g),
+            copy.copy(g),
+            copy.deepcopy(g),
+            pickle.loads(pickle.dumps(g)),
+        ]
+        for twin in twins:
+            assert twin == g and hash(twin) == hash(g)
+            assert twin._held == {}
+            assert classify(twin) == cls and classify(twin) is not cls
 
 
 class TestProduct:

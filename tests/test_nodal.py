@@ -22,6 +22,7 @@ from cheegerlab import (
     strong_nodal,
     weak_nodal,
 )
+from cheegerlab import nodal
 
 
 class TestStrong:
@@ -244,3 +245,81 @@ class TestCourantBounds:
         for k in (2, 3):
             f = spectrum.function(k)
             assert strong_nodal(g, f).count <= 3
+
+
+class TestHeldLabellings:
+    """A strong labelling depends only on the graph and the rounded signs,
+    so it is built once per (graph, signs) and held with the graph; with
+    no zero sign the weak decomposition reads it instead of a pass of its
+    own."""
+
+    @staticmethod
+    def count_passes(monkeypatch) -> dict:
+        """The graphs of the strong labellings built, and the number of
+        component labellings the nodal layer ran."""
+        passes = {"strong": [], "labellings": 0}
+        label_strong, component_labels = nodal._label_strong, nodal._component_labels
+
+        def strong(g, s):
+            passes["strong"].append(g)
+            return label_strong(g, s)
+
+        def labels(*args):
+            passes["labellings"] += 1
+            return component_labels(*args)
+
+        monkeypatch.setattr(nodal, "_label_strong", strong)
+        monkeypatch.setattr(nodal, "_component_labels", labels)
+        return passes
+
+    def test_equal_signs_read_the_held_labelling(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        g = generate("random_connected", 8, seed=3, p=0.4, w_low=0.5, w_high=2.0)
+        f = laplacian_spectrum(g).function(4)
+        first = strong_nodal(g, f, 0.0)
+        # Other values, the same signs at the default tolerance: held.
+        again = strong_nodal(g, 3.0 * f)
+        assert again == first and again.labels is first.labels
+        assert passes == {"strong": [g], "labellings": 1}
+        # Other signs, or an equal but distinct graph: built anew.
+        flipped = strong_nodal(g, -f, 0.0)
+        assert flipped.labels == first.labels and flipped.labels is not first.labels
+        twin = WeightedGraph.build(g.n, g.edges, mu=g.mu, kappa=g.kappa)
+        assert twin == g
+        assert strong_nodal(twin, f, 0.0) == first
+        assert passes == {"strong": [g, g, twin], "labellings": 3}
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_weak_reads_strong_on_zero_free_signs(self, monkeypatch, n):
+        passes = self.count_passes(monkeypatch)
+        rng = np.random.default_rng(n)
+        for seed in range(4):
+            g = generate("random_connected", n, seed, p=0.3, w_low=0.5, w_high=2.0)
+            functions = [rng.choice([-2.0, -0.5, 0.5, 1.0], size=n) for _ in range(3)]
+            functions += [laplacian_spectrum(g).function(k) for k in range(1, n + 1)]
+            for f in functions:
+                if 0 in nodal._rounded_signs(f, 0.0):
+                    continue
+                before = passes["labellings"]
+                weak = weak_nodal(g, f, 0.0)
+                want = loop_weak_nodal(g, f, 0.0)
+                assert (weak.kind, weak.labels, weak.count) == ("weak", want.labels, want.count)
+                assert weak.labels is strong_nodal(g, f, 0.0).labels
+                assert passes["labellings"] - before <= 1
+
+    def test_zero_sign_runs_its_own_weak_pass(self, monkeypatch):
+        # star(4) at eps = 0: f_2 and f_3 vanish at the centre, where an
+        # edge joins the weak domains but not the strong ones.
+        passes = self.count_passes(monkeypatch)
+        g = generate("star", 4)
+        spectrum = laplacian_spectrum(g)
+        for k in (2, 3):
+            f = spectrum.function(k)
+            assert 0 in nodal._rounded_signs(f, None)
+            strong = strong_nodal(g, f)
+            before = len(passes["strong"]), passes["labellings"]
+            weak = weak_nodal(g, f)
+            assert (len(passes["strong"]), passes["labellings"]) == (before[0], before[1] + 1)
+            want = loop_weak_nodal(g, f)
+            assert (weak.labels, weak.count) == (want.labels, want.count) == ((0, 0, 0, 0), 1)
+            assert strong.count == 3

@@ -25,6 +25,7 @@ from brute import (
     cycle_spectrum,
     loop_eig_sym,
     loop_normalized_adjacency,
+    loop_normalized_laplacian_sym,
     path_spectrum,
     star_spectrum,
 )
@@ -58,6 +59,47 @@ class TestLaplacianMatrix:
         g = WeightedGraph.build(2, [(0, 1, 1)], mu=[2, 2], kappa=[1, 0])
         m = normalized_laplacian_sym(g)
         assert m[0, 0] == 1.0 and m[1, 1] == 0.5
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_matches_per_edge_loop(self, n):
+        # The edges' entries are computed at once by the per-edge formula's
+        # IEEE operations, so every entry has the loop's bits: signed and
+        # unsigned, unit and degree measure, kappa zero and not.
+        rng = np.random.default_rng(n)
+        for seed in range(3):
+            base = generate("random_connected", n, seed, p=0.4)
+            for mu in ("degree", "unit"):
+                for kappa in (0.0, rng.uniform(-1.0, 2.0, size=n).tolist()):
+                    g = WeightedGraph.build(n, base.edges, mu=mu, kappa=kappa)
+                    for h in (g, with_random_signature(g, seed)):
+                        got = normalized_laplacian_sym(h).view(np.int64)
+                        assert np.array_equal(got, loop_normalized_laplacian_sym(h).view(np.int64))
+
+    def test_one_held_matrix_per_graph(self, monkeypatch):
+        # Both spectrum routes, with_functions and eta read one L(g), built
+        # on first use and held read-only with g; an equal graph builds its
+        # own, and the public builder returns a new array every call.
+        built = []
+        real = spectral.normalized_laplacian_sym
+
+        def counting(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(spectral, "normalized_laplacian_sym", counting)
+        g = generate("random_connected", 8, seed=2, p=0.4)
+        values = laplacian_spectrum(g, functions=False)
+        spectral.with_functions(g, values)
+        laplacian_spectrum(g)
+        adjacency_eta(g)
+        assert len(built) == 1 and built[0] is g
+        held = spectral._laplacian(g)
+        assert held is spectral._laplacian(g) and not held.flags.writeable
+        twin = WeightedGraph.build(g.n, g.edges, mu=g.mu, kappa=g.kappa)
+        assert twin == g and spectral._laplacian(twin) is not held
+        assert len(built) == 2
+        fresh = real(g)
+        assert fresh.flags.writeable and np.array_equal(fresh, held)
 
 
 class TestJacobi:
@@ -406,6 +448,20 @@ class TestEta:
                 adjacency_eta(g)
                 assert solved.pop().tobytes() == loop_normalized_adjacency(g).tobytes()
         assert not solved
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_held_laplacian_eta_matches_a_distinct_graph(self, n):
+        # eta read from the L a spectrum solve left with g equals, to the
+        # last bit, eta of an equal graph that holds nothing yet.
+        for seed in range(3):
+            g = generate("random_connected", n, seed, p=0.4, w_low=0.5, w_high=2.0)
+            laplacian_spectrum(g, functions=False)
+            held = adjacency_eta(g)
+            twin = WeightedGraph.build(g.n, g.edges, mu=g.mu, kappa=g.kappa)
+            assert twin == g and twin is not g
+            fresh = adjacency_eta(twin)
+            assert held.eta.hex() == fresh.eta.hex()
+            assert [x.hex() for x in held.values] == [x.hex() for x in fresh.values]
 
     def test_rejects_signed_potential_small(self):
         with pytest.raises(ValueError):
