@@ -76,37 +76,21 @@ class CheckRecord:
 
     @staticmethod
     def compare(name: str, k: int, lhs: float, rhs: float, meta: dict | None = None) -> "CheckRecord":
-        return CheckRecord(
-            name=name,
-            k=k,
-            lhs=lhs,
-            rhs=rhs,
-            margin=rhs - lhs,
-            holds=lhs <= rhs + inequality_tol(rhs),
-            meta=meta or {},
-        )
+        return CheckRecord(name, k, lhs, rhs, rhs - lhs, lhs <= rhs + inequality_tol(rhs), meta or {})
 
     @staticmethod
     def skipped(name: str, reason: str) -> "CheckRecord":
-        return CheckRecord(
-            name=name,
-            k=0,
-            lhs=math.nan,
-            rhs=math.nan,
-            margin=math.nan,
-            holds=None,
-            meta={"skipped": reason},
-        )
+        return CheckRecord(name, 0, math.nan, math.nan, math.nan, None, {"skipped": reason})
 
     def to_json_dict(self) -> dict:
         return {
-            "name": self.name,
+            "holds": self.holds,
             "k": self.k,
             "lhs": self.lhs,
-            "rhs": self.rhs,
             "margin": self.margin,
-            "holds": self.holds,
             "meta": self.meta,
+            "name": self.name,
+            "rhs": self.rhs,
         }
 
 
@@ -244,11 +228,11 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
                 cert.value,
                 rhs,
                 meta={
-                    "j": j,
-                    "ell": ell,
-                    "tau": tau,
-                    "lambda_k": lam,
                     "certificate": cert.to_json_dict(),
+                    "ell": ell,
+                    "j": j,
+                    "lambda_k": lam,
+                    "tau": tau,
                 },
             )
         )
@@ -281,7 +265,7 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
         strong = strong_nodal(gp, f, zero_tol=0.0).count
         weak = weak_nodal(gp, f, zero_tol=0.0).count
         # Every multiplicity r is 1 on a simple spectrum; meta keeps the key.
-        meta = {"ell": ell, "r": 1, "strong": strong, "weak": weak, "eps": eps, "seed": seed}
+        meta = {"ell": ell, "eps": eps, "r": 1, "seed": seed, "strong": strong, "weak": weak}
         records.append(CheckRecord.compare("nodal_lower", k, k - ell, strong, meta))
         records.append(CheckRecord.compare("nodal_strong_upper", k, strong, k, meta))
         records.append(CheckRecord.compare("nodal_weak_upper", k, weak, k, meta))
@@ -317,12 +301,12 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
                 cert.value,
                 rhs,
                 meta={
-                    "m": m,
-                    "tau": tau,
-                    "lambda_k": lam,
-                    "sweep_bound": sweep.value,
-                    "eps": eps,
                     "certificate": cert.to_json_dict(),
+                    "eps": eps,
+                    "lambda_k": lam,
+                    "m": m,
+                    "sweep_bound": sweep.value,
+                    "tau": tau,
                 },
             )
         )
@@ -354,9 +338,9 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
                 lhs,
                 cert.value,
                 meta={
+                    "certificate": cert.to_json_dict(),
                     "eta": eta.eta,
                     "tau_min": prof.tau_min,
-                    "certificate": cert.to_json_dict(),
                 },
             )
         )
@@ -434,15 +418,15 @@ def check_product_theorem(
         cert.value,
         rhs,
         meta={
-            "k_factor": k,
-            "n2": g2.n,
+            "certificate": cert.to_json_dict(),
+            "eigensum_error": sum_err,
+            "eps": eps,
             "gap": gap,
+            "k_factor": k,
             "lambda2_max": lam2_max,
             "lambda_index": lam,
-            "eigensum_error": sum_err,
+            "n2": g2.n,
             "tau": tau,
-            "eps": eps,
-            "certificate": cert.to_json_dict(),
         },
     )
 
@@ -654,38 +638,59 @@ def run_checks_on_graph(
 
 @dataclass
 class Report:
-    """Sorted CheckRecord table with a holds/violations/skips summary."""
+    """Sorted CheckRecord table with a holds/violations/skips summary.
+
+    A report is read only once it is complete: its summary is counted on
+    first use and held for every later reader.
+    """
 
     rows: list[tuple[str, CheckRecord]]
     errors: list[tuple[str, str]]
+    _summary: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def sort(self) -> None:
         self.rows.sort(key=lambda row: (row[0], row[1].name, row[1].k))
         self.errors.sort()
 
     def summary(self) -> dict:
-        holds = sum(1 for _, r in self.rows if r.holds is True)
-        violations = sum(1 for _, r in self.rows if r.holds is False)
-        skipped = sum(1 for _, r in self.rows if r.holds is None)
-        return {
-            "records": len(self.rows),
-            "holds": holds,
-            "violations": violations,
-            "skipped": skipped,
-            "errors": len(self.errors),
-        }
+        if self._summary is None:
+            holds = violations = 0
+            for _, r in self.rows:
+                if r.holds is True:
+                    holds += 1
+                elif r.holds is False:
+                    violations += 1
+            self._summary = {
+                "errors": len(self.errors),
+                "holds": holds,
+                "records": len(self.rows),
+                "skipped": len(self.rows) - holds - violations,
+                "violations": violations,
+            }
+        return self._summary
 
     def all_hold(self) -> bool:
         s = self.summary()
         return s["violations"] == 0 and s["errors"] == 0
 
     def to_json_dict(self) -> dict:
+        # Each row is CheckRecord.to_json_dict with "instance" in its key order.
         return {
-            "summary": self.summary(),
-            "records": [
-                dict(instance=instance, **rec.to_json_dict()) for instance, rec in self.rows
-            ],
             "errors": [list(e) for e in self.errors],
+            "records": [
+                {
+                    "holds": rec.holds,
+                    "instance": instance,
+                    "k": rec.k,
+                    "lhs": rec.lhs,
+                    "margin": rec.margin,
+                    "meta": rec.meta,
+                    "name": rec.name,
+                    "rhs": rec.rhs,
+                }
+                for instance, rec in self.rows
+            ],
+            "summary": self.summary(),
         }
 
     def to_csv(self) -> str:

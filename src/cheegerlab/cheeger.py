@@ -168,12 +168,12 @@ class PartitionCertificate:
 
     def to_json_dict(self) -> dict:
         return {
+            "exact": self.exact,
             "k": self.k,
-            "value": self.value,
             "parts": [list(p) for p in self.parts],
             "signed": self.signed,
-            "exact": self.exact,
             "states": self.states,
+            "value": self.value,
         }
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, cheeger, verify, perturb, gen.  Each writes its
-JSON as one compact line with sorted keys (:func:`_dumps`), to stdout or
+JSON as one compact line with sorted keys (:func:`_dumps`; every output
+dict is built in key order and encoded as given), to stdout or
 to -o FILE (the same bytes, ending in a newline); analyze --format text
 and verify --format csv are the human-readable forms.  Exit codes: 0 on
 success (verify: all records hold), 1 on a verification violation (or a
@@ -41,12 +42,16 @@ from .spectral import adjacency_eta, laplacian_spectrum, with_functions
 
 
 def _dumps(obj) -> str:
-    """The one JSON writer of every subcommand: compact, keys sorted.
+    """The one JSON writer of every subcommand: compact, keys in order.
 
-    Every output is a fresh tree of dicts, lists and scalars, so no cycle
-    can occur and the encoder's circular-reference check is skipped.
+    Every dict that reaches it is built in sorted key order, so it is
+    encoded as given: the bytes equal json.dumps(obj, sort_keys=True)
+    without the encoder sorting each dict's items again.  Every output is
+    a tree of dicts, lists and scalars (a dict may appear in it twice, as
+    the nodal records share one meta), so no cycle can occur and the
+    encoder's circular-reference check is skipped.
     """
-    return json.dumps(obj, sort_keys=True, check_circular=False)
+    return json.dumps(obj, check_circular=False)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -70,18 +75,18 @@ def cmd_analyze(args) -> int:
     if not g.is_signed() and g.kappa_is_zero() and g.n >= 3:
         eta = adjacency_eta(g).to_json_dict()
     out = {
-        "n": g.n,
-        "edge_count": g.m,
-        "signed": g.is_signed(),
         "classification": cls.to_json_dict(),
         "cyclomatic": cyclomatic(g),
         "degrees": list(prof.d),
+        "edge_count": g.m,
+        "eta": eta,
+        "kappa": list(g.kappa),
+        "mu": list(g.mu),
+        "n": g.n,
+        "signed": g.is_signed(),
+        "spectrum": spectrum.to_json_dict(),
         "tau": prof.tau,
         "tau_min": prof.tau_min,
-        "mu": list(g.mu),
-        "kappa": list(g.kappa),
-        "spectrum": spectrum.to_json_dict(),
-        "eta": eta,
     }
     if args.format == "text":
         lines = [
@@ -112,10 +117,10 @@ def cmd_cheeger(args) -> int:
         f = laplacian_spectrum(g).function(args.sweep_from_eig)
     cert = (rho_signed_exact if args.signed else rho_exact)(g, args.k)
     # Every certificate is exact; the key stays for readers of the format.
-    out = {"certificate": cert.to_json_dict(), "budget_exceeded": False}
-    if f is not None:
+    out = {"budget_exceeded": False, "certificate": cert.to_json_dict()}
+    if f is not None:  # "sweep" sorts last
         sweep = rho_upper_nodal_sweep(g, f)
-        out["sweep"] = {"m": sweep.k, "bound": sweep.value, "certificate": sweep.to_json_dict()}
+        out["sweep"] = {"bound": sweep.value, "certificate": sweep.to_json_dict(), "m": sweep.k}
     _emit(_dumps(out), args.output)
     return 0
 

@@ -9,9 +9,10 @@ union-find component labelling, `_component_labels`, serves `classify`, the
 generators and the nodal decompositions.
 
 A graph also holds what is derived from it alone, each input built on
-first use and read by every later caller (:func:`_derived`): its
-classification, its degree profile, its normalized Laplacian (read-only)
-and its strong nodal labellings, one per rounded sign vector asked for.
+first use and read by every later caller (:func:`_derived`): whether it is
+signed, its weighted degrees (read-only), its classification, its degree
+profile, its normalized Laplacian (read-only) and its strong nodal
+labellings, one per rounded sign vector asked for.
 Holding them is safe because the graph cannot change after it is built and
 each of them is a function of the graph (and, for a labelling, the signs)
 alone; an equal but distinct graph holds its own.  The store lives and
@@ -107,11 +108,13 @@ class WeightedGraph:
         return len(self.edges)
 
     def is_signed(self) -> bool:
-        return any(e.sigma < 0 for e in self.edges)
+        """Some edge has sigma = -1; decided once per graph and held with it."""
+        return _derived(self, "signed", _has_negative_edge)
 
     def degrees(self) -> np.ndarray:
-        """Weighted degrees d(i) = sum of incident edge weights (signs ignored)."""
-        return np.array(_weighted_degrees(self.n, self.edges))
+        """Weighted degrees d(i) = sum of incident edge weights (signs
+        ignored); built once per graph and held with it, read-only."""
+        return _derived(self, "degrees", _degree_array)
 
     def adjacency(self, signed: bool = True) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -131,9 +134,8 @@ class WeightedGraph:
 
     def mu_is_degree(self) -> bool:
         """mu equals the weighted degree to a relative 1e-12."""
-        d = self.degrees()
-        mu = np.asarray(self.mu)
-        return bool(np.all(np.abs(mu - d) <= 1e-12 * np.maximum(1.0, np.abs(d))))
+        d = degree_profile(self).d
+        return all(abs(m - x) <= 1e-12 * max(1.0, abs(x)) for m, x in zip(self.mu, d))
 
     def kappa_is_zero(self) -> bool:
         return all(k == 0.0 for k in self.kappa)
@@ -173,6 +175,14 @@ def _weighted_degrees(n: int, edges) -> list[float]:
     return d
 
 
+def _has_negative_edge(g: WeightedGraph) -> bool:
+    return any(e.sigma < 0 for e in g.edges)
+
+
+def _degree_array(g: WeightedGraph) -> np.ndarray:
+    return np.array(_weighted_degrees(g.n, g.edges))
+
+
 def _integer(x, field: str) -> int:
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{field} {x!r} is not an integer")
@@ -190,14 +200,14 @@ class GraphClassification:
 
     def to_json_dict(self) -> dict:
         return {
-            "component_labels": list(self.component_labels),
-            "component_count": self.component_count,
-            "is_connected": self.is_connected,
-            "is_tree": self.is_tree,
-            "is_bipartite": self.is_bipartite,
             "bipartition_labels": None
             if self.bipartition_labels is None
             else list(self.bipartition_labels),
+            "component_count": self.component_count,
+            "component_labels": list(self.component_labels),
+            "is_bipartite": self.is_bipartite,
+            "is_connected": self.is_connected,
+            "is_tree": self.is_tree,
         }
 
 
@@ -595,10 +605,10 @@ def _check_size(n: int, edges: list) -> None:
 def to_json_dict(g: WeightedGraph) -> dict:
     """Canonical JSON form; sigma and kappa are emitted explicitly."""
     return {
-        "n": g.n,
-        "edges": [{"u": e.u, "v": e.v, "w": e.w, "sigma": e.sigma} for e in g.edges],
-        "mu": list(g.mu),
+        "edges": [{"sigma": e.sigma, "u": e.u, "v": e.v, "w": e.w} for e in g.edges],
         "kappa": list(g.kappa),
+        "mu": list(g.mu),
+        "n": g.n,
     }
 
 

@@ -86,11 +86,11 @@ class GenericityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "simple": self.simple,
-            "min_gap": self.min_gap,
-            "zero_free": self.zero_free,
-            "min_abs_entry": self.min_abs_entry,
             "gap_tol": self.gap_tol,
+            "min_abs_entry": self.min_abs_entry,
+            "min_gap": self.min_gap,
+            "simple": self.simple,
+            "zero_free": self.zero_free,
             "zero_tol": self.zero_tol,
         }
 
@@ -119,14 +119,14 @@ class FrequencyReport:
 
     def to_json_dict(self) -> dict:
         return {
+            "eps": self.eps,
             "fraction_simple": self.fraction_simple,
             "fraction_zero_free": self.fraction_zero_free,
-            "worst_gap": self.worst_gap,
-            "worst_entry": self.worst_entry,
-            "trials": self.trials,
-            "eps": self.eps,
-            "seed": self.seed,
             "gap_tol": self.gap_tol,
+            "seed": self.seed,
+            "trials": self.trials,
+            "worst_entry": self.worst_entry,
+            "worst_gap": self.worst_gap,
             "zero_tol": self.zero_tol,
         }
 

@@ -186,9 +186,9 @@ class Spectrum:
 
     def to_json_dict(self) -> dict:
         return {
-            "values": list(self.values),
             "clusters": [[s, m] for s, m in self.clusters],
             "functions": None if self.functions is None else [list(f) for f in self.functions],
+            "values": list(self.values),
         }
 
 
@@ -277,7 +277,7 @@ class EtaResult:
     eta: float
 
     def to_json_dict(self) -> dict:
-        return {"values": list(self.values), "eta": self.eta}
+        return {"eta": self.eta, "values": list(self.values)}
 
 
 def adjacency_eta(g: WeightedGraph) -> EtaResult:

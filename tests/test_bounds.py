@@ -19,7 +19,7 @@ from cheegerlab import (
     run_corpus,
 )
 from cheegerlab import bounds, graph, nodal, spectral
-from cheegerlab.bounds import CheckRecord, inequality_tol, run_checks_on_graph
+from cheegerlab.bounds import CheckRecord, Report, inequality_tol, run_checks_on_graph
 from cheegerlab.cheeger import _dp_admits, conductance
 from cheegerlab.cli import main
 from cheegerlab.graph import classify, cyclomatic, dumps_graph, is_complete, product
@@ -326,6 +326,20 @@ class TestRecordsAndReport:
         assert summary["violations"] == 0 and summary["errors"] == 0
         assert summary["holds"] > 0
 
+    def test_summary_counted_once(self):
+        # verify reads the summary three times (the JSON, the skip warning,
+        # the exit code); the report counts it once and holds it.
+        rows = [
+            ("a", CheckRecord.compare("x", 1, 0.0, 1.0)),
+            ("a", CheckRecord.compare("x", 2, 2.0, 1.0)),
+            ("b", CheckRecord.skipped("y", "why")),
+        ]
+        report = Report(rows=rows, errors=[("b", "z: boom")])
+        summary = report.summary()
+        assert summary == {"errors": 1, "holds": 1, "records": 3, "skipped": 1, "violations": 1}
+        assert report.to_json_dict()["summary"] is summary and report.summary() is summary
+        assert not report.all_hold()
+
     def test_corpus_gn_family_uses_sizes_as_parameter(self):
         cfg = CorpusConfig(families=("gn",), sizes=(3, 4), checks=("main",), seed=1)
         report = run_corpus(cfg)
@@ -454,14 +468,15 @@ class TestSolveCount:
 
     def test_one_derivation_per_graph(self, monkeypatch, capsys):
         # One unsigned five-check corpus op at n = 10 touches two graphs, the
-        # instance g and its perturbed instance g'.  Each builds its
-        # Laplacian, classification and degree profile once, and each
-        # eigenfunction's domains are labelled once: 14 component labellings
-        # (2 in the generator, 2 classifications, 10 strong labellings that
-        # the weak counts and the sweeps share), where deriving them per
-        # check took 36.
+        # instance g and its perturbed instance g'.  Each decides whether it
+        # is signed and builds its weighted degrees, Laplacian,
+        # classification and degree profile once (asked per call, the sign
+        # test ran 30 times and the degrees 6), and each eigenfunction's
+        # domains are labelled once: 14 component labellings (2 in the
+        # generator, 2 classifications, 10 strong labellings that the weak
+        # counts and the sweeps share), where deriving them per check took 36.
         labellings = []
-        built = {"laplacian": [], "classification": [], "degree_profile": []}
+        built = {"laplacian": [], "classification": [], "degree_profile": [], "signed": [], "degrees": []}
 
         def counting(key, real):
             def call(*args):
@@ -477,6 +492,8 @@ class TestSolveCount:
         )
         monkeypatch.setattr(graph, "_classify", counting("classification", graph._classify))
         monkeypatch.setattr(graph, "_degree_profile", counting("degree_profile", graph._degree_profile))
+        monkeypatch.setattr(graph, "_has_negative_edge", counting("signed", graph._has_negative_edge))
+        monkeypatch.setattr(graph, "_degree_array", counting("degrees", graph._degree_array))
         self.clear_caches()
         cfg = {"families": ["random_connected"], "sizes": [10], "count": 1, "seed": 6,
                "p": 0.3, "w_low": 0.5, "w_high": 2.0}

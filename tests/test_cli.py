@@ -707,7 +707,11 @@ class TestOutput:
 
 class TestDumps:
     """Every subcommand writes its JSON as json.dumps(obj, sort_keys=True):
-    one compact line with sorted keys, then a newline."""
+    one compact line with sorted keys, then a newline.  The writer does not
+    sort: every dict is built in key order, and these cases reach every
+    kind of dict the subcommands write."""
+
+    FIVE_CHECKS = {"families": ["random_connected"], "sizes": [6], "count": 2, "checks": list(CHECK_NAMES)}
 
     @pytest.mark.parametrize(
         "args, marker",
@@ -719,18 +723,31 @@ class TestDumps:
             (["verify", "NEG_KAPPA", "--checks", "main"], '"lhs": NaN'),
             (["perturb", "GRAPH", "--trials", "3"], '"fraction_simple": '),
             (["gen", "--family", "cycle", "--n", "4"], '"sigma": 1'),
+            (["verify", "--corpus", json.dumps(FIVE_CHECKS)], '"name": "nodal_cheeger"'),
+            (["verify", "--corpus", json.dumps({**FIVE_CHECKS, "signed": True})], '"name": "main_signed"'),
+            (["cheeger", "GRAPH", "--k", "2", "--signed"], '"signed": true'),
+            (["verify", "P3", "--checks", "product", "--with-graph", "K2", "--product-k", "2"], '"k_factor": 2'),
+            # path-n18's profile is beyond the work policy: an error, exit 1.
+            (["verify", "--corpus", '{"families": ["path"], "sizes": [5, 18], "checks": ["main"]}'],
+             '"errors": [["path-n18", "main: '),
         ],
     )
     def test_one_compact_sorted_line(self, args, marker, gn3_file, tmp_path, capsys):
         neg = tmp_path / "neg.json"
         neg.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "kappa": [-1, 0]}))
-        args = [{"GRAPH": gn3_file, "NEG_KAPPA": str(neg)}.get(a, a) for a in args]
+        p3 = tmp_path / "p3.json"
+        assert main(["gen", "--family", "path", "--n", "3", "--mu", "unit", "-o", str(p3)]) == 0
+        k2 = tmp_path / "k2.json"
+        k2.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.1}], "mu": [1, 1]}))
+        files = {"GRAPH": gn3_file, "NEG_KAPPA": str(neg), "P3": str(p3), "K2": str(k2)}
+        args = [files.get(a, a) for a in args]
+        want = 1 if marker.startswith('"errors": [[') else 0
         code, out, _ = run_cli(args, capsys)
-        assert code == 0
+        assert code == want
         assert marker in out
         assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
         path = tmp_path / "out.json"
-        assert main(args + ["-o", str(path)]) == 0
+        assert main(args + ["-o", str(path)]) == want
         assert path.read_bytes() == out.encode()
 
     @pytest.mark.parametrize("bad", [object(), np.int64(3)])
