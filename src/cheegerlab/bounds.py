@@ -129,12 +129,13 @@ class _Solved:
     LAPACK call.
     """
 
-    __slots__ = ("g", "spectrum", "_profile", "_perturbed")
+    __slots__ = ("g", "spectrum", "_profile", "_dicts", "_perturbed")
 
     def __init__(self, g: WeightedGraph, spectrum: Spectrum | None = None):
         self.g = g
         self.spectrum = spectrum
         self._profile = _UNSOLVED
+        self._dicts = None  # the held profile's certificate dicts, each built on first read
         self._perturbed = None  # (eps, seed, _Solved of perturb(g, eps, seed))
 
     def get(self, functions: bool) -> Spectrum:
@@ -155,7 +156,21 @@ class _Solved:
                 self._profile = None
             else:
                 self._profile = rho_signed_profile(g) if signed else rho_profile(g)
+                self._dicts = [None] * g.n
         return self._profile
+
+    def certificate_dict(self, cert: PartitionCertificate) -> dict:
+        """cert.to_json_dict(), built once for each certificate of the held
+        profile: every record that reads it shares the dict (the report
+        only encodes it).  A certificate from outside the held profile, as
+        where the work policy refuses the full profile, gets its own."""
+        held = self._profile
+        if not isinstance(held, tuple) or held[cert.k - 1] is not cert:
+            return cert.to_json_dict()
+        d = self._dicts[cert.k - 1]
+        if d is None:
+            d = self._dicts[cert.k - 1] = cert.to_json_dict()
+        return d
 
     def perturbed(self, eps: float, seed: int) -> "_Solved":
         """perturb(g, eps, seed) with its spectrum, eigenfunctions
@@ -228,7 +243,7 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
                 cert.value,
                 rhs,
                 meta={
-                    "certificate": cert.to_json_dict(),
+                    "certificate": solved.certificate_dict(cert),
                     "ell": ell,
                     "j": j,
                     "lambda_k": lam,
@@ -301,7 +316,7 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
                 cert.value,
                 rhs,
                 meta={
-                    "certificate": cert.to_json_dict(),
+                    "certificate": solved.certificate_dict(cert),
                     "eps": eps,
                     "lambda_k": lam,
                     "m": m,
@@ -338,7 +353,7 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
                 lhs,
                 cert.value,
                 meta={
-                    "certificate": cert.to_json_dict(),
+                    "certificate": solved.certificate_dict(cert),
                     "eta": eta.eta,
                     "tau_min": prof.tau_min,
                 },
@@ -418,7 +433,7 @@ def check_product_theorem(
         cert.value,
         rhs,
         meta={
-            "certificate": cert.to_json_dict(),
+            "certificate": solved.certificate_dict(cert),
             "eigensum_error": sum_err,
             "eps": eps,
             "gap": gap,

@@ -2,26 +2,32 @@
 
 One exact engine answers every request: a subset dynamic program over
 vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`) that
-returns certificates for every k = 1..kmax at once.  Level 1 is a
-subset-min transform, O(n 2^n); each middle level 2..kmax-1 is one O(3^n)
-pass over the (mask, part) pairs; the top level is evaluated only at the n
-suffix masks {i..n-1} its reconstruction reads, O(2^n), in one gather over
-their concatenated segments.  The pairs of each popcount group form one
-column-major block of shape (2^(p-1), masks), one contiguous column per
-mask, so each level of a group is one gather, one maximum, one argmin
-down the columns and one gather of the least candidates, and the split
-pass picks each union's split by argmin down its column.  Up to n = 10
-every block is held in one per-n plan; beyond it the blocks are built in
-column ranges within one memory budget, and the signed profile runs its
-split pass and its packing levels on each built block in turn, so each
-is built once.  :func:`rho_exact` / :func:`rho_signed_exact` answer a
-single k from it and rebuild only certificate k.  One certificate builder
-serves both signs: it packs a score table (Phi, or the signed split
-table's least beta per union with the split that attains it) and orders
-each certificate's parts, or unions, by lowest vertex.  With the held
-plan a profile's DP keeps each level's argmin rows (level 1's from the
-argmin of the score gather), and a certificate reads each part from them;
-only the top level's single step, and every step beyond the held plan,
+returns certificates for every k = 1..kmax at once.  Every part of the full
+mask V holds vertex 0, so from V every read of the recurrence lands on a
+mask without vertex 0: the DP runs on the n - 1 vertices 1..n-1, with
+one O(2^(n-1)) pass over V's own segment per level.  In that sub-cube
+level 1 is a subset-min transform, O(n 2^n); each middle level 2..kmax-1
+is one O(3^(n-1)) pass over the (mask, part) pairs; the top level is
+evaluated only at the suffix masks {i..n-1} its reconstruction reads,
+O(2^n), in one gather over their concatenated segments.  The pairs of
+each popcount group form one column-major block of shape (2^(p-1),
+masks), one contiguous column per mask, so each level of a group is one
+gather, one maximum, one argmin down the columns and one gather of the
+least candidates, and the split pass picks each union's split by argmin
+down its column.  Up to
+n = 10 every block is held in one per-n plan (so the DP's sub-cube reads
+it up to n = 11); beyond it the blocks are built in column ranges within
+one memory budget, and the signed profile runs its split pass over every
+block of n, then the packing levels over the sub-cube's.
+:func:`rho_exact` / :func:`rho_signed_exact` answer a single k from it and
+rebuild only certificate k.  One certificate builder serves both signs: it
+packs a score table (Phi, or the signed split table's least beta per union
+with the split that attains it) and orders each certificate's parts, or
+unions, by lowest vertex.  Each level's pass at V keeps its argmin as V's
+pick, so a certificate's first part needs no rescan.  With the sub-cube's
+held plan a profile's DP keeps each level's argmin rows (level 1's from the
+argmin of the score gather), and a certificate reads each later part from
+them; only a top-level step past V, and every step beyond the held plan,
 rescans its mask's segment.  A single-certificate read keeps no rows: its
 few steps each rescan one held plan column, cheaper than an argmin per
 group and level.
@@ -114,6 +120,12 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     and the top level's gather, O(2^n) each; every pair of a mask with at
     least j vertices for each middle level j = 2..kmax-1; and, if signed,
     the split pass's m passes over every pair.
+
+    Both are bounds, not the engine's work: the DP levels run over the
+    sub-cube of vertices 1..n-1 (half the masks), so the middle levels'
+    pair count is about 3x the pairs they visit, (3^(n-1) - 1) / 2 a level
+    plus V's segment.  Counting the real work would move the frontier
+    this policy draws, so it is left to a change that re-derives it.
     """
     per_mask = 8 * (kmax + 1) + n + 16 + 24 + 32 + (16 if signed else 0)
     if (per_mask << n) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
@@ -398,9 +410,9 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     nonempty vertex sets (the sets need not cover V).  This is certificate
     k of :func:`rho_profile` up to kmax = k: `states` counts the textbook
     recurrence's iterations and ties follow the DP's scan order.  The DP
-    keeps no argmin rows for it: each part is found by rescanning one
-    segment.  A request beyond the work policy raises ValueError before
-    any table is built.
+    keeps no argmin rows for it: the first part is the full mask's pick,
+    and each later one is found by rescanning one segment.  A request
+    beyond the work policy raises ValueError before any table is built.
     """
     if g.is_signed():
         raise ValueError("rho_exact needs an unsigned graph; see rho_signed_exact")
@@ -430,11 +442,13 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
 # ---------------------------------------------------------------------------
 # all-k profiles by subset dynamic programming
 #
-# Both profiles run over the (mask, part) pairs of the n-vertex bitmasks:
+# The passes run over the (mask, part) pairs of the n-vertex bitmasks:
 # for every nonempty mask, the parts a = low | sub where low is the mask's
 # lowest vertex and sub runs over the submasks of mask ^ low in descending
-# order.  That is (3^n - 1) / 2 pairs.  Masks are grouped by popcount, and
-# each group's pairs form one column-major block of shape (2^(p-1), masks):
+# order.  That is (3^n - 1) / 2 pairs: the split pass visits those of n,
+# the packing levels those of the sub-cube of n - 1 (see _packing_dp).
+# Masks are grouped by popcount, and each group's pairs form one
+# column-major block of shape (2^(p-1), masks):
 # column c holds the segment of the group's mask c, in that descending scan
 # order, contiguous, so every pass reduces a group down its columns by
 # argmin, whose first occurrence is the scan order's tie-break.  A level or
@@ -611,8 +625,9 @@ def _dp_iterations(n: int, kmax: int) -> int:
     """Inner iterations of the textbook loop over the same recurrence:
     every pair of every mask with at least j vertices, for j = 1..kmax.
 
-    This counts the recurrence, not the work done: the engine computes
-    level 1 without the pairs and the top level at n masks only.
+    This counts the recurrence, not the work done: the engine runs its
+    levels on the masks without vertex 0 plus one pass at the full mask,
+    level 1 without the pairs and the top level at the suffix masks only.
     """
     return sum((math.comb(n, p) << (p - 1)) * min(p, kmax) for p in range(1, n + 1))
 
@@ -620,36 +635,51 @@ def _dp_iterations(n: int, kmax: int) -> int:
 class _Tables(NamedTuple):
     """The tables of one profile up to kmax, and the DP's own choices.
 
-    dp[j][mask] is the packing value of level j = 0..kmax (the top level
-    only at the masks its reconstruction reads).  rows[j] is None where
-    level j kept no choices, else indexed like the masks of
-    :func:`_mask_order`: at the position first[p] + c of the mask in column
-    c of group p's held block, the row of that column's first part that
-    attains the least candidate (set for every p >= j).
+    Every mask a result reads is the full mask V or a mask without vertex 0
+    (see :func:`_packing_dp`).  dp[j] is level j = 0..kmax of the packing
+    DP of the vertices 1..n-1, indexed by mask >> 1 (the top level only at
+    the masks its reconstruction reads); full[j] is level j at V and
+    picks[j] the first part of V's segment that attains V's least
+    candidate.  rows[j] is None where level j kept no choices, else indexed
+    like the masks of :func:`_mask_order` of n - 1: at the position
+    first[p] + c of the mask in column c of group p's held block, the row
+    of that column's first part that attains the least candidate (set for
+    every p >= j).
     """
 
     dp: list[np.ndarray]
     rows: list[np.ndarray | None]
+    full: list[float]
+    picks: list[int]
 
 
-def _packing_dp(
-    score: np.ndarray, n: int, kmax: int, fill=None, keep_rows: bool = True
-) -> _Tables:
-    """min over j disjoint nonempty subsets of max score, for every j <= kmax.
+def _packing_dp(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True) -> _Tables:
+    """min over j disjoint nonempty subsets of max score, for every j <= kmax,
+    at the full mask V and at every mask without vertex 0.
 
     dp[j][mask] restricts all parts to live inside `mask`.  Either the
     mask's lowest vertex stays out, dp[j][mask ^ low], or it lies in a part
     a of the mask's segment, max(score[a], dp[j-1][mask ^ a]); dp[j][mask]
-    is the least of these.  With dp[0] = -inf, level 1 is the least score
-    over the nonempty submasks of the mask: a subset-min transform folds,
-    for each vertex v, the half of the table without v into the half with
-    it.  Levels 2..kmax read only smaller popcount groups, so one pass over
-    the groups in increasing popcount fills them: each block gathers
+    is the least of these.  Every part of V holds vertex 0, so from V every
+    read lands on a mask without it, and from there on another: those are
+    all the entries a result reads.  So the levels run as the packing DP of
+    the n - 1 vertices 1..n-1 on score[0::2], over the sub-cube's
+    (3^(n-1) - 1) / 2 pairs (a third of the full cube's), and each level at
+    V is one pass over V's segment: its parts 1 | 2s, s descending, are score[1::2]
+    reversed, and their rests, as sub-cube masks, run up from 0, so the
+    pass is maximum(score[1::2][::-1], dp[j-1]) with no gather, and its
+    argmin is V's pick.
+
+    With dp[0] = -inf, level 1 is the least score over the nonempty
+    submasks of the mask: a subset-min transform folds, for each vertex v,
+    the half of the table without v into the half with it.  Levels 2..kmax
+    read only smaller popcount groups, so one pass over the sub-cube's
+    groups in increasing popcount fills them: each block gathers
     score[parts] once, and each level is one gather, one maximum, one
     argmin down the columns and one gather of the least candidates.
 
-    With the held plan (n <= 10) the group pass keeps each argmin as the
-    level's rows, and the argmin of the score gather as level 1's (a
+    With the sub-cube's held plan (n <= 11) the group pass keeps each argmin
+    as the level's rows, and the argmin of the score gather as level 1's (a
     singleton's one part is row 0), so the reconstruction reads its parts
     instead of rescanning their segments.  Each argmin writes into its
     group's slice of one table per profile, which is allocated before the
@@ -657,111 +687,116 @@ def _packing_dp(
     RSS.  Beyond the held plan nothing is kept, and neither is anything
     without `keep_rows`: a caller that reads one certificate rescans one
     held plan column per part instead of paying an argmin per group and
-    level.
-
-    With `fill` (a :class:`_SplitPass`), the score table is filled in the
-    same pass, fill(group) writing score[group.masks] before the group's
-    levels run, so each block is built once; level 1 is then filled group
-    by group as min(score[mask], min over v of dp[1][mask - v]), which
-    selects the same value as the transform.  Only min and max select among
-    table values, so every entry is exact.
+    level.  Only min and max select among table values, so every entry is
+    exact.
     """
-    dp = np.full((kmax + 1, 1 << n), math.inf)
+    m = n - 1
+    sub = score[0::2]
+    dp = np.full((kmax + 1, 1 << m), math.inf)
     dp[0] = -math.inf
     rows = [None] * (kmax + 1)
-    if keep_rows and kmax >= 2 and _plan(n) is not None:
-        first = _mask_order(n).first
-        rows[1:] = np.empty((kmax, first[-1]), dtype=np.intp)
-        rows[1][:n] = 0
-    if fill is None:
-        if kmax == 0:
-            return _Tables(list(dp), rows)
+    tables = _Tables(list(dp), rows, [-math.inf], [0])
+    if kmax >= 1:
         level1 = dp[1]
-        level1[1:] = score[1:]
-        for v in range(n):
+        level1[1:] = sub[1:]
+        for v in range(m):
             halves = level1.reshape(-1, 2, 1 << v)
             np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
-        if kmax == 1:
-            return _Tables(list(dp), rows)
-        blocks = _blocks(n, 2)
-    else:
-        blocks = _blocks(n, 1)
-        drop = ~np.left_shift(1, np.arange(n))[:, None]
-    for p, group in blocks:
-        masks = group.masks
-        if fill is not None:
-            fill(group)
-            if kmax >= 1:
-                best = dp[1][masks & drop].min(axis=0)
-                np.minimum(best, score[masks], out=best)
-                dp[1][masks] = best
-        if min(p, kmax) < 2:
-            continue
-        sc = score[group.parts]
-        kept = None
-        if rows[1] is not None:
-            kept = slice(first[p], first[p + 1])
-            sc.argmin(axis=0, out=rows[1][kept])
-        # Column c's entries start at c * height of the column-major block.
-        starts = np.arange(0, sc.size, sc.shape[0])
-        for j in range(2, min(p, kmax) + 1):
-            cand = dp[j - 1][group.rests]
-            np.maximum(cand, sc, out=cand)
-            arg = cand.argmin(axis=0, out=None if kept is None else rows[j][kept])
-            best = cand.ravel("F").take(arg + starts)
-            np.minimum(best, dp[j][group.without_low], out=best)
-            dp[j][masks] = best
-    return _Tables(list(dp), rows)
+    if kmax >= 2:
+        if keep_rows and _plan(m) is not None:
+            first = _mask_order(m).first
+            rows[1:] = np.empty((kmax, first[-1]), dtype=np.intp)
+            rows[1][:m] = 0
+        for p, group in _blocks(m, 2):
+            masks = group.masks
+            sc = sub[group.parts]
+            kept = None
+            if rows[1] is not None:
+                kept = slice(first[p], first[p + 1])
+                sc.argmin(axis=0, out=rows[1][kept])
+            # Column c's entries start at c * height of the column-major block.
+            starts = np.arange(0, sc.size, sc.shape[0])
+            for j in range(2, min(p, kmax) + 1):
+                cand = dp[j - 1][group.rests]
+                np.maximum(cand, sc, out=cand)
+                arg = cand.argmin(axis=0, out=None if kept is None else rows[j][kept])
+                best = cand.ravel("F").take(arg + starts)
+                np.minimum(best, dp[j][group.without_low], out=best)
+                dp[j][masks] = best
+    for _ in range(kmax):
+        _full_level(tables, score)
+    return tables
 
 
-def _profile_tables(
-    score: np.ndarray, n: int, kmax: int, fill=None, keep_rows: bool = True
-) -> _Tables:
+def _full_level(tables: _Tables, score: np.ndarray) -> None:
+    """Append the next level j at the full mask V: the least of dp[j] at
+    V - {0} and of the pass over V's segment, and the pass's first argmin
+    as V's pick (part 1 | 2s at position 2^(n-1) - 1 - s)."""
+    j = len(tables.full)
+    cand = np.maximum(score[1::2][::-1], tables.dp[j - 1])
+    i = int(cand.argmin())
+    tables.full.append(min(tables.dp[j].item(-1), cand.item(i)))
+    tables.picks.append(1 | (len(cand) - 1 - i) << 1)
+
+
+def _profile_tables(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True) -> _Tables:
     """The tables `_reconstruct` reads for every k = 1..kmax.
 
-    Levels 0..kmax-1 are :func:`_packing_dp`'s full tables (which fill the
-    score table first if `fill` is given), with its rows if `keep_rows`.
-    Level kmax is read only at the suffix masks V_i = {i..n-1}: from the
-    full mask, reconstruction either drops the lowest vertex (V_i to
-    V_{i+1}) or takes a part and goes down a level.  So level kmax is
-    filled by the same recurrence at the V_i with at least kmax vertices:
-    one gather over their concatenated segments, the least candidate of
-    each segment, then a running minimum from V_{n-kmax} up to V_0 for the
-    dropped lowest vertices.  Every other entry is inf (at the shorter V_i
-    that is the true value), and the level keeps no rows.
+    Levels 0..kmax-1 are :func:`_packing_dp`'s, with its rows if
+    `keep_rows`.  Level kmax is read at V and, in the DP of vertices
+    1..n-1, only at its suffix masks V_i = {i..n-1}, i >= 1: from V - {0},
+    reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
+    a part and goes down a level.  So level kmax is filled by the same
+    recurrence at the V_i with at least kmax vertices: one gather over
+    their concatenated segments, the least candidate of each segment, then
+    a running minimum from V_{n-kmax} up to V_1 for the dropped lowest
+    vertices; then one pass at V as at every level.  Every other entry is
+    inf (at the shorter V_i that is the true value), and the level keeps no
+    rows.
     """
-    tables = _packing_dp(score, n, kmax - 1, fill, keep_rows)
+    tables = _packing_dp(score, n, kmax - 1, keep_rows)
+    m = n - 1
     prev = tables.dp[-1]
-    sfx = _suffix_segments(n)
-    count = n - kmax + 1
-    end = sfx.start[count]
-    cand = score[sfx.parts[:end]]
-    np.maximum(cand, prev[sfx.rests[:end]], out=cand)
-    best = np.minimum.reduceat(cand, sfx.start[:count])
-    top = np.full(1 << n, math.inf)
-    top[sfx.masks[:count]] = np.minimum.accumulate(best[::-1])[::-1]
+    top = np.full(1 << m, math.inf)
+    count = m - kmax + 1
+    if count > 0:
+        sfx = _suffix_segments(m)
+        end = sfx.start[count]
+        cand = score[0::2][sfx.parts[:end]]
+        np.maximum(cand, prev[sfx.rests[:end]], out=cand)
+        best = np.minimum.reduceat(cand, sfx.start[:count])
+        top[sfx.masks[:count]] = np.minimum.accumulate(best[::-1])[::-1]
     tables.dp.append(top)
     tables.rows.append(None)
+    _full_level(tables, score)
     return tables
 
 
 def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int]:
     """Parts of an optimal k-packing, walking the tables back from the full mask.
 
-    At each mask the lowest vertex stays out if that keeps the value;
-    otherwise the first part of the mask's segment that attains it is
-    taken: read from the level's rows where it kept them, else found by
-    rescanning the segment (the top level's one step, every level of a
-    table without rows, and every level beyond the held plan).  Table
-    entries are read as Python scalars (`.item`), the same values.
+    At V, vertex 0 stays out if that keeps the value; otherwise V's pick is
+    taken.  Every later step is in the DP of vertices 1..n-1, on masks
+    shifted down by one: the lowest vertex stays out if that keeps the
+    value; otherwise the first part of the mask's segment that attains it
+    is taken, read from the level's rows where it kept them, else found by
+    rescanning the segment (the top level, every level of a table without
+    rows, and every level beyond the held plan).  Table entries are read as
+    Python scalars (`.item`), the same values.
     """
-    dp_all, rows = tables
-    plan = _plan(n)
+    dp_all, rows, full, picks = tables
+    m = n - 1
+    sub = score[0::2]
+    plan = _plan(m)
     if plan is not None:
-        first = _mask_order(n).first
+        first = _mask_order(m).first
     parts = []
-    mask = (1 << n) - 1
+    mask = (1 << m) - 1
     j = k
+    if full[k] != dp_all[k].item(mask):
+        parts.append(picks[k])
+        mask ^= picks[k] >> 1
+        j -= 1
     while j > 0:
         if mask == 0:
             raise AssertionError("packing reconstruction ran out of vertices")
@@ -777,11 +812,11 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int
             c = plan.column.item(mask)
             a = plan.groups[p - 1].parts.item(row.item(first.item(p) + c), c)
         else:
-            seg, rests = _segment(n, mask)
-            cand = score.take(seg)
+            seg, rests = _segment(m, mask)
+            cand = sub.take(seg)
             np.maximum(cand, dp_all[j - 1].take(rests), out=cand)
             a = seg.item((cand == value).argmax())
-        parts.append(a)
+        parts.append(a << 1)
         mask ^= a
         j -= 1
     return parts
@@ -798,7 +833,6 @@ def _certificates(
     split (V1, V2).
     """
     states = _dp_iterations(n, len(tables.dp) - 1)
-    full = (1 << n) - 1
     certs = []
     for k in ks:
         masks = sorted(_reconstruct(tables, score, n, k), key=lambda m: m & -m)
@@ -807,7 +841,7 @@ def _certificates(
         certs.append(
             PartitionCertificate(
                 k=k,
-                value=float(tables.dp[k][full]),
+                value=float(tables.full[k]),
                 parts=_parts_from_masks(masks),
                 signed=split is not None,
                 exact=True,
@@ -820,17 +854,19 @@ def _certificates(
 def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
     """Exact rho_k certificates for every k = 1..kmax in one subset DP.
 
-    The DP runs in numpy (:func:`_profile_tables`): level 1 by a subset-min
-    transform, levels 2..kmax-1 over the column-major pair blocks of each
-    popcount group, in column ranges within a fixed memory budget, and level
-    kmax at the n suffix masks only.  Every value is a Phi-table entry
-    chosen by min/max only, so it is bit-identical to the textbook loop and
-    to naive enumeration (``tests/brute.py``).  Certificates follow the
-    DP's own tie-break (first optimal part in scan order): up to n = 10
-    they read each part from the argmin rows the DP kept, rescanning one
-    segment for the top level only; beyond it each part on the optimal path
-    is found by rescanning its mask's segment.  A request beyond the work
-    policy raises ValueError before any table is built.
+    The DP runs in numpy (:func:`_profile_tables`) on the vertices
+    1..n-1, with one pass over the full mask's segment per level: level 1
+    by a subset-min transform, levels 2..kmax-1 over the column-major pair
+    blocks of each popcount group, in column ranges within a fixed memory
+    budget, and level kmax at the suffix masks only.  Every value is a
+    Phi-table entry chosen by min/max only, so it is bit-identical to the
+    textbook loop and to naive enumeration (``tests/brute.py``).
+    Certificates follow the DP's own tie-break (first optimal part in scan
+    order): the first part is the full mask's pick; up to n = 11 the others
+    are read from the argmin rows the DP kept, rescanning a segment only
+    for a top-level step past the full mask; beyond it each later part on
+    the optimal path is found by rescanning its mask's segment.  A request
+    beyond the work policy raises ValueError before any table is built.
     """
     if g.is_signed():
         raise ValueError("rho_profile needs an unsigned graph; see rho_signed_profile")
@@ -937,23 +973,23 @@ def _signed_tables(g: WeightedGraph, kmax: int = 1, keep_rows: bool = True) -> _
     """The signed split table of g (see :class:`_SplitPass`) and the
     profile tables over it up to kmax, with the DP's rows if `keep_rows`.
 
-    Beyond the held plan each block is built once: the split pass fills
-    the block's unions, then the packing levels of the same block run.
-    Within it the held plan's flat pairs are scored in one call (beta
-    holds at most _HELD_BYTES / 2: 231 KiB at n = 10), each group's unions
-    pick their splits from its slice of beta, and the DP then runs as it
-    does for Phi.
+    The split pass fills every union, vertex 0's included (the full mask's
+    pass reads them), then the DP runs as it does for Phi.  Beyond the held
+    plan the pass runs block by block over every built block of n.  Within
+    it the held plan's flat pairs are scored in one call (beta holds at
+    most _HELD_BYTES / 2: 231 KiB at n = 10) and each group's unions pick
+    their splits from its slice of beta.
     """
     sp = _SplitPass(g)
     plan = _plan(g.n)
     if plan is None:
-        # Built blocks: the split pass and the packing levels share each one.
-        tables = _profile_tables(sp.betamin, g.n, kmax, sp, keep_rows)
+        for _, group in _blocks(g.n, 1):
+            sp(group)
     else:
         beta = sp.scores(plan.parts, plan.rests)
         for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
             sp.pick(group, beta[lo:hi].reshape(group.parts.shape, order="F"))
-        tables = _profile_tables(sp.betamin, g.n, kmax, keep_rows=keep_rows)
+    tables = _profile_tables(sp.betamin, g.n, kmax, keep_rows)
     return _SignedTables(betamin=sp.betamin, split=sp.split, tables=tables)
 
 

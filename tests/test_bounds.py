@@ -20,7 +20,7 @@ from cheegerlab import (
 )
 from cheegerlab import bounds, graph, nodal, spectral
 from cheegerlab.bounds import CheckRecord, Report, inequality_tol, run_checks_on_graph
-from cheegerlab.cheeger import _dp_admits, conductance
+from cheegerlab.cheeger import PartitionCertificate, _dp_admits, conductance
 from cheegerlab.cli import main
 from cheegerlab.graph import classify, cyclomatic, dumps_graph, is_complete, product
 from cheegerlab.perturb import perturb
@@ -339,6 +339,30 @@ class TestRecordsAndReport:
         assert summary == {"errors": 1, "holds": 1, "records": 3, "skipped": 1, "violations": 1}
         assert report.to_json_dict()["summary"] is summary and report.summary() is summary
         assert not report.all_hold()
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_one_dict_per_certificate(self, monkeypatch, seed):
+        # A five-check n = 10 corpus op: `main`, `lower` and `nodal_cheeger`
+        # read certificates of two held profiles (the instance's and its
+        # perturbed instance's), many of them from more than one record.
+        # Each certificate becomes a dict once, and its records share it.
+        built = []
+        to_json_dict = PartitionCertificate.to_json_dict
+
+        def counting(cert):
+            built.append(cert)
+            return to_json_dict(cert)
+
+        monkeypatch.setattr(PartitionCertificate, "to_json_dict", counting)
+        cfg = CorpusConfig(families=("random_connected",), sizes=(10,), count=1, seed=seed,
+                           w_low=0.5, w_high=2.0,
+                           checks=("main", "nodal", "nodal_cheeger", "lower", "basics"))
+        bounds._spectrum.cache_clear()
+        report = run_corpus(cfg)
+        assert report.all_hold()
+        read = [rec.meta["certificate"] for _, rec in report.rows if "certificate" in rec.meta]
+        assert len({id(cert) for cert in built}) == len(built)
+        assert len({id(d) for d in read}) == len(built) < len(read)
 
     def test_corpus_gn_family_uses_sizes_as_parameter(self):
         cfg = CorpusConfig(families=("gn",), sizes=(3, 4), checks=("main",), seed=1)

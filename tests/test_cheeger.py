@@ -463,7 +463,7 @@ class TestProfileEngine:
             profile = rho_profile(g, kmax)
         ref, choice, states = loop_packing_dp(score, n, kmax)
         tables = _packing_dp(score, n, kmax)
-        assert [level.tolist() for level in tables.dp] == ref
+        _assert_levels_match(tables, n, ref, range(kmax + 1))
         _assert_rows_match(tables, n, choice)
         for cert in profile:
             assert cert.states == states
@@ -480,26 +480,26 @@ class TestProfileEngine:
         score[0] = math.inf
         ref, choice, _ = loop_packing_dp(score, n, n)
         tables = _packing_dp(score, n, n)
-        assert [level.tolist() for level in tables.dp] == ref
+        _assert_levels_match(tables, n, ref, range(n + 1))
         _assert_rows_match(tables, n, choice)
         for k in range(1, n + 1):
             assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
 
     def test_streamed_chunks_match_loop_reference(self, monkeypatch):
-        # A 16 KiB hold and budget leave no held plan at n = 9, so every
-        # block is built per call, cut into column ranges of a few masks
-        # (single columns in the tallest groups), and the split pass scores
-        # each in ranges of a few pairs; the signed profile shares each
-        # built block between the split pass and the packing levels.  The
-        # dense graph gives long sums, so a change of accumulation order
-        # shows.
+        # A 16 KiB hold and budget leave no held plan at n = 9 or at its
+        # sub-cube of 8, so every block is built per call, cut into column
+        # ranges of a few masks (single columns in the tallest groups), and
+        # the split pass scores each in ranges of a few pairs; the signed
+        # profile runs the split pass over every block of n = 9, then the
+        # packing levels over the sub-cube's.  The dense graph gives long
+        # sums, so a change of accumulation order shows.
         monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 1 << 14)
         monkeypatch.setattr(cheeger, "_HELD_BYTES", 1 << 14)
         cheeger._plan.cache_clear()
         try:
             n = 9
             full = (1 << n) - 1
-            assert cheeger._plan(n) is None
+            assert cheeger._plan(n) is None and cheeger._plan(n - 1) is None
             g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
             sg = with_random_signature(g, 5)
             betamin, split = beta_split_tables(sg)
@@ -507,12 +507,12 @@ class TestProfileEngine:
             assert signed.betamin.tobytes() == np.array(betamin).tobytes()
             assert signed.split.tolist() == split
             ref, choice, _ = loop_packing_dp(signed.betamin, n, n)
-            assert [level.tolist() for level in signed.tables.dp[:n]] == ref[:n]
-            assert signed.tables.dp[n][full] == ref[n][full]
+            _assert_levels_match(signed.tables, n, ref, range(n))
+            assert signed.tables.full[n] == ref[n][full]
             for score in (_phi_array(g), signed.betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 tables = _packing_dp(score, n, n)
-                assert [level.tolist() for level in tables.dp] == ref
+                _assert_levels_match(tables, n, ref, range(n + 1))
                 # No held plan, so no kept rows: every part is rescanned.
                 assert tables.rows == [None] * (n + 1)
                 for k in range(1, n + 1):
@@ -595,13 +595,26 @@ def _suffix_masks(n: int) -> list[int]:
     return [full >> i << i for i in range(n + 1)]
 
 
+def _assert_levels_match(tables, n: int, ref, levels) -> None:
+    """The DP's levels against the loop's at every entry a result can read:
+    each mask without vertex 0 (the sub-cube's tables, indexed by mask >>
+    1) and the full mask."""
+    full = (1 << n) - 1
+    for j in levels:
+        assert tables.dp[j].tolist() == ref[j][0::2]
+        assert tables.full[j] == ref[j][full]
+
+
 def _assert_rows_match(tables, n: int, choice) -> None:
-    """The rows the DP kept: present at every level 1..kmax of a held plan
-    when the group pass runs (kmax >= 2 of the DP's own levels), and
-    nowhere else; at every (level, mask) where the loop's choice is a part,
-    the kept row's part is that choice."""
-    plan = cheeger._plan(n)
-    first = _mask_order(n).first
+    """The choices the DP kept.  Rows: present at every level 1..kmax of the
+    sub-cube's held plan when the group pass runs (kmax >= 2 of the DP's own
+    levels), and nowhere else; at every (level, mask without vertex 0)
+    where the loop's choice is a part, the kept row's part is that choice.
+    Picks: at every level where the loop's choice at the full mask is a
+    part, the full mask's pick is that choice."""
+    full = (1 << n) - 1
+    plan = cheeger._plan(n - 1)
+    first = _mask_order(n - 1).first
     kmax = len(tables.dp) - 1
     kept = plan is not None and kmax >= 2
     assert tables.rows[0] is None
@@ -614,23 +627,30 @@ def _assert_rows_match(tables, n: int, choice) -> None:
             rows = level[first[p] : first[p + 1]]
             parts = group.parts[rows, np.arange(len(group.masks))]
             for mask, part in zip(group.masks.tolist(), parts.tolist()):
-                if choice[j][mask]:
-                    assert part == choice[j][mask]
+                if choice[j][mask << 1]:
+                    assert part << 1 == choice[j][mask << 1]
                     compared += 1
-    assert compared > 0 or not kept
+    # At n = 1 the sub-cube has no nonempty mask.
+    assert compared > 0 or not kept or n == 1
+    for j in range(1, kmax + 1):
+        if choice[j][full]:
+            assert tables.picks[j] == choice[j][full]
 
 
 def _assert_profile_tables_match(score, n: int, ref, choice, kmax: int) -> None:
-    """Levels below kmax in full, level kmax at every suffix mask, and every
-    reconstruction up to kmax, against the loop's tables (computed for any
-    level count >= kmax)."""
+    """Levels below kmax at every entry a result can read, level kmax at
+    every suffix mask, and every reconstruction up to kmax, against the
+    loop's tables (computed for any level count >= kmax)."""
     tables = _profile_tables(score, n, kmax)
-    assert len(tables.dp) == len(tables.rows) == kmax + 1
+    assert len(tables.dp) == len(tables.rows) == len(tables.full) == len(tables.picks) == kmax + 1
     assert tables.rows[kmax] is None
-    assert [level.tolist() for level in tables.dp[:kmax]] == ref[:kmax]
-    for mask in _suffix_masks(n):
-        assert tables.dp[kmax][mask] == ref[kmax][mask]
-    _assert_rows_match(_Tables(tables.dp[:kmax], tables.rows[:kmax]), n, choice)
+    _assert_levels_match(tables, n, ref, range(kmax))
+    assert tables.full[kmax] == ref[kmax][(1 << n) - 1]
+    for mask in _suffix_masks(n)[1:]:
+        assert tables.dp[kmax][mask >> 1] == ref[kmax][mask]
+    _assert_rows_match(_Tables(*(t[:kmax] for t in tables)), n, choice)
+    if choice[kmax][(1 << n) - 1]:
+        assert tables.picks[kmax] == choice[kmax][(1 << n) - 1]
     full = (1 << n) - 1
     for k in range(1, kmax + 1):
         assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, full)
@@ -672,7 +692,7 @@ class TestProfileTables:
 
     def test_uncached_n12_matches_loop(self):
         n = 12
-        assert cheeger._plan(n) is None
+        assert cheeger._plan(n - 1) is None
         score = _phi_array(generate("random_connected", n, seed=3, p=0.4))
         ref, choice, _ = loop_packing_dp(score, n, n)
         for kmax in range(1, n + 1):
@@ -739,9 +759,10 @@ class TestProfileTables:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_low_k_builds_no_pair_table(self, monkeypatch, k):
-        # n = 12 has no held plan: for k <= 2 level 1 is the transform, the
-        # top level reads the suffix segments, the reconstruction builds its
-        # segments directly, and no 3^n pair pass runs.
+        # n = 12 and its sub-cube of 11 have no held plan: for k <= 2 level
+        # 1 is the transform, the top level reads the suffix segments and
+        # the full mask's pass, the reconstruction builds its segments
+        # directly, and no pair pass runs.
         g = product(generate("path", 4, mu="unit"), generate("path", 3, mu="unit"))
         expected = rho_profile(g, k)
 
@@ -753,14 +774,12 @@ class TestProfileTables:
         assert rho_exact(g, k) == expected[-1]
 
     @pytest.mark.parametrize("signed", [False, True])
-    def test_full_profile_rescans_one_segment(self, monkeypatch, signed):
-        # At n = 10 every level below the top keeps its argmin rows, so the
-        # ten certificates of a full profile rescan one segment, the top
-        # level's single step (k = 10), not one per part taken (55).
-        g = generate("random_connected", 10, seed=3, p=0.3, w_low=0.5, w_high=2.0)
-        if signed:
-            g = with_random_signature(g, 3)
-        profile = rho_signed_profile if signed else rho_profile
+    def test_full_profile_rescans_no_segment(self, monkeypatch, signed):
+        # At n = 10 and 11 (whose sub-cube reads the held plan of 10) every
+        # level below the top keeps its argmin rows, and the top level's
+        # single step at the full mask (k = n) reads the full mask's pick,
+        # so a full profile rescans no segment, where one per part taken
+        # would be n(n + 1) / 2.
         calls = []
         segment = cheeger._segment
 
@@ -769,10 +788,15 @@ class TestProfileTables:
             return segment(n, mask)
 
         monkeypatch.setattr(cheeger, "_segment", counting)
-        certs = profile(g)
-        assert calls == [(1 << 10) - 1]
-        for cert in certs:
-            assert cert.recompute(g) == cert.value
+        profile = rho_signed_profile if signed else rho_profile
+        for n in (10, 11):
+            g = generate("random_connected", n, seed=3, p=0.3, w_low=0.5, w_high=2.0)
+            if signed:
+                g = with_random_signature(g, 3)
+            certs = profile(g)
+            assert calls == []
+            for cert in certs:
+                assert cert.recompute(g) == cert.value
 
 
 def _assert_sweeps_match_loop(monkeypatch, g, functions) -> list:
