@@ -10,7 +10,7 @@ raise :class:`HypothesisViolation` instead and are reported as skips.
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import Iterator
 
 from .cheeger import (
     PartitionCertificate,
@@ -21,6 +21,7 @@ from .cheeger import (
 )
 from .graph import (
     WeightedGraph,
+    _derived,
     classify,
     cyclomatic,
     degree_profile,
@@ -94,107 +95,75 @@ class CheckRecord:
         }
 
 
-# Everything the checks of one instance share is held for the instance
-# whose checks are running: its spectrum, its full exact profile and its
-# perturbed instance perturb(g, eps, seed), which the `nodal`,
-# `nodal_cheeger` and `product` checks all read, so each is built once per
-# instance.  A corpus never revisits an instance, so `_spectrum` holds one;
-# a check that makes a graph of its own (the product) holds it in a local
-# _Solved.  Only the two nodal checks read eigenfunctions; every other
-# check reads values.
+# Everything the checks of one instance share is held with the graph it is
+# derived from (see the `graph` module docstring): its spectrum, its full
+# exact profile with each certificate's dict, and its perturbed instance
+# perturb(g, eps, seed) for each (eps, seed) asked for, which holds its own.
+# The `nodal`, `nodal_cheeger` and `product` checks all read that perturbed
+# instance, so each is built once per instance, and a graph a check makes
+# (the product) holds its own too.  A corpus walks its instances one at a
+# time, so what each holds is freed with it.  Only the two nodal checks
+# read eigenfunctions; every other check reads values.
 #
-# What depends on a graph alone is held by the graph itself (see the
-# `graph` module docstring): the checks call `classify`, `cyclomatic`,
-# `degree_profile`, `adjacency_eta`, `strong_nodal` and `weak_nodal` as
-# often as they need, and each graph builds its classification, degree
-# profile and Laplacian once, and labels each sign vector's strong domains
-# once.  That is safe because a graph cannot change and each input is a
-# function of the graph (a labelling, of the graph and the rounded signs).
-# So `nodal` and `nodal_cheeger` share each eigenfunction's labelling of
-# the perturbed instance, the weak counts read it too (no sign is 0 on a
-# generic instance), and `lower`'s eta reads the Laplacian that the
-# eigenvalue solve of g built.
-
-_UNSOLVED = object()  # a _Solved whose profile has not been asked for
+# The checks call `classify`, `cyclomatic`, `degree_profile`,
+# `adjacency_eta`, `strong_nodal` and `weak_nodal` as often as they need,
+# and each graph builds its classification, degree profile and Laplacian
+# once, and labels each sign vector's strong domains once.  That is safe
+# because a graph cannot change and each input is a function of the graph
+# (a labelling, of the graph and the rounded signs).  So `nodal` and
+# `nodal_cheeger` share each eigenfunction's labelling of the perturbed
+# instance, the weak counts read it too (no sign is 0 on a generic
+# instance), and `lower`'s eta reads the Laplacian that the eigenvalue
+# solve of g built.
 
 
-class _Solved:
-    """The spectrum and exact profile of g, and its perturbed instance.
+def _checked_spectrum(g: WeightedGraph, functions: bool) -> Spectrum:
+    """The spectrum of g that the checks read, held with g.
 
-    The instance's own eigenvalues always come from the Jacobi solver,
-    whichever check asks first; a request for functions adds them to the
-    held values-only spectrum (one LAPACK call, no second eigenvalue
-    solve).  A perturbed instance, whose eigenvalues no exact check pins,
-    is a _Solved of its own whose values and functions come from one
-    LAPACK call.
+    Its eigenvalues come from the Jacobi solver, whichever check asks
+    first; a request for functions adds them to the held values (one
+    LAPACK call, no second eigenvalue solve).  A perturbed instance, whose
+    eigenvalues no exact check pins, holds values and functions from one
+    LAPACK call (:func:`_generic_instance`).
     """
-
-    __slots__ = ("g", "spectrum", "_profile", "_dicts", "_perturbed")
-
-    def __init__(self, g: WeightedGraph, spectrum: Spectrum | None = None):
-        self.g = g
-        self.spectrum = spectrum
-        self._profile = _UNSOLVED
-        self._dicts = None  # the held profile's certificate dicts, each built on first read
-        self._perturbed = None  # (eps, seed, _Solved of perturb(g, eps, seed))
-
-    def get(self, functions: bool) -> Spectrum:
-        s = self.spectrum
-        if s is None:
-            s = self.spectrum = laplacian_spectrum(self.g, functions=False)
-        if functions and s.functions is None:
-            s = self.spectrum = with_functions(self.g, s)
-        return s
-
-    def profile(self) -> tuple[PartitionCertificate, ...] | None:
-        """The full exact profile of g, signed if g is, or None when the
-        work policy refuses it (the decision is held with the profile)."""
-        if self._profile is _UNSOLVED:
-            g = self.g
-            signed = g.is_signed()
-            if not _dp_admits(g.n, g.m, g.n, signed):
-                self._profile = None
-            else:
-                self._profile = rho_signed_profile(g) if signed else rho_profile(g)
-                self._dicts = [None] * g.n
-        return self._profile
-
-    def certificate_dict(self, cert: PartitionCertificate) -> dict:
-        """cert.to_json_dict(), built once for each certificate of the held
-        profile: every record that reads it shares the dict (the report
-        only encodes it).  A certificate from outside the held profile, as
-        where the work policy refuses the full profile, gets its own."""
-        held = self._profile
-        if not isinstance(held, tuple) or held[cert.k - 1] is not cert:
-            return cert.to_json_dict()
-        d = self._dicts[cert.k - 1]
-        if d is None:
-            d = self._dicts[cert.k - 1] = cert.to_json_dict()
-        return d
-
-    def perturbed(self, eps: float, seed: int) -> "_Solved":
-        """perturb(g, eps, seed) with its spectrum, eigenfunctions
-        included; at eps = 0, self.
-
-        Only the latest (eps, seed) is held: the two nodal checks of an
-        instance ask for the same one in turn, and a caller sweeping seeds
-        over one graph would otherwise keep every instance alive.
-        """
-        if eps == 0:
-            return self
-        held = self._perturbed
-        if held is None or held[0] != eps or held[1] != seed:
-            gp = perturb(self.g, eps, seed)
-            held = self._perturbed = (eps, seed, _Solved(gp, laplacian_spectrum(gp)))
-        return held[2]
+    s = _derived(g, "spectrum", _jacobi_spectrum)
+    if functions and s.functions is None:
+        s = _derived(g, "spectrum_functions", with_functions, s)
+    return s
 
 
-@lru_cache(maxsize=1)
-def _spectrum(g: WeightedGraph) -> _Solved:
-    return _Solved(g)
+def _jacobi_spectrum(g: WeightedGraph) -> Spectrum:
+    return laplacian_spectrum(g, functions=False)
 
 
-def _rho_all(solved: _Solved, kmax: int) -> tuple[PartitionCertificate, ...]:
+def _generic_instance(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
+    """perturb(g, eps, seed), held with g, with its spectrum held with it;
+    at eps = 0, g itself."""
+    if eps == 0:
+        return g
+    return _derived(g, ("perturbed", eps, seed), _perturbed_instance, eps, seed)
+
+
+def _perturbed_instance(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
+    gp = perturb(g, eps, seed)
+    _derived(gp, "spectrum", laplacian_spectrum)
+    return gp
+
+
+def _full_profile(g: WeightedGraph) -> tuple[PartitionCertificate, ...]:
+    """The full exact profile of g, signed if g is, held with g; () when
+    the work policy refuses it (the refusal is held too)."""
+    return _derived(g, "profile", _solve_full_profile)
+
+
+def _solve_full_profile(g: WeightedGraph) -> tuple[PartitionCertificate, ...]:
+    signed = g.is_signed()
+    if not _dp_admits(g.n, g.m, g.n, signed):
+        return ()
+    return rho_signed_profile(g) if signed else rho_profile(g)
+
+
+def _rho_all(g: WeightedGraph, kmax: int) -> tuple[PartitionCertificate, ...]:
     """Exact certificates for k = 1..kmax, signed if the graph is.
 
     Sliced from the held full profile, which serves every check of the
@@ -203,11 +172,25 @@ def _rho_all(solved: _Solved, kmax: int) -> tuple[PartitionCertificate, ...]:
     ValueError before any table is built, which the caller reports as a
     per-instance error.
     """
-    profile = solved.profile()
-    if profile is not None:
+    profile = _full_profile(g)
+    if profile:
         return profile[:kmax]
-    g = solved.g
     return rho_signed_profile(g, kmax) if g.is_signed() else rho_profile(g, kmax)
+
+
+def _certificate_dict(g: WeightedGraph, cert: PartitionCertificate) -> dict:
+    """cert.to_json_dict(), held with g for each certificate of its held
+    full profile: every record that reads it shares the dict (the report
+    only encodes it).  A certificate from outside the held profile, as
+    where the work policy refuses the full profile, gets its own."""
+    profile = _full_profile(g)
+    if not profile or profile[cert.k - 1] is not cert:
+        return cert.to_json_dict()
+    return _derived(g, ("certificate", cert.k), _profile_certificate_dict, cert.k)
+
+
+def _profile_certificate_dict(g: WeightedGraph, k: int) -> dict:
+    return _full_profile(g)[k - 1].to_json_dict()
 
 
 def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
@@ -221,14 +204,13 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
     signed = g.is_signed()
-    solved = _spectrum(g)
-    spectrum = solved.get(functions=False)
+    spectrum = _checked_spectrum(g, functions=False)
     ell = cyclomatic(g)
     tau = degree_profile(g).tau
     kmax = g.n - ell
     if kmax < 1:
         return []
-    profile = _rho_all(solved, kmax)
+    profile = _rho_all(g, kmax)
     name = "main_signed" if signed else "main"
     records = []
     for k in range(ell + 1, g.n + 1):
@@ -243,7 +225,7 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
                 cert.value,
                 rhs,
                 meta={
-                    "certificate": solved.certificate_dict(cert),
+                    "certificate": _certificate_dict(g, cert),
                     "ell": ell,
                     "j": j,
                     "lambda_k": lam,
@@ -265,8 +247,8 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
         raise HypothesisViolation("nodal count bounds are checked on unsigned graphs")
     if not classify(g).is_connected:
         raise HypothesisViolation("requires a connected graph")
-    h = _spectrum(g).perturbed(eps, seed)
-    gp, spectrum = h.g, h.get(functions=True)
+    gp = _generic_instance(g, eps, seed)
+    spectrum = _checked_spectrum(gp, functions=True)
     report = GenericityReport.of(spectrum)
     if not (report.simple and report.zero_free):
         raise NonGenericError(
@@ -297,10 +279,10 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
         raise HypothesisViolation("requires an unsigned graph")
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
-    solved = _spectrum(g).perturbed(eps, seed)
-    h, spectrum = solved.g, solved.get(functions=True)
+    h = _generic_instance(g, eps, seed)
+    spectrum = _checked_spectrum(h, functions=True)
     tau = degree_profile(h).tau
-    profile = _rho_all(solved, h.n)
+    profile = _rho_all(h, h.n)
     records = []
     for k in range(1, h.n + 1):
         f = spectrum.function(k)
@@ -316,7 +298,7 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
                 cert.value,
                 rhs,
                 meta={
-                    "certificate": solved.certificate_dict(cert),
+                    "certificate": _certificate_dict(h, cert),
                     "eps": eps,
                     "lambda_k": lam,
                     "m": m,
@@ -340,8 +322,7 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
         raise HypothesisViolation("requires at least 3 vertices")
     eta = adjacency_eta(g)
     prof = degree_profile(g)
-    solved = _spectrum(g)
-    profile = _rho_all(solved, g.n)
+    profile = _rho_all(g, g.n)
     records = []
     for k in range(2, g.n + 1):
         lhs = (prof.tau_min - eta.eta) * (1.0 - 1.0 / k)
@@ -353,14 +334,14 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
                 lhs,
                 cert.value,
                 meta={
-                    "certificate": solved.certificate_dict(cert),
+                    "certificate": _certificate_dict(g, cert),
                     "eta": eta.eta,
                     "tau_min": prof.tau_min,
                 },
             )
         )
     if g.mu_is_degree() and not is_complete(g):
-        spectrum = solved.get(functions=False)
+        spectrum = _checked_spectrum(g, functions=False)
         gap = min(spectrum.values[1], 2.0 - spectrum.values[-1])
         for k in range(2, g.n + 1):
             lhs = gap * (1.0 - 1.0 / k)
@@ -406,8 +387,8 @@ def check_product_theorem(
         raise HypothesisViolation("factor 2 must be bipartite")
     if not 1 <= k < g1.n:
         raise HypothesisViolation(f"k must be in [1, {g1.n - 1}]")
-    solved1 = _spectrum(g1).perturbed(eps, seed)
-    h1, s1 = solved1.g, solved1.get(functions=False)
+    h1 = _generic_instance(g1, eps, seed)
+    s1 = _checked_spectrum(h1, functions=False)
     s2 = laplacian_spectrum(g2, functions=False)
     gap = s1.values[k] - s1.values[k - 1]
     lam2_max = s2.values[-1]
@@ -416,16 +397,13 @@ def check_product_theorem(
             f"gap hypothesis fails: lambda2_max={lam2_max:.6g} >= "
             f"lambda1_{k + 1}-lambda1_{k}={gap:.6g}"
         )
-    # The product is held here, not in `_spectrum`, so the instance's own
-    # entry survives for the checks that follow.
     gp = product(h1, g2)
-    solved = _Solved(gp)
-    sp = solved.get(functions=False)
+    sp = _checked_spectrum(gp, functions=False)
     index = k * g2.n
     lam = _clamp_eigenvalue(sp.values[index - 1])
     tau = degree_profile(gp).tau
     sum_err = abs(sp.values[index - 1] - (s1.values[k - 1] + lam2_max))
-    cert = _rho_all(solved, index)[index - 1]
+    cert = _rho_all(gp, index)[index - 1]
     rhs = math.sqrt(2.0 * tau * lam)
     return CheckRecord.compare(
         "product",
@@ -433,7 +411,7 @@ def check_product_theorem(
         cert.value,
         rhs,
         meta={
-            "certificate": solved.certificate_dict(cert),
+            "certificate": _certificate_dict(gp, cert),
             "eigensum_error": sum_err,
             "eps": eps,
             "gap": gap,
@@ -452,8 +430,7 @@ def check_basics(g: WeightedGraph) -> list[CheckRecord]:
 
     The lambda-side records are emitted as skips when mu != d."""
     signed = g.is_signed()
-    solved = _spectrum(g)
-    profile = _rho_all(solved, g.n)
+    profile = _rho_all(g, g.n)
     mono_name = "monotonic_signed" if signed else "monotonic"
     records = []
     for k in range(1, g.n):
@@ -465,7 +442,7 @@ def check_basics(g: WeightedGraph) -> list[CheckRecord]:
             CheckRecord.skipped("eq1_left", "requires unsigned graph with mu = degree, kappa = 0")
         )
         return records
-    spectrum = solved.get(functions=False)
+    spectrum = _checked_spectrum(g, functions=False)
     for k in range(1, g.n + 1):
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
         records.append(
@@ -570,9 +547,9 @@ class CorpusConfig:
         return CorpusConfig(**data)
 
 
-def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:
-    """Deterministic instance list for a corpus configuration."""
-    out = []
+def corpus_instances(cfg: CorpusConfig) -> Iterator[tuple[str, WeightedGraph]]:
+    """The deterministic instances of a corpus configuration, each made
+    when it is asked for."""
     counter = 0
     for family in cfg.families:
         if family in _DETERMINISTIC_FAMILIES:
@@ -580,7 +557,7 @@ def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:
                 g = generate(family, n, cfg.seed, a=cfg.a, mu=cfg.mu)
                 if cfg.signed:
                     g = with_random_signature(g, derive_seed(cfg.seed, counter))
-                out.append((f"{family}-n{n}", g))
+                yield f"{family}-n{n}", g
                 counter += 1
         else:
             for i in range(cfg.count):
@@ -597,9 +574,8 @@ def corpus_instances(cfg: CorpusConfig) -> list[tuple[str, WeightedGraph]]:
                 )
                 if cfg.signed:
                     g = with_random_signature(g, rng.next_u64())
-                out.append((f"{family}-{i:03d}-n{n}", g))
+                yield f"{family}-{i:03d}-n{n}", g
                 counter += 1
-    return out
 
 
 def _run_check(name: str, g: WeightedGraph, eps: float, seed: int, with_graph, product_k: int):
@@ -725,7 +701,8 @@ class Report:
 def run_corpus(cfg: CorpusConfig) -> Report:
     """Generate the corpus and run the selected checks on every instance.
 
-    Per-instance errors (non-generic seeds, graphs beyond the exact
+    Each instance is made as its checks start and freed, with everything
+    held with it, before the next is made.  Per-instance errors (non-generic seeds, graphs beyond the exact
     engine's work policy) are collected rather than aborting; the report is
     sorted so the result is independent of evaluation order.
     """

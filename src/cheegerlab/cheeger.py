@@ -25,12 +25,10 @@ packs a score table (Phi, or the signed split table's least beta per union
 with the split that attains it) and orders each certificate's parts, or
 unions, by lowest vertex.  Each level's pass at V keeps its argmin as V's
 pick, so a certificate's first part needs no rescan.  With the sub-cube's
-held plan a profile's DP keeps each level's argmin rows (level 1's from the
-argmin of the score gather), and a certificate reads each later part from
-them; only a top-level step past V, and every step beyond the held plan,
-rescans its mask's segment.  A single-certificate read keeps no rows: its
-few steps each rescan one held plan column, cheaper than an argmin per
-group and level.
+held plan the DP keeps each level's argmin rows (level 1's from the argmin
+of the score gather), and a certificate reads each later part from them;
+only a top-level step past V, and every step beyond the held plan,
+rescans its mask's segment.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -44,7 +42,7 @@ The per-n tables (the membership table bits[v][mask], the mask layout,
 the suffix segments and the plan) are read-only and held only while each
 holds at most _HELD_BYTES (1 MiB): all of them up to n = 10, the plan no
 further, the rest up to n = 15 or 16; a larger n builds them per call.
-The Phi table built last is held with its graph under the same bound.
+A graph holds its Phi table under the same bound (graph._derived).
 The cut pass sums every edge's term, a weight times a crossing row of
 bits, over the masks without vertex n-1 in one reduction down the edges
 per range of masks, and mirrors the other half (cut(S) = cut(V - S), the
@@ -64,8 +62,8 @@ optimal tuples by the DP's scan order.
 The per-set evaluation is one private evaluator per score, on Python bool
 lists, behind `conductance`, `beta_signed` and every certificate's
 `recompute`.  :func:`rho_upper_nodal_sweep` reads each level set's Phi
-from the held table when it is its graph's (a level set is a prefix of
-its domain by descending |f|, so one mask), and evaluates it per set
+from the table its graph holds, if it holds one (a level set is a prefix
+of its domain by descending |f|, so one mask), and evaluates it per set
 otherwise: the same value either way.
 """
 
@@ -77,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _derived
 from .nodal import strong_nodal
 
 # Memory budget (bytes) for the work arrays of one profile call.  A pair
@@ -371,23 +369,21 @@ def _cut_and_measure(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return cut, mu_sum
 
 
-# The Phi table _phi_array built last and its graph, while the table holds
-# at most _HELD_BYTES: the nodal sweep of that graph object reads its level
-# sets from it.  The graph is immutable and held with the table, so its
-# identity names the table.
-_last_phi: tuple[WeightedGraph, np.ndarray] | None = None
-
-
 def _phi_array(g: WeightedGraph) -> np.ndarray:
     """Phi of every vertex subset, indexed by bitmask (read-only; entry 0
-    is inf), held as the last table while it fits _HELD_BYTES."""
-    global _last_phi
+    is inf), held with g while it fits _HELD_BYTES (n <= 17): the nodal
+    sweeps of g read their level sets from it."""
+    if 8 << g.n > _HELD_BYTES:
+        return _phi_table(g)
+    return _derived(g, "phi", _phi_table)
+
+
+def _phi_table(g: WeightedGraph) -> np.ndarray:
     cut, mu_sum = _cut_and_measure(g)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.divide(cut, mu_sum, out=cut)
     phi[0] = math.inf
     _read_only(phi)
-    _last_phi = (g, phi) if phi.nbytes <= _HELD_BYTES else None
     return phi
 
 
@@ -409,10 +405,10 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     Minimizes max_i Phi(A_i) over all tuples of k pairwise-disjoint
     nonempty vertex sets (the sets need not cover V).  This is certificate
     k of :func:`rho_profile` up to kmax = k: `states` counts the textbook
-    recurrence's iterations and ties follow the DP's scan order.  The DP
-    keeps no argmin rows for it: the first part is the full mask's pick,
-    and each later one is found by rescanning one segment.  A request
-    beyond the work policy raises ValueError before any table is built.
+    recurrence's iterations and ties follow the DP's scan order; the parts
+    are read as the profile reads them.  The Phi table is held with g
+    while it fits _HELD_BYTES.  A request beyond the work policy raises
+    ValueError before any table is built.
     """
     if g.is_signed():
         raise ValueError("rho_exact needs an unsigned graph; see rho_signed_exact")
@@ -421,7 +417,7 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=False)
     score = _phi_array(g)
-    tables = _profile_tables(score, n, k, keep_rows=False)
+    tables = _profile_tables(score, n, k)
     return _certificates(tables, score, None, n, (k,))[0]
 
 
@@ -435,7 +431,7 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_admitted(g, k, signed=True)
-    t = _signed_tables(g, k, keep_rows=False)
+    t = _signed_tables(g, k)
     return _certificates(t.tables, t.betamin, t.split, n, (k,))[0]
 
 
@@ -653,7 +649,7 @@ class _Tables(NamedTuple):
     picks: list[int]
 
 
-def _packing_dp(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True) -> _Tables:
+def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     """min over j disjoint nonempty subsets of max score, for every j <= kmax,
     at the full mask V and at every mask without vertex 0.
 
@@ -684,18 +680,14 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True) ->
     instead of rescanning their segments.  Each argmin writes into its
     group's slice of one table per profile, which is allocated before the
     pass: small arrays held through the pass raised a corpus run's peak
-    RSS.  Beyond the held plan nothing is kept, and neither is anything
-    without `keep_rows`: a caller that reads one certificate rescans one
-    held plan column per part instead of paying an argmin per group and
-    level.  Only min and max select among table values, so every entry is
-    exact.
+    RSS.  Beyond the held plan nothing is kept.  Only min and max select
+    among table values, so every entry is exact.
     """
     m = n - 1
     sub = score[0::2]
-    dp = np.full((kmax + 1, 1 << m), math.inf)
-    dp[0] = -math.inf
+    dp = [_level0(m), *np.full((kmax, 1 << m), math.inf)]
     rows = [None] * (kmax + 1)
-    tables = _Tables(list(dp), rows, [-math.inf], [0])
+    tables = _Tables(dp, rows, [-math.inf], [0])
     if kmax >= 1:
         level1 = dp[1]
         level1[1:] = sub[1:]
@@ -703,7 +695,7 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True) ->
             halves = level1.reshape(-1, 2, 1 << v)
             np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
     if kmax >= 2:
-        if keep_rows and _plan(m) is not None:
+        if _plan(m) is not None:
             first = _mask_order(m).first
             rows[1:] = np.empty((kmax, first[-1]), dtype=np.intp)
             rows[1][:m] = 0
@@ -728,6 +720,14 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True) ->
     return tables
 
 
+@_held
+def _level0(m: int) -> np.ndarray:
+    """Level 0 of the packing DP of m vertices, -inf at every mask: one
+    broadcast value (read-only).  A table row of it would add 2^m floats
+    to the peak memory of every profile."""
+    return np.broadcast_to(-math.inf, 1 << m)
+
+
 def _full_level(tables: _Tables, score: np.ndarray) -> None:
     """Append the next level j at the full mask V: the least of dp[j] at
     V - {0} and of the pass over V's segment, and the pass's first argmin
@@ -739,11 +739,10 @@ def _full_level(tables: _Tables, score: np.ndarray) -> None:
     tables.picks.append(1 | (len(cand) - 1 - i) << 1)
 
 
-def _profile_tables(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True) -> _Tables:
+def _profile_tables(score: np.ndarray, n: int, kmax: int) -> _Tables:
     """The tables `_reconstruct` reads for every k = 1..kmax.
 
-    Levels 0..kmax-1 are :func:`_packing_dp`'s, with its rows if
-    `keep_rows`.  Level kmax is read at V and, in the DP of vertices
+    Levels 0..kmax-1 are :func:`_packing_dp`'s, with its rows.  Level kmax is read at V and, in the DP of vertices
     1..n-1, only at its suffix masks V_i = {i..n-1}, i >= 1: from V - {0},
     reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
     a part and goes down a level.  So level kmax is filled by the same
@@ -754,7 +753,7 @@ def _profile_tables(score: np.ndarray, n: int, kmax: int, keep_rows: bool = True
     inf (at the shorter V_i that is the true value), and the level keeps no
     rows.
     """
-    tables = _packing_dp(score, n, kmax - 1, keep_rows)
+    tables = _packing_dp(score, n, kmax - 1)
     m = n - 1
     prev = tables.dp[-1]
     top = np.full(1 << m, math.inf)
@@ -969,9 +968,9 @@ class _SignedTables(NamedTuple):
     tables: _Tables  # the profile tables up to kmax over betamin
 
 
-def _signed_tables(g: WeightedGraph, kmax: int = 1, keep_rows: bool = True) -> _SignedTables:
+def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
     """The signed split table of g (see :class:`_SplitPass`) and the
-    profile tables over it up to kmax, with the DP's rows if `keep_rows`.
+    profile tables over it up to kmax, with the DP's rows.
 
     The split pass fills every union, vertex 0's included (the full mask's
     pass reads them), then the DP runs as it does for Phi.  Beyond the held
@@ -989,7 +988,7 @@ def _signed_tables(g: WeightedGraph, kmax: int = 1, keep_rows: bool = True) -> _
         beta = sp.scores(plan.parts, plan.rests)
         for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
             sp.pick(group, beta[lo:hi].reshape(group.parts.shape, order="F"))
-    tables = _profile_tables(sp.betamin, g.n, kmax, keep_rows)
+    tables = _profile_tables(sp.betamin, g.n, kmax)
     return _SignedTables(betamin=sp.betamin, split=sp.split, tables=tables)
 
 
@@ -1024,10 +1023,11 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
     certificate (k = m, exact False) certifies value >= rho_m(g).
 
     A level set is a prefix of its domain sorted by descending |f|.  If
-    the Phi table the engine built last is g's (a profile or rho_exact of
-    this graph object just ran), each level set's Phi is read from it at
-    the prefix's mask; otherwise it is evaluated per set.  Both are the
-    same sum in the same order, so the bound is bit-identical either way.
+    g holds its Phi table (a profile or rho_exact of this graph object
+    ran, at n <= 17), each level set's Phi is read from it at the
+    prefix's mask; otherwise it is evaluated per set, and no table is
+    built.  Both are the same sum in the same order, so the bound is
+    bit-identical either way.
     """
     if g.is_signed():
         raise ValueError("nodal sweep is defined for unsigned graphs")
@@ -1036,8 +1036,7 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
     if m == 0:
         raise ValueError("function is identically zero (after zero rounding)")
     absf = [abs(x) for x in np.asarray(f, dtype=float).tolist()]
-    held = _last_phi
-    phi = held[1] if held is not None and held[0] is g else None
+    phi = g._held.get("phi")  # read if held, never built here
     parts = []
     part_values = []
     for domain in decomposition.domains():

@@ -12,11 +12,18 @@ A graph also holds what is derived from it alone, each input built on
 first use and read by every later caller (:func:`_derived`): whether it is
 signed, its weighted degrees (read-only), its classification, its degree
 profile, its normalized Laplacian (read-only) and its strong nodal
-labellings, one per rounded sign vector asked for.
+labellings, one per rounded sign vector asked for.  The engine and the
+checks hold theirs too: its Phi table while it fits the engine's held-table
+bound (`cheeger`), and the spectrum the checks read, its full exact
+profile (or the work policy's refusal, held as ()) with each certificate's
+JSON dict, and its perturbed instance for each (eps, seed) asked for,
+which holds its own (`bounds`).
 Holding them is safe because the graph cannot change after it is built and
-each of them is a function of the graph (and, for a labelling, the signs)
-alone; an equal but distinct graph holds its own.  The store lives and
-dies with the graph, so there is no cache to evict.
+each of them is a function of the graph (and, for a labelling, the signs;
+for a perturbed instance, eps and the seed) alone; an equal but distinct
+graph holds its own.  The store lives and dies with the graph, so there is
+no cache to evict.  The cost is that a caller that sweeps seeds over one
+graph holds one perturbed instance per seed until that graph dies.
 """
 
 import heapq

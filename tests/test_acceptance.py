@@ -37,7 +37,7 @@ from cheegerlab import (
     strong_nodal,
     with_random_signature,
 )
-from cheegerlab.bounds import CorpusConfig, _Solved, run_corpus
+from cheegerlab.bounds import CorpusConfig, run_corpus
 from brute import (
     complete_spectrum,
     cycle_spectrum,
@@ -315,7 +315,7 @@ def test_c11_basics_suite(corpus200, gn_family):
             records += 1
             violations += not rec.holds
     c4 = generate("cycle", 4)
-    rho2 = _Solved(c4).profile()[1].value
+    rho2 = rho_profile(c4)[1].value
     lam2 = laplacian_spectrum(c4).values[1]
     tight_ok = rho2 == 0.5 and abs(lam2 / 2.0 - rho2) <= 1e-8
     _report(
@@ -330,7 +330,7 @@ def test_c12_gn_example_family(gn_family):
     trajectory = {}
     floor_ok = True
     for n, g in gn_family.items():
-        rho2 = _Solved(g).profile()[1].value
+        rho2 = rho_profile(g)[1].value
         lam2 = laplacian_spectrum(g).values[1]
         trajectory[n] = (round(rho2, 6), round(lam2, 6))
         floor_ok &= rho2 > 0.01

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -262,7 +264,6 @@ class TestProductTheorem:
             return real(g, kmax)
 
         monkeypatch.setattr(bounds, "rho_profile", spy)
-        bounds._spectrum.cache_clear()
         check_product_theorem(*self.n20_pair(), 1)
         assert asked == [2]
 
@@ -357,7 +358,6 @@ class TestRecordsAndReport:
         cfg = CorpusConfig(families=("random_connected",), sizes=(10,), count=1, seed=seed,
                            w_low=0.5, w_high=2.0,
                            checks=("main", "nodal", "nodal_cheeger", "lower", "basics"))
-        bounds._spectrum.cache_clear()
         report = run_corpus(cfg)
         assert report.all_hold()
         read = [rec.meta["certificate"] for _, rec in report.rows if "certificate" in rec.meta]
@@ -453,15 +453,23 @@ class TestSolveCount:
     Laplacian eigenvalues of g by Jacobi, the eigenfunctions by one LAPACK
     `eigh` where a check reads them (with the values, for a perturbed
     instance), the adjacency values by one more `eigh`.  `eigvalsh` is
-    never called."""
+    never called.  What a check derives is held with the graph it reads,
+    so each test starts from graphs of its own."""
 
     CHECKS = ("main", "basics", "lower", "nodal", "nodal_cheeger")
     EPS = 0.05
     SEED = 11
 
     @staticmethod
-    def clear_caches():
-        bounds._spectrum.cache_clear()
+    def run_uncached(g, checks, eps, seed) -> list:
+        """The rows of each check run on a fresh copy of g, so that no
+        check reads what another derived."""
+        rows = []
+        for name in checks:
+            new_rows, errors = run_checks_on_graph("g", copy.copy(g), (name,), eps, seed)
+            assert not errors
+            rows.extend(new_rows)
+        return rows
 
     @staticmethod
     def count_solves(monkeypatch) -> dict:
@@ -518,7 +526,6 @@ class TestSolveCount:
         monkeypatch.setattr(graph, "_degree_profile", counting("degree_profile", graph._degree_profile))
         monkeypatch.setattr(graph, "_has_negative_edge", counting("signed", graph._has_negative_edge))
         monkeypatch.setattr(graph, "_degree_array", counting("degrees", graph._degree_array))
-        self.clear_caches()
         cfg = {"families": ["random_connected"], "sizes": [10], "count": 1, "seed": 6,
                "p": 0.3, "w_low": 0.5, "w_high": 2.0}
         code = main(["verify", "--corpus", json.dumps(cfg), "--checks", ",".join(self.CHECKS)])
@@ -534,7 +541,6 @@ class TestSolveCount:
         g = generate("random_connected", 8, 3)
         assert classify(g).is_connected and not is_complete(g)
         assert not g.is_signed() and g.mu_is_degree() and g.kappa_is_zero()
-        self.clear_caches()
         solved = self.count_solves(monkeypatch)
         rows, errors = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         assert not errors
@@ -566,7 +572,6 @@ class TestSolveCount:
         # (Seed 6 gives a generic g: a simple, zero-free spectrum.)
         g = generate("random_connected", 8, 6)
         assert g.mu_is_degree() and cyclomatic(g) > 0
-        self.clear_caches()
         solved = self.count_solves(monkeypatch)
         rows, errors = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
         assert not errors
@@ -584,19 +589,14 @@ class TestSolveCount:
         # Rows keep the order of the requested checks.
         names = [rec.name for _, rec in rows]
         assert names.index("main") < names.index("nodal_lower") < names.index("nodal_cheeger")
-        self.clear_caches()
-        monkeypatch.setattr(bounds, "_spectrum", bounds._Solved)
-        fresh, _ = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
-        assert rows == fresh
+        assert rows == self.run_uncached(g, self.CHECKS, 0.0, self.SEED)
 
     def test_nodal_first_at_eps_zero(self, monkeypatch):
         # With the nodal checks asking first, the eigenvalues of g still
         # come from Jacobi (functions added by one eigh), so `main` reads
         # the same values as in the default order.
         g = generate("random_connected", 8, 6)
-        self.clear_caches()
-        default, _ = run_checks_on_graph("g", g, self.CHECKS, 0.0, self.SEED)
-        self.clear_caches()
+        default, _ = run_checks_on_graph("g", copy.copy(g), self.CHECKS, 0.0, self.SEED)
         solved = self.count_solves(monkeypatch)
         order = ("nodal", "nodal_cheeger", "main", "basics", "lower")
         rows, errors = run_checks_on_graph("g", g, order, 0.0, self.SEED)
@@ -617,7 +617,6 @@ class TestSolveCount:
 
     def test_one_perturbation_per_instance(self, monkeypatch):
         g = generate("random_connected", 8, 3)
-        self.clear_caches()
         calls = []
 
         def counting(*args):
@@ -628,7 +627,7 @@ class TestSolveCount:
         rows, errors = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
         assert not errors and all(rec.holds for _, rec in rows)
         assert calls == [(g, self.EPS, self.SEED)]
-        # A second seed is a second perturbed instance of the same entry.
+        # A second seed is a second perturbed instance held with g.
         run_checks_on_graph("g", g, ("nodal", "nodal_cheeger"), self.EPS, self.SEED + 1)
         assert calls == [(g, self.EPS, self.SEED), (g, self.EPS, self.SEED + 1)]
 
@@ -638,7 +637,6 @@ class TestSolveCount:
         # of its own.
         g = generate("path", 6, mu="unit")
         g2 = WeightedGraph.build(2, [(0, 1, 0.05)], mu="unit")
-        self.clear_caches()
         calls = []
 
         def counting(*args):
@@ -660,30 +658,49 @@ class TestSolveCount:
         # Functions asked for after a values-only solve come from one eigh
         # call on the same matrix; the eigenvalues are not solved again.
         g = generate("random_connected", 6, 5)
-        self.clear_caches()
         solved = self.count_solves(monkeypatch)
-        values = bounds._spectrum(g).get(functions=False)
+        values = bounds._checked_spectrum(g, functions=False)
         assert values.functions is None
         with pytest.raises(ValueError, match="without eigenfunctions"):
             values.function(1)
         assert len(solved["eigh"]) == 0
-        full = bounds._spectrum(g).get(functions=True)
-        assert bounds._spectrum(g).get(functions=False) is full
+        full = bounds._checked_spectrum(g, functions=True)
+        assert bounds._checked_spectrum(g, functions=True) is full
+        assert bounds._checked_spectrum(g, functions=False) is values
         assert full.values == values.values and full.clusters == values.clusters
         assert len(solved["jacobi"]) == 1 and len(solved["eigh"]) == 1
         assert np.array_equal(solved["eigh"][0], spectral.normalized_laplacian_sym(g))
 
-    def test_one_instance_held_after_a_corpus(self):
-        # A corpus never revisits an instance: only the instance whose
-        # checks ran last is held, profile and perturbed instance included.
+    def test_each_instance_freed_before_the_next(self, monkeypatch):
+        # What the checks of an instance derive is held with its graph, the
+        # perturbed instance with its profile included: a corpus frees each
+        # instance before the next one's checks start, and holds none once
+        # it returns.
+        graphs, perturbed = [], []
+        run_checks = bounds.run_checks_on_graph
+
+        def checking(instance, g, *args):
+            assert all(ref() is None for ref in graphs + perturbed)
+            graphs.append(weakref.ref(g))
+            return run_checks(instance, g, *args)
+
+        def perturbing(*args):
+            gp = perturb(*args)
+            perturbed.append(weakref.ref(gp))
+            return gp
+
+        monkeypatch.setattr(bounds, "run_checks_on_graph", checking)
+        monkeypatch.setattr(bounds, "perturb", perturbing)
         cfg = CorpusConfig(families=("random_connected",), sizes=(5, 6, 7), count=4,
                            seed=5, checks=self.CHECKS)
-        self.clear_caches()
         report = run_corpus(cfg)
         assert report.all_hold()
         assert len({instance for instance, _ in report.rows}) == 4
-        assert bounds._spectrum.cache_info().currsize == 1
-        assert not hasattr(bounds, "_profile_dp")
+        assert len(graphs) == len(perturbed) == 4
+        assert all(ref() is None for ref in graphs + perturbed)
+        # perfbench's tracer treats a bounds attribute of these names as an
+        # lru cache and clears it before each op.
+        assert not any(hasattr(bounds, name) for name in ("_spectrum", "_profile_dp", "_signed_profile_dp"))
 
     @pytest.mark.parametrize("eps", ["0.05", "0"])
     def test_product_keeps_the_instance_held(self, eps, tmp_path, monkeypatch, capsys):
@@ -698,7 +715,6 @@ class TestSolveCount:
             path = tmp_path / f"{name}.json"
             path.write_text(dumps_graph(h))
             files.append(str(path))
-        self.clear_caches()
         solved = self.count_solves(monkeypatch)
         code = main(["verify", files[0], "--checks", "main,product,basics",
                      "--with-graph", files[1], "--eps", eps])
@@ -714,12 +730,9 @@ class TestSolveCount:
 
     def test_cached_nodal_records_match_uncached(self, monkeypatch):
         g = generate("random_connected", 8, 3)
-        self.clear_caches()
         cached, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
-        self.clear_caches()
         solved = self.count_solves(monkeypatch)
-        monkeypatch.setattr(bounds, "_spectrum", bounds._Solved)
-        fresh, _ = run_checks_on_graph("g", g, self.CHECKS, self.EPS, self.SEED)
+        fresh = self.run_uncached(g, self.CHECKS, self.EPS, self.SEED)
         # Uncached: the values of L(g) three times, L(g') twice with its
         # functions, and A(g) by eigh.
         assert {key: len(mats) for key, mats in solved.items()} == {

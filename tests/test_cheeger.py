@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -234,11 +235,9 @@ class TestEngineChoice:
     @pytest.mark.parametrize("kind", ["random", "tied", "signed"])
     @pytest.mark.parametrize("n", [3, 6, 8, 10])
     def test_single_certificate_keeps_no_rows(self, monkeypatch, n, kind):
-        # rho_exact and rho_signed_exact read one certificate, so their DP
-        # keeps no argmin rows and each part rescans one held plan column;
-        # value and parts are the full profile's certificate k.  "tied"
-        # reads a score table drawn from four values, where nearly every
-        # packing ties.
+        # rho_exact and rho_signed_exact give the full profile's certificate
+        # k, value and parts.  "tied" reads a score table drawn from four
+        # values, where nearly every packing ties.
         g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
         exact, profile = rho_exact, rho_profile
         if kind == "signed":
@@ -248,20 +247,9 @@ class TestEngineChoice:
             score = np.random.default_rng(n).choice([0.0, 0.5, 1.0, 2.0], size=1 << n)
             score[0] = math.inf
             monkeypatch.setattr(cheeger, "_phi_array", lambda h: score)
-        kept = []
-        packing = cheeger._packing_dp
-
-        def recording(*args, **kwargs):
-            tables = packing(*args, **kwargs)
-            kept.append(list(tables.rows))  # levels 0..k-1; the top level is appended later
-            return tables
-
-        monkeypatch.setattr(cheeger, "_packing_dp", recording)
         full = profile(g)
-        assert any(rows is not None for rows in kept.pop())
         for k in (2, 3):
             cert = exact(g, k)
-            assert kept.pop() == [None] * k
             assert (cert.value, cert.parts) == (full[k - 1].value, full[k - 1].parts)
 
     @pytest.mark.parametrize(
@@ -800,23 +788,22 @@ class TestProfileTables:
 
 
 def _assert_sweeps_match_loop(monkeypatch, g, functions) -> list:
-    """Each sweep of g, with Phi read from the table a profile of g just
-    built and with each level set evaluated per set, equals the loop
-    reference bit for bit; returns the reference parts."""
+    """Each sweep of g, with Phi read from the table a profile of g built
+    and with each level set evaluated per set (on an equal graph, which
+    holds no table), equals the loop reference bit for bit; returns the
+    reference parts."""
 
     def refuse(*args):
         raise AssertionError("a level set was evaluated per set")
 
     refs = [loop_nodal_sweep(g, f) for f in functions]
-    for held in (True, False):
+    for h in (g, copy.copy(g)):
         with monkeypatch.context() as m:
-            if held:
+            if h is g:
                 rho_profile(g)
                 m.setattr(cheeger, "_phi_eval", refuse)
-            else:
-                m.setattr(cheeger, "_last_phi", None)
             for f, ref in zip(functions, refs):
-                res = rho_upper_nodal_sweep(g, f)
+                res = rho_upper_nodal_sweep(h, f)
                 assert (res.k, res.parts) == (ref.k, ref.parts)
                 assert res.value.hex() == ref.value.hex()
     return [ref.parts for ref in refs]
@@ -868,6 +855,38 @@ class TestNodalSweep:
                 f[0] = 2.0
                 functions.append(f)
             _assert_sweeps_match_loop(monkeypatch, g, functions)
+
+    def test_sweep_reads_its_own_graphs_table(self, monkeypatch):
+        # Each graph holds its own Phi table: a profile of another graph
+        # after g's leaves g's sweep reading g's table, and an equal but
+        # distinct graph holds none, so its sweep evaluates each level set
+        # per set, builds no table, and gives the same bits.
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        g1 = generate("random_connected", 8, seed=3, p=0.4, w_low=0.5, w_high=2.0)
+        g2 = generate("random_connected", 9, seed=4, p=0.4, w_low=0.5, w_high=2.0)
+        functions = [laplacian_spectrum(g1).function(k) for k in range(2, 9)]
+        rho_profile(g1)
+        rho_profile(g2)
+        with monkeypatch.context() as m:
+            m.setattr(cheeger, "_phi_eval", refuse)
+            held = [rho_upper_nodal_sweep(g1, f) for f in functions]
+        evaluated = []
+        phi_eval = cheeger._phi_eval
+
+        def counting(g, member):
+            evaluated.append(g)
+            return phi_eval(g, member)
+
+        monkeypatch.setattr(cheeger, "_phi_eval", counting)
+        monkeypatch.setattr(cheeger, "_phi_table", refuse)
+        twin = copy.copy(g1)
+        assert twin == g1 and twin is not g1
+        for f, ref in zip(functions, held):
+            res = rho_upper_nodal_sweep(twin, f)
+            assert (res.k, res.parts, res.value.hex()) == (ref.k, ref.parts, ref.value.hex())
+        assert evaluated and all(g is twin for g in evaluated)
 
     def test_sweep_keeps_the_largest_tied_level_set(self, monkeypatch):
         # On the path 0-1-2-3 with weights 1, 2, 3 and unit measure, the
