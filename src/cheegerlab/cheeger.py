@@ -32,11 +32,13 @@ rescans its mask's segment.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
-of the request and the bytes its tables hold must stay within
-_MAX_ELEMENT_OPS and _MAX_TABLE_BYTES.  It admits every unsigned request up
-to n = 15 and every signed one up to n = 14, whatever kmax and the edge
-count; beyond that it depends on them (k = 2 reaches n = 21 on a tree).
-A refused request raises ValueError before any table is built.
+of the passes the request runs and the bytes its tables hold must stay
+within _MAX_ELEMENT_OPS and _MAX_TABLE_BYTES.  It admits every unsigned
+request up to n = 18 and every signed one up to n = 15, whatever kmax and
+the edge count; beyond that it depends on them (k = 2 reaches n = 21 on a
+tree).  All four public entries run through one solve (:func:`_solve`),
+which asks the policy, so a refused request raises ValueError before any
+table is built.
 
 The per-n tables (the membership table bits[v][mask], the mask layout,
 the suffix segments and the plan) are read-only and held only while each
@@ -99,9 +101,12 @@ _DP_PAIR_BYTES = 64
 # call rather than keeping it for the life of the process.
 _HELD_BYTES = 1 << 20
 
-# Work policy of the exact engine (_dp_admits): the element operations of a
-# request and the bytes its tables hold must stay within these.  On a 2-vCPU
-# VM 1e9 element operations take 10 to 15 s.
+# Work policy of the exact engine (_dp_admits): the element operations a
+# request runs and the bytes its tables hold must stay within these.  On a
+# 2-vCPU VM full profiles took 3.7 to 4.4 s per 1e9 counted operations
+# unsigned (n = 16..18) and 3.7 to 7.1 s signed (n = 14..16, the most per
+# operation on the sparsest graphs, a tree at n = 16), so an admitted
+# request takes at most about 4.5 s unsigned and 7 s signed.
 _MAX_ELEMENT_OPS = 1_000_000_000
 _MAX_TABLE_BYTES = 256 << 20
 
@@ -110,39 +115,28 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     """Whether the work policy takes a profile up to kmax on n vertices and
     m edges.
 
-    Bytes held, per mask: the DP levels 0..kmax, the membership table's n
-    bools, the suffix segments' 16 bytes, the cut, measure and score
-    arrays, 32 bytes for the mask layout and, if signed, the split tables;
-    plus the pair budget.  Checked first, it bounds n before the
-    operations are summed: the cut and measure passes, level 1's transform
-    and the top level's gather, O(2^n) each; every pair of a mask with at
-    least j vertices for each middle level j = 2..kmax-1; and, if signed,
-    the split pass's m passes over every pair.
-
-    Both are bounds, not the engine's work: the DP levels run over the
-    sub-cube of vertices 1..n-1 (half the masks), so the middle levels'
-    pair count is about 3x the pairs they visit, (3^(n-1) - 1) / 2 a level
-    plus V's segment.  Counting the real work would move the frontier
-    this policy draws, so it is left to a change that re-derives it.
+    Bytes held: per mask of n, the membership table's n bools, the suffix
+    segments' 16 bytes, the cut, measure and score arrays, 32 bytes for the
+    mask layout and, if signed, the split tables; the DP levels 0..kmax
+    over the 2^(n-1) masks without vertex 0; plus the pair budget.  Checked
+    first, it bounds n before the operations of the passes :func:`_solve`
+    runs are summed: the cut pass's m terms, the measure and the membership
+    table, per mask of n; in the sub-cube of the n - 1 vertices above
+    vertex 0, level 1's transform (n - 1 a mask), V's pass at each level
+    1..kmax and the top level's suffix gather, 2^(n-1) each, and every pair
+    of a sub-cube mask with at least j vertices for each middle level
+    j = 2..kmax-1; and, if signed, the split pass's m passes over every
+    pair of n.
     """
-    per_mask = 8 * (kmax + 1) + n + 16 + 24 + 32 + (16 if signed else 0)
-    if (per_mask << n) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
+    s = n - 1
+    per_mask = n + 16 + 24 + 32 + (16 if signed else 0)
+    if (per_mask << n) + (8 * (kmax + 1) << s) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
         return False
-    ops = (m + 2 * n + 1) << n
-    ops += sum((math.comb(n, p) << (p - 1)) * max(0, min(p, kmax - 1) - 1) for p in range(2, n + 1))
+    ops = ((m + n + 1) << n) + ((s + kmax + 1) << s)
+    ops += sum((math.comb(s, p) << (p - 1)) * max(0, min(p, kmax - 1) - 1) for p in range(2, n))
     if signed:
         ops += m * ((3**n - 1) // 2)
     return ops <= _MAX_ELEMENT_OPS
-
-
-def _require_admitted(g: WeightedGraph, kmax: int, signed: bool) -> None:
-    if not _dp_admits(g.n, g.m, kmax, signed):
-        kind = "signed rho_k" if signed else "rho_k"
-        raise ValueError(
-            f"exact {kind} on n = {g.n} vertices up to kmax = {kmax} is beyond the exact "
-            f"engine's limits ({_MAX_ELEMENT_OPS:.0e} element operations, "
-            f"{_MAX_TABLE_BYTES >> 20} MiB of tables)"
-        )
 
 
 @dataclass(frozen=True)
@@ -399,6 +393,27 @@ def _parts_from_masks(masks: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _solve(g: WeightedGraph, kmax: int, ks, signed: bool) -> tuple[PartitionCertificate, ...]:
+    """Certificates k in ks of the profile of g up to kmax (arguments
+    already checked): the score table, Phi or the signed split table, packed
+    by :func:`_profile_tables`.  A request beyond the work policy raises
+    ValueError before any table is built."""
+    n = g.n
+    if not _dp_admits(n, g.m, kmax, signed):
+        kind = "signed rho_k" if signed else "rho_k"
+        raise ValueError(
+            f"exact {kind} on n = {n} vertices up to kmax = {kmax} is beyond the exact "
+            f"engine's limits ({_MAX_ELEMENT_OPS:.0e} element operations, "
+            f"{_MAX_TABLE_BYTES >> 20} MiB of tables)"
+        )
+    if signed:
+        sp = _signed_tables(g)
+        score, split = sp.betamin, sp.split
+    else:
+        score, split = _phi_array(g), None
+    return _certificates(_profile_tables(score, n, kmax), score, split, n, ks)
+
+
 def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     """Exact k-way Cheeger constant with a witness tuple.
 
@@ -412,13 +427,9 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     """
     if g.is_signed():
         raise ValueError("rho_exact needs an unsigned graph; see rho_signed_exact")
-    n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    _require_admitted(g, k, signed=False)
-    score = _phi_array(g)
-    tables = _profile_tables(score, n, k)
-    return _certificates(tables, score, None, n, (k,))[0]
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+    return _solve(g, k, (k,), signed=False)[0]
 
 
 def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
@@ -427,12 +438,9 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     Certificate k of :func:`rho_signed_profile` up to kmax = k, with the
     work policy and tie-break of :func:`rho_exact`.
     """
-    n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    _require_admitted(g, k, signed=True)
-    t = _signed_tables(g, k)
-    return _certificates(t.tables, t.betamin, t.split, n, (k,))[0]
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+    return _solve(g, k, (k,), signed=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -869,13 +877,10 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     """
     if g.is_signed():
         raise ValueError("rho_profile needs an unsigned graph; see rho_signed_profile")
-    n = g.n
-    kmax = n if kmax is None else kmax
-    if not 1 <= kmax <= n:
-        raise ValueError(f"kmax must be in [1, {n}]")
-    _require_admitted(g, kmax, signed=False)
-    score = _phi_array(g)
-    return _certificates(_profile_tables(score, n, kmax), score, None, n, range(1, kmax + 1))
+    kmax = g.n if kmax is None else kmax
+    if not 1 <= kmax <= g.n:
+        raise ValueError(f"kmax must be in [1, {g.n}]")
+    return _solve(g, kmax, range(1, kmax + 1), signed=False)
 
 
 class _SplitPass:
@@ -962,22 +967,15 @@ class _SplitPass:
         self.pick(group, beta.reshape(shape, order="F"))
 
 
-class _SignedTables(NamedTuple):
-    betamin: np.ndarray
-    split: np.ndarray  # V1 bitmask realizing betamin per union mask
-    tables: _Tables  # the profile tables up to kmax over betamin
+def _signed_tables(g: WeightedGraph) -> _SplitPass:
+    """The signed split pass of g, run: its betamin and split (see
+    :class:`_SplitPass`) fill every union, vertex 0's included (the full
+    mask's pass reads them).
 
-
-def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
-    """The signed split table of g (see :class:`_SplitPass`) and the
-    profile tables over it up to kmax, with the DP's rows.
-
-    The split pass fills every union, vertex 0's included (the full mask's
-    pass reads them), then the DP runs as it does for Phi.  Beyond the held
-    plan the pass runs block by block over every built block of n.  Within
-    it the held plan's flat pairs are scored in one call (beta holds at
-    most _HELD_BYTES / 2: 231 KiB at n = 10) and each group's unions pick
-    their splits from its slice of beta.
+    Beyond the held plan the pass runs block by block over every built
+    block of n.  Within it the held plan's flat pairs are scored in one call
+    (beta holds at most _HELD_BYTES / 2: 231 KiB at n = 10) and each group's
+    unions pick their splits from its slice of beta.
     """
     sp = _SplitPass(g)
     plan = _plan(g.n)
@@ -988,8 +986,7 @@ def _signed_tables(g: WeightedGraph, kmax: int = 1) -> _SignedTables:
         beta = sp.scores(plan.parts, plan.rests)
         for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
             sp.pick(group, beta[lo:hi].reshape(group.parts.shape, order="F"))
-    tables = _profile_tables(sp.betamin, g.n, kmax)
-    return _SignedTables(betamin=sp.betamin, split=sp.split, tables=tables)
+    return sp
 
 
 def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
@@ -1001,20 +998,18 @@ def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[Parti
     as :func:`beta_signed` scores it, so every value is too.  The work
     policy of :func:`rho_profile` applies, with the split pass counted.
     """
-    n = g.n
-    kmax = n if kmax is None else kmax
-    if not 1 <= kmax <= n:
-        raise ValueError(f"kmax must be in [1, {n}]")
-    _require_admitted(g, kmax, signed=True)
-    t = _signed_tables(g, kmax)
-    return _certificates(t.tables, t.betamin, t.split, n, range(1, kmax + 1))
+    kmax = g.n if kmax is None else kmax
+    if not 1 <= kmax <= g.n:
+        raise ValueError(f"kmax must be in [1, {g.n}]")
+    return _solve(g, kmax, range(1, kmax + 1), signed=True)
 
 
 # ---------------------------------------------------------------------------
 # nodal sweep upper bound
 
-def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> PartitionCertificate:
-    """Constructive upper bound on rho_m from the strong nodal domains of f.
+def rho_upper_nodal_sweep(g: WeightedGraph, f) -> PartitionCertificate:
+    """Constructive upper bound on rho_m from the strong nodal domains of f
+    (entries with |f| <= 1e-10 max|f| count as zero, as in strong_nodal).
 
     Each of the m domains S_i is swept through its level sets
     S_i(t) = {x in S_i : |f(x)| >= t} over the distinct values t of |f| on
@@ -1031,7 +1026,7 @@ def rho_upper_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) ->
     """
     if g.is_signed():
         raise ValueError("nodal sweep is defined for unsigned graphs")
-    decomposition = strong_nodal(g, f, zero_tol)
+    decomposition = strong_nodal(g, f)
     m = decomposition.count
     if m == 0:
         raise ValueError("function is identically zero (after zero rounding)")

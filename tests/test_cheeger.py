@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -277,8 +278,22 @@ class TestEngineChoice:
                 if n <= 14:
                     assert _dp_admits(n, n * (n - 1) // 2, kmax, signed=True)
 
+    def test_policy_counts_the_sub_cube(self):
+        # The DP levels visit the pairs of the n - 1 vertices above vertex
+        # 0, so every full unsigned profile up to n = 18 is admitted, K18's
+        # included; the full cube's pair count would refuse n = 18.  The
+        # split pass still visits every pair of n, so signed verdicts move
+        # only at the margin (n = 16 up to 43 edges).
+        assert all(_dp_admits(n, n * (n - 1) // 2, n, signed=False) for n in (16, 17, 18))
+        assert _dp_admits(15, 105, 15, signed=True)
+        g18, g19 = (generate("random_connected", n, 7, p=0.3) for n in (18, 19))
+        assert _dp_admits(18, g18.m, 18, signed=False)
+        assert not _dp_admits(19, g19.m, 19, signed=False)
+        assert _dp_admits(16, 43, 16, signed=True)
+        assert not _dp_admits(16, 44, 16, signed=True)
+
     def test_policy_refuses_by_work_and_by_memory(self):
-        assert not _dp_admits(18, 17, 18, signed=False)      # pair passes
+        assert not _dp_admits(19, 18, 19, signed=False)      # pair passes
         assert not _dp_admits(16, 120, 3, signed=True)       # split pass
         assert not _dp_admits(24, 23, 1, signed=False)       # table bytes
         assert _dp_admits(20, 19, 2, signed=False)
@@ -306,6 +321,84 @@ class TestOracleEquivalence:
         for cert in rho_profile(g):
             assert cert.recompute(g) == cert.value
             assert len(cert.parts) == cert.k
+
+
+def _relabelled(g: WeightedGraph, perm: list[int]) -> WeightedGraph:
+    """g with vertex v renamed perm[v]: its edges are stored in the new
+    ids' order, so every subset score is the same terms summed in another
+    order."""
+    mu = [0.0] * g.n
+    kappa = [0.0] * g.n
+    for v in range(g.n):
+        mu[perm[v]] = g.mu[v]
+        kappa[perm[v]] = g.kappa[v]
+    edges = [(perm[e.u], perm[e.v], e.w, e.sigma) for e in g.edges]
+    return WeightedGraph.build(g.n, edges, mu=mu, kappa=kappa)
+
+
+def _scaled(g: WeightedGraph, j: int) -> WeightedGraph:
+    """g with every weight, measure and potential multiplied by 2^j."""
+    c = 2.0**j
+    edges = [(e.u, e.v, e.w * c, e.sigma) for e in g.edges]
+    return WeightedGraph.build(g.n, edges, mu=[x * c for x in g.mu], kappa=[x * c for x in g.kappa])
+
+
+class TestInvariances:
+    """Exact oracles at the sizes the exact frontier is about, where naive
+    enumeration cannot reach: relabelling the vertices, and scaling every
+    weight by a power of two."""
+
+    @staticmethod
+    def _mapped_value(cert, perm, h) -> float:
+        """The canonical max score, in h, of cert's parts renamed by perm:
+        a feasible tuple of h, so rho_k(h) is at most this value."""
+        parts = tuple(tuple(sorted(perm[v] for v in part)) for part in cert.parts)
+        return dataclasses.replace(cert, parts=parts).recompute(h)
+
+    @pytest.mark.parametrize(
+        "n, seed, signed", [(15, 1, False), (15, 2, False), (16, 3, False), (16, 4, False), (13, 5, True)]
+    )
+    def test_relabelled_optima_bound_each_other(self, n, seed, signed):
+        # Relabelling reorders the canonical sums, so the two optima may
+        # differ in the last bits; but each optimum, mapped to the other
+        # graph and scored there, is feasible, so it bounds the other's
+        # optimum from above with no tolerance.
+        g = generate("random_connected", n, seed, p=0.3, w_low=0.5, w_high=2.0)
+        profile = rho_profile
+        if signed:
+            g = with_random_signature(g, seed)
+            profile = rho_signed_profile
+        perm = np.random.default_rng(seed).permutation(n).tolist()
+        inverse = [0] * n
+        for v, pv in enumerate(perm):
+            inverse[pv] = v
+        h = _relabelled(g, perm)
+        assert h != g
+        for a, b in zip(profile(g), profile(h)):
+            assert a.recompute(g) == a.value and b.recompute(h) == b.value
+            assert b.value <= self._mapped_value(a, perm, h)
+            assert a.value <= self._mapped_value(b, inverse, g)
+
+    @pytest.mark.parametrize("j", [-20, 3, 61])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_power_of_two_scaling_keeps_every_bit(self, n, j):
+        # Scaling by 2^j is exact away from overflow and underflow, and
+        # every score, beta and Laplacian entry is a ratio of sums that all
+        # scale alike (the off-diagonal's sqrt(mu_u mu_v) by exactly 2^j).
+        base = generate("random_connected", n, n, p=0.4, w_low=0.5, w_high=2.0)
+        kappa = np.random.default_rng(n).uniform(-1.0, 1.0, n).tolist()
+        g = WeightedGraph.build(n, [tuple(e) for e in base.edges], mu=base.mu, kappa=kappa)
+        sg = with_random_signature(g, n)
+        g2, sg2 = _scaled(g, j), _scaled(sg, j)
+        assert _phi_array(g2).tobytes() == _phi_array(g).tobytes()
+        t, t2 = _signed_tables(sg), _signed_tables(sg2)
+        assert t2.betamin.tobytes() == t.betamin.tobytes()
+        assert t2.split.tobytes() == t.split.tobytes()
+        for a, b in (*zip(rho_profile(g), rho_profile(g2)), *zip(rho_signed_profile(sg), rho_signed_profile(sg2))):
+            assert a == b and a.value.hex() == b.value.hex()
+        for h, h2 in ((g, g2), (sg, sg2)):
+            values = laplacian_spectrum(h, functions=False).values
+            assert [x.hex() for x in laplacian_spectrum(h2, functions=False).values] == [x.hex() for x in values]
 
 
 class TestMonotonicity:
@@ -491,12 +584,13 @@ class TestProfileEngine:
             g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
             sg = with_random_signature(g, 5)
             betamin, split = beta_split_tables(sg)
-            signed = _signed_tables(sg, n)
+            signed = _signed_tables(sg)
             assert signed.betamin.tobytes() == np.array(betamin).tobytes()
             assert signed.split.tolist() == split
             ref, choice, _ = loop_packing_dp(signed.betamin, n, n)
-            _assert_levels_match(signed.tables, n, ref, range(n))
-            assert signed.tables.full[n] == ref[n][full]
+            tables = _profile_tables(signed.betamin, n, n)
+            _assert_levels_match(tables, n, ref, range(n))
+            assert tables.full[n] == ref[n][full]
             for score in (_phi_array(g), signed.betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 tables = _packing_dp(score, n, n)
@@ -559,18 +653,18 @@ class TestProfileEngine:
 
     def test_size_limits(self, monkeypatch):
         # Beyond the work policy, refused before any subset table is built:
-        # the full unsigned profile at n = 18, the signed one on K16 (its
+        # the full unsigned profile at n = 19, the signed one on K16 (its
         # split pass alone is 120 passes over (3^16 - 1) / 2 pairs).
         def refuse(*args):
             raise AssertionError("a subset table was built")
 
         for name in ("_phi_array", "_signed_tables", "_cut_and_measure"):
             monkeypatch.setattr(cheeger, name, refuse)
-        g = generate("random_connected", 18, seed=1)
+        g = generate("random_connected", 19, seed=1)
         sg = with_random_signature(generate("complete", 16), 2)
         for call, message in (
-            (lambda: rho_profile(g), "exact rho_k on n = 18 vertices up to kmax = 18 is beyond"),
-            (lambda: rho_exact(g, 18), "exact rho_k on n = 18 vertices up to kmax = 18 is beyond"),
+            (lambda: rho_profile(g), "exact rho_k on n = 19 vertices up to kmax = 19 is beyond"),
+            (lambda: rho_exact(g, 19), "exact rho_k on n = 19 vertices up to kmax = 19 is beyond"),
             (lambda: rho_signed_profile(sg), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
             (lambda: rho_signed_exact(sg, 16), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
         ):

@@ -348,17 +348,20 @@ class TestCheeger:
 
         for name in ("_phi_array", "_signed_tables", "_cut_and_measure"):
             monkeypatch.setattr(cheegerlab.cheeger, name, refuse)
-        g = cheegerlab.generate("random_connected", 18, seed=5)
+        # n = 19 unsigned, the least full profile the policy refuses; n = 18
+        # signed.
+        n = 18 if signed else 19
+        g = cheegerlab.generate("random_connected", n, seed=5)
         if signed:
             g = cheegerlab.with_random_signature(g, 5)
         path = tmp_path / "g.json"
         path.write_text(json.dumps(cheegerlab.graph.to_json_dict(g)))
         extra = ["--signed"] if signed else []
-        code, out, err = run_cli(["cheeger", str(path), "--k", "18"] + extra, capsys)
+        code, out, err = run_cli(["cheeger", str(path), "--k", str(n)] + extra, capsys)
         assert code == 2
         assert out == ""
         kind = "signed rho_k" if signed else "rho_k"
-        assert err.startswith(f"error: exact {kind} on n = 18 vertices up to kmax = 18 is beyond")
+        assert err.startswith(f"error: exact {kind} on n = {n} vertices up to kmax = {n} is beyond")
 
     def test_allow_overflow_flag_is_gone(self, gn3_file):
         with pytest.raises(SystemExit) as exc:
@@ -727,9 +730,9 @@ class TestDumps:
             (["verify", "--corpus", json.dumps({**FIVE_CHECKS, "signed": True})], '"name": "main_signed"'),
             (["cheeger", "GRAPH", "--k", "2", "--signed"], '"signed": true'),
             (["verify", "P3", "--checks", "product", "--with-graph", "K2", "--product-k", "2"], '"k_factor": 2'),
-            # path-n18's profile is beyond the work policy: an error, exit 1.
-            (["verify", "--corpus", '{"families": ["path"], "sizes": [5, 18], "checks": ["main"]}'],
-             '"errors": [["path-n18", "main: '),
+            # path-n19's profile is beyond the work policy: an error, exit 1.
+            (["verify", "--corpus", '{"families": ["path"], "sizes": [5, 19], "checks": ["main"]}'],
+             '"errors": [["path-n19", "main: '),
         ],
     )
     def test_one_compact_sorted_line(self, args, marker, gn3_file, tmp_path, capsys):

@@ -108,13 +108,14 @@ class TestNonFinite:
             with pytest.raises(ValueError, match="entry 1 is not finite"):
                 fn(generate("path", 4), [1.0, bad, -1.0, 2.0])
 
+    # The sweep takes no zero_tol: it rounds at strong_nodal's default.
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    @pytest.mark.parametrize("fn", NODAL)
+    @pytest.mark.parametrize("fn", NODAL[:2])
     def test_zero_tol_rejected(self, fn, tol):
         with pytest.raises(ValueError, match="zero_tol must be finite"):
             fn(generate("path", 4), [1.0, -1.0, 1.0, 2.0], zero_tol=tol)
 
-    @pytest.mark.parametrize("fn", NODAL)
+    @pytest.mark.parametrize("fn", NODAL[:2])
     def test_negative_zero_tol_rejected(self, fn):
         with pytest.raises(ValueError, match="zero_tol must be >= 0"):
             fn(generate("path", 4), [1.0, -1.0, 1.0, 2.0], zero_tol=-1.0)
@@ -178,14 +179,15 @@ class TestNodalOracle:
     @given(_instances(signed=False))
     @settings(max_examples=300, deadline=None)
     def test_sweep(self, inst):
-        g, f, zero_tol = inst
+        # The sweep rounds at the default tolerance, 1e-10 max|f|.
+        g, f, _ = inst
         try:
-            want = loop_nodal_sweep(g, f, zero_tol)
+            want = loop_nodal_sweep(g, f)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                rho_upper_nodal_sweep(g, f, zero_tol)
+                rho_upper_nodal_sweep(g, f)
             return
-        got = rho_upper_nodal_sweep(g, f, zero_tol)
+        got = rho_upper_nodal_sweep(g, f)
         assert got == want
         assert got.value.hex() == want.value.hex()
 
