@@ -16,9 +16,9 @@ gather, one maximum, one argmin down the columns and one gather of the
 least candidates, and the split pass picks each union's split by argmin
 down its column.  Up to
 n = 10 every block is held in one per-n plan (so the DP's sub-cube reads
-it up to n = 11); beyond it the blocks are built in column ranges within
-one memory budget, and the signed profile runs its split pass over every
-block of n, then the packing levels over the sub-cube's.
+it up to n = 11); beyond it the blocks are built in column ranges, and the
+signed profile runs its split pass over every block of n, then the packing
+levels over the sub-cube's.
 :func:`rho_exact` / :func:`rho_signed_exact` answer a single k from it and
 rebuild only certificate k.  One certificate builder serves both signs: it
 packs a score table (Phi, or the signed split table's least beta per union
@@ -36,9 +36,10 @@ of the passes the request runs and the bytes its tables hold must stay
 within _MAX_ELEMENT_OPS and _MAX_TABLE_BYTES.  It admits every unsigned
 request up to n = 18 and every signed one up to n = 15, whatever kmax and
 the edge count; beyond that it depends on them (k = 2 reaches n = 21 on a
-tree).  All four public entries run through one solve (:func:`_solve`),
-which asks the policy, so a refused request raises ValueError before any
-table is built.
+tree).  An admitted request takes at most about 4.6 s unsigned and 6 s
+signed on a 2-vCPU VM.  All four public entries run through one solve
+(:func:`_solve`), which asks the policy, so a refused request raises
+ValueError before any table is built.
 
 The per-n tables (the membership table bits[v][mask], the mask layout,
 the suffix segments and the plan) are read-only and held only while each
@@ -51,11 +52,16 @@ per range of masks, and mirrors the other half (cut(S) = cut(V - S), the
 same terms in the same order); the measure doubles, mu(S + v) = mu(S) +
 mu_v for v above S.  Phi and the signed split table read the same cut and
 measure, and the split pass sums beta's positive and negative edge terms
-per sign class the same way, over flat ranges of pairs, reading each
+per sign class the same way, over ranges of flat pairs, reading each
 vertex's side (+1 in V1, -1 in V2, 0 outside the union) by shifting the
-pair masks.  numpy reduces down the edges one add at a time, in
-stored-edge order, so every score is the same sum, in the same order, as
-the canonical per-set evaluation of :func:`conductance` /
+pair masks.  One rule (:func:`_ranges`) sizes the ranges of all three
+ranged passes (the cut pass's masks, the split pass's pairs and the
+packing levels' columns of a built block): as many items as fit in half
+the 2 MiB budget of work arrays, a column too tall for it alone, and a
+one-item tail folded into the range before it, since numpy sums a lone
+item's edge terms pairwise.  numpy reduces down the edges one add at a
+time, in stored-edge order, so every score is the same sum, in the same
+order, as the canonical per-set evaluation of :func:`conductance` /
 :func:`beta_signed`, and as the DP selects among scores with min/max
 only, every value it returns agrees to the last bit with a naive
 enumeration that scores the same way.  DP certificates break ties among
@@ -80,17 +86,8 @@ import numpy as np
 from .graph import WeightedGraph, _derived
 from .nodal import strong_nodal
 
-# Memory budget (bytes) for the work arrays of one profile call.  A pair
-# block holds two native index arrays (numpy gathers three times slower
-# through int32 indices), 16 bytes a pair.  The packing levels run over
-# column ranges of one popcount group whose pairs fit in half the budget at
-# the bytes per pair below (peak use measured with tracemalloc, a built
-# block's share included).  The cut pass cuts its per-edge work arrays to a
-# sixteenth of the budget and the split pass to an eighth: once freed, work
-# arrays this large are reused from the heap, so these sizes set the peak
-# memory of a process, and they keep it at or below that of the
-# one-edge-at-a-time passes they replaced.  The cut pass is cheap, so its
-# smaller ranges cost little.
+# Memory budget (bytes) for the work arrays of one profile call: each ranged
+# pass cuts its work into ranges whose arrays fit in half of it (_ranges).
 _PAIR_BUDGET = 2 << 20
 _DP_PAIR_BYTES = 64
 
@@ -103,10 +100,11 @@ _HELD_BYTES = 1 << 20
 
 # Work policy of the exact engine (_dp_admits): the element operations a
 # request runs and the bytes its tables hold must stay within these.  On a
-# 2-vCPU VM full profiles took 3.7 to 4.4 s per 1e9 counted operations
-# unsigned (n = 16..18) and 3.7 to 7.1 s signed (n = 14..16, the most per
-# operation on the sparsest graphs, a tree at n = 16), so an admitted
-# request takes at most about 4.5 s unsigned and 7 s signed.
+# 2-vCPU VM full profiles took 3.1 to 4.6 s per 1e9 counted operations
+# unsigned (n = 16..18) and 2.5 to 6.0 s signed (n = 14..16: up to 4.5 s on
+# 22 to 63 edges, 4.6 to 6.0 s on the sparsest graph, a tree at n = 16, whose
+# split pass pays more per pair than its m counted operations), so an
+# admitted request takes at most about 4.6 s unsigned and 6 s signed.
 _MAX_ELEMENT_OPS = 1_000_000_000
 _MAX_TABLE_BYTES = 256 << 20
 
@@ -307,6 +305,25 @@ def _bits(n: int) -> np.ndarray:
     return bits
 
 
+def _ranges(total: int, item_bytes: int):
+    """Yield the (lo, hi) ranges that cut 0..total in order, each holding
+    as many items as fit in half of _PAIR_BUDGET at item_bytes an item, or
+    one item if it alone does not fit.
+
+    A one-item tail joins the range before it, when that holds two or
+    more: the summing passes reduce each range down its edges, and numpy
+    would sum a lone item's terms pairwise (see _edge_sum).  Their items
+    take a few KiB, so every range of theirs holds two items or more, and
+    a folded range stays within the budget.
+    """
+    step = max(1, _PAIR_BUDGET // 2 // item_bytes)
+    lo = 0
+    while lo < total:
+        hi = total if lo + step >= total - (step > 1) else lo + step
+        yield lo, hi
+        lo = hi
+
+
 def _edge_sum(terms: np.ndarray) -> np.ndarray:
     """Sum of the per-edge rows of `terms` (C-contiguous, edges first, two
     or more entries per edge) in stored-edge order.
@@ -347,13 +364,9 @@ def _cut_and_measure(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     u = np.array([e.u for e in g.edges], dtype=np.intp)
     v = np.array([e.v for e in g.edges], dtype=np.intp)
     w = np.array([e.w for e in g.edges])[:, None]
-    # Masks per range: a sixteenth of the budget at 11 bytes per mask and
-    # edge (two gathered rows, their comparison, the term), rounded down to
-    # a power of two, so that every range holds two masks or more.
-    step = 1 << max(1, (_PAIR_BUDGET // 16 // (11 * max(1, len(w)))).bit_length() - 1)
     cut = np.empty(size)
-    for lo in range(0, half, step):
-        hi = min(half, lo + step)
+    # 11 bytes a mask and edge: two gathered rows, their comparison, the term.
+    for lo, hi in _ranges(half, 11 * len(w)):
         cut[lo:hi] = _edge_sum(_weighted(bits[u, lo:hi] != bits[v, lo:hi], w))
     cut[half:] = cut[half - 1 :: -1]
     mu_sum = np.empty(size)
@@ -494,6 +507,7 @@ def _build_pairs(masks: np.ndarray, p: int, parts=None, rests=None) -> tuple[np.
     """
     shape = (1 << (p - 1), len(masks))
     height = shape[0]
+    # Native indices: numpy gathers three times slower through int32 ones.
     if parts is None:
         parts = np.empty(shape, dtype=np.intp, order="F")
         rests = np.empty_like(parts)
@@ -553,22 +567,20 @@ def _blocks(n: int, first: int):
 
     Within the held plan each group is yielded whole: every held group
     fits in one range (at n = 10 the largest, p = 7, has 7,680 pairs).
-    Beyond it each group is built afresh in column ranges whose pairs fit
-    in half the budget at _DP_PAIR_BYTES a pair (one column at least; the
-    singletons of p = 1 are never cut, so every range holds two pairs or
-    more when n >= 2).
+    Beyond it each group is built afresh in the column ranges of
+    :func:`_ranges`, at _DP_PAIR_BYTES a pair (the peak use of the packing
+    levels, measured with tracemalloc, the built block included), so a
+    column too tall for half the budget gets a range of its own.
     """
     plan = _plan(n)
     if plan is not None:
         yield from enumerate(plan.groups[first - 1 :], first)
         return
     order = _mask_order(n)
-    cap = _PAIR_BUDGET // 2 // _DP_PAIR_BYTES
     for p in range(first, n + 1):
         masks = order.masks[order.first[p] : order.first[p + 1]]
-        step = max(1, cap >> (p - 1)) if p > 1 else len(masks)
-        for c in range(0, len(masks), step):
-            yield p, _group(masks[c : c + step], p)
+        for lo, hi in _ranges(len(masks), _DP_PAIR_BYTES << (p - 1)):
+            yield p, _group(masks[lo:hi], p)
 
 
 class _SuffixSegments(NamedTuple):
@@ -887,8 +899,7 @@ class _SplitPass:
     """The signed split table of g: betamin[U] is the least beta over the
     splits (V1, V2) of the union U, and split[U] the V1 that attains it
     first in scan order.  :meth:`scores` scores pairs of flat arrays and
-    :meth:`pick` takes each union's least down its column of a block;
-    calling the pass on a block does both.
+    :meth:`pick` takes each union's least down its column of a block.
 
     V1 runs over U's segment (it holds U's lowest vertex) and V2 = U ^ V1.
     An edge with both ends in U crosses the split iff its ends' sides
@@ -928,17 +939,13 @@ class _SplitPass:
         # per edge of the larger class), and beta's temporaries (40).
         word = self.mask_type.itemsize
         widest = max(self.positive, len(edges) - self.positive)
-        pair_bytes = 56 + (2 * word + 1) * n + 4 * len(edges) + 8 * widest
-        self.step = max(2, _PAIR_BUDGET // 8 // pair_bytes)
+        self.pair_bytes = 56 + (2 * word + 1) * n + 4 * len(edges) + 8 * widest
 
     def scores(self, parts: np.ndarray, rests: np.ndarray) -> np.ndarray:
         """beta of every pair (V1, V2) = (parts[i], rests[i]) of flat
-        arrays, in ranges of `step` pairs, whose work arrays fit in an eighth
-        of the budget (two pairs or more each, when there are two)."""
+        arrays, over the ranges of :func:`_ranges`."""
         beta = np.empty(len(parts))
-        lo = 0
-        while lo < len(parts):
-            hi = lo + self.step if lo + self.step < len(parts) - 1 else len(parts)
+        for lo, hi in _ranges(len(parts), self.pair_bytes):
             v1 = parts[lo:hi]
             v2 = rests[lo:hi]
             side = (v1.astype(self.mask_type) >> self.shifts) & 1
@@ -949,22 +956,18 @@ class _SplitPass:
             em = _edge_sum(_weighted(hit[self.positive :], self.w[self.positive :]))
             union = v1 | v2
             np.divide(2.0 * ep + em + self.bnd[union], self.mu[union], out=beta[lo:hi])
-            lo = hi
         return beta
 
     def pick(self, group: _Group, beta: np.ndarray) -> None:
-        """Each union's least beta down its column of `beta` (laid out as
-        group.parts), and the V1 of its first occurrence."""
+        """Each union's least beta down its column of the flat `beta`
+        (laid out as group.parts in column-major order), and the V1 of its
+        first occurrence."""
         masks = group.masks
+        beta = beta.reshape(group.parts.shape, order="F")
         arg = beta.argmin(axis=0)
         cols = np.arange(len(masks))
         self.betamin[masks] = beta[arg, cols]
         self.split[masks] = group.parts[arg, cols]
-
-    def __call__(self, group: _Group) -> None:
-        shape = group.parts.shape
-        beta = self.scores(group.parts.ravel("F"), group.rests.ravel("F"))
-        self.pick(group, beta.reshape(shape, order="F"))
 
 
 def _signed_tables(g: WeightedGraph) -> _SplitPass:
@@ -981,11 +984,11 @@ def _signed_tables(g: WeightedGraph) -> _SplitPass:
     plan = _plan(g.n)
     if plan is None:
         for _, group in _blocks(g.n, 1):
-            sp(group)
+            sp.pick(group, sp.scores(group.parts.ravel("F"), group.rests.ravel("F")))
     else:
         beta = sp.scores(plan.parts, plan.rests)
         for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
-            sp.pick(group, beta[lo:hi].reshape(group.parts.shape, order="F"))
+            sp.pick(group, beta[lo:hi])
     return sp
 
 

@@ -53,7 +53,8 @@ class WeightedGraph:
     resolves the measure token.  Every instance is valid: construction
     (through :meth:`build`, the constructor or `dataclasses.replace`)
     checks the invariants once and raises :class:`InvalidGraphError`
-    listing every problem.
+    listing every problem.  An edge stored with u > v is one: with every
+    edge stored as u < v, a vertex pair stored twice is a duplicate (u, v).
     """
 
     n: int
@@ -276,6 +277,8 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
         if e.u == e.v:
             problems.append(f"self-loop at vertex {e.u}")
             continue
+        if e.u > e.v:
+            problems.append(f"edge ({e.u},{e.v}) stored with u > v")
         key = (e.u, e.v)
         if key in seen:
             problems.append(f"duplicate edge ({e.u},{e.v})")

@@ -379,6 +379,34 @@ class TestInvariances:
             assert b.value <= self._mapped_value(a, perm, h)
             assert a.value <= self._mapped_value(b, inverse, g)
 
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (12, 13) for seed in range(1, 11)])
+    def test_switched_optima_bound_each_other(self, n, seed):
+        # Switching at a vertex set S flips the sign of every edge with one
+        # end in S.  Moving S's vertices across the sides of a split keeps
+        # which edges beta counts, but moves a positive edge's term w
+        # across the sides to a negative edge's 2w inside one side, so the
+        # canonical sums may differ in the last bits; each optimum, mapped
+        # and scored in the other graph, is feasible there, so it bounds the
+        # other's optimum with no tolerance.  At n = 12 and 13 the split
+        # pass scores each built block in several ranges of pairs.
+        g = generate("random_connected", n, seed, p=0.3, w_low=0.5, w_high=2.0)
+        g = with_random_signature(g, seed)
+        s = set(np.random.default_rng(seed).choice(n, size=n // 2, replace=False).tolist())
+        edges = [(e.u, e.v, e.w, -e.sigma if (e.u in s) != (e.v in s) else e.sigma) for e in g.edges]
+        h = WeightedGraph.build(n, edges, mu=g.mu, kappa=g.kappa)
+        assert h != g
+
+        def switched(cert, graph) -> float:
+            parts = []
+            for v1, v2 in zip(cert.parts[0::2], cert.parts[1::2]):
+                parts.append(tuple(sorted({*v1} - s | {*v2} & s)))
+                parts.append(tuple(sorted({*v2} - s | {*v1} & s)))
+            return dataclasses.replace(cert, parts=tuple(parts)).recompute(graph)
+
+        for a, b in zip(rho_signed_profile(g), rho_signed_profile(h)):
+            assert b.value <= switched(a, h)
+            assert a.value <= switched(b, g)
+
     @pytest.mark.parametrize("j", [-20, 3, 61])
     @pytest.mark.parametrize("n", [8, 12])
     def test_power_of_two_scaling_keeps_every_bit(self, n, j):
@@ -617,6 +645,66 @@ class TestProfileEngine:
                 assert [p for p, _ in yielded] == list(range(first, n + 1))
                 assert all(group is plan.groups[p - 1] for p, group in yielded)
         assert cheeger._plan(11) is None
+
+    def test_ranges_fold_a_one_item_tail(self):
+        # Five items fit in half the budget: a one-item tail joins the range
+        # before it; an item over half the budget gets a range of its own.
+        item = _PAIR_BUDGET // 2 // 5
+        assert list(cheeger._ranges(12, item)) == [(0, 5), (5, 10), (10, 12)]
+        assert list(cheeger._ranges(11, item)) == [(0, 5), (5, 11)]
+        assert list(cheeger._ranges(6, item)) == [(0, 6)]
+        assert list(cheeger._ranges(1, item)) == [(0, 1)]
+        assert list(cheeger._ranges(3, _PAIR_BUDGET)) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("case, budget", [("random", 2304), ("order_visible", 3072)])
+    def test_results_do_not_depend_on_the_ranges(self, monkeypatch, case, budget):
+        # The cut pass, the split pass and the packing columns, each run in
+        # several ranges with a folded one-item tail (the budgets are picked
+        # for that, and the test checks it), against one range each.  Each
+        # sign class holds 9 edges or more, so a lone mask or pair, whose
+        # terms numpy would sum pairwise, changes the bits; the K9 whose
+        # weights 1e16, 1, 1, 1 repeat makes every other order show too.
+        n = 9
+        g = generate("random_connected", n, seed=5, p=0.9, w_low=0.5, w_high=2.0)
+        if case == "order_visible":
+            g = order_visible_graph(n)
+        sg = with_random_signature(g, 5)
+        assert min(sum(e.sigma == s for e in sg.edges) for s in (1, -1)) >= 9
+        monkeypatch.setattr(cheeger, "_HELD_BYTES", 1 << 12)
+        ranges = []
+        real = cheeger._ranges
+
+        def recording(total, item_bytes):
+            cuts = list(real(total, item_bytes))
+            ranges.append((item_bytes, cuts))
+            return iter(cuts)
+
+        monkeypatch.setattr(cheeger, "_ranges", recording)
+        cheeger._plan.cache_clear()
+        try:
+            assert cheeger._plan(n) is None and cheeger._plan(n - 1) is None
+            runs = []
+            for b in (budget, 1 << 26):
+                monkeypatch.setattr(cheeger, "_PAIR_BUDGET", b)
+                ranges.clear()
+                h, sh = copy.copy(g), copy.copy(sg)
+                signed = _signed_tables(sh)
+                runs.append([
+                    *(a.tobytes() for a in (*_cut_and_measure(h), _phi_array(h), signed.betamin, signed.split)),
+                    *((c.k, c.value.hex(), c.parts, c.states) for c in (*rho_profile(h), *rho_signed_profile(sh))),
+                ])
+                items = {"cut": {11 * g.m}, "split": {signed.pair_bytes}}
+                items["packing"] = {_DP_PAIR_BYTES << (p - 1) for p in range(2, n + 1)}
+                assert len(set().union(*items.values())) == sum(map(len, items.values()))
+                for kind, sizes in items.items():
+                    cuts = [c for item_bytes, c in ranges if item_bytes in sizes]
+                    if b == budget:
+                        assert any(len(c) > 2 and c[-1][1] - c[-1][0] == c[0][1] - c[0][0] + 1 for c in cuts), kind
+                    else:
+                        assert cuts and all(len(c) == 1 for c in cuts), kind
+            assert runs[0] == runs[1]
+        finally:
+            cheeger._plan.cache_clear()
 
     def test_n15_memory_within_budget(self):
         n = 15

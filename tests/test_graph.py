@@ -20,6 +20,7 @@ from cheegerlab import (
 )
 from cheegerlab import graph
 from cheegerlab.graph import (
+    Edge,
     GraphFormatError,
     InvalidGraphError,
     dumps_graph,
@@ -56,6 +57,26 @@ class TestValidate:
 
     def test_duplicate_edge(self):
         assert any("duplicate" in p for p in problems(2, [(0, 1, 1), (1, 0, 2)]))
+
+    @pytest.mark.parametrize("reversed_first", [False, True])
+    def test_edge_stored_with_u_above_v(self, reversed_first):
+        # One pair stored in both orders is a multigraph: its degrees would
+        # sum both copies while the Laplacian keeps one entry.  The check
+        # refuses the reversed copy, so every repeat is a duplicate (u, v).
+        pair = (Edge(1, 2, 1.0), Edge(2, 1, 1.0))
+        edges = (*(pair[::-1] if reversed_first else pair), Edge(0, 1, 1.0))
+        g = triangle()
+        for make in (
+            lambda: WeightedGraph(n=3, edges=edges, mu=(1.0,) * 3, kappa=(0.0,) * 3),
+            lambda: dataclasses.replace(g, edges=edges),
+        ):
+            with pytest.raises(InvalidGraphError) as exc:
+                make()
+            assert exc.value.problems == ("edge (2,1) stored with u > v",)
+        with pytest.raises(InvalidGraphError, match=r"edge \(1,0\) stored with u > v"):
+            dataclasses.replace(g, edges=(Edge(1, 0, 1.0), *g.edges[1:]))
+        # build stores every edge with u < v, so the same input is a duplicate there.
+        assert problems(3, [tuple(e) for e in edges]) == ("duplicate edge (1,2)",)
 
     def test_isolated_vertex(self):
         assert any("isolated vertex 2" in p for p in problems(3, [(0, 1, 1)]))
