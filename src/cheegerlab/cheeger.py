@@ -7,18 +7,18 @@ mask V holds vertex 0, so from V every read of the recurrence lands on a
 mask without vertex 0: the DP runs on the n - 1 vertices 1..n-1, with
 one O(2^(n-1)) pass over V's own segment per level.  In that sub-cube
 level 1 is a subset-min transform, O(n 2^n); each middle level 2..kmax-1
-is one O(3^(n-1)) pass over the (mask, part) pairs; the top level is
-evaluated only at the suffix masks {i..n-1} its reconstruction reads,
-O(2^n), in one gather over their concatenated segments.  The pairs of
-each popcount group form one column-major block of shape (2^(p-1),
-masks), one contiguous column per mask, so each level of a group is one
-gather, one maximum, one argmin down the columns and one gather of the
-least candidates, and the split pass picks each union's split by argmin
-down its column.  Up to
-n = 10 every block is held in one per-n plan (so the DP's sub-cube reads
-it up to n = 11); beyond it the blocks are built in column ranges, and the
-signed profile runs its split pass over every block of n, then the packing
-levels over the sub-cube's.
+is one O(3^(n-1)) pass over the (mask, part) pairs; the top level holds
+no table: it is evaluated only at the suffix masks {i..n-1} its
+reconstruction reads, O(2^n), by the same strided pass as V's, and keeps
+each suffix's value and pick.  The pairs of each popcount group form one
+column-major block of shape (2^(p-1), masks), one contiguous column per
+mask, so each level of a group is one gather, one maximum, one argmin
+down the columns and one gather of the least candidates, and the split
+pass picks each union's split by argmin down its column.  Up to n = 10
+every block is held in one per-n plan (so the DP's sub-cube reads it up
+to n = 11); beyond it the blocks are built in column ranges, and the
+signed profile runs its split pass over every block of n, then the
+packing levels over the sub-cube's.
 :func:`rho_exact` / :func:`rho_signed_exact` answer a single k from it and
 rebuild only certificate k.  One certificate builder serves both signs: it
 packs a score table (Phi, or the signed split table's least beta per union
@@ -27,8 +27,8 @@ unions, by lowest vertex.  Each level's pass at V keeps its argmin as V's
 pick, so a certificate's first part needs no rescan.  With the sub-cube's
 held plan the DP keeps each level's argmin rows (level 1's from the argmin
 of the score gather), and a certificate reads each later part from them;
-only a top-level step past V, and every step beyond the held plan,
-rescans its mask's segment.
+only a step beyond the held plan, or at level 1 when kmax = 2, rescans
+its mask's segment.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -41,10 +41,10 @@ signed on a 2-vCPU VM.  All four public entries run through one solve
 (:func:`_solve`), which asks the policy, so a refused request raises
 ValueError before any table is built.
 
-The per-n tables (the membership table bits[v][mask], the mask layout,
-the suffix segments and the plan) are read-only and held only while each
-holds at most _HELD_BYTES (1 MiB): all of them up to n = 10, the plan no
-further, the rest up to n = 15 or 16; a larger n builds them per call.
+The per-n tables (the membership table bits[v][mask], the mask layout
+and the plan) are read-only and held only while each holds at most
+_HELD_BYTES (1 MiB): all of them up to n = 10, the plan no further, the
+rest up to n = 16; a larger n builds them per call.
 A graph holds its Phi table under the same bound (graph._derived).
 The cut pass sums every edge's term, a weight times a crossing row of
 bits, over the masks without vertex n-1 in one reduction down the edges
@@ -91,11 +91,11 @@ from .nodal import strong_nodal
 _PAIR_BUDGET = 2 << 20
 _DP_PAIR_BYTES = 64
 
-# The per-n tables (the membership table, the mask layout, the suffix
-# segments and the pair plan) are held while each holds at most this many
-# bytes: every n up to 10 keeps all of them, since a cold rebuild there costs
-# about a tenth of a corpus op, and a larger n builds what it cannot hold per
-# call rather than keeping it for the life of the process.
+# The per-n tables (the membership table, the mask layout and the pair plan)
+# are held while each holds at most this many bytes: every n up to 10 keeps
+# all of them, since a cold rebuild there costs about a tenth of a corpus op,
+# and a larger n builds what it cannot hold per call rather than keeping it
+# for the life of the process.
 _HELD_BYTES = 1 << 20
 
 # Work policy of the exact engine (_dp_admits): the element operations a
@@ -113,22 +113,23 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     """Whether the work policy takes a profile up to kmax on n vertices and
     m edges.
 
-    Bytes held: per mask of n, the membership table's n bools, the suffix
-    segments' 16 bytes, the cut, measure and score arrays, 32 bytes for the
-    mask layout and, if signed, the split tables; the DP levels 0..kmax
-    over the 2^(n-1) masks without vertex 0; plus the pair budget.  Checked
-    first, it bounds n before the operations of the passes :func:`_solve`
-    runs are summed: the cut pass's m terms, the measure and the membership
-    table, per mask of n; in the sub-cube of the n - 1 vertices above
-    vertex 0, level 1's transform (n - 1 a mask), V's pass at each level
-    1..kmax and the top level's suffix gather, 2^(n-1) each, and every pair
-    of a sub-cube mask with at least j vertices for each middle level
+    Bytes held: per mask of n, the membership table's n bools, the cut,
+    measure and score arrays, 32 bytes for the mask layout and, if signed,
+    the split tables; the DP levels 0..kmax-1 over the 2^(n-1) masks
+    without vertex 0 (the top level holds no table); plus the pair budget.
+    Checked first, it bounds n before the operations of the passes
+    :func:`_solve` runs are summed: the cut pass's m terms, the measure
+    and the membership table, per mask of n; in the sub-cube of the n - 1
+    vertices above vertex 0, level 1's transform (n - 1 a mask), V's pass
+    at each level 1..kmax-1, 2^(n-1) each, the top level's passes at the
+    suffix masks, 2^(n-1) + 2^(n-2) + ... + 1 < 2^n, and every pair of a
+    sub-cube mask with at least j vertices for each middle level
     j = 2..kmax-1; and, if signed, the split pass's m passes over every
     pair of n.
     """
     s = n - 1
-    per_mask = n + 16 + 24 + 32 + (16 if signed else 0)
-    if (per_mask << n) + (8 * (kmax + 1) << s) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
+    per_mask = n + 24 + 32 + (16 if signed else 0)
+    if (per_mask << n) + (8 * kmax << s) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
         return False
     ops = ((m + n + 1) << n) + ((s + kmax + 1) << s)
     ops += sum((math.comb(s, p) << (p - 1)) * max(0, min(p, kmax - 1) - 1) for p in range(2, n))
@@ -583,38 +584,6 @@ def _blocks(n: int, first: int):
             yield p, _group(masks[lo:hi], p)
 
 
-class _SuffixSegments(NamedTuple):
-    masks: np.ndarray   # masks[i] = V_i = {i..n-1}
-    start: np.ndarray   # V_i's segment is parts[start[i]:start[i+1]]
-    parts: np.ndarray
-    rests: np.ndarray
-
-
-@_held
-def _suffix_segments(n: int) -> _SuffixSegments:
-    """The segments of the suffix masks V_0..V_{n-1}, concatenated in that
-    order (read-only): 2^n - 1 pairs, 16 bytes a pair.
-
-    V_i's parts are {i} joined with every submask of V_{i+1}, descending,
-    as _build_pairs lays them out.
-    """
-    full = (1 << n) - 1
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.left_shift(1, np.arange(n - 1, -1, -1)), out=start[1:])
-    parts = np.empty(start[-1], dtype=np.intp)
-    rests = np.empty_like(parts)
-    masks = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        masks[i] = full >> i << i
-        seg = parts[start[i] : start[i + 1]]
-        np.left_shift(np.arange(len(seg) - 1, -1, -1), i + 1, out=seg)
-        seg |= 1 << i
-        np.bitwise_xor(masks[i], seg, out=rests[start[i] : start[i + 1]])
-    sfx = _SuffixSegments(masks=masks, start=start, parts=parts, rests=rests)
-    _read_only(*sfx)
-    return sfx
-
-
 def _segment(n: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
     """(parts, rests) of one mask's segment: a column of the held plan, or
     built directly by _build_pairs' doubling on Python ints."""
@@ -652,21 +621,24 @@ class _Tables(NamedTuple):
     """The tables of one profile up to kmax, and the DP's own choices.
 
     Every mask a result reads is the full mask V or a mask without vertex 0
-    (see :func:`_packing_dp`).  dp[j] is level j = 0..kmax of the packing
-    DP of the vertices 1..n-1, indexed by mask >> 1 (the top level only at
-    the masks its reconstruction reads); full[j] is level j at V and
-    picks[j] the first part of V's segment that attains V's least
-    candidate.  rows[j] is None where level j kept no choices, else indexed
-    like the masks of :func:`_mask_order` of n - 1: at the position
-    first[p] + c of the mask in column c of group p's held block, the row
-    of that column's first part that attains the least candidate (set for
-    every p >= j).
+    (see :func:`_packing_dp`).  dp[j] is level j of the packing DP of the
+    vertices 1..n-1, indexed by mask >> 1, for each level j = 0..kmax that
+    holds a table: a profile's top level holds none.  full[j] is level j
+    at V and picks[j] the first part of V's segment that attains V's least
+    candidate, j = 0..kmax.  rows[j] is None where level j kept no
+    choices, else indexed like the masks of :func:`_mask_order` of n - 1:
+    at the position first[p] + c of the mask in column c of group p's held
+    block, the row of that column's first part that attains the least
+    candidate (set for every p >= j).  suffix[i] is the top level's (value,
+    pick) at the suffix mask V_i = {i..n-1}, i = 0..n-kmax, when it holds
+    no table (see :func:`_profile_tables`).
     """
 
     dp: list[np.ndarray]
     rows: list[np.ndarray | None]
     full: list[float]
     picks: list[int]
+    suffix: list[tuple[float, int]]
 
 
 def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
@@ -681,9 +653,7 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     all the entries a result reads.  So the levels run as the packing DP of
     the n - 1 vertices 1..n-1 on score[0::2], over the sub-cube's
     (3^(n-1) - 1) / 2 pairs (a third of the full cube's), and each level at
-    V is one pass over V's segment: its parts 1 | 2s, s descending, are score[1::2]
-    reversed, and their rests, as sub-cube masks, run up from 0, so the
-    pass is maximum(score[1::2][::-1], dp[j-1]) with no gather, and its
+    V is one pass over V's segment (:func:`_suffix_pass` at i = 0), whose
     argmin is V's pick.
 
     With dp[0] = -inf, level 1 is the least score over the nonempty
@@ -707,7 +677,7 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     sub = score[0::2]
     dp = [_level0(m), *np.full((kmax, 1 << m), math.inf)]
     rows = [None] * (kmax + 1)
-    tables = _Tables(dp, rows, [-math.inf], [0])
+    tables = _Tables(dp, rows, [-math.inf], [0], [])
     if kmax >= 1:
         level1 = dp[1]
         level1[1:] = sub[1:]
@@ -735,8 +705,10 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
                 best = cand.ravel("F").take(arg + starts)
                 np.minimum(best, dp[j][group.without_low], out=best)
                 dp[j][masks] = best
-    for _ in range(kmax):
-        _full_level(tables, score)
+    for j in range(1, kmax + 1):
+        value, pick = _suffix_pass(score, dp[j - 1], 0)
+        tables.full.append(min(dp[j].item(-1), value))
+        tables.picks.append(pick)
     return tables
 
 
@@ -748,46 +720,44 @@ def _level0(m: int) -> np.ndarray:
     return np.broadcast_to(-math.inf, 1 << m)
 
 
-def _full_level(tables: _Tables, score: np.ndarray) -> None:
-    """Append the next level j at the full mask V: the least of dp[j] at
-    V - {0} and of the pass over V's segment, and the pass's first argmin
-    as V's pick (part 1 | 2s at position 2^(n-1) - 1 - s)."""
-    j = len(tables.full)
-    cand = np.maximum(score[1::2][::-1], tables.dp[j - 1])
-    i = int(cand.argmin())
-    tables.full.append(min(tables.dp[j].item(-1), cand.item(i)))
-    tables.picks.append(1 | (len(cand) - 1 - i) << 1)
+def _suffix_pass(score: np.ndarray, prev: np.ndarray, i: int) -> tuple[float, int]:
+    """The least candidate over the segment of the suffix mask
+    V_i = {i..n-1} at one level, and the first part of the segment that
+    attains it, as a mask of n; prev is the level below, indexed by
+    mask >> 1.
+
+    V_i's parts are i joined with each submask of V_{i+1}, descending:
+    score[1 << i :: 2 << i] reversed.  The rest of the part at position q
+    is q << i as a mask of the vertices 1..n-1, so the rests are
+    prev[:: 1 << i], and the pass is one maximum and one argmin with no
+    gather; the first argmin is the scan order's tie-break.
+    """
+    cand = np.maximum(score[1 << i :: 2 << i][::-1], prev[:: 1 << i])
+    q = int(cand.argmin())
+    return cand.item(q), (1 << i) | (len(cand) - 1 - q) << (i + 1)
 
 
 def _profile_tables(score: np.ndarray, n: int, kmax: int) -> _Tables:
     """The tables `_reconstruct` reads for every k = 1..kmax.
 
-    Levels 0..kmax-1 are :func:`_packing_dp`'s, with its rows.  Level kmax is read at V and, in the DP of vertices
-    1..n-1, only at its suffix masks V_i = {i..n-1}, i >= 1: from V - {0},
-    reconstruction either drops the lowest vertex (V_i to V_{i+1}) or takes
-    a part and goes down a level.  So level kmax is filled by the same
-    recurrence at the V_i with at least kmax vertices: one gather over
-    their concatenated segments, the least candidate of each segment, then
-    a running minimum from V_{n-kmax} up to V_1 for the dropped lowest
-    vertices; then one pass at V as at every level.  Every other entry is
-    inf (at the shorter V_i that is the true value), and the level keeps no
-    rows.
+    Levels 0..kmax-1 are :func:`_packing_dp`'s, with its rows.  Level kmax
+    holds no table: from V, reconstruction either drops the lowest vertex
+    (V_i to V_{i+1}, V_i = {i..n-1}) or takes a part and goes down a level,
+    so it reads level kmax only at the suffix masks.  Its value at V_i is
+    the least of its value at V_{i+1} and of V_i's pass, so the passes run
+    from V_{n-kmax}, the last with kmax vertices (the shorter V_i hold
+    inf), down to V = V_0 with a running minimum, and each V_i keeps its
+    (value, pick).
     """
     tables = _packing_dp(score, n, kmax - 1)
-    m = n - 1
-    prev = tables.dp[-1]
-    top = np.full(1 << m, math.inf)
-    count = m - kmax + 1
-    if count > 0:
-        sfx = _suffix_segments(m)
-        end = sfx.start[count]
-        cand = score[0::2][sfx.parts[:end]]
-        np.maximum(cand, prev[sfx.rests[:end]], out=cand)
-        best = np.minimum.reduceat(cand, sfx.start[:count])
-        top[sfx.masks[:count]] = np.minimum.accumulate(best[::-1])[::-1]
-    tables.dp.append(top)
-    tables.rows.append(None)
-    _full_level(tables, score)
+    best = math.inf
+    for i in range(n - kmax, -1, -1):
+        value, pick = _suffix_pass(score, tables.dp[-1], i)
+        best = min(best, value)
+        tables.suffix.append((best, pick))
+    tables.suffix.reverse()
+    tables.full.append(best)
+    tables.picks.append(pick)
     return tables
 
 
@@ -795,15 +765,16 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int
     """Parts of an optimal k-packing, walking the tables back from the full mask.
 
     At V, vertex 0 stays out if that keeps the value; otherwise V's pick is
-    taken.  Every later step is in the DP of vertices 1..n-1, on masks
-    shifted down by one: the lowest vertex stays out if that keeps the
-    value; otherwise the first part of the mask's segment that attains it
-    is taken, read from the level's rows where it kept them, else found by
-    rescanning the segment (the top level, every level of a table without
-    rows, and every level beyond the held plan).  Table entries are read as
-    Python scalars (`.item`), the same values.
+    taken.  A top level without a table walks its suffixes the same way,
+    from their kept values and picks.  Every later step is in the DP of
+    vertices 1..n-1, on masks shifted down by one: the lowest vertex stays
+    out if that keeps the value; otherwise the first part of the mask's
+    segment that attains it is taken, read from the level's rows where it
+    kept them, else found by rescanning the segment (every level of a
+    table without rows, and every level beyond the held plan).  Table
+    entries are read as Python scalars (`.item`), the same values.
     """
-    dp_all, rows, full, picks = tables
+    dp_all, rows, full, picks, suffix = tables
     m = n - 1
     sub = score[0::2]
     plan = _plan(m)
@@ -812,7 +783,16 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int
     parts = []
     mask = (1 << m) - 1
     j = k
-    if full[k] != dp_all[k].item(mask):
+    if k == len(dp_all):
+        i = 0
+        while i + 1 < len(suffix) and suffix[i + 1][0] == suffix[i][0]:
+            i += 1
+        pick = suffix[i][1]
+        parts.append(pick)
+        # V_i = {i..n-1} less the part, as a mask of the vertices 1..n-1.
+        mask = (((1 << n) - (1 << i)) ^ pick) >> 1
+        j -= 1
+    elif full[k] != dp_all[k].item(mask):
         parts.append(picks[k])
         mask ^= picks[k] >> 1
         j -= 1
@@ -851,7 +831,7 @@ def _certificates(
     are ordered by lowest vertex, each union followed, if signed, by its
     split (V1, V2).
     """
-    states = _dp_iterations(n, len(tables.dp) - 1)
+    states = _dp_iterations(n, len(tables.full) - 1)
     certs = []
     for k in ks:
         masks = sorted(_reconstruct(tables, score, n, k), key=lambda m: m & -m)
@@ -881,10 +861,11 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     Phi-table entry chosen by min/max only, so it is bit-identical to the
     textbook loop and to naive enumeration (``tests/brute.py``).
     Certificates follow the DP's own tie-break (first optimal part in scan
-    order): the first part is the full mask's pick; up to n = 11 the others
-    are read from the argmin rows the DP kept, rescanning a segment only
-    for a top-level step past the full mask; beyond it each later part on
-    the optimal path is found by rescanning its mask's segment.  A request
+    order): the first part is the pick the top level kept at its suffix
+    mask, or the full mask's pick; up to n = 11 the others are read from
+    the argmin rows the DP kept; beyond it, and at level 1 when kmax = 2,
+    each later part on the optimal path is found by rescanning its mask's
+    segment.  A request
     beyond the work policy raises ValueError before any table is built.
     """
     if g.is_signed():

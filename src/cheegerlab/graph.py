@@ -53,8 +53,11 @@ class WeightedGraph:
     resolves the measure token.  Every instance is valid: construction
     (through :meth:`build`, the constructor or `dataclasses.replace`)
     checks the invariants once and raises :class:`InvalidGraphError`
-    listing every problem.  An edge stored with u > v is one: with every
-    edge stored as u < v, a vertex pair stored twice is a duplicate (u, v).
+    listing every problem.  A vertex id or sign that is not a Python int
+    (a bool is not one) is one: the graph formats would write it as a
+    float or a bool, which their loaders refuse.  An edge stored with
+    u > v is one too: with every edge stored as u < v, a vertex pair
+    stored twice is a duplicate (u, v).
     """
 
     n: int
@@ -191,6 +194,11 @@ def _degree_array(g: WeightedGraph) -> np.ndarray:
     return np.array(_weighted_degrees(g.n, g.edges))
 
 
+def _is_int(x) -> bool:
+    """x is a Python int and not a bool: what the graph formats write back."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _integer(x, field: str) -> int:
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{field} {x!r} is not an integer")
@@ -271,6 +279,9 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
     seen = set()
     touched = [False] * g.n
     for e in g.edges:
+        if not (_is_int(e.u) and _is_int(e.v)):
+            problems.append(f"edge ({e.u!r},{e.v!r}) has a vertex id that is not an int")
+            continue
         if not (0 <= e.u < g.n and 0 <= e.v < g.n):
             problems.append(f"edge ({e.u},{e.v}) endpoint out of range")
             continue
@@ -286,8 +297,8 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
         if not 0 < e.w < math.inf:
             kind = "nonpositive" if e.w <= 0 else "non-finite"
             problems.append(f"{kind} weight on edge ({e.u},{e.v})")
-        if e.sigma not in (-1, 1):
-            problems.append(f"sigma on edge ({e.u},{e.v}) must be +1 or -1")
+        if not (_is_int(e.sigma) and e.sigma in (-1, 1)):
+            problems.append(f"sigma {e.sigma!r} on edge ({e.u},{e.v}) must be the int +1 or -1")
         touched[e.u] = touched[e.v] = True
     for i, ok in enumerate(touched):
         if not ok:

@@ -38,7 +38,6 @@ from cheegerlab.cheeger import (
     _profile_tables,
     _reconstruct,
     _segment,
-    _Tables,
     _signed_tables,
 )
 from brute import (
@@ -808,19 +807,25 @@ def _assert_rows_match(tables, n: int, choice) -> None:
 
 
 def _assert_profile_tables_match(score, n: int, ref, choice, kmax: int) -> None:
-    """Levels below kmax at every entry a result can read, level kmax at
-    every suffix mask, and every reconstruction up to kmax, against the
-    loop's tables (computed for any level count >= kmax)."""
+    """Levels below kmax at every entry a result can read, with their
+    choices; the top level's kept (value, pick) at each suffix mask
+    V_i = {i..n-1} with kmax vertices or more, against the loop's level
+    kmax at V_i and, where the loop's choice is a part, that choice; and
+    every reconstruction up to kmax.  The loop's tables may hold any level
+    count >= kmax."""
     tables = _profile_tables(score, n, kmax)
-    assert len(tables.dp) == len(tables.rows) == len(tables.full) == len(tables.picks) == kmax + 1
-    assert tables.rows[kmax] is None
+    assert len(tables.dp) == len(tables.rows) == kmax
+    assert len(tables.full) == len(tables.picks) == kmax + 1
     _assert_levels_match(tables, n, ref, range(kmax))
-    assert tables.full[kmax] == ref[kmax][(1 << n) - 1]
-    for mask in _suffix_masks(n)[1:]:
-        assert tables.dp[kmax][mask >> 1] == ref[kmax][mask]
-    _assert_rows_match(_Tables(*(t[:kmax] for t in tables)), n, choice)
-    if choice[kmax][(1 << n) - 1]:
-        assert tables.picks[kmax] == choice[kmax][(1 << n) - 1]
+    _assert_rows_match(tables, n, choice)
+    suffixes = _suffix_masks(n)
+    assert len(tables.suffix) == n - kmax + 1
+    assert ref[kmax][suffixes[n - kmax + 1]] == math.inf
+    for (value, pick), mask in zip(tables.suffix, suffixes):
+        assert value == ref[kmax][mask]
+        if choice[kmax][mask]:
+            assert pick == choice[kmax][mask]
+    assert (tables.full[kmax], tables.picks[kmax]) == tables.suffix[0]
     full = (1 << n) - 1
     for k in range(1, kmax + 1):
         assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, full)
@@ -930,9 +935,9 @@ class TestProfileTables:
     @pytest.mark.parametrize("k", [1, 2])
     def test_low_k_builds_no_pair_table(self, monkeypatch, k):
         # n = 12 and its sub-cube of 11 have no held plan: for k <= 2 level
-        # 1 is the transform, the top level reads the suffix segments and
-        # the full mask's pass, the reconstruction builds its segments
-        # directly, and no pair pass runs.
+        # 1 is the transform, the top level runs its strided passes at the
+        # suffix masks and keeps their picks, level 1 below it builds its
+        # segments directly, and no pair pass runs.
         g = product(generate("path", 4, mu="unit"), generate("path", 3, mu="unit"))
         expected = rho_profile(g, k)
 
@@ -967,6 +972,36 @@ class TestProfileTables:
             assert calls == []
             for cert in certs:
                 assert cert.recompute(g) == cert.value
+
+    def test_top_level_keeps_its_choices(self, monkeypatch):
+        # The top level keeps each suffix mask's pick, so a walk that drops
+        # vertices before its first part rescans no segment: the star's
+        # k = 3 parts are its leaves 3, 4 and 5, and the disconnected
+        # graphs' k = 1 part is the component without vertex 0.
+        calls = []
+        segment = cheeger._segment
+
+        def counting(n, mask):
+            calls.append(mask)
+            return segment(n, mask)
+
+        monkeypatch.setattr(cheeger, "_segment", counting)
+        star = generate("star", 6)
+        cert = rho_exact(star, 3)
+        assert cert.parts == ((3,), (4,), (5,))
+        cert = rho_signed_exact(with_random_signature(star, 1), 3)
+        assert cert.parts == ((3,), (), (4,), (), (5,), ())
+        assert calls == []
+        g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
+        sg = WeightedGraph.build(5, [(0, 1, 1, -1), (1, 2, 1, -1), (0, 2, 1, -1), (3, 4, 1)])
+        unsigned = [star, g, generate("random_connected", 9, seed=4, p=0.5)]
+        for h in unsigned:
+            assert rho_exact(h, 1) == rho_profile(h, 1)[0]
+        for h in (sg, *(with_random_signature(h, 2) for h in unsigned)):
+            assert rho_signed_exact(h, 1) == rho_signed_profile(h, 1)[0]
+        assert rho_exact(g, 1).parts == ((2, 3),)
+        assert rho_signed_exact(sg, 1).parts == ((3, 4), ())
+        assert calls == []
 
 
 def _assert_sweeps_match_loop(monkeypatch, g, functions) -> list:

@@ -78,6 +78,46 @@ class TestValidate:
         # build stores every edge with u < v, so the same input is a duplicate there.
         assert problems(3, [tuple(e) for e in edges]) == ("duplicate edge (1,2)",)
 
+    @pytest.mark.parametrize(
+        "edge, problem",
+        [
+            (Edge(0.5, 2, 1.0), "edge (0.5,2) has a vertex id that is not an int"),
+            (Edge(0, 2.0, 1.0), "edge (0,2.0) has a vertex id that is not an int"),
+            (Edge(True, 2, 1.0), "edge (True,2) has a vertex id that is not an int"),
+            (Edge(0, np.int64(2), 1.0), "edge (0,np.int64(2)) has a vertex id that is not an int"),
+            (Edge(0, 2, 1.0, 1.0), "sigma 1.0 on edge (0,2) must be the int +1 or -1"),
+            (Edge(0, 2, 1.0, -1.0), "sigma -1.0 on edge (0,2) must be the int +1 or -1"),
+            (Edge(0, 2, 1.0, True), "sigma True on edge (0,2) must be the int +1 or -1"),
+        ],
+    )
+    def test_vertex_ids_and_signs_must_be_ints(self, edge, problem):
+        # The graph formats would write a float or bool id or sign in a form
+        # their loaders refuse, and a float id cannot index the vertices.
+        g = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 1)])
+        edges = (*g.edges, edge)
+        for make in (
+            lambda: WeightedGraph(n=3, edges=edges, mu=g.mu, kappa=g.kappa),
+            lambda: dataclasses.replace(g, edges=edges),
+        ):
+            with pytest.raises(InvalidGraphError) as exc:
+                make()
+            assert exc.value.problems == (problem,)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: WeightedGraph.build(3, [(0.0, 1.0, 1, -1.0), (1, 2, 2.5, True)], mu="unit"),
+            lambda: WeightedGraph(n=2, edges=(Edge(0, 1, 2, -1),), mu=(1, 3), kappa=(0, -2)),
+            lambda: dataclasses.replace(generate("path", 3), edges=(Edge(0, 1, 1.5, -1), Edge(1, 2, 1.0))),
+            lambda: with_random_signature(generate("random_connected", 7, seed=3, p=0.5), 5),
+            lambda: generate("star", 6, mu="unit"),
+        ],
+    )
+    def test_accepted_graphs_round_trip(self, make):
+        g = make()
+        assert loads_graph(dumps_graph(g)) == g
+        assert loads_graph(format_graph_text(g)) == g
+
     def test_isolated_vertex(self):
         assert any("isolated vertex 2" in p for p in problems(3, [(0, 1, 1)]))
 
