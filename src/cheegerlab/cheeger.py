@@ -4,13 +4,10 @@ One exact engine answers every request: a subset dynamic program over
 vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`) that
 returns certificates for every k = 1..kmax at once.  Every part of the full
 mask V holds vertex 0, so from V every read of the recurrence lands on a
-mask without vertex 0: the DP runs on the n - 1 vertices 1..n-1, with
-one O(2^(n-1)) pass over V's own segment per level.  In that sub-cube
-level 1 is a subset-min transform, O(n 2^n); each middle level 2..kmax-1
-is one O(3^(n-1)) pass over the (mask, part) pairs; the top level holds
-no table: it is evaluated only at the suffix masks {i..n-1} its
-reconstruction reads, O(2^n), by the same strided pass as V's, and keeps
-each suffix's value and pick.  The pairs of each popcount group form one
+mask without vertex 0: the DP runs on the n - 1 vertices 1..n-1.  In that
+sub-cube level 1 is a subset-min transform, O(n 2^n); each middle level
+2..kmax-1 is one O(3^(n-1)) pass over the (mask, part) pairs; the top
+level holds no table.  The pairs of each popcount group form one
 column-major block of shape (2^(p-1), masks), one contiguous column per
 mask, so each level of a group is one gather, one maximum, one argmin
 down the columns and one gather of the least candidates, and the split
@@ -19,16 +16,21 @@ every block is held in one per-n plan (so the DP's sub-cube reads it up
 to n = 11); beyond it the blocks are built in column ranges, and the
 signed profile runs its split pass over every block of n, then the
 packing levels over the sub-cube's.
-:func:`rho_exact` / :func:`rho_signed_exact` answer a single k from it and
-rebuild only certificate k.  One certificate builder serves both signs: it
-packs a score table (Phi, or the signed split table's least beta per union
-with the split that attains it) and orders each certificate's parts, or
-unions, by lowest vertex.  Each level's pass at V keeps its argmin as V's
-pick, so a certificate's first part needs no rescan.  With the sub-cube's
-held plan the DP keeps each level's argmin rows (level 1's from the argmin
-of the score gather), and a certificate reads each later part from them;
-only a step beyond the held plan, or at level 1 when kmax = 2, rescans
-its mask's segment.
+
+One walk back from V (:func:`_reconstruct`) builds every certificate k.
+Its first step reads level k at the suffix masks {i..n-1}, each by one
+strided pass over level k - 1 with no gather: V's pass alone where level
+k holds a table (whose entry at {1..n-1} covers the shorter suffixes),
+else every suffix from the last with k vertices down to V.  So a profile
+runs n passes, and :func:`rho_exact` / :func:`rho_signed_exact`, which
+rebuild only certificate k of the profile up to k, run n - k + 1.  One
+certificate builder serves both signs: it packs a score table (Phi, or
+the signed split table's least beta per union with the split that
+attains it) and orders each certificate's parts, or unions, by lowest
+vertex.  With the sub-cube's held plan the DP keeps each level's argmin
+rows (level 1's from the argmin of the score gather), and a certificate
+reads each later part from them; only a step beyond the held plan, or at
+level 1 when kmax = 2, rescans its mask's segment.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -125,7 +127,9 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     suffix masks, 2^(n-1) + 2^(n-2) + ... + 1 < 2^n, and every pair of a
     sub-cube mask with at least j vertices for each middle level
     j = 2..kmax-1; and, if signed, the split pass's m passes over every
-    pair of n.
+    pair of n.  V's passes at levels 1..kmax-1 are those a profile's walks
+    run for its certificates below the top; a single-k request walks only
+    the top level and runs none of them, so for it the count is a bound.
     """
     s = n - 1
     per_mask = n + 24 + 32 + (16 if signed else 0)
@@ -410,7 +414,8 @@ def _parts_from_masks(masks: list[int]) -> tuple[tuple[int, ...], ...]:
 def _solve(g: WeightedGraph, kmax: int, ks, signed: bool) -> tuple[PartitionCertificate, ...]:
     """Certificates k in ks of the profile of g up to kmax (arguments
     already checked): the score table, Phi or the signed split table, packed
-    by :func:`_profile_tables`.  A request beyond the work policy raises
+    by :func:`_packing_dp` up to kmax - 1 and walked by
+    :func:`_reconstruct`.  A request beyond the work policy raises
     ValueError before any table is built."""
     n = g.n
     if not _dp_admits(n, g.m, kmax, signed):
@@ -425,7 +430,7 @@ def _solve(g: WeightedGraph, kmax: int, ks, signed: bool) -> tuple[PartitionCert
         score, split = sp.betamin, sp.split
     else:
         score, split = _phi_array(g), None
-    return _certificates(_profile_tables(score, n, kmax), score, split, n, ks)
+    return _certificates(_packing_dp(score, n, kmax - 1), score, split, n, ks)
 
 
 def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
@@ -611,8 +616,9 @@ def _dp_iterations(n: int, kmax: int) -> int:
     every pair of every mask with at least j vertices, for j = 1..kmax.
 
     This counts the recurrence, not the work done: the engine runs its
-    levels on the masks without vertex 0 plus one pass at the full mask,
-    level 1 without the pairs and the top level at the suffix masks only.
+    levels on the masks without vertex 0, level 1 without the pairs, and
+    each certificate's walk runs its level's passes at the full mask or
+    the suffix masks only.
     """
     return sum((math.comb(n, p) << (p - 1)) * min(p, kmax) for p in range(1, n + 1))
 
@@ -620,30 +626,23 @@ def _dp_iterations(n: int, kmax: int) -> int:
 class _Tables(NamedTuple):
     """The tables of one profile up to kmax, and the DP's own choices.
 
-    Every mask a result reads is the full mask V or a mask without vertex 0
-    (see :func:`_packing_dp`).  dp[j] is level j of the packing DP of the
-    vertices 1..n-1, indexed by mask >> 1, for each level j = 0..kmax that
-    holds a table: a profile's top level holds none.  full[j] is level j
-    at V and picks[j] the first part of V's segment that attains V's least
-    candidate, j = 0..kmax.  rows[j] is None where level j kept no
-    choices, else indexed like the masks of :func:`_mask_order` of n - 1:
-    at the position first[p] + c of the mask in column c of group p's held
-    block, the row of that column's first part that attains the least
-    candidate (set for every p >= j).  suffix[i] is the top level's (value,
-    pick) at the suffix mask V_i = {i..n-1}, i = 0..n-kmax, when it holds
-    no table (see :func:`_profile_tables`).
+    Every mask the walk back from V reads below its first step is a mask
+    without vertex 0 (see :func:`_packing_dp`).  dp[j] is level j of the
+    packing DP of the vertices 1..n-1, indexed by mask >> 1, for each level
+    j = 0..kmax-1: the top level holds no table.  rows[j] is None where
+    level j kept no choices, else indexed like the masks of
+    :func:`_mask_order` of n - 1: at the position first[p] + c of the mask
+    in column c of group p's held block, the row of that column's first
+    part that attains the least candidate (set for every p >= j).
     """
 
     dp: list[np.ndarray]
     rows: list[np.ndarray | None]
-    full: list[float]
-    picks: list[int]
-    suffix: list[tuple[float, int]]
 
 
 def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     """min over j disjoint nonempty subsets of max score, for every j <= kmax,
-    at the full mask V and at every mask without vertex 0.
+    at every mask without vertex 0.
 
     dp[j][mask] restricts all parts to live inside `mask`.  Either the
     mask's lowest vertex stays out, dp[j][mask ^ low], or it lies in a part
@@ -652,9 +651,8 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     read lands on a mask without it, and from there on another: those are
     all the entries a result reads.  So the levels run as the packing DP of
     the n - 1 vertices 1..n-1 on score[0::2], over the sub-cube's
-    (3^(n-1) - 1) / 2 pairs (a third of the full cube's), and each level at
-    V is one pass over V's segment (:func:`_suffix_pass` at i = 0), whose
-    argmin is V's pick.
+    (3^(n-1) - 1) / 2 pairs (a third of the full cube's); a level at V is
+    read by the walk (:func:`_reconstruct`), which runs V's pass itself.
 
     With dp[0] = -inf, level 1 is the least score over the nonempty
     submasks of the mask: a subset-min transform folds, for each vertex v,
@@ -677,7 +675,6 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     sub = score[0::2]
     dp = [_level0(m), *np.full((kmax, 1 << m), math.inf)]
     rows = [None] * (kmax + 1)
-    tables = _Tables(dp, rows, [-math.inf], [0], [])
     if kmax >= 1:
         level1 = dp[1]
         level1[1:] = sub[1:]
@@ -705,11 +702,7 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
                 best = cand.ravel("F").take(arg + starts)
                 np.minimum(best, dp[j][group.without_low], out=best)
                 dp[j][masks] = best
-    for j in range(1, kmax + 1):
-        value, pick = _suffix_pass(score, dp[j - 1], 0)
-        tables.full.append(min(dp[j].item(-1), value))
-        tables.picks.append(pick)
-    return tables
+    return _Tables(dp, rows)
 
 
 @_held
@@ -737,65 +730,48 @@ def _suffix_pass(score: np.ndarray, prev: np.ndarray, i: int) -> tuple[float, in
     return cand.item(q), (1 << i) | (len(cand) - 1 - q) << (i + 1)
 
 
-def _profile_tables(score: np.ndarray, n: int, kmax: int) -> _Tables:
-    """The tables `_reconstruct` reads for every k = 1..kmax.
+def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[float, list[int]]:
+    """rho_k and the parts of an optimal k-packing, walking the tables back
+    from the full mask V.
 
-    Levels 0..kmax-1 are :func:`_packing_dp`'s, with its rows.  Level kmax
-    holds no table: from V, reconstruction either drops the lowest vertex
-    (V_i to V_{i+1}, V_i = {i..n-1}) or takes a part and goes down a level,
-    so it reads level kmax only at the suffix masks.  Its value at V_i is
-    the least of its value at V_{i+1} and of V_i's pass, so the passes run
-    from V_{n-kmax}, the last with kmax vertices (the shorter V_i hold
-    inf), down to V = V_0 with a running minimum, and each V_i keeps its
-    (value, pick).
+    From V the walk either drops the lowest vertex (V_i to V_{i+1},
+    V_i = {i..n-1}) or takes a part and goes down a level, so its first
+    step reads level k only at the suffix masks.  Level k at V_i is the
+    least of its value at V_{i+1} and of V_i's pass over level k - 1
+    (:func:`_suffix_pass`).  With a table for level k the walk starts from
+    its entry at V_1, with no part, and runs V's pass alone; the top level
+    holds none, so the walk starts from inf at V_{n-k+1}, the first suffix
+    with fewer than k vertices.  The passes run down to V, and a pass's
+    pick replaces the kept one only where its value is strictly lower, so
+    the walk leaves from the last suffix that attains rho_k.
+
+    Every later step is in the DP of vertices 1..n-1, on masks shifted down
+    by one: the lowest vertex stays out if that keeps the value; otherwise
+    the first part of the mask's segment that attains it is taken, read
+    from the level's rows where it kept them, else found by rescanning the
+    segment (every level of a table without rows, and every level beyond
+    the held plan).  Table entries are read as Python scalars (`.item`),
+    the same values.
     """
-    tables = _packing_dp(score, n, kmax - 1)
-    best = math.inf
-    for i in range(n - kmax, -1, -1):
-        value, pick = _suffix_pass(score, tables.dp[-1], i)
-        best = min(best, value)
-        tables.suffix.append((best, pick))
-    tables.suffix.reverse()
-    tables.full.append(best)
-    tables.picks.append(pick)
-    return tables
-
-
-def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int]:
-    """Parts of an optimal k-packing, walking the tables back from the full mask.
-
-    At V, vertex 0 stays out if that keeps the value; otherwise V's pick is
-    taken.  A top level without a table walks its suffixes the same way,
-    from their kept values and picks.  Every later step is in the DP of
-    vertices 1..n-1, on masks shifted down by one: the lowest vertex stays
-    out if that keeps the value; otherwise the first part of the mask's
-    segment that attains it is taken, read from the level's rows where it
-    kept them, else found by rescanning the segment (every level of a
-    table without rows, and every level beyond the held plan).  Table
-    entries are read as Python scalars (`.item`), the same values.
-    """
-    dp_all, rows, full, picks, suffix = tables
+    dp_all, rows = tables
     m = n - 1
     sub = score[0::2]
     plan = _plan(m)
     if plan is not None:
         first = _mask_order(m).first
-    parts = []
-    mask = (1 << m) - 1
-    j = k
-    if k == len(dp_all):
-        i = 0
-        while i + 1 < len(suffix) and suffix[i + 1][0] == suffix[i][0]:
-            i += 1
-        pick = suffix[i][1]
-        parts.append(pick)
-        # V_i = {i..n-1} less the part, as a mask of the vertices 1..n-1.
-        mask = (((1 << n) - (1 << i)) ^ pick) >> 1
-        j -= 1
-    elif full[k] != dp_all[k].item(mask):
-        parts.append(picks[k])
-        mask ^= picks[k] >> 1
-        j -= 1
+    if k < len(dp_all):
+        last, best = 1, dp_all[k].item(-1)
+    else:
+        last, best = n - k + 1, math.inf
+    pick = 0
+    for i in range(last - 1, -1, -1):
+        value, a = _suffix_pass(score, dp_all[k - 1], i)
+        if value < best:
+            best, last, pick = value, i, a
+    parts = [pick] if pick else []
+    # V_last = {last..n-1} less the part, as a mask of the vertices 1..n-1.
+    mask = (((1 << n) - (1 << last)) ^ pick) >> 1
+    j = k - len(parts)
     while j > 0:
         if mask == 0:
             raise AssertionError("packing reconstruction ran out of vertices")
@@ -818,7 +794,7 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> list[int
         parts.append(a << 1)
         mask ^= a
         j -= 1
-    return parts
+    return best, parts
 
 
 def _certificates(
@@ -831,16 +807,17 @@ def _certificates(
     are ordered by lowest vertex, each union followed, if signed, by its
     split (V1, V2).
     """
-    states = _dp_iterations(n, len(tables.full) - 1)
+    states = _dp_iterations(n, len(tables.dp))
     certs = []
     for k in ks:
-        masks = sorted(_reconstruct(tables, score, n, k), key=lambda m: m & -m)
+        value, parts = _reconstruct(tables, score, n, k)
+        masks = sorted(parts, key=lambda m: m & -m)
         if split is not None:
             masks = [side for u in masks for side in (int(split[u]), u ^ int(split[u]))]
         certs.append(
             PartitionCertificate(
                 k=k,
-                value=float(tables.full[k]),
+                value=value,
                 parts=_parts_from_masks(masks),
                 signed=split is not None,
                 exact=True,
@@ -853,19 +830,20 @@ def _certificates(
 def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
     """Exact rho_k certificates for every k = 1..kmax in one subset DP.
 
-    The DP runs in numpy (:func:`_profile_tables`) on the vertices
-    1..n-1, with one pass over the full mask's segment per level: level 1
-    by a subset-min transform, levels 2..kmax-1 over the column-major pair
-    blocks of each popcount group, in column ranges within a fixed memory
-    budget, and level kmax at the suffix masks only.  Every value is a
-    Phi-table entry chosen by min/max only, so it is bit-identical to the
-    textbook loop and to naive enumeration (``tests/brute.py``).
-    Certificates follow the DP's own tie-break (first optimal part in scan
-    order): the first part is the pick the top level kept at its suffix
-    mask, or the full mask's pick; up to n = 11 the others are read from
-    the argmin rows the DP kept; beyond it, and at level 1 when kmax = 2,
-    each later part on the optimal path is found by rescanning its mask's
-    segment.  A request
+    The DP runs in numpy (:func:`_packing_dp`) on the vertices 1..n-1:
+    level 1 by a subset-min transform, levels 2..kmax-1 over the
+    column-major pair blocks of each popcount group, in column ranges
+    within a fixed memory budget; level kmax holds no table.  One walk
+    back from the full mask (:func:`_reconstruct`) gives each certificate:
+    its first step reads level k at the suffix masks by strided passes,
+    n in all over the profile.  Every value is a Phi-table entry chosen by
+    min/max only, so it is bit-identical to the textbook loop and to naive
+    enumeration (``tests/brute.py``).  Certificates follow the DP's own
+    tie-break (first optimal part in scan order): the first part is the
+    pick of the last suffix mask that attains the value; up to n = 11 the
+    others are read from the argmin rows the DP kept; beyond it, and at
+    level 1 when kmax = 2, each later part on the optimal path is found by
+    rescanning its mask's segment.  A request
     beyond the work policy raises ValueError before any table is built.
     """
     if g.is_signed():

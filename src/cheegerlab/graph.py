@@ -54,10 +54,11 @@ class WeightedGraph:
     (through :meth:`build`, the constructor or `dataclasses.replace`)
     checks the invariants once and raises :class:`InvalidGraphError`
     listing every problem.  A vertex id or sign that is not a Python int
-    (a bool is not one) is one: the graph formats would write it as a
-    float or a bool, which their loaders refuse.  An edge stored with
-    u > v is one too: with every edge stored as u < v, a vertex pair
-    stored twice is a duplicate (u, v).
+    (a bool is not one) is one, as is a weight, measure or kappa that is
+    not exactly a Python int or float (a numpy float or a bool is not):
+    the graph formats would fail to write it, or write it in a form their
+    loaders refuse.  An edge stored with u > v is one too: with every edge
+    stored as u < v, a vertex pair stored twice is a duplicate (u, v).
     """
 
     n: int
@@ -199,6 +200,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    """x is exactly a Python int or float: the graph formats would fail to
+    write a numpy float, or write it (np.float64 is a float subclass whose
+    repr is np.float64(...)) or a bool in a form their loaders refuse."""
+    return type(x) in (int, float)
+
+
 def _integer(x, field: str) -> int:
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{field} {x!r} is not an integer")
@@ -294,7 +302,9 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
         if key in seen:
             problems.append(f"duplicate edge ({e.u},{e.v})")
         seen.add(key)
-        if not 0 < e.w < math.inf:
+        if not _is_number(e.w):
+            problems.append(f"weight {e.w!r} on edge ({e.u},{e.v}) must be a Python int or float")
+        elif not 0 < e.w < math.inf:
             kind = "nonpositive" if e.w <= 0 else "non-finite"
             problems.append(f"{kind} weight on edge ({e.u},{e.v})")
         if not (_is_int(e.sigma) and e.sigma in (-1, 1)):
@@ -304,10 +314,14 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
         if not ok:
             problems.append(f"isolated vertex {i}")
     for i, (m, kap) in enumerate(zip(g.mu[: g.n], g.kappa)):
-        if not 0 < m < math.inf:
+        if not _is_number(m):
+            problems.append(f"measure {m!r} at vertex {i} must be a Python int or float")
+        elif not 0 < m < math.inf:
             kind = "nonpositive" if m <= 0 else "non-finite"
             problems.append(f"{kind} measure at vertex {i}")
-        if not -math.inf < kap < math.inf:
+        if not _is_number(kap):
+            problems.append(f"kappa {kap!r} at vertex {i} must be a Python int or float")
+        elif not -math.inf < kap < math.inf:
             problems.append(f"non-finite kappa at vertex {i}")
     if problems:
         return tuple(problems)

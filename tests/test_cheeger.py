@@ -35,10 +35,10 @@ from cheegerlab.cheeger import (
     _packing_dp,
     _parts_from_masks,
     _phi_array,
-    _profile_tables,
     _reconstruct,
     _segment,
     _signed_tables,
+    _suffix_pass,
 )
 from brute import (
     beta_split_tables,
@@ -344,8 +344,8 @@ def _scaled(g: WeightedGraph, j: int) -> WeightedGraph:
 
 class TestInvariances:
     """Exact oracles at the sizes the exact frontier is about, where naive
-    enumeration cannot reach: relabelling the vertices, and scaling every
-    weight by a power of two."""
+    enumeration cannot reach: relabelling the vertices, scaling every
+    weight by a power of two, and the disjoint union of two graphs."""
 
     @staticmethod
     def _mapped_value(cert, perm, h) -> float:
@@ -426,6 +426,30 @@ class TestInvariances:
         for h, h2 in ((g, g2), (sg, sg2)):
             values = laplacian_spectrum(h, functions=False).values
             assert [x.hex() for x in laplacian_spectrum(h2, functions=False).values] == [x.hex() for x in values]
+
+    @pytest.mark.parametrize("seed", [1, 5, 11])
+    def test_disjoint_union_meets_the_combination(self, seed):
+        # rho_k(G + H) = min over i of max(rho_i(G), rho_{k-i}(H)), with
+        # rho_0 = -inf.  A part inside one component scores in the union
+        # the same sum as in its own graph (the other's edges add 0.0), so
+        # every combination is attained and bounds the union's optimum
+        # with no tolerance.  A part that meets both components scores the
+        # mediant of its two sides' cuts over their measures, which may
+        # round an ulp below both; only such a certificate may be lower
+        # (seed 11's k = 8 optimum is one).
+        g, h = (
+            generate("random_connected", 8, s, p=0.4, w_low=0.5, w_high=2.0)
+            for s in (seed, seed + 1)
+        )
+        edges = [tuple(e) for e in g.edges] + [(e.u + 8, e.v + 8, e.w, e.sigma) for e in h.edges]
+        union = WeightedGraph.build(16, edges, mu=g.mu + h.mu)
+        rho_g, rho_h = ([-math.inf] + [c.value for c in rho_profile(x)] for x in (g, h))
+        for cert in rho_profile(union):
+            k = cert.k
+            combined = min(max(rho_g[i], rho_h[k - i]) for i in range(max(0, k - 8), min(k, 8) + 1))
+            assert cert.value <= combined
+            if cert.value < combined:
+                assert any(min(part) < 8 <= max(part) for part in cert.parts)
 
 
 class TestMonotonicity:
@@ -571,12 +595,13 @@ class TestProfileEngine:
             profile = rho_profile(g, kmax)
         ref, choice, states = loop_packing_dp(score, n, kmax)
         tables = _packing_dp(score, n, kmax)
-        _assert_levels_match(tables, n, ref, range(kmax + 1))
+        _assert_levels_match(tables, ref, range(kmax + 1))
         _assert_rows_match(tables, n, choice)
         for cert in profile:
             assert cert.states == states
             assert cert.value == ref[cert.k][full]
-            assert _reconstruct(tables, score, n, cert.k) == loop_reconstruct(choice, cert.k, full)
+            walk = _reconstruct(tables, score, n, cert.k)
+            assert walk == (cert.value, loop_reconstruct(choice, cert.k, full))
             assert cert.recompute(g) == cert.value
 
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
@@ -588,10 +613,11 @@ class TestProfileEngine:
         score[0] = math.inf
         ref, choice, _ = loop_packing_dp(score, n, n)
         tables = _packing_dp(score, n, n)
-        _assert_levels_match(tables, n, ref, range(n + 1))
+        _assert_levels_match(tables, ref, range(n + 1))
         _assert_rows_match(tables, n, choice)
+        full = (1 << n) - 1
         for k in range(1, n + 1):
-            assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, (1 << n) - 1)
+            assert _reconstruct(tables, score, n, k) == (ref[k][full], loop_reconstruct(choice, k, full))
 
     def test_streamed_chunks_match_loop_reference(self, monkeypatch):
         # A 16 KiB hold and budget leave no held plan at n = 9 or at its
@@ -614,18 +640,14 @@ class TestProfileEngine:
             signed = _signed_tables(sg)
             assert signed.betamin.tobytes() == np.array(betamin).tobytes()
             assert signed.split.tolist() == split
-            ref, choice, _ = loop_packing_dp(signed.betamin, n, n)
-            tables = _profile_tables(signed.betamin, n, n)
-            _assert_levels_match(tables, n, ref, range(n))
-            assert tables.full[n] == ref[n][full]
             for score in (_phi_array(g), signed.betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 tables = _packing_dp(score, n, n)
-                _assert_levels_match(tables, n, ref, range(n + 1))
+                _assert_levels_match(tables, ref, range(n + 1))
                 # No held plan, so no kept rows: every part is rescanned.
                 assert tables.rows == [None] * (n + 1)
                 for k in range(1, n + 1):
-                    assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, full)
+                    assert _reconstruct(tables, score, n, k) == (ref[k][full], loop_reconstruct(choice, k, full))
         finally:
             cheeger._plan.cache_clear()
 
@@ -764,24 +786,19 @@ def _suffix_masks(n: int) -> list[int]:
     return [full >> i << i for i in range(n + 1)]
 
 
-def _assert_levels_match(tables, n: int, ref, levels) -> None:
-    """The DP's levels against the loop's at every entry a result can read:
-    each mask without vertex 0 (the sub-cube's tables, indexed by mask >>
-    1) and the full mask."""
-    full = (1 << n) - 1
+def _assert_levels_match(tables, ref, levels) -> None:
+    """The DP's levels against the loop's at every mask without vertex 0
+    (the sub-cube's tables, indexed by mask >> 1)."""
     for j in levels:
         assert tables.dp[j].tolist() == ref[j][0::2]
-        assert tables.full[j] == ref[j][full]
 
 
 def _assert_rows_match(tables, n: int, choice) -> None:
-    """The choices the DP kept.  Rows: present at every level 1..kmax of the
-    sub-cube's held plan when the group pass runs (kmax >= 2 of the DP's own
-    levels), and nowhere else; at every (level, mask without vertex 0)
-    where the loop's choice is a part, the kept row's part is that choice.
-    Picks: at every level where the loop's choice at the full mask is a
-    part, the full mask's pick is that choice."""
-    full = (1 << n) - 1
+    """The choices the DP kept: rows present at every level 1..kmax of the
+    sub-cube's held plan when the group pass runs (kmax >= 2 of the DP's
+    own levels), and nowhere else; at every (level, mask without vertex 0)
+    where the loop's choice is a part, the kept row's part is that
+    choice."""
     plan = cheeger._plan(n - 1)
     first = _mask_order(n - 1).first
     kmax = len(tables.dp) - 1
@@ -801,39 +818,40 @@ def _assert_rows_match(tables, n: int, choice) -> None:
                     compared += 1
     # At n = 1 the sub-cube has no nonempty mask.
     assert compared > 0 or not kept or n == 1
-    for j in range(1, kmax + 1):
-        if choice[j][full]:
-            assert tables.picks[j] == choice[j][full]
 
 
-def _assert_profile_tables_match(score, n: int, ref, choice, kmax: int) -> None:
-    """Levels below kmax at every entry a result can read, with their
-    choices; the top level's kept (value, pick) at each suffix mask
-    V_i = {i..n-1} with kmax vertices or more, against the loop's level
-    kmax at V_i and, where the loop's choice is a part, that choice; and
-    every reconstruction up to kmax.  The loop's tables may hold any level
-    count >= kmax."""
-    tables = _profile_tables(score, n, kmax)
+def _assert_walk_matches(score, n: int, ref, choice, kmax: int) -> None:
+    """The tables of a profile up to kmax and the walks over them, against
+    the loop: the levels below kmax at every mask without vertex 0, with
+    their choices; the pass at every suffix mask V_i = {i..n-1} over each
+    level j - 1 = 0..kmax-1, which with the loop's level j at V_{i+1} gives
+    the loop's level j at V_i, and whose (value, pick) is the loop's where
+    the loop's choice there is a part; and the walk for every k = 1..kmax,
+    which starts from level k's table below kmax and from inf at kmax, its
+    value and parts.  The loop's tables may hold any level count >= kmax."""
+    tables = _packing_dp(score, n, kmax - 1)
     assert len(tables.dp) == len(tables.rows) == kmax
-    assert len(tables.full) == len(tables.picks) == kmax + 1
-    _assert_levels_match(tables, n, ref, range(kmax))
+    _assert_levels_match(tables, ref, range(kmax))
     _assert_rows_match(tables, n, choice)
     suffixes = _suffix_masks(n)
-    assert len(tables.suffix) == n - kmax + 1
-    assert ref[kmax][suffixes[n - kmax + 1]] == math.inf
-    for (value, pick), mask in zip(tables.suffix, suffixes):
-        assert value == ref[kmax][mask]
-        if choice[kmax][mask]:
-            assert pick == choice[kmax][mask]
-    assert (tables.full[kmax], tables.picks[kmax]) == tables.suffix[0]
+    for j in range(1, kmax + 1):
+        for i, mask in enumerate(suffixes[:n]):
+            value, pick = _suffix_pass(score, tables.dp[j - 1], i)
+            rest = ref[j][suffixes[i + 1]]
+            assert min(value, rest) == ref[j][mask]
+            if choice[j][mask]:
+                assert (value, pick) == (ref[j][mask], choice[j][mask])
+            else:
+                assert value >= rest
     full = (1 << n) - 1
     for k in range(1, kmax + 1):
-        assert _reconstruct(tables, score, n, k) == loop_reconstruct(choice, k, full)
+        assert _reconstruct(tables, score, n, k) == (ref[k][full], loop_reconstruct(choice, k, full))
 
 
 class TestProfileTables:
-    """The tables the profiles read: level 1 by a subset-min transform, the
-    top level only at the suffix masks {i..n-1}."""
+    """The tables the profiles read, level 1 by a subset-min transform, and
+    the one walk over them, which reads each level at the suffix masks
+    {i..n-1} by their passes."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("kind", ["random", "tied"])
@@ -846,7 +864,7 @@ class TestProfileTables:
         score[0] = math.inf
         ref, choice, _ = loop_packing_dp(score, n, n)
         for kmax in range(1, n + 1):
-            _assert_profile_tables_match(score, n, ref, choice, kmax)
+            _assert_walk_matches(score, n, ref, choice, kmax)
 
     def test_streamed_path_matches_loop(self, monkeypatch):
         # The 16 KiB hold and budget of the streamed-chunks test: no held
@@ -861,7 +879,7 @@ class TestProfileTables:
             for score in (_phi_array(g), _signed_tables(with_random_signature(g, 5)).betamin):
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 for kmax in range(1, n + 1):
-                    _assert_profile_tables_match(score, n, ref, choice, kmax)
+                    _assert_walk_matches(score, n, ref, choice, kmax)
         finally:
             cheeger._plan.cache_clear()
 
@@ -871,7 +889,7 @@ class TestProfileTables:
         score = _phi_array(generate("random_connected", n, seed=3, p=0.4))
         ref, choice, _ = loop_packing_dp(score, n, n)
         for kmax in range(1, n + 1):
-            _assert_profile_tables_match(score, n, ref, choice, kmax)
+            _assert_walk_matches(score, n, ref, choice, kmax)
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("n", [5, 8, 11])
@@ -935,9 +953,9 @@ class TestProfileTables:
     @pytest.mark.parametrize("k", [1, 2])
     def test_low_k_builds_no_pair_table(self, monkeypatch, k):
         # n = 12 and its sub-cube of 11 have no held plan: for k <= 2 level
-        # 1 is the transform, the top level runs its strided passes at the
-        # suffix masks and keeps their picks, level 1 below it builds its
-        # segments directly, and no pair pass runs.
+        # 1 is the transform, the walk runs its strided passes at the suffix
+        # masks and reads their picks, level 1 below it builds its segments
+        # directly, and no pair pass runs.
         g = product(generate("path", 4, mu="unit"), generate("path", 3, mu="unit"))
         expected = rho_profile(g, k)
 
@@ -951,10 +969,9 @@ class TestProfileTables:
     @pytest.mark.parametrize("signed", [False, True])
     def test_full_profile_rescans_no_segment(self, monkeypatch, signed):
         # At n = 10 and 11 (whose sub-cube reads the held plan of 10) every
-        # level below the top keeps its argmin rows, and the top level's
-        # single step at the full mask (k = n) reads the full mask's pick,
-        # so a full profile rescans no segment, where one per part taken
-        # would be n(n + 1) / 2.
+        # level below the top keeps its argmin rows, and every walk's first
+        # part is its suffix pass's pick, so a full profile rescans no
+        # segment, where one per part taken would be n(n + 1) / 2.
         calls = []
         segment = cheeger._segment
 
@@ -974,9 +991,9 @@ class TestProfileTables:
                 assert cert.recompute(g) == cert.value
 
     def test_top_level_keeps_its_choices(self, monkeypatch):
-        # The top level keeps each suffix mask's pick, so a walk that drops
-        # vertices before its first part rescans no segment: the star's
-        # k = 3 parts are its leaves 3, 4 and 5, and the disconnected
+        # The walk reads each suffix mask's pick from its pass, so a walk
+        # that drops vertices before its first part rescans no segment: the
+        # star's k = 3 parts are its leaves 3, 4 and 5, and the disconnected
         # graphs' k = 1 part is the component without vertex 0.
         calls = []
         segment = cheeger._segment
@@ -1002,6 +1019,33 @@ class TestProfileTables:
         assert rho_exact(g, 1).parts == ((2, 3),)
         assert rho_signed_exact(sg, 1).parts == ((3, 4), ())
         assert calls == []
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_walks_count_their_passes(self, monkeypatch, signed):
+        # A single-k request walks only the top level, from its last suffix
+        # with k vertices down to V: n - k + 1 passes.  A profile's walks
+        # run V's pass alone below kmax and n - kmax + 1 at the top: n
+        # passes, whatever kmax.
+        calls = []
+        real = cheeger._suffix_pass
+
+        def counting(score, prev, i):
+            calls.append(i)
+            return real(score, prev, i)
+
+        monkeypatch.setattr(cheeger, "_suffix_pass", counting)
+        exact, profile = (rho_signed_exact, rho_signed_profile) if signed else (rho_exact, rho_profile)
+        for n in (2, 6, 11):
+            g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
+            if signed:
+                g = with_random_signature(g, n)
+            for k in range(1, n + 1):
+                calls.clear()
+                exact(g, k)
+                assert calls == list(range(n - k, -1, -1))
+                calls.clear()
+                profile(g, k)
+                assert len(calls) == n
 
 
 def _assert_sweeps_match_loop(monkeypatch, g, functions) -> list:

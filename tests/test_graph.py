@@ -104,6 +104,37 @@ class TestValidate:
             assert exc.value.problems == (problem,)
 
     @pytest.mark.parametrize(
+        "edge_w, mu0, kappa1, problem",
+        [
+            (np.float64(2.0), 1.0, 0.0, "weight np.float64(2.0) on edge (1,2) must be a Python int or float"),
+            (np.float32(2.0), 1.0, 0.0, "weight np.float32(2.0) on edge (1,2) must be a Python int or float"),
+            (True, 1.0, 0.0, "weight True on edge (1,2) must be a Python int or float"),
+            (1.0, np.float64(2.0), 0.0, "measure np.float64(2.0) at vertex 0 must be a Python int or float"),
+            (1.0, np.float32(2.0), 0.0, "measure np.float32(2.0) at vertex 0 must be a Python int or float"),
+            (1.0, True, 0.0, "measure True at vertex 0 must be a Python int or float"),
+            (1.0, 1.0, np.float64(-0.5), "kappa np.float64(-0.5) at vertex 1 must be a Python int or float"),
+            (1.0, 1.0, np.float32(0.5), "kappa np.float32(0.5) at vertex 1 must be a Python int or float"),
+            (1.0, 1.0, False, "kappa False at vertex 1 must be a Python int or float"),
+        ],
+    )
+    def test_weights_measures_and_kappa_must_be_python_numbers(self, edge_w, mu0, kappa1, problem):
+        # np.float64 is a float subclass whose repr, np.float64(2.0), the
+        # text format would write and its loader refuse; dumps_graph cannot
+        # encode an np.float32 and writes a bool as true, which both loaders
+        # refuse.
+        g = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 1)], mu="unit")
+        edges = (g.edges[0], Edge(1, 2, edge_w))
+        mu = (mu0, *g.mu[1:])
+        kappa = (0.0, kappa1, 0.0)
+        for make in (
+            lambda: WeightedGraph(n=3, edges=edges, mu=mu, kappa=kappa),
+            lambda: dataclasses.replace(g, edges=edges, mu=mu, kappa=kappa),
+        ):
+            with pytest.raises(InvalidGraphError) as exc:
+                make()
+            assert exc.value.problems == (problem,)
+
+    @pytest.mark.parametrize(
         "make",
         [
             lambda: WeightedGraph.build(3, [(0.0, 1.0, 1, -1.0), (1, 2, 2.5, True)], mu="unit"),
@@ -111,6 +142,8 @@ class TestValidate:
             lambda: dataclasses.replace(generate("path", 3), edges=(Edge(0, 1, 1.5, -1), Edge(1, 2, 1.0))),
             lambda: with_random_signature(generate("random_connected", 7, seed=3, p=0.5), 5),
             lambda: generate("star", 6, mu="unit"),
+            # build stores Python floats whatever numbers it is given.
+            lambda: WeightedGraph.build(2, [(0, 1, np.float64(2.0))], mu=[np.float32(1.5), 1], kappa=[np.float64(0.5), 0]),
         ],
     )
     def test_accepted_graphs_round_trip(self, make):
