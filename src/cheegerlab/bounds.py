@@ -97,24 +97,26 @@ class CheckRecord:
 
 # Everything the checks of one instance share is held with the graph it is
 # derived from (see the `graph` module docstring): its spectrum, its full
-# exact profile with each certificate's dict, and its perturbed instance
-# perturb(g, eps, seed) for each (eps, seed) asked for, which holds its own.
-# The `nodal`, `nodal_cheeger` and `product` checks all read that perturbed
-# instance, so each is built once per instance, and a graph a check makes
-# (the product) holds its own too.  A corpus walks its instances one at a
-# time, so what each holds is freed with it.  Only the two nodal checks
-# read eigenfunctions; every other check reads values.
+# exact profile, and its perturbed instance perturb(g, eps, seed) for each
+# (eps, seed) asked for, which holds its own.  A certificate builds its
+# JSON dict once (`PartitionCertificate.to_json_dict`), so the records that
+# read one certificate of the held profile share one dict.  The `nodal`,
+# `nodal_cheeger` and `product` checks all read that perturbed instance, so
+# each is built once per instance, and a graph a check makes (the product)
+# holds its own too.  A corpus walks its instances one at a time, so what
+# each holds is freed with it.  Only the two nodal checks read
+# eigenfunctions; every other check reads values.
 #
 # The checks call `classify`, `cyclomatic`, `degree_profile`,
 # `adjacency_eta`, `strong_nodal` and `weak_nodal` as often as they need,
-# and each graph builds its classification, degree profile and Laplacian
-# once, and labels each sign vector's strong domains once.  That is safe
-# because a graph cannot change and each input is a function of the graph
-# (a labelling, of the graph and the rounded signs).  So `nodal` and
-# `nodal_cheeger` share each eigenfunction's labelling of the perturbed
-# instance, the weak counts read it too (no sign is 0 on a generic
-# instance), and `lower`'s eta reads the Laplacian that the eigenvalue
-# solve of g built.
+# and each graph builds its classification (one labelling of its bipartite
+# double cover), degree profile and Laplacian once, and labels each sign
+# vector's strong domains once.  That is safe because a graph cannot change
+# and each input is a function of the graph (a labelling, of the graph and
+# the rounded signs).  So `nodal` and `nodal_cheeger` share each
+# eigenfunction's labelling of the perturbed instance, the weak counts read
+# it too (no sign is 0 on a generic instance), and `lower`'s eta reads the
+# Laplacian that the eigenvalue solve of g built.
 
 
 def _checked_spectrum(g: WeightedGraph, functions: bool) -> Spectrum:
@@ -178,21 +180,6 @@ def _rho_all(g: WeightedGraph, kmax: int) -> tuple[PartitionCertificate, ...]:
     return rho_signed_profile(g, kmax) if g.is_signed() else rho_profile(g, kmax)
 
 
-def _certificate_dict(g: WeightedGraph, cert: PartitionCertificate) -> dict:
-    """cert.to_json_dict(), held with g for each certificate of its held
-    full profile: every record that reads it shares the dict (the report
-    only encodes it).  A certificate from outside the held profile, as
-    where the work policy refuses the full profile, gets its own."""
-    profile = _full_profile(g)
-    if not profile or profile[cert.k - 1] is not cert:
-        return cert.to_json_dict()
-    return _derived(g, ("certificate", cert.k), _profile_certificate_dict, cert.k)
-
-
-def _profile_certificate_dict(g: WeightedGraph, k: int) -> dict:
-    return _full_profile(g)[k - 1].to_json_dict()
-
-
 def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     """rho_{k-l} <= sqrt(2 tau lambda_k) for every k with k - l >= 1.
 
@@ -225,7 +212,7 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
                 cert.value,
                 rhs,
                 meta={
-                    "certificate": _certificate_dict(g, cert),
+                    "certificate": cert.to_json_dict(),
                     "ell": ell,
                     "j": j,
                     "lambda_k": lam,
@@ -298,7 +285,7 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
                 cert.value,
                 rhs,
                 meta={
-                    "certificate": _certificate_dict(h, cert),
+                    "certificate": cert.to_json_dict(),
                     "eps": eps,
                     "lambda_k": lam,
                     "m": m,
@@ -334,7 +321,7 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
                 lhs,
                 cert.value,
                 meta={
-                    "certificate": _certificate_dict(g, cert),
+                    "certificate": cert.to_json_dict(),
                     "eta": eta.eta,
                     "tau_min": prof.tau_min,
                 },
@@ -411,7 +398,7 @@ def check_product_theorem(
         cert.value,
         rhs,
         meta={
-            "certificate": _certificate_dict(gp, cert),
+            "certificate": cert.to_json_dict(),
             "eigensum_error": sum_err,
             "eps": eps,
             "gap": gap,

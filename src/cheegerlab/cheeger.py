@@ -174,6 +174,16 @@ class PartitionCertificate:
         return max(vals)
 
     def to_json_dict(self) -> dict:
+        """The JSON form, built on the first call and returned by every
+        later one, so the records that read one certificate share one dict;
+        a caller must not modify it."""
+        held = self.__dict__.get("_json")
+        if held is None:
+            held = self._json_dict()
+            object.__setattr__(self, "_json", held)
+        return held
+
+    def _json_dict(self) -> dict:
         return {
             "exact": self.exact,
             "k": self.k,

@@ -5,8 +5,9 @@ edge weight and a +/-1 sign per edge, a positive vertex measure `mu`, and a
 real vertex potential `kappa`.  All types are immutable; every operation is
 a pure function of its arguments.  A `WeightedGraph` checks its invariants
 once, when it is made, so no function re-checks a graph it is given.  One
-union-find component labelling, `_component_labels`, serves `classify`, the
-generators and the nodal decompositions.
+union-find component labelling, `_component_labels`, serves `classify` (one
+labelling of the bipartite double cover gives the components, the tree flag
+and the 2-colouring), the generators and the nodal decompositions.
 
 A graph also holds what is derived from it alone, each input built on
 first use and read by every later caller (:func:`_derived`): whether it is
@@ -15,9 +16,9 @@ profile, its normalized Laplacian (read-only) and its strong nodal
 labellings, one per rounded sign vector asked for.  The engine and the
 checks hold theirs too: its Phi table while it fits the engine's held-table
 bound (`cheeger`), and the spectrum the checks read, its full exact
-profile (or the work policy's refusal, held as ()) with each certificate's
-JSON dict, and its perturbed instance for each (eps, seed) asked for,
-which holds its own (`bounds`).
+profile (or the work policy's refusal, held as ()), whose certificates
+each hold their JSON dict, and its perturbed instance for each (eps, seed)
+asked for, which holds its own (`bounds`).
 Holding them is safe because the graph cannot change after it is built and
 each of them is a function of the graph (and, for a labelling, the signs;
 for a perturbed instance, eps and the seed) alone; an equal but distinct
@@ -53,12 +54,16 @@ class WeightedGraph:
     resolves the measure token.  Every instance is valid: construction
     (through :meth:`build`, the constructor or `dataclasses.replace`)
     checks the invariants once and raises :class:`InvalidGraphError`
-    listing every problem.  A vertex id or sign that is not a Python int
-    (a bool is not one) is one, as is a weight, measure or kappa that is
-    not exactly a Python int or float (a numpy float or a bool is not):
-    the graph formats would fail to write it, or write it in a form their
-    loaders refuse.  An edge stored with u > v is one too: with every edge
-    stored as u < v, a vertex pair stored twice is a duplicate (u, v).
+    listing every problem.  An edge entry that is not an `Edge` is one.  A
+    vertex id or sign that is not a Python int (a bool is not one) is one,
+    as is a weight, measure or kappa that is not exactly a Python int or
+    float (a numpy float or a bool is not): the graph formats would fail to
+    write it, or write it in a form their loaders refuse.  An edge stored
+    with u > v is one too: with every edge stored as u < v, a vertex pair
+    stored twice is a duplicate (u, v).  A list (or any other iterable)
+    given for `edges`, `mu` or `kappa` is stored as a tuple, so the graph
+    stays hashable, a generator is read once, and the fields cannot change
+    under what the graph holds.
     """
 
     n: int
@@ -68,6 +73,9 @@ class WeightedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "vertex count"))
+        for key in ("edges", "mu", "kappa"):
+            if not isinstance(getattr(self, key), tuple):
+                object.__setattr__(self, key, tuple(getattr(self, key)))
         problems = _problems(self)
         if problems:
             raise InvalidGraphError(problems)
@@ -87,14 +95,17 @@ class WeightedGraph:
         per-vertex sequence, the token "degree" (mu_i = weighted degree) or
         "unit" (mu == 1); `kappa` is a sequence or a scalar to broadcast.
         The vertex count, vertex ids and signs must be integers (a float
-        with a fraction raises ValueError rather than being truncated);
-        semantic problems (self-loops, bad weights, ...) raise
-        InvalidGraphError from the constructor.
+        with a fraction raises ValueError rather than being truncated), and
+        weights, measures and kappa numbers; a string or a bool (numpy's
+        too) is neither, and raises ValueError naming the field.  Semantic
+        problems (self-loops, bad weights, ...) raise InvalidGraphError
+        from the constructor.
         """
         n = _integer(n, "vertex count")
         norm = []
         for e in edges:
-            u, v, w = _integer(e[0], "vertex id"), _integer(e[1], "vertex id"), float(e[2])
+            u, v = _integer(e[0], "vertex id"), _integer(e[1], "vertex id")
+            w = _real(e[2], "weight")
             sigma = _integer(e[3], "sigma") if len(e) > 3 else 1
             if v < u:
                 u, v = v, u
@@ -108,11 +119,11 @@ class WeightedGraph:
             else:
                 raise ValueError(f"unknown measure token {mu!r}")
         else:
-            mu_t = tuple(float(x) for x in mu)
-        if isinstance(kappa, (int, float)):
-            kappa_t = tuple(float(kappa) for _ in range(n))
+            mu_t = tuple(_real(x, "measure") for x in mu)
+        if isinstance(kappa, (int, float, str, np.generic)):
+            kappa_t = (_real(kappa, "kappa"),) * n
         else:
-            kappa_t = tuple(float(x) for x in kappa)
+            kappa_t = tuple(_real(x, "kappa") for x in kappa)
         return WeightedGraph(n=n, edges=tuple(norm), mu=mu_t, kappa=kappa_t)
 
     @property
@@ -127,22 +138,6 @@ class WeightedGraph:
         """Weighted degrees d(i) = sum of incident edge weights (signs
         ignored); built once per graph and held with it, read-only."""
         return _derived(self, "degrees", _degree_array)
-
-    def adjacency(self, signed: bool = True) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for e in self.edges:
-            val = e.w * e.sigma if signed else e.w
-            a[e.u, e.v] = val
-            a[e.v, e.u] = val
-        return a
-
-    def neighbors(self) -> list[list[tuple[int, float, int]]]:
-        """Per-vertex list of (neighbor, weight, sigma)."""
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e.u].append((e.v, e.w, e.sigma))
-            adj[e.v].append((e.u, e.w, e.sigma))
-        return adj
 
     def mu_is_degree(self) -> bool:
         """mu equals the weighted degree to a relative 1e-12."""
@@ -207,10 +202,27 @@ def _is_number(x) -> bool:
     return type(x) in (int, float)
 
 
+_NOT_NUMBERS = (str, bool, np.bool_)
+
+
 def _integer(x, field: str) -> int:
-    if isinstance(x, float) and not x.is_integer():
+    """x as an int; ValueError naming `field` for a string, a bool or a
+    float with a fraction (never truncated)."""
+    if type(x) is int:
+        return x
+    fraction = isinstance(x, (float, np.floating)) and not float(x).is_integer()
+    if fraction or isinstance(x, _NOT_NUMBERS):
         raise ValueError(f"{field} {x!r} is not an integer")
     return int(x)
+
+
+def _real(x, field: str) -> float:
+    """x as a float; ValueError naming `field` for a string or a bool."""
+    if type(x) is float:
+        return x
+    if isinstance(x, _NOT_NUMBERS):
+        raise ValueError(f"{field} {x!r} is not a number")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -252,26 +264,23 @@ def _component_labels(n: int, keep, edges) -> tuple[tuple[int, ...], int]:
     parent = list(range(n))
 
     def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
+    # The larger root joins the smaller, so every root is the smallest
+    # vertex of its component.
     for u, v in edges:
         ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+        if ru < rv:
+            parent[rv] = ru
+        elif rv < ru:
+            parent[ru] = rv
     first: dict[int, int] = {}
     labels = [UNLABELED] * n
     for v in range(n):
-        if not keep[v]:
-            continue
-        root = find(v)
-        if root not in first:
-            first[root] = len(first)
-        labels[v] = first[root]
+        if keep[v]:
+            labels[v] = first.setdefault(find(v), len(first))
     return tuple(labels), len(first)
 
 
@@ -287,6 +296,9 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
     seen = set()
     touched = [False] * g.n
     for e in g.edges:
+        if not isinstance(e, Edge):
+            problems.append(f"edge entry {e!r} is not an Edge")
+            continue
         if not (_is_int(e.u) and _is_int(e.v)):
             problems.append(f"edge ({e.u!r},{e.v!r}) has a vertex id that is not an int")
             continue
@@ -358,41 +370,34 @@ def _degree_profile(g: WeightedGraph) -> DegreeProfile:
 
 
 def classify(g: WeightedGraph) -> GraphClassification:
-    """Connected components (union-find) plus tree and bipartite flags;
-    built once per graph and held with it."""
+    """Connected components plus tree and bipartite flags, from one
+    union-find labelling of the bipartite double cover; built once per
+    graph and held with it."""
     return _derived(g, "classification", _classify)
 
 
 def _classify(g: WeightedGraph) -> GraphClassification:
-    labels, c = _component_labels(g.n, [True] * g.n, ((u, v) for u, v, _, _ in g.edges))
+    # One labelling of the bipartite double cover: x has copies x and x + n,
+    # and each edge uv joins u to v + n and u + n to v.  A component of g is
+    # bipartite iff its copies form two cover components.  The cover
+    # component holding the smallest vertex r of x's component has the least
+    # label of those copies, so min(cover[x], cover[x + n]) = cover[r] names
+    # x's component, and x's colour is 0 iff cover[x] is such a name.
+    n = g.n
+    pairs = [p for u, v, _, _ in g.edges for p in ((u, v + n), (u + n, v))]
+    cover, cover_count = _component_labels(2 * n, [True] * (2 * n), pairs)
+    first: dict[int, int] = {}
+    labels = tuple(first.setdefault(min(a, b), len(first)) for a, b in zip(cover[:n], cover[n:]))
+    c = len(first)
+    bipartite = cover_count == 2 * c
     connected = c == 1
-    is_tree = connected and g.m == g.n - 1
-
-    # 2-coloring by BFS, component-wise; first vertex of a component gets 0.
-    color = [-1] * g.n
-    adj = g.neighbors()
-    bipartite = True
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue and bipartite:
-            x = queue.pop()
-            for y, _, _ in adj[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    bipartite = False
-                    break
     return GraphClassification(
         component_labels=labels,
         component_count=c,
         is_connected=connected,
-        is_tree=is_tree,
+        is_tree=connected and g.m == g.n - 1,
         is_bipartite=bipartite,
-        bipartition_labels=tuple(color) if bipartite else None,
+        bipartition_labels=tuple(int(x not in first) for x in cover[:n]) if bipartite else None,
     )
 
 

@@ -8,8 +8,10 @@ measure and split passes over membership rows, and the textbook
 pure-Python loops of the subset DP behind the profile engines, the numpy
 column-then-row Jacobi rotation loop behind the eigensolver, the numpy
 nodal decompositions and the conductance-per-level-set nodal sweep, the
-per-edge weighted degrees, normalized Laplacian and normalized adjacency,
-and closed-form spectra of the standard families.  The enumeration is
+per-edge weighted degrees, adjacency, normalized Laplacian and normalized
+adjacency, the search-based 2-colouring behind `classify`, the signed
+double cover and relabelled disjoint unions, and closed-form spectra of
+the standard families.  The enumeration is
 independent of the package's DP; per-set scores go through the same
 canonical accumulation order as the library so that agreement can be
 asserted exactly.
@@ -21,6 +23,7 @@ import numpy as np
 
 from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
 from cheegerlab.cheeger import PartitionCertificate, _phi_array, beta_signed, conductance
+from cheegerlab.graph import GraphClassification
 from cheegerlab.nodal import NodalDecomposition, _component_labels
 
 
@@ -277,6 +280,15 @@ def loop_degrees(g: WeightedGraph) -> list[float]:
     return d
 
 
+def loop_adjacency(g: WeightedGraph) -> np.ndarray:
+    """The signed adjacency matrix, one edge at a time: sigma_uv w_uv on
+    each edge, 0.0 elsewhere."""
+    mat = np.zeros((g.n, g.n))
+    for e in g.edges:
+        mat[e.u, e.v] = mat[e.v, e.u] = e.w * e.sigma
+    return mat
+
+
 def loop_normalized_laplacian_sym(g: WeightedGraph) -> np.ndarray:
     """M^{-1/2} (D + K - A^sigma) M^{-1/2}, one edge at a time: the
     per-edge builder that normalized_laplacian_sym vectorizes."""
@@ -298,6 +310,79 @@ def loop_normalized_adjacency(g: WeightedGraph) -> np.ndarray:
     for e in g.edges:
         mat[e.u, e.v] = mat[e.v, e.u] = e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
     return mat
+
+
+# ---------------------------------------------------------------------------
+# the 2-colouring search, disjoint unions and the signed double cover
+# (references for graph.classify and for the signed paths)
+
+def search_classify(g: WeightedGraph) -> GraphClassification:
+    """Components and a 2-colouring by one depth-first search from each
+    vertex not yet reached, in ascending order: a component's label is its
+    order of discovery (so components are numbered by smallest vertex), its
+    smallest vertex gets colour 0 and every neighbour the other colour; an
+    edge between two vertices of one colour makes g non-bipartite."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    label = [-1] * g.n
+    color = [-1] * g.n
+    bipartite = True
+    count = 0
+    for start in range(g.n):
+        if label[start] != -1:
+            continue
+        label[start], color[start] = count, 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if label[y] == -1:
+                    label[y], color[y] = count, 1 - color[x]
+                    stack.append(y)
+                elif color[y] == color[x]:
+                    bipartite = False
+        count += 1
+    connected = count == 1
+    return GraphClassification(
+        component_labels=tuple(label),
+        component_count=count,
+        is_connected=connected,
+        is_tree=connected and g.m == g.n - 1,
+        is_bipartite=bipartite,
+        bipartition_labels=tuple(color) if bipartite else None,
+    )
+
+
+def disjoint_union(pieces, perm) -> WeightedGraph:
+    """The disjoint union of the graphs `pieces`, vertex j of their
+    concatenation relabelled perm[j]; every edge keeps its weight and sign
+    and every vertex its measure and kappa."""
+    n = sum(h.n for h in pieces)
+    edges, mu, kappa, base = [], [0.0] * n, [0.0] * n, 0
+    for h in pieces:
+        edges += [(perm[base + u], perm[base + v], w, sigma) for u, v, w, sigma in h.edges]
+        for x in range(h.n):
+            mu[perm[base + x]], kappa[perm[base + x]] = h.mu[x], h.kappa[x]
+        base += h.n
+    return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
+
+
+def double_cover(g: WeightedGraph) -> WeightedGraph:
+    """The signed double cover of g, an unsigned graph on 2n vertices:
+    vertex x has copies x+ = x and x- = x + n; a positive edge xy gives
+    x+y+ and x-y-, a negative one x+y- and x-y+, each with xy's weight; mu
+    and kappa are copied to both copies.  The cover of the all-negative
+    signing of g is its bipartite double cover."""
+    n = g.n
+    edges = []
+    for u, v, w, sigma in g.edges:
+        if sigma > 0:
+            edges += [(u, v, w), (u + n, v + n, w)]
+        else:
+            edges += [(u, v + n, w), (u + n, v, w)]
+    return WeightedGraph.build(2 * n, edges, mu=list(g.mu) * 2, kappa=list(g.kappa) * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from cheegerlab.bounds import CorpusConfig, run_corpus
 from brute import (
     complete_spectrum,
     cycle_spectrum,
+    loop_adjacency,
     naive_rho,
     path_spectrum,
     regrouped_rho_signed,
@@ -110,7 +111,7 @@ def test_c01_eigensolver_closed_forms():
         funcs = np.asarray(s.functions)
         gram = funcs @ np.diag(g.mu) @ funcs.T
         assert np.max(np.abs(gram - np.eye(g.n))) <= 1e-10
-        lap = (np.diag(g.degrees() + np.asarray(g.kappa)) - g.adjacency()) / np.asarray(
+        lap = (np.diag(g.degrees() + np.asarray(g.kappa)) - loop_adjacency(g)) / np.asarray(
             g.mu
         )[:, None]
         scale = max(1.0, abs(s.values[-1]))

@@ -346,15 +346,15 @@ class TestRecordsAndReport:
         # A five-check n = 10 corpus op: `main`, `lower` and `nodal_cheeger`
         # read certificates of two held profiles (the instance's and its
         # perturbed instance's), many of them from more than one record.
-        # Each certificate becomes a dict once, and its records share it.
+        # Each certificate builds its dict once, and its records share it.
         built = []
-        to_json_dict = PartitionCertificate.to_json_dict
+        build = PartitionCertificate._json_dict
 
         def counting(cert):
             built.append(cert)
-            return to_json_dict(cert)
+            return build(cert)
 
-        monkeypatch.setattr(PartitionCertificate, "to_json_dict", counting)
+        monkeypatch.setattr(PartitionCertificate, "_json_dict", counting)
         cfg = CorpusConfig(families=("random_connected",), sizes=(10,), count=1, seed=seed,
                            w_low=0.5, w_high=2.0,
                            checks=("main", "nodal", "nodal_cheeger", "lower", "basics"))
