@@ -7,7 +7,11 @@ a pure function of its arguments.  A `WeightedGraph` checks its invariants
 once, when it is made, so no function re-checks a graph it is given.  One
 union-find component labelling, `_component_labels`, serves `classify` (one
 labelling of the bipartite double cover gives the components, the tree flag
-and the 2-colouring), the generators and the nodal decompositions.
+and the 2-colouring), the generators and the nodal decompositions.  The two
+graph readers, JSON and the edge list, keep only their own syntax and hand
+the fields to one checked core, `_checked_graph`, which bounds the size,
+builds the graph and maps its problems to `GraphFormatError`: a fault that
+either format can hold reads the same from both.
 
 A graph also holds what is derived from it alone, each input built on
 first use and read by every later caller (:func:`_derived`): whether it is
@@ -63,7 +67,8 @@ class WeightedGraph:
     stored twice is a duplicate (u, v).  A list (or any other iterable)
     given for `edges`, `mu` or `kappa` is stored as a tuple, so the graph
     stays hashable, a generator is read once, and the fields cannot change
-    under what the graph holds.
+    under what the graph holds; a field that is not iterable (a number, or
+    a 0-d numpy array) is the one problem listed.
     """
 
     n: int
@@ -74,8 +79,13 @@ class WeightedGraph:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "vertex count"))
         for key in ("edges", "mu", "kappa"):
-            if not isinstance(getattr(self, key), tuple):
-                object.__setattr__(self, key, tuple(getattr(self, key)))
+            value = getattr(self, key)
+            if not isinstance(value, tuple):
+                try:
+                    value = tuple(value)
+                except TypeError:
+                    raise InvalidGraphError((f"{key} {value!r} is not a sequence",)) from None
+                object.__setattr__(self, key, value)
         problems = _problems(self)
         if problems:
             raise InvalidGraphError(problems)
@@ -93,20 +103,27 @@ class WeightedGraph:
 
         `edges` holds (u, v, w) or (u, v, w, sigma) tuples; `mu` is a
         per-vertex sequence, the token "degree" (mu_i = weighted degree) or
-        "unit" (mu == 1); `kappa` is a sequence or a scalar to broadcast.
-        The vertex count, vertex ids and signs must be integers (a float
-        with a fraction raises ValueError rather than being truncated), and
-        weights, measures and kappa numbers; a string or a bool (numpy's
-        too) is neither, and raises ValueError naming the field.  Semantic
-        problems (self-loops, bad weights, ...) raise InvalidGraphError
-        from the constructor.
+        "unit" (mu == 1); `kappa` is a sequence or a scalar to broadcast (a
+        0-d numpy array is a scalar).  The vertex count, vertex ids and
+        signs must be integers (a float with a fraction raises ValueError
+        rather than being truncated), and weights, measures and kappa
+        numbers; a string or a bool (numpy's too) is neither, and raises
+        ValueError naming the field.  So does an `edges`, `mu` or `kappa`
+        that is not a sequence (a number, say), and an edge that is not a
+        (u, v, w) or (u, v, w, sigma) tuple of numbers raises ValueError
+        naming the edge.  Semantic problems (self-loops, bad weights, ...)
+        raise InvalidGraphError from the constructor.
         """
         n = _integer(n, "vertex count")
         norm = []
-        for e in edges:
-            u, v = _integer(e[0], "vertex id"), _integer(e[1], "vertex id")
-            w = _real(e[2], "weight")
-            sigma = _integer(e[3], "sigma") if len(e) > 3 else 1
+        for e in _sequence(edges, "edges"):
+            try:
+                u, v = _integer(e[0], "vertex id"), _integer(e[1], "vertex id")
+                w = _real(e[2], "weight")
+                sigma = _integer(e[3], "sigma") if len(e) > 3 else 1
+            except (IndexError, TypeError):
+                shape = "(u, v, w) or (u, v, w, sigma) tuple of numbers"
+                raise ValueError(f"edge {e!r} is not a {shape}") from None
             if v < u:
                 u, v = v, u
             norm.append(Edge(u, v, w, sigma))
@@ -119,11 +136,13 @@ class WeightedGraph:
             else:
                 raise ValueError(f"unknown measure token {mu!r}")
         else:
-            mu_t = tuple(_real(x, "measure") for x in mu)
+            mu_t = tuple(_real(x, "measure") for x in _sequence(mu, "mu"))
+        if isinstance(kappa, np.ndarray) and kappa.ndim == 0:
+            kappa = kappa[()]  # a 0-d array is a scalar, like np.float64
         if isinstance(kappa, (int, float, str, np.generic)):
             kappa_t = (_real(kappa, "kappa"),) * n
         else:
-            kappa_t = tuple(_real(x, "kappa") for x in kappa)
+            kappa_t = tuple(_real(x, "kappa") for x in _sequence(kappa, "kappa"))
         return WeightedGraph(n=n, edges=tuple(norm), mu=mu_t, kappa=kappa_t)
 
     @property
@@ -214,6 +233,15 @@ def _integer(x, field: str) -> int:
     if fraction or isinstance(x, _NOT_NUMBERS):
         raise ValueError(f"{field} {x!r} is not an integer")
     return int(x)
+
+
+def _sequence(x, field: str):
+    """An iterator over x; ValueError naming `field` if x is not iterable
+    (a number, or a 0-d numpy array)."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise ValueError(f"{field} {x!r} is not a sequence") from None
 
 
 def _real(x, field: str) -> float:
@@ -634,14 +662,6 @@ class GraphFormatError(ValueError):
     pass
 
 
-def _check_size(n: int, edges: list) -> None:
-    # Building allocates O(n); a graph without isolated vertices has n <= 2|E|.
-    if n > 2 * len(edges):
-        raise GraphFormatError(
-            f"n = {n} exceeds twice the edge count ({len(edges)}), so some vertex would be isolated"
-        )
-
-
 def to_json_dict(g: WeightedGraph) -> dict:
     """Canonical JSON form; sigma and kappa are emitted explicitly."""
     return {
@@ -675,12 +695,44 @@ def _edge_column(raw: list, key: str) -> list:
         raise ValueError(f'edge {i} has no "{key}"') from None
 
 
+def _checked_graph(n, us: list, vs: list, ws: list, sigmas: list, mu, kappa) -> WeightedGraph:
+    """The graph both readers load: n, the edge columns, mu (a token or a
+    list) and kappa (a number or a list), as a format gives them.
+
+    Raises ValueError naming the first value that is not a JSON integer
+    or number, which only JSON can give, and GraphFormatError for every
+    other fault, in either format: n beyond twice the edge count, or an
+    invalid graph (its problems joined by "; ").
+    """
+    _check_json([n], "n", True)
+    _check_json(us, "edge {} vertex id", True)
+    _check_json(vs, "edge {} vertex id", True)
+    _check_json(ws, "edge {} weight w", False)
+    _check_json(sigmas, "edge {} sigma", True)
+    if type(mu) is list:
+        _check_json(mu, "mu entry {}", False)
+    if type(kappa) is list:
+        _check_json(kappa, "kappa entry {}", False)
+    else:
+        _check_json([kappa], "kappa", False)
+    n = int(n)
+    # Building allocates O(n); a graph without isolated vertices has n <= 2|E|.
+    if n > 2 * len(us):
+        raise GraphFormatError(
+            f"n = {n} exceeds twice the edge count ({len(us)}), so some vertex would be isolated"
+        )
+    try:
+        return WeightedGraph.build(n, zip(us, vs, ws, sigmas), mu=mu, kappa=kappa)
+    except InvalidGraphError as exc:
+        raise GraphFormatError("; ".join(exc.problems)) from exc
+
+
 def from_json_dict(data: dict) -> WeightedGraph:
     """Graph from its JSON form; raises GraphFormatError if the data is
-    malformed or the graph is invalid (its problems joined by "; ")."""
+    malformed ("malformed graph JSON: ..." for a wrong shape or value
+    type) or the graph is invalid (see :func:`_checked_graph`)."""
     try:
         n = data["n"]
-        _check_json([n], "n", True)
         raw = data["edges"]
         if type(raw) is not list:
             raise ValueError("edges must be a list of edge objects")
@@ -689,26 +741,12 @@ def from_json_dict(data: dict) -> WeightedGraph:
             raise ValueError(f"edge {i} must be an object with u, v and w")
         us, vs, ws = (_edge_column(raw, key) for key in ("u", "v", "w"))
         sigmas = [e.get("sigma", 1) for e in raw]
-        _check_json(us, "edge {} vertex id", True)
-        _check_json(vs, "edge {} vertex id", True)
-        _check_json(ws, "edge {} weight w", False)
-        _check_json(sigmas, "edge {} sigma", True)
-        edges = list(zip(us, vs, ws, sigmas))
         mu = data.get("mu", "degree")
-        if type(mu) is list:
-            _check_json(mu, "mu entry {}", False)
-        elif type(mu) is not str:
+        if type(mu) not in (list, str):
             raise ValueError("mu must be a string or a list")
-        kappa = data.get("kappa", 0.0)
-        if isinstance(kappa, list):
-            _check_json(kappa, "kappa entry {}", False)
-        else:
-            _check_json([kappa], "kappa", False)
-        n = int(n)
-        _check_size(n, edges)
-        return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
-    except InvalidGraphError as exc:
-        raise GraphFormatError("; ".join(exc.problems)) from exc
+        return _checked_graph(n, us, vs, ws, sigmas, mu, data.get("kappa", 0.0))
+    except GraphFormatError:
+        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
 
@@ -716,8 +754,8 @@ def from_json_dict(data: dict) -> WeightedGraph:
 def parse_graph_text(text: str) -> WeightedGraph:
     """Edge-list form: header `n <int> mu <degree|v0 v1 ...> [kappa v0 v1 ...]`,
     then `u v w [sigma]` lines.  kappa defaults to 0.  Raises
-    GraphFormatError if the text is malformed or the graph is invalid (its
-    problems joined by "; ")."""
+    GraphFormatError if the text is malformed or the graph is invalid (see
+    :func:`_checked_graph`)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
@@ -735,26 +773,18 @@ def parse_graph_text(text: str) -> WeightedGraph:
         kappa = 0.0 if kappa_tokens is None else [float(x) for x in kappa_tokens]
     except ValueError as exc:
         raise GraphFormatError(f"bad header: {exc}") from exc
-    if mu != "degree" and len(mu) != n:
-        raise GraphFormatError(f"mu list has {len(mu)} entries, expected {n}")
-    if kappa_tokens is not None and len(kappa) != n:
-        raise GraphFormatError(f"kappa list has {len(kappa)} entries, expected {n}")
-    edges = []
+    columns = ([], [], [], [])
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) not in (3, 4):
             raise GraphFormatError(f"bad edge line: {ln!r}")
         try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            sigma = int(parts[3]) if len(parts) == 4 else 1
+            # u v w [sigma]: a missing sigma reads "1"; zip drops it after a given one.
+            for column, parse, token in zip(columns, (int, int, float, int), parts + ["1"]):
+                column.append(parse(token))
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line {ln!r}: {exc}") from exc
-        edges.append((u, v, w, sigma))
-    _check_size(n, edges)
-    try:
-        return WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
-    except InvalidGraphError as exc:
-        raise GraphFormatError("; ".join(exc.problems)) from exc
+    return _checked_graph(n, *columns, mu, kappa)
 
 
 def format_graph_text(g: WeightedGraph) -> str:

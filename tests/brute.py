@@ -5,7 +5,9 @@ resp. (2k+1)^n label assignments, the signed one regrouped over unions
 (each split chosen on its own), the int64-shift Phi table, the signed
 split table scored split by split through beta_signed, the per-edge cut,
 measure and split passes over membership rows, and the textbook
-pure-Python loops of the subset DP behind the profile engines, the numpy
+pure-Python loops of the subset DP behind the profile engines, the
+packing DP restricted to minimal parts (a second exact algorithm with its
+own pair layout, for sizes the loops cannot reach), the numpy
 column-then-row Jacobi rotation loop behind the eigensolver, the numpy
 nodal decompositions and the conductance-per-level-set nodal sweep, the
 per-edge weighted degrees, adjacency, normalized Laplacian and normalized
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
-from cheegerlab.cheeger import PartitionCertificate, _phi_array, beta_signed, conductance
+from cheegerlab.cheeger import PartitionCertificate, _parts_from_masks, _phi_array, beta_signed, conductance
 from cheegerlab.graph import GraphClassification
 from cheegerlab.nodal import NodalDecomposition, _component_labels
 
@@ -626,3 +628,95 @@ def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> Part
         exact=False,
         states=0,
     )
+
+
+# ---------------------------------------------------------------------------
+# the packing DP over minimal parts (a second exact algorithm)
+
+def minimal_parts(phi: np.ndarray, n: int) -> np.ndarray:
+    """The masks A whose entry phi[A] is strictly below that of every proper
+    nonempty subset: phi[A] < min over v in A of L1(A - v), where L1 is the
+    least entry over the nonempty submasks (inf at the empty mask)."""
+    l1 = phi.copy()
+    for v in range(n):
+        halves = l1.reshape(-1, 2, 1 << v)
+        np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    below = np.full(1 << n, math.inf)
+    for v in range(n):
+        with_v = below.reshape(-1, 2, 1 << v)[:, 1]
+        np.minimum(with_v, l1.reshape(-1, 2, 1 << v)[:, 0], out=with_v)
+    return np.flatnonzero(phi < below)
+
+
+def minimal_packing_profile(g: WeightedGraph) -> list[PartitionCertificate]:
+    """rho_1..rho_n of an unsigned g by the packing DP restricted to
+    minimal parts, each with the parts its walk back from V takes.
+
+    Swapping a part for a subset whose Phi is not larger keeps a packing
+    disjoint and its max Phi from rising, so every packing inside a mask M
+    has a packing of minimal parts that is no worse: the DP over minimal
+    parts gives the same value at every mask, bit for bit.  Its pairs are
+    (M, a) for each minimal a and each M = a + R, R a submask of free(a),
+    the vertices above a's lowest that a leaves out, sorted by popcount of
+    M and then M: each M's pairs are one segment, and level j reads the
+    suffix of pairs with |M| >= j.  Level j is the segment min of
+    max(Phi(a), dp[j-1][M - a]), closed by dp[j][M] = min(that,
+    dp[j][M - low(M)]) from the highest lowest vertex down; dp[0] = -inf,
+    so level 1 is the least Phi over the minimal submasks.  Phi is the
+    int64-shift table.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    phi = shift_phi_array(g)
+    popcount = np.array([x.bit_count() for x in range(1 << n)])
+    minimal = minimal_parts(phi, n)
+    free = (full ^ minimal) & ~((minimal & -minimal) * 2 - 1)
+    width = popcount[free]
+    pair_masks, pair_parts = [], []
+    for f in range(n):
+        a, left = minimal[width == f], free[width == f]
+        subs = np.zeros((len(a), 1 << f), dtype=np.int64)
+        w = 1
+        while w < 1 << f:
+            bit = left & -left
+            np.bitwise_or(subs[:, :w], bit[:, None], out=subs[:, w : 2 * w])
+            left = left ^ bit
+            w *= 2
+        pair_masks.append((subs | a[:, None]).ravel())
+        pair_parts.append(np.repeat(a, 1 << f))
+    m, a = np.concatenate(pair_masks), np.concatenate(pair_parts)
+    key = (popcount[m] << n) | m
+    order = np.argsort(key, kind="stable")
+    key, m, a = key[order], m[order], a[order]
+    rest, score = m ^ a, phi[a]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    dp = [np.full(1 << n, -math.inf)]
+    for j in range(1, n + 1):
+        s = int(np.searchsorted(key, j << n))
+        t = int(np.searchsorted(starts, s))
+        cand = np.maximum(score[s:], dp[j - 1][rest[s:]])
+        level = np.full(1 << n, math.inf)
+        level[m[starts[t:]]] = np.minimum.reduceat(cand, starts[t:] - s)
+        # Row r of width 2^(v+1) holds the mask with lowest vertex v at
+        # column 2^v and, at column 0, that mask less v, already closed.
+        for v in range(n - 1, -1, -1):
+            rows = level.reshape(-1, 2 << v)
+            np.minimum(rows[:, 1 << v], rows[:, 0], out=rows[:, 1 << v])
+        dp.append(level)
+    certs = []
+    for k in range(1, n + 1):
+        mask, j, taken = full, k, []
+        while j > 0:
+            low = mask & -mask
+            if dp[j][mask ^ low] == dp[j][mask]:
+                mask ^= low
+                continue
+            at = (mask.bit_count() << n) | mask
+            lo, hi = np.searchsorted(key, [at, at + 1])
+            cand = np.maximum(score[lo:hi], dp[j - 1][rest[lo:hi]])
+            pick = lo + int(np.flatnonzero(cand == dp[j][mask])[0])
+            taken.append(int(a[pick]))
+            mask, j = int(rest[pick]), j - 1
+        parts = _parts_from_masks(sorted(taken, key=lambda x: x & -x))
+        certs.append(PartitionCertificate(k=k, value=float(dp[k][full]), parts=parts))
+    return certs

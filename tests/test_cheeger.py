@@ -47,6 +47,7 @@ from brute import (
     loop_packing_dp,
     loop_reconstruct,
     loop_split_tables,
+    minimal_packing_profile,
     naive_rho,
     naive_rho_signed,
     order_visible_graph,
@@ -450,6 +451,43 @@ class TestInvariances:
             assert cert.value <= combined
             if cert.value < combined:
                 assert any(min(part) < 8 <= max(part) for part in cert.parts)
+
+
+def _grid(rows: int, cols: int) -> WeightedGraph:
+    return product(generate("path", rows, mu="unit"), generate("path", cols, mu="unit"))
+
+
+class TestMinimalPacking:
+    """A second exact algorithm where naive enumeration cannot reach: the
+    packing DP restricted to minimal parts (`brute.minimal_packing_profile`),
+    with its own pair layout and its own walk."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_equals_naive(self, n):
+        g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
+        for cert in minimal_packing_profile(g)[:3]:
+            assert cert.value == naive_rho(g, cert.k)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate("random_connected", 15, seed=1, p=0.3),
+            lambda: generate("random_connected", 15, seed=2, p=0.3),
+            lambda: generate("random_tree", 15, seed=3),
+            lambda: _grid(5, 3),
+            lambda: generate("random_connected", 16, seed=1, p=0.3),
+            lambda: generate("random_connected", 16, seed=2, p=0.3),
+            lambda: generate("random_tree", 16, seed=3),
+            lambda: _grid(4, 4),
+        ],
+        ids=["rc15-1", "rc15-2", "tree15", "P5xP3", "rc16-1", "rc16-2", "tree16", "P4xP4"],
+    )
+    def test_profile_equals_minimal_packing(self, make):
+        g = make()
+        reference = minimal_packing_profile(g)
+        assert [c.value for c in rho_profile(g)] == [c.value for c in reference]
+        for cert in reference:
+            assert len(cert.parts) == cert.k and cert.recompute(g) == cert.value
 
 
 class TestMonotonicity:

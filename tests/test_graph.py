@@ -316,6 +316,34 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
 
+    @pytest.mark.parametrize(
+        "n, edges, mu, kappa, message",
+        [
+            (2, [(0, 1, 1.0)], 3.0, 0.0, "mu 3.0 is not a sequence"),
+            (2, [(0, 1, 1.0)], np.array(3.0), 0.0, "mu array(3.) is not a sequence"),
+            (2, [(0, 1, 1.0)], "unit", None, "kappa None is not a sequence"),
+            (2, 5, "degree", 0.0, "edges 5 is not a sequence"),
+            (2, [(0, 1)], "degree", 0.0, "edge (0, 1) is not a (u, v, w) or (u, v, w, sigma) tuple of numbers"),
+            (2, [5], "degree", 0.0, "edge 5 is not a (u, v, w) or (u, v, w, sigma) tuple of numbers"),
+            (2, [(0, 1, 1.0)], "unit", np.array("0.5"), "kappa np.str_('0.5') is not a number"),
+        ],
+    )
+    def test_build_names_a_field_of_the_wrong_shape(self, n, edges, mu, kappa, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeightedGraph.build(n, edges, mu=mu, kappa=kappa)
+
+    @pytest.mark.parametrize("key", ["edges", "mu", "kappa"])
+    def test_constructor_names_a_field_that_is_not_a_sequence(self, key):
+        g = WeightedGraph.build(2, [(0, 1, 1.0)], mu="unit")
+        for value in (5.0, np.array(0.5)):
+            for make in (
+                lambda: WeightedGraph(**{"n": 2, "edges": (), "mu": (1.0, 1.0), "kappa": (0.0, 0.0), key: value}),
+                lambda: dataclasses.replace(g, **{key: value}),
+            ):
+                with pytest.raises(InvalidGraphError) as exc:
+                    make()
+                assert exc.value.problems == (f"{key} {value!r} is not a sequence",)
+
     def test_constructor_refuses_a_string_vertex_count(self):
         with pytest.raises(ValueError, match="^vertex count '2' is not an integer$"):
             WeightedGraph(n="2", edges=(Edge(0, 1, 1.0),), mu=(1.0, 1.0), kappa=(0.0, 0.0))
@@ -326,6 +354,8 @@ class TestInputBoundary:
             mu=[np.float32(1.0), 2], kappa=np.float64(0.5),
         )
         assert g == WeightedGraph.build(2, [(0, 1, 2.0, -1)], mu=[1.0, 2.0], kappa=0.5)
+        # A 0-d array is a scalar, like np.float64, so it is broadcast.
+        assert WeightedGraph.build(2, [(0, 1, 1.0)], kappa=np.array(0.5)).kappa == (0.5, 0.5)
 
     def test_vertex_count_bounded_by_edges(self):
         with pytest.raises(GraphFormatError, match="twice the edge count"):
@@ -633,6 +663,33 @@ class TestSerialization:
         with pytest.raises(GraphFormatError, match=r"^non-finite weight on edge \(0,1\)$"):
             load_graph(str(path))
 
+    @pytest.mark.parametrize(
+        "n, edges, mu, kappa, message",
+        [
+            (3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0], None, "mu has length 2, expected 3"),
+            (3, [(0, 1, 1.0), (1, 2, 1.0)], None, [0.0, 0.5], "kappa has length 2, expected 3"),
+            (5, [(0, 1, 1.0), (1, 2, 1.0)], None, None,
+             "n = 5 exceeds twice the edge count (2), so some vertex would be isolated"),
+            (2, [(0, 0, 1.0), (0, 1, 1.0)], None, None, "self-loop at vertex 0"),
+            (2, [(0, 1, 1.0), (1, 0, 2.0)], None, None, "duplicate edge (0,1)"),
+            (2, [(0, 1, math.nan)], [1.0, 1.0], None, "non-finite weight on edge (0,1)"),
+            (3, [(0, 1, 1.0, 2), (1, 2, 1.0)], None, [0.0, 0.0, 0.0],
+             "sigma 2 on edge (0,1) must be the int +1 or -1"),
+        ],
+    )
+    def test_one_message_per_fault_in_either_format(self, n, edges, mu, kappa, message):
+        # Both readers hand their fields to one checked core.
+        text = f"n {n} mu " + ("degree" if mu is None else " ".join(map(repr, mu)))
+        if kappa is not None:
+            text += " kappa " + " ".join(map(repr, kappa))
+        text += "".join("\n" + " ".join(map(repr, e)) for e in edges) + "\n"
+        data = {"n": n, "edges": [dict(zip(("u", "v", "w", "sigma"), e)) for e in edges]}
+        data.update({key: value for key, value in (("mu", mu), ("kappa", kappa)) if value is not None})
+        for source in (text, json.dumps(data)):
+            with pytest.raises(GraphFormatError) as err:
+                loads_graph(source)
+            assert str(err.value) == message
+
     def test_validation_problems_joined(self):
         with pytest.raises(GraphFormatError) as err:
             from_json_dict({"n": 3, "edges": [{"u": 0, "v": 1, "w": -1}, {"u": 1, "v": 1, "w": 1}]})
@@ -651,13 +708,14 @@ finite = st.floats(-1e300, 1e300)
 
 @st.composite
 def full_graphs(draw):
-    """Graphs with every field nontrivial: weights, signs, mu and kappa."""
+    """Graphs with every field drawn: weights, signs, mu (a list, "unit" or
+    "degree") and kappa (zero or a list)."""
     n = draw(st.integers(2, 8))
     seed = draw(st.integers(0, 2**32 - 1))
     g = generate("random_connected", n, seed, p=0.4)
     g = with_random_signature(g, seed)
-    mu = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
-    kappa = draw(st.lists(finite, min_size=n, max_size=n))
+    mu = draw(st.sampled_from(["unit", "degree"]) | st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    kappa = draw(st.just(0.0) | st.lists(finite, min_size=n, max_size=n))
     return WeightedGraph.build(n, g.edges, mu=mu, kappa=kappa)
 
 
@@ -670,4 +728,4 @@ class TestRoundTripProperties:
     @given(full_graphs())
     @settings(max_examples=50, deadline=None)
     def test_edge_list(self, g):
-        assert loads_graph(format_graph_text(g)) == g
+        assert loads_graph(format_graph_text(g)) == loads_graph(dumps_graph(g)) == g
