@@ -110,20 +110,22 @@ class WeightedGraph:
         numbers; a string or a bool (numpy's too) is neither, and raises
         ValueError naming the field.  So does an `edges`, `mu` or `kappa`
         that is not a sequence (a number, say), and an edge that is not a
-        (u, v, w) or (u, v, w, sigma) tuple of numbers raises ValueError
-        naming the edge.  Semantic problems (self-loops, bad weights, ...)
-        raise InvalidGraphError from the constructor.
+        (u, v, w) or (u, v, w, sigma) tuple of numbers (too short or too
+        long) raises ValueError naming the edge.  Semantic problems
+        (self-loops, bad weights, ...) raise InvalidGraphError from the
+        constructor.
         """
         n = _integer(n, "vertex count")
         norm = []
+        shape = "(u, v, w) or (u, v, w, sigma) tuple of numbers"
         for e in _sequence(edges, "edges"):
             try:
-                u, v = _integer(e[0], "vertex id"), _integer(e[1], "vertex id")
-                w = _real(e[2], "weight")
-                sigma = _integer(e[3], "sigma") if len(e) > 3 else 1
-            except (IndexError, TypeError):
-                shape = "(u, v, w) or (u, v, w, sigma) tuple of numbers"
+                u, v, w, sigma = e if len(e) == 4 else (*e, 1)
+            except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a {shape}") from None
+            u, v = _integer(u, "vertex id"), _integer(v, "vertex id")
+            w = _real(w, "weight")
+            sigma = _integer(sigma, "sigma")
             if v < u:
                 u, v = v, u
             norm.append(Edge(u, v, w, sigma))
@@ -701,8 +703,9 @@ def _checked_graph(n, us: list, vs: list, ws: list, sigmas: list, mu, kappa) -> 
 
     Raises ValueError naming the first value that is not a JSON integer
     or number, which only JSON can give, and GraphFormatError for every
-    other fault, in either format: n beyond twice the edge count, or an
-    invalid graph (its problems joined by "; ").
+    other fault, in either format: n beyond twice the edge count, an
+    unknown measure token, or an invalid graph (its problems joined by
+    "; ").
     """
     _check_json([n], "n", True)
     _check_json(us, "edge {} vertex id", True)
@@ -725,13 +728,23 @@ def _checked_graph(n, us: list, vs: list, ws: list, sigmas: list, mu, kappa) -> 
         return WeightedGraph.build(n, zip(us, vs, ws, sigmas), mu=mu, kappa=kappa)
     except InvalidGraphError as exc:
         raise GraphFormatError("; ".join(exc.problems)) from exc
+    except ValueError as exc:  # the checked fields leave only an unknown measure token
+        raise GraphFormatError(str(exc)) from exc
+
+
+_GRAPH_KEYS = frozenset(("n", "edges", "mu", "kappa"))
+_EDGE_KEYS = frozenset(("u", "v", "w", "sigma"))
 
 
 def from_json_dict(data: dict) -> WeightedGraph:
     """Graph from its JSON form; raises GraphFormatError if the data is
     malformed ("malformed graph JSON: ..." for a wrong shape or value
-    type) or the graph is invalid (see :func:`_checked_graph`)."""
+    type, or a key other than n, edges, mu and kappa, or u, v, w and
+    sigma in an edge) or the graph is invalid (see :func:`_checked_graph`)."""
     try:
+        if not data.keys() <= _GRAPH_KEYS:
+            key = next(key for key in data if key not in _GRAPH_KEYS)
+            raise ValueError(f'unknown key "{key}"')
         n = data["n"]
         raw = data["edges"]
         if type(raw) is not list:
@@ -739,6 +752,9 @@ def from_json_dict(data: dict) -> WeightedGraph:
         if not set(map(type, raw)) <= {dict}:
             i = next(i for i, e in enumerate(raw) if type(e) is not dict)
             raise ValueError(f"edge {i} must be an object with u, v and w")
+        if not set().union(*raw) <= _EDGE_KEYS:
+            i, key = next((i, key) for i, e in enumerate(raw) for key in e if key not in _EDGE_KEYS)
+            raise ValueError(f'edge {i} has unknown key "{key}"')
         us, vs, ws = (_edge_column(raw, key) for key in ("u", "v", "w"))
         sigmas = [e.get("sigma", 1) for e in raw]
         mu = data.get("mu", "degree")
@@ -747,30 +763,33 @@ def from_json_dict(data: dict) -> WeightedGraph:
         return _checked_graph(n, us, vs, ws, sigmas, mu, data.get("kappa", 0.0))
     except GraphFormatError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
-    """Edge-list form: header `n <int> mu <degree|v0 v1 ...> [kappa v0 v1 ...]`,
-    then `u v w [sigma]` lines.  kappa defaults to 0.  Raises
-    GraphFormatError if the text is malformed or the graph is invalid (see
-    :func:`_checked_graph`)."""
+    """Edge-list form: header `n <int> mu <token|v0 v1 ...> [kappa v0 v1 ...]`,
+    then `u v w [sigma]` lines, where a single mu entry that is not a
+    number is a measure token ("degree" or "unit", as in JSON).  kappa
+    defaults to 0.  Raises GraphFormatError if the text is malformed or
+    the graph is invalid (see :func:`_checked_graph`)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
     header = lines[0].split()
     if len(header) < 4 or header[0] != "n" or header[2] != "mu":
-        raise GraphFormatError("header must read: n <int> mu <degree|list> [kappa <list>]")
-    mu_tokens = header[3:]
-    kappa_tokens = None
-    if "kappa" in mu_tokens:
-        at = mu_tokens.index("kappa")
-        mu_tokens, kappa_tokens = mu_tokens[:at], mu_tokens[at + 1 :]
+        raise GraphFormatError("header must read: n <int> mu <degree|unit|list> [kappa <list>]")
+    at = header.index("kappa") if "kappa" in header else len(header)
+    mu_tokens = header[3:at]
     try:
         n = int(header[1])
-        mu = "degree" if mu_tokens == ["degree"] else [float(x) for x in mu_tokens]
-        kappa = 0.0 if kappa_tokens is None else [float(x) for x in kappa_tokens]
+        try:
+            mu = [float(x) for x in mu_tokens]
+        except ValueError:
+            if len(mu_tokens) != 1:
+                raise
+            mu = mu_tokens[0]  # a measure token, which the checked core resolves
+        kappa = 0.0 if at == len(header) else [float(x) for x in header[at + 1 :]]
     except ValueError as exc:
         raise GraphFormatError(f"bad header: {exc}") from exc
     columns = ([], [], [], [])

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from cheegerlab import EigenOptions, JacobiConvergenceError, WeightedGraph
+from cheegerlab import JacobiConvergenceError, WeightedGraph
 from cheegerlab.cheeger import PartitionCertificate, _parts_from_masks, _phi_array, beta_signed, conductance
 from cheegerlab.graph import GraphClassification
 from cheegerlab.nodal import NodalDecomposition, _component_labels
@@ -489,14 +489,25 @@ def beta_split_tables(g: WeightedGraph) -> tuple[list[float], list[int]]:
 # numpy Jacobi rotation loop: the bit-for-bit reference for the values of
 # spectral.eig_sym, and an independent reference for the LAPACK eigenfunctions
 
+def _loop_norm(entries: np.ndarray) -> float:
+    """Euclidean norm of `entries`: the square root of the exactly rounded
+    sum of their squares, inf when that sum overflows."""
+    try:
+        return math.sqrt(math.fsum((entries * entries).ravel().tolist()))
+    except OverflowError:
+        return math.inf
+
+
 def _loop_off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    return _loop_norm(a[~np.eye(len(a), dtype=bool)])
 
 
-def loop_eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
+def loop_eig_sym(m: np.ndarray, max_sweeps: int = 64, off_diag_tol: float = 1e-12):
     """Cyclic Jacobi with each rotation applied to numpy column slices p, q
-    and then to row slices p, q.  Raises AssertionError if a rotation ever
+    and then to row slices p, q.  Before each sweep it stops once the
+    off-diagonal norm is at most `off_diag_tol` times the input's
+    Frobenius norm, and after `max_sweeps` sweeps it raises
+    JacobiConvergenceError.  Raises AssertionError if a rotation ever
     leaves the iterate not exactly symmetric, the invariant the row-list
     solver in the library relies on."""
     a = np.array(m, dtype=float)
@@ -506,10 +517,10 @@ def loop_eig_sym(m: np.ndarray, opts: EigenOptions = EigenOptions()):
         raise ValueError("matrix must be symmetric")
     n = a.shape[0]
     v = np.eye(n)
-    threshold = opts.off_diag_tol * float(np.linalg.norm(a))
+    threshold = off_diag_tol * _loop_norm(a)
     converged = n < 2
     sweeps = 0
-    while not converged and sweeps < opts.max_sweeps:
+    while not converged and sweeps < max_sweeps:
         if _loop_off_norm(a) <= threshold:
             converged = True
             break

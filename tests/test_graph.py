@@ -262,6 +262,10 @@ class TestInputBoundary:
             ({"mu": 5}, "mu must be a string or a list"),
             ({"edges": {"u": 0}}, "edges must be a list of edge objects"),
             ({"edges": [[0, 1, 1]]}, "edge 0 must be an object with u, v and w"),
+            # A misspelled key is named, not loaded as the field's default.
+            ({"kapa": [5, 5, 5]}, 'unknown key "kapa"'),
+            ({"edges": [{"u": 0, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": 1, "sgima": -1}]},
+             'edge 1 has unknown key "sgima"'),
         ],
     )
     def test_json_types_are_not_coerced(self, patch, message):
@@ -326,6 +330,9 @@ class TestInputBoundary:
             (2, [(0, 1)], "degree", 0.0, "edge (0, 1) is not a (u, v, w) or (u, v, w, sigma) tuple of numbers"),
             (2, [5], "degree", 0.0, "edge 5 is not a (u, v, w) or (u, v, w, sigma) tuple of numbers"),
             (2, [(0, 1, 1.0)], "unit", np.array("0.5"), "kappa np.str_('0.5') is not a number"),
+            # A fifth entry is refused like a missing third, not dropped.
+            (2, [(0, 1, 1.0, 1, 99)], "degree", 0.0,
+             "edge (0, 1, 1.0, 1, 99) is not a (u, v, w) or (u, v, w, sigma) tuple of numbers"),
         ],
     )
     def test_build_names_a_field_of_the_wrong_shape(self, n, edges, mu, kappa, message):
@@ -611,6 +618,9 @@ class TestSerialization:
     def test_malformed_json(self):
         with pytest.raises(GraphFormatError):
             loads_graph("{not json")
+        for data in ([], None, "n"):
+            with pytest.raises(GraphFormatError, match="^malformed graph JSON: "):
+                from_json_dict(data)
 
     def test_malformed_header(self):
         with pytest.raises(GraphFormatError):
@@ -675,11 +685,15 @@ class TestSerialization:
             (2, [(0, 1, math.nan)], [1.0, 1.0], None, "non-finite weight on edge (0,1)"),
             (3, [(0, 1, 1.0, 2), (1, 2, 1.0)], None, [0.0, 0.0, 0.0],
              "sigma 2 on edge (0,1) must be the int +1 or -1"),
+            (3, [(0, 1, 1.0), (1, 2, 1.0)], "bogus", None, "unknown measure token 'bogus'"),
         ],
     )
     def test_one_message_per_fault_in_either_format(self, n, edges, mu, kappa, message):
         # Both readers hand their fields to one checked core.
-        text = f"n {n} mu " + ("degree" if mu is None else " ".join(map(repr, mu)))
+        if mu is None or isinstance(mu, str):
+            text = f"n {n} mu {mu or 'degree'}"
+        else:
+            text = f"n {n} mu " + " ".join(map(repr, mu))
         if kappa is not None:
             text += " kappa " + " ".join(map(repr, kappa))
         text += "".join("\n" + " ".join(map(repr, e)) for e in edges) + "\n"
@@ -689,6 +703,12 @@ class TestSerialization:
             with pytest.raises(GraphFormatError) as err:
                 loads_graph(source)
             assert str(err.value) == message
+
+    def test_text_measure_token_loads_like_json(self):
+        g = parse_graph_text("n 3 mu unit\n0 1 2.0\n1 2 0.5 -1\n")
+        edges = [{"u": 0, "v": 1, "w": 2.0}, {"u": 1, "v": 2, "w": 0.5, "sigma": -1}]
+        assert g == from_json_dict({"n": 3, "mu": "unit", "edges": edges})
+        assert g.mu == (1.0, 1.0, 1.0)
 
     def test_validation_problems_joined(self):
         with pytest.raises(GraphFormatError) as err:
