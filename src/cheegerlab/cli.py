@@ -163,6 +163,8 @@ def cmd_verify(args) -> int:
             if args.with_graph is None:
                 raise GraphFormatError("--checks product needs --with-graph FILE (and --product-k)")
             g2 = load_graph(args.with_graph)
+            if not 1 <= args.product_k < g.n:
+                raise GraphFormatError(f"--product-k must be in [1, {g.n - 1}], got {args.product_k}")
         rows, errors = run_checks_on_graph("graph", g, checks, args.eps, args.seed, g2, args.product_k)
         report = Report(rows=rows, errors=errors)
         report.sort()

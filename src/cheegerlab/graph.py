@@ -35,7 +35,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -474,19 +474,10 @@ def with_random_signature(g: WeightedGraph, seed: int) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # generators
 
-FAMILIES = (
-    "gn",
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "random_tree",
-    "random_connected",
-    "random_bipartite",
-)
-
-
-def _tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
+def _random_tree(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
+    """The edges of the tree on n >= 2 vertices whose Pruefer sequence is
+    n - 2 draws of rng.randint(n)."""
+    seq = [rng.randint(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -505,13 +496,65 @@ def _tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _components_of(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+def _components_of(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     """The vertex lists of the components, in order of smallest vertex."""
     labels, count = _component_labels(n, [True] * n, edges)
     comps: list[list[int]] = [[] for _ in range(count)]
     for v, lab in enumerate(labels):
         comps[lab].append(v)
     return comps
+
+
+def _tree_skeleton(n: int, rng: SplitMix64, p: float) -> list[tuple[int, int]]:
+    return sorted((min(u, v), max(u, v)) for u, v in _random_tree(rng, n))
+
+
+def _connected_skeleton(n: int, rng: SplitMix64, p: float) -> list[tuple[int, int]]:
+    skel = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p}
+    comps = _components_of(n, skel)
+    if len(comps) > 1:
+        # One edge per edge of a random tree over the components connects them.
+        for ci, cj in _random_tree(rng, len(comps)):
+            u = comps[ci][rng.randint(len(comps[ci]))]
+            v = comps[cj][rng.randint(len(comps[cj]))]
+            skel.add((min(u, v), max(u, v)))
+    return sorted(skel)
+
+
+def _bipartite_skeleton(n: int, rng: SplitMix64, p: float) -> list[tuple[int, int]]:
+    left = (n + 1) // 2
+    skel = {(i, j) for i in range(left) for j in range(left, n) if rng.uniform() < p}
+    touched = [False] * n
+    for u, v in skel:
+        touched[u] = touched[v] = True
+    for v in range(n):
+        if not touched[v]:
+            u = left + rng.randint(n - left) if v < left else rng.randint(left)
+            skel.add((min(u, v), max(u, v)))
+            touched[u] = touched[v] = True
+    return sorted(skel)
+
+
+class _Family(NamedTuple):
+    min_n: int
+    random: bool  # draws its skeleton from the seed; weights default to [0.5, 2.0]
+    # (n, rng, p) -> the vertex pairs, in weight-draw order; gn has none.
+    skeleton: Callable[[int, SplitMix64, float], list[tuple[int, int]]] | None
+
+
+_FAMILIES = {
+    "gn": _Family(3, False, None),
+    "path": _Family(2, False, lambda n, rng, p: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": _Family(3, False, lambda n, rng, p: [(i, (i + 1) % n) for i in range(n)]),
+    "star": _Family(2, False, lambda n, rng, p: [(0, i) for i in range(1, n)]),
+    "complete": _Family(
+        2, False, lambda n, rng, p: [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ),
+    "random_tree": _Family(2, True, _tree_skeleton),
+    "random_connected": _Family(2, True, _connected_skeleton),
+    "random_bipartite": _Family(2, True, _bipartite_skeleton),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def generate(
@@ -533,18 +576,22 @@ def generate(
     unit edge {0,2n}, plus a pendant vertex 2n+1 attached to n by a unit
     edge.  Measure defaults to the weighted degree and kappa to 0.
 
-    Random families draw edge weights uniformly from [w_low, w_high]
-    (default [0.5, 2.0]); deterministic families use unit weights unless a
-    range is given.  `random_tree` and `random_connected` always return
-    connected graphs; `random_bipartite` is 2-colorable with no isolated
-    vertices.
+    Every other family is one row of a table: its least n, whether it is
+    random, and its skeleton, the vertex pairs it joins.  Each pair gets a
+    weight drawn uniformly from [w_low, w_high], in skeleton order after
+    the skeleton's own draws; random families default to [0.5, 2.0], the
+    deterministic ones to unit weights.  `random_tree` and
+    `random_connected` always return connected graphs; `random_bipartite`
+    is 2-colorable with no isolated vertices.
 
     `w_low`, `w_high` and `a` must be finite and > 0, `p` finite in
-    [0, 1]; a bad one, or a `gn` weight a^(n-1) that overflows, raises
-    ValueError naming it.  Building the graph checks it too: an explicit
-    `mu` of the wrong length, say, raises ValueError "invalid graph: ...".
+    [0, 1]; a bad one, an n below the family's least, or a `gn` weight
+    a^(n-1) that overflows, raises ValueError naming it.  Building the
+    graph checks it too: an explicit `mu` of the wrong length, say, raises
+    ValueError "invalid graph: ...".
     """
-    if family not in FAMILIES:
+    row = _FAMILIES.get(family)
+    if row is None:
         raise ValueError(f"unknown family {family!r}")
     for name, value in (("w_low", w_low), ("w_high", w_high), ("a", a)):
         if value is not None and not 0 < value < math.inf:
@@ -552,109 +599,29 @@ def generate(
     if not 0 <= p <= 1:
         raise ValueError(f"p must be a finite number in [0, 1], got {p!r}")
     rng = SplitMix64(seed)
-    random_family = family.startswith("random_")
     if w_low is None and w_high is None:
-        lo, hi = (0.5, 2.0) if random_family else (1.0, 1.0)
+        lo, hi = (0.5, 2.0) if row.random else (1.0, 1.0)
     else:
         lo = 1.0 if w_low is None else float(w_low)
         hi = lo if w_high is None else float(w_high)
     if hi < lo:
         raise ValueError("w_high must be >= w_low")
-
-    def draw_w() -> float:
-        return lo if hi == lo else lo + (hi - lo) * rng.uniform()
-
-    if family == "gn":
-        if n < 3:
-            raise ValueError("gn family requires n >= 3")
-        nv = 2 * n + 2
+    if n < row.min_n:
+        # gn's n is the family parameter, not the vertex count.
+        raise ValueError(f"{'gn family' if family == 'gn' else family} requires n >= {row.min_n}")
+    if row.skeleton is None:
         # A float a^(n-1) overflows in **, an int one in build's float().
         try:
             edges = [(i, i + 1, a ** min(i, 2 * n - 1 - i)) for i in range(2 * n)]
-            edges.append((0, 2 * n, 1.0))
-            edges.append((n, 2 * n + 1, 1.0))
-            return WeightedGraph.build(nv, edges, mu=mu)
+            edges += [(0, 2 * n, 1.0), (n, 2 * n + 1, 1.0)]
+            return WeightedGraph.build(2 * n + 2, edges, mu=mu)
         except OverflowError:
             raise ValueError(f"a = {a!r} makes the gn weight a^{n - 1} overflow") from None
-
-    if family == "path":
-        if n < 2:
-            raise ValueError("path requires n >= 2")
-        vb = [(i, i + 1, draw_w()) for i in range(n - 1)]
-        return WeightedGraph.build(n, vb, mu=mu)
-
-    if family == "cycle":
-        if n < 3:
-            raise ValueError("cycle requires n >= 3")
-        vb = [(i, (i + 1) % n, draw_w()) for i in range(n)]
-        return WeightedGraph.build(n, vb, mu=mu)
-
-    if family == "star":
-        if n < 2:
-            raise ValueError("star requires n >= 2")
-        vb = [(0, i, draw_w()) for i in range(1, n)]
-        return WeightedGraph.build(n, vb, mu=mu)
-
-    if family == "complete":
-        if n < 2:
-            raise ValueError("complete requires n >= 2")
-        vb = [(i, j, draw_w()) for i in range(n) for j in range(i + 1, n)]
-        return WeightedGraph.build(n, vb, mu=mu)
-
-    if family == "random_tree":
-        if n < 2:
-            raise ValueError("random_tree requires n >= 2")
-        if n == 2:
-            skeleton = [(0, 1)]
-        else:
-            seq = [rng.randint(n) for _ in range(n - 2)]
-            skeleton = _tree_from_pruefer(seq, n)
-        skeleton = sorted((min(u, v), max(u, v)) for u, v in skeleton)
-        return WeightedGraph.build(n, [(u, v, draw_w()) for u, v in skeleton], mu=mu)
-
-    if family == "random_connected":
-        if n < 2:
-            raise ValueError("random_connected requires n >= 2")
-        skel = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p}
-        comps = _components_of(n, sorted(skel))
-        while len(comps) > 1:
-            c = len(comps)
-            if c == 2:
-                super_edges = [(0, 1)]
-            else:
-                seq = [rng.randint(c) for _ in range(c - 2)]
-                super_edges = _tree_from_pruefer(seq, c)
-            for ci, cj in super_edges:
-                u = comps[ci][rng.randint(len(comps[ci]))]
-                v = comps[cj][rng.randint(len(comps[cj]))]
-                skel.add((min(u, v), max(u, v)))
-            comps = _components_of(n, sorted(skel))
-        return WeightedGraph.build(n, [(u, v, draw_w()) for u, v in sorted(skel)], mu=mu)
-
-    if family == "random_bipartite":
-        if n < 2:
-            raise ValueError("random_bipartite requires n >= 2")
-        left = (n + 1) // 2
-        skel = {
-            (i, j) for i in range(left) for j in range(left, n) if rng.uniform() < p
-        }
-        touched = [False] * n
-        for u, v in skel:
-            touched[u] = touched[v] = True
-        for v in range(n):
-            if not touched[v]:
-                if v < left:
-                    u = left + rng.randint(n - left)
-                    skel.add((v, u))
-                    touched[u] = True
-                else:
-                    u = rng.randint(left)
-                    skel.add((u, v))
-                    touched[u] = True
-                touched[v] = True
-        return WeightedGraph.build(n, [(u, v, draw_w()) for u, v in sorted(skel)], mu=mu)
-
-    raise AssertionError("unreachable")
+    edges = [
+        (u, v, lo if hi == lo else lo + (hi - lo) * rng.uniform())
+        for u, v in row.skeleton(n, rng, p)
+    ]
+    return WeightedGraph.build(n, edges, mu=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,7 @@ class TestSolveCount:
         # is signed and builds its weighted degrees, Laplacian,
         # classification and degree profile once (asked per call, the sign
         # test ran 30 times and the degrees 6), and each eigenfunction's
-        # domains are labelled once: 14 component labellings (2 in the
+        # domains are labelled once: 13 component labellings (1 in the
         # generator, 2 classifications, 10 strong labellings that the weak
         # counts and the sweeps share), where deriving them per check took 36.
         labellings = []
@@ -531,7 +531,7 @@ class TestSolveCount:
         code = main(["verify", "--corpus", json.dumps(cfg), "--checks", ",".join(self.CHECKS)])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["summary"]["holds"] == report["summary"]["records"]
-        assert len(labellings) == 14
+        assert len(labellings) == 13
         (_, g), = bounds.corpus_instances(CorpusConfig(**cfg))
         for graphs in built.values():
             assert len(graphs) == 2 and graphs[0] is not graphs[1]

@@ -515,6 +515,23 @@ class TestVerify:
         recs = [r for r in data["records"] if r["name"] == "product"]
         assert len(recs) == 1 and recs[0]["holds"]
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_product_k_checked_before_solving(self, tmp_path, capsys, monkeypatch, k):
+        def no_check(*args):
+            raise AssertionError("the checks ran before the --product-k check")
+
+        monkeypatch.setattr(cheegerlab.cli, "run_checks_on_graph", no_check)
+        p3 = tmp_path / "p3.json"
+        k2 = tmp_path / "k2.json"
+        main(["gen", "--family", "path", "--n", "3", "--mu", "unit", "-o", str(p3)])
+        k2.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.1}], "mu": [1, 1]}))
+        code, out, err = run_cli(
+            ["verify", str(p3), "--checks", "product", "--with-graph", str(k2), "--product-k", str(k)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --product-k must be in [1, 2], got {k}\n"
+
     def test_product_check_on_a_20_vertex_product(self, tmp_path, capsys):
         # The product's full profile is beyond the work policy; the check
         # reads rho_2 only, which is within it.

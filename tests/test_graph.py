@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -536,7 +537,88 @@ class TestProduct:
         assert g.m == n1 * g2.m + n2 * g1.m
 
 
+# generate(family, n, seed, **kwargs) -> the first 16 hex digits of the sha256
+# of dumps_graph, or the error's type and message.  Every corpus, and the
+# benchmark's expected outputs, are built from generated graphs, so a change
+# to the generators must leave these bytes and errors as they are.  Each
+# family has its least n and one below it.
+_PINNED_GENERATION = [
+    ('gn', 3, 0, {}, '96c24bc1b9a0f291'),
+    ('gn', 7, 1, {}, 'd836b3c06bd80b87'),
+    ('gn', 9, 2, {'p': 0.15}, '7a67901564d43798'),
+    ('gn', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, '5678f9501c412cbc'),
+    ('gn', 6, 4, {'mu': 'unit'}, '82ce673e5dcd1ce4'),
+    ('gn', 5, 5, {'w_low': 2.0}, 'e2fa18db03735d20'),
+    ('gn', 2, 0, {}, 'ValueError: gn family requires n >= 3'),
+    ('path', 2, 0, {}, 'c9c524c4e3c14326'),
+    ('path', 7, 1, {}, 'd77a29f8540322ba'),
+    ('path', 9, 2, {'p': 0.15}, '2e06fde8d29389ff'),
+    ('path', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, 'a1c05bd4b3741985'),
+    ('path', 6, 4, {'mu': 'unit'}, 'c6d95573890dfc18'),
+    ('path', 5, 5, {'w_low': 2.0}, '5f96c57f79004241'),
+    ('path', 1, 0, {}, 'ValueError: path requires n >= 2'),
+    ('cycle', 3, 0, {}, 'cf9823c7b18975e4'),
+    ('cycle', 7, 1, {}, 'f27c9a1b1d4032b4'),
+    ('cycle', 9, 2, {'p': 0.15}, 'efd18c04ac89562a'),
+    ('cycle', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, 'd2988facb4264131'),
+    ('cycle', 6, 4, {'mu': 'unit'}, '9c6073c9dd1fe841'),
+    ('cycle', 5, 5, {'w_low': 2.0}, '7f2bf2f0b029dc5c'),
+    ('cycle', 2, 0, {}, 'ValueError: cycle requires n >= 3'),
+    ('star', 2, 0, {}, 'c9c524c4e3c14326'),
+    ('star', 7, 1, {}, '4a5ce96f177c40aa'),
+    ('star', 9, 2, {'p': 0.15}, 'd41bf5a1fe574054'),
+    ('star', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, 'fc9cb1a9ef6f301b'),
+    ('star', 6, 4, {'mu': 'unit'}, '3c597a50c44e832b'),
+    ('star', 5, 5, {'w_low': 2.0}, '6407369aa2bc190f'),
+    ('star', 1, 0, {}, 'ValueError: star requires n >= 2'),
+    ('complete', 2, 0, {}, 'c9c524c4e3c14326'),
+    ('complete', 7, 1, {}, '7b1fbb80b7f6924b'),
+    ('complete', 9, 2, {'p': 0.15}, '6fa3c20b2eb84017'),
+    ('complete', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, '684a2b5e4f4540cc'),
+    ('complete', 6, 4, {'mu': 'unit'}, 'e88be2f6f61c28b2'),
+    ('complete', 5, 5, {'w_low': 2.0}, '20a9f0610366cf20'),
+    ('complete', 1, 0, {}, 'ValueError: complete requires n >= 2'),
+    ('random_tree', 2, 0, {}, '7077f6691ed9b89f'),
+    ('random_tree', 7, 1, {}, '97f1b98c919d6bb5'),
+    ('random_tree', 9, 2, {'p': 0.15}, '0db6e870374de68b'),
+    ('random_tree', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, '5da699975c89cdb5'),
+    ('random_tree', 6, 4, {'mu': 'unit'}, 'a6b4a00f73efd20a'),
+    ('random_tree', 5, 5, {'w_low': 2.0}, 'ff4b297a147eb396'),
+    ('random_tree', 1, 0, {}, 'ValueError: random_tree requires n >= 2'),
+    ('random_connected', 2, 0, {}, 'da240f5be0746a32'),
+    ('random_connected', 7, 1, {}, '0b2fa9acbcb53f81'),
+    ('random_connected', 9, 2, {'p': 0.15}, '68e9273da7fcaf0c'),
+    ('random_connected', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, '8c21c1ac200172d6'),
+    ('random_connected', 6, 4, {'mu': 'unit'}, 'bfc768fb9e2884cb'),
+    ('random_connected', 5, 5, {'w_low': 2.0}, '5c46dded6f978c69'),
+    ('random_connected', 1, 0, {}, 'ValueError: random_connected requires n >= 2'),
+    ('random_bipartite', 2, 0, {}, 'e20ffda9c07073d9'),
+    ('random_bipartite', 7, 1, {}, 'bbb38fe530611291'),
+    ('random_bipartite', 9, 2, {'p': 0.15}, '5278d2682b552ef0'),
+    ('random_bipartite', 8, 3, {'p': 0.8, 'w_low': 0.3, 'w_high': 3.0}, 'a5845ccb6cd52e24'),
+    ('random_bipartite', 6, 4, {'mu': 'unit'}, 'e7391c7b54edec48'),
+    ('random_bipartite', 5, 5, {'w_low': 2.0}, 'ca738f670393a2a7'),
+    ('random_bipartite', 1, 0, {}, 'ValueError: random_bipartite requires n >= 2'),
+    ('gn', 4, 0, {'a': 1e+200}, 'ValueError: a = 1e+200 makes the gn weight a^3 overflow'),
+    ('petersen', 10, 0, {}, "ValueError: unknown family 'petersen'"),
+    ('path', 4, 0, {'p': 1.5}, 'ValueError: p must be a finite number in [0, 1], got 1.5'),
+    ('star', 4, 0, {'w_low': 2.0, 'w_high': 1.0}, 'ValueError: w_high must be >= w_low'),
+]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("family, n, seed, kwargs, pinned", _PINNED_GENERATION)
+    def test_generation_is_pinned(self, family, n, seed, kwargs, pinned):
+        try:
+            text = dumps_graph(generate(family, n, seed, **kwargs))
+            got = hashlib.sha256(text.encode()).hexdigest()[:16]
+        except ValueError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == pinned
+
+    def test_every_family_is_pinned(self):
+        assert {row[0] for row in _PINNED_GENERATION} >= set(graph.FAMILIES)
+
     def test_gn3_matches_figure(self):
         g = generate("gn", 3, a=1.1)
         weights = {(e.u, e.v): e.w for e in g.edges}
