@@ -22,8 +22,12 @@ from .cheeger import (
 from .graph import (
     WeightedGraph,
     _FAMILIES,
+    _GENERATOR_RULES,
+    _MEASURES,
     _derived,
+    _is_finite_number,
     _is_int,
+    _weight_range,
     classify,
     cyclomatic,
     degree_profile,
@@ -154,32 +158,31 @@ def _perturbed_instance(g: WeightedGraph, eps: float, seed: int) -> WeightedGrap
     return gp
 
 
-def _full_profile(g: WeightedGraph) -> tuple[PartitionCertificate, ...]:
-    """The full exact profile of g, signed if g is, held with g; () when
-    the work policy refuses it (the refusal is held too)."""
-    return _derived(g, "profile", _solve_full_profile)
-
-
-def _solve_full_profile(g: WeightedGraph) -> tuple[PartitionCertificate, ...]:
-    signed = g.is_signed()
-    if not _dp_admits(g.n, g.m, g.n, signed):
-        return ()
-    return rho_signed_profile(g) if signed else rho_profile(g)
-
-
 def _rho_all(g: WeightedGraph, kmax: int) -> tuple[PartitionCertificate, ...]:
     """Exact certificates for k = 1..kmax, signed if the graph is.
 
-    Sliced from the held full profile, which serves every check of the
-    instance.  Where the work policy refuses the full profile, the engine
-    is asked for kmax alone (not held); a request beyond the policy raises
-    ValueError before any table is built, which the caller reports as a
-    per-instance error.
+    Sliced from g's full exact profile, held with g, which serves every
+    check of the instance.  Where the work policy refuses the full profile
+    (the refusal is held too, as ()), the engine is asked for kmax alone
+    (not held); a request beyond the policy raises ValueError before any
+    table is built, which the caller reports as a per-instance error.
     """
-    profile = _full_profile(g)
-    if profile:
-        return profile[:kmax]
-    return rho_signed_profile(g, kmax) if g.is_signed() else rho_profile(g, kmax)
+    signed = g.is_signed()
+    engine = rho_signed_profile if signed else rho_profile
+    profile = _derived(g, "profile", lambda h: engine(h) if _dp_admits(h.n, h.m, h.n, signed) else ())
+    return profile[:kmax] if profile else engine(g, kmax)
+
+
+def _upper_record(
+    name: str, k: int, cert: PartitionCertificate, tau: float, lam: float, meta: dict
+) -> CheckRecord:
+    """The record rho_j <= sqrt(2 tau lambda_k) of the three upper bounds
+    (the shifted theorem, the nodal-Cheeger lemma, the product theorem):
+    cert is rho_j's certificate and lam the clamped lambda_k.  Its meta is
+    the certificate's JSON, the record's own keys, then tau, which is in
+    key order since every own key sorts between the two."""
+    meta = {"certificate": cert.to_json_dict(), **meta, "tau": tau}
+    return CheckRecord.compare(name, k, cert.value, math.sqrt(2.0 * tau * lam), meta)
 
 
 def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
@@ -203,25 +206,9 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     name = "main_signed" if signed else "main"
     records = []
     for k in range(ell + 1, g.n + 1):
-        j = k - ell
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
-        rhs = math.sqrt(2.0 * tau * lam)
-        cert = profile[j - 1]
-        records.append(
-            CheckRecord.compare(
-                name,
-                k,
-                cert.value,
-                rhs,
-                meta={
-                    "certificate": cert.to_json_dict(),
-                    "ell": ell,
-                    "j": j,
-                    "lambda_k": lam,
-                    "tau": tau,
-                },
-            )
-        )
+        meta = {"ell": ell, "j": k - ell, "lambda_k": lam}
+        records.append(_upper_record(name, k, profile[k - ell - 1], tau, lam, meta))
     return records
 
 
@@ -274,28 +261,10 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
     profile = _rho_all(h, h.n)
     records = []
     for k in range(1, h.n + 1):
-        f = spectrum.function(k)
-        sweep = rho_upper_nodal_sweep(h, f)
-        m = sweep.k
+        sweep = rho_upper_nodal_sweep(h, spectrum.function(k))
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
-        rhs = math.sqrt(2.0 * tau * lam)
-        cert = profile[m - 1]
-        records.append(
-            CheckRecord.compare(
-                "nodal_cheeger",
-                k,
-                cert.value,
-                rhs,
-                meta={
-                    "certificate": cert.to_json_dict(),
-                    "eps": eps,
-                    "lambda_k": lam,
-                    "m": m,
-                    "sweep_bound": sweep.value,
-                    "tau": tau,
-                },
-            )
-        )
+        meta = {"eps": eps, "lambda_k": lam, "m": sweep.k, "sweep_bound": sweep.value}
+        records.append(_upper_record("nodal_cheeger", k, profile[sweep.k - 1], tau, lam, meta))
     return records
 
 
@@ -390,27 +359,17 @@ def check_product_theorem(
     sp = _checked_spectrum(gp, functions=False)
     index = k * g2.n
     lam = _clamp_eigenvalue(sp.values[index - 1])
-    tau = degree_profile(gp).tau
-    sum_err = abs(sp.values[index - 1] - (s1.values[k - 1] + lam2_max))
+    meta = {
+        "eigensum_error": abs(sp.values[index - 1] - (s1.values[k - 1] + lam2_max)),
+        "eps": eps,
+        "gap": gap,
+        "k_factor": k,
+        "lambda2_max": lam2_max,
+        "lambda_index": lam,
+        "n2": g2.n,
+    }
     cert = _rho_all(gp, index)[index - 1]
-    rhs = math.sqrt(2.0 * tau * lam)
-    return CheckRecord.compare(
-        "product",
-        index,
-        cert.value,
-        rhs,
-        meta={
-            "certificate": cert.to_json_dict(),
-            "eigensum_error": sum_err,
-            "eps": eps,
-            "gap": gap,
-            "k_factor": k,
-            "lambda2_max": lam2_max,
-            "lambda_index": lam,
-            "n2": g2.n,
-            "tau": tau,
-        },
-    )
+    return _upper_record("product", index, cert, degree_profile(gp).tau, lam, meta)
 
 
 def check_basics(g: WeightedGraph) -> list[CheckRecord]:
@@ -463,30 +422,30 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _is_tuple_of(x, item) -> bool:
     return isinstance(x, tuple) and all(item(v) for v in x)
 
 
-# Field of a corpus config -> (accepts the value, what it must be).
-# Sequences are checked as tuples; lists are turned into tuples first.
+# Field of a corpus config -> (accepts the value, what it must be); p, the
+# weight bounds and a are the generator's own rules, and a family, a
+# measure name, the sizes and the weight range are checked against its
+# table, so a config generate would refuse is refused before its first
+# instance.  Sequences are checked as tuples; lists are turned into tuples
+# first.
 _CONFIG_RULES = {
-    "families": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str)),
+    "families": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str) and x in _FAMILIES),
                  "a nonempty list of family names"),
     "sizes": (lambda v: bool(v) and _is_tuple_of(v, lambda x: _is_int(x) and x >= 1),
               "a nonempty list of integers >= 1"),
     "count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "seed": (_is_int, "an integer"),
-    "eps": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
-    "p": (lambda v: _is_number(v) and 0 <= v <= 1, "a finite number in [0, 1]"),
-    "w_low": (lambda v: v is None or (_is_number(v) and v > 0), "a finite number > 0 or null"),
-    "w_high": (lambda v: v is None or (_is_number(v) and v > 0), "a finite number > 0 or null"),
-    "mu": (lambda v: isinstance(v, str) or _is_tuple_of(v, _is_number),
+    "eps": (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "p": _GENERATOR_RULES["p"],
+    "w_low": _GENERATOR_RULES["w_low"],
+    "w_high": _GENERATOR_RULES["w_high"],
+    "mu": (lambda v: v in _MEASURES if isinstance(v, str) else _is_tuple_of(v, _is_finite_number),
            "a measure name or a list of finite numbers"),
-    "a": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "a": _GENERATOR_RULES["a"],
     "signed": (lambda v: isinstance(v, bool), "true or false"),
     "checks": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str)),
                "a nonempty list of check names"),
@@ -497,9 +456,11 @@ _CONFIG_RULES = {
 class CorpusConfig:
     """What to generate and which checks to run over it.
 
-    Every field is checked for type and range on construction; a bad one
-    raises ValueError naming it.  A list given for a sequence field is
-    stored as a tuple.
+    Every field is checked on construction, before any instance is made:
+    its type and range, a family and a measure name that the generator
+    knows, every size at or above each family's least n, and w_high >=
+    w_low as `generate` resolves them.  A bad one raises ValueError naming
+    it.  A list given for a sequence field is stored as a tuple.
     """
 
     families: tuple[str, ...] = ("random_connected",)
@@ -522,12 +483,23 @@ class CorpusConfig:
                 value = tuple(value)
                 object.__setattr__(self, key, value)
             if not accepts(value):
-                # Tuples are shown as the JSON lists they are written as.
+                # Tuples are shown as the JSON lists they are written as; a
+                # rule that accepts None names it as JSON's null.
                 shown = list(value) if isinstance(value, tuple) else value
-                raise ValueError(f"bad corpus config: {key!r} must be {want}, got {shown!r}")
+                null = " or null" if accepts(None) else ""
+                raise ValueError(f"bad corpus config: {key!r} must be {want}{null}, got {shown!r}")
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
+        for family in self.families:
+            least = _FAMILIES[family].min_n
+            if min(self.sizes) < least:
+                raise ValueError(f"bad corpus config: 'sizes' must be >= {least} for {family}, "
+                                 f"got {list(self.sizes)!r}")
+        try:
+            _weight_range(self.w_low, self.w_high, False)
+        except ValueError as exc:
+            raise ValueError(f"bad corpus config: {exc}") from None
 
     @staticmethod
     def from_json_dict(data: dict) -> "CorpusConfig":
@@ -546,7 +518,7 @@ def corpus_instances(cfg: CorpusConfig) -> Iterator[tuple[str, WeightedGraph]]:
     when it is asked for."""
     counter = 0
     for family in cfg.families:
-        if family in _FAMILIES and not _FAMILIES[family].random:
+        if not _FAMILIES[family].random:
             for n in cfg.sizes:
                 g = generate(family, n, cfg.seed, a=cfg.a, mu=cfg.mu)
                 if cfg.signed:

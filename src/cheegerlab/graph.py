@@ -131,12 +131,9 @@ class WeightedGraph:
             norm.append(Edge(u, v, w, sigma))
         norm.sort(key=lambda e: (e.u, e.v))
         if isinstance(mu, str):
-            if mu == "degree":
-                mu_t = tuple(_weighted_degrees(n, norm))
-            elif mu == "unit":
-                mu_t = tuple(1.0 for _ in range(n))
-            else:
+            if mu not in _MEASURES:
                 raise ValueError(f"unknown measure token {mu!r}")
+            mu_t = _MEASURES[mu](n, norm)
         else:
             mu_t = tuple(_real(x, "measure") for x in _sequence(mu, "mu"))
         if isinstance(kappa, np.ndarray) and kappa.ndim == 0:
@@ -557,6 +554,46 @@ _FAMILIES = {
 FAMILIES = tuple(_FAMILIES)
 
 
+def _is_finite_number(x) -> bool:
+    """x is an int or float (np.float64, a float, too), not a bool, and a
+    finite float once converted (an int beyond the float range is not)."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+# The generator's rules, which `generate` and a corpus config both read,
+# each in its own message: argument -> (accepts the value, what it must be).
+# A corpus config names the None a weight bound accepts as JSON's null.
+_GENERATOR_RULES = {
+    "p": (lambda v: _is_finite_number(v) and 0 <= v <= 1, "a finite number in [0, 1]"),
+    "w_low": (lambda v: v is None or _is_finite_number(v) and v > 0, "a finite number > 0"),
+    "w_high": (lambda v: v is None or _is_finite_number(v) and v > 0, "a finite number > 0"),
+    "a": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),
+}
+
+# Measure token -> the measure of n vertices under the normalized edges.
+_MEASURES = {
+    "degree": lambda n, edges: tuple(_weighted_degrees(n, edges)),
+    "unit": lambda n, edges: (1.0,) * n,
+}
+
+
+def _weight_range(w_low, w_high, random: bool) -> tuple[float, float]:
+    """The range [lo, hi] that `generate` draws weights from, for bounds
+    its rules accept: [0.5, 2.0] for a random family and unit weights for
+    the others when neither is given, else w_low (1.0 if None) up to
+    w_high (w_low if None).  ValueError if w_high < w_low."""
+    if w_low is None and w_high is None:
+        return (0.5, 2.0) if random else (1.0, 1.0)
+    lo = 1.0 if w_low is None else float(w_low)
+    hi = lo if w_high is None else float(w_high)
+    if hi < lo:
+        raise ValueError("w_high must be >= w_low")
+    return lo, hi
+
+
 def generate(
     family: str,
     n: int,
@@ -584,28 +621,23 @@ def generate(
     `random_connected` always return connected graphs; `random_bipartite`
     is 2-colorable with no isolated vertices.
 
-    `w_low`, `w_high` and `a` must be finite and > 0, `p` finite in
-    [0, 1]; a bad one, an n below the family's least, or a `gn` weight
-    a^(n-1) that overflows, raises ValueError naming it.  Building the
+    `w_low`, `w_high` and `a` must be finite numbers > 0 and `p` one in
+    [0, 1] (`_GENERATOR_RULES`; a bool, a string or a numpy number other
+    than np.float64 is not one), and `w_high` >= `w_low` (`_weight_range`);
+    a bad one, an n below the family's least, or a `gn` weight a^(n-1)
+    that overflows, raises ValueError naming it.  Building the
     graph checks it too: an explicit `mu` of the wrong length, say, raises
     ValueError "invalid graph: ...".
     """
     row = _FAMILIES.get(family)
     if row is None:
         raise ValueError(f"unknown family {family!r}")
-    for name, value in (("w_low", w_low), ("w_high", w_high), ("a", a)):
-        if value is not None and not 0 < value < math.inf:
-            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be a finite number in [0, 1], got {p!r}")
+    for name, value in (("w_low", w_low), ("w_high", w_high), ("a", a), ("p", p)):
+        accepts, want = _GENERATOR_RULES[name]
+        if not accepts(value):
+            raise ValueError(f"{name} must be {want}, got {value!r}")
     rng = SplitMix64(seed)
-    if w_low is None and w_high is None:
-        lo, hi = (0.5, 2.0) if row.random else (1.0, 1.0)
-    else:
-        lo = 1.0 if w_low is None else float(w_low)
-        hi = lo if w_high is None else float(w_high)
-    if hi < lo:
-        raise ValueError("w_high must be >= w_low")
+    lo, hi = _weight_range(w_low, w_high, row.random)
     if n < row.min_n:
         # gn's n is the family parameter, not the vertex count.
         raise ValueError(f"{'gn family' if family == 'gn' else family} requires n >= {row.min_n}")

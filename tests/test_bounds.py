@@ -17,7 +17,9 @@ from cheegerlab import (
     check_nodal_count_bounds,
     check_product_theorem,
     check_theorem_main,
+    degree_profile,
     generate,
+    laplacian_spectrum,
     run_corpus,
 )
 from cheegerlab import bounds, graph, nodal, spectral
@@ -168,6 +170,37 @@ class TestLemmaNodalCheeger:
                         assert m[k] == strong[k], (family, n, seed, k)
                     pairs += len(strong)
         assert pairs >= 5000
+
+
+class TestUpperRecords:
+    """The record rho_j <= sqrt(2 tau lambda_k) that `main`, `nodal_cheeger`
+    and `product` share, on graphs whose tau (the largest d/mu) is not
+    tau_min: star(4) with unit measure (d/mu = 3, 1, 1, 1), and its product
+    with K2 (w = 0.05)."""
+
+    @staticmethod
+    def records(name):
+        star = generate("star", 4, mu="unit")
+        if name == "product":
+            k2 = WeightedGraph.build(2, [(0, 1, 0.05)], mu="unit")
+            return [check_product_theorem(star, k2, 1, 0.0)], product(star, k2)
+        if name == "main":
+            return check_theorem_main(star), star
+        return check_lemma_nodal_cheeger(star, 0.0, 0), star
+
+    @pytest.mark.parametrize("name", ["main", "nodal_cheeger", "product"])
+    def test_tau_lambda_k_and_certificate(self, name):
+        records, h = self.records(name)
+        prof = degree_profile(h)
+        assert prof.tau > prof.tau_min
+        values = laplacian_spectrum(h, functions=False).values
+        for rec in records:
+            lam = bounds._clamp_eigenvalue(values[rec.k - 1])
+            assert rec.meta["tau"] == prof.tau
+            assert rec.rhs == math.sqrt(2.0 * prof.tau * lam)
+            assert list(rec.meta)[0] == "certificate" and list(rec.meta) == sorted(rec.meta)
+            assert rec.lhs == rec.meta["certificate"]["value"]
+        assert [rec.k for rec in records] == ([2] if name == "product" else [1, 2, 3, 4])
 
 
 class TestLowerBound:
@@ -441,6 +474,53 @@ class TestRecordsAndReport:
         with pytest.raises(ValueError) as exc_json:
             CorpusConfig.from_json_dict(data)
         assert str(exc_json.value) == str(exc.value)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"families": ["petersen"], "count": 0},
+             "'families' must be a nonempty list of family names, got ['petersen']"),
+            ({"families": ["petersen"], "count": 2},
+             "'families' must be a nonempty list of family names, got ['petersen']"),
+            ({"families": ["path"], "sizes": [1, 4]}, "'sizes' must be >= 2 for path, got [1, 4]"),
+            ({"families": ["random_connected"], "sizes": [1]},
+             "'sizes' must be >= 2 for random_connected, got [1]"),
+            ({"families": ["gn"], "sizes": [2]}, "'sizes' must be >= 3 for gn, got [2]"),
+            ({"w_low": 2, "w_high": 1}, "w_high must be >= w_low"),
+            ({"w_high": 0.5}, "w_high must be >= w_low"),
+            ({"mu": "degre"}, "'mu' must be a measure name or a list of finite numbers, got 'degre'"),
+            ({"eps": 10**400}, f"'eps' must be a finite number >= 0, got {10**400!r}"),
+        ],
+    )
+    def test_generator_rules_refused_before_any_instance(self, monkeypatch, kwargs, message):
+        # The config reads the generator's table and rules, so what
+        # `generate` would refuse at some instance is refused on
+        # construction, from either entry point, and nothing is generated.
+        def fail(*args, **kw):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(bounds, "generate", fail)
+        monkeypatch.setattr(graph, "generate", fail)
+        with pytest.raises(ValueError) as exc:
+            CorpusConfig(**kwargs)
+        assert str(exc.value) == f"bad corpus config: {message}"
+        with pytest.raises(ValueError) as exc_json:
+            CorpusConfig.from_json_dict(kwargs)
+        assert str(exc_json.value) == str(exc.value)
+
+    def test_weight_order_is_generates_rule(self):
+        # One rule, each entry point in its own message.
+        with pytest.raises(ValueError) as gen:
+            generate("star", 4, w_low=2, w_high=1)
+        with pytest.raises(ValueError) as corpus:
+            CorpusConfig(families=["star"], w_low=2, w_high=1)
+        assert str(corpus.value) == f"bad corpus config: {gen.value}"
+
+    def test_float64_fields_accepted(self):
+        # np.float64 is a float; the report's meta writes it as one.
+        cfg = CorpusConfig(families=["random_tree"], sizes=[4], count=1, eps=np.float64(0.05),
+                           p=np.float64(0.3), a=np.float64(1.1), checks=["main"])
+        assert run_corpus(cfg).all_hold()
 
     def test_lists_stored_as_tuples(self):
         cfg = CorpusConfig(families=["random_tree"], sizes=[4, 5], mu=[1.0] * 4)

@@ -443,6 +443,38 @@ class TestVerify:
         assert err == f"error: bad corpus config: {message}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "corpus, message",
+        [
+            ('{"families": ["petersen"], "count": 0}',
+             "'families' must be a nonempty list of family names, got ['petersen']"),
+            ('{"families": ["petersen"], "count": 2}',
+             "'families' must be a nonempty list of family names, got ['petersen']"),
+            ('{"families": ["path"], "sizes": [1, 4]}', "'sizes' must be >= 2 for path, got [1, 4]"),
+            ('{"families": ["random_connected"], "sizes": [1]}',
+             "'sizes' must be >= 2 for random_connected, got [1]"),
+            ('{"families": ["gn"], "sizes": [2]}', "'sizes' must be >= 3 for gn, got [2]"),
+            ('{"w_low": 2, "w_high": 1}', "w_high must be >= w_low"),
+            ('{"mu": "degre"}', "'mu' must be a measure name or a list of finite numbers, got 'degre'"),
+            pytest.param('{"eps": 1' + "0" * 400 + "}", f"'eps' must be a finite number >= 0, got {10**400!r}",
+                         id="eps-int-beyond-float"),
+        ],
+    )
+    def test_corpus_the_generator_refuses_exit_2(self, capsys, corpus, message):
+        # Refused on construction, before the first instance: a corpus of
+        # an unknown family with count 0 used to exit 0 with no records.
+        code, out, err = run_cli(["verify", "--corpus", corpus], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad corpus config: {message}\n"
+
+    def test_weight_order_one_rule_for_gen_and_corpus(self, capsys):
+        code, out, gen_err = run_cli(["gen", "--family", "star", "--n", "4", "--w-low", "2", "--w-high", "1"], capsys)
+        assert code == 2 and out == "" and gen_err == "error: w_high must be >= w_low\n"
+        corpus = '{"families": ["star"], "sizes": [4], "w_low": 2, "w_high": 1}'
+        code, out, err = run_cli(["verify", "--corpus", corpus], capsys)
+        assert code == 2 and out == "" and err == "error: bad corpus config: w_high must be >= w_low\n"
+
     @pytest.mark.parametrize("family", ["gn", "random_tree"])
     def test_corpus_mu_of_wrong_length_exit_2(self, capsys, family):
         # gn(3) has 8 vertices, the random tree 5: neither matches mu.

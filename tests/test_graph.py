@@ -671,6 +671,30 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate("petersen", 10)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"p": "0.3"}, "p must be a finite number in [0, 1], got '0.3'"),
+            ({"w_low": "1"}, "w_low must be a finite number > 0, got '1'"),
+            ({"p": True}, "p must be a finite number in [0, 1], got True"),
+            ({"a": True}, "a must be a finite number > 0, got True"),
+            ({"w_high": np.float32(2.0)}, "w_high must be a finite number > 0, got np.float32(2.0)"),
+            pytest.param({"w_low": 10**400}, f"w_low must be a finite number > 0, got {10**400!r}",
+                         id="w_low-int-beyond-float"),
+        ],
+    )
+    def test_argument_types_refused_naming_the_field(self, kwargs, message):
+        # The generator's rules: a string, a bool, a numpy number other
+        # than np.float64 or an int beyond the float range is no number.
+        with pytest.raises(ValueError) as exc:
+            generate("random_connected", 5, 1, **kwargs)
+        assert str(exc.value) == message
+
+    def test_float64_arguments_give_the_same_graph(self):
+        kwargs = {"p": 0.4, "w_low": 0.5, "w_high": 1.5}
+        same = {key: np.float64(value) for key, value in kwargs.items()}
+        assert generate("random_connected", 6, 2, **same) == generate("random_connected", 6, 2, **kwargs)
+
     def test_signature_randomization(self):
         g = with_random_signature(generate("cycle", 8), seed=3)
         assert with_random_signature(generate("cycle", 8), seed=3) == g
