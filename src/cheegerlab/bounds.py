@@ -458,9 +458,10 @@ class CorpusConfig:
 
     Every field is checked on construction, before any instance is made:
     its type and range, a family and a measure name that the generator
-    knows, every size at or above each family's least n, and w_high >=
-    w_low as `generate` resolves them.  A bad one raises ValueError naming
-    it.  A list given for a sequence field is stored as a tuple.
+    knows, every size at or above each family's least n, a `mu` list as
+    long as every instance's vertex count, and w_high >= w_low as
+    `generate` resolves them.  A bad one raises ValueError naming it.  A
+    list given for a sequence field is stored as a tuple.
     """
 
     families: tuple[str, ...] = ("random_connected",)
@@ -496,6 +497,12 @@ class CorpusConfig:
             if min(self.sizes) < least:
                 raise ValueError(f"bad corpus config: 'sizes' must be >= {least} for {family}, "
                                  f"got {list(self.sizes)!r}")
+            if not isinstance(self.mu, str):
+                for n in self.sizes:
+                    count = _FAMILIES[family].vertex_count(n)
+                    if count != len(self.mu):
+                        raise ValueError(f"bad corpus config: 'mu' has length {len(self.mu)}, "
+                                         f"but {family} at size {n} has {count} vertices")
         try:
             _weight_range(self.w_low, self.w_high, False)
         except ValueError as exc:
@@ -515,7 +522,8 @@ class CorpusConfig:
 
 def corpus_instances(cfg: CorpusConfig) -> Iterator[tuple[str, WeightedGraph]]:
     """The deterministic instances of a corpus configuration, each made
-    when it is asked for."""
+    when it is asked for: one per size for a deterministic family, and
+    `count` for a random one, each at a size drawn from `sizes`."""
     counter = 0
     for family in cfg.families:
         if not _FAMILIES[family].random:

@@ -538,6 +538,11 @@ class _Family(NamedTuple):
     # (n, rng, p) -> the vertex pairs, in weight-draw order; gn has none.
     skeleton: Callable[[int, SplitMix64, float], list[tuple[int, int]]] | None
 
+    def vertex_count(self, n: int) -> int:
+        """The vertex count of the family's graph at n: 2n + 2 for gn, whose
+        n is the family parameter, else n."""
+        return n if self.skeleton is not None else 2 * n + 2
+
 
 _FAMILIES = {
     "gn": _Family(3, False, None),
@@ -646,7 +651,7 @@ def generate(
         try:
             edges = [(i, i + 1, a ** min(i, 2 * n - 1 - i)) for i in range(2 * n)]
             edges += [(0, 2 * n, 1.0), (n, 2 * n + 1, 1.0)]
-            return WeightedGraph.build(2 * n + 2, edges, mu=mu)
+            return WeightedGraph.build(row.vertex_count(n), edges, mu=mu)
         except OverflowError:
             raise ValueError(f"a = {a!r} makes the gn weight a^{n - 1} overflow") from None
     edges = [

@@ -20,9 +20,10 @@ orthonormal basis of the eigenspace.  The normalized-adjacency eta comes
 from the values of one `np.linalg.eigh` call on diag(L) - L, L the
 symmetric normalized Laplacian; the spectral-radius bound reads it only
 through a comparison.  So every LAPACK solve goes through the one driver,
-`eigh` (`eigvalsh` is wrong on matrices with tiny entries, such as a path
-with one weight near 1e-161).  Every route reads the same L(g): built once
-per graph by :func:`normalized_laplacian_sym` and held with the graph,
+`eigh` (`eigvalsh` is wrong on matrices with tiny entries: it gave eta =
+3.2404 for the path with weights 1e-161, 3, 1 and unit measure, whose eta
+is sqrt(10)).  Every route reads the same L(g): built once per graph by
+:func:`normalized_laplacian_sym` and held with the graph,
 read-only (graph._derived), which is safe because the graph cannot change
 and L is a function of it alone.  Eigenvalues are reported ascending; the
 normalized adjacency helper follows the opposite (descending) convention

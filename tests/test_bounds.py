@@ -490,6 +490,14 @@ class TestRecordsAndReport:
             ({"w_high": 0.5}, "w_high must be >= w_low"),
             ({"mu": "degre"}, "'mu' must be a measure name or a list of finite numbers, got 'degre'"),
             ({"eps": 10**400}, f"'eps' must be a finite number >= 0, got {10**400!r}"),
+            # path(4) fits a 4-entry mu and path(5) does not: refused before
+            # path(4)'s checks run.
+            ({"families": ["path", "star"], "sizes": [4, 5], "mu": [1.0] * 4},
+             "'mu' has length 4, but path at size 5 has 5 vertices"),
+            ({"families": ["gn"], "sizes": [3], "mu": [1.0] * 3},
+             "'mu' has length 3, but gn at size 3 has 8 vertices"),
+            ({"families": ["random_tree"], "sizes": [4], "count": 0, "mu": [1.0] * 5},
+             "'mu' has length 5, but random_tree at size 4 has 4 vertices"),
         ],
     )
     def test_generator_rules_refused_before_any_instance(self, monkeypatch, kwargs, message):
@@ -523,9 +531,14 @@ class TestRecordsAndReport:
         assert run_corpus(cfg).all_hold()
 
     def test_lists_stored_as_tuples(self):
-        cfg = CorpusConfig(families=["random_tree"], sizes=[4, 5], mu=[1.0] * 4)
-        assert cfg.families == ("random_tree",) and cfg.sizes == (4, 5) and cfg.mu == (1.0,) * 4
-        assert cfg == CorpusConfig.from_json_dict({"families": ["random_tree"], "sizes": [4, 5], "mu": [1.0] * 4})
+        cfg = CorpusConfig(families=["random_tree"], sizes=[4, 4], mu=[1.0] * 4)
+        assert cfg.families == ("random_tree",) and cfg.sizes == (4, 4) and cfg.mu == (1.0,) * 4
+        assert cfg == CorpusConfig.from_json_dict({"families": ["random_tree"], "sizes": [4, 4], "mu": [1.0] * 4})
+
+    def test_mu_list_of_gn_vertex_count_runs(self):
+        # gn's n is the family parameter: gn(3) has 2n + 2 = 8 vertices.
+        report = run_corpus(CorpusConfig(families=["gn"], sizes=[3], mu=[1.0] * 8, checks=["main"]))
+        assert report.all_hold() and report.summary()["records"] > 0
 
 
 class TestSolveCount:

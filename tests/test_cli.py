@@ -476,15 +476,22 @@ class TestVerify:
         assert code == 2 and out == "" and err == "error: bad corpus config: w_high must be >= w_low\n"
 
     @pytest.mark.parametrize("family", ["gn", "random_tree"])
-    def test_corpus_mu_of_wrong_length_exit_2(self, capsys, family):
-        # gn(3) has 8 vertices, the random tree 5: neither matches mu.
-        corpus = json.dumps({"families": [family], "sizes": [3 if family == "gn" else 5],
-                             "count": 2, "mu": [1.0] * 4})
+    def test_corpus_mu_of_wrong_length_exit_2(self, capsys, monkeypatch, family):
+        # gn(3) has 8 vertices, the random tree 5: neither matches mu, and
+        # the config is refused before any instance is generated.
+        def fail(*args, **kw):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(cheegerlab.bounds, "generate", fail)
+        monkeypatch.setattr(cheegerlab.graph, "generate", fail)
+        size = 3 if family == "gn" else 5
+        corpus = json.dumps({"families": [family], "sizes": [size], "count": 2, "mu": [1.0] * 4})
         code, out, err = run_cli(["verify", "--corpus", corpus, "--checks", "main"], capsys)
         n = 8 if family == "gn" else 5
         assert code == 2
         assert out == ""
-        assert err == f"error: invalid graph: mu has length 4, expected {n}\n"
+        assert err == (f"error: bad corpus config: 'mu' has length 4, "
+                       f"but {family} at size {size} has {n} vertices\n")
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("corpus", [False, True])

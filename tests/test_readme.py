@@ -1,0 +1,63 @@
+"""The README states the contract: every check, every record name it emits,
+and CLI examples that parse."""
+
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from cheegerlab import generate, with_random_signature
+from cheegerlab.bounds import CHECK_NAMES, run_checks_on_graph
+from cheegerlab.cli import build_parser
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def cli_examples() -> list[list[str]]:
+    """The argument lists of the `cheegerlab` lines of the one `sh` block
+    in the README's CLI section, continuations joined and comments dropped."""
+    section = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```sh\n(.*?)^```$", section, flags=re.M | re.S)
+    assert len(blocks) == 1
+    text = blocks[0].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in text.splitlines()]
+    return [args[1:] for args in commands if args and args[0] == "cheegerlab"]
+
+
+def emitted_record_names() -> set[str]:
+    """The names of every record the checks emit, skipped ones included,
+    over an unsigned graph, a signed one and P3 x K2."""
+    unsigned = generate("random_connected", 6, seed=3)
+    signed = with_random_signature(unsigned, 5)
+    assert signed.is_signed()
+    p3 = generate("path", 3, mu="unit")
+    k2 = generate("path", 2, mu="unit", w_low=0.05)
+    names = set()
+    for g, checks, pair in ((unsigned, CHECK_NAMES, None), (signed, CHECK_NAMES, None),
+                            (p3, ("product",), k2)):
+        rows, errors = run_checks_on_graph("g", g, checks, 0.05, 11, pair, 2)
+        assert errors == []
+        names |= {record.name for _, record in rows}
+    return names
+
+
+def test_every_record_name_is_documented():
+    names = emitted_record_names()
+    # Every kind of record, so none escapes the README by not being made.
+    assert {"main", "main_signed", "monotonic", "monotonic_signed", "eq1_left", "cheeger_upper",
+            "lower_eta", "lower_gap", "nodal_lower", "nodal_strong_upper", "nodal_weak_upper",
+            "nodal_cheeger", "product"} <= names
+    assert [name for name in sorted(names) if f"`{name}`" not in README] == []
+
+
+@pytest.mark.parametrize("check", [*CHECK_NAMES, "product"])
+def test_every_check_is_documented(check):
+    assert f"| `{check}` |" in README
+
+
+def test_cli_examples_parse():
+    examples = cli_examples()
+    assert {args[0] for args in examples} == {"gen", "analyze", "cheeger", "perturb", "verify"}
+    for args in examples:
+        build_parser().parse_args(args)
