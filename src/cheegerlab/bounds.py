@@ -89,17 +89,6 @@ class CheckRecord:
     def skipped(name: str, reason: str) -> "CheckRecord":
         return CheckRecord(name, 0, math.nan, math.nan, math.nan, None, {"skipped": reason})
 
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "k": self.k,
-            "lhs": self.lhs,
-            "margin": self.margin,
-            "meta": self.meta,
-            "name": self.name,
-            "rhs": self.rhs,
-        }
-
 
 # Everything the checks of one instance share is held with the graph it is
 # derived from (see the `graph` module docstring): its spectrum, its full
@@ -430,8 +419,8 @@ def _is_tuple_of(x, item) -> bool:
 # weight bounds and a are the generator's own rules, and a family, a
 # measure name, the sizes and the weight range are checked against its
 # table, so a config generate would refuse is refused before its first
-# instance.  Sequences are checked as tuples; lists are turned into tuples
-# first.
+# instance; a check is one of _CHECKS.  Sequences are checked as tuples;
+# lists are turned into tuples first.
 _CONFIG_RULES = {
     "families": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str) and x in _FAMILIES),
                  "a nonempty list of family names"),
@@ -447,7 +436,7 @@ _CONFIG_RULES = {
            "a measure name or a list of finite numbers"),
     "a": _GENERATOR_RULES["a"],
     "signed": (lambda v: isinstance(v, bool), "true or false"),
-    "checks": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str)),
+    "checks": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str) and x in _CHECKS),
                "a nonempty list of check names"),
 }
 
@@ -458,10 +447,11 @@ class CorpusConfig:
 
     Every field is checked on construction, before any instance is made:
     its type and range, a family and a measure name that the generator
-    knows, every size at or above each family's least n, a `mu` list as
-    long as every instance's vertex count, and w_high >= w_low as
-    `generate` resolves them.  A bad one raises ValueError naming it.  A
-    list given for a sequence field is stored as a tuple.
+    knows, a check of CHECK_NAMES, every size at or above each family's
+    least n, a `mu` list as long as every instance's vertex count, and
+    w_high >= w_low as `generate` resolves them.  A bad one raises
+    ValueError naming it.  A list given for a sequence field is stored as
+    a tuple.
     """
 
     families: tuple[str, ...] = ("random_connected",)
@@ -489,9 +479,6 @@ class CorpusConfig:
                 shown = list(value) if isinstance(value, tuple) else value
                 null = " or null" if accepts(None) else ""
                 raise ValueError(f"bad corpus config: {key!r} must be {want}{null}, got {shown!r}")
-        for name in self.checks:
-            if name not in CHECK_NAMES:
-                raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
         for family in self.families:
             least = _FAMILIES[family].min_n
             if min(self.sizes) < least:
@@ -552,16 +539,6 @@ def corpus_instances(cfg: CorpusConfig) -> Iterator[tuple[str, WeightedGraph]]:
                 counter += 1
 
 
-def _run_check(name: str, g: WeightedGraph, eps: float, seed: int, with_graph, product_k: int):
-    if name == "product":
-        if with_graph is None:
-            raise ValueError("the product check needs a second factor (with_graph)")
-        return [check_product_theorem(g, with_graph, product_k, eps, seed)]
-    if name not in _CHECKS:
-        raise ValueError(f"unknown check {name!r}")
-    return _CHECKS[name](g, eps, seed)
-
-
 def run_checks_on_graph(
     instance: str,
     g: WeightedGraph,
@@ -583,7 +560,14 @@ def run_checks_on_graph(
     errors = []
     for name in checks:
         try:
-            records = _run_check(name, g, eps, seed, with_graph, product_k)
+            if name == "product":
+                if with_graph is None:
+                    raise ValueError("the product check needs a second factor (with_graph)")
+                records = [check_product_theorem(g, with_graph, product_k, eps, seed)]
+            elif name in _CHECKS:
+                records = _CHECKS[name](g, eps, seed)
+            else:
+                raise ValueError(f"unknown check {name!r}")
         except HypothesisViolation as exc:
             records = [CheckRecord.skipped(name, str(exc))]
         except (NonGenericError, ValueError, RuntimeError) as exc:
@@ -597,33 +581,32 @@ def run_checks_on_graph(
 class Report:
     """Sorted CheckRecord table with a holds/violations/skips summary.
 
-    A report is read only once it is complete: its summary is counted on
-    first use and held for every later reader.
+    The rows (by instance, check name, k) and the errors are sorted in
+    place, and the summary counted, when the report is made.
     """
 
     rows: list[tuple[str, CheckRecord]]
     errors: list[tuple[str, str]]
-    _summary: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _summary: dict = field(init=False, repr=False, compare=False)
 
-    def sort(self) -> None:
+    def __post_init__(self):
         self.rows.sort(key=lambda row: (row[0], row[1].name, row[1].k))
         self.errors.sort()
+        holds = violations = 0
+        for _, r in self.rows:
+            if r.holds is True:
+                holds += 1
+            elif r.holds is False:
+                violations += 1
+        self._summary = {
+            "errors": len(self.errors),
+            "holds": holds,
+            "records": len(self.rows),
+            "skipped": len(self.rows) - holds - violations,
+            "violations": violations,
+        }
 
     def summary(self) -> dict:
-        if self._summary is None:
-            holds = violations = 0
-            for _, r in self.rows:
-                if r.holds is True:
-                    holds += 1
-                elif r.holds is False:
-                    violations += 1
-            self._summary = {
-                "errors": len(self.errors),
-                "holds": holds,
-                "records": len(self.rows),
-                "skipped": len(self.rows) - holds - violations,
-                "violations": violations,
-            }
         return self._summary
 
     def all_hold(self) -> bool:
@@ -631,7 +614,7 @@ class Report:
         return s["violations"] == 0 and s["errors"] == 0
 
     def to_json_dict(self) -> dict:
-        # Each row is CheckRecord.to_json_dict with "instance" in its key order.
+        # Each row is the record's fields and "instance", in key order.
         return {
             "errors": [list(e) for e in self.errors],
             "records": [
@@ -679,6 +662,4 @@ def run_corpus(cfg: CorpusConfig) -> Report:
         new_rows, new_errors = run_checks_on_graph(instance, g, cfg.checks, cfg.eps, seed)
         rows.extend(new_rows)
         errors.extend(new_errors)
-    report = Report(rows=rows, errors=errors)
-    report.sort()
-    return report
+    return Report(rows=rows, errors=errors)

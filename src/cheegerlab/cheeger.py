@@ -599,14 +599,9 @@ def _blocks(n: int, first: int):
             yield p, _group(masks[lo:hi], p)
 
 
-def _segment(n: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parts, rests) of one mask's segment: a column of the held plan, or
-    built directly by _build_pairs' doubling on Python ints."""
-    plan = _plan(n)
-    if plan is not None:
-        group = plan.groups[mask.bit_count() - 1]
-        c = plan.column[mask]
-        return group.parts[:, c], group.rests[:, c]
+def _segment(mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parts, rests) of one mask's segment, its column of its popcount
+    group's block, built by _build_pairs' doubling on Python ints."""
     low = mask & -mask
     left = mask ^ low
     parts = np.empty(1 << left.bit_count(), dtype=np.intp)
@@ -683,7 +678,8 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     """
     m = n - 1
     sub = score[0::2]
-    dp = [_level0(m), *np.full((kmax, 1 << m), math.inf)]
+    # Level 0 is -inf at every mask: one broadcast value, no table of 2^m floats.
+    dp = [np.broadcast_to(-math.inf, 1 << m), *np.full((kmax, 1 << m), math.inf)]
     rows = [None] * (kmax + 1)
     if kmax >= 1:
         level1 = dp[1]
@@ -713,14 +709,6 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
                 np.minimum(best, dp[j][group.without_low], out=best)
                 dp[j][masks] = best
     return _Tables(dp, rows)
-
-
-@_held
-def _level0(m: int) -> np.ndarray:
-    """Level 0 of the packing DP of m vertices, -inf at every mask: one
-    broadcast value (read-only).  A table row of it would add 2^m floats
-    to the peak memory of every profile."""
-    return np.broadcast_to(-math.inf, 1 << m)
 
 
 def _suffix_pass(score: np.ndarray, prev: np.ndarray, i: int) -> tuple[float, int]:
@@ -797,7 +785,7 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[fl
             c = plan.column.item(mask)
             a = plan.groups[p - 1].parts.item(row.item(first.item(p) + c), c)
         else:
-            seg, rests = _segment(m, mask)
+            seg, rests = _segment(mask)
             cand = sub.take(seg)
             np.maximum(cand, dp_all[j - 1].take(rests), out=cand)
             a = seg.item((cand == value).argmax())

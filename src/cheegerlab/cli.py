@@ -167,7 +167,6 @@ def cmd_verify(args) -> int:
                 raise GraphFormatError(f"--product-k must be in [1, {g.n - 1}], got {args.product_k}")
         rows, errors = run_checks_on_graph("graph", g, checks, args.eps, args.seed, g2, args.product_k)
         report = Report(rows=rows, errors=errors)
-        report.sort()
     if args.format == "csv":
         _emit(report.to_csv(), args.output)
     else:

@@ -42,13 +42,6 @@ class NodalDecomposition:
                 out[lab].append(v)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "labels": [None if lab == UNLABELED else lab for lab in self.labels],
-        }
-
 
 def _rounded_signs(f, zero_tol: float | None) -> tuple[int, ...]:
     """Signs of f as Python ints, with |f| <= zero_tol rounded to 0.

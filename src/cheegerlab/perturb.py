@@ -56,8 +56,6 @@ class GenericityReport:
     min_gap: float
     zero_free: bool
     min_abs_entry: float
-    gap_tol: float
-    zero_tol: float
 
     @staticmethod
     def of(spectrum: Spectrum) -> "GenericityReport":
@@ -80,19 +78,7 @@ class GenericityReport:
             min_gap=min_gap,
             zero_free=min_abs > GENERICITY_TOL,
             min_abs_entry=min_abs,
-            gap_tol=GENERICITY_TOL,
-            zero_tol=GENERICITY_TOL,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gap_tol": self.gap_tol,
-            "min_abs_entry": self.min_abs_entry,
-            "min_gap": self.min_gap,
-            "simple": self.simple,
-            "zero_free": self.zero_free,
-            "zero_tol": self.zero_tol,
-        }
 
 
 def genericity_report(g: WeightedGraph) -> GenericityReport:

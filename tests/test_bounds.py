@@ -374,6 +374,34 @@ class TestRecordsAndReport:
         assert report.to_json_dict()["summary"] is summary and report.summary() is summary
         assert not report.all_hold()
 
+    def test_report_sorted_and_counted_when_made(self):
+        # A report is complete when it is made: its rows (by instance,
+        # check name, k) and errors are sorted, and its summary counted,
+        # with no further call.
+        rows = [
+            ("b", CheckRecord.compare("x", 1, 0.0, 1.0)),
+            ("a", CheckRecord.skipped("y", "why")),
+            ("a", CheckRecord.compare("x", 3, 2.0, 1.0)),
+            ("a", CheckRecord.compare("x", 2, 0.0, 1.0)),
+            ("a", CheckRecord.skipped("w", "why")),
+        ]
+        errors = [("b", "z: boom"), ("a", "z: late"), ("a", "y: early")]
+        report = Report(rows=list(rows), errors=list(errors))
+        keys = [(i, r.name, r.k) for i, r in report.rows]
+        assert keys == [("a", "w", 0), ("a", "x", 2), ("a", "x", 3), ("a", "y", 0), ("b", "x", 1)]
+        assert report.errors == [("a", "y: early"), ("a", "z: late"), ("b", "z: boom")]
+        assert report.summary() == {"errors": 3, "holds": 2, "records": 5, "skipped": 2, "violations": 1}
+        data = report.to_json_dict()
+        assert [[r["instance"], r["name"], r["k"]] for r in data["records"]] == [list(k) for k in keys]
+        assert data["errors"] == [list(e) for e in report.errors]
+        assert report.to_csv().splitlines()[1:] == [
+            "a,w,0,,,,skipped",
+            "a,x,2,0.0,1.0,1.0,true",
+            "a,x,3,2.0,1.0,-1.0,false",
+            "a,y,0,,,,skipped",
+            "b,x,1,0.0,1.0,1.0,true",
+        ]
+
     @pytest.mark.parametrize("seed", [3, 7])
     def test_one_dict_per_certificate(self, monkeypatch, seed):
         # A five-check n = 10 corpus op: `main`, `lower` and `nodal_cheeger`
@@ -451,9 +479,22 @@ class TestRecordsAndReport:
         names = {r.name for _, r in report.rows if r.holds is not None}
         assert "main_signed" in names
 
-    def test_unknown_check_rejected(self):
-        with pytest.raises(ValueError, match="unknown check"):
-            CorpusConfig(checks=("bogus",))
+    def test_unknown_check_rejected(self, monkeypatch):
+        # An unknown check, or "product" (the one pair check), is a bad
+        # corpus config like an empty list, from either entry point, and
+        # refused before any instance is generated.
+        def fail(*args, **kw):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(bounds, "generate", fail)
+        monkeypatch.setattr(graph, "generate", fail)
+        for checks in (["bogus"], ["main", "product"], ["main", "Main"]):
+            message = f"bad corpus config: 'checks' must be a nonempty list of check names, got {checks!r}"
+            for make in (lambda: CorpusConfig(checks=tuple(checks)), lambda: CorpusConfig(checks=checks),
+                         lambda: CorpusConfig.from_json_dict({"checks": checks})):
+                with pytest.raises(ValueError) as exc:
+                    make()
+                assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -703,7 +744,7 @@ class TestSolveCount:
         assert solved["eigvalsh"] == []
 
         def main_records(rs):
-            return [rec.to_json_dict() for _, rec in rs if rec.name == "main"]
+            return [rec for _, rec in rs if rec.name == "main"]
 
         assert main_records(rows) and main_records(rows) == main_records(default)
         assert sorted(map(repr, rows)) == sorted(map(repr, default))

@@ -958,35 +958,23 @@ class TestProfileTables:
             else:
                 assert cert.parts == tuple(sorted(_parts_from_masks(masks)))
 
-    def test_segments_match_pair_builder(self, monkeypatch):
-        # Each mask's segment, a column of the held plan or (with nothing
-        # held) built by Python-int doubling, is its column of the block
-        # _build_pairs writes for its popcount group.
-        columns = {}
+    def test_segments_match_pair_builder(self):
+        # Each mask's segment, built by Python-int doubling, is its column
+        # of the block _build_pairs writes for its popcount group: the
+        # same parts in the same descending order.
         for n in range(1, 9):
             order = _mask_order(n)
             for p in range(1, n + 1):
                 masks = order.masks[order.first[p] : order.first[p + 1]]
                 parts, rests = _build_pairs(masks, p)
                 for c, mask in enumerate(masks.tolist()):
-                    columns[n, mask] = (parts[:, c].tolist(), rests[:, c].tolist())
-        try:
-            for held in (True, False):
-                if not held:
-                    monkeypatch.setattr(cheeger, "_HELD_BYTES", 0)
-                    cheeger._plan.cache_clear()
-                for (n, mask), (parts, rests) in columns.items():
-                    assert (cheeger._plan(n) is not None) == held
-                    seg, seg_rests = _segment(n, mask)
-                    assert seg.tolist() == parts
-                    assert seg_rests.tolist() == rests
-                # A suffix mask {i..n-1}'s segment in closed form.
-                for n in range(1, 9):
-                    for i, mask in enumerate(_suffix_masks(n)[:n]):
-                        closed = (np.arange((1 << (n - i - 1)) - 1, -1, -1) << (i + 1)) | (1 << i)
-                        assert _segment(n, mask)[0].tolist() == closed.tolist()
-        finally:
-            cheeger._plan.cache_clear()
+                    seg, seg_rests = _segment(mask)
+                    assert seg.tolist() == parts[:, c].tolist()
+                    assert seg_rests.tolist() == rests[:, c].tolist()
+            # A suffix mask {i..n-1}'s segment in closed form.
+            for i, mask in enumerate(_suffix_masks(n)[:n]):
+                closed = (np.arange((1 << (n - i - 1)) - 1, -1, -1) << (i + 1)) | (1 << i)
+                assert _segment(mask)[0].tolist() == closed.tolist()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_low_k_builds_no_pair_table(self, monkeypatch, k):
@@ -1013,9 +1001,9 @@ class TestProfileTables:
         calls = []
         segment = cheeger._segment
 
-        def counting(n, mask):
+        def counting(mask):
             calls.append(mask)
-            return segment(n, mask)
+            return segment(mask)
 
         monkeypatch.setattr(cheeger, "_segment", counting)
         profile = rho_signed_profile if signed else rho_profile
@@ -1036,9 +1024,9 @@ class TestProfileTables:
         calls = []
         segment = cheeger._segment
 
-        def counting(n, mask):
+        def counting(mask):
             calls.append(mask)
-            return segment(n, mask)
+            return segment(mask)
 
         monkeypatch.setattr(cheeger, "_segment", counting)
         star = generate("star", 6)

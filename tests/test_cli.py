@@ -410,7 +410,8 @@ class TestVerify:
             assert code == 0 and out == expected
         product = json.dumps({**config, "checks": ["product"]})
         code, out, err = run_cli(["verify", "--corpus", product], capsys)
-        assert code == 2 and out == "" and "unknown check 'product'" in err
+        assert code == 2 and out == ""
+        assert err == "error: bad corpus config: 'checks' must be a nonempty list of check names, got ['product']\n"
 
     @pytest.mark.parametrize(
         "corpus, message",
@@ -424,6 +425,9 @@ class TestVerify:
             ('{"sizes": []}', "'sizes' must be a nonempty list of integers >= 1, got []"),
             ('{"sizes": [4, 0]}', "'sizes' must be a nonempty list of integers >= 1, got [4, 0]"),
             ('{"checks": []}', "'checks' must be a nonempty list of check names, got []"),
+            ('{"checks": ["bogus"]}', "'checks' must be a nonempty list of check names, got ['bogus']"),
+            ('{"checks": ["main", "product"]}',
+             "'checks' must be a nonempty list of check names, got ['main', 'product']"),
             ('{"p": "0.3"}', "'p' must be a finite number in [0, 1], got '0.3'"),
             ('{"w_high": Infinity}', "'w_high' must be a finite number > 0 or null, got inf"),
             ('{"w_low": -1}', "'w_low' must be a finite number > 0 or null, got -1"),
@@ -612,8 +616,26 @@ class TestVerify:
         assert data["records"] == json.loads(basics)["records"] != []
 
     def test_unknown_check_exit_2(self, gn3_file, capsys):
-        code, _, err = run_cli(["verify", gn3_file, "--checks", "bogus"], capsys)
-        assert code == 2
+        code, out, err = run_cli(["verify", gn3_file, "--checks", "bogus"], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: unknown check 'bogus'; known: "
+            "('main', 'nodal', 'nodal_cheeger', 'lower', 'basics', 'product')\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["GRAPH", "--checks", "product"], "--checks product needs --with-graph FILE (and --product-k)"),
+            (["--corpus", '{"sizes":[4]}', "--checks", "product"],
+             "the product check needs an explicit pair: verify GRAPH --checks product --with-graph FILE --product-k K"),
+        ],
+    )
+    def test_product_without_a_pair_exit_2(self, gn3_file, capsys, args, message):
+        args = [gn3_file if a == "GRAPH" else a for a in args]
+        code, out, err = run_cli(["verify", *args], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["", ",,,"])
     def test_empty_check_list_exit_2(self, gn3_file, capsys, flag):
