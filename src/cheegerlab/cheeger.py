@@ -85,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph, _derived
+from .graph import WeightedGraph, _derived, _json_form
 from .nodal import strong_nodal
 
 # Memory budget (bytes) for the work arrays of one profile call: each ranged
@@ -179,19 +179,9 @@ class PartitionCertificate:
         a caller must not modify it."""
         held = self.__dict__.get("_json")
         if held is None:
-            held = self._json_dict()
+            held = _json_form(self)
             object.__setattr__(self, "_json", held)
         return held
-
-    def _json_dict(self) -> dict:
-        return {
-            "exact": self.exact,
-            "k": self.k,
-            "parts": [list(p) for p in self.parts],
-            "signed": self.signed,
-            "states": self.states,
-            "value": self.value,
-        }
 
 
 # ---------------------------------------------------------------------------

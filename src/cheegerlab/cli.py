@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
     checks = tuple(s for s in args.checks.split(",") if s)
     for name in checks:
         if name not in CHECK_NAMES and name != "product":
-            raise GraphFormatError(f"unknown check {name!r}; known: {CHECK_NAMES + ('product',)}")
+            raise GraphFormatError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}, product")
     if args.corpus:
         if "product" in checks:
             raise GraphFormatError(
@@ -146,7 +146,10 @@ def cmd_verify(args) -> int:
         if corpus_text.startswith("@"):
             with open(corpus_text[1:], "r", encoding="utf-8") as fh:
                 corpus_text = fh.read()
-        data = json.loads(corpus_text)
+        try:
+            data = json.loads(corpus_text)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"bad corpus config: malformed JSON: {exc}") from None
         if isinstance(data, dict):  # from_json_dict refuses anything else
             # The corpus JSON's own keys win over the flags.
             data = {"seed": args.seed, "eps": args.eps, "checks": list(checks), **data}

@@ -34,7 +34,7 @@ graph holds one perturbed instance per seed until that graph dies.
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -252,6 +252,21 @@ def _real(x, field: str) -> float:
     return float(x)
 
 
+_FIELD_ORDER: dict[type, tuple[str, ...]] = {}  # result class -> its field names, sorted
+
+
+def _json_form(result) -> dict:
+    """The JSON form of a result dataclass: its fields as {name: value} in
+    sorted name order, each value as stored.  A tuple stays a tuple, which
+    json writes as the same array as a list, so the writer's bytes are
+    those of json.dumps(..., sort_keys=True)."""
+    names = _FIELD_ORDER.get(type(result))
+    if names is None:
+        names = _FIELD_ORDER[type(result)] = tuple(sorted(f.name for f in fields(result)))
+    values = result.__dict__
+    return {name: values[name] for name in names}
+
+
 @dataclass(frozen=True)
 class GraphClassification:
     component_labels: tuple[int, ...]
@@ -261,17 +276,7 @@ class GraphClassification:
     is_bipartite: bool
     bipartition_labels: tuple[int, ...] | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bipartition_labels": None
-            if self.bipartition_labels is None
-            else list(self.bipartition_labels),
-            "component_count": self.component_count,
-            "component_labels": list(self.component_labels),
-            "is_bipartite": self.is_bipartite,
-            "is_connected": self.is_connected,
-            "is_tree": self.is_tree,
-        }
+    to_json_dict = _json_form
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, WeightedGraph, _weighted_degrees
+from .graph import Edge, WeightedGraph, _json_form, _weighted_degrees
 from .rng import SplitMix64, derive_seed
 from .spectral import Spectrum, laplacian_spectrum
 
@@ -103,18 +103,7 @@ class FrequencyReport:
     gap_tol: float
     zero_tol: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "fraction_simple": self.fraction_simple,
-            "fraction_zero_free": self.fraction_zero_free,
-            "gap_tol": self.gap_tol,
-            "seed": self.seed,
-            "trials": self.trials,
-            "worst_entry": self.worst_entry,
-            "worst_gap": self.worst_gap,
-            "zero_tol": self.zero_tol,
-        }
+    to_json_dict = _json_form
 
 
 def genericity_frequency(g: WeightedGraph, eps: float, trials: int, seed: int) -> FrequencyReport:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import WeightedGraph, _derived
+from .graph import WeightedGraph, _derived, _json_form
 
 
 _MAX_SWEEPS = 64
@@ -174,12 +174,7 @@ class Spectrum:
             raise ValueError(f"eigenfunction index must be in [1, {len(self.functions)}], got {k}")
         return np.asarray(self.functions[k - 1])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "clusters": [[s, m] for s, m in self.clusters],
-            "functions": None if self.functions is None else [list(f) for f in self.functions],
-            "values": list(self.values),
-        }
+    to_json_dict = _json_form
 
 
 def normalized_laplacian_sym(g: WeightedGraph) -> np.ndarray:
@@ -266,8 +261,7 @@ class EtaResult:
     values: tuple[float, ...]
     eta: float
 
-    def to_json_dict(self) -> dict:
-        return {"eta": self.eta, "values": list(self.values)}
+    to_json_dict = _json_form
 
 
 def adjacency_eta(g: WeightedGraph) -> EtaResult:

@@ -22,9 +22,9 @@ from cheegerlab import (
     laplacian_spectrum,
     run_corpus,
 )
-from cheegerlab import bounds, graph, nodal, spectral
+from cheegerlab import bounds, cheeger, graph, nodal, spectral
 from cheegerlab.bounds import CheckRecord, Report, inequality_tol, run_checks_on_graph
-from cheegerlab.cheeger import PartitionCertificate, _dp_admits, conductance
+from cheegerlab.cheeger import _dp_admits, conductance
 from cheegerlab.cli import main
 from cheegerlab.graph import classify, cyclomatic, dumps_graph, is_complete, product
 from cheegerlab.perturb import perturb
@@ -409,13 +409,13 @@ class TestRecordsAndReport:
         # perturbed instance's), many of them from more than one record.
         # Each certificate builds its dict once, and its records share it.
         built = []
-        build = PartitionCertificate._json_dict
+        form = cheeger._json_form
 
         def counting(cert):
             built.append(cert)
-            return build(cert)
+            return form(cert)
 
-        monkeypatch.setattr(PartitionCertificate, "_json_dict", counting)
+        monkeypatch.setattr(cheeger, "_json_form", counting)
         cfg = CorpusConfig(families=("random_connected",), sizes=(10,), count=1, seed=seed,
                            w_low=0.5, w_high=2.0,
                            checks=("main", "nodal", "nodal_cheeger", "lower", "basics"))

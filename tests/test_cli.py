@@ -338,7 +338,8 @@ class TestCheeger:
         code, out, _ = run_cli(["cheeger", str(path), "--k", "2"], capsys)
         assert code == 0
         data = json.loads(out)
-        assert data == {"certificate": cheegerlab.rho_exact(g, 2).to_json_dict(), "budget_exceeded": False}
+        want = {"certificate": cheegerlab.rho_exact(g, 2).to_json_dict(), "budget_exceeded": False}
+        assert data == json.loads(json.dumps(want))
         assert data["certificate"]["exact"] is True
 
     @pytest.mark.parametrize("signed", [False, True])
@@ -446,6 +447,19 @@ class TestVerify:
         assert out == ""
         assert err == f"error: bad corpus config: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_malformed_corpus_json_exit_2(self, tmp_path, capsys, source):
+        corpus = "{bad"
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(corpus)
+        if source == "file":
+            path = tmp_path / "corpus.json"
+            path.write_text(corpus)
+            corpus = f"@{path}"
+        code, out, err = run_cli(["verify", "--corpus", corpus], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: bad corpus config: malformed JSON: {decoded.value}\n"
 
     @pytest.mark.parametrize(
         "corpus, message",
@@ -618,10 +632,7 @@ class TestVerify:
     def test_unknown_check_exit_2(self, gn3_file, capsys):
         code, out, err = run_cli(["verify", gn3_file, "--checks", "bogus"], capsys)
         assert code == 2 and out == ""
-        assert err == (
-            "error: unknown check 'bogus'; known: "
-            "('main', 'nodal', 'nodal_cheeger', 'lower', 'basics', 'product')\n"
-        )
+        assert err == "error: unknown check 'bogus'; known: main, nodal, nodal_cheeger, lower, basics, product\n"
 
     @pytest.mark.parametrize(
         "args, message",
@@ -784,6 +795,63 @@ class TestOutput:
         assert main(args + ["-o", str(path)]) == code == 0
         assert out.endswith("\n")
         assert path.read_bytes() == out.encode()
+
+
+class TestResultKeys:
+    """The keys of each result's JSON, in the order written."""
+
+    CERTIFICATE = ["exact", "k", "parts", "signed", "states", "value"]
+
+    def test_analyze(self, gn3_file, capsys):
+        code, out, _ = run_cli(["analyze", gn3_file], capsys)
+        data = json.loads(out)
+        assert code == 0
+        assert list(data) == ["classification", "cyclomatic", "degrees", "edge_count", "eta", "kappa",
+                              "mu", "n", "signed", "spectrum", "tau", "tau_min"]
+        assert list(data["classification"]) == ["bipartition_labels", "component_count", "component_labels",
+                                                "is_bipartite", "is_connected", "is_tree"]
+        assert list(data["spectrum"]) == ["clusters", "functions", "values"]
+        assert list(data["eta"]) == ["eta", "values"]
+
+    def test_perturb(self, gn3_file, capsys):
+        code, out, _ = run_cli(["perturb", gn3_file, "--trials", "3"], capsys)
+        assert code == 0
+        assert list(json.loads(out)) == ["eps", "fraction_simple", "fraction_zero_free", "gap_tol", "seed",
+                                         "trials", "worst_entry", "worst_gap", "zero_tol"]
+
+    def test_cheeger(self, gn3_file, capsys):
+        code, out, _ = run_cli(["cheeger", gn3_file, "--k", "2", "--sweep-from-eig", "2"], capsys)
+        data = json.loads(out)
+        assert code == 0
+        assert list(data) == ["budget_exceeded", "certificate", "sweep"]
+        assert list(data["certificate"]) == self.CERTIFICATE
+        assert list(data["sweep"]) == ["bound", "certificate", "m"]
+        assert list(data["sweep"]["certificate"]) == self.CERTIFICATE
+
+    @pytest.mark.parametrize(
+        "edges, classification",
+        [
+            ([(i, (i + 1) % 6) for i in range(6)],
+             '{"bipartition_labels": [0, 1, 0, 1, 0, 1], "component_count": 1, '
+             '"component_labels": [0, 0, 0, 0, 0, 0], "is_bipartite": true, "is_connected": true, '
+             '"is_tree": false}'),
+            ([(i, (i + 1) % 5) for i in range(5)],
+             '{"bipartition_labels": null, "component_count": 1, "component_labels": [0, 0, 0, 0, 0], '
+             '"is_bipartite": false, "is_connected": true, "is_tree": false}'),
+            # C4 on the even vertices and C3 on the odd ones.
+            ([(0, 2), (2, 4), (4, 6), (0, 6), (1, 3), (3, 5), (1, 5)],
+             '{"bipartition_labels": null, "component_count": 2, "component_labels": [0, 1, 0, 1, 0, 1, 0], '
+             '"is_bipartite": false, "is_connected": false, "is_tree": false}'),
+        ],
+        ids=["C6", "C5", "C4+C3"],
+    )
+    def test_classification_bytes(self, tmp_path, capsys, edges, classification):
+        path = tmp_path / "g.json"
+        n = 1 + max(v for e in edges for v in e)
+        path.write_text(json.dumps({"n": n, "mu": "unit", "edges": [{"u": u, "v": v, "w": 1} for u, v in edges]}))
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0
+        assert out.startswith(f'{{"classification": {classification}, "cyclomatic": ')
 
 
 class TestDumps:
