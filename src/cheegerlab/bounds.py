@@ -157,6 +157,8 @@ def _rho_all(g: WeightedGraph, kmax: int) -> tuple[PartitionCertificate, ...]:
     table is built, which the caller reports as a per-instance error.
     """
     signed = g.is_signed()
+    # rho_profile answers a signed graph too; rho_signed_profile is called
+    # by name so that a tracer's cheeger.signed_profile layer sees the call.
     engine = rho_signed_profile if signed else rho_profile
     profile = _derived(g, "profile", lambda h: engine(h) if _dp_admits(h.n, h.m, h.n, signed) else ())
     return profile[:kmax] if profile else engine(g, kmax)
@@ -267,42 +269,23 @@ def check_lower_bound(g: WeightedGraph) -> list[CheckRecord]:
         raise HypothesisViolation("requires kappa == 0")
     if g.n < 3:
         raise HypothesisViolation("requires at least 3 vertices")
-    eta = adjacency_eta(g)
-    prof = degree_profile(g)
+    eta = adjacency_eta(g).eta
+    tau_min = degree_profile(g).tau_min
     profile = _rho_all(g, g.n)
-    records = []
-    for k in range(2, g.n + 1):
-        lhs = (prof.tau_min - eta.eta) * (1.0 - 1.0 / k)
-        cert = profile[k - 1]
-        records.append(
-            CheckRecord.compare(
-                "lower_eta",
-                k,
-                lhs,
-                cert.value,
-                meta={
-                    "certificate": cert.to_json_dict(),
-                    "eta": eta.eta,
-                    "tau_min": prof.tau_min,
-                },
-            )
-        )
+    gap_meta = None
     if g.mu_is_degree() and not is_complete(g):
-        spectrum = _checked_spectrum(g, functions=False)
-        gap = min(spectrum.values[1], 2.0 - spectrum.values[-1])
-        for k in range(2, g.n + 1):
-            lhs = gap * (1.0 - 1.0 / k)
-            cert = profile[k - 1]
-            records.append(
-                CheckRecord.compare(
-                    "lower_gap",
-                    k,
-                    lhs,
-                    cert.value,
-                    meta={"lambda_2": spectrum.values[1], "lambda_n": spectrum.values[-1]},
-                )
-            )
-    return records
+        values = _checked_spectrum(g, functions=False).values
+        gap = min(values[1], 2.0 - values[-1])
+        gap_meta = {"lambda_2": values[1], "lambda_n": values[-1]}
+    eta_records, gap_records = [], []
+    for k in range(2, g.n + 1):
+        cert = profile[k - 1]
+        share = 1.0 - 1.0 / k
+        meta = {"certificate": cert.to_json_dict(), "eta": eta, "tau_min": tau_min}
+        eta_records.append(CheckRecord.compare("lower_eta", k, (tau_min - eta) * share, cert.value, meta))
+        if gap_meta is not None:
+            gap_records.append(CheckRecord.compare("lower_gap", k, gap * share, cert.value, gap_meta))
+    return eta_records + gap_records
 
 
 def check_product_theorem(
@@ -385,13 +368,13 @@ def check_basics(g: WeightedGraph) -> list[CheckRecord]:
         records.append(
             CheckRecord.compare("eq1_left", k, lam / 2.0, profile[k - 1].value, meta={"lambda_k": lam})
         )
-    if g.n >= 2:
-        lam2 = _clamp_eigenvalue(spectrum.values[1])
-        records.append(
-            CheckRecord.compare(
-                "cheeger_upper", 2, profile[1].value, math.sqrt(2.0 * lam2), meta={"lambda_2": lam2}
-            )
+    # A valid graph has no isolated vertex, so n >= 2.
+    lam2 = _clamp_eigenvalue(spectrum.values[1])
+    records.append(
+        CheckRecord.compare(
+            "cheeger_upper", 2, profile[1].value, math.sqrt(2.0 * lam2), meta={"lambda_2": lam2}
         )
+    )
     return records
 
 

@@ -442,13 +442,12 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     recurrence's iterations and ties follow the DP's scan order; the parts
     are read as the profile reads them.  The Phi table is held with g
     while it fits _HELD_BYTES.  A request beyond the work policy raises
-    ValueError before any table is built.
+    ValueError before any table is built.  On a signed graph this is
+    rho^sigma_k, the certificate of :func:`rho_signed_exact`.
     """
-    if g.is_signed():
-        raise ValueError("rho_exact needs an unsigned graph; see rho_signed_exact")
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    return _solve(g, k, (k,), signed=False)[0]
+    return _solve(g, k, (k,), g.is_signed())[0]
 
 
 def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
@@ -833,13 +832,13 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     level 1 when kmax = 2, each later part on the optimal path is found by
     rescanning its mask's segment.  A request
     beyond the work policy raises ValueError before any table is built.
+    On a signed graph these are the rho^sigma_k certificates of
+    :func:`rho_signed_profile`.
     """
-    if g.is_signed():
-        raise ValueError("rho_profile needs an unsigned graph; see rho_signed_profile")
     kmax = g.n if kmax is None else kmax
     if not 1 <= kmax <= g.n:
         raise ValueError(f"kmax must be in [1, {g.n}]")
-    return _solve(g, kmax, range(1, kmax + 1), signed=False)
+    return _solve(g, kmax, range(1, kmax + 1), g.is_signed())
 
 
 class _SplitPass:

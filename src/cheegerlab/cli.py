@@ -71,9 +71,7 @@ def cmd_analyze(args) -> int:
     prof = degree_profile(g)
     # The graph's own eigenvalues are the BLAS-independent Jacobi values.
     spectrum = with_functions(g, laplacian_spectrum(g, functions=False))
-    eta = None
-    if not g.is_signed() and g.kappa_is_zero() and g.n >= 3:
-        eta = adjacency_eta(g).to_json_dict()
+    eta = None if g.is_signed() else adjacency_eta(g).to_json_dict()
     out = {
         "classification": cls.to_json_dict(),
         "cyclomatic": cyclomatic(g),
@@ -231,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("cheeger", help="exact k-way (signed) Cheeger constant")
     pc.add_argument("graph")
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--signed", action="store_true")
+    pc.add_argument("--signed", action="store_true",
+                    help="score by beta (rho^sigma_k) even on an unsigned graph; a signed graph always is")
     pc.add_argument("--sweep-from-eig", type=int, default=None, metavar="J",
                     help="also report the nodal-sweep upper bound from eigenfunction J (1-based)")
     pc.add_argument("-o", "--output", default=None)

@@ -7,7 +7,8 @@ a pure function of its arguments.  A `WeightedGraph` checks its invariants
 once, when it is made, so no function re-checks a graph it is given.  One
 union-find component labelling, `_component_labels`, serves `classify` (one
 labelling of the bipartite double cover gives the components, the tree flag
-and the 2-colouring), the generators and the nodal decompositions.  The two
+and the 2-colouring), the generators and the nodal decompositions, and one
+`_groups` turns a labelling into its vertex lists.  The two
 graph readers, JSON and the edge list, keep only their own syntax and hand
 the fields to one checked core, `_checked_graph`, which bounds the size,
 builds the graph and maps its problems to `GraphFormatError`: a fault that
@@ -316,6 +317,15 @@ def _component_labels(n: int, keep, edges) -> tuple[tuple[int, ...], int]:
     return tuple(labels), len(first)
 
 
+def _groups(labels, count: int) -> list[list[int]]:
+    """The ascending vertex lists of labels 0..count-1 (UNLABELED in none)."""
+    out: list[list[int]] = [[] for _ in range(count)]
+    for v, lab in enumerate(labels):
+        if lab != UNLABELED:
+            out[lab].append(v)
+    return out
+
+
 def _problems(g: WeightedGraph) -> tuple[str, ...]:
     problems = []
     if g.n < 1:
@@ -498,22 +508,13 @@ def _random_tree(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _components_of(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The vertex lists of the components, in order of smallest vertex."""
-    labels, count = _component_labels(n, [True] * n, edges)
-    comps: list[list[int]] = [[] for _ in range(count)]
-    for v, lab in enumerate(labels):
-        comps[lab].append(v)
-    return comps
-
-
 def _tree_skeleton(n: int, rng: SplitMix64, p: float) -> list[tuple[int, int]]:
     return sorted((min(u, v), max(u, v)) for u, v in _random_tree(rng, n))
 
 
 def _connected_skeleton(n: int, rng: SplitMix64, p: float) -> list[tuple[int, int]]:
     skel = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p}
-    comps = _components_of(n, skel)
+    comps = _groups(*_component_labels(n, [True] * n, skel))
     if len(comps) > 1:
         # One edge per edge of a random tree over the components connects them.
         for ci, cj in _random_tree(rng, len(comps)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNLABELED, WeightedGraph, _component_labels, _derived
+from .graph import WeightedGraph, _component_labels, _derived, _groups
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,7 @@ class NodalDecomposition:
     count: int
 
     def domains(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.count)]
-        for v, lab in enumerate(self.labels):
-            if lab != UNLABELED:
-                out[lab].append(v)
-        return out
+        return _groups(self.labels, self.count)
 
 
 def _rounded_signs(f, zero_tol: float | None) -> tuple[int, ...]:

@@ -77,14 +77,19 @@ class JacobiConvergenceError(RuntimeError):
 
 def _norm(rows: list, off_diagonal: bool) -> float:
     """Frobenius norm of the rows, or of their off-diagonal part: the
-    square root of the exactly rounded sum of the squares (math.fsum),
-    inf when that sum overflows."""
+    square root of the exactly rounded sum of the squares (math.fsum).
+    Where the squares or their sum overflow and the entries are finite,
+    it is s * sqrt(fsum((x/s)^2)) for the largest |x| = s instead, so that
+    a matrix of huge finite entries gets a finite stopping threshold."""
     if off_diagonal:
         rows = [row[:i] + row[i + 1 :] for i, row in enumerate(rows)]
     try:
-        return math.sqrt(math.fsum(x * x for row in rows for x in row))
+        norm = math.sqrt(math.fsum(x * x for row in rows for x in row))
     except OverflowError:  # finite squares whose sum is not
-        return math.inf
+        norm = math.inf
+    if norm == math.inf and math.isfinite(s := max(abs(x) for row in rows for x in row)):
+        return s * math.sqrt(math.fsum((x / s) * (x / s) for row in rows for x in row))
+    return norm
 
 
 def eig_sym(m: np.ndarray) -> np.ndarray:
@@ -266,21 +271,17 @@ class EtaResult:
 
 def adjacency_eta(g: WeightedGraph) -> EtaResult:
     """Spectrum of M^{-1/2} A M^{-1/2} (same as M^{-1}A) from LAPACK
-    `eigh`, sorted descending.  With kappa = 0 and no negative sign that
-    matrix is diag(L) - L for L = :func:`normalized_laplacian_sym` (the
-    diagonal cancels to 0.0, the off-diagonal entries change sign
+    `eigh`, sorted descending.  On an unsigned graph that matrix is
+    diag(L) - L for L = :func:`normalized_laplacian_sym`, whatever kappa
+    (the diagonal cancels to 0.0, the off-diagonal entries change sign
     exactly), read from the L held with g.
 
-    Requires an unsigned graph with kappa identically 0 and at least three
-    vertices; those are the standing hypotheses of the spectral-radius
-    lower bound this quantity feeds.
+    Defined for every unsigned graph (n >= 2); the spectral-radius lower
+    bound's own hypotheses, kappa = 0 and n >= 3, are checked by
+    `bounds.check_lower_bound`.
     """
     if g.is_signed():
         raise ValueError("eta is defined for unsigned graphs")
-    if not g.kappa_is_zero():
-        raise ValueError("eta requires kappa == 0")
-    if g.n < 3:
-        raise ValueError("eta requires at least 3 vertices")
     lap = _laplacian(g)
     desc = np.linalg.eigh(np.diag(np.diag(lap)) - lap)[0][::-1]
     eta = max(abs(float(desc[1])), abs(float(desc[-1])))

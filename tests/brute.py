@@ -491,11 +491,16 @@ def beta_split_tables(g: WeightedGraph) -> tuple[list[float], list[int]]:
 
 def _loop_norm(entries: np.ndarray) -> float:
     """Euclidean norm of `entries`: the square root of the exactly rounded
-    sum of their squares, inf when that sum overflows."""
+    sum of their squares; where that overflows and the entries are finite,
+    s * sqrt(fsum((x/s)^2)) for the largest |x| = s."""
+    xs = entries.ravel().tolist()
     try:
-        return math.sqrt(math.fsum((entries * entries).ravel().tolist()))
+        norm = math.sqrt(math.fsum(x * x for x in xs))
     except OverflowError:
-        return math.inf
+        norm = math.inf
+    if norm == math.inf and math.isfinite(s := max(map(abs, xs))):
+        return s * math.sqrt(math.fsum((x / s) * (x / s) for x in xs))
+    return norm
 
 
 def _loop_off_norm(a: np.ndarray) -> float:

@@ -11,6 +11,7 @@ from cheegerlab import (
     HypothesisViolation,
     NonGenericError,
     WeightedGraph,
+    adjacency_eta,
     check_basics,
     check_lemma_nodal_cheeger,
     check_lower_bound,
@@ -20,6 +21,7 @@ from cheegerlab import (
     degree_profile,
     generate,
     laplacian_spectrum,
+    rho_profile,
     run_corpus,
 )
 from cheegerlab import bounds, cheeger, graph, nodal, spectral
@@ -225,6 +227,39 @@ class TestLowerBound:
         records = check_lower_bound(generate("cycle", 5))
         assert [r for r in records if r.name == "lower_gap"]
         assert all(r.holds for r in records)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f in ("path", "cycle", "star") for n in range(3, 9)]
+        + [("gn", 3), ("gn", 4)]
+        + [("random_connected", n) for n in range(4, 10)],
+    )
+    def test_records_read_the_profile_and_the_spectrum(self, family, n):
+        # Each record k reads certificate k of the exact profile: lower_eta
+        # with (tau_min - eta)(1 - 1/k), lower_gap with min(lambda_2,
+        # 2 - lambda_n)(1 - 1/k) from the Jacobi values, for every k = 2..n.
+        for seed in (n, n + 30):
+            g = generate(family, n, seed)
+            records = check_lower_bound(g)
+            profile = rho_profile(g)
+            eta = adjacency_eta(g).eta
+            tau_min = degree_profile(g).tau_min
+            values = laplacian_spectrum(g, functions=False).values
+            gap = min(values[1], 2.0 - values[-1])
+            ks = list(range(2, g.n + 1))
+            eta_records = [r for r in records if r.name == "lower_eta"]
+            gap_records = [r for r in records if r.name == "lower_gap"]
+            assert [r.k for r in eta_records] == ks
+            assert [r.k for r in gap_records] == (ks if not is_complete(g) else [])
+            for r in eta_records:
+                cert = profile[r.k - 1]
+                assert r.lhs == (tau_min - eta) * (1.0 - 1.0 / r.k)
+                assert r.rhs == cert.value
+                assert r.meta == {"certificate": cert.to_json_dict(), "eta": eta, "tau_min": tau_min}
+            for r in gap_records:
+                assert r.lhs == gap * (1.0 - 1.0 / r.k)
+                assert r.rhs == profile[r.k - 1].value
+                assert r.meta == {"lambda_2": values[1], "lambda_n": values[-1]}
 
     def test_hypotheses(self):
         with pytest.raises(HypothesisViolation):

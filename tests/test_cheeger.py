@@ -40,6 +40,7 @@ from cheegerlab.cheeger import (
     _signed_tables,
     _suffix_pass,
 )
+from cheegerlab.graph import FAMILIES
 from brute import (
     beta_split_tables,
     loop_cut_and_measure,
@@ -167,9 +168,19 @@ class TestRhoExact:
         with pytest.raises(ValueError):
             rho_exact(triangle(), 0)
 
-    def test_rejects_signed(self):
-        with pytest.raises(ValueError):
-            rho_exact(unbalanced_triangle(), 1)
+    def test_signed_graph_gives_signed_constant(self):
+        # On a signed graph rho_exact and rho_profile are rho^sigma_k, the
+        # same certificates as the signed entries.  gn has 2n + 2 vertices,
+        # so it is taken at n = 3 (8 vertices) only.
+        cases = [(f, n) for f in FAMILIES for n in ([3] if f == "gn" else range(4, 9))]
+        for family, n in cases:
+            for seed in (n, n + 50):
+                g = with_random_signature(generate(family, n, seed), seed + 1)
+                for k in range(1, g.n + 1):
+                    cert, want = rho_exact(g, k), rho_signed_exact(g, k)
+                    assert cert.value == want.value
+                    assert (cert.parts, cert.states, cert.signed) == (want.parts, want.states, True)
+                assert rho_profile(g) == rho_signed_profile(g)
 
     def test_certificate_is_valid(self):
         g = generate("random_connected", 8, seed=17, p=0.35, w_low=0.5, w_high=2.0)

@@ -24,6 +24,20 @@ def gn3_file(tmp_path):
     return str(path)
 
 
+# The signed graph of the console-script examples: mu, kappa and both signs.
+SIGNED_GRAPH = {
+    "n": 4,
+    "mu": [1.0, 2.0, 0.5, 1.5],
+    "kappa": [0.25, 0.0, -0.5, 0.125],
+    "edges": [
+        {"u": 0, "v": 1, "w": 1.5, "sigma": -1},
+        {"u": 1, "v": 2, "w": 0.75},
+        {"u": 0, "v": 2, "w": 2.0, "sigma": 1},
+        {"u": 2, "v": 3, "w": 1.25, "sigma": -1},
+    ],
+}
+
+
 class TestGen:
     def test_gn3_weights(self, tmp_path, capsys):
         code, out, _ = run_cli(["gen", "--family", "gn", "--n", "3"], capsys)
@@ -103,6 +117,42 @@ class TestAnalyze:
         bare = cheegerlab.laplacian_spectrum(g, functions=False)
         assert [v.hex() for v in spectrum["values"]] == [v.hex() for v in bare.values]
         assert spectrum["functions"] == [list(f) for f in cheegerlab.laplacian_spectrum(g).functions]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": 3, "mu": "unit", "kappa": [1, 0, 0.5],
+             "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": 2}, {"u": 0, "v": 2, "w": 1}]},
+            {"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}]},
+        ],
+    )
+    def test_eta_for_every_unsigned_graph(self, tmp_path, capsys, graph):
+        # eta needs only an unsigned graph: kappa != 0 and n = 2 print it too,
+        # while the lower bound still skips on its own hypotheses.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        g = cheegerlab.load_graph(str(path))
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0
+        eta = json.loads(out)["eta"]
+        assert isinstance(eta["eta"], float)
+        assert eta == json.loads(json.dumps(cheegerlab.adjacency_eta(g).to_json_dict()))
+        code, out, _ = run_cli(["analyze", str(path), "--format", "text"], capsys)
+        assert code == 0 and out.splitlines()[-1] == f"eta: {eta['eta']:.10g}"
+        code, out, err = run_cli(["verify", str(path), "--checks", "lower"], capsys)
+        assert code == 0
+        assert err == "warning: 1 record(s) skipped on hypothesis grounds\n"
+        [record] = json.loads(out)["records"]
+        reason = "requires kappa == 0" if graph["n"] == 3 else "requires at least 3 vertices"
+        assert (record["name"], record["holds"], record["meta"]) == ("lower", None, {"skipped": reason})
+
+    def test_no_eta_for_a_signed_graph(self, tmp_path, capsys):
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps(SIGNED_GRAPH))
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0 and json.loads(out)["eta"] is None
+        code, out, _ = run_cli(["analyze", str(path), "--format", "text"], capsys)
+        assert code == 0 and "eta:" not in out
 
     def test_disconnected(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -248,6 +298,17 @@ class TestCheeger:
         data = json.loads(out)
         assert code == 0
         assert data["certificate"]["value"] == 1 / 3
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_signed_graph_without_the_flag_gives_the_signed_bytes(self, tmp_path, capsys, k):
+        # On a signed graph rho_exact is rho^sigma_k, so --signed changes
+        # nothing; the flag only scores an unsigned graph by beta.
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps(SIGNED_GRAPH))
+        flagged = run_cli(["cheeger", str(path), "--k", str(k), "--signed"], capsys)
+        assert flagged[0] == 0 and flagged[2] == ""
+        assert run_cli(["cheeger", str(path), "--k", str(k)], capsys) == flagged
+        assert json.loads(flagged[1])["certificate"]["signed"] is True
 
     def test_sweep_option(self, gn3_file, capsys):
         code, out, _ = run_cli(
@@ -628,6 +689,11 @@ class TestVerify:
         code, basics, _ = run_cli(["verify", str(p3), "--checks", "basics", "--eps", "1e308"], capsys)
         assert code == 0
         assert data["records"] == json.loads(basics)["records"] != []
+
+    def test_neither_graph_nor_corpus_exit_2(self, capsys):
+        code, out, err = run_cli(["verify", "--checks", "main"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: verify needs a graph file or --corpus\n"
 
     def test_unknown_check_exit_2(self, gn3_file, capsys):
         code, out, err = run_cli(["verify", gn3_file, "--checks", "bogus"], capsys)

@@ -122,6 +122,23 @@ class TestJacobi:
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_overflowing_squares_still_rotate(self):
+        # The squares of the entries 1e160 overflow to inf; the norms are
+        # then taken on the entries scaled by the largest, so the stopping
+        # threshold is finite and the solver rotates instead of returning
+        # the diagonal.
+        g = WeightedGraph.build(2, [(0, 1, 1e160)], mu="unit")
+        m = normalized_laplacian_sym(g)
+        frobenius = 2e160
+        assert spectral._norm(m.tolist(), False) == frobenius
+        assert spectral._norm(m.tolist(), True) == math.sqrt(2.0) * 1e160
+        for values in (eig_sym(m), laplacian_spectrum(g, functions=False).values):
+            assert abs(values[0] - 0.0) <= 1e-12 * frobenius
+            assert abs(values[1] - 2e160) <= 1e-12 * frobenius
+        assert assert_same_as_loop(m)
+        # A matrix with an infinite entry keeps an infinite norm.
+        assert spectral._norm([[math.inf, 1.0], [1.0, 0.0]], False) == math.inf
+
     def test_nonconvergence_error_carries_norm(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
         monkeypatch.setattr(spectral, "_OFF_DIAG_TOL", 1e-15)
@@ -474,13 +491,18 @@ class TestEta:
             assert held.eta.hex() == fresh.eta.hex()
             assert [x.hex() for x in held.values] == [x.hex() for x in fresh.values]
 
-    def test_rejects_signed_potential_small(self):
-        with pytest.raises(ValueError):
+    def test_rejects_signed_only(self):
+        with pytest.raises(ValueError, match="^eta is defined for unsigned graphs$"):
             adjacency_eta(WeightedGraph.build(3, [(0, 1, 1, -1), (1, 2, 1), (0, 2, 1)]))
-        with pytest.raises(ValueError):
-            adjacency_eta(WeightedGraph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], kappa=1.0))
-        with pytest.raises(ValueError):
-            adjacency_eta(generate("path", 2))
+        # kappa enters only the diagonal of L, which diag(L) - L cancels to
+        # 0.0, so eta and its values have the same bits as at kappa = 0.
+        edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
+        flat = adjacency_eta(WeightedGraph.build(3, edges))
+        tilted = adjacency_eta(WeightedGraph.build(3, edges, kappa=1.0))
+        assert tilted.eta.hex() == flat.eta.hex()
+        assert [x.hex() for x in tilted.values] == [x.hex() for x in flat.values]
+        # eta is defined at n = 2: K2's normalized adjacency has values 1, -1.
+        assert adjacency_eta(generate("path", 2)).eta == 1.0
 
 
 class TestClosedForms:
