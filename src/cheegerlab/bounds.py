@@ -171,9 +171,13 @@ def _upper_record(
     (the shifted theorem, the nodal-Cheeger lemma, the product theorem):
     cert is rho_j's certificate and lam the clamped lambda_k.  Its meta is
     the certificate's JSON, the record's own keys, then tau, which is in
-    key order since every own key sorts between the two."""
+    key order since every own key sorts between the two.  Where 2 tau
+    lambda_k overflows, the bound is sqrt(2 tau) sqrt(lambda_k) instead."""
     meta = {"certificate": cert.to_json_dict(), **meta, "tau": tau}
-    return CheckRecord.compare(name, k, cert.value, math.sqrt(2.0 * tau * lam), meta)
+    rhs = math.sqrt(2.0 * tau * lam)
+    if rhs == math.inf:
+        rhs = math.sqrt(2.0 * tau) * math.sqrt(lam)
+    return CheckRecord.compare(name, k, cert.value, rhs, meta)
 
 
 def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:

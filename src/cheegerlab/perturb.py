@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, WeightedGraph, _json_form, _weighted_degrees
+from .graph import Edge, WeightedGraph, _json_form
 from .rng import SplitMix64, derive_seed
 from .spectral import Spectrum, laplacian_spectrum
 
@@ -35,8 +35,8 @@ def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError("eps must be a finite number >= 0")
     # Python floats: a numpy scalar would warn where this product overflows.
-    deg = _weighted_degrees(g.n, g.edges)
-    if not (math.isfinite((1.0 + eps) * max(deg)) and math.isfinite(max(g.kappa) + eps)):
+    deg = float(g.degrees().max())
+    if not (math.isfinite((1.0 + eps) * deg) and math.isfinite(max(g.kappa) + eps)):
         raise ValueError(
             f"eps = {eps!r} is too large: the perturbed degrees or potentials would overflow"
         )
@@ -72,7 +72,7 @@ class GenericityReport:
             raise ValueError("genericity needs a spectrum solved with its eigenfunctions")
         values = np.asarray(spectrum.values)
         min_gap = float(np.min(np.diff(values))) if len(values) >= 2 else float("inf")
-        min_abs = float(np.min(np.abs(np.asarray(spectrum.functions))))
+        min_abs = float(np.min(np.abs(spectrum.functions)))
         return GenericityReport(
             simple=min_gap > GENERICITY_TOL,
             min_gap=min_gap,

@@ -15,14 +15,20 @@ Two routes solve the spectrum of a graph's Laplacian:
   lambda_k) away from 0.
 
 `with_functions` joins the two: Jacobi values with LAPACK functions.
-Within a cluster of coincident eigenvalues the functions are any
-orthonormal basis of the eigenspace.  The normalized-adjacency eta comes
-from the values of one `np.linalg.eigh` call on diag(L) - L, L the
-symmetric normalized Laplacian; the spectral-radius bound reads it only
-through a comparison.  So every LAPACK solve goes through the one driver,
-`eigh` (`eigvalsh` is wrong on matrices with tiny entries: it gave eta =
-3.2404 for the path with weights 1e-161, 3, 1 and unit measure, whose eta
-is sqrt(10)).  Every route reads the same L(g): built once per graph by
+The functions are held as the one array that `eigh` gives, transposed:
+a read-only, C-contiguous (n, n) float64 array whose row k - 1 is f_k,
+so every reader (the nodal counts, the sweep, genericity, the JSON form)
+reads the same float64 bits without a copy.  Within a cluster of
+coincident eigenvalues the functions are any orthonormal basis of the
+eigenspace.
+
+The normalized-adjacency eta comes from the values of one
+`np.linalg.eigh` call on diag(L) - L, L the symmetric normalized
+Laplacian; the spectral-radius bound reads it only through a
+comparison.  So every LAPACK solve goes through the one driver, `eigh`
+(`eigvalsh` is wrong on matrices with tiny entries: it gave eta = 3.2404
+for the path with weights 1e-161, 3, 1 and unit measure, whose eta is
+sqrt(10)).  Every route reads the same L(g): built once per graph by
 :func:`normalized_laplacian_sym` and held with the graph,
 read-only (graph._derived), which is safe because the graph cannot change
 and L is a function of it alone.  Eigenvalues are reported ascending; the
@@ -150,36 +156,43 @@ def eig_sym(m: np.ndarray) -> np.ndarray:
     return np.sort([row[i] for i, row in enumerate(rows)], kind="stable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Ascending eigenvalues of the normalized Laplacian with eigenfunctions.
 
     `values` come from the Jacobi solver (the same bits on every BLAS
     build) when the spectrum was solved without functions or had them
     added by `with_functions`, and from LAPACK `eigh` together with the
-    functions otherwise.  `functions[k]` is the k-th eigenfunction of
-    L = M^{-1}(D + K - A^sigma) from LAPACK, paired with `values[k]`,
-    mu-orthonormal: sum_i mu_i f(i) g(i) = delta, and sign-normalized so
-    that its entry of largest magnitude is positive; it is None when the
-    spectrum was solved without them.  Within a cluster the functions are
-    any orthonormal basis of the eigenspace.  `clusters` groups
-    numerically coincident eigenvalues as (start index, multiplicity)
-    pairs, 0-based.
+    functions otherwise.  `functions` is a read-only, C-contiguous (n, n)
+    float64 array, or None when the spectrum was solved without them.  Its
+    row k is the eigenfunction of L = M^{-1}(D + K - A^sigma) from LAPACK
+    paired with `values[k]`, mu-orthonormal: sum_i mu_i f(i) g(i) = delta,
+    and sign-normalized so that its entry of largest magnitude is positive.
+    Within a cluster the functions are any orthonormal basis of the
+    eigenspace.  `clusters` groups numerically coincident eigenvalues as
+    (start index, multiplicity) pairs, 0-based.  An array has no truth
+    value, so two spectra are equal only when they are the same object.
     """
 
     values: tuple[float, ...]
-    functions: tuple[tuple[float, ...], ...] | None
+    functions: np.ndarray | None
     clusters: tuple[tuple[int, int], ...]
 
     def function(self, k: int) -> np.ndarray:
-        """The k-th (1-based) eigenfunction as an array."""
+        """The k-th (1-based) eigenfunction: row k - 1 of `functions`,
+        read-only, without a copy."""
         if self.functions is None:
             raise ValueError("spectrum was solved without eigenfunctions")
         if not 1 <= k <= len(self.functions):
             raise ValueError(f"eigenfunction index must be in [1, {len(self.functions)}], got {k}")
-        return np.asarray(self.functions[k - 1])
+        return self.functions[k - 1]
 
-    to_json_dict = _json_form
+    def to_json_dict(self) -> dict:
+        """The fields in sorted name order, the functions as nested lists."""
+        form = _json_form(self)
+        if self.functions is not None:
+            form["functions"] = self.functions.tolist()
+        return form
 
 
 def normalized_laplacian_sym(g: WeightedGraph) -> np.ndarray:
@@ -218,15 +231,18 @@ def _cluster(values: np.ndarray, gap_tol: float) -> tuple[tuple[int, int], ...]:
     return tuple(clusters)
 
 
-def _eigenfunctions(mat: np.ndarray, mu) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
+def _eigenfunctions(mat: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
     """The ascending eigenvalues of the symmetric form `mat` of L and its
-    mu-orthonormal eigenfunctions, from one LAPACK `eigh` call: each
-    column is sign-normalized so that its entry of largest magnitude is
-    positive, then scaled by 1/sqrt(mu)."""
+    mu-orthonormal eigenfunctions as the rows of a read-only, C-contiguous
+    array, from one LAPACK `eigh` call: each column is sign-normalized so
+    that its entry of largest magnitude is positive, then scaled by
+    1/sqrt(mu)."""
     values, vecs = np.linalg.eigh(mat)
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs = np.where(lead < 0, -vecs, vecs)
-    return values, tuple(map(tuple, (vecs / np.sqrt(np.asarray(mu))[:, None]).T.tolist()))
+    np.negative(vecs, out=vecs, where=lead < 0)
+    funcs = np.divide(vecs.T, np.sqrt(np.asarray(mu)), order="C")
+    funcs.flags.writeable = False
+    return values, funcs
 
 
 def laplacian_spectrum(g: WeightedGraph, *, functions: bool = True) -> Spectrum:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -600,6 +601,28 @@ class TestVerify:
         code, basics, _ = run_cli(["verify", gn3_file, "--checks", "basics", "--eps", "1e308"], capsys)
         assert code == 0
         assert data["records"] == json.loads(basics)["records"] != []
+
+    def test_huge_weights_give_a_finite_upper_bound(self, tmp_path, capsys):
+        # 2 tau lambda_k overflows at k = 2, 3 (tau = 2e160), so the bound is
+        # sqrt(2 tau) sqrt(lambda_k); at k = 1 the plain form is kept.
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps({"n": 3, "mu": "unit", "edges": [
+            {"u": 0, "v": 1, "w": 1e160}, {"u": 1, "v": 2, "w": 1e160}]}))
+        code, out, _ = run_cli(
+            ["verify", str(path), "--checks", "main,nodal_cheeger", "--eps", "0"], capsys
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [(r["name"], r["k"]) for r in records] == [
+            (name, k) for name in ("main", "nodal_cheeger") for k in (1, 2, 3)
+        ]
+        for r in records:
+            tau, lam = r["meta"]["tau"], r["meta"]["lambda_k"]
+            assert r["holds"] and math.isfinite(r["rhs"]) and math.isfinite(r["margin"])
+            if r["k"] == 1:
+                assert r["rhs"] == math.sqrt(2.0 * tau * lam)
+            else:
+                assert r["rhs"] == math.sqrt(2.0 * tau) * math.sqrt(lam)
 
     def test_negative_kappa_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,7 +352,53 @@ class TestEigenfunctionOracle:
         bare = laplacian_spectrum(g, functions=False)
         full = spectral.with_functions(g, bare)
         assert full.values == bare.values and full.clusters == bare.clusters
-        assert full.functions == laplacian_spectrum(g).functions
+        assert np.array_equal(full.functions, laplacian_spectrum(g).functions)
+
+
+class TestEigenfunctionArray:
+    """The eigenfunctions are held as the one array `eigh` gives: read-only,
+    C-contiguous, row k - 1 is f_k, and read without a copy."""
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 14])
+    def test_rows_are_one_eigh(self, n):
+        for g in oracle_graphs(n):
+            funcs = laplacian_spectrum(g).functions
+            assert funcs.dtype == np.float64 and funcs.shape == (n, n)
+            assert funcs.flags.c_contiguous and not funcs.flags.writeable
+            _, vecs = np.linalg.eigh(normalized_laplacian_sym(g))
+            root = np.sqrt(np.asarray(g.mu))
+            for k in range(n):
+                v = vecs[:, k]
+                if v[np.argmax(np.abs(v))] < 0:
+                    v = -v
+                assert (v / root).tobytes() == funcs[k].tobytes()
+
+    def test_function_is_a_row_without_copy(self):
+        g = generate("random_connected", 8, seed=3, p=0.4)
+        s = spectral.with_functions(g, laplacian_spectrum(g, functions=False))
+        for k in range(1, g.n + 1):
+            f = s.function(k)
+            assert np.shares_memory(f, s.functions)
+            assert not f.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 0.0
+
+    def test_held_bytes_near_8n2(self):
+        # n^2 Python floats in tuples would hold about 32 n^2 bytes.
+        n = 200
+        g = generate("random_connected", n, seed=7, p=4 / n)
+        spectral._laplacian(g)  # held with g before the count starts
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s = laplacian_spectrum(g)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert s.functions.nbytes == 8 * n * n
+        assert held <= 1.25 * 8 * n * n
 
 
 class TestSpectrum:
