@@ -50,7 +50,9 @@ class HypothesisViolation(ValueError):
 
 
 class NonGenericError(RuntimeError):
-    """A perturbed instance failed the genericity assertion; try another seed."""
+    """The instance a check ran on failed the genericity assertion: at eps > 0
+    a perturbation of the graph (try another seed), at eps = 0 the graph
+    itself (try eps > 0)."""
 
 
 def inequality_tol(rhs: float) -> float:
@@ -208,7 +210,8 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
 
 
 def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[CheckRecord]:
-    """Nodal-count sandwich on one generic perturbation of g.
+    """Nodal-count sandwich on one generic perturbation of g (on g itself
+    at eps = 0).
 
     Perturbs once and asserts, at GENERICITY_TOL, that the spectrum is
     simple and its eigenfunctions zero-free; that one verdict stands for
@@ -222,10 +225,13 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
     spectrum = _checked_spectrum(gp, functions=True)
     report = GenericityReport.of(spectrum)
     if not (report.simple and report.zero_free):
-        raise NonGenericError(
-            f"perturbed instance is not generic (min_gap={report.min_gap:.3e}, "
-            f"min_abs_entry={report.min_abs_entry:.3e}); try another seed"
-        )
+        measured = f"min_gap={report.min_gap:.3e}, min_abs_entry={report.min_abs_entry:.3e}"
+        if eps == 0:
+            raise NonGenericError(
+                f"graph is not generic ({measured}); at eps = 0 the check runs on "
+                f"the graph itself, so try eps > 0"
+            )
+        raise NonGenericError(f"perturbed instance is not generic ({measured}); try another seed")
     ell = cyclomatic(gp)
     records = []
     for k in range(1, g.n + 1):

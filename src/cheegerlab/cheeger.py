@@ -46,7 +46,10 @@ ValueError before any table is built.
 The per-n tables (the membership table bits[v][mask], the mask layout
 and the plan) are read-only and held only while each holds at most
 _HELD_BYTES (1 MiB): all of them up to n = 10, the plan no further, the
-rest up to n = 16; a larger n builds them per call.
+rest up to n = 16; a larger n builds them per call.  Each held table is
+built by the first pass that reads it, so a request at k <= 2, whose DP
+keeps no rows and runs no pair pass, builds no plan of the sub-cube (a
+signed one still builds n's for its split pass).
 A graph holds its Phi table under the same bound (graph._derived).
 The cut pass sums every edge's term, a weight times a crossing row of
 bits, over the masks without vertex n-1 in one reduction down the edges
@@ -662,8 +665,10 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     instead of rescanning their segments.  Each argmin writes into its
     group's slice of one table per profile, which is allocated before the
     pass: small arrays held through the pass raised a corpus run's peak
-    RSS.  Beyond the held plan nothing is kept.  Only min and max select
-    among table values, so every entry is exact.
+    RSS.  Beyond the held plan nothing is kept, and at kmax <= 1 (a
+    request at k <= 2) no group pass runs, no rows are kept and no plan is
+    built.  Only min and max select among table values, so every entry is
+    exact.
     """
     m = n - 1
     sub = score[0::2]
@@ -737,15 +742,16 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[fl
     the first part of the mask's segment that attains it is taken, read
     from the level's rows where it kept them, else found by rescanning the
     segment (every level of a table without rows, and every level beyond
-    the held plan).  Table entries are read as Python scalars (`.item`),
-    the same values.
+    the held plan).  The sub-cube's plan is fetched once, and only where
+    the DP kept rows: a walk at k <= 2 (kmax <= 1) builds none.  Table
+    entries are read as Python scalars (`.item`), the same values.
     """
     dp_all, rows = tables
     m = n - 1
     sub = score[0::2]
-    plan = _plan(m)
-    if plan is not None:
-        first = _mask_order(m).first
+    # The DP keeps rows at every level 1..kmax or at none.
+    if rows[-1] is not None:
+        plan, first = _plan(m), _mask_order(m).first
     if k < len(dp_all):
         last, best = 1, dp_all[k].item(-1)
     else:

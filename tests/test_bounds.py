@@ -131,6 +131,22 @@ class TestNodalCounts:
                     continue
                 assert all(r.holds for r in records), (n, seed)
 
+    def test_non_generic_names_what_it_ran_on(self):
+        # At eps = 0 the check runs on G itself, so another seed cannot
+        # help; at eps > 0 the text is the perturbed instance's.
+        with pytest.raises(NonGenericError) as exc:
+            check_nodal_count_bounds(generate("complete", 3), 0.0, 1)
+        assert str(exc.value) == (
+            "graph is not generic (min_gap=4.441e-16, min_abs_entry=8.479e-02); "
+            "at eps = 0 the check runs on the graph itself, so try eps > 0"
+        )
+        with pytest.raises(NonGenericError) as exc:
+            check_nodal_count_bounds(generate("star", 4), 1e-9, 2)
+        assert str(exc.value) == (
+            "perturbed instance is not generic (min_gap=2.423e-10, "
+            "min_abs_entry=6.498e-11); try another seed"
+        )
+
 
 class TestLemmaNodalCheeger:
     def test_single_edge(self):
@@ -203,6 +219,14 @@ class TestUpperRecords:
             assert list(rec.meta)[0] == "certificate" and list(rec.meta) == sorted(rec.meta)
             assert rec.lhs == rec.meta["certificate"]["value"]
         assert [rec.k for rec in records] == ([2] if name == "product" else [1, 2, 3, 4])
+
+    def test_clamp_takes_only_solver_dust(self):
+        # Eigenvalues in [-1e-10, 0) are rounding and read as 0; a lower
+        # one is a solver failure, not a value to clamp.
+        assert bounds._clamp_eigenvalue(-1e-11) == 0.0
+        assert bounds._clamp_eigenvalue(0.5) == 0.5
+        with pytest.raises(RuntimeError, match="solver failure"):
+            bounds._clamp_eigenvalue(-1e-9)
 
 
 class TestLowerBound:

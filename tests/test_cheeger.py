@@ -1003,6 +1003,39 @@ class TestProfileTables:
         assert rho_profile(g, k) == expected
         assert rho_exact(g, k) == expected[-1]
 
+    def test_low_k_asks_for_no_sub_cube_plan(self, monkeypatch):
+        # A request at k <= 2 packs at most level 1 and keeps no rows, so
+        # neither its DP nor its walk asks for the plan of the sub-cube of
+        # n - 1 (a signed one still asks for n's, for its split pass).  A
+        # profile keeps rows, and its walks read them through that plan.
+        asked = []
+        plan = cheeger._plan
+
+        def recording(n):
+            asked.append(n)
+            return plan(n)
+
+        monkeypatch.setattr(cheeger, "_plan", recording)
+        g = generate("random_connected", 11, seed=5, p=0.4, w_low=0.5, w_high=2.0)
+        sg = with_random_signature(generate("random_connected", 8, seed=3, p=0.8), 3)
+        for h in (g, sg):
+            full = rho_profile(h)
+            for k in (1, 2):
+                asked.clear()
+                cert = rho_exact(h, k)
+                assert h.n - 1 not in asked
+                assert cert == rho_profile(h, k)[-1]
+                assert (cert.value, cert.parts) == (full[k - 1].value, full[k - 1].parts)
+        for n in (3, 7, 8, 11):
+            unsigned = generate("random_connected", n, seed=n, p=0.4)
+            for h in (unsigned, with_random_signature(unsigned, n)):
+                asked.clear()
+                full = rho_profile(h)
+                assert n - 1 in asked
+                for k in range(1, n + 1):
+                    cert = rho_exact(h, k)
+                    assert (cert.value, cert.parts) == (full[k - 1].value, full[k - 1].parts)
+
     @pytest.mark.parametrize("signed", [False, True])
     def test_full_profile_rescans_no_segment(self, monkeypatch, signed):
         # At n = 10 and 11 (whose sub-cube reads the held plan of 10) every

@@ -92,6 +92,10 @@ class TestWeak:
         with pytest.raises(ValueError, match="unsigned"):
             weak_nodal(g, [1, -1])
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="function length"):
+            weak_nodal(generate("path", 3), [1, -1])
+
     def test_at_least_one_per_component(self):
         g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
         assert weak_nodal(g, [1, -1, 1, -1], 0.0).count >= 2

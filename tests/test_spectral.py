@@ -141,6 +141,21 @@ class TestJacobi:
         # A matrix with an infinite entry keeps an infinite norm.
         assert spectral._norm([[math.inf, 1.0], [1.0, 0.0]], False) == math.inf
 
+    def test_overflowing_sum_of_finite_squares(self):
+        # Each square of 1.3e154 is finite (1.69e308) but their sum is not,
+        # so fsum raises OverflowError rather than returning inf; the norms
+        # are then taken on the scaled entries, as for infinite squares.
+        off = 1.3e154
+        m = np.array([[1e153, off, 0.0], [off, -2e153, off], [0.0, off, 5e153]])
+        with pytest.raises(OverflowError):
+            math.fsum(x * x for x in m.ravel().tolist())
+        assert spectral._norm(m.tolist(), True) == 2.0 * off
+        assert math.isfinite(spectral._norm(m.tolist(), False))
+        values = eig_sym(m)
+        expected = np.linalg.eigh(m)[0]
+        assert np.isfinite(values).all()
+        assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_nonconvergence_error_carries_norm(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
         monkeypatch.setattr(spectral, "_OFF_DIAG_TOL", 1e-15)
