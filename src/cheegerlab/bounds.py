@@ -408,6 +408,13 @@ def _is_tuple_of(x, item) -> bool:
     return isinstance(x, tuple) and all(item(v) for v in x)
 
 
+def _distinct(values) -> bool:
+    """Whether no value repeats: a corpus config's families, sizes and
+    checks, and verify's --checks, name each one once, so no instance name
+    or record is made twice."""
+    return len(set(values)) == len(values)
+
+
 # Field of a corpus config -> (accepts the value, what it must be); p, the
 # weight bounds and a are the generator's own rules, and a family, a
 # measure name, the sizes and the weight range are checked against its
@@ -415,10 +422,10 @@ def _is_tuple_of(x, item) -> bool:
 # instance; a check is one of _CHECKS.  Sequences are checked as tuples;
 # lists are turned into tuples first.
 _CONFIG_RULES = {
-    "families": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str) and x in _FAMILIES),
-                 "a nonempty list of family names"),
-    "sizes": (lambda v: bool(v) and _is_tuple_of(v, lambda x: _is_int(x) and x >= 1),
-              "a nonempty list of integers >= 1"),
+    "families": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str) and x in _FAMILIES)
+                 and _distinct(v), "a nonempty list of distinct family names"),
+    "sizes": (lambda v: bool(v) and _is_tuple_of(v, lambda x: _is_int(x) and x >= 1) and _distinct(v),
+              "a nonempty list of distinct integers >= 1"),
     "count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "seed": (_is_int, "an integer"),
     "eps": (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
@@ -429,8 +436,8 @@ _CONFIG_RULES = {
            "a measure name or a list of finite numbers"),
     "a": _GENERATOR_RULES["a"],
     "signed": (lambda v: isinstance(v, bool), "true or false"),
-    "checks": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str) and x in _CHECKS),
-               "a nonempty list of check names"),
+    "checks": (lambda v: bool(v) and _is_tuple_of(v, lambda x: isinstance(x, str) and x in _CHECKS)
+               and _distinct(v), "a nonempty list of distinct check names"),
 }
 
 

@@ -27,10 +27,12 @@ rebuild only certificate k of the profile up to k, run n - k + 1.  One
 certificate builder serves both signs: it packs a score table (Phi, or
 the signed split table's least beta per union with the split that
 attains it) and orders each certificate's parts, or unions, by lowest
-vertex.  With the sub-cube's held plan the DP keeps each level's argmin
-rows (level 1's from the argmin of the score gather), and a certificate
-reads each later part from them; only a step beyond the held plan, or at
-level 1 when kmax = 2, rescans its mask's segment.
+vertex.  With the sub-cube's held plan the DP keeps each level's choices,
+the first part of each mask's segment that attains its least candidate,
+in a table indexed by mask (level 1's from the argmin of the score
+gather), and a certificate reads each later part there by its mask; only
+a step beyond the held plan, or at level 1 when kmax = 2, rescans its
+mask's segment.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -43,12 +45,13 @@ signed on a 2-vCPU VM.  All four public entries run through one solve
 (:func:`_solve`), which asks the policy, so a refused request raises
 ValueError before any table is built.
 
-The per-n tables (the membership table bits[v][mask], the mask layout
-and the plan) are read-only and held only while each holds at most
-_HELD_BYTES (1 MiB): all of them up to n = 10, the plan no further, the
-rest up to n = 16; a larger n builds them per call.  Each held table is
-built by the first pass that reads it, so a request at k <= 2, whose DP
-keeps no rows and runs no pair pass, builds no plan of the sub-cube (a
+The per-n tables (the membership table bits[v][mask] and the plan) are
+read-only and held only while each holds at most _HELD_BYTES (1 MiB): the
+plan up to n = 10, the membership table up to n = 16; a larger n builds
+them per call.  The plan, and a pass beyond it, take each popcount group's
+masks from the membership table's column sums.  Each held table is built
+by the first pass that reads it, so a request at k <= 2, whose DP keeps
+no choices and runs no pair pass, builds no plan of the sub-cube (a
 signed one still builds n's for its split pass).
 A graph holds its Phi table under the same bound (graph._derived).
 The cut pass sums every edge's term, a weight times a crossing row of
@@ -96,9 +99,9 @@ from .nodal import strong_nodal
 _PAIR_BUDGET = 2 << 20
 _DP_PAIR_BYTES = 64
 
-# The per-n tables (the membership table, the mask layout and the pair plan)
-# are held while each holds at most this many bytes: every n up to 10 keeps
-# all of them, since a cold rebuild there costs about a tenth of a corpus op,
+# The per-n tables (the membership table and the pair plan) are held while
+# each holds at most this many bytes: every n up to 10 keeps both, since a
+# cold rebuild there costs about a tenth of a corpus op,
 # and a larger n builds what it cannot hold per call rather than keeping it
 # for the life of the process.
 _HELD_BYTES = 1 << 20
@@ -119,9 +122,10 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     m edges.
 
     Bytes held: per mask of n, the membership table's n bools, the cut,
-    measure and score arrays, 32 bytes for the mask layout and, if signed,
-    the split tables; the DP levels 0..kmax-1 over the 2^(n-1) masks
-    without vertex 0 (the top level holds no table); plus the pair budget.
+    measure and score arrays, 32 bytes that bound a popcount per mask and
+    one popcount group's masks and, if signed, the split tables; the DP
+    levels 0..kmax-1 over the 2^(n-1) masks without vertex 0 (the top
+    level holds no table); plus the pair budget.
     Checked first, it bounds n before the operations of the passes
     :func:`_solve` runs are summed: the cut pass's m terms, the measure
     and the membership table, per mask of n; in the sub-cube of the n - 1
@@ -480,22 +484,6 @@ def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
 # a split of a p-vertex mask reads only masks of popcount below p, and the
 # mask itself, so the passes run group by group in increasing popcount.
 
-class _MaskOrder(NamedTuple):
-    masks: np.ndarray   # nonempty masks by popcount, then value
-    first: np.ndarray   # first[p]: position in `masks` of the first mask with >= p vertices
-
-
-@_held
-def _mask_order(n: int) -> _MaskOrder:
-    """The mask layout of n (O(2^n); the arrays are read-only)."""
-    pc = _bits(n).sum(axis=0, dtype=np.int64)
-    masks = np.argsort(pc, kind="stable")[1:]
-    first = np.searchsorted(pc[masks], np.arange(n + 2))
-    order = _MaskOrder(masks=masks, first=first)
-    _read_only(*order)
-    return order
-
-
 class _Group(NamedTuple):
     """Masks of one popcount p (or a column range of them) and their block."""
 
@@ -536,9 +524,16 @@ def _group(masks: np.ndarray, p: int, *blocks: np.ndarray) -> _Group:
     return _Group(masks, masks ^ (masks & -masks), *_build_pairs(masks, p, *blocks))
 
 
+def _popcount_groups(n: int, first: int):
+    """Yield (p, masks) for p = first..n: the masks of n with p vertices,
+    ascending, read from the column sums of the membership table."""
+    pc = _bits(n).sum(axis=0, dtype=np.uint8)
+    for p in range(first, n + 1):
+        yield p, np.flatnonzero(pc == p)
+
+
 class _Plan(NamedTuple):
     groups: tuple[_Group, ...]  # groups[p - 1]: the masks of popcount p, p = 1..n
-    column: np.ndarray          # column[mask]: the mask's column in its group's block
     parts: np.ndarray           # every block, one after another: the groups' blocks are views
     rests: np.ndarray
     starts: np.ndarray          # groups[p - 1]'s pairs are parts[starts[p - 1]:starts[p]]
@@ -551,23 +546,19 @@ def _plan(n: int) -> _Plan | None:
     pairs = (3**n - 1) // 2
     if 16 * pairs > _HELD_BYTES:
         return None
-    order = _mask_order(n)
     parts = np.empty(pairs, dtype=np.intp)
     rests = np.empty_like(parts)
-    column = np.zeros(1 << n, dtype=np.intp)
     starts = np.zeros(n + 1, dtype=np.intp)
     groups = []
-    for p in range(1, n + 1):
-        masks = order.masks[order.first[p] : order.first[p + 1]]
+    for p, masks in _popcount_groups(n, 1):
         shape = (1 << (p - 1), len(masks))
         starts[p] = starts[p - 1] + shape[0] * shape[1]
         blocks = [flat[starts[p - 1] : starts[p]].reshape(shape, order="F") for flat in (parts, rests)]
         group = _group(masks, p, *blocks)
-        column[masks] = np.arange(len(masks))
         _read_only(*group)
         groups.append(group)
-    _read_only(column, parts, rests, starts)
-    return _Plan(groups=tuple(groups), column=column, parts=parts, rests=rests, starts=starts)
+    _read_only(parts, rests, starts)
+    return _Plan(groups=tuple(groups), parts=parts, rests=rests, starts=starts)
 
 
 def _blocks(n: int, first: int):
@@ -584,9 +575,7 @@ def _blocks(n: int, first: int):
     if plan is not None:
         yield from enumerate(plan.groups[first - 1 :], first)
         return
-    order = _mask_order(n)
-    for p in range(first, n + 1):
-        masks = order.masks[order.first[p] : order.first[p + 1]]
+    for p, masks in _popcount_groups(n, first):
         for lo, hi in _ranges(len(masks), _DP_PAIR_BYTES << (p - 1)):
             yield p, _group(masks[lo:hi], p)
 
@@ -626,15 +615,14 @@ class _Tables(NamedTuple):
     Every mask the walk back from V reads below its first step is a mask
     without vertex 0 (see :func:`_packing_dp`).  dp[j] is level j of the
     packing DP of the vertices 1..n-1, indexed by mask >> 1, for each level
-    j = 0..kmax-1: the top level holds no table.  rows[j] is None where
-    level j kept no choices, else indexed like the masks of
-    :func:`_mask_order` of n - 1: at the position first[p] + c of the mask
-    in column c of group p's held block, the row of that column's first
-    part that attains the least candidate (set for every p >= j).
+    j = 0..kmax-1: the top level holds no table.  choices[j] is None where
+    level j kept no choices, else indexed like dp[j]: at every mask with j
+    or more vertices, the first part of the mask's segment that attains
+    the least candidate, as a mask of the vertices 1..n-1.
     """
 
     dp: list[np.ndarray]
-    rows: list[np.ndarray | None]
+    choices: list[np.ndarray | None]
 
 
 def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
@@ -659,22 +647,22 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     score[parts] once, and each level is one gather, one maximum, one
     argmin down the columns and one gather of the least candidates.
 
-    With the sub-cube's held plan (n <= 11) the group pass keeps each argmin
-    as the level's rows, and the argmin of the score gather as level 1's (a
-    singleton's one part is row 0), so the reconstruction reads its parts
-    instead of rescanning their segments.  Each argmin writes into its
-    group's slice of one table per profile, which is allocated before the
-    pass: small arrays held through the pass raised a corpus run's peak
-    RSS.  Beyond the held plan nothing is kept, and at kmax <= 1 (a
-    request at k <= 2) no group pass runs, no rows are kept and no plan is
-    built.  Only min and max select among table values, so every entry is
-    exact.
+    With the sub-cube's held plan (n <= 11) the group pass keeps each
+    level's choices: the part at each argmin is written at its mask, and
+    level 1's are the parts at the argmin of the score gather (a singleton
+    chooses itself), so the reconstruction reads its parts by mask instead
+    of rescanning their segments.  The choice tables, one per level, are
+    allocated before the pass: small arrays held through the pass raised a
+    corpus run's peak RSS.  Beyond the held plan nothing is kept, and at
+    kmax <= 1 (a request at k <= 2) no group pass runs, no choices are kept
+    and no plan is built.  Only min and max select among table values, so
+    every entry is exact.
     """
     m = n - 1
     sub = score[0::2]
     # Level 0 is -inf at every mask: one broadcast value, no table of 2^m floats.
     dp = [np.broadcast_to(-math.inf, 1 << m), *np.full((kmax, 1 << m), math.inf)]
-    rows = [None] * (kmax + 1)
+    choices = [None] * (kmax + 1)
     if kmax >= 1:
         level1 = dp[1]
         level1[1:] = sub[1:]
@@ -683,26 +671,27 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
             np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
     if kmax >= 2:
         if _plan(m) is not None:
-            first = _mask_order(m).first
-            rows[1:] = np.empty((kmax, first[-1]), dtype=np.intp)
-            rows[1][:m] = 0
+            choices[1:] = np.empty((kmax, 1 << m), dtype=np.intp)
+            singles = 1 << np.arange(m)
+            choices[1][singles] = singles
         for p, group in _blocks(m, 2):
             masks = group.masks
+            parts = group.parts.ravel("F")
             sc = sub[group.parts]
-            kept = None
-            if rows[1] is not None:
-                kept = slice(first[p], first[p + 1])
-                sc.argmin(axis=0, out=rows[1][kept])
             # Column c's entries start at c * height of the column-major block.
             starts = np.arange(0, sc.size, sc.shape[0])
+            if choices[1] is not None:
+                choices[1][masks] = parts.take(sc.argmin(axis=0) + starts)
             for j in range(2, min(p, kmax) + 1):
                 cand = dp[j - 1][group.rests]
                 np.maximum(cand, sc, out=cand)
-                arg = cand.argmin(axis=0, out=None if kept is None else rows[j][kept])
-                best = cand.ravel("F").take(arg + starts)
+                at = cand.argmin(axis=0) + starts
+                best = cand.ravel("F").take(at)
                 np.minimum(best, dp[j][group.without_low], out=best)
                 dp[j][masks] = best
-    return _Tables(dp, rows)
+                if choices[j] is not None:
+                    choices[j][masks] = parts.take(at)
+    return _Tables(dp, choices)
 
 
 def _suffix_pass(score: np.ndarray, prev: np.ndarray, i: int) -> tuple[float, int]:
@@ -740,18 +729,14 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[fl
     Every later step is in the DP of vertices 1..n-1, on masks shifted down
     by one: the lowest vertex stays out if that keeps the value; otherwise
     the first part of the mask's segment that attains it is taken, read
-    from the level's rows where it kept them, else found by rescanning the
-    segment (every level of a table without rows, and every level beyond
-    the held plan).  The sub-cube's plan is fetched once, and only where
-    the DP kept rows: a walk at k <= 2 (kmax <= 1) builds none.  Table
-    entries are read as Python scalars (`.item`), the same values.
+    from the level's choices at the mask where it kept them, else found by
+    rescanning the segment (at level 1 of a request at k = 2, whose DP
+    runs to level 1 only, and at every level beyond the held plan).  So
+    the walk reads no per-n table.  Table entries are read as Python
+    scalars (`.item`), the same values.
     """
-    dp_all, rows = tables
-    m = n - 1
+    dp_all, choices = tables
     sub = score[0::2]
-    # The DP keeps rows at every level 1..kmax or at none.
-    if rows[-1] is not None:
-        plan, first = _plan(m), _mask_order(m).first
     if k < len(dp_all):
         last, best = 1, dp_all[k].item(-1)
     else:
@@ -774,11 +759,8 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[fl
         if dp.item(mask ^ low) == value:
             mask ^= low
             continue
-        row = rows[j]
-        if row is not None:
-            p = mask.bit_count()
-            c = plan.column.item(mask)
-            a = plan.groups[p - 1].parts.item(row.item(first.item(p) + c), c)
+        if choices[j] is not None:
+            a = choices[j].item(mask)
         else:
             seg, rests = _segment(mask)
             cand = sub.take(seg)
@@ -834,10 +816,10 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     enumeration (``tests/brute.py``).  Certificates follow the DP's own
     tie-break (first optimal part in scan order): the first part is the
     pick of the last suffix mask that attains the value; up to n = 11 the
-    others are read from the argmin rows the DP kept; beyond it, and at
-    level 1 when kmax = 2, each later part on the optimal path is found by
-    rescanning its mask's segment.  A request
-    beyond the work policy raises ValueError before any table is built.
+    others are read by mask from the choices the DP kept; beyond it, and
+    at level 1 when kmax = 2, each later part on the optimal path is found
+    by rescanning its mask's segment.  A request beyond the work policy
+    raises ValueError before any table is built.
     On a signed graph these are the rho^sigma_k certificates of
     :func:`rho_signed_profile`.
     """

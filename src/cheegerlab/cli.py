@@ -23,6 +23,7 @@ from .bounds import (
     CHECK_NAMES,
     CorpusConfig,
     Report,
+    _distinct,
     run_checks_on_graph,
     run_corpus,
 )
@@ -134,6 +135,8 @@ def cmd_verify(args) -> int:
     for name in checks:
         if name not in CHECK_NAMES and name != "product":
             raise GraphFormatError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}, product")
+    if not _distinct(checks):
+        raise GraphFormatError(f"--checks {args.checks!r} names a check more than once")
     if args.corpus:
         if "product" in checks:
             raise GraphFormatError(

@@ -748,10 +748,13 @@ _EDGE_KEYS = frozenset(("u", "v", "w", "sigma"))
 
 def from_json_dict(data: dict) -> WeightedGraph:
     """Graph from its JSON form; raises GraphFormatError if the data is
-    malformed ("malformed graph JSON: ..." for a wrong shape or value
-    type, or a key other than n, edges, mu and kappa, or u, v, w and
-    sigma in an edge) or the graph is invalid (see :func:`_checked_graph`)."""
+    malformed ("malformed graph JSON: ..." for a top level that is not an
+    object, a wrong shape or value type, or a key other than n, edges, mu
+    and kappa, or u, v, w and sigma in an edge) or the graph is invalid
+    (see :func:`_checked_graph`)."""
     try:
+        if type(data) is not dict:
+            raise ValueError(f"the top level must be a JSON object, not {type(data).__name__}")
         if not data.keys() <= _GRAPH_KEYS:
             key = next(key for key in data if key not in _GRAPH_KEYS)
             raise ValueError(f'unknown key "{key}"')
@@ -825,9 +828,10 @@ def format_graph_text(g: WeightedGraph) -> str:
 
 
 def loads_graph(text: str) -> WeightedGraph:
-    """Parse a graph from JSON or edge-list text (sniffed from the first char)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse a graph from JSON or edge-list text, sniffed from the first
+    non-blank character: `{`, `[` or `"` opens JSON, any other the edge
+    list, whose header starts with `n`."""
+    if text.lstrip()[:1] in ("{", "[", '"'):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

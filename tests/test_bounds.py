@@ -548,7 +548,7 @@ class TestRecordsAndReport:
         monkeypatch.setattr(bounds, "generate", fail)
         monkeypatch.setattr(graph, "generate", fail)
         for checks in (["bogus"], ["main", "product"], ["main", "Main"]):
-            message = f"bad corpus config: 'checks' must be a nonempty list of check names, got {checks!r}"
+            message = f"bad corpus config: 'checks' must be a nonempty list of distinct check names, got {checks!r}"
             for make in (lambda: CorpusConfig(checks=tuple(checks)), lambda: CorpusConfig(checks=checks),
                          lambda: CorpusConfig.from_json_dict({"checks": checks})):
                 with pytest.raises(ValueError) as exc:
@@ -558,11 +558,19 @@ class TestRecordsAndReport:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"sizes": ()}, "'sizes' must be a nonempty list of integers >= 1, got []"),
+            ({"sizes": ()}, "'sizes' must be a nonempty list of distinct integers >= 1, got []"),
             ({"count": "2"}, "'count' must be an integer >= 0, got '2'"),
             ({"eps": math.nan}, "'eps' must be a finite number >= 0, got nan"),
             ({"mu": (1.0, math.inf)}, "'mu' must be a measure name or a list of finite numbers, got [1.0, inf]"),
-            ({"checks": ()}, "'checks' must be a nonempty list of check names, got []"),
+            ({"checks": ()}, "'checks' must be a nonempty list of distinct check names, got []"),
+            # A repeated name would give two instances one name, or every
+            # record of a check twice.
+            ({"families": ("random_tree", "random_tree")},
+             "'families' must be a nonempty list of distinct family names, got ['random_tree', 'random_tree']"),
+            ({"families": ("cycle",), "sizes": (4, 4), "signed": True},
+             "'sizes' must be a nonempty list of distinct integers >= 1, got [4, 4]"),
+            ({"checks": ("main", "main")},
+             "'checks' must be a nonempty list of distinct check names, got ['main', 'main']"),
         ],
     )
     def test_bad_config_rejected_in_python(self, kwargs, message):
@@ -579,9 +587,9 @@ class TestRecordsAndReport:
         "kwargs, message",
         [
             ({"families": ["petersen"], "count": 0},
-             "'families' must be a nonempty list of family names, got ['petersen']"),
+             "'families' must be a nonempty list of distinct family names, got ['petersen']"),
             ({"families": ["petersen"], "count": 2},
-             "'families' must be a nonempty list of family names, got ['petersen']"),
+             "'families' must be a nonempty list of distinct family names, got ['petersen']"),
             ({"families": ["path"], "sizes": [1, 4]}, "'sizes' must be >= 2 for path, got [1, 4]"),
             ({"families": ["random_connected"], "sizes": [1]},
              "'sizes' must be >= 2 for random_connected, got [1]"),
@@ -631,9 +639,9 @@ class TestRecordsAndReport:
         assert run_corpus(cfg).all_hold()
 
     def test_lists_stored_as_tuples(self):
-        cfg = CorpusConfig(families=["random_tree"], sizes=[4, 4], mu=[1.0] * 4)
-        assert cfg.families == ("random_tree",) and cfg.sizes == (4, 4) and cfg.mu == (1.0,) * 4
-        assert cfg == CorpusConfig.from_json_dict({"families": ["random_tree"], "sizes": [4, 4], "mu": [1.0] * 4})
+        cfg = CorpusConfig(families=["random_tree", "path"], sizes=[4], mu=[1.0] * 4)
+        assert cfg.families == ("random_tree", "path") and cfg.sizes == (4,) and cfg.mu == (1.0,) * 4
+        assert cfg == CorpusConfig.from_json_dict({"families": ["random_tree", "path"], "sizes": [4], "mu": [1.0] * 4})
 
     def test_mu_list_of_gn_vertex_count_runs(self):
         # gn's n is the family parameter: gn(3) has 2n + 2 = 8 vertices.

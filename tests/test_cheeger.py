@@ -31,10 +31,10 @@ from cheegerlab.cheeger import (
     _build_pairs,
     _cut_and_measure,
     _dp_admits,
-    _mask_order,
     _packing_dp,
     _parts_from_masks,
     _phi_array,
+    _popcount_groups,
     _reconstruct,
     _segment,
     _signed_tables,
@@ -645,7 +645,7 @@ class TestProfileEngine:
         ref, choice, states = loop_packing_dp(score, n, kmax)
         tables = _packing_dp(score, n, kmax)
         _assert_levels_match(tables, ref, range(kmax + 1))
-        _assert_rows_match(tables, n, choice)
+        _assert_choices_match(tables, n, choice)
         for cert in profile:
             assert cert.states == states
             assert cert.value == ref[cert.k][full]
@@ -663,7 +663,7 @@ class TestProfileEngine:
         ref, choice, _ = loop_packing_dp(score, n, n)
         tables = _packing_dp(score, n, n)
         _assert_levels_match(tables, ref, range(n + 1))
-        _assert_rows_match(tables, n, choice)
+        _assert_choices_match(tables, n, choice)
         full = (1 << n) - 1
         for k in range(1, n + 1):
             assert _reconstruct(tables, score, n, k) == (ref[k][full], loop_reconstruct(choice, k, full))
@@ -693,8 +693,8 @@ class TestProfileEngine:
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 tables = _packing_dp(score, n, n)
                 _assert_levels_match(tables, ref, range(n + 1))
-                # No held plan, so no kept rows: every part is rescanned.
-                assert tables.rows == [None] * (n + 1)
+                # No held plan, so no kept choices: every part is rescanned.
+                assert tables.choices == [None] * (n + 1)
                 for k in range(1, n + 1):
                     assert _reconstruct(tables, score, n, k) == (ref[k][full], loop_reconstruct(choice, k, full))
         finally:
@@ -842,29 +842,26 @@ def _assert_levels_match(tables, ref, levels) -> None:
         assert tables.dp[j].tolist() == ref[j][0::2]
 
 
-def _assert_rows_match(tables, n: int, choice) -> None:
-    """The choices the DP kept: rows present at every level 1..kmax of the
-    sub-cube's held plan when the group pass runs (kmax >= 2 of the DP's
+def _assert_choices_match(tables, n: int, choice) -> None:
+    """The choices the DP kept: present at every level 1..kmax when the
+    sub-cube's plan is held and the group pass runs (kmax >= 2 of the DP's
     own levels), and nowhere else; at every (level, mask without vertex 0)
-    where the loop's choice is a part, the kept row's part is that
-    choice."""
-    plan = cheeger._plan(n - 1)
-    first = _mask_order(n - 1).first
+    where the loop's choice is a part, the choice kept at that mask is that
+    part.  Those are every choice a walk reads: where the loop keeps the
+    lowest vertex out, so does the walk."""
     kmax = len(tables.dp) - 1
-    kept = plan is not None and kmax >= 2
-    assert tables.rows[0] is None
+    kept = cheeger._plan(n - 1) is not None and kmax >= 2
+    assert tables.choices[0] is None
     compared = 0
-    for j, level in enumerate(tables.rows[1:], 1):
+    for j, level in enumerate(tables.choices[1:], 1):
         assert (level is not None) == kept
         if not kept:
             continue
-        for p, group in enumerate(plan.groups[j - 1 :], j):
-            rows = level[first[p] : first[p + 1]]
-            parts = group.parts[rows, np.arange(len(group.masks))]
-            for mask, part in zip(group.masks.tolist(), parts.tolist()):
-                if choice[j][mask << 1]:
-                    assert part << 1 == choice[j][mask << 1]
-                    compared += 1
+        assert level.shape == (1 << (n - 1),)
+        loop = np.array(choice[j][0::2])
+        taken = loop != 0
+        assert (level[taken] << 1).tolist() == loop[taken].tolist()
+        compared += int(taken.sum())
     # At n = 1 the sub-cube has no nonempty mask.
     assert compared > 0 or not kept or n == 1
 
@@ -879,9 +876,9 @@ def _assert_walk_matches(score, n: int, ref, choice, kmax: int) -> None:
     which starts from level k's table below kmax and from inf at kmax, its
     value and parts.  The loop's tables may hold any level count >= kmax."""
     tables = _packing_dp(score, n, kmax - 1)
-    assert len(tables.dp) == len(tables.rows) == kmax
+    assert len(tables.dp) == len(tables.choices) == kmax
     _assert_levels_match(tables, ref, range(kmax))
-    _assert_rows_match(tables, n, choice)
+    _assert_choices_match(tables, n, choice)
     suffixes = _suffix_masks(n)
     for j in range(1, kmax + 1):
         for i, mask in enumerate(suffixes[:n]):
@@ -974,9 +971,7 @@ class TestProfileTables:
         # of the block _build_pairs writes for its popcount group: the
         # same parts in the same descending order.
         for n in range(1, 9):
-            order = _mask_order(n)
-            for p in range(1, n + 1):
-                masks = order.masks[order.first[p] : order.first[p + 1]]
+            for p, masks in _popcount_groups(n, 1):
                 parts, rests = _build_pairs(masks, p)
                 for c, mask in enumerate(masks.tolist()):
                     seg, seg_rests = _segment(mask)
@@ -1004,10 +999,10 @@ class TestProfileTables:
         assert rho_exact(g, k) == expected[-1]
 
     def test_low_k_asks_for_no_sub_cube_plan(self, monkeypatch):
-        # A request at k <= 2 packs at most level 1 and keeps no rows, so
+        # A request at k <= 2 packs at most level 1 and keeps no choices, so
         # neither its DP nor its walk asks for the plan of the sub-cube of
         # n - 1 (a signed one still asks for n's, for its split pass).  A
-        # profile keeps rows, and its walks read them through that plan.
+        # profile's DP runs its group pass over that plan.
         asked = []
         plan = cheeger._plan
 
@@ -1039,7 +1034,7 @@ class TestProfileTables:
     @pytest.mark.parametrize("signed", [False, True])
     def test_full_profile_rescans_no_segment(self, monkeypatch, signed):
         # At n = 10 and 11 (whose sub-cube reads the held plan of 10) every
-        # level below the top keeps its argmin rows, and every walk's first
+        # level below the top keeps its choices, and every walk's first
         # part is its suffix pass's pick, so a full profile rescans no
         # segment, where one per part taken would be n(n + 1) / 2.
         calls = []
@@ -1059,6 +1054,25 @@ class TestProfileTables:
             assert calls == []
             for cert in certs:
                 assert cert.recompute(g) == cert.value
+
+    @pytest.mark.parametrize("n, signed", [(3, False), (8, False), (11, False), (8, True)])
+    def test_walk_reads_choices_by_mask(self, monkeypatch, n, signed):
+        # Over tables that kept choices a walk reads each later part from
+        # them by its mask: it asks for no per-n table, no popcount group
+        # and no block, and rescans no segment.  The walks before the wrap
+        # are checked against the loop in TestProfileEngine.
+        g = generate("random_connected", n, seed=n, p=0.5, w_low=0.5, w_high=2.0)
+        score = _signed_tables(with_random_signature(g, n)).betamin if signed else _phi_array(g)
+        tables = _packing_dp(score, n, n - 1)
+        assert all(level is not None for level in tables.choices[1:])
+        expected = [_reconstruct(tables, score, n, k) for k in range(1, n + 1)]
+
+        def refuse(*args):
+            raise AssertionError("the walk asked for a per-n table")
+
+        for name in ("_plan", "_bits", "_blocks", "_popcount_groups", "_segment"):
+            monkeypatch.setattr(cheeger, name, refuse)
+        assert [_reconstruct(tables, score, n, k) for k in range(1, n + 1)] == expected
 
     def test_top_level_keeps_its_choices(self, monkeypatch):
         # The walk reads each suffix mask's pick from its pass, so a walk

@@ -181,6 +181,19 @@ class TestAnalyze:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "text, kind",
+        [("[1, 2]", "list"), ('"x"', "str"), ('  \n [{"n": 2, "edges": []}]', "list")],
+    )
+    def test_non_object_json_exit_2(self, tmp_path, capsys, text, kind):
+        # A file that opens with [ or " is JSON, not an edge list without
+        # its header, and its top level must be an object.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed graph JSON: the top level must be a JSON object, not {kind}\n"
+
+    @pytest.mark.parametrize(
         "text, field",
         [
             ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1}], "kappa": [NaN, 0]}', "kappa"),
@@ -474,7 +487,7 @@ class TestVerify:
         product = json.dumps({**config, "checks": ["product"]})
         code, out, err = run_cli(["verify", "--corpus", product], capsys)
         assert code == 2 and out == ""
-        assert err == "error: bad corpus config: 'checks' must be a nonempty list of check names, got ['product']\n"
+        assert err == "error: bad corpus config: 'checks' must be a nonempty list of distinct check names, got ['product']\n"
 
     @pytest.mark.parametrize(
         "corpus, message",
@@ -485,19 +498,25 @@ class TestVerify:
             ('{"count": true}', "'count' must be an integer >= 0, got True"),
             ('{"eps": "x"}', "'eps' must be a finite number >= 0, got 'x'"),
             ('{"eps": NaN}', "'eps' must be a finite number >= 0, got nan"),
-            ('{"sizes": []}', "'sizes' must be a nonempty list of integers >= 1, got []"),
-            ('{"sizes": [4, 0]}', "'sizes' must be a nonempty list of integers >= 1, got [4, 0]"),
-            ('{"checks": []}', "'checks' must be a nonempty list of check names, got []"),
-            ('{"checks": ["bogus"]}', "'checks' must be a nonempty list of check names, got ['bogus']"),
+            ('{"sizes": []}', "'sizes' must be a nonempty list of distinct integers >= 1, got []"),
+            ('{"sizes": [4, 0]}', "'sizes' must be a nonempty list of distinct integers >= 1, got [4, 0]"),
+            ('{"checks": []}', "'checks' must be a nonempty list of distinct check names, got []"),
+            ('{"checks": ["bogus"]}', "'checks' must be a nonempty list of distinct check names, got ['bogus']"),
             ('{"checks": ["main", "product"]}',
-             "'checks' must be a nonempty list of check names, got ['main', 'product']"),
+             "'checks' must be a nonempty list of distinct check names, got ['main', 'product']"),
             ('{"p": "0.3"}', "'p' must be a finite number in [0, 1], got '0.3'"),
             ('{"w_high": Infinity}', "'w_high' must be a finite number > 0 or null, got inf"),
             ('{"w_low": -1}', "'w_low' must be a finite number > 0 or null, got -1"),
             ('{"a": -1}', "'a' must be a finite number > 0, got -1"),
             ('{"p": 7}', "'p' must be a finite number in [0, 1], got 7"),
             ('{"signed": 1}', "'signed' must be true or false, got 1"),
-            ('{"families": "random_tree"}', "'families' must be a nonempty list of family names, got 'random_tree'"),
+            ('{"families": "random_tree"}', "'families' must be a nonempty list of distinct family names, got 'random_tree'"),
+            ('{"families": ["random_tree", "random_tree"], "sizes": [5], "count": 2}',
+             "'families' must be a nonempty list of distinct family names, got ['random_tree', 'random_tree']"),
+            ('{"families": ["cycle"], "sizes": [4, 4], "signed": true}',
+             "'sizes' must be a nonempty list of distinct integers >= 1, got [4, 4]"),
+            ('{"checks": ["main", "main"]}',
+             "'checks' must be a nonempty list of distinct check names, got ['main', 'main']"),
             ('{"sizez": [4]}', "unknown key 'sizez'"),
             ('{"budget": {"max_states": 5}}', "unknown key 'budget'"),
         ],
@@ -527,9 +546,9 @@ class TestVerify:
         "corpus, message",
         [
             ('{"families": ["petersen"], "count": 0}',
-             "'families' must be a nonempty list of family names, got ['petersen']"),
+             "'families' must be a nonempty list of distinct family names, got ['petersen']"),
             ('{"families": ["petersen"], "count": 2}',
-             "'families' must be a nonempty list of family names, got ['petersen']"),
+             "'families' must be a nonempty list of distinct family names, got ['petersen']"),
             ('{"families": ["path"], "sizes": [1, 4]}', "'sizes' must be >= 2 for path, got [1, 4]"),
             ('{"families": ["random_connected"], "sizes": [1]}',
              "'sizes' must be >= 2 for random_connected, got [1]"),
@@ -737,6 +756,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flag", ["main,main", "main,basics,main", "main,,main"])
+    def test_repeated_check_exit_2(self, gn3_file, capsys, flag):
+        # Each record would be written twice and counted twice in the
+        # summary; the flag is refused before a graph or corpus is read.
+        for args in ([gn3_file], ["--corpus", '{"sizes": [4]}']):
+            code, out, err = run_cli(["verify", *args, "--checks", flag], capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: --checks {flag!r} names a check more than once\n"
+
     @pytest.mark.parametrize("flag", ["", ",,,"])
     def test_empty_check_list_exit_2(self, gn3_file, capsys, flag):
         code, out, err = run_cli(["verify", gn3_file, "--checks", flag], capsys)
@@ -746,7 +774,7 @@ class TestVerify:
         # names its own.
         code, out, err = run_cli(["verify", "--corpus", '{"sizes": [4]}', "--checks", flag], capsys)
         assert code == 2 and out == ""
-        assert err == "error: bad corpus config: 'checks' must be a nonempty list of check names, got []\n"
+        assert err == "error: bad corpus config: 'checks' must be a nonempty list of distinct check names, got []\n"
 
     def test_deterministic_bytes(self, gn3_file, tmp_path, capsys):
         out1 = tmp_path / "r1.json"

@@ -728,6 +728,19 @@ class TestSerialization:
             with pytest.raises(GraphFormatError, match="^malformed graph JSON: "):
                 from_json_dict(data)
 
+    @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str"), (None, "NoneType")])
+    def test_top_level_must_be_an_object(self, data, kind):
+        message = f"malformed graph JSON: the top level must be a JSON object, not {kind}"
+        with pytest.raises(GraphFormatError) as err:
+            from_json_dict(data)
+        assert str(err.value) == message
+        # A text whose first non-blank character opens a JSON list or
+        # string is read as JSON, not as an edge list.
+        if data is not None:
+            with pytest.raises(GraphFormatError) as err:
+                loads_graph(" \n" + json.dumps(data))
+            assert str(err.value) == message
+
     def test_malformed_header(self):
         with pytest.raises(GraphFormatError):
             parse_graph_text("vertices 3\n0 1 1\n")
