@@ -27,12 +27,13 @@ rebuild only certificate k of the profile up to k, run n - k + 1.  One
 certificate builder serves both signs: it packs a score table (Phi, or
 the signed split table's least beta per union with the split that
 attains it) and orders each certificate's parts, or unions, by lowest
-vertex.  With the sub-cube's held plan the DP keeps each level's choices,
-the first part of each mask's segment that attains its least candidate,
-in a table indexed by mask (level 1's from the argmin of the score
-gather), and a certificate reads each later part there by its mask; only
-a step beyond the held plan, or at level 1 when kmax = 2, rescans its
-mask's segment.
+vertex.  Wherever the DP runs its group pass (a request up to kmax >= 3)
+it keeps each level's choices, the first part of each mask's segment that
+attains its least candidate, in a table indexed by mask (level 1's from
+the argmin of the score gather), and a certificate reads each later part
+there by its mask.  A request at k <= 2 keeps none: its one level-1 part
+below the first step is the largest submask of its mask whose score is
+the level's value.
 
 One work policy (:func:`_dp_admits`) decides which requests the engine
 takes, from n, the edge count, kmax and the sign: the element operations
@@ -50,9 +51,9 @@ read-only and held only while each holds at most _HELD_BYTES (1 MiB): the
 plan up to n = 10, the membership table up to n = 16; a larger n builds
 them per call.  The plan, and a pass beyond it, take each popcount group's
 masks from the membership table's column sums.  Each held table is built
-by the first pass that reads it, so a request at k <= 2, whose DP keeps
-no choices and runs no pair pass, builds no plan of the sub-cube (a
-signed one still builds n's for its split pass).
+by the first pass that reads it, so a request at k <= 2, whose DP runs no
+pair pass, builds no plan of the sub-cube (a signed one still builds n's
+for its split pass).
 A graph holds its Phi table under the same bound (graph._derived).
 The cut pass sums every edge's term, a weight times a crossing row of
 bits, over the masks without vertex n-1 in one reduction down the edges
@@ -125,7 +126,8 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     measure and score arrays, 32 bytes that bound a popcount per mask and
     one popcount group's masks and, if signed, the split tables; the DP
     levels 0..kmax-1 over the 2^(n-1) masks without vertex 0 (the top
-    level holds no table); plus the pair budget.
+    level holds no table), 16 bytes a mask and level with their choices;
+    plus the pair budget.
     Checked first, it bounds n before the operations of the passes
     :func:`_solve` runs are summed: the cut pass's m terms, the measure
     and the membership table, per mask of n; in the sub-cube of the n - 1
@@ -140,7 +142,7 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     """
     s = n - 1
     per_mask = n + 24 + 32 + (16 if signed else 0)
-    if (per_mask << n) + (8 * kmax << s) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
+    if (per_mask << n) + (16 * kmax << s) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
         return False
     ops = ((m + n + 1) << n) + ((s + kmax + 1) << s)
     ops += sum((math.comb(s, p) << (p - 1)) * max(0, min(p, kmax - 1) - 1) for p in range(2, n))
@@ -580,23 +582,6 @@ def _blocks(n: int, first: int):
             yield p, _group(masks[lo:hi], p)
 
 
-def _segment(mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parts, rests) of one mask's segment, its column of its popcount
-    group's block, built by _build_pairs' doubling on Python ints."""
-    low = mask & -mask
-    left = mask ^ low
-    parts = np.empty(1 << left.bit_count(), dtype=np.intp)
-    end = len(parts)
-    parts[-1] = low
-    w = 1
-    while left:
-        bit = left & -left
-        np.bitwise_or(parts[end - w :], bit, out=parts[end - 2 * w : end - w])
-        left ^= bit
-        w *= 2
-    return parts, mask ^ parts
-
-
 def _dp_iterations(n: int, kmax: int) -> int:
     """Inner iterations of the textbook loop over the same recurrence:
     every pair of every mask with at least j vertices, for j = 1..kmax.
@@ -615,10 +600,11 @@ class _Tables(NamedTuple):
     Every mask the walk back from V reads below its first step is a mask
     without vertex 0 (see :func:`_packing_dp`).  dp[j] is level j of the
     packing DP of the vertices 1..n-1, indexed by mask >> 1, for each level
-    j = 0..kmax-1: the top level holds no table.  choices[j] is None where
-    level j kept no choices, else indexed like dp[j]: at every mask with j
-    or more vertices, the first part of the mask's segment that attains
-    the least candidate, as a mask of the vertices 1..n-1.
+    j = 0..kmax-1: the top level holds no table.  choices[j] is None at
+    level 0 and, where the DP ran no group pass (its kmax <= 1), at every
+    level; else indexed like dp[j]: at every mask with j or more vertices,
+    the first part of the mask's segment that attains the least candidate,
+    as a mask of the vertices 1..n-1.
     """
 
     dp: list[np.ndarray]
@@ -647,16 +633,14 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     score[parts] once, and each level is one gather, one maximum, one
     argmin down the columns and one gather of the least candidates.
 
-    With the sub-cube's held plan (n <= 11) the group pass keeps each
-    level's choices: the part at each argmin is written at its mask, and
-    level 1's are the parts at the argmin of the score gather (a singleton
-    chooses itself), so the reconstruction reads its parts by mask instead
-    of rescanning their segments.  The choice tables, one per level, are
-    allocated before the pass: small arrays held through the pass raised a
-    corpus run's peak RSS.  Beyond the held plan nothing is kept, and at
-    kmax <= 1 (a request at k <= 2) no group pass runs, no choices are kept
-    and no plan is built.  Only min and max select among table values, so
-    every entry is exact.
+    The group pass keeps each level's choices: the part at each argmin is
+    written at its mask, and level 1's are the parts at the argmin of the
+    score gather (a singleton chooses itself), so the reconstruction reads
+    its parts by mask.  The choice tables, one per level, are allocated
+    before the pass: small arrays held through the pass raised a corpus
+    run's peak RSS.  At kmax <= 1 (a request at k <= 2) no group pass runs,
+    no choices are kept and no plan is built.  Only min and max select
+    among table values, so every entry is exact.
     """
     m = n - 1
     sub = score[0::2]
@@ -670,18 +654,16 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
             halves = level1.reshape(-1, 2, 1 << v)
             np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
     if kmax >= 2:
-        if _plan(m) is not None:
-            choices[1:] = np.empty((kmax, 1 << m), dtype=np.intp)
-            singles = 1 << np.arange(m)
-            choices[1][singles] = singles
+        choices[1:] = np.empty((kmax, 1 << m), dtype=np.intp)
+        singles = 1 << np.arange(m)
+        choices[1][singles] = singles
         for p, group in _blocks(m, 2):
             masks = group.masks
             parts = group.parts.ravel("F")
             sc = sub[group.parts]
             # Column c's entries start at c * height of the column-major block.
             starts = np.arange(0, sc.size, sc.shape[0])
-            if choices[1] is not None:
-                choices[1][masks] = parts.take(sc.argmin(axis=0) + starts)
+            choices[1][masks] = parts.take(sc.argmin(axis=0) + starts)
             for j in range(2, min(p, kmax) + 1):
                 cand = dp[j - 1][group.rests]
                 np.maximum(cand, sc, out=cand)
@@ -689,8 +671,7 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
                 best = cand.ravel("F").take(at)
                 np.minimum(best, dp[j][group.without_low], out=best)
                 dp[j][masks] = best
-                if choices[j] is not None:
-                    choices[j][masks] = parts.take(at)
+                choices[j][masks] = parts.take(at)
     return _Tables(dp, choices)
 
 
@@ -711,6 +692,20 @@ def _suffix_pass(score: np.ndarray, prev: np.ndarray, i: int) -> tuple[float, in
     return cand.item(q), (1 << i) | (len(cand) - 1 - q) << (i + 1)
 
 
+def _level1_part(sub: np.ndarray, mask: int, value: float) -> int:
+    """The first part of the segment of `mask` that attains `value` at
+    level 1, where the walk cannot drop the mask's lowest vertex; sub is
+    the score table of the vertices 1..n-1, indexed by mask >> 1.
+
+    Level 0 is -inf, so a part's candidate is its score.  The lowest vertex
+    cannot be dropped, so every submask of `mask` whose score is `value`
+    holds it, and the first of those in the segment's descending scan
+    order is the largest.
+    """
+    hits = np.flatnonzero(sub == value)
+    return int(hits[(hits & ~mask) == 0].max())
+
+
 def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[float, list[int]]:
     """rho_k and the parts of an optimal k-packing, walking the tables back
     from the full mask V.
@@ -729,11 +724,10 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[fl
     Every later step is in the DP of vertices 1..n-1, on masks shifted down
     by one: the lowest vertex stays out if that keeps the value; otherwise
     the first part of the mask's segment that attains it is taken, read
-    from the level's choices at the mask where it kept them, else found by
-    rescanning the segment (at level 1 of a request at k = 2, whose DP
-    runs to level 1 only, and at every level beyond the held plan).  So
-    the walk reads no per-n table.  Table entries are read as Python
-    scalars (`.item`), the same values.
+    from the level's choices at the mask, or, at level 1 of a DP that kept
+    none (a request at k = 2), found in the score table
+    (:func:`_level1_part`).  So the walk reads no per-n table.  Table
+    entries are read as Python scalars (`.item`), the same values.
     """
     dp_all, choices = tables
     sub = score[0::2]
@@ -759,13 +753,7 @@ def _reconstruct(tables: _Tables, score: np.ndarray, n: int, k: int) -> tuple[fl
         if dp.item(mask ^ low) == value:
             mask ^= low
             continue
-        if choices[j] is not None:
-            a = choices[j].item(mask)
-        else:
-            seg, rests = _segment(mask)
-            cand = sub.take(seg)
-            np.maximum(cand, dp_all[j - 1].take(rests), out=cand)
-            a = seg.item((cand == value).argmax())
+        a = _level1_part(sub, mask, value) if choices[j] is None else choices[j].item(mask)
         parts.append(a << 1)
         mask ^= a
         j -= 1
@@ -815,11 +803,10 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     min/max only, so it is bit-identical to the textbook loop and to naive
     enumeration (``tests/brute.py``).  Certificates follow the DP's own
     tie-break (first optimal part in scan order): the first part is the
-    pick of the last suffix mask that attains the value; up to n = 11 the
-    others are read by mask from the choices the DP kept; beyond it, and
-    at level 1 when kmax = 2, each later part on the optimal path is found
-    by rescanning its mask's segment.  A request beyond the work policy
-    raises ValueError before any table is built.
+    pick of the last suffix mask that attains the value; the others are
+    read by mask from the choices the DP kept, or, when kmax = 2, a later
+    level-1 part is found in the Phi table.  A request beyond the work
+    policy raises ValueError before any table is built.
     On a signed graph these are the rho^sigma_k certificates of
     :func:`rho_signed_profile`.
     """

@@ -828,16 +828,17 @@ def format_graph_text(g: WeightedGraph) -> str:
 
 
 def loads_graph(text: str) -> WeightedGraph:
-    """Parse a graph from JSON or edge-list text, sniffed from the first
-    non-blank character: `{`, `[` or `"` opens JSON, any other the edge
-    list, whose header starts with `n`."""
-    if text.lstrip()[:1] in ("{", "[", '"'):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+    """Parse a graph from JSON or edge-list text.  Text that parses as JSON,
+    or whose first non-blank character is `{`, `[` or `"`, is JSON; any
+    other is an edge list, whose header of four or more tokens starting
+    with `n` is never JSON."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        if text.lstrip()[:1] in ("{", "[", '"'):
             raise GraphFormatError(f"malformed JSON: {exc}") from exc
-        return from_json_dict(data)
-    return parse_graph_text(text)
+        return parse_graph_text(text)
+    return from_json_dict(data)
 
 
 def load_graph(path: str) -> WeightedGraph:

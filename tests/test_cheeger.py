@@ -28,15 +28,12 @@ from cheegerlab.cheeger import (
     _HELD_BYTES,
     _PAIR_BUDGET,
     _blocks,
-    _build_pairs,
     _cut_and_measure,
     _dp_admits,
     _packing_dp,
     _parts_from_masks,
     _phi_array,
-    _popcount_groups,
     _reconstruct,
-    _segment,
     _signed_tables,
     _suffix_pass,
 )
@@ -693,8 +690,7 @@ class TestProfileEngine:
                 ref, choice, _ = loop_packing_dp(score, n, n)
                 tables = _packing_dp(score, n, n)
                 _assert_levels_match(tables, ref, range(n + 1))
-                # No held plan, so no kept choices: every part is rescanned.
-                assert tables.choices == [None] * (n + 1)
+                _assert_choices_match(tables, n, choice)
                 for k in range(1, n + 1):
                     assert _reconstruct(tables, score, n, k) == (ref[k][full], loop_reconstruct(choice, k, full))
         finally:
@@ -785,8 +781,8 @@ class TestProfileEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Beyond the budget: the DP tables, Phi and the per-mask layout,
-        # all O(n 2^n).
+        # Beyond the budget: the DP tables and their choices, and Phi, all
+        # O(n 2^n).
         assert peak <= _PAIR_BUDGET + (n + 8) * 8 * (1 << n)
         for cert in profile[:3]:
             assert cert.recompute(g) == cert.value
@@ -844,13 +840,13 @@ def _assert_levels_match(tables, ref, levels) -> None:
 
 def _assert_choices_match(tables, n: int, choice) -> None:
     """The choices the DP kept: present at every level 1..kmax when the
-    sub-cube's plan is held and the group pass runs (kmax >= 2 of the DP's
-    own levels), and nowhere else; at every (level, mask without vertex 0)
-    where the loop's choice is a part, the choice kept at that mask is that
-    part.  Those are every choice a walk reads: where the loop keeps the
-    lowest vertex out, so does the walk."""
+    group pass runs (kmax >= 2 of the DP's own levels), and nowhere else;
+    at every (level, mask without vertex 0) where the loop's choice is a
+    part, the choice kept at that mask is that part.  Those are every
+    choice a walk reads: where the loop keeps the lowest vertex out, so
+    does the walk."""
     kmax = len(tables.dp) - 1
-    kept = cheeger._plan(n - 1) is not None and kmax >= 2
+    kept = kmax >= 2
     assert tables.choices[0] is None
     compared = 0
     for j, level in enumerate(tables.choices[1:], 1):
@@ -914,7 +910,7 @@ class TestProfileTables:
 
     def test_streamed_path_matches_loop(self, monkeypatch):
         # The 16 KiB hold and budget of the streamed-chunks test: no held
-        # plan at n = 9, so every block and segment is built directly.
+        # plan at n = 9, so every block is built directly.
         monkeypatch.setattr(cheeger, "_PAIR_BUDGET", 1 << 14)
         monkeypatch.setattr(cheeger, "_HELD_BYTES", 1 << 14)
         cheeger._plan.cache_clear()
@@ -966,28 +962,12 @@ class TestProfileTables:
             else:
                 assert cert.parts == tuple(sorted(_parts_from_masks(masks)))
 
-    def test_segments_match_pair_builder(self):
-        # Each mask's segment, built by Python-int doubling, is its column
-        # of the block _build_pairs writes for its popcount group: the
-        # same parts in the same descending order.
-        for n in range(1, 9):
-            for p, masks in _popcount_groups(n, 1):
-                parts, rests = _build_pairs(masks, p)
-                for c, mask in enumerate(masks.tolist()):
-                    seg, seg_rests = _segment(mask)
-                    assert seg.tolist() == parts[:, c].tolist()
-                    assert seg_rests.tolist() == rests[:, c].tolist()
-            # A suffix mask {i..n-1}'s segment in closed form.
-            for i, mask in enumerate(_suffix_masks(n)[:n]):
-                closed = (np.arange((1 << (n - i - 1)) - 1, -1, -1) << (i + 1)) | (1 << i)
-                assert _segment(mask)[0].tolist() == closed.tolist()
-
     @pytest.mark.parametrize("k", [1, 2])
     def test_low_k_builds_no_pair_table(self, monkeypatch, k):
         # n = 12 and its sub-cube of 11 have no held plan: for k <= 2 level
         # 1 is the transform, the walk runs its strided passes at the suffix
-        # masks and reads their picks, level 1 below it builds its segments
-        # directly, and no pair pass runs.
+        # masks and reads their picks, level 1 below it finds its part in
+        # the score table, and no pair pass runs.
         g = product(generate("path", 4, mu="unit"), generate("path", 3, mu="unit"))
         expected = rho_profile(g, k)
 
@@ -1033,20 +1013,20 @@ class TestProfileTables:
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_full_profile_rescans_no_segment(self, monkeypatch, signed):
-        # At n = 10 and 11 (whose sub-cube reads the held plan of 10) every
-        # level below the top keeps its choices, and every walk's first
-        # part is its suffix pass's pick, so a full profile rescans no
-        # segment, where one per part taken would be n(n + 1) / 2.
+        # Within the held plan (n = 10, 11) and beyond it (n = 12, 13)
+        # every level below the top keeps its choices, and every walk's
+        # first part is its suffix pass's pick, so a full profile never
+        # searches the score table for a level-1 part.
         calls = []
-        segment = cheeger._segment
+        level1_part = cheeger._level1_part
 
-        def counting(mask):
+        def counting(sub, mask, value):
             calls.append(mask)
-            return segment(mask)
+            return level1_part(sub, mask, value)
 
-        monkeypatch.setattr(cheeger, "_segment", counting)
+        monkeypatch.setattr(cheeger, "_level1_part", counting)
         profile = rho_signed_profile if signed else rho_profile
-        for n in (10, 11):
+        for n in (10, 11, 12, 13):
             g = generate("random_connected", n, seed=3, p=0.3, w_low=0.5, w_high=2.0)
             if signed:
                 g = with_random_signature(g, 3)
@@ -1055,12 +1035,15 @@ class TestProfileTables:
             for cert in certs:
                 assert cert.recompute(g) == cert.value
 
-    @pytest.mark.parametrize("n, signed", [(3, False), (8, False), (11, False), (8, True)])
+    @pytest.mark.parametrize(
+        "n, signed", [(3, False), (8, False), (11, False), (12, False), (13, False), (8, True), (12, True)]
+    )
     def test_walk_reads_choices_by_mask(self, monkeypatch, n, signed):
-        # Over tables that kept choices a walk reads each later part from
-        # them by its mask: it asks for no per-n table, no popcount group
-        # and no block, and rescans no segment.  The walks before the wrap
-        # are checked against the loop in TestProfileEngine.
+        # Over tables that kept choices, within the held plan and beyond it,
+        # a walk reads each later part from them by its mask: it asks for
+        # no per-n table, no popcount group and no block, and searches no
+        # score table.  The walks before the wrap are checked against the
+        # loop in TestProfileEngine.
         g = generate("random_connected", n, seed=n, p=0.5, w_low=0.5, w_high=2.0)
         score = _signed_tables(with_random_signature(g, n)).betamin if signed else _phi_array(g)
         tables = _packing_dp(score, n, n - 1)
@@ -1070,23 +1053,23 @@ class TestProfileTables:
         def refuse(*args):
             raise AssertionError("the walk asked for a per-n table")
 
-        for name in ("_plan", "_bits", "_blocks", "_popcount_groups", "_segment"):
+        for name in ("_plan", "_bits", "_blocks", "_popcount_groups", "_level1_part"):
             monkeypatch.setattr(cheeger, name, refuse)
         assert [_reconstruct(tables, score, n, k) for k in range(1, n + 1)] == expected
 
     def test_top_level_keeps_its_choices(self, monkeypatch):
         # The walk reads each suffix mask's pick from its pass, so a walk
-        # that drops vertices before its first part rescans no segment: the
-        # star's k = 3 parts are its leaves 3, 4 and 5, and the disconnected
-        # graphs' k = 1 part is the component without vertex 0.
+        # that drops vertices before its first part searches no score
+        # table: the star's k = 3 parts are its leaves 3, 4 and 5, and the
+        # disconnected graphs' k = 1 part is the component without vertex 0.
         calls = []
-        segment = cheeger._segment
+        level1_part = cheeger._level1_part
 
-        def counting(mask):
+        def counting(sub, mask, value):
             calls.append(mask)
-            return segment(mask)
+            return level1_part(sub, mask, value)
 
-        monkeypatch.setattr(cheeger, "_segment", counting)
+        monkeypatch.setattr(cheeger, "_level1_part", counting)
         star = generate("star", 6)
         cert = rho_exact(star, 3)
         assert cert.parts == ((3,), (4,), (5,))

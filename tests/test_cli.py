@@ -182,11 +182,20 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "text, kind",
-        [("[1, 2]", "list"), ('"x"', "str"), ('  \n [{"n": 2, "edges": []}]', "list")],
+        [
+            ("[1, 2]", "list"),
+            ('"x"', "str"),
+            ('  \n [{"n": 2, "edges": []}]', "list"),
+            ("5", "int"),
+            ("null", "NoneType"),
+            ("true", "bool"),
+            ("-1.5", "float"),
+        ],
     )
     def test_non_object_json_exit_2(self, tmp_path, capsys, text, kind):
-        # A file that opens with [ or " is JSON, not an edge list without
-        # its header, and its top level must be an object.
+        # A file that parses as JSON, or opens with [ or ", is JSON, not an
+        # edge list without its header, and its top level must be an
+        # object.
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run_cli(["analyze", str(path)], capsys)

@@ -724,22 +724,30 @@ class TestSerialization:
     def test_malformed_json(self):
         with pytest.raises(GraphFormatError):
             loads_graph("{not json")
+        # Text that opens JSON stays JSON when it fails to parse.
+        with pytest.raises(GraphFormatError, match="^malformed JSON: "):
+            loads_graph("[1, 2")
         for data in ([], None, "n"):
             with pytest.raises(GraphFormatError, match="^malformed graph JSON: "):
                 from_json_dict(data)
 
-    @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str"), (None, "NoneType")])
+    @pytest.mark.parametrize(
+        "data, kind",
+        [([1, 2], "list"), ("x", "str"), (None, "NoneType"), (5, "int"), (True, "bool"), (-1.5, "float")],
+    )
     def test_top_level_must_be_an_object(self, data, kind):
         message = f"malformed graph JSON: the top level must be a JSON object, not {kind}"
         with pytest.raises(GraphFormatError) as err:
             from_json_dict(data)
         assert str(err.value) == message
-        # A text whose first non-blank character opens a JSON list or
-        # string is read as JSON, not as an edge list.
-        if data is not None:
-            with pytest.raises(GraphFormatError) as err:
-                loads_graph(" \n" + json.dumps(data))
-            assert str(err.value) == message
+        # A text that parses as JSON is read as JSON, not as an edge list.
+        with pytest.raises(GraphFormatError) as err:
+            loads_graph(" \n" + json.dumps(data))
+        assert str(err.value) == message
+
+    def test_edge_list_may_open_with_a_comment(self):
+        g = loads_graph("# two vertices\nn 2 mu unit\n0 1 1\n")
+        assert g == WeightedGraph.build(2, [(0, 1, 1.0)], mu="unit")
 
     def test_malformed_header(self):
         with pytest.raises(GraphFormatError):

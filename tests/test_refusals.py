@@ -187,6 +187,7 @@ def test_unknown_check_is_an_error_row():
     [
         ("", "empty graph file"),
         ("# a comment only\n\n", "empty graph file"),
+        ("vertices 2 mu unit\n0 1 1\n", "header must read: n <int> mu <degree|unit|list> [kappa <list>]"),
         ("n 2 mu unit\n0 1\n", "bad edge line: '0 1'"),
         ("n 2 mu unit\n0 x 1\n", "bad edge line '0 x 1': invalid literal for int() with base 10: 'x'"),
     ],
