@@ -32,7 +32,6 @@ from .cheeger import (
     conductance,
     rho_exact,
     rho_profile,
-    rho_signed_exact,
     rho_signed_profile,
     rho_upper_nodal_sweep,
 )

@@ -10,6 +10,7 @@ raise :class:`HypothesisViolation` instead and are reported as skips.
 import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from .cheeger import (
@@ -507,36 +508,35 @@ class CorpusConfig:
         return CorpusConfig(**data)
 
 
-def corpus_instances(cfg: CorpusConfig) -> Iterator[tuple[str, WeightedGraph]]:
-    """The deterministic instances of a corpus configuration, each made
-    when it is asked for: one per size for a deterministic family, and
-    `count` for a random one, each at a size drawn from `sizes`."""
+def corpus_instances(cfg: CorpusConfig) -> Iterator[tuple[str, partial]]:
+    """The deterministic instances of a corpus configuration, each a name
+    and a zero-argument builder that makes the graph when called (and
+    raises ValueError where the generator refuses it): one per size for a
+    deterministic family, and `count` for a random one, each at a size
+    drawn from `sizes`.  Every draw is taken when the name is, so an
+    instance's graph does not depend on whether another one was built."""
     counter = 0
     for family in cfg.families:
         if not _FAMILIES[family].random:
             for n in cfg.sizes:
-                g = generate(family, n, cfg.seed, a=cfg.a, mu=cfg.mu)
-                if cfg.signed:
-                    g = with_random_signature(g, derive_seed(cfg.seed, counter))
-                yield f"{family}-n{n}", g
+                yield f"{family}-n{n}", partial(_instance, cfg, family, n, cfg.seed, derive_seed(cfg.seed, counter))
                 counter += 1
         else:
             for i in range(cfg.count):
                 rng = SplitMix64(derive_seed(cfg.seed, counter))
                 n = cfg.sizes[rng.randint(len(cfg.sizes))]
-                g = generate(
-                    family,
-                    n,
-                    rng.next_u64(),
-                    p=cfg.p,
-                    w_low=cfg.w_low,
-                    w_high=cfg.w_high,
-                    mu=cfg.mu,
-                )
-                if cfg.signed:
-                    g = with_random_signature(g, rng.next_u64())
-                yield f"{family}-{i:03d}-n{n}", g
+                yield f"{family}-{i:03d}-n{n}", partial(_instance, cfg, family, n, rng.next_u64(), rng.next_u64())
                 counter += 1
+
+
+def _instance(cfg: CorpusConfig, family: str, n: int, seed: int, sign_seed: int) -> WeightedGraph:
+    """The graph of one corpus instance: generate's, signed by
+    with_random_signature(g, sign_seed) in a signed corpus."""
+    if _FAMILIES[family].random:
+        g = generate(family, n, seed, p=cfg.p, w_low=cfg.w_low, w_high=cfg.w_high, mu=cfg.mu)
+    else:
+        g = generate(family, n, seed, a=cfg.a, mu=cfg.mu)
+    return with_random_signature(g, sign_seed) if cfg.signed else g
 
 
 def run_checks_on_graph(
@@ -651,13 +651,21 @@ def run_corpus(cfg: CorpusConfig) -> Report:
     """Generate the corpus and run the selected checks on every instance.
 
     Each instance is made as its checks start and freed, with everything
-    held with it, before the next is made.  Per-instance errors (non-generic seeds, graphs beyond the exact
-    engine's work policy) are collected rather than aborting; the report is
-    sorted so the result is independent of evaluation order.
+    held with it, before the next is made.  Per-instance errors (a graph the
+    generator refuses, such as one whose measure products overflow,
+    non-generic seeds, graphs beyond the exact engine's work policy) are
+    collected rather than aborting: a refused graph is its instance's one
+    error, and the later instances keep their names, graphs and seeds.  The
+    report is sorted so the result is independent of evaluation order.
     """
     rows: list[tuple[str, CheckRecord]] = []
     errors: list[tuple[str, str]] = []
-    for idx, (instance, g) in enumerate(corpus_instances(cfg)):
+    for idx, (instance, build) in enumerate(corpus_instances(cfg)):
+        try:
+            g = build()
+        except ValueError as exc:
+            errors.append((instance, str(exc)))
+            continue
         seed = derive_seed(cfg.seed, 1_000_003 + idx)
         new_rows, new_errors = run_checks_on_graph(instance, g, cfg.checks, cfg.eps, seed)
         rows.extend(new_rows)

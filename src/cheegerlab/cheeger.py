@@ -1,11 +1,12 @@
 """Conductance, exact k-way Cheeger constants, and signed variants.
 
 One exact engine answers every request: a subset dynamic program over
-vertex bitmasks (:func:`rho_profile` / :func:`rho_signed_profile`) that
-returns certificates for every k = 1..kmax at once.  Every part of the full
-mask V holds vertex 0, so from V every read of the recurrence lands on a
-mask without vertex 0: the DP runs on the n - 1 vertices 1..n-1.  In that
-sub-cube level 1 is a subset-min transform, O(n 2^n); each middle level
+vertex bitmasks (:func:`rho_profile`) that returns certificates for every
+k = 1..kmax at once, scored by Phi, or by beta on a signed graph.  Every
+part of the full mask V holds vertex 0, so from V every read of the
+recurrence lands on a mask without vertex 0: the DP runs on the n - 1
+vertices 1..n-1.  In that sub-cube level 1 is a subset-min transform,
+O(n 2^n); each middle level
 2..kmax-1 is one O(3^(n-1)) pass over the (mask, part) pairs; the top
 level holds no table.  The pairs of each popcount group form one
 column-major block of shape (2^(p-1), masks), one contiguous column per
@@ -22,9 +23,9 @@ Its first step reads level k at the suffix masks {i..n-1}, each by one
 strided pass over level k - 1 with no gather: V's pass alone where level
 k holds a table (whose entry at {1..n-1} covers the shorter suffixes),
 else every suffix from the last with k vertices down to V.  So a profile
-runs n passes, and :func:`rho_exact` / :func:`rho_signed_exact`, which
-rebuild only certificate k of the profile up to k, run n - k + 1.  One
-certificate builder serves both signs: it packs a score table (Phi, or
+runs n passes, and :func:`rho_exact`, which rebuilds only certificate k
+of the profile up to k, runs n - k + 1.
+One certificate builder serves both signs: it packs a score table (Phi, or
 the signed split table's least beta per union with the split that
 attains it) and orders each certificate's parts, or unions, by lowest
 vertex.  Wherever the DP runs its group pass (a request up to kmax >= 3)
@@ -42,7 +43,7 @@ within _MAX_ELEMENT_OPS and _MAX_TABLE_BYTES.  It admits every unsigned
 request up to n = 18 and every signed one up to n = 15, whatever kmax and
 the edge count; beyond that it depends on them (k = 2 reaches n = 21 on a
 tree).  An admitted request takes at most about 4.6 s unsigned and 6 s
-signed on a 2-vCPU VM.  All four public entries run through one solve
+signed on a 2-vCPU VM.  Both public entries run through one solve
 (:func:`_solve`), which asks the policy, so a refused request raises
 ValueError before any table is built.
 
@@ -420,13 +421,14 @@ def _parts_from_masks(masks: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _solve(g: WeightedGraph, kmax: int, ks, signed: bool) -> tuple[PartitionCertificate, ...]:
+def _solve(g: WeightedGraph, kmax: int, ks) -> tuple[PartitionCertificate, ...]:
     """Certificates k in ks of the profile of g up to kmax (arguments
-    already checked): the score table, Phi or the signed split table, packed
-    by :func:`_packing_dp` up to kmax - 1 and walked by
+    already checked): the score table, Phi or, if g is signed, the signed
+    split table, packed by :func:`_packing_dp` up to kmax - 1 and walked by
     :func:`_reconstruct`.  A request beyond the work policy raises
     ValueError before any table is built."""
     n = g.n
+    signed = g.is_signed()
     if not _dp_admits(n, g.m, kmax, signed):
         kind = "signed rho_k" if signed else "rho_k"
         raise ValueError(
@@ -452,22 +454,11 @@ def rho_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
     are read as the profile reads them.  The Phi table is held with g
     while it fits _HELD_BYTES.  A request beyond the work policy raises
     ValueError before any table is built.  On a signed graph this is
-    rho^sigma_k, the certificate of :func:`rho_signed_exact`.
+    rho^sigma_k: the least max of beta over k-sub-bipartitions.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    return _solve(g, k, (k,), g.is_signed())[0]
-
-
-def rho_signed_exact(g: WeightedGraph, k: int) -> PartitionCertificate:
-    """Exact k-way signed Cheeger constant over k-sub-bipartitions.
-
-    Certificate k of :func:`rho_signed_profile` up to kmax = k, with the
-    work policy and tie-break of :func:`rho_exact`.
-    """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    return _solve(g, k, (k,), signed=True)[0]
+    return _solve(g, k, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -807,13 +798,23 @@ def rho_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCer
     read by mask from the choices the DP kept, or, when kmax = 2, a later
     level-1 part is found in the Phi table.  A request beyond the work
     policy raises ValueError before any table is built.
-    On a signed graph these are the rho^sigma_k certificates of
-    :func:`rho_signed_profile`.
+    On a signed graph these are the rho^sigma_k certificates: the same DP
+    packs the signed split table (:func:`_signed_tables`), the least beta
+    of each union, with the work policy counting the split pass.  On an
+    unsigned graph rho^sigma_k is rho_k bit for bit (every union is
+    balanced, and a balanced union's least beta is its Phi), so the split
+    pass never runs there.
     """
     kmax = g.n if kmax is None else kmax
     if not 1 <= kmax <= g.n:
         raise ValueError(f"kmax must be in [1, {g.n}]")
-    return _solve(g, kmax, range(1, kmax + 1), g.is_signed())
+    return _solve(g, kmax, range(1, kmax + 1))
+
+
+# The same function under its older name: perfbench/workloads.py imports it,
+# and the tracer keys its cheeger.signed_profile layer on
+# bounds.rho_signed_profile.  It goes when the harness stops reading it.
+rho_signed_profile = rho_profile
 
 
 class _SplitPass:
@@ -911,21 +912,6 @@ def _signed_tables(g: WeightedGraph) -> _SplitPass:
         for group, lo, hi in zip(plan.groups, plan.starts[:-1], plan.starts[1:]):
             sp.pick(group, beta[lo:hi])
     return sp
-
-
-def rho_signed_profile(g: WeightedGraph, kmax: int | None = None) -> tuple[PartitionCertificate, ...]:
-    """Exact signed rho^sigma_k certificates for every k = 1..kmax.
-
-    Tabulates, per union mask U, the best split of U into (V1, V2) over the
-    same pair blocks, and packs unions with the same subset DP as the
-    unsigned profile.  Every split is scored bit for bit
-    as :func:`beta_signed` scores it, so every value is too.  The work
-    policy of :func:`rho_profile` applies, with the split pass counted.
-    """
-    kmax = g.n if kmax is None else kmax
-    if not 1 <= kmax <= g.n:
-        raise ValueError(f"kmax must be in [1, {g.n}]")
-    return _solve(g, kmax, range(1, kmax + 1), signed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .bounds import (
     run_checks_on_graph,
     run_corpus,
 )
-from .cheeger import rho_exact, rho_signed_exact, rho_upper_nodal_sweep
+from .cheeger import rho_exact, rho_upper_nodal_sweep
 from .graph import (
     GraphFormatError,
     classify,
@@ -114,7 +114,7 @@ def cmd_cheeger(args) -> int:
         if g.is_signed():
             raise ValueError("nodal sweep is defined for unsigned graphs")
         f = laplacian_spectrum(g).function(args.sweep_from_eig)
-    cert = (rho_signed_exact if args.signed else rho_exact)(g, args.k)
+    cert = rho_exact(g, args.k)
     # Every certificate is exact; the key stays for readers of the format.
     out = {"budget_exceeded": False, "certificate": cert.to_json_dict()}
     if f is not None:  # "sweep" sorts last
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("graph")
     pc.add_argument("--k", type=int, required=True)
     pc.add_argument("--signed", action="store_true",
-                    help="score by beta (rho^sigma_k) even on an unsigned graph; a signed graph always is")
+                    help="ignored, to be removed: a signed graph is scored by beta, an unsigned one by Phi")
     pc.add_argument("--sweep-from-eig", type=int, default=None, metavar="J",
                     help="also report the nodal-sweep upper bound from eigenfunction J (1-based)")
     pc.add_argument("-o", "--output", default=None)

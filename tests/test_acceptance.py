@@ -31,9 +31,8 @@ from cheegerlab import (
     laplacian_spectrum,
     product,
     product_function,
+    rho_exact,
     rho_profile,
-    rho_signed_exact,
-    rho_signed_profile,
     strong_nodal,
     with_random_signature,
 )
@@ -264,7 +263,7 @@ def test_c09_signed_suite(signed100):
             records += 1
             violations += not rec.holds
     tri = WeightedGraph.build(3, [(0, 1, 1, -1), (1, 2, 1), (0, 2, 1)])
-    rho1 = rho_signed_exact(tri, 1).value
+    rho1 = rho_exact(tri, 1).value
     lam2 = laplacian_spectrum(tri).values[1]
     spot_ok = rho1 == 1.0 / 3.0 and abs(lam2 - 0.5) <= 1e-8
     _report(
@@ -288,7 +287,7 @@ def test_c10_oracle_equivalence(corpus200, signed100):
                 mismatches.append(("unsigned", g.n, k, a, b))
     small_signed = [g for g in signed100 if g.n <= 8]
     for g in small_signed:
-        profile = rho_signed_profile(g, 3)
+        profile = rho_profile(g, 3)
         oracle = regrouped_rho_signed(g, 3)
         for k in (1, 2, 3):
             a = profile[k - 1].value

@@ -643,6 +643,32 @@ class TestRecordsAndReport:
         assert cfg.families == ("random_tree", "path") and cfg.sizes == (4,) and cfg.mu == (1.0,) * 4
         assert cfg == CorpusConfig.from_json_dict({"families": ["random_tree", "path"], "sizes": [4], "mu": [1.0] * 4})
 
+    def test_instance_the_generator_refuses_is_its_error(self):
+        # At p = 1 instance 001 is K12 with degrees 3.3e154, whose measure
+        # products overflow, so the generator refuses its graph: that is the
+        # instance's one error, and the others keep their names, graphs and
+        # perturbation seeds (nodal's errors read the perturbed spectra).
+        cfg = CorpusConfig(families=["random_connected"], sizes=[3, 12], count=4, seed=2, p=1.0,
+                           w_low=3e153, w_high=3e153, checks=["basics", "nodal"])
+        rows, errors = [], []
+        for idx, (instance, build) in enumerate(bounds.corpus_instances(cfg)):
+            if idx == 1:
+                with pytest.raises(ValueError) as refused:
+                    build()
+                errors.append((instance, str(refused.value)))
+                continue
+            seed = bounds.derive_seed(cfg.seed, 1_000_003 + idx)
+            new_rows, new_errors = run_checks_on_graph(instance, build(), cfg.checks, cfg.eps, seed)
+            rows += new_rows
+            errors += new_errors
+        report = run_corpus(cfg)
+        assert json.dumps(report.to_json_dict()) == json.dumps(Report(rows=rows, errors=errors).to_json_dict())
+        assert ("random_connected-001-n12", str(refused.value)) in report.errors
+        assert str(refused.value).startswith("invalid graph: mu_u * mu_v on edge (0,1) is not a positive finite")
+        instances = {instance for instance, _ in report.rows}
+        assert instances == {"random_connected-000-n3", "random_connected-002-n3", "random_connected-003-n3"}
+        assert not report.all_hold()
+
     def test_mu_list_of_gn_vertex_count_runs(self):
         # gn's n is the family parameter: gn(3) has 2n + 2 = 8 vertices.
         report = run_corpus(CorpusConfig(families=["gn"], sizes=[3], mu=[1.0] * 8, checks=["main"]))
@@ -733,7 +759,8 @@ class TestSolveCount:
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["summary"]["holds"] == report["summary"]["records"]
         assert len(labellings) == 13
-        (_, g), = bounds.corpus_instances(CorpusConfig(**cfg))
+        (_, build), = bounds.corpus_instances(CorpusConfig(**cfg))
+        g = build()
         for graphs in built.values():
             assert len(graphs) == 2 and graphs[0] is not graphs[1]
             assert graphs[0] == g and graphs[1] != g

@@ -17,7 +17,6 @@ from cheegerlab import (
     product,
     rho_exact,
     rho_profile,
-    rho_signed_exact,
     rho_signed_profile,
     rho_upper_nodal_sweep,
     with_random_signature,
@@ -166,18 +165,19 @@ class TestRhoExact:
             rho_exact(triangle(), 0)
 
     def test_signed_graph_gives_signed_constant(self):
-        # On a signed graph rho_exact and rho_profile are rho^sigma_k, the
-        # same certificates as the signed entries.  gn has 2n + 2 vertices,
-        # so it is taken at n = 3 (8 vertices) only.
+        # On a signed graph rho_exact and rho_profile are rho^sigma_k: the
+        # regrouped enumeration's values, with certificates over k pairs.
+        # gn has 2n + 2 vertices, so it is taken at n = 3 (8 vertices) only.
         cases = [(f, n) for f in FAMILIES for n in ([3] if f == "gn" else range(4, 9))]
         for family, n in cases:
             for seed in (n, n + 50):
                 g = with_random_signature(generate(family, n, seed), seed + 1)
+                profile = rho_profile(g)
+                assert [c.value for c in profile] == regrouped_rho_signed(g, g.n)
                 for k in range(1, g.n + 1):
-                    cert, want = rho_exact(g, k), rho_signed_exact(g, k)
-                    assert cert.value == want.value
-                    assert (cert.parts, cert.states, cert.signed) == (want.parts, want.states, True)
-                assert rho_profile(g) == rho_signed_profile(g)
+                    cert = rho_exact(g, k)
+                    assert (cert.value, cert.parts) == (profile[k - 1].value, profile[k - 1].parts)
+                    assert cert.signed and len(cert.parts) == 2 * k
 
     def test_certificate_is_valid(self):
         g = generate("random_connected", 8, seed=17, p=0.35, w_low=0.5, w_high=2.0)
@@ -194,8 +194,8 @@ class TestRhoExact:
 
 
 class TestEngineChoice:
-    """rho_exact / rho_signed_exact answer from the profile DP whenever the
-    one work policy admits the request, and raise before any table is
+    """rho_exact answers from the profile DP, on either sign, whenever the
+    one work policy admits the request, and raises before any table is
     built when it does not."""
 
     @pytest.mark.parametrize("n", [2, 9, 15])
@@ -211,11 +211,14 @@ class TestEngineChoice:
         g = with_random_signature(
             generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0), n
         )
+        if not g.is_signed():  # the draw left K2's one edge positive
+            g = WeightedGraph.build(n, [(u, v, w, -1) for u, v, w, _ in g.edges], mu=g.mu)
         if n <= 7:
             ref, _, _ = loop_packing_dp(beta_split_tables(g)[0], n, n)
         for k in sorted({1, 2, n}):
-            cert = rho_signed_exact(g, k)
-            assert cert == rho_signed_profile(g, k)[k - 1]
+            cert = rho_exact(g, k)
+            assert cert.signed
+            assert cert == rho_profile(g, k)[k - 1]
             assert cert.exact
             assert cert.recompute(g) == cert.value
             if n <= 7:
@@ -228,8 +231,7 @@ class TestEngineChoice:
         g = generate("random_connected", 9, seed=4, p=0.5, w_low=0.5, w_high=2.0)
         if signed:
             g = with_random_signature(g, 4)
-        exact, profile = (rho_signed_exact, rho_signed_profile) if signed else (rho_exact, rho_profile)
-        expected = profile(g, 3)[-1]
+        expected = rho_profile(g, 3)[-1]
         calls = []
         reconstruct = cheeger._reconstruct
 
@@ -238,27 +240,25 @@ class TestEngineChoice:
             return reconstruct(tables, score, n, k)
 
         monkeypatch.setattr(cheeger, "_reconstruct", counting)
-        assert exact(g, 3) == expected
+        assert rho_exact(g, 3) == expected
         assert calls == [3]
 
     @pytest.mark.parametrize("kind", ["random", "tied", "signed"])
     @pytest.mark.parametrize("n", [3, 6, 8, 10])
     def test_single_certificate_keeps_no_rows(self, monkeypatch, n, kind):
-        # rho_exact and rho_signed_exact give the full profile's certificate
-        # k, value and parts.  "tied" reads a score table drawn from four
-        # values, where nearly every packing ties.
+        # rho_exact gives the full profile's certificate k, value and parts.
+        # "tied" reads a score table drawn from four values, where nearly
+        # every packing ties.
         g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
-        exact, profile = rho_exact, rho_profile
         if kind == "signed":
             g = with_random_signature(g, n)
-            exact, profile = rho_signed_exact, rho_signed_profile
         elif kind == "tied":
             score = np.random.default_rng(n).choice([0.0, 0.5, 1.0, 2.0], size=1 << n)
             score[0] = math.inf
             monkeypatch.setattr(cheeger, "_phi_array", lambda h: score)
-        full = profile(g)
+        full = rho_profile(g)
         for k in (2, 3):
-            cert = exact(g, k)
+            cert = rho_exact(g, k)
             assert (cert.value, cert.parts) == (full[k - 1].value, full[k - 1].parts)
 
     @pytest.mark.parametrize(
@@ -372,17 +372,15 @@ class TestInvariances:
         # graph and scored there, is feasible, so it bounds the other's
         # optimum from above with no tolerance.
         g = generate("random_connected", n, seed, p=0.3, w_low=0.5, w_high=2.0)
-        profile = rho_profile
         if signed:
             g = with_random_signature(g, seed)
-            profile = rho_signed_profile
         perm = np.random.default_rng(seed).permutation(n).tolist()
         inverse = [0] * n
         for v, pv in enumerate(perm):
             inverse[pv] = v
         h = _relabelled(g, perm)
         assert h != g
-        for a, b in zip(profile(g), profile(h)):
+        for a, b in zip(rho_profile(g), rho_profile(h)):
             assert a.recompute(g) == a.value and b.recompute(h) == b.value
             assert b.value <= self._mapped_value(a, perm, h)
             assert a.value <= self._mapped_value(b, inverse, g)
@@ -411,7 +409,7 @@ class TestInvariances:
                 parts.append(tuple(sorted({*v2} - s | {*v1} & s)))
             return dataclasses.replace(cert, parts=tuple(parts)).recompute(graph)
 
-        for a, b in zip(rho_signed_profile(g), rho_signed_profile(h)):
+        for a, b in zip(rho_profile(g), rho_profile(h)):
             assert b.value <= switched(a, h)
             assert a.value <= switched(b, g)
 
@@ -430,7 +428,7 @@ class TestInvariances:
         t, t2 = _signed_tables(sg), _signed_tables(sg2)
         assert t2.betamin.tobytes() == t.betamin.tobytes()
         assert t2.split.tobytes() == t.split.tobytes()
-        for a, b in (*zip(rho_profile(g), rho_profile(g2)), *zip(rho_signed_profile(sg), rho_signed_profile(sg2))):
+        for a, b in (*zip(rho_profile(g), rho_profile(g2)), *zip(rho_profile(sg), rho_profile(sg2))):
             assert a == b and a.value.hex() == b.value.hex()
         for h, h2 in ((g, g2), (sg, sg2)):
             values = laplacian_spectrum(h, functions=False).values
@@ -512,7 +510,7 @@ class TestMonotonicity:
         g = with_random_signature(
             generate("random_connected", 6, seed, p=0.5, w_low=0.5, w_high=2.0), seed
         )
-        values = [c.value for c in rho_signed_profile(g)]
+        values = [c.value for c in rho_profile(g)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rho_zero_iff_enough_components(self):
@@ -547,9 +545,39 @@ class TestBetaSigned:
             beta_signed(triangle(), [], [])
 
 
+def _connected(g: WeightedGraph, vertices: set) -> bool:
+    """Whether the subgraph of g on `vertices` (nonempty) is connected."""
+    reached = {min(vertices)}
+    grew = True
+    while grew:
+        grew = False
+        for u, v, _, _ in g.edges:
+            if {u, v} <= vertices and (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    return reached == vertices
+
+
 class TestRhoSigned:
+    def test_signed_profile_is_the_profile(self):
+        assert rho_signed_profile is rho_profile
+
+    def test_unsigned_graph_runs_no_split_pass(self, monkeypatch):
+        # The graph's sign alone picks the score, so an unsigned graph is
+        # scored by Phi under either name and no split pass is made.
+        class NoSplitPass:
+            def __init__(self, g):
+                raise AssertionError("a split pass was made for an unsigned graph")
+
+        monkeypatch.setattr(cheeger, "_SplitPass", NoSplitPass)
+        g = generate("random_connected", 8, seed=3, p=0.4, w_low=0.5, w_high=2.0)
+        profile = rho_signed_profile(g)
+        assert not any(c.signed for c in profile)
+        assert [rho_exact(g, k) for k in range(1, 9)] == [rho_profile(g, k)[k - 1] for k in range(1, 9)]
+        assert [c.value for c in profile[:3]] == [naive_rho(g, k) for k in (1, 2, 3)]
+
     def test_unbalanced_triangle(self):
-        cert = rho_signed_exact(unbalanced_triangle(), 1)
+        cert = rho_exact(unbalanced_triangle(), 1)
         assert cert.value == 1.0 / 3.0
 
     def test_balanced_signed_graph_is_zero(self):
@@ -557,17 +585,34 @@ class TestRhoSigned:
         g = WeightedGraph.build(
             4, [(0, 1, 1, -1), (1, 2, 1), (2, 3, 1), (0, 3, 1, -1)]
         )
-        assert rho_signed_exact(g, 1).value == 0.0
+        assert rho_exact(g, 1).value == 0.0
 
-    def test_single_positive_edge(self):
-        g = WeightedGraph.build(2, [(0, 1, 1)])
-        cert = rho_signed_exact(g, 1)
-        assert cert.value == 0.0
-        assert cert.parts == ((0, 1), ())
-
-    def test_all_positive_rho1_zero(self):
-        g = generate("random_connected", 6, seed=10)
-        assert rho_signed_exact(g, 1).value == 0.0
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_switching_identity(self, n):
+        # sigma_uv = s_u s_v is balanced: the split of a union U by s has
+        # no positive edge across and no negative edge inside a side, so
+        # its beta is (2 * 0.0 + 0.0 + cut(U)) / mu(U), Phi(U) to the bit,
+        # and every other split adds nonnegative terms.  So rho^sigma_k is
+        # the unsigned graph's rho_k bit for bit, over the same unions; and
+        # a union connected in the graph has the split by s alone, V1
+        # holding its lowest vertex, since any other split adds an edge's
+        # term.
+        for seed in range(n, n + 4):
+            g = generate("random_connected", n, seed, p=0.4, w_low=0.5, w_high=2.0)
+            s = np.random.default_rng(seed).choice([-1, 1], size=n)
+            s[-1] = -s[0]
+            h = WeightedGraph.build(n, [(u, v, w, int(s[u] * s[v])) for u, v, w, _ in g.edges], mu=g.mu)
+            assert h.is_signed()
+            pairs = [*zip(rho_profile(g), rho_profile(h))]
+            pairs += [(rho_exact(g, k), rho_exact(h, k)) for k in range(1, n + 1)]
+            for a, b in pairs:
+                assert b.signed and b.value.hex() == a.value.hex()
+                splits = [*zip(b.parts[0::2], b.parts[1::2])]
+                assert [tuple(sorted(v1 + v2)) for v1, v2 in splits] == list(a.parts)
+                for v1, v2 in splits:
+                    union = {*v1, *v2}
+                    if _connected(g, union):
+                        assert set(v1) == {v for v in union if s[v] == s[min(union)]}
 
     @pytest.mark.parametrize("seed", range(8))
     def test_signed_profile_equals_naive(self, seed):
@@ -576,10 +621,10 @@ class TestRhoSigned:
             generate("random_connected", n, seed=seed, p=0.5, w_low=0.5, w_high=2.0),
             seed + 1,
         )
-        profile = rho_signed_profile(g)
+        profile = rho_profile(g)
         for k in (1, 2):
             assert profile[k - 1].value == naive_rho_signed(g, k)
-            assert rho_signed_exact(g, k).value == profile[k - 1].value
+            assert rho_exact(g, k).value == profile[k - 1].value
 
     @pytest.mark.parametrize("unit_weights", [False, True])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -594,7 +639,7 @@ class TestRhoSigned:
     def test_certificates_valid(self):
         g = with_random_signature(generate("random_connected", 7, seed=3, p=0.4), 9)
         for k in (1, 2, 3):
-            cert = rho_signed_exact(g, k)
+            cert = rho_exact(g, k)
             assert cert.exact
             assert len(cert.parts) == 2 * k
             union = set()
@@ -605,7 +650,7 @@ class TestRhoSigned:
                 assert union.isdisjoint(v1 | v2)
                 union |= v1 | v2
             assert cert.recompute(g) == cert.value
-        for cert in rho_signed_profile(g):
+        for cert in rho_profile(g):
             assert cert.recompute(g) == cert.value
 
 
@@ -635,10 +680,9 @@ class TestProfileEngine:
             assert tables.betamin.tobytes() == np.array(betamin).tobytes()
             assert tables.split.tolist() == split
             score = tables.betamin
-            profile = rho_signed_profile(g, kmax)
         else:
             score = _phi_array(g)
-            profile = rho_profile(g, kmax)
+        profile = rho_profile(g, kmax)
         ref, choice, states = loop_packing_dp(score, n, kmax)
         tables = _packing_dp(score, n, kmax)
         _assert_levels_match(tables, ref, range(kmax + 1))
@@ -757,7 +801,7 @@ class TestProfileEngine:
                 signed = _signed_tables(sh)
                 runs.append([
                     *(a.tobytes() for a in (*_cut_and_measure(h), _phi_array(h), signed.betamin, signed.split)),
-                    *((c.k, c.value.hex(), c.parts, c.states) for c in (*rho_profile(h), *rho_signed_profile(sh))),
+                    *((c.k, c.value.hex(), c.parts, c.states) for c in (*rho_profile(h), *rho_profile(sh))),
                 ])
                 items = {"cut": {11 * g.m}, "split": {signed.pair_bytes}}
                 items["packing"] = {_DP_PAIR_BYTES << (p - 1) for p in range(2, n + 1)}
@@ -819,8 +863,8 @@ class TestProfileEngine:
         for call, message in (
             (lambda: rho_profile(g), "exact rho_k on n = 19 vertices up to kmax = 19 is beyond"),
             (lambda: rho_exact(g, 19), "exact rho_k on n = 19 vertices up to kmax = 19 is beyond"),
-            (lambda: rho_signed_profile(sg), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
-            (lambda: rho_signed_exact(sg, 16), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
+            (lambda: rho_profile(sg), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
+            (lambda: rho_exact(sg, 16), "exact signed rho_k on n = 16 vertices up to kmax = 16 is beyond"),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -942,10 +986,9 @@ class TestProfileTables:
             g = with_random_signature(g, n)
             tables = _signed_tables(g)
             score = tables.betamin
-            profile = rho_signed_profile(g, 3)
         else:
             score = _phi_array(g)
-            profile = rho_profile(g, 3)
+        profile = rho_profile(g, 3)
         _, choice, _ = loop_packing_dp(score, n, 3)
         for cert in profile:
             masks = loop_reconstruct(choice, cert.k, full)
@@ -1025,12 +1068,11 @@ class TestProfileTables:
             return level1_part(sub, mask, value)
 
         monkeypatch.setattr(cheeger, "_level1_part", counting)
-        profile = rho_signed_profile if signed else rho_profile
         for n in (10, 11, 12, 13):
             g = generate("random_connected", n, seed=3, p=0.3, w_low=0.5, w_high=2.0)
             if signed:
                 g = with_random_signature(g, 3)
-            certs = profile(g)
+            certs = rho_profile(g)
             assert calls == []
             for cert in certs:
                 assert cert.recompute(g) == cert.value
@@ -1073,18 +1115,16 @@ class TestProfileTables:
         star = generate("star", 6)
         cert = rho_exact(star, 3)
         assert cert.parts == ((3,), (4,), (5,))
-        cert = rho_signed_exact(with_random_signature(star, 1), 3)
+        cert = rho_exact(with_random_signature(star, 1), 3)
         assert cert.parts == ((3,), (), (4,), (), (5,), ())
         assert calls == []
         g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
         sg = WeightedGraph.build(5, [(0, 1, 1, -1), (1, 2, 1, -1), (0, 2, 1, -1), (3, 4, 1)])
         unsigned = [star, g, generate("random_connected", 9, seed=4, p=0.5)]
-        for h in unsigned:
+        for h in (*unsigned, sg, *(with_random_signature(h, 2) for h in unsigned)):
             assert rho_exact(h, 1) == rho_profile(h, 1)[0]
-        for h in (sg, *(with_random_signature(h, 2) for h in unsigned)):
-            assert rho_signed_exact(h, 1) == rho_signed_profile(h, 1)[0]
         assert rho_exact(g, 1).parts == ((2, 3),)
-        assert rho_signed_exact(sg, 1).parts == ((3, 4), ())
+        assert rho_exact(sg, 1).parts == ((3, 4), ())
         assert calls == []
 
     @pytest.mark.parametrize("signed", [False, True])
@@ -1101,17 +1141,16 @@ class TestProfileTables:
             return real(score, prev, i)
 
         monkeypatch.setattr(cheeger, "_suffix_pass", counting)
-        exact, profile = (rho_signed_exact, rho_signed_profile) if signed else (rho_exact, rho_profile)
         for n in (2, 6, 11):
             g = generate("random_connected", n, seed=n, p=0.4, w_low=0.5, w_high=2.0)
             if signed:
                 g = with_random_signature(g, n)
             for k in range(1, n + 1):
                 calls.clear()
-                exact(g, k)
+                rho_exact(g, k)
                 assert calls == list(range(n - k, -1, -1))
                 calls.clear()
-                profile(g, k)
+                rho_profile(g, k)
                 assert len(calls) == n
 
 

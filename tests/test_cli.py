@@ -317,7 +317,7 @@ class TestCheeger:
                 }
             )
         )
-        code, out, _ = run_cli(["cheeger", str(path), "--k", "1", "--signed"], capsys)
+        code, out, _ = run_cli(["cheeger", str(path), "--k", "1"], capsys)
         data = json.loads(out)
         assert code == 0
         assert data["certificate"]["value"] == 1 / 3
@@ -325,13 +325,22 @@ class TestCheeger:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_signed_graph_without_the_flag_gives_the_signed_bytes(self, tmp_path, capsys, k):
         # On a signed graph rho_exact is rho^sigma_k, so --signed changes
-        # nothing; the flag only scores an unsigned graph by beta.
+        # nothing.
         path = tmp_path / "signed.json"
         path.write_text(json.dumps(SIGNED_GRAPH))
         flagged = run_cli(["cheeger", str(path), "--k", str(k), "--signed"], capsys)
         assert flagged[0] == 0 and flagged[2] == ""
         assert run_cli(["cheeger", str(path), "--k", str(k)], capsys) == flagged
         assert json.loads(flagged[1])["certificate"]["signed"] is True
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_flag_changes_nothing_on_an_unsigned_graph(self, gn3_file, capsys, k):
+        # The graph's sign alone picks the score, so an unsigned graph
+        # prints its rho_k bytes, scored by Phi, with the flag or without.
+        plain = run_cli(["cheeger", gn3_file, "--k", str(k)], capsys)
+        assert plain[0] == 0 and plain[2] == ""
+        assert run_cli(["cheeger", gn3_file, "--k", str(k), "--signed"], capsys) == plain
+        assert json.loads(plain[1])["certificate"]["signed"] is False
 
     def test_sweep_option(self, gn3_file, capsys):
         code, out, _ = run_cli(
@@ -384,7 +393,6 @@ class TestCheeger:
             raise AssertionError("the search ran before the index check")
 
         monkeypatch.setattr(cheegerlab.cli, "rho_exact", no_search)
-        monkeypatch.setattr(cheegerlab.cli, "rho_signed_exact", no_search)
         path = tmp_path / "g.json"
         main(["gen", "--family", "random_connected", "--n", "16", "--seed", "5", "-o", str(path)])
         for extra in ([], ["--signed"]):
@@ -399,7 +407,7 @@ class TestCheeger:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the sign check")
 
-        for name in ("laplacian_spectrum", "rho_exact", "rho_signed_exact"):
+        for name in ("laplacian_spectrum", "rho_exact"):
             monkeypatch.setattr(cheegerlab.cli, name, no_solve)
         path = tmp_path / "s.json"
         main(["gen", "--family", "random_connected", "--n", "16", "--seed", "5", "-o", str(path)])
@@ -441,8 +449,7 @@ class TestCheeger:
             g = cheegerlab.with_random_signature(g, 5)
         path = tmp_path / "g.json"
         path.write_text(json.dumps(cheegerlab.graph.to_json_dict(g)))
-        extra = ["--signed"] if signed else []
-        code, out, err = run_cli(["cheeger", str(path), "--k", str(n)] + extra, capsys)
+        code, out, err = run_cli(["cheeger", str(path), "--k", str(n)], capsys)
         assert code == 2
         assert out == ""
         kind = "signed rho_k" if signed else "rho_k"
@@ -481,6 +488,22 @@ class TestVerify:
         data = json.loads(out)
         assert data["summary"]["violations"] == 0
         assert all(rec["meta"].get("ell") == 0 for rec in data["records"])
+
+    def test_instance_the_generator_refuses_exit_1(self, capsys):
+        # Instance 001 (K12 at p = 1, degrees 3.3e154) overflows its measure
+        # products: its error names it, and the other three still run.
+        corpus = json.dumps({"families": ["random_connected"], "sizes": [3, 12], "count": 4, "seed": 2,
+                             "p": 1.0, "w_low": 3e153, "w_high": 3e153})
+        code, out, err = run_cli(["verify", "--corpus", corpus, "--checks", "basics"], capsys)
+        assert code == 1
+        assert err.startswith("error [random_connected-001-n12]: invalid graph: mu_u * mu_v on edge (0,1) ")
+        assert err.count("\n") == 1
+        data = json.loads(out)
+        assert [instance for instance, _ in data["errors"]] == ["random_connected-001-n12"]
+        assert sorted({rec["instance"] for rec in data["records"]}) == [
+            "random_connected-000-n3", "random_connected-002-n3", "random_connected-003-n3"
+        ]
+        assert data["summary"]["violations"] == 0
 
     def test_corpus_json_checks_win_over_the_flag(self, capsys):
         # Like seed and eps, a "checks" key of the corpus JSON wins over
@@ -1000,7 +1023,7 @@ class TestDumps:
             (["gen", "--family", "cycle", "--n", "4"], '"sigma": 1'),
             (["verify", "--corpus", json.dumps(FIVE_CHECKS)], '"name": "nodal_cheeger"'),
             (["verify", "--corpus", json.dumps({**FIVE_CHECKS, "signed": True})], '"name": "main_signed"'),
-            (["cheeger", "GRAPH", "--k", "2", "--signed"], '"signed": true'),
+            (["cheeger", "SIGNED", "--k", "2"], '"signed": true'),
             (["verify", "P3", "--checks", "product", "--with-graph", "K2", "--product-k", "2"], '"k_factor": 2'),
             # path-n19's profile is beyond the work policy: an error, exit 1.
             (["verify", "--corpus", '{"families": ["path"], "sizes": [5, 19], "checks": ["main"]}'],
@@ -1014,7 +1037,9 @@ class TestDumps:
         assert main(["gen", "--family", "path", "--n", "3", "--mu", "unit", "-o", str(p3)]) == 0
         k2 = tmp_path / "k2.json"
         k2.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.1}], "mu": [1, 1]}))
-        files = {"GRAPH": gn3_file, "NEG_KAPPA": str(neg), "P3": str(p3), "K2": str(k2)}
+        signed = tmp_path / "signed.json"
+        signed.write_text(json.dumps(SIGNED_GRAPH))
+        files = {"GRAPH": gn3_file, "NEG_KAPPA": str(neg), "P3": str(p3), "K2": str(k2), "SIGNED": str(signed)}
         args = [files.get(a, a) for a in args]
         want = 1 if marker.startswith('"errors": [[') else 0
         code, out, _ = run_cli(args, capsys)

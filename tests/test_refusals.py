@@ -15,8 +15,8 @@ from cheegerlab import (
     conductance,
     generate,
     load_graph,
+    rho_exact,
     rho_profile,
-    rho_signed_exact,
     rho_signed_profile,
     rho_upper_nodal_sweep,
     strong_nodal,
@@ -104,13 +104,13 @@ REFUSALS = {
         ValueError,
         "vertex -1 out of range",
     ),
-    "rho_signed_exact at k = 0": (
-        lambda: rho_signed_exact(signed_c4(), 0),
+    "rho_exact on a signed graph at k = 0": (
+        lambda: rho_exact(signed_c4(), 0),
         ValueError,
         "k must be in [1, 4], got 0",
     ),
-    "rho_signed_exact at k = n + 1": (
-        lambda: rho_signed_exact(signed_c4(), 5),
+    "rho_exact on a signed graph at k = n + 1": (
+        lambda: rho_exact(signed_c4(), 5),
         ValueError,
         "k must be in [1, 4], got 5",
     ),
