@@ -54,7 +54,6 @@ from .perturb import (
     FrequencyReport,
     GenericityReport,
     genericity_frequency,
-    genericity_report,
     perturb,
 )
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed

@@ -9,7 +9,7 @@ raise :class:`HypothesisViolation` instead and are reported as skips.
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterator
 
@@ -40,7 +40,7 @@ from .graph import (
 from .nodal import strong_nodal, weak_nodal
 from .perturb import GenericityReport, perturb
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
-from .spectral import Spectrum, adjacency_eta, laplacian_spectrum, with_functions
+from .spectral import Spectrum, adjacency_eta, laplacian_spectrum
 
 TOL_SCALE = 1e-9       # inequality slack: 1e-9 * max(1, rhs)
 EIG_CLAMP = 1e-10      # eigenvalues in [-1e-10, 0) are solver dust; clamp to 0
@@ -100,10 +100,12 @@ class CheckRecord:
 # JSON dict once (`PartitionCertificate.to_json_dict`), so the records that
 # read one certificate of the held profile share one dict.  The `nodal`,
 # `nodal_cheeger` and `product` checks all read that perturbed instance, so
-# each is built once per instance, and a graph a check makes (the product)
-# holds its own too.  A corpus walks its instances one at a time, so what
-# each holds is freed with it.  Only the two nodal checks read
-# eigenfunctions; every other check reads values.
+# each is built once per instance; the product check's second factor and
+# the product it makes hold their own spectra too.  A corpus walks its
+# instances one at a time, so what each holds is freed with it.  Only the
+# two nodal checks (and `analyze`) read eigenfunctions; every other check
+# reads values.  `_checked_spectrum` is the one place that solves Jacobi
+# values, and the one place that pairs them with LAPACK functions.
 #
 # The checks call `classify`, `cyclomatic`, `degree_profile`,
 # `adjacency_eta`, `strong_nodal` and `weak_nodal` as often as they need,
@@ -118,22 +120,19 @@ class CheckRecord:
 
 
 def _checked_spectrum(g: WeightedGraph, functions: bool) -> Spectrum:
-    """The spectrum of g that the checks read, held with g.
+    """The spectrum of g that the checks and `analyze` read, held with g.
 
-    Its eigenvalues come from the Jacobi solver, whichever check asks
-    first; a request for functions adds them to the held values (one
-    LAPACK call, no second eigenvalue solve).  A perturbed instance, whose
-    eigenvalues no exact check pins, holds values and functions from one
-    LAPACK call (:func:`_generic_instance`).
+    Its eigenvalues come from the Jacobi solver, whichever reader asks
+    first; a request for functions adds the LAPACK functions of the same
+    held L(g) to the held values.  A perturbed instance, whose eigenvalues
+    no exact check pins, holds values and functions from one LAPACK call
+    (:func:`_generic_instance`).  `laplacian_spectrum` is looked up when a
+    spectrum is solved, so a wrapper set on it (a tracer's) sees each solve.
     """
-    s = _derived(g, "spectrum", _jacobi_spectrum)
+    s = _derived(g, "spectrum", lambda h: laplacian_spectrum(h, functions=False))
     if functions and s.functions is None:
-        s = _derived(g, "spectrum_functions", with_functions, s)
+        s = _derived(g, "spectrum_functions", lambda h: replace(s, functions=laplacian_spectrum(h).functions))
     return s
-
-
-def _jacobi_spectrum(g: WeightedGraph) -> Spectrum:
-    return laplacian_spectrum(g, functions=False)
 
 
 def _generic_instance(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
@@ -330,7 +329,7 @@ def check_product_theorem(
         raise HypothesisViolation(f"k must be in [1, {g1.n - 1}]")
     h1 = _generic_instance(g1, eps, seed)
     s1 = _checked_spectrum(h1, functions=False)
-    s2 = laplacian_spectrum(g2, functions=False)
+    s2 = _checked_spectrum(g2, functions=False)
     gap = s1.values[k] - s1.values[k - 1]
     lam2_max = s2.values[-1]
     if not lam2_max < gap:

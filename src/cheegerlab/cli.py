@@ -23,6 +23,7 @@ from .bounds import (
     CHECK_NAMES,
     CorpusConfig,
     Report,
+    _checked_spectrum,
     _distinct,
     run_checks_on_graph,
     run_corpus,
@@ -39,7 +40,7 @@ from .graph import (
 )
 from .perturb import genericity_frequency
 from .rng import DEFAULT_SEED
-from .spectral import adjacency_eta, laplacian_spectrum, with_functions
+from .spectral import adjacency_eta, laplacian_spectrum
 
 
 def _dumps(obj) -> str:
@@ -70,8 +71,9 @@ def cmd_analyze(args) -> int:
     g = load_graph(args.graph)
     cls = classify(g)
     prof = degree_profile(g)
-    # The graph's own eigenvalues are the BLAS-independent Jacobi values.
-    spectrum = with_functions(g, laplacian_spectrum(g, functions=False))
+    # The spectrum the checks read: the BLAS-independent Jacobi values with
+    # the LAPACK functions.
+    spectrum = _checked_spectrum(g, functions=True)
     eta = None if g.is_signed() else adjacency_eta(g).to_json_dict()
     out = {
         "classification": cls.to_json_dict(),

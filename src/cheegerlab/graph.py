@@ -20,10 +20,12 @@ signed, its weighted degrees (read-only), its classification, its degree
 profile, its normalized Laplacian (read-only) and its strong nodal
 labellings, one per rounded sign vector asked for.  The engine and the
 checks hold theirs too: its Phi table while it fits the engine's held-table
-bound (`cheeger`), and the spectrum the checks read, its full exact
-profile (or the work policy's refusal, held as ()), whose certificates
-each hold their JSON dict, and its perturbed instance for each (eps, seed)
-asked for, which holds its own (`bounds`).
+bound (`cheeger`), and the spectrum the checks and `analyze` read
+(`bounds._checked_spectrum`, the one place that pairs Jacobi values with
+LAPACK functions), its full exact profile (or the work policy's refusal,
+held as ()), whose certificates each hold their JSON dict, and its
+perturbed instance for each (eps, seed) asked for, which holds its own
+(`bounds`).
 Holding them is safe because the graph cannot change after it is built and
 each of them is a function of the graph (and, for a labelling, the signs;
 for a perturbed instance, eps and the seed) alone; an equal but distinct
@@ -58,9 +60,9 @@ class WeightedGraph:
     canonicalizes the edge list (u < v, sorted lexicographically) and
     resolves the measure token.  Every instance is valid: construction
     (through :meth:`build`, the constructor or `dataclasses.replace`)
-    checks the invariants once and raises :class:`InvalidGraphError`
-    listing every problem.  An edge entry that is not an `Edge` is one.  A
-    vertex id or sign that is not a Python int (a bool is not one) is one,
+    checks the invariants once and raises :class:`InvalidGraphError`, whose
+    `problems` lists every problem.  An edge entry that is not an `Edge` is
+    one.  A vertex id or sign that is not a Python int (a bool is not one) is one,
     as is a weight, measure or kappa that is not exactly a Python int or
     float (a numpy float or a bool is not): the graph formats would fail to
     write it, or write it in a form their loaders refuse.  An edge stored
@@ -182,11 +184,20 @@ def _derived(g: WeightedGraph, key, build, *args):
 
 
 class InvalidGraphError(ValueError):
-    """A graph that breaks an invariant; `problems` lists every one."""
+    """A graph that breaks an invariant; `problems` lists every one, and the
+    message the first five (:func:`_joined`)."""
 
     def __init__(self, problems: tuple[str, ...]):
         self.problems = problems
-        super().__init__("invalid graph: " + "; ".join(problems))
+        super().__init__("invalid graph: " + _joined(problems))
+
+
+def _joined(problems) -> str:
+    """The problems joined by "; ": of more than five, the first five and
+    "and N more", so that a graph with a fault on every edge is still one
+    short line."""
+    shown = "; ".join(problems[:5])
+    return f"{shown}; and {len(problems) - 5} more" if len(problems) > 5 else shown
 
 
 def _weighted_degrees(n: int, edges) -> list[float]:
@@ -245,12 +256,17 @@ def _sequence(x, field: str):
 
 
 def _real(x, field: str) -> float:
-    """x as a float; ValueError naming `field` for a string or a bool."""
+    """x as a float; ValueError naming `field` for a string or a bool.  An
+    int beyond the float range is +/-inf, which the graph refuses as a
+    float inf."""
     if type(x) is float:
         return x
     if isinstance(x, _NOT_NUMBERS):
         raise ValueError(f"{field} {x!r} is not a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 _FIELD_ORDER: dict[type, tuple[str, ...]] = {}  # result class -> its field names, sorted
@@ -358,7 +374,7 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
         seen.add(key)
         if not _is_number(e.w):
             problems.append(f"weight {e.w!r} on edge ({e.u},{e.v}) must be a Python int or float")
-        elif not 0 < e.w < math.inf:
+        elif not (_is_finite_number(e.w) and e.w > 0):
             kind = "nonpositive" if e.w <= 0 else "non-finite"
             problems.append(f"{kind} weight on edge ({e.u},{e.v})")
         if not (_is_int(e.sigma) and e.sigma in (-1, 1)):
@@ -370,12 +386,12 @@ def _problems(g: WeightedGraph) -> tuple[str, ...]:
     for i, (m, kap) in enumerate(zip(g.mu[: g.n], g.kappa)):
         if not _is_number(m):
             problems.append(f"measure {m!r} at vertex {i} must be a Python int or float")
-        elif not 0 < m < math.inf:
+        elif not (_is_finite_number(m) and m > 0):
             kind = "nonpositive" if m <= 0 else "non-finite"
             problems.append(f"{kind} measure at vertex {i}")
         if not _is_number(kap):
             problems.append(f"kappa {kap!r} at vertex {i} must be a Python int or float")
-        elif not -math.inf < kap < math.inf:
+        elif not _is_finite_number(kap):
             problems.append(f"non-finite kappa at vertex {i}")
     if problems:
         return tuple(problems)
@@ -715,7 +731,8 @@ def _checked_graph(n, us: list, vs: list, ws: list, sigmas: list, mu, kappa) -> 
     or number, which only JSON can give, and GraphFormatError for every
     other fault, in either format: n beyond twice the edge count, an
     unknown measure token, or an invalid graph (its problems joined by
-    "; ").
+    "; ", the first five of more than five, as :class:`InvalidGraphError`
+    words them).
     """
     _check_json([n], "n", True)
     _check_json(us, "edge {} vertex id", True)
@@ -737,7 +754,7 @@ def _checked_graph(n, us: list, vs: list, ws: list, sigmas: list, mu, kappa) -> 
     try:
         return WeightedGraph.build(n, zip(us, vs, ws, sigmas), mu=mu, kappa=kappa)
     except InvalidGraphError as exc:
-        raise GraphFormatError("; ".join(exc.problems)) from exc
+        raise GraphFormatError(_joined(exc.problems)) from exc
     except ValueError as exc:  # the checked fields leave only an unknown measure token
         raise GraphFormatError(str(exc)) from exc
 

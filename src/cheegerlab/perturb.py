@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, WeightedGraph, _json_form
+from .graph import Edge, WeightedGraph, _is_finite_number, _json_form
 from .rng import SplitMix64, derive_seed
 from .spectral import Spectrum, laplacian_spectrum
 
@@ -28,11 +28,13 @@ def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
     order and then vertex-by-vertex, so the result is a pure function of
     (g, eps, seed).  Weights stay positive, potentials never decrease, the
     measure and signature are untouched.  eps = 0 reproduces g exactly
-    (used as the control arm of frequency experiments).  An eps so large
-    that (1 + eps) times the largest weighted degree, or kappa + eps, is not
-    a finite float raises ValueError before anything is drawn.
+    (used as the control arm of frequency experiments).  An eps that is
+    not an int or float >= 0 converting to a finite float (a bool is not
+    one), or so large that (1 + eps) times the largest weighted degree, or
+    kappa + eps, is not a finite float, raises ValueError before anything
+    is drawn.
     """
-    if not (math.isfinite(eps) and eps >= 0):
+    if not (_is_finite_number(eps) and eps >= 0):
         raise ValueError("eps must be a finite number >= 0")
     # Python floats: a numpy scalar would warn where this product overflows.
     deg = float(g.degrees().max())
@@ -61,12 +63,13 @@ class GenericityReport:
     def of(spectrum: Spectrum) -> "GenericityReport":
         """Smallest eigenvalue gap and smallest eigenfunction entry of a spectrum.
 
-        Takes a spectrum already computed (for example a cached one), so
-        the genericity verdict costs no second eigensolve.  Eigenfunctions
-        are the mu-normalized ones of :class:`Spectrum`.  `simple` holds
-        when every consecutive gap exceeds GENERICITY_TOL; `zero_free` when
-        every entry of every eigenfunction exceeds it in magnitude.  A
-        spectrum solved without eigenfunctions raises ValueError.
+        Reads a spectrum the caller holds (a perturbed trial's, or the one
+        the checks hold with their instance), so the verdict costs no
+        eigensolve of its own.  Eigenfunctions are the mu-normalized ones of
+        :class:`Spectrum`.  `simple` holds when every consecutive gap
+        exceeds GENERICITY_TOL; `zero_free` when every entry of every
+        eigenfunction exceeds it in magnitude.  A spectrum solved without
+        eigenfunctions raises ValueError.
         """
         if spectrum.functions is None:
             raise ValueError("genericity needs a spectrum solved with its eigenfunctions")
@@ -79,16 +82,6 @@ class GenericityReport:
             zero_free=min_abs > GENERICITY_TOL,
             min_abs_entry=min_abs,
         )
-
-
-def genericity_report(g: WeightedGraph) -> GenericityReport:
-    """Solve the spectrum of g (one LAPACK `eigh` call for values and
-    functions) and report on it with :meth:`GenericityReport.of`.
-
-    Callers that already hold the spectrum of g call
-    ``GenericityReport.of`` directly instead of solving it again.
-    """
-    return GenericityReport.of(laplacian_spectrum(g))
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ def genericity_frequency(g: WeightedGraph, eps: float, trials: int, seed: int) -
     worst_gap = float("inf")
     worst_entry = float("inf")
     for t in range(trials):
-        rep = genericity_report(perturb(g, eps, derive_seed(seed, t)))
+        rep = GenericityReport.of(laplacian_spectrum(perturb(g, eps, derive_seed(seed, t))))
         n_simple += rep.simple
         n_zero_free += rep.zero_free
         worst_gap = min(worst_gap, rep.min_gap)

@@ -14,10 +14,12 @@ Two routes solve the spectrum of a graph's Laplacian:
   read eigenvalues only through simplicity, clusters and sqrt(2 tau
   lambda_k) away from 0.
 
-`with_functions` joins the two: Jacobi values with LAPACK functions.
-The functions are held as the one array that `eigh` gives, transposed:
-a read-only, C-contiguous (n, n) float64 array whose row k - 1 is f_k,
-so every reader (the nodal counts, the sweep, genericity, the JSON form)
+`laplacian_spectrum` is the one composer of both routes.  The one place
+that pairs them, Jacobi values with the LAPACK functions, is the
+spectrum the checks read, held with the graph (`bounds._checked_spectrum`).
+The functions are held as the one array that `eigh` gives, transposed: a
+read-only, C-contiguous (n, n) float64 array whose row k - 1 is f_k, so
+every reader (the nodal counts, the sweep, genericity, the JSON form)
 reads the same float64 bits without a copy.  Within a cluster of
 coincident eigenvalues the functions are any orthonormal basis of the
 eigenspace.
@@ -49,7 +51,7 @@ half as much; beyond n ~ 50 the numpy slices would be faster.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,8 +164,8 @@ class Spectrum:
 
     `values` come from the Jacobi solver (the same bits on every BLAS
     build) when the spectrum was solved without functions or had them
-    added by `with_functions`, and from LAPACK `eigh` together with the
-    functions otherwise.  `functions` is a read-only, C-contiguous (n, n)
+    added by `bounds._checked_spectrum`, and from LAPACK `eigh` together
+    with the functions otherwise.  `functions` is a read-only, C-contiguous (n, n)
     float64 array, or None when the spectrum was solved without them.  Its
     row k is the eigenfunction of L = M^{-1}(D + K - A^sigma) from LAPACK
     paired with `values[k]`, mu-orthonormal: sum_i mu_i f(i) g(i) = delta,
@@ -252,8 +254,8 @@ def laplacian_spectrum(g: WeightedGraph, *, functions: bool = True) -> Spectrum:
     `functions=True`: values and mu-orthonormal eigenfunctions from one
     LAPACK `eigh` call.
     `functions=False`: Jacobi values only, the same bits on every BLAS
-    build.  `with_functions(g, laplacian_spectrum(g, functions=False))`
-    pairs the Jacobi values with the LAPACK functions.
+    build.  `bounds._checked_spectrum` pairs the Jacobi values with the
+    LAPACK functions, held with g.
     """
     mat = _laplacian(g)
     if functions:
@@ -265,14 +267,6 @@ def laplacian_spectrum(g: WeightedGraph, *, functions: bool = True) -> Spectrum:
         functions=funcs,
         clusters=_cluster(values, 1e-8 * max(1.0, abs(float(values[-1])))),
     )
-
-
-def with_functions(g: WeightedGraph, spectrum: Spectrum) -> Spectrum:
-    """`spectrum`, a spectrum of L(g), with the eigenfunctions of L(g) set
-    by one LAPACK call; the values and clusters are kept as they are (the
-    LAPACK values are dropped)."""
-    _, funcs = _eigenfunctions(_laplacian(g), g.mu)
-    return replace(spectrum, functions=funcs)
 
 
 @dataclass(frozen=True)

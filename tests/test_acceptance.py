@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from cheegerlab import (
+    GenericityReport,
     SplitMix64,
     WeightedGraph,
     check_basics,
@@ -27,7 +28,6 @@ from cheegerlab import (
     derive_seed,
     generate,
     genericity_frequency,
-    genericity_report,
     laplacian_spectrum,
     product,
     product_function,
@@ -174,8 +174,8 @@ def test_c05_genericity_frequencies():
         if rep.fraction_simple != 1.0 or rep.fraction_zero_free != 1.0:
             failures.append((name, rep.fraction_simple, rep.fraction_zero_free))
     unperturbed_ok = (
-        not genericity_report(graphs["K3"]).simple
-        and not genericity_report(graphs["K13"]).simple
+        not GenericityReport.of(laplacian_spectrum(graphs["K3"])).simple
+        and not GenericityReport.of(laplacian_spectrum(graphs["K13"])).simple
     )
     _report(
         5,

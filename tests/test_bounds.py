@@ -899,6 +899,23 @@ class TestSolveCount:
         assert len(solved["jacobi"]) == 1 and len(solved["eigh"]) == 1
         assert np.array_equal(solved["eigh"][0], spectral.normalized_laplacian_sym(g))
 
+    def test_product_factors_hold_their_spectra(self, monkeypatch):
+        # Factor 2 holds the Jacobi spectrum the product check reads, as
+        # factor 1 does: a second check of the pair, at another k, solves
+        # only the new product.
+        g1 = generate("path", 4, mu="unit")
+        g2 = WeightedGraph.build(2, [(0, 1, 0.05)], mu="unit")
+        solved = self.count_solves(monkeypatch)
+        check_product_theorem(g1, g2, 1)
+        check_product_theorem(g1, g2, 2)
+        jacobi = solved["jacobi"]
+        assert [m.shape for m in jacobi] == [(4, 4), (2, 2), (8, 8), (8, 8)]
+        lap = [spectral.normalized_laplacian_sym(h) for h in (g1, g2)]
+        assert np.array_equal(jacobi[0], lap[0]) and np.array_equal(jacobi[1], lap[1])
+        held = g2._held.get("spectrum")
+        assert held is bounds._checked_spectrum(g2, functions=False)
+        assert held.values == tuple(spectral.eig_sym(lap[1]).tolist())
+
     def test_each_instance_freed_before_the_next(self, monkeypatch):
         # What the checks of an instance derive is held with its graph, the
         # perturbed instance with its profile included: a corpus frees each

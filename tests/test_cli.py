@@ -249,6 +249,23 @@ class TestAnalyze:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"mu": "unit", "edges": [{"u": 0, "v": 1, "w": BIG}]', "non-finite weight on edge (0,1)"),
+            ('"mu": [BIG, 1], "edges": [{"u": 0, "v": 1, "w": 1}]', "non-finite measure at vertex 0"),
+            ('"mu": "unit", "kappa": [BIG, 0], "edges": [{"u": 0, "v": 1, "w": 1}]',
+             "non-finite kappa at vertex 0"),
+        ],
+        ids=["w", "mu", "kappa"],
+    )
+    def test_int_beyond_the_float_range_exit_2(self, tmp_path, capsys, field, message):
+        # A 401-digit integer is refused as a float inf is.
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 2, %s}' % field.replace("BIG", "1" + "0" * 400))
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("n 3 mu 1 1 1\n0 1 1e308\n1 2 1e308\n",
@@ -355,8 +372,7 @@ class TestCheeger:
         path = tmp_path / "g.json"
         main(["gen", "--family", "random_connected", "--n", "9", "--seed", "3", "-o", str(path)])
         g = cheegerlab.load_graph(str(path))
-        bare = cheegerlab.laplacian_spectrum(g, functions=False)
-        f = cheegerlab.spectral.with_functions(g, bare).function(j)
+        f = cheegerlab.bounds._checked_spectrum(g, functions=True).function(j)
         sweep = cheegerlab.rho_upper_nodal_sweep(g, f)
         expected = json.dumps(
             {
@@ -504,6 +520,22 @@ class TestVerify:
             "random_connected-000-n3", "random_connected-002-n3", "random_connected-003-n3"
         ]
         assert data["summary"]["violations"] == 0
+
+    def test_many_problems_name_five_and_count_the_rest(self, capsys):
+        # That instance has 66 problems, one per edge; its line names the
+        # first five and counts the others, and the error lists every one.
+        corpus = {"families": ["random_connected"], "sizes": [3, 12], "count": 4, "seed": 2,
+                  "p": 1.0, "w_low": 3e153, "w_high": 3e153}
+        code, _, err = run_cli(["verify", "--corpus", json.dumps(corpus), "--checks", "basics"], capsys)
+        clause = "mu_u * mu_v on edge (0,{}) is not a positive finite number"
+        assert code == 1
+        assert err == ("error [random_connected-001-n12]: invalid graph: "
+                       + "; ".join(clause.format(v) for v in range(1, 6)) + "; and 61 more\n")
+        builds = dict(cheegerlab.bounds.corpus_instances(cheegerlab.CorpusConfig(**corpus)))
+        with pytest.raises(cheegerlab.InvalidGraphError) as exc:
+            builds["random_connected-001-n12"]()
+        assert len(exc.value.problems) == 66
+        assert exc.value.problems[:5] == tuple(clause.format(v) for v in range(1, 6))
 
     def test_corpus_json_checks_win_over_the_flag(self, capsys):
         # Like seed and eps, a "checks" key of the corpus JSON wins over

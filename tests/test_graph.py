@@ -43,8 +43,10 @@ def problems(n, edges, **kwargs) -> tuple[str, ...]:
     """The problems WeightedGraph.build refuses its arguments with."""
     with pytest.raises(InvalidGraphError) as exc:
         WeightedGraph.build(n, edges, **kwargs)
-    assert str(exc.value) == "invalid graph: " + "; ".join(exc.value.problems)
-    return exc.value.problems
+    found = exc.value.problems
+    more = f"; and {len(found) - 5} more" if len(found) > 5 else ""
+    assert str(exc.value) == "invalid graph: " + "; ".join(found[:5]) + more
+    return found
 
 
 class TestValidate:
@@ -190,6 +192,39 @@ class TestInputBoundary:
     def test_infinite_measure(self):
         found = problems(2, [(0, 1, 1)], mu=[1.0, math.inf])
         assert found == ("non-finite measure at vertex 1",)
+
+    @pytest.mark.parametrize(
+        "edges, mu, kappa, message",
+        [
+            ([(0, 1, 10**400)], "unit", 0.0, "non-finite weight on edge (0,1)"),
+            ([(0, 1, 1)], [10**400, 1], 0.0, "non-finite measure at vertex 0"),
+            ([(0, 1, 1)], "unit", [10**400, 0], "non-finite kappa at vertex 0"),
+        ],
+        ids=["w", "mu", "kappa"],
+    )
+    def test_int_beyond_the_float_range_is_non_finite(self, edges, mu, kappa, message):
+        # Such an int is refused as a float inf is, by build and by the
+        # constructor given the int itself.
+        assert problems(2, edges, mu=mu, kappa=kappa) == (message,)
+        u, v, w = edges[0]
+        with pytest.raises(InvalidGraphError) as exc:
+            WeightedGraph(n=2, edges=(Edge(u, v, w),), mu=(1.0, 1.0) if mu == "unit" else tuple(mu),
+                          kappa=(kappa, kappa) if kappa == 0.0 else tuple(kappa))
+        assert exc.value.problems == (message,)
+
+    def test_many_problems_name_five_and_count_the_rest(self):
+        # K12 at weight 3e153: each of the 66 measure products overflows.
+        with pytest.raises(InvalidGraphError) as exc:
+            generate("complete", 12, w_low=3e153)
+        found = exc.value.problems
+        assert len(found) == 66 and len(set(found)) == 66
+        assert str(exc.value) == "invalid graph: " + "; ".join(found[:5]) + "; and 61 more"
+        # The loaders' message is the same text without its prefix.
+        edges = [{"u": u, "v": v, "w": 3e153} for u in range(12) for v in range(u + 1, 12)]
+        with pytest.raises(GraphFormatError) as err:
+            loads_graph(json.dumps({"n": 12, "edges": edges}))
+        assert "invalid graph: " + str(err.value) == str(exc.value)
+        assert err.value.__cause__.problems == found
 
     @pytest.mark.parametrize(
         "n, edges, mu, kappa, message",

@@ -10,7 +10,6 @@ from cheegerlab import (
     derive_seed,
     generate,
     genericity_frequency,
-    genericity_report,
     laplacian_spectrum,
     perturb,
 )
@@ -65,7 +64,9 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(generate("path", 2), -0.1, 0)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "eps", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float")]
+    )
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must be a finite number >= 0"):
             perturb(generate("path", 2), eps, 0)
@@ -93,23 +94,35 @@ class TestPerturb:
         assert diffs[1] < diffs[0]
 
 
+def report(g: WeightedGraph) -> GenericityReport:
+    return GenericityReport.of(laplacian_spectrum(g))
+
+
 class TestGenericityReport:
     def test_single_edge(self):
-        rep = genericity_report(generate("path", 2))
+        rep = report(generate("path", 2))
         assert rep.simple and rep.zero_free
         assert abs(rep.min_gap - 2.0) < 1e-10
 
     def test_star_multiplicity(self):
-        rep = genericity_report(generate("star", 4))
+        rep = report(generate("star", 4))
         assert not rep.simple
 
     def test_k3_multiplicity(self):
-        assert not genericity_report(generate("complete", 3)).simple
+        assert not report(generate("complete", 3)).simple
 
     def test_of_spectrum_matches_report(self):
-        for g in (generate("star", 4), perturb(generate("random_connected", 7, 2), 0.05, 9)):
-            spectrum = laplacian_spectrum(g)
-            assert GenericityReport.of(spectrum) == genericity_report(g)
+        # genericity_frequency reports on each trial's perturbed instance
+        # through GenericityReport.of on its LAPACK spectrum, trial t at the
+        # derived seed (seed, t).
+        for g, eps in ((generate("star", 4), 0.05), (generate("random_connected", 7, 2), 0.01)):
+            trials, seed = 6, 9
+            reps = [report(perturb(g, eps, derive_seed(seed, t))) for t in range(trials)]
+            freq = genericity_frequency(g, eps, trials, seed)
+            assert freq.fraction_simple == sum(r.simple for r in reps) / trials
+            assert freq.fraction_zero_free == sum(r.zero_free for r in reps) / trials
+            assert freq.worst_gap == min(r.min_gap for r in reps)
+            assert freq.worst_entry == min(r.min_abs_entry for r in reps)
 
 
 class TestFrequency:

@@ -15,6 +15,7 @@ from cheegerlab import (
     JacobiConvergenceError,
     WeightedGraph,
     adjacency_eta,
+    bounds,
     eig_sym,
     generate,
     laplacian_spectrum,
@@ -80,9 +81,10 @@ class TestLaplacianMatrix:
                         assert np.array_equal(got, loop_normalized_laplacian_sym(h).view(np.int64))
 
     def test_one_held_matrix_per_graph(self, monkeypatch):
-        # Both spectrum routes, with_functions and eta read one L(g), built
-        # on first use and held read-only with g; an equal graph builds its
-        # own, and the public builder returns a new array every call.
+        # Both spectrum routes, the checks' pairing of the two and eta read
+        # one L(g), built on first use and held read-only with g; an equal
+        # graph builds its own, and the public builder returns a new array
+        # every call.
         built = []
         real = spectral.normalized_laplacian_sym
 
@@ -92,8 +94,8 @@ class TestLaplacianMatrix:
 
         monkeypatch.setattr(spectral, "normalized_laplacian_sym", counting)
         g = generate("random_connected", 8, seed=2, p=0.4)
-        values = laplacian_spectrum(g, functions=False)
-        spectral.with_functions(g, values)
+        laplacian_spectrum(g, functions=False)
+        bounds._checked_spectrum(g, functions=True)
         laplacian_spectrum(g)
         adjacency_eta(g)
         assert len(built) == 1 and built[0] is g
@@ -363,11 +365,16 @@ class TestEigenfunctionOracle:
         assert_eigenfunctions(m, mu, eig_sym(m), funcs)
 
     def test_functions_added_to_values_only_spectrum(self):
+        # The checks' spectrum of a graph, given or perturbed, has the
+        # Jacobi solver's value bits and the LAPACK spectrum's function rows.
         g = generate("random_connected", 9, seed=4, p=0.4)
-        bare = laplacian_spectrum(g, functions=False)
-        full = spectral.with_functions(g, bare)
-        assert full.values == bare.values and full.clusters == bare.clusters
-        assert np.array_equal(full.functions, laplacian_spectrum(g).functions)
+        for h in (g, perturb(g, 0.05, 3)):
+            bare = laplacian_spectrum(h, functions=False)
+            full = bounds._checked_spectrum(h, functions=True)
+            jacobi = eig_sym(normalized_laplacian_sym(h)).tolist()
+            assert [v.hex() for v in full.values] == [v.hex() for v in jacobi]
+            assert full.values == bare.values and full.clusters == bare.clusters
+            assert full.functions.tobytes() == laplacian_spectrum(h).functions.tobytes()
 
 
 class TestEigenfunctionArray:
@@ -390,7 +397,7 @@ class TestEigenfunctionArray:
 
     def test_function_is_a_row_without_copy(self):
         g = generate("random_connected", 8, seed=3, p=0.4)
-        s = spectral.with_functions(g, laplacian_spectrum(g, functions=False))
+        s = bounds._checked_spectrum(g, functions=True)
         for k in range(1, g.n + 1):
             f = s.function(k)
             assert np.shares_memory(f, s.functions)
@@ -466,7 +473,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", range(2, 16))
     def test_values_only(self, n):
-        # Jacobi values (functions=False, kept bit for bit by with_functions)
+        # Jacobi values (functions=False, kept bit for bit by the checks'
+        # spectrum, which adds the LAPACK functions)
         # against the LAPACK values of functions=True: equal to 1e-12
         # relative, with equal clusters, on g and on a perturbation of g.
         # (No valid graph has one vertex: it would be isolated.)
@@ -474,7 +482,7 @@ class TestSpectrum:
         for g in graphs + [perturb(g, 0.05, n) for g in graphs]:
             bare = laplacian_spectrum(g, functions=False)
             assert bare.functions is None
-            joined = spectral.with_functions(g, bare)
+            joined = bounds._checked_spectrum(g, functions=True)
             assert [v.hex() for v in joined.values] == [v.hex() for v in bare.values]
             assert joined.clusters == bare.clusters
             assert bare.to_json_dict() == dict(joined.to_json_dict(), functions=None)
