@@ -127,7 +127,7 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     measure and score arrays, 32 bytes that bound a popcount per mask and
     one popcount group's masks and, if signed, the split tables; the DP
     levels 0..kmax-1 over the 2^(n-1) masks without vertex 0 (the top
-    level holds no table), 16 bytes a mask and level with their choices;
+    level holds no table), 12 bytes a mask and level with their choices;
     plus the pair budget.
     Checked first, it bounds n before the operations of the passes
     :func:`_solve` runs are summed: the cut pass's m terms, the measure
@@ -143,7 +143,7 @@ def _dp_admits(n: int, m: int, kmax: int, signed: bool) -> bool:
     """
     s = n - 1
     per_mask = n + 24 + 32 + (16 if signed else 0)
-    if (per_mask << n) + (16 * kmax << s) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
+    if (per_mask << n) + (12 * kmax << s) + _PAIR_BUDGET > _MAX_TABLE_BYTES:
         return False
     ops = ((m + n + 1) << n) + ((s + kmax + 1) << s)
     ops += sum((math.comb(s, p) << (p - 1)) * max(0, min(p, kmax - 1) - 1) for p in range(2, n))
@@ -629,9 +629,11 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
     score gather (a singleton chooses itself), so the reconstruction reads
     its parts by mask.  The choice tables, one per level, are allocated
     before the pass: small arrays held through the pass raised a corpus
-    run's peak RSS.  At kmax <= 1 (a request at k <= 2) no group pass runs,
-    no choices are kept and no plan is built.  Only min and max select
-    among table values, so every entry is exact.
+    run's peak RSS.  They are uint32: a mask of the n - 1 vertices fits
+    up to n = 33, far beyond what the work policy admits.  At kmax <= 1
+    (a request at k <= 2) no group pass runs, no choices are kept and no
+    plan is built.  Only min and max select among table values, so every
+    entry is exact.
     """
     m = n - 1
     sub = score[0::2]
@@ -645,7 +647,7 @@ def _packing_dp(score: np.ndarray, n: int, kmax: int) -> _Tables:
             halves = level1.reshape(-1, 2, 1 << v)
             np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
     if kmax >= 2:
-        choices[1:] = np.empty((kmax, 1 << m), dtype=np.intp)
+        choices[1:] = np.empty((kmax, 1 << m), dtype=np.uint32)
         singles = 1 << np.arange(m)
         choices[1][singles] = singles
         for p, group in _blocks(m, 2):

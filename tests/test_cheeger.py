@@ -888,7 +888,7 @@ def _assert_choices_match(tables, n: int, choice) -> None:
     at every (level, mask without vertex 0) where the loop's choice is a
     part, the choice kept at that mask is that part.  Those are every
     choice a walk reads: where the loop keeps the lowest vertex out, so
-    does the walk."""
+    does the walk.  Each level's choices are uint32."""
     kmax = len(tables.dp) - 1
     kept = kmax >= 2
     assert tables.choices[0] is None
@@ -897,7 +897,7 @@ def _assert_choices_match(tables, n: int, choice) -> None:
         assert (level is not None) == kept
         if not kept:
             continue
-        assert level.shape == (1 << (n - 1),)
+        assert level.shape == (1 << (n - 1),) and level.dtype == np.uint32
         loop = np.array(choice[j][0::2])
         taken = loop != 0
         assert (level[taken] << 1).tolist() == loop[taken].tolist()

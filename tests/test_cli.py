@@ -25,7 +25,7 @@ def gn3_file(tmp_path):
     return str(path)
 
 
-# The signed graph of the console-script examples: mu, kappa and both signs.
+# A signed graph with mu, kappa and both signs, as JSON and as an edge list.
 SIGNED_GRAPH = {
     "n": 4,
     "mu": [1.0, 2.0, 0.5, 1.5],
@@ -37,6 +37,7 @@ SIGNED_GRAPH = {
         {"u": 2, "v": 3, "w": 1.25, "sigma": -1},
     ],
 }
+SIGNED_GRAPH_TEXT = "n 4 mu 1.0 2.0 0.5 1.5 kappa 0.25 0.0 -0.5 0.125\n0 1 1.5 -1\n1 2 0.75\n0 2 2.0 1\n2 3 1.25 -1\n"
 
 
 class TestGen:
@@ -147,6 +148,21 @@ class TestAnalyze:
         reason = "requires kappa == 0" if graph["n"] == 3 else "requires at least 3 vertices"
         assert (record["name"], record["holds"], record["meta"]) == ("lower", None, {"skipped": reason})
 
+    def test_lower_records_the_eta_analyze_prints(self, tmp_path, capsys):
+        # A path with weights 1e-161, 3, 1 and unit measure has eta =
+        # sqrt(10); each `lower_eta` record carries the float `analyze` prints.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"n": 4, "mu": "unit", "edges": [
+            {"u": 0, "v": 1, "w": 1e-161}, {"u": 1, "v": 2, "w": 3.0}, {"u": 2, "v": 3, "w": 1.0}]}))
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, err) == (0, "")
+        eta = json.loads(out)["eta"]["eta"]
+        assert math.isclose(eta, math.sqrt(10), rel_tol=1e-12)
+        code, out, err = run_cli(["verify", str(path), "--checks", "lower"], capsys)
+        assert (code, err) == (0, "")
+        records = json.loads(out)["records"]
+        assert [repr(r["meta"]["eta"]) for r in records if r["name"] == "lower_eta"] == [repr(eta)] * 3
+
     def test_no_eta_for_a_signed_graph(self, tmp_path, capsys):
         path = tmp_path / "signed.json"
         path.write_text(json.dumps(SIGNED_GRAPH))
@@ -240,6 +256,15 @@ class TestAnalyze:
             ),
             ("n 3 mu 1 1 1\n0 1 nan\n1 1 1\n",
              "non-finite weight on edge (0,1); self-loop at vertex 1; isolated vertex 2"),
+            # A short mu reads the same from both formats.
+            ('{"n": 3, "mu": [1, 1], "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": 1}]}',
+             "mu has length 2, expected 3"),
+            ("n 3 mu 1 1\n0 1 1\n1 2 1\n", "mu has length 2, expected 3"),
+            # A misspelled key is named, not loaded as the field's default.
+            ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": 1, "sgima": -1}]}',
+             'malformed graph JSON: edge 0 has unknown key "sgima"'),
+            ('{"n": 2, "kapa": [5, 5], "edges": [{"u": 0, "v": 1, "w": 1}]}',
+             'malformed graph JSON: unknown key "kapa"'),
         ],
     )
     def test_invalid_graph_message(self, tmp_path, capsys, text, message):
@@ -350,14 +375,32 @@ class TestCheeger:
         assert run_cli(["cheeger", str(path), "--k", str(k)], capsys) == flagged
         assert json.loads(flagged[1])["certificate"]["signed"] is True
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_flag_changes_nothing_on_an_unsigned_graph(self, gn3_file, capsys, k):
+    @pytest.mark.parametrize(
+        "family, n, k",
+        [("gn", 3, 1), ("gn", 3, 2), ("gn", 3, 4), ("cycle", 3, 1)],
+        ids=["1", "2", "4", "triangle-1"],
+    )
+    def test_flag_changes_nothing_on_an_unsigned_graph(self, tmp_path, capsys, family, n, k):
         # The graph's sign alone picks the score, so an unsigned graph
         # prints its rho_k bytes, scored by Phi, with the flag or without.
-        plain = run_cli(["cheeger", gn3_file, "--k", str(k)], capsys)
+        path = str(tmp_path / "g.json")
+        assert main(["gen", "--family", family, "--n", str(n), "-o", path]) == 0
+        plain = run_cli(["cheeger", path, "--k", str(k)], capsys)
         assert plain[0] == 0 and plain[2] == ""
-        assert run_cli(["cheeger", gn3_file, "--k", str(k), "--signed"], capsys) == plain
+        assert run_cli(["cheeger", path, "--k", str(k), "--signed"], capsys) == plain
         assert json.loads(plain[1])["certificate"]["signed"] is False
+
+    def test_star6_k3_parts_are_its_leaves(self, tmp_path, capsys):
+        # The same optimum in `cheeger` and in the `lower` check's record.
+        path = str(tmp_path / "star6.json")
+        assert main(["gen", "--family", "star", "--n", "6", "-o", path]) == 0
+        code, out, err = run_cli(["cheeger", path, "--k", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["certificate"]["parts"] == [[3], [4], [5]]
+        code, out, err = run_cli(["verify", path, "--checks", "lower"], capsys)
+        assert (code, err) == (0, "")
+        assert [r["meta"]["certificate"]["parts"] for r in json.loads(out)["records"]
+                if r["name"] == "lower_eta" and r["k"] == 3] == [[[3], [4], [5]]]
 
     def test_sweep_option(self, gn3_file, capsys):
         code, out, _ = run_cli(
@@ -505,6 +548,51 @@ class TestVerify:
         assert data["summary"]["violations"] == 0
         assert all(rec["meta"].get("ell") == 0 for rec in data["records"])
 
+    @pytest.mark.parametrize(
+        "corpus, name, kmax",
+        [
+            # A full profile at n = 18, which the work policy admits: on a
+            # tree `main` has a record at every k.
+            ({"families": ["random_tree"], "sizes": [18], "count": 1}, "main", 18),
+            # `monotonic_signed` compares each k = 1..n-1 with k + 1.
+            ({"families": ["random_connected"], "sizes": [13], "count": 1, "signed": True}, "monotonic_signed", 12),
+        ],
+        ids=["tree-18", "signed-13"],
+    )
+    def test_full_profile_corpus_holds(self, capsys, corpus, name, kmax):
+        code, out, _ = run_cli(["verify", "--corpus", json.dumps({**corpus, "checks": ["main", "basics"]})], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["errors"] == [] and data["summary"]["violations"] == 0
+        assert [r["k"] for r in data["records"] if r["name"] == name] == list(range(1, kmax + 1))
+
+    @pytest.mark.parametrize(
+        "checks, eps", [("nodal", "1e-9"), ("nodal_cheeger", "0")], ids=["nodal-near-tie", "nodal_cheeger-zero-signs"]
+    )
+    def test_nodal_checks_on_star4_hold(self, tmp_path, capsys, checks, eps):
+        # At eps = 1e-9 lambda_2 and lambda_3 are about 5e-10 apart; at
+        # eps = 0 f_2 and f_3 vanish at the centre.
+        path = str(tmp_path / "star4.json")
+        assert main(["gen", "--family", "star", "--n", "4", "-o", path]) == 0
+        code, out, err = run_cli(["verify", path, "--checks", checks, "--eps", eps, "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["errors"] == [] and data["records"] and all(r["holds"] for r in data["records"])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: Jacobi's accuracy is absolute (1e-12 of the Frobenius norm), so it "
+               "reports lambda_1 = -0.366 here and `main` records a solver failure",
+    )
+    def test_weights_many_orders_apart(self, tmp_path, capsys):
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps({"n": 3, "mu": "unit", "edges": [
+            {"u": 0, "v": 1, "w": 1e150}, {"u": 1, "v": 2, "w": 1}]}))
+        code, out, err = run_cli(["verify", str(path), "--checks", "main"], capsys)
+        assert (code, err) == (0, "")
+        records = json.loads(out)["records"]
+        assert records and all(r["holds"] for r in records)
+
     def test_instance_the_generator_refuses_exit_1(self, capsys):
         # Instance 001 (K12 at p = 1, degrees 3.3e154) overflows its measure
         # products: its error names it, and the other three still run.
@@ -619,6 +707,8 @@ class TestVerify:
             ('{"families": ["gn"], "sizes": [2]}', "'sizes' must be >= 3 for gn, got [2]"),
             ('{"w_low": 2, "w_high": 1}', "w_high must be >= w_low"),
             ('{"mu": "degre"}', "'mu' must be a measure name or a list of finite numbers, got 'degre'"),
+            ('{"families": ["path"], "sizes": [4, 5], "mu": [1, 1, 1, 1]}',
+             "'mu' has length 4, but path at size 5 has 5 vertices"),
             pytest.param('{"eps": 1' + "0" * 400 + "}", f"'eps' must be a finite number >= 0, got {10**400!r}",
                          id="eps-int-beyond-float"),
         ],
@@ -729,15 +819,16 @@ class TestVerify:
         p3 = tmp_path / "p3.json"
         k2 = tmp_path / "k2.json"
         main(["gen", "--family", "path", "--n", "3", "--mu", "unit", "-o", str(p3)])
-        k2.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.1}], "mu": [1, 1]}))
-        code, out, _ = run_cli(
-            ["verify", str(p3), "--checks", "product", "--with-graph", str(k2), "--product-k", "2"],
-            capsys,
-        )
-        assert code == 0
-        data = json.loads(out)
-        recs = [r for r in data["records"] if r["name"] == "product"]
-        assert len(recs) == 1 and recs[0]["holds"]
+        k2.write_text(json.dumps({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.05}], "mu": [1, 1]}))
+        for k in ("1", "2"):
+            code, out, _ = run_cli(
+                ["verify", str(p3), "--checks", "product", "--with-graph", str(k2), "--product-k", k],
+                capsys,
+            )
+            assert code == 0
+            data = json.loads(out)
+            recs = [r for r in data["records"] if r["name"] == "product"]
+            assert len(recs) == 1 and recs[0]["holds"]
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_product_k_checked_before_solving(self, tmp_path, capsys, monkeypatch, k):
@@ -905,19 +996,28 @@ class TestEntryPoint:
         assert json.loads(path.read_text())["n"] == 3
 
     @pytest.mark.parametrize("preset", [None, "2"])
-    def test_one_blas_thread_unless_set(self, preset):
+    def test_one_blas_thread_unless_set(self, tmp_path, capsys, preset):
         # The package sets the thread variables before numpy is imported,
-        # and only where the caller left them unset.
+        # and only where the caller left them unset; `analyze` at n = 40
+        # then runs in that interpreter, and its values (Jacobi's, which
+        # read no BLAS) are this process's bits.
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         src = os.path.dirname(os.path.dirname(os.path.abspath(cheegerlab.__file__)))
         env = {k: v for k, v in os.environ.items() if k not in names}
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         if preset is not None:
             env.update(dict.fromkeys(names, preset))
-        code = "import os, cheegerlab; print(*(os.environ[k] for k in %r))" % (names,)
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        graph, report = str(tmp_path / "g40.json"), str(tmp_path / "analyze.json")
+        assert main(["gen", "--family", "random_connected", "--n", "40", "--seed", "7", "-o", graph]) == 0
+        script = ("import os, sys, cheegerlab.cli; print(*(os.environ[k] for k in %r)); "
+                  "sys.exit(cheegerlab.cli.main(['analyze', %r, '-o', %r]))" % (names, graph, report))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [preset or "1"] * 2
+        code, out, _ = run_cli(["analyze", graph], capsys)
+        assert code == 0
+        with open(report) as f:
+            assert json.load(f)["spectrum"]["values"] == json.loads(out)["spectrum"]["values"]
 
 
 class TestWarmProcess:
@@ -976,6 +1076,24 @@ class TestOutput:
         assert main(args + ["-o", str(path)]) == code == 0
         assert out.endswith("\n")
         assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize(
+        "graph, text, command",
+        [
+            (SIGNED_GRAPH, SIGNED_GRAPH_TEXT, ["analyze"]),
+            (SIGNED_GRAPH, SIGNED_GRAPH_TEXT, ["cheeger", "--k", "2", "--signed"]),
+            ({"n": 3, "mu": "unit", "edges": [{"u": 0, "v": 1, "w": 2.0}, {"u": 1, "v": 2, "w": 0.5, "sigma": -1}]},
+             "n 3 mu unit\n0 1 2.0\n1 2 0.5 -1\n", ["analyze"]),
+        ],
+        ids=["signed-analyze", "signed-cheeger", "unit-analyze"],
+    )
+    def test_json_and_edge_list_give_the_same_bytes(self, tmp_path, capsys, graph, text, command):
+        paths = tmp_path / "g.json", tmp_path / "g.txt"
+        paths[0].write_text(json.dumps(graph))
+        paths[1].write_text(text)
+        outputs = [run_cli([command[0], str(path), *command[1:]], capsys) for path in paths]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+        assert outputs[0] == outputs[1]
 
 
 class TestResultKeys:
@@ -1060,6 +1178,11 @@ class TestDumps:
             # path-n19's profile is beyond the work policy: an error, exit 1.
             (["verify", "--corpus", '{"families": ["path"], "sizes": [5, 19], "checks": ["main"]}'],
              '"errors": [["path-n19", "main: '),
+            # Five-check corpora at n = 10..12: the packing DP reads the held
+            # plan up to n = 11 and builds its blocks per call at n = 12.
+            (["verify", "--corpus", json.dumps({**FIVE_CHECKS, "sizes": [10], "count": 3})], '"name": "nodal_cheeger"'),
+            (["verify", "--corpus", json.dumps({**FIVE_CHECKS, "sizes": [11], "count": 3})], '"name": "nodal_cheeger"'),
+            (["verify", "--corpus", json.dumps({**FIVE_CHECKS, "sizes": [12], "count": 3})], '"name": "nodal_cheeger"'),
         ],
     )
     def test_one_compact_sorted_line(self, args, marker, gn3_file, tmp_path, capsys):
