@@ -613,7 +613,8 @@ class Report:
         return s["violations"] == 0 and s["errors"] == 0
 
     def to_json_dict(self) -> dict:
-        # Each row is the record's fields and "instance", in key order.
+        # Each row is the record's fields and "instance", in key order; a
+        # skipped record's NaN sides are written as null, as strict JSON.
         return {
             "errors": [list(e) for e in self.errors],
             "records": [
@@ -621,11 +622,11 @@ class Report:
                     "holds": rec.holds,
                     "instance": instance,
                     "k": rec.k,
-                    "lhs": rec.lhs,
-                    "margin": rec.margin,
+                    "lhs": None if rec.holds is None else rec.lhs,
+                    "margin": None if rec.holds is None else rec.margin,
                     "meta": rec.meta,
                     "name": rec.name,
-                    "rhs": rec.rhs,
+                    "rhs": None if rec.holds is None else rec.rhs,
                 }
                 for instance, rec in self.rows
             ],

@@ -51,9 +51,11 @@ def _dumps(obj) -> str:
     without the encoder sorting each dict's items again.  Every output is
     a tree of dicts, lists and scalars (a dict may appear in it twice, as
     the nodal records share one meta), so no cycle can occur and the
-    encoder's circular-reference check is skipped.
+    encoder's circular-reference check is skipped.  Every output is strict
+    (RFC 8259) JSON: a NaN or an infinity raises ValueError rather than
+    being written as a bare `NaN` or `Infinity`.
     """
-    return json.dumps(obj, check_circular=False)
+    return json.dumps(obj, check_circular=False, allow_nan=False)
 
 
 def _emit(text: str, path: str | None) -> None:

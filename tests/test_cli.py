@@ -18,6 +18,25 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def src_env() -> dict:
+    """This environment with the package's source first on PYTHONPATH, so
+    that a fresh interpreter imports the code under test."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cheegerlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity that RFC 8259
+    does not allow (json.loads accepts them by default)."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 @pytest.fixture()
 def gn3_file(tmp_path):
     path = tmp_path / "gn3.json"
@@ -805,8 +824,14 @@ class TestVerify:
         code, out, err = run_cli(["verify", str(path), "--checks", "main"], capsys)
         assert code == 0
         assert "skipped" in err
-        data = json.loads(out)
+        data = strict_json(out)
         assert data["summary"]["skipped"] == 1
+        # A skipped record's sides are null in JSON and blank in CSV.
+        [record] = data["records"]
+        assert (record["holds"], record["lhs"], record["rhs"], record["margin"]) == (None,) * 4
+        code, out, _ = run_cli(["verify", str(path), "--checks", "main", "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "graph,main,0,,,,skipped"
 
     def test_csv_format(self, gn3_file, capsys):
         code, out, _ = run_cli(
@@ -1002,9 +1027,7 @@ class TestEntryPoint:
         # then runs in that interpreter, and its values (Jacobi's, which
         # read no BLAS) are this process's bits.
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cheegerlab.__file__)))
-        env = {k: v for k, v in os.environ.items() if k not in names}
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = {k: v for k, v in src_env().items() if k not in names}
         if preset is not None:
             env.update(dict.fromkeys(names, preset))
         graph, report = str(tmp_path / "g40.json"), str(tmp_path / "analyze.json")
@@ -1155,9 +1178,9 @@ class TestResultKeys:
 
 class TestDumps:
     """Every subcommand writes its JSON as json.dumps(obj, sort_keys=True):
-    one compact line with sorted keys, then a newline.  The writer does not
-    sort: every dict is built in key order, and these cases reach every
-    kind of dict the subcommands write."""
+    one compact line of strict JSON with sorted keys, then a newline.  The
+    writer does not sort: every dict is built in key order, and these cases
+    reach every kind of dict the subcommands write."""
 
     FIVE_CHECKS = {"families": ["random_connected"], "sizes": [6], "count": 2, "checks": list(CHECK_NAMES)}
 
@@ -1167,8 +1190,8 @@ class TestDumps:
             (["analyze", "GRAPH"], '"tau": '),
             (["cheeger", "GRAPH", "--k", "2", "--sweep-from-eig", "2"], '"sweep": '),
             (["verify", "GRAPH", "--checks", ",".join(CHECK_NAMES)], '"holds": true'),
-            # A record skipped on hypothesis grounds has NaN sides.
-            (["verify", "NEG_KAPPA", "--checks", "main"], '"lhs": NaN'),
+            # A record skipped on hypothesis grounds has null sides.
+            (["verify", "NEG_KAPPA", "--checks", "main"], '"lhs": null'),
             (["perturb", "GRAPH", "--trials", "3"], '"fraction_simple": '),
             (["gen", "--family", "cycle", "--n", "4"], '"sigma": 1'),
             (["verify", "--corpus", json.dumps(FIVE_CHECKS)], '"name": "nodal_cheeger"'),
@@ -1200,7 +1223,7 @@ class TestDumps:
         code, out, _ = run_cli(args, capsys)
         assert code == want
         assert marker in out
-        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        assert out == json.dumps(strict_json(out), sort_keys=True) + "\n"
         path = tmp_path / "out.json"
         assert main(args + ["-o", str(path)]) == want
         assert path.read_bytes() == out.encode()
@@ -1211,3 +1234,12 @@ class TestDumps:
         with pytest.raises(TypeError):
             main(["gen", "--family", "cycle", "--n", "4"])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_what_strict_json_cannot_hold(self, bad, monkeypatch, capsys):
+        # RFC 8259 has no NaN or infinity: the writer refuses one rather than
+        # print a bare `NaN` or `Infinity`, and nothing reaches stdout.
+        monkeypatch.setattr(cheegerlab.cli, "to_json_dict", lambda g: {"n": bad})
+        code, out, err = run_cli(["gen", "--family", "cycle", "--n", "4"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")

@@ -1,15 +1,18 @@
 """The README states the contract: every check, every record name it emits,
-and CLI examples that parse."""
+and a quick start and CLI examples that run as written."""
 
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from cheegerlab import generate, with_random_signature
 from cheegerlab.bounds import CHECK_NAMES, run_checks_on_graph
-from cheegerlab.cli import build_parser
+from cheegerlab.cli import main
+from test_cli import src_env, strict_json
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -18,9 +21,8 @@ def cli_examples() -> list[list[str]]:
     """The argument lists of the `cheegerlab` lines of the one `sh` block
     in the README's CLI section, continuations joined and comments dropped."""
     section = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"^```sh\n(.*?)^```$", section, flags=re.M | re.S)
-    assert len(blocks) == 1
-    text = blocks[0].replace("\\\n", " ")
+    [block] = re.findall(r"^```sh\n(.*?)^```$", section, flags=re.M | re.S)
+    text = block.replace("\\\n", " ")
     commands = [shlex.split(line, comments=True) for line in text.splitlines()]
     return [args[1:] for args in commands if args and args[0] == "cheegerlab"]
 
@@ -56,8 +58,27 @@ def test_every_check_is_documented(check):
     assert f"| `{check}` |" in README
 
 
-def test_cli_examples_parse():
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # In order, in an empty directory: each exits 0 and writes strict JSON (or CSV).
     examples = cli_examples()
     assert {args[0] for args in examples} == {"gen", "analyze", "cheeger", "perturb", "verify"}
+    monkeypatch.chdir(tmp_path)
     for args in examples:
-        build_parser().parse_args(args)
+        assert main(args) == 0, args
+        out = capsys.readouterr().out
+        if "-o" in args:
+            out = (tmp_path / args[args.index("-o") + 1]).read_text(encoding="utf-8")
+        if "csv" not in args:
+            strict_json(out)
+
+
+def test_quick_start_runs(tmp_path):
+    [block] = re.findall(r"^```python\n(.*?)^```$", README, flags=re.M | re.S)
+    result = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_console_script_is_cli_main():
+    # Read as text: tomllib is not in Python 3.10, which the package supports.
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^\[project\.scripts\]\n(.*)$", text, flags=re.M) == ['cheegerlab = "cheegerlab.cli:main"']

@@ -57,7 +57,7 @@ _CORPUS_MAIN_BASICS_SIGNED = (
     '{"holds": true, "instance": "random_connected-000-n4", "k": 1, "lhs": 0.0, "margin": 0.6367480262120995, "meta": {}, "name": "monotonic", "rhs": 0.6367480262120995}, '
     '{"holds": true, "instance": "random_connected-000-n4", "k": 2, "lhs": 0.6367480262120995, "margin": 0.36325197378790053, "meta": {}, "name": "monotonic", "rhs": 1.0}, '
     '{"holds": true, "instance": "random_connected-000-n4", "k": 3, "lhs": 1.0, "margin": 0.0, "meta": {}, "name": "monotonic", "rhs": 1.0}, '
-    '{"holds": null, "instance": "random_connected-001-n4", "k": 0, "lhs": NaN, "margin": NaN, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": NaN}, '
+    '{"holds": null, "instance": "random_connected-001-n4", "k": 0, "lhs": null, "margin": null, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": null}, '
     '{"holds": true, "instance": "random_connected-001-n4", "k": 1, "lhs": 0.0, "margin": 0.0, "meta": {"certificate": {"exact": true, "k": 1, "parts": [[0, 1, 3], [2]], "signed": true, "states": 108, "value": 0.0}, "ell": 0, "j": 1, "lambda_k": 0.0, "tau": 1.0}, "name": "main_signed", "rhs": 0.0}, '
     '{"holds": true, "instance": "random_connected-001-n4", "k": 2, "lhs": 0.3409573892078349, "margin": 0.6544329400864173, "meta": {"certificate": {"exact": true, "k": 2, "parts": [[0, 1], [], [2], [3]], "signed": true, "states": 108, "value": 0.3409573892078349}, "ell": 0, "j": 2, "lambda_k": 0.49540095382625987, "tau": 1.0}, "name": "main_signed", "rhs": 0.9953903292942522}, '
     '{"holds": true, "instance": "random_connected-001-n4", "k": 3, "lhs": 1.0, "margin": 0.7347040359518047, "meta": {"certificate": {"exact": true, "k": 3, "parts": [[1], [], [2], [], [3], []], "signed": true, "states": 108, "value": 1.0}, "ell": 0, "j": 3, "lambda_k": 1.5045990461737402, "tau": 1.0}, "name": "main_signed", "rhs": 1.7347040359518047}, '
@@ -75,14 +75,14 @@ _SIGNED_DETERMINISTIC_CONFIG = {
 
 _SIGNED_DETERMINISTIC_CORPUS = (
     '{"errors": [], "records": ['
-    '{"holds": null, "instance": "cycle-n4", "k": 0, "lhs": NaN, "margin": NaN, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": NaN}, '
+    '{"holds": null, "instance": "cycle-n4", "k": 0, "lhs": null, "margin": null, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": null}, '
     '{"holds": true, "instance": "cycle-n4", "k": 2, "lhs": 0.25, "margin": 0.5153668647301795, "meta": {"certificate": {"exact": true, "k": 1, "parts": [[0, 2, 3], [1]], "signed": true, "states": 108, "value": 0.25}, "ell": 1, "j": 1, "lambda_k": 0.2928932188134524, "tau": 1.0}, "name": "main_signed", "rhs": 0.7653668647301795}, '
     '{"holds": true, "instance": "cycle-n4", "k": 3, "lhs": 0.5, "margin": 1.3477590650225733, "meta": {"certificate": {"exact": true, "k": 2, "parts": [[0], [3], [1], [2]], "signed": true, "states": 108, "value": 0.5}, "ell": 1, "j": 2, "lambda_k": 1.7071067811865472, "tau": 1.0}, "name": "main_signed", "rhs": 1.8477590650225733}, '
     '{"holds": true, "instance": "cycle-n4", "k": 4, "lhs": 1.0, "margin": 0.8477590650225735, "meta": {"certificate": {"exact": true, "k": 3, "parts": [[1], [], [2], [], [3], []], "signed": true, "states": 108, "value": 1.0}, "ell": 1, "j": 3, "lambda_k": 1.7071067811865475, "tau": 1.0}, "name": "main_signed", "rhs": 1.8477590650225735}, '
     '{"holds": true, "instance": "cycle-n4", "k": 1, "lhs": 0.25, "margin": 0.25, "meta": {}, "name": "monotonic_signed", "rhs": 0.5}, '
     '{"holds": true, "instance": "cycle-n4", "k": 2, "lhs": 0.5, "margin": 0.5, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
     '{"holds": true, "instance": "cycle-n4", "k": 3, "lhs": 1.0, "margin": 0.0, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
-    '{"holds": null, "instance": "cycle-n5", "k": 0, "lhs": NaN, "margin": NaN, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": NaN}, '
+    '{"holds": null, "instance": "cycle-n5", "k": 0, "lhs": null, "margin": null, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": null}, '
     '{"holds": true, "instance": "cycle-n5", "k": 2, "lhs": 0.0, "margin": 1.1755705045849465, "meta": {"certificate": {"exact": true, "k": 1, "parts": [[0, 1], [2, 3, 4]], "signed": true, "states": 405, "value": 0.0}, "ell": 1, "j": 1, "lambda_k": 0.6909830056250528, "tau": 1.0}, "name": "main_signed", "rhs": 1.1755705045849465}, '
     '{"holds": true, "instance": "cycle-n5", "k": 3, "lhs": 0.5, "margin": 0.6755705045849465, "meta": {"certificate": {"exact": true, "k": 2, "parts": [[1], [2], [3, 4], []], "signed": true, "states": 405, "value": 0.5}, "ell": 1, "j": 2, "lambda_k": 0.6909830056250529, "tau": 1.0}, "name": "main_signed", "rhs": 1.1755705045849465}, '
     '{"holds": true, "instance": "cycle-n5", "k": 4, "lhs": 1.0, "margin": 0.9021130325903077, "meta": {"certificate": {"exact": true, "k": 3, "parts": [[2], [], [3], [], [4], []], "signed": true, "states": 405, "value": 1.0}, "ell": 1, "j": 3, "lambda_k": 1.8090169943749483, "tau": 1.0}, "name": "main_signed", "rhs": 1.9021130325903077}, '
@@ -91,7 +91,7 @@ _SIGNED_DETERMINISTIC_CORPUS = (
     '{"holds": true, "instance": "cycle-n5", "k": 2, "lhs": 0.5, "margin": 0.5, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
     '{"holds": true, "instance": "cycle-n5", "k": 3, "lhs": 1.0, "margin": 0.0, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
     '{"holds": true, "instance": "cycle-n5", "k": 4, "lhs": 1.0, "margin": 0.0, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
-    '{"holds": null, "instance": "gn-n4", "k": 0, "lhs": NaN, "margin": NaN, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": NaN}, '
+    '{"holds": null, "instance": "gn-n4", "k": 0, "lhs": null, "margin": null, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": null}, '
     '{"holds": true, "instance": "gn-n4", "k": 2, "lhs": 0.08863676653075694, "margin": 0.28498419683441867, "meta": {"certificate": {"exact": true, "k": 1, "parts": [[0, 4, 5, 6, 7, 8, 9], [1, 2, 3]], "signed": true, "states": 196830, "value": 0.08863676653075694}, "ell": 1, "j": 1, "lambda_k": 0.06979631213296095, "tau": 1.0}, "name": "main_signed", "rhs": 0.3736209633651756}, '
     '{"holds": true, "instance": "gn-n4", "k": 3, "lhs": 0.2128572733083737, "margin": 0.6975932030452665, "meta": {"certificate": {"exact": true, "k": 2, "parts": [[0, 8], [5, 6, 7], [1, 2, 3], [4, 9]], "signed": true, "states": 196830, "value": 0.2128572733083737}, "ell": 1, "j": 2, "lambda_k": 0.41446003494628514, "tau": 1.0}, "name": "main_signed", "rhs": 0.9104504763536402}, '
     '{"holds": true, "instance": "gn-n4", "k": 4, "lhs": 0.34426229508196726, "margin": 0.6561099455449783, "meta": {"certificate": {"exact": true, "k": 3, "parts": [[0, 8], [7], [1, 2, 3], [], [4, 5, 6, 9], []], "signed": true, "states": 196830, "value": 0.34426229508196726}, "ell": 1, "j": 3, "lambda_k": 0.5003723099084877, "tau": 1.0}, "name": "main_signed", "rhs": 1.0003722406269455}, '
@@ -110,7 +110,7 @@ _SIGNED_DETERMINISTIC_CORPUS = (
     '{"holds": true, "instance": "gn-n4", "k": 7, "lhs": 1.0, "margin": 0.0, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
     '{"holds": true, "instance": "gn-n4", "k": 8, "lhs": 1.0, "margin": 0.0, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
     '{"holds": true, "instance": "gn-n4", "k": 9, "lhs": 1.0, "margin": 0.0, "meta": {}, "name": "monotonic_signed", "rhs": 1.0}, '
-    '{"holds": null, "instance": "gn-n5", "k": 0, "lhs": NaN, "margin": NaN, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": NaN}, '
+    '{"holds": null, "instance": "gn-n5", "k": 0, "lhs": null, "margin": null, "meta": {"skipped": "requires unsigned graph with mu = degree, kappa = 0"}, "name": "eq1_left", "rhs": null}, '
     '{"holds": true, "instance": "gn-n5", "k": 2, "lhs": 0.0, "margin": 0.5292400707373371, "meta": {"certificate": {"exact": true, "k": 1, "parts": [[0, 1, 3], [2, 4, 5, 6, 7, 8, 9, 10, 11]], "signed": true, "states": 2125764, "value": 0.0}, "ell": 1, "j": 1, "lambda_k": 0.1400475262370308, "tau": 1.0}, "name": "main_signed", "rhs": 0.5292400707373371}, '
     '{"holds": true, "instance": "gn-n5", "k": 3, "lhs": 0.1792581168476877, "margin": 0.3890012733952002, "meta": {"certificate": {"exact": true, "k": 2, "parts": [[0, 1, 3], [2, 4, 10], [5, 6, 7, 8, 9, 11], []], "signed": true, "states": 2125764, "value": 0.1792581168476877}, "ell": 1, "j": 2, "lambda_k": 0.16145936729960936, "tau": 1.0}, "name": "main_signed", "rhs": 0.5682593902428879}, '
     '{"holds": true, "instance": "gn-n5", "k": 4, "lhs": 0.2604178304100101, "margin": 0.7385027995794953, "meta": {"certificate": {"exact": true, "k": 3, "parts": [[0, 1, 3], [2], [4, 5, 6, 11], [], [7, 8, 9, 10], []], "signed": true, "states": 2125764, "value": 0.2604178304100101}, "ell": 1, "j": 3, "lambda_k": 0.4989212125093152, "tau": 1.0}, "name": "main_signed", "rhs": 0.9989206299895054}, '
