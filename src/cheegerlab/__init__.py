@@ -49,7 +49,7 @@ from .graph import (
     product,
     with_random_signature,
 )
-from .nodal import NodalDecomposition, product_function, strong_nodal, weak_nodal
+from .nodal import NodalDecomposition, product_function, strong_nodal
 from .perturb import (
     FrequencyReport,
     GenericityReport,

@@ -37,7 +37,7 @@ from .graph import (
     product,
     with_random_signature,
 )
-from .nodal import strong_nodal, weak_nodal
+from .nodal import strong_nodal
 from .perturb import GenericityReport, perturb
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
 from .spectral import Spectrum, adjacency_eta, laplacian_spectrum
@@ -108,14 +108,13 @@ class CheckRecord:
 # values, and the one place that pairs them with LAPACK functions.
 #
 # The checks call `classify`, `cyclomatic`, `degree_profile`,
-# `adjacency_eta`, `strong_nodal` and `weak_nodal` as often as they need,
-# and each graph builds its classification (one labelling of its bipartite
-# double cover), degree profile and Laplacian once, and labels each sign
-# vector's strong domains once.  That is safe because a graph cannot change
-# and each input is a function of the graph (a labelling, of the graph and
-# the rounded signs).  So `nodal` and `nodal_cheeger` share each
-# eigenfunction's labelling of the perturbed instance, the weak counts read
-# it too (no sign is 0 on a generic instance), and `lower`'s eta reads the
+# `adjacency_eta` and `strong_nodal` as often as they need, and each graph
+# builds its classification (one labelling of its bipartite double cover),
+# degree profile and Laplacian once, and labels each sign vector's strong
+# domains once.  That is safe because a graph cannot change and each input
+# is a function of the graph (a labelling, of the graph and the rounded
+# signs).  So `nodal` and `nodal_cheeger` share each eigenfunction's
+# labelling of the perturbed instance, and `lower`'s eta reads the
 # Laplacian that the eigenvalue solve of g built.
 
 
@@ -193,12 +192,12 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     if any(kap < 0 for kap in g.kappa):
         raise HypothesisViolation("requires kappa >= 0")
     signed = g.is_signed()
-    spectrum = _checked_spectrum(g, functions=False)
     ell = cyclomatic(g)
-    tau = degree_profile(g).tau
     kmax = g.n - ell
     if kmax < 1:
         return []
+    spectrum = _checked_spectrum(g, functions=False)
+    tau = degree_profile(g).tau
     profile = _rho_all(g, kmax)
     name = "main_signed" if signed else "main"
     records = []
@@ -237,7 +236,10 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
     for k in range(1, g.n + 1):
         f = spectrum.function(k)
         strong = strong_nodal(gp, f, zero_tol=0.0).count
-        weak = weak_nodal(gp, f, zero_tol=0.0).count
+        # The spectrum was just found zero-free.  With no zero sign, the weak
+        # rule s_u s_v >= 0 joins the same edges as the strong s_u s_v > 0,
+        # so W(f_k) = S(f_k).
+        weak = strong
         # Every multiplicity r is 1 on a simple spectrum; meta keeps the key.
         meta = {"ell": ell, "eps": eps, "r": 1, "seed": seed, "strong": strong, "weak": weak}
         records.append(CheckRecord.compare("nodal_lower", k, k - ell, strong, meta))

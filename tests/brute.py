@@ -598,19 +598,7 @@ def loop_strong_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> Nod
         if keep[e.u] and keep[e.v] and e.sigma * s[e.u] * s[e.v] > 0
     ]
     labels, count = _component_labels(g.n, keep, edges)
-    return NodalDecomposition(kind="strong", labels=labels, count=count)
-
-
-def loop_weak_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> NodalDecomposition:
-    if len(f) != g.n:
-        raise ValueError("function length must equal vertex count")
-    if g.is_signed():
-        raise ValueError("weak nodal domains are defined for unsigned graphs only")
-    s = loop_rounded_signs(f, zero_tol)
-    keep = np.ones(g.n, dtype=bool)
-    edges = [(e.u, e.v) for e in g.edges if s[e.u] * s[e.v] >= 0]
-    labels, count = _component_labels(g.n, keep, edges)
-    return NodalDecomposition(kind="weak", labels=labels, count=count)
+    return NodalDecomposition(labels=labels, count=count)
 
 
 def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> PartitionCertificate:

@@ -87,6 +87,22 @@ class TestTheoremMain:
         # complete graph on 5 vertices: ell = 6 > n, nothing to check
         assert check_theorem_main(generate("complete", 5)) == []
 
+    def test_no_records_solve_no_spectrum(self, monkeypatch):
+        # K6: ell = 10 >= n = 6, so no k has k - ell >= 1 and nothing reads
+        # an eigenvalue.
+        solves = []
+
+        def counting(g, *args, **kwargs):
+            solves.append(g)
+            return laplacian_spectrum(g, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "laplacian_spectrum", counting)
+        assert check_theorem_main(generate("complete", 6)) == []
+        assert solves == []
+        g = generate("star", 4)
+        check_theorem_main(g)
+        assert solves == [g]
+
 
 class TestNodalCounts:
     def test_path4_exact_counts(self):
@@ -732,8 +748,8 @@ class TestSolveCount:
         # classification and degree profile once (asked per call, the sign
         # test ran 30 times and the degrees 6), and each eigenfunction's
         # domains are labelled once: 13 component labellings (1 in the
-        # generator, 2 classifications, 10 strong labellings that the weak
-        # counts and the sweeps share), where deriving them per check took 36.
+        # generator, 2 classifications, 10 strong labellings that the `nodal`
+        # check and the sweeps share), where deriving them per check took 36.
         labellings = []
         built = {"laplacian": [], "classification": [], "degree_profile": [], "signed": [], "degrees": []}
 

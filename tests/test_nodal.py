@@ -4,14 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from brute import loop_nodal_sweep, loop_strong_nodal, loop_weak_nodal
+from brute import loop_nodal_sweep, loop_strong_nodal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheegerlab import (
     PartitionCertificate,
     WeightedGraph,
-    classify,
     cyclomatic,
     generate,
     laplacian_spectrum,
@@ -20,7 +19,6 @@ from cheegerlab import (
     product_function,
     rho_upper_nodal_sweep,
     strong_nodal,
-    weak_nodal,
 )
 from cheegerlab import nodal
 
@@ -74,35 +72,8 @@ class TestStrong:
             strong_nodal(generate("path", 3), [1, 2])
 
 
-class TestWeak:
-    def test_zero_vertex_bridges(self):
-        g = generate("path", 3)
-        assert weak_nodal(g, [1, 0, -1], 0.0).count == 1
-
-    def test_positive_function_connected(self):
-        g = generate("random_connected", 6, seed=1)
-        assert weak_nodal(g, [0.5] * 6, 0.0).count == 1
-
-    def test_alternating(self):
-        g = generate("path", 5)
-        assert weak_nodal(g, [1, -1, 1, -1, 1], 0.0).count == 5
-
-    def test_rejects_signed(self):
-        g = WeightedGraph.build(2, [(0, 1, 1, -1)])
-        with pytest.raises(ValueError, match="unsigned"):
-            weak_nodal(g, [1, -1])
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="function length"):
-            weak_nodal(generate("path", 3), [1, -1])
-
-    def test_at_least_one_per_component(self):
-        g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
-        assert weak_nodal(g, [1, -1, 1, -1], 0.0).count >= 2
-
-
 class TestNonFinite:
-    NODAL = (strong_nodal, weak_nodal, rho_upper_nodal_sweep)
+    NODAL = (strong_nodal, rho_upper_nodal_sweep)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("fn", NODAL)
@@ -114,12 +85,12 @@ class TestNonFinite:
 
     # The sweep takes no zero_tol: it rounds at strong_nodal's default.
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    @pytest.mark.parametrize("fn", NODAL[:2])
+    @pytest.mark.parametrize("fn", NODAL[:1])
     def test_zero_tol_rejected(self, fn, tol):
         with pytest.raises(ValueError, match="zero_tol must be finite"):
             fn(generate("path", 4), [1.0, -1.0, 1.0, 2.0], zero_tol=tol)
 
-    @pytest.mark.parametrize("fn", NODAL[:2])
+    @pytest.mark.parametrize("fn", NODAL[:1])
     def test_negative_zero_tol_rejected(self, fn):
         with pytest.raises(ValueError, match="zero_tol must be >= 0"):
             fn(generate("path", 4), [1.0, -1.0, 1.0, 2.0], zero_tol=-1.0)
@@ -176,12 +147,6 @@ class TestNodalOracle:
 
     @given(_instances(signed=False))
     @settings(max_examples=300, deadline=None)
-    def test_weak(self, inst):
-        g, f, zero_tol = inst
-        assert weak_nodal(g, f, zero_tol) == loop_weak_nodal(g, f, zero_tol)
-
-    @given(_instances(signed=False))
-    @settings(max_examples=300, deadline=None)
     def test_sweep(self, inst):
         # The sweep rounds at the default tolerance, 1e-10 max|f|.
         g, f, _ = inst
@@ -234,15 +199,12 @@ class TestCourantBounds:
         gp = perturb(g, 0.05, seed + 100)
         spectrum = laplacian_spectrum(gp)
         ell = cyclomatic(gp)
-        c = classify(gp).component_count
         for start, mult in spectrum.clusters:
             for k in range(start + 1, start + mult + 1):
                 f = spectrum.function(k)
                 s = strong_nodal(gp, f).count
-                w = weak_nodal(gp, f).count
                 kb = start + 1
                 assert kb + mult - 1 - ell <= s <= kb + mult - 1
-                assert w <= kb + c - 1
 
     def test_star_multiplicity_upper_bound(self):
         # lambda = 1 with multiplicity 2 on K_{1,3}: S <= k + r - 1 = 3
@@ -255,9 +217,7 @@ class TestCourantBounds:
 
 class TestHeldLabellings:
     """A strong labelling depends only on the graph and the rounded signs,
-    so it is built once per (graph, signs) and held with the graph; with
-    no zero sign the weak decomposition reads it instead of a pass of its
-    own."""
+    so it is built once per (graph, signs) and held with the graph."""
 
     @staticmethod
     def count_passes(monkeypatch) -> dict:
@@ -294,38 +254,3 @@ class TestHeldLabellings:
         assert twin == g
         assert strong_nodal(twin, f, 0.0) == first
         assert passes == {"strong": [g, g, twin], "labellings": 3}
-
-    @pytest.mark.parametrize("n", [4, 7, 10])
-    def test_weak_reads_strong_on_zero_free_signs(self, monkeypatch, n):
-        passes = self.count_passes(monkeypatch)
-        rng = np.random.default_rng(n)
-        for seed in range(4):
-            g = generate("random_connected", n, seed, p=0.3, w_low=0.5, w_high=2.0)
-            functions = [rng.choice([-2.0, -0.5, 0.5, 1.0], size=n) for _ in range(3)]
-            functions += [laplacian_spectrum(g).function(k) for k in range(1, n + 1)]
-            for f in functions:
-                if 0 in nodal._rounded_signs(f, 0.0):
-                    continue
-                before = passes["labellings"]
-                weak = weak_nodal(g, f, 0.0)
-                want = loop_weak_nodal(g, f, 0.0)
-                assert (weak.kind, weak.labels, weak.count) == ("weak", want.labels, want.count)
-                assert weak.labels is strong_nodal(g, f, 0.0).labels
-                assert passes["labellings"] - before <= 1
-
-    def test_zero_sign_runs_its_own_weak_pass(self, monkeypatch):
-        # star(4) at eps = 0: f_2 and f_3 vanish at the centre, where an
-        # edge joins the weak domains but not the strong ones.
-        passes = self.count_passes(monkeypatch)
-        g = generate("star", 4)
-        spectrum = laplacian_spectrum(g)
-        for k in (2, 3):
-            f = spectrum.function(k)
-            assert 0 in nodal._rounded_signs(f, None)
-            strong = strong_nodal(g, f)
-            before = len(passes["strong"]), passes["labellings"]
-            weak = weak_nodal(g, f)
-            assert (len(passes["strong"]), passes["labellings"]) == (before[0], before[1] + 1)
-            want = loop_weak_nodal(g, f)
-            assert (weak.labels, weak.count) == (want.labels, want.count) == ((0, 0, 0, 0), 1)
-            assert strong.count == 3
