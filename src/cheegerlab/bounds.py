@@ -166,14 +166,16 @@ def _rho_all(g: WeightedGraph, kmax: int) -> tuple[PartitionCertificate, ...]:
 
 
 def _upper_record(
-    name: str, k: int, cert: PartitionCertificate, tau: float, lam: float, meta: dict
+    name: str, k: int, g: WeightedGraph, cert: PartitionCertificate, lam: float, meta: dict
 ) -> CheckRecord:
     """The record rho_j <= sqrt(2 tau lambda_k) of the three upper bounds
     (the shifted theorem, the nodal-Cheeger lemma, the product theorem):
-    cert is rho_j's certificate and lam the clamped lambda_k.  Its meta is
-    the certificate's JSON, the record's own keys, then tau, which is in
-    key order since every own key sorts between the two.  Where 2 tau
-    lambda_k overflows, the bound is sqrt(2 tau) sqrt(lambda_k) instead."""
+    cert is rho_j's certificate on g, lam the clamped lambda_k of g, and
+    tau is g's.  Its meta is the certificate's JSON, the record's own keys,
+    then tau, which is in key order since every own key sorts between the
+    two.  Where 2 tau lambda_k overflows, the bound is sqrt(2 tau)
+    sqrt(lambda_k) instead."""
+    tau = degree_profile(g).tau
     meta = {"certificate": cert.to_json_dict(), **meta, "tau": tau}
     rhs = math.sqrt(2.0 * tau * lam)
     if rhs == math.inf:
@@ -197,14 +199,13 @@ def check_theorem_main(g: WeightedGraph) -> list[CheckRecord]:
     if kmax < 1:
         return []
     spectrum = _checked_spectrum(g, functions=False)
-    tau = degree_profile(g).tau
     profile = _rho_all(g, kmax)
     name = "main_signed" if signed else "main"
     records = []
     for k in range(ell + 1, g.n + 1):
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
         meta = {"ell": ell, "j": k - ell, "lambda_k": lam}
-        records.append(_upper_record(name, k, profile[k - ell - 1], tau, lam, meta))
+        records.append(_upper_record(name, k, g, profile[k - ell - 1], lam, meta))
     return records
 
 
@@ -236,15 +237,13 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
     for k in range(1, g.n + 1):
         f = spectrum.function(k)
         strong = strong_nodal(gp, f, zero_tol=0.0).count
+        meta = {"ell": ell, "eps": eps, "seed": seed, "strong": strong}
+        records.append(CheckRecord.compare("nodal_lower", k, k - ell, strong, meta))
+        records.append(CheckRecord.compare("nodal_strong_upper", k, strong, k, meta))
         # The spectrum was just found zero-free.  With no zero sign, the weak
         # rule s_u s_v >= 0 joins the same edges as the strong s_u s_v > 0,
         # so W(f_k) = S(f_k).
-        weak = strong
-        # Every multiplicity r is 1 on a simple spectrum; meta keeps the key.
-        meta = {"ell": ell, "eps": eps, "r": 1, "seed": seed, "strong": strong, "weak": weak}
-        records.append(CheckRecord.compare("nodal_lower", k, k - ell, strong, meta))
-        records.append(CheckRecord.compare("nodal_strong_upper", k, strong, k, meta))
-        records.append(CheckRecord.compare("nodal_weak_upper", k, weak, k, meta))
+        records.append(CheckRecord.compare("nodal_weak_upper", k, strong, k, meta))
     return records
 
 
@@ -260,14 +259,13 @@ def check_lemma_nodal_cheeger(g: WeightedGraph, eps: float, seed: int) -> list[C
         raise HypothesisViolation("requires kappa >= 0")
     h = _generic_instance(g, eps, seed)
     spectrum = _checked_spectrum(h, functions=True)
-    tau = degree_profile(h).tau
     profile = _rho_all(h, h.n)
     records = []
     for k in range(1, h.n + 1):
         sweep = rho_upper_nodal_sweep(h, spectrum.function(k))
         lam = _clamp_eigenvalue(spectrum.values[k - 1])
         meta = {"eps": eps, "lambda_k": lam, "m": sweep.k, "sweep_bound": sweep.value}
-        records.append(_upper_record("nodal_cheeger", k, profile[sweep.k - 1], tau, lam, meta))
+        records.append(_upper_record("nodal_cheeger", k, h, profile[sweep.k - 1], lam, meta))
     return records
 
 
@@ -353,7 +351,7 @@ def check_product_theorem(
         "n2": g2.n,
     }
     cert = _rho_all(gp, index)[index - 1]
-    return _upper_record("product", index, cert, degree_profile(gp).tau, lam, meta)
+    return _upper_record("product", index, gp, cert, lam, meta)
 
 
 def check_basics(g: WeightedGraph) -> list[CheckRecord]:

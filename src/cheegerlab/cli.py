@@ -128,20 +128,16 @@ def cmd_cheeger(args) -> int:
     return 0
 
 
-def _require_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps >= 0):
-        raise GraphFormatError("--eps must be a finite number >= 0")
-
-
 def cmd_verify(args) -> int:
-    _require_eps(args.eps)
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise GraphFormatError("--eps must be a finite number >= 0")
     checks = tuple(s for s in args.checks.split(",") if s)
     for name in checks:
         if name not in CHECK_NAMES and name != "product":
             raise GraphFormatError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}, product")
     if not _distinct(checks):
         raise GraphFormatError(f"--checks {args.checks!r} names a check more than once")
-    if args.corpus:
+    if args.corpus is not None:
         if "product" in checks:
             raise GraphFormatError(
                 "the product check needs an explicit pair: verify GRAPH --checks product "
@@ -160,8 +156,6 @@ def cmd_verify(args) -> int:
             data = {"seed": args.seed, "eps": args.eps, "checks": list(checks), **data}
         report = run_corpus(CorpusConfig.from_json_dict(data))
     else:
-        if args.graph is None:
-            raise GraphFormatError("verify needs a graph file or --corpus")
         # Checked here only: a corpus JSON's "checks" wins over the flag.
         if not checks:
             raise GraphFormatError(f"--checks {args.checks!r} names no check")
@@ -188,9 +182,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    if args.trials < 1:
-        raise GraphFormatError("--trials must be >= 1")
-    _require_eps(args.eps)
     g = load_graph(args.graph)
     rep = genericity_frequency(g, args.eps, args.trials, args.seed)
     _emit(_dumps(rep.to_json_dict()), args.output)
@@ -244,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_cheeger)
 
     pv = sub.add_parser("verify", help="run inequality checks on a graph or corpus")
-    pv.add_argument("graph", nargs="?", default=None)
-    pv.add_argument("--corpus", default=None, metavar="JSON|@FILE",
-                    help='corpus config, e.g. \'{"families":["random_tree"],"sizes":[5,6],"count":10}\'')
+    source = pv.add_mutually_exclusive_group(required=True)
+    source.add_argument("graph", nargs="?", default=None)
+    source.add_argument("--corpus", default=None, metavar="JSON|@FILE",
+                        help='corpus config, e.g. \'{"families":["random_tree"],"sizes":[5,6],"count":10}\'')
     pv.add_argument("--checks", default="main,basics")
     pv.add_argument("--eps", type=float, default=0.05)
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -286,7 +278,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,8 +1,7 @@
 """Strong nodal-domain decompositions of vertex functions.
 
 A decomposition labels the components of a sign-restricted subgraph with
-graph._component_labels, the package's one component labelling (the name
-stays importable from here).
+graph._component_labels, the package's one component labelling.
 
 A decomposition depends on f only through its rounded sign vector s, so
 the strong labelling of each s is built once and held with the graph,

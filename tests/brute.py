@@ -26,7 +26,7 @@ import numpy as np
 from cheegerlab import JacobiConvergenceError, WeightedGraph
 from cheegerlab.cheeger import PartitionCertificate, _parts_from_masks, _phi_array, beta_signed, conductance
 from cheegerlab.graph import GraphClassification
-from cheegerlab.nodal import NodalDecomposition, _component_labels
+from cheegerlab.nodal import NodalDecomposition
 
 
 def naive_rho(g: WeightedGraph, k: int, chunk: int = 1 << 18) -> float:
@@ -588,17 +588,33 @@ def loop_rounded_signs(f, zero_tol: float | None) -> np.ndarray:
 
 
 def loop_strong_nodal(g: WeightedGraph, f, zero_tol: float | None = None) -> NodalDecomposition:
+    """Strong domains by one depth-first search from each vertex of nonzero
+    sign not yet reached, in ascending order (so domains are numbered by
+    smallest vertex), over the edges with sigma s_u s_v > 0; a vertex of
+    sign 0 keeps label -1."""
     if len(f) != g.n:
         raise ValueError("function length must equal vertex count")
     s = loop_rounded_signs(f, zero_tol)
-    keep = s != 0
-    edges = [
-        (e.u, e.v)
-        for e in g.edges
-        if keep[e.u] and keep[e.v] and e.sigma * s[e.u] * s[e.v] > 0
-    ]
-    labels, count = _component_labels(g.n, keep, edges)
-    return NodalDecomposition(labels=labels, count=count)
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        if e.sigma * s[e.u] * s[e.v] > 0:
+            adj[e.u].append(e.v)
+            adj[e.v].append(e.u)
+    label = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if s[start] == 0 or label[start] != -1:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if label[y] == -1:
+                    label[y] = count
+                    stack.append(y)
+        count += 1
+    return NodalDecomposition(labels=tuple(label), count=count)
 
 
 def loop_nodal_sweep(g: WeightedGraph, f, zero_tol: float | None = None) -> PartitionCertificate:

@@ -134,7 +134,7 @@ class TestNodalCounts:
         # simple-eigenvalue sandwich, not the multiplicity-2 block form.
         records = check_nodal_count_bounds(generate("star", 4), 1e-9, 1)
         assert len(records) == 12 and all(r.holds for r in records)
-        assert {r.meta["r"] for r in records} == {1}
+        assert {tuple(r.meta) for r in records} == {("ell", "eps", "seed", "strong")}
 
     @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-6])
     @pytest.mark.parametrize("family", ["star", "cycle", "complete", "gn"])

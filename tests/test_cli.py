@@ -713,6 +713,12 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: bad corpus config: malformed JSON: {decoded.value}\n"
 
+    def test_empty_corpus_is_malformed_json(self, capsys):
+        # An empty --corpus is a corpus given, not a missing one.
+        code, out, err = run_cli(["verify", "--corpus", ""], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: bad corpus config: malformed JSON: Expecting value: line 1 column 1 (char 0)\n"
+
     @pytest.mark.parametrize(
         "corpus, message",
         [
@@ -912,10 +918,32 @@ class TestVerify:
         assert code == 0
         assert data["records"] == json.loads(basics)["records"] != []
 
+    @staticmethod
+    def argparse_exit_2(args, capsys) -> str:
+        """The message of an argparse refusal: exit 2, nothing on stdout,
+        and the usage line before `error:` on stderr."""
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, _, message = err.partition("\ncheegerlab verify: error: ")
+        assert usage.startswith("usage: cheegerlab verify ")
+        return message
+
     def test_neither_graph_nor_corpus_exit_2(self, capsys):
-        code, out, err = run_cli(["verify", "--checks", "main"], capsys)
-        assert code == 2 and out == ""
-        assert err == "error: verify needs a graph file or --corpus\n"
+        message = self.argparse_exit_2(["verify", "--checks", "main"], capsys)
+        assert message == "one of the arguments graph --corpus is required\n"
+
+    @pytest.mark.parametrize("config", ['{"families":["path"],"sizes":[4]}', ""], ids=["path", "empty"])
+    @pytest.mark.parametrize("graph_first", [True, False])
+    def test_graph_and_corpus_exit_2(self, gn3_file, capsys, graph_first, config):
+        # The graph was ignored here before, and the corpus ran.
+        corpus = ["--corpus", config]
+        args = [gn3_file, *corpus] if graph_first else [*corpus, gn3_file]
+        first, second = ("graph", "--corpus") if graph_first else ("--corpus", "graph")
+        message = self.argparse_exit_2(["verify", *args], capsys)
+        assert message == f"argument {second}: not allowed with argument {first}\n"
 
     def test_unknown_check_exit_2(self, gn3_file, capsys):
         code, out, err = run_cli(["verify", gn3_file, "--checks", "bogus"], capsys)
@@ -982,7 +1010,7 @@ class TestPerturbCmd:
         code, out, err = run_cli(["perturb", gn3_file, "--eps", eps, "--trials", "5"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: --eps must be a finite number >= 0\n"
+        assert err == "error: eps must be a finite number >= 0\n"
 
     def test_overflowing_eps_exit_2(self, gn3_file, capsys):
         code, out, err = run_cli(["perturb", gn3_file, "--eps", "1e308", "--trials", "2"], capsys)
@@ -995,8 +1023,10 @@ class TestPerturbCmd:
     def test_zero_trials_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k3.json"
         main(["gen", "--family", "complete", "--n", "3", "-o", str(path)])
-        code, _, err = run_cli(["perturb", str(path), "--trials", "0"], capsys)
+        code, out, err = run_cli(["perturb", str(path), "--trials", "0"], capsys)
         assert code == 2
+        assert out == ""
+        assert err == "error: trials must be >= 1\n"
 
     def test_byte_identical_reports(self, tmp_path):
         path = tmp_path / "c6.json"

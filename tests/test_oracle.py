@@ -1,11 +1,11 @@
 """The checks as a test oracle: the seeded-fault census, pinned on its
 corpora (n = 4..10, 40 instances each).
 
-- Nine faults of the unsigned inputs, each a monkeypatch of one name that
-  `bounds` reads, on four unsigned corpora with every check: the names of
-  the records each fault breaks, and the instances where the `nodal` check
-  refuses.  A fault that breaks nothing survives; it still changes the
-  records, so a change that makes it catchable shows here.
+- Nineteen faults of the unsigned inputs, each a monkeypatch of one name
+  that `bounds` reads, on four unsigned corpora with every check: the names
+  of the records each fault breaks, and the instances where the `nodal`
+  check refuses.  A fault that breaks nothing survives; it still changes
+  the records, so a change that makes it catchable shows here.
 - `nodal_weak_upper` equals `nodal_strong_upper` record for record: the
   `nodal` check runs only on zero-free eigenfunctions, where every weak
   nodal domain is a strong one.
@@ -24,9 +24,11 @@ from dataclasses import replace
 import pytest
 
 from cheegerlab import CorpusConfig, WeightedGraph, bounds, run_corpus
-from cheegerlab.cheeger import rho_profile
-from cheegerlab.graph import cyclomatic
-from cheegerlab.spectral import laplacian_spectrum
+from cheegerlab.bounds import _checked_spectrum
+from cheegerlab.cheeger import rho_profile, rho_upper_nodal_sweep
+from cheegerlab.graph import cyclomatic, degree_profile
+from cheegerlab.nodal import strong_nodal
+from cheegerlab.spectral import adjacency_eta, laplacian_spectrum
 
 CORPUS = {"families": ["random_connected"], "sizes": list(range(4, 11)), "count": 40}
 
@@ -47,6 +49,11 @@ def report(config: dict):
 def unsigned(g: WeightedGraph) -> WeightedGraph:
     """g with every sign +1."""
     return WeightedGraph.build(g.n, [e[:3] for e in g.edges], mu=g.mu, kappa=g.kappa)
+
+
+def unit_measure(g: WeightedGraph) -> WeightedGraph:
+    """g with every vertex measure 1."""
+    return WeightedGraph.build(g.n, g.edges, mu=(1.0,) * g.n, kappa=g.kappa)
 
 
 def all_checks(corpus: str):
@@ -94,8 +101,48 @@ def shifted_lambda(step: int):
     return spectrum
 
 
+def shifted_functions(step: int):
+    """f_k read as f_{k + step} in every spectrum the checks read."""
+    def spectrum(g, functions):
+        s = _checked_spectrum(g, functions)
+        if s.functions is None:
+            return s
+        return replace(s, functions=s.functions[list(shifted(tuple(range(g.n)), step))])
+    return spectrum
+
+
+def tau_read_as_tau_min(g):
+    profile = degree_profile(g)
+    return replace(profile, tau=profile.tau_min)
+
+
+def scaled_eta(factor: float):
+    def eta(g):
+        result = adjacency_eta(g)
+        return replace(result, eta=result.eta * factor)
+    return eta
+
+
+def nodal_count(step: int):
+    def decompose(g, f, zero_tol=None):
+        d = strong_nodal(g, f, zero_tol)
+        return replace(d, count=d.count + step)
+    return decompose
+
+
+def sweep_m(step: int):
+    """The sweep's m off by step, kept in [1, n]: m + 1 = n + 1 would index
+    past the profile (an IndexError that aborts `run_corpus`), and m - 1 = 0
+    would read rho_n as profile[-1]."""
+    def sweep(g, f):
+        cert = rho_upper_nodal_sweep(g, f)
+        return replace(cert, k=min(max(cert.k + step, 1), g.n))
+    return sweep
+
+
 UPPER = {"main", "nodal_cheeger", "cheeger_upper"}
 LOWER = {"eq1_left", "lower_eta", "lower_gap"}
+NODAL_UPPER = {"nodal_strong_upper", "nodal_weak_upper"}
 
 
 def verdict(broken: set, tree: set | None = None, unit: set = frozenset()) -> dict:
@@ -104,6 +151,11 @@ def verdict(broken: set, tree: set | None = None, unit: set = frozenset()) -> di
     trees, `unit` at unit mu, where `cheeger_upper`, `eq1_left` and
     `lower_gap` are skipped."""
     return {"p0.3": broken, "p0.6": broken, "tree": broken if tree is None else tree, "p0.3-unit": unit}
+
+
+def everywhere(broken: set) -> dict:
+    """A fault that breaks the same records on all four corpora."""
+    return verdict(broken, unit=broken)
 
 
 # fault: (the name of `bounds` it replaces, the replacement, its verdict)
@@ -125,12 +177,34 @@ CENSUS = {
     # Survives: no upper record is tight (lhs/rhs <= 0.71).
     "rho*1.05": ("rho_profile", scaled_rho(1.05), verdict(set())),
     "rho*0.95": ("rho_profile", scaled_rho(0.95), verdict({"eq1_left"})),
+    # Caught at unit mu only.  At mu = degree tau = tau_min = 1 on G, so only
+    # `nodal_cheeger`, on the perturbed G' (whose degrees move and mu does
+    # not), changes, and none of its records is tight enough to break.
+    "tau<-tau_min": (
+        "degree_profile", tau_read_as_tau_min, verdict(set(), unit={"main", "nodal_cheeger"})
+    ),
+    # Survives: every record it touches gets weaker.
+    "eta*1.05": ("adjacency_eta", scaled_eta(1.05), verdict(set())),
+    # Survives: no `lower_eta` record is tight (lhs/rhs <= 0.593).
+    "eta*0.95": ("adjacency_eta", scaled_eta(0.95), verdict(set())),
+    "S+1": ("strong_nodal", nodal_count(1), everywhere(NODAL_UPPER)),
+    "S-1": ("strong_nodal", nodal_count(-1), everywhere({"nodal_lower"})),
+    "f_k<-f_k+1": ("_checked_spectrum", shifted_functions(1), everywhere(NODAL_UPPER | {"nodal_cheeger"})),
+    "f_k<-f_k-1": ("_checked_spectrum", shifted_functions(-1), everywhere({"nodal_lower"})),
+    "m+1": ("rho_upper_nodal_sweep", sweep_m(1), everywhere({"nodal_cheeger"})),
+    # Survives: every record it touches gets weaker.
+    "m-1": ("rho_upper_nodal_sweep", sweep_m(-1), verdict(set())),
+    # Phi scored under unit mu: nothing changes on the unit-mu corpus.
+    "Phi<-Phi_unit": (
+        "rho_profile", lambda g, kmax=None: rho_profile(unit_measure(g), kmax),
+        verdict(UPPER, tree={"main", "nodal_cheeger"}),
+    ),
 }
 
 # A shifted spectrum repeats an end eigenvalue, so the `nodal` check finds
 # it not simple and refuses every instance.
 NODAL_REFUSED = {"lambda_k<-lambda_k+1", "lambda_k<-lambda_k-1"}
-UNCHANGED = {("ell<-0", "tree"), ("ell<-ell-1", "tree")}
+UNCHANGED = {("ell<-0", "tree"), ("ell<-ell-1", "tree"), ("Phi<-Phi_unit", "p0.3-unit")}
 
 
 @pytest.mark.parametrize("corpus", UNSIGNED_CORPORA)
