@@ -38,7 +38,7 @@ from .graph import (
     with_random_signature,
 )
 from .nodal import strong_nodal
-from .perturb import GenericityReport, perturb
+from .perturb import _EPS_RULE, GenericityReport, perturb
 from .rng import DEFAULT_SEED, SplitMix64, derive_seed
 from .spectral import Spectrum, adjacency_eta, laplacian_spectrum
 
@@ -428,7 +428,7 @@ _CONFIG_RULES = {
               "a nonempty list of distinct integers >= 1"),
     "count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "seed": (_is_int, "an integer"),
-    "eps": (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "eps": _EPS_RULE,
     "p": _GENERATOR_RULES["p"],
     "w_low": _GENERATOR_RULES["w_low"],
     "w_high": _GENERATOR_RULES["w_high"],

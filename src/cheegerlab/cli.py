@@ -16,7 +16,6 @@ bytes.
 import argparse
 import functools
 import json
-import math
 import sys
 
 from .bounds import (
@@ -38,7 +37,7 @@ from .graph import (
     load_graph,
     to_json_dict,
 )
-from .perturb import genericity_frequency
+from .perturb import _require_eps, genericity_frequency
 from .rng import DEFAULT_SEED
 from .spectral import adjacency_eta, laplacian_spectrum
 
@@ -129,8 +128,9 @@ def cmd_cheeger(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.eps) and args.eps >= 0):
-        raise GraphFormatError("--eps must be a finite number >= 0")
+    # Checked up front: --eps reaches only the checks that perturb, and a
+    # corpus JSON's own "eps" wins over the flag.
+    _require_eps(args.eps)
     checks = tuple(s for s in args.checks.split(",") if s)
     for name in checks:
         if name not in CHECK_NAMES and name != "product":

@@ -20,6 +20,17 @@ from .spectral import Spectrum, laplacian_spectrum
 # eigenfunction entry, at most this large counts as a multiplicity, or a zero.
 GENERICITY_TOL = 1e-10
 
+# What a perturbation size must be (the rule's predicate and its wording):
+# perturb's own rule, which a corpus config's `eps` and verify's --eps read
+# too, so a bad value is refused in the same words wherever it is given.
+_EPS_RULE = (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0")
+
+
+def _require_eps(eps) -> None:
+    accepts, want = _EPS_RULE
+    if not accepts(eps):
+        raise ValueError(f"eps must be {want}")
+
 
 def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
     """Seeded perturbation: w' = w (1 + eps u), kappa' = kappa + eps u.
@@ -34,8 +45,7 @@ def perturb(g: WeightedGraph, eps: float, seed: int) -> WeightedGraph:
     kappa + eps, is not a finite float, raises ValueError before anything
     is drawn.
     """
-    if not (_is_finite_number(eps) and eps >= 0):
-        raise ValueError("eps must be a finite number >= 0")
+    _require_eps(eps)
     # Python floats: a numpy scalar would warn where this product overflows.
     deg = float(g.degrees().max())
     if not (math.isfinite((1.0 + eps) * deg) and math.isfinite(max(g.kappa) + eps)):

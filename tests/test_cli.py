@@ -780,7 +780,7 @@ class TestVerify:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: --eps must be a finite number >= 0\n"
+        assert err == "error: eps must be a finite number >= 0\n"
 
     def test_overflowing_eps_is_a_check_error(self, gn3_file, capsys):
         # The perturbation is refused before any eigensolve or DP: the two

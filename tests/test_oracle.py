@@ -2,10 +2,11 @@
 corpora (n = 4..10, 40 instances each).
 
 - Nineteen faults of the unsigned inputs, each a monkeypatch of one name
-  that `bounds` reads, on four unsigned corpora with every check: the names
-  of the records each fault breaks, and the instances where the `nodal`
-  check refuses.  A fault that breaks nothing survives; it still changes
-  the records, so a change that makes it catchable shows here.
+  that `bounds` reads, on four unsigned corpora, each run with the checks
+  that read that name (every check, for a name most checks read): the
+  names of the records each fault breaks, and the instances where the
+  `nodal` check refuses.  A fault that breaks nothing survives; it still
+  changes the records, so a change that makes it catchable shows here.
 - `nodal_weak_upper` equals `nodal_strong_upper` record for record: the
   `nodal` check runs only on zero-free eigenfunctions, where every weak
   nodal domain is a strong one.
@@ -56,17 +57,21 @@ def unit_measure(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph.build(g.n, g.edges, mu=(1.0,) * g.n, kappa=g.kappa)
 
 
-def all_checks(corpus: str):
-    return report({**UNSIGNED_CORPORA[corpus], "checks": list(bounds.CHECK_NAMES)})
+ALL = bounds.CHECK_NAMES
 
 
-# The fault-free reports, each run once and read by every test of its corpus.
-clean_report = functools.cache(all_checks)
+def checked(corpus: str, checks: tuple):
+    return report({**UNSIGNED_CORPORA[corpus], "checks": list(checks)})
+
+
+# The fault-free reports, each run once and read by every test of its
+# corpus and checks.
+clean_report = functools.cache(checked)
 
 
 @pytest.mark.parametrize("corpus", UNSIGNED_CORPORA)
 def test_weak_nodal_bound_repeats_the_strong_one(corpus):
-    rows = clean_report(corpus).rows
+    rows = clean_report(corpus, ALL).rows
 
     def records(name):
         return [(instance, r.k, r.lhs, r.holds) for instance, r in rows if r.name == name]
@@ -158,6 +163,18 @@ def everywhere(broken: set) -> dict:
     return verdict(broken, unit=broken)
 
 
+# The checks that read a name of `bounds` that only some checks read; only
+# they run under its faults.  `lower` reads tau_min, not tau, of the degree
+# profile; the checks other than `nodal` and `nodal_cheeger` read the
+# spectrum without its functions.
+READ_BY = {
+    "degree_profile": ("main", "nodal_cheeger"),
+    "adjacency_eta": ("lower",),
+    "strong_nodal": ("nodal",),
+    "_checked_spectrum": ("nodal", "nodal_cheeger"),
+    "rho_upper_nodal_sweep": ("nodal_cheeger",),
+}
+
 # fault: (the name of `bounds` it replaces, the replacement, its verdict)
 CENSUS = {
     "rho_k<-rho_k+1": ("rho_profile", shifted_rho(1), verdict(UPPER, unit={"main", "nodal_cheeger"})),
@@ -211,9 +228,10 @@ UNCHANGED = {("ell<-0", "tree"), ("ell<-ell-1", "tree"), ("Phi<-Phi_unit", "p0.3
 @pytest.mark.parametrize("fault", CENSUS)
 def test_census(fault, corpus, monkeypatch):
     name, replacement, broken = CENSUS[fault]
-    clean = clean_report(corpus).to_json_dict()
+    checks = READ_BY.get(name, ALL)
+    clean = clean_report(corpus, checks).to_json_dict()
     monkeypatch.setattr(bounds, name, replacement)
-    faulted = all_checks(corpus)
+    faulted = checked(corpus, checks)
     assert (faulted.to_json_dict() != clean) == ((fault, corpus) not in UNCHANGED)
     assert {r.name for _, r in faulted.rows if r.holds is False} == broken[corpus]
     refusals = [message.split(",")[0] for _, message in faulted.errors]
