@@ -232,7 +232,8 @@ def check_nodal_count_bounds(g: WeightedGraph, eps: float, seed: int) -> list[Ch
                 f"the graph itself, so try eps > 0"
             )
         raise NonGenericError(f"perturbed instance is not generic ({measured}); try another seed")
-    ell = cyclomatic(gp)
+    # perturb keeps the edge set, so g' has g's cyclomatic number.
+    ell = cyclomatic(g)
     records = []
     for k in range(1, g.n + 1):
         f = spectrum.function(k)
@@ -459,11 +460,12 @@ class CorpusConfig:
     count: int = 20
     seed: int = DEFAULT_SEED
     eps: float = 0.05
-    p: float = 0.3
-    w_low: float | None = None
-    w_high: float | None = None
-    mu: str | tuple[float, ...] = "degree"
-    a: float = 1.1
+    # The generator's options default to generate's own.
+    p: float = generate.__kwdefaults__["p"]
+    w_low: float | None = generate.__kwdefaults__["w_low"]
+    w_high: float | None = generate.__kwdefaults__["w_high"]
+    mu: str | tuple[float, ...] = generate.__kwdefaults__["mu"]
+    a: float = generate.__kwdefaults__["a"]
     signed: bool = False
     checks: tuple[str, ...] = ("main", "basics")
 

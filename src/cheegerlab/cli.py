@@ -189,17 +189,10 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    g = generate(
-        args.family,
-        args.n,
-        args.seed,
-        a=args.a,
-        p=args.p,
-        w_low=args.w_low,
-        w_high=args.w_high,
-        mu=args.mu,
-    )
-    _emit(_dumps(to_json_dict(g)), args.output)
+    # The gen parser sets only the options given, so generate's own defaults
+    # stand for the rest.
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
+    _emit(_dumps(to_json_dict(generate(**options))), args.output)
     return 0
 
 
@@ -239,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("graph", nargs="?", default=None)
     source.add_argument("--corpus", default=None, metavar="JSON|@FILE",
                         help='corpus config, e.g. \'{"families":["random_tree"],"sizes":[5,6],"count":10}\'')
-    pv.add_argument("--checks", default="main,basics")
-    pv.add_argument("--eps", type=float, default=0.05)
+    pv.add_argument("--checks", default=",".join(CorpusConfig.checks))
+    pv.add_argument("--eps", type=float, default=CorpusConfig.eps)
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--with-graph", default=None, help="second factor for the product check")
     pv.add_argument("--product-k", type=int, default=1)
@@ -250,21 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("perturb", help="genericity frequency experiment")
     pp.add_argument("graph")
-    pp.add_argument("--eps", type=float, default=0.05)
+    pp.add_argument("--eps", type=float, default=CorpusConfig.eps)
     pp.add_argument("--trials", type=int, default=100)
     pp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pp.add_argument("-o", "--output", default=None)
     pp.set_defaults(func=cmd_perturb)
 
-    pg = sub.add_parser("gen", help="emit a generated graph as canonical JSON")
+    pg = sub.add_parser("gen", help="emit a generated graph as canonical JSON",
+                        argument_default=argparse.SUPPRESS)
     pg.add_argument("--family", required=True)
     pg.add_argument("--n", type=int, required=True)
-    pg.add_argument("--a", type=float, default=1.1)
-    pg.add_argument("--p", type=float, default=0.3)
-    pg.add_argument("--w-low", type=float, default=None)
-    pg.add_argument("--w-high", type=float, default=None)
-    pg.add_argument("--mu", default="degree")
-    pg.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pg.add_argument("--a", type=float)
+    pg.add_argument("--p", type=float)
+    pg.add_argument("--w-low", type=float)
+    pg.add_argument("--w-high", type=float)
+    pg.add_argument("--mu")
+    pg.add_argument("--seed", type=int)
     pg.add_argument("-o", "--output", default=None)
     pg.set_defaults(func=cmd_gen)
     return parser

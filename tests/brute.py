@@ -10,6 +10,7 @@ packing DP restricted to minimal parts (a second exact algorithm with its
 own pair layout, for sizes the loops cannot reach), the numpy
 column-then-row Jacobi rotation loop behind the eigensolver, the numpy
 nodal decompositions and the conductance-per-level-set nodal sweep, the
+closed-form magnetic Hessian whose Morse index is the nodal surplus, the
 per-edge weighted degrees, adjacency, normalized Laplacian and normalized
 adjacency, the search-based 2-colouring behind `classify`, the signed
 double cover and relabelled disjoint unions, and closed-form spectra of
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from cheegerlab import JacobiConvergenceError, WeightedGraph
-from cheegerlab.cheeger import PartitionCertificate, _parts_from_masks, _phi_array, beta_signed, conductance
+from cheegerlab.cheeger import PartitionCertificate, _parts_from_masks, beta_signed, conductance
 from cheegerlab.graph import GraphClassification
 from cheegerlab.nodal import NodalDecomposition
 
@@ -33,10 +34,12 @@ def naive_rho(g: WeightedGraph, k: int, chunk: int = 1 << 18) -> float:
     """min over all label assignments V -> {0..k} of max_i Phi(A_i).
 
     Assignments with an empty part score +inf (their part mask is 0 and
-    _phi_array(g)[0] = inf), so they drop out of the minimum automatically.
+    shift_phi_array(g)[0] = inf), so they drop out of the minimum
+    automatically.  The Phi table is this module's own, so a fault in the
+    library's table does not reach the enumeration.
     """
     n = g.n
-    phi = _phi_array(g)
+    phi = shift_phi_array(g)
     base = k + 1
     total = base**n
     powers = base ** np.arange(n, dtype=np.int64)
@@ -312,6 +315,61 @@ def loop_normalized_adjacency(g: WeightedGraph) -> np.ndarray:
     for e in g.edges:
         mat[e.u, e.v] = mat[e.v, e.u] = e.w / math.sqrt(g.mu[e.u] * g.mu[e.v])
     return mat
+
+
+# ---------------------------------------------------------------------------
+# the magnetic Hessian (the spectral reference for the nodal counts)
+
+def cotree_edges(g: WeightedGraph) -> list[int]:
+    """Indices of the edges that close a cycle, in stored order: each joins
+    two vertices that the edges before it already connect (by union-find).
+    There are cyclomatic(g) of them."""
+    parent = list(range(g.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for j, e in enumerate(g.edges):
+        a, b = root(e.u), root(e.v)
+        if a == b:
+            out.append(j)
+        else:
+            parent[a] = b
+    return out
+
+
+def magnetic_hessians(g: WeightedGraph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(f, H) for k = 1..n: f = g_k, the k-th orthonormal eigenvector of the
+    symmetric normalized Laplacian L, and H the Hessian at alpha = 0 of
+    lambda_k under a magnetic flux alpha_j on each cotree edge j.
+
+    In closed form (second-order perturbation theory; Berkolaiko 2013,
+    Colin de Verdiere 2013), for cotree edges j = uv with c = L_uv and
+    b_jm = c (f_u g_m(v) - f_v g_m(u)):
+    H_jl = delta_jl (-2 c f_u f_v) + 2 sum_{m != k} b_jm b_lm / (lambda_k - lambda_m).
+    For a simple lambda_k with a zero-free f, the number of negative
+    eigenvalues of H is the nodal surplus phi_k - (k - 1), where phi_k
+    counts the edges with sigma f_u f_v < 0.
+    """
+    lap = loop_normalized_laplacian_sym(g)
+    lam, vec = np.linalg.eigh(lap)
+    cotree = [g.edges[j] for j in cotree_edges(g)]
+    u = np.array([e.u for e in cotree], dtype=np.intp)
+    v = np.array([e.v for e in cotree], dtype=np.intp)
+    c = lap[u, v]
+    out = []
+    for k in range(g.n):
+        f = vec[:, k]
+        b = c[:, None] * (f[u, None] * vec[v] - f[v, None] * vec[u])
+        others = np.arange(g.n) != k
+        hess = 2.0 * (b[:, others] / (lam[k] - lam[others])) @ b[:, others].T
+        hess[np.diag_indices(len(cotree))] -= 2.0 * c * f[u] * f[v]
+        out.append((f, hess))
+    return out
 
 
 # ---------------------------------------------------------------------------

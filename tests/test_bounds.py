@@ -744,11 +744,12 @@ class TestSolveCount:
     def test_one_derivation_per_graph(self, monkeypatch, capsys):
         # One unsigned five-check corpus op at n = 10 touches two graphs, the
         # instance g and its perturbed instance g'.  Each decides whether it
-        # is signed and builds its weighted degrees, Laplacian,
-        # classification and degree profile once (asked per call, the sign
-        # test ran 30 times and the degrees 6), and each eigenfunction's
-        # domains are labelled once: 13 component labellings (1 in the
-        # generator, 2 classifications, 10 strong labellings that the `nodal`
+        # is signed and builds its weighted degrees, Laplacian and degree
+        # profile once (asked per call, the sign test ran 30 times and the
+        # degrees 6).  Only g is classified: g' has g's edge set, so the
+        # `nodal` check reads g's cyclomatic number.  Each eigenfunction's
+        # domains are labelled once: 12 component labellings (1 in the
+        # generator, 1 classification, 10 strong labellings that the `nodal`
         # check and the sweeps share), where deriving them per check took 36.
         labellings = []
         built = {"laplacian": [], "classification": [], "degree_profile": [], "signed": [], "degrees": []}
@@ -774,9 +775,10 @@ class TestSolveCount:
         code = main(["verify", "--corpus", json.dumps(cfg), "--checks", ",".join(self.CHECKS)])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["summary"]["holds"] == report["summary"]["records"]
-        assert len(labellings) == 13
+        assert len(labellings) == 12
         (_, build), = bounds.corpus_instances(CorpusConfig(**cfg))
         g = build()
+        assert built.pop("classification") == [g]
         for graphs in built.values():
             assert len(graphs) == 2 and graphs[0] is not graphs[1]
             assert graphs[0] == g and graphs[1] != g

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import cheegerlab
-from cheegerlab.bounds import CHECK_NAMES
-from cheegerlab.cli import build_parser, main
+from cheegerlab.bounds import CHECK_NAMES, CorpusConfig, Report, run_checks_on_graph, run_corpus
+from cheegerlab.cli import _dumps, build_parser, main
+from cheegerlab.graph import _FAMILIES, dumps_graph, generate, load_graph, to_json_dict
+from cheegerlab.perturb import genericity_frequency
+from cheegerlab.rng import DEFAULT_SEED
 
 
 def run_cli(args, capsys):
@@ -1037,6 +1040,42 @@ class TestPerturbCmd:
         assert main(args + ["-o", str(r1)]) == 0
         assert main(args + ["-o", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+class TestLibraryDefaults:
+    """A command given no options writes what the library writes at its own
+    defaults: the CLI restates none of them.  Each family is drawn three
+    sizes above its least n, where p and the weight range show, and verify
+    also runs `nodal` alone, since the default checks do not read eps."""
+
+    CORPUS = {"families": ["random_connected", "cycle"], "sizes": [5], "count": 2}
+
+    @pytest.mark.parametrize(
+        "command, family",
+        [("gen", family) for family in _FAMILIES]
+        + [("corpus", None), ("verify", None), ("verify", "nodal"), ("perturb", None)],
+    )
+    def test_no_options_give_the_library_defaults(self, tmp_path, capsys, command, family):
+        path = tmp_path / "g.json"
+        path.write_text(dumps_graph(generate("random_connected", 6, 11, w_low=0.5, w_high=2.0)))
+        g = load_graph(str(path))
+        if command == "gen":
+            n = _FAMILIES[family].min_n + 3
+            argv = ["gen", "--family", family, "--n", str(n)]
+            want = to_json_dict(generate(family, n))
+        elif command == "corpus":
+            argv = ["verify", "--corpus", json.dumps(self.CORPUS)]
+            want = run_corpus(CorpusConfig.from_json_dict(self.CORPUS)).to_json_dict()
+        elif command == "verify":
+            checks = CorpusConfig.checks if family is None else (family,)
+            argv = ["verify", str(path)] + ([] if family is None else ["--checks", family])
+            rows, errors = run_checks_on_graph("graph", g, checks, CorpusConfig.eps, DEFAULT_SEED)
+            want = Report(rows=rows, errors=errors).to_json_dict()
+        else:
+            argv = ["perturb", str(path), "--trials", "3"]
+            want = genericity_frequency(g, CorpusConfig.eps, 3, DEFAULT_SEED).to_json_dict()
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == _dumps(want) + "\n"
 
 
 class TestEntryPoint:

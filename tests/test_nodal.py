@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from brute import loop_nodal_sweep, loop_strong_nodal
+from brute import loop_nodal_sweep, loop_strong_nodal, magnetic_hessians
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from cheegerlab import (
     product_function,
     rho_upper_nodal_sweep,
     strong_nodal,
+    with_random_signature,
 )
 from cheegerlab import nodal
 
@@ -213,6 +214,45 @@ class TestCourantBounds:
         for k in (2, 3):
             f = spectrum.function(k)
             assert strong_nodal(g, f).count <= 3
+
+
+class TestMorseIndex:
+    """The nodal counts against the spectrum alone: on a simple eigenpair
+    with a zero-free f, phi_k - (k - 1) is the number of negative
+    eigenvalues of lambda_k's magnetic Hessian (brute.magnetic_hessians),
+    and S(f_k) = phi_k - l + 1 + l_dom >= phi_k - l + 1, where l_dom counts
+    the independent cycles inside the strong domains.  phi_k counts the
+    edges with sigma f(u) f(v) < 0 directly: on a signed graph a strong
+    domain can hold vertices of both signs and such an edge between them,
+    so the edges between different strong labels are not phi_k."""
+
+    @staticmethod
+    def instances():
+        """40 unsigned and 40 signed random_connected graphs, n = 4..9,
+        each perturbed at eps = 0.05."""
+        for i in range(80):
+            g = generate("random_connected", 4 + i % 6, seed=i, p=0.4, w_low=0.5, w_high=2.0)
+            if i >= 40:
+                g = with_random_signature(g, i)
+            yield perturb(g, 0.05, i)
+
+    def test_nodal_surplus_is_the_morse_index(self):
+        decided = undecided = 0
+        for g in self.instances():
+            for k, (f, hess) in enumerate(magnetic_hessians(g), start=1):
+                ell = len(hess)  # one flux per cotree edge
+                phi = sum(e.sigma * f[e.u] * f[e.v] < 0 for e in g.edges)
+                assert np.abs(f).min() > 0
+                assert strong_nodal(g, f, zero_tol=0.0).count >= phi - ell + 1
+                eig = np.linalg.eigvalsh(hess)  # empty on a tree: index 0
+                # A Hessian eigenvalue too near 0 leaves its sign, and so the
+                # index, undecided: the oracle says so instead of guessing.
+                if ell and np.abs(eig).min() <= 1e-6 * np.abs(eig).max():
+                    undecided += 1
+                    continue
+                assert phi - (k - 1) == int((eig < 0).sum())
+                decided += 1
+        assert (decided, undecided) == (516, 0)
 
 
 class TestHeldLabellings:
